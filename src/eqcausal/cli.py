@@ -23,7 +23,7 @@ import click
 import jsonschema
 import numpy as np
 
-from . import dataio, deq, interventions, modelzoo, optimize, sscm
+from . import __version__, dataio, deq, interventions, modelzoo, optimize, sscm
 from .diffcore import ExprBuilder
 from .errors import EqcausalError, ParseError, SchemaError
 from .fixedpoint import SolverConfig, forward_iterate, anderson_solve
@@ -31,8 +31,6 @@ from .interventions import LieElement, build_invariant_model, check_compartmenta
 from .modelzoo import IoTable
 from .optimize import AdamConfig, SamplingConfig
 from .sscm import SscmSpec, solve_equilibrium
-
-__version__ = "0.1.0"
 
 COMMANDS = ("solve", "grad-check", "optimize", "pareto", "invariant", "compartment", "bench")
 

@@ -3,10 +3,11 @@
 Gradients of losses through x*(theta) are obtained from the fixed-point
 identity: the adjoint a solves a = (df/dx)^T a + cotangent, after which
 dL/dtheta = (df/dtheta)^T a (and likewise for the intervention vector u and
-policy weights). For models up to DENSE_DIM_LIMIT nodes the adjoint system is
-solved directly with a dense factorization; beyond that the adjoint fixed
-point is iterated with the same solver configuration as the forward pass,
-driving df/dx purely through per-node VJPs (the Jacobian is never formed).
+policy weights). At each equilibrium the partials df/d(x, theta, u, policy)
+are assembled densely from one sweep of per-node VJPs, and I - df/dx is
+inverted once; that inverse gives the adjoint, the dense dx*/dtheta and the
+exact 1-norm condition number. A singular or ill-conditioned I - df/dx, or a
+non-finite adjoint, raises SingularAdjoint.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore, fixedpoint, sscm
-from .errors import NotConverged
+from .errors import NotConverged, SingularAdjoint
 from .fixedpoint import SolveReport, SolverConfig
-from .sscm import DENSE_DIM_LIMIT, SscmSpec
+from .sscm import SscmSpec
 
 Array = np.ndarray
 
@@ -43,77 +44,35 @@ def _check_forward(spec: SscmSpec, theta, x_star, cfg, u, extern, policy):
 
 
 class _Prepared:
-    """Dense df/d(state, theta, u, policy) at a fixed equilibrium, assembled once."""
+    """Dense partials and the inverse of I - df/dx at one equilibrium."""
 
     def __init__(self, spec: SscmSpec, theta, x_star, u, extern, policy):
-        grads = sscm.node_gradients(spec, x_star, theta, u=u, extern=extern, policy=policy)
-        d = spec.d
-        self.spec = spec
-        self.j_x = np.zeros((d, d))
-        self.j_theta = np.zeros((d, spec.theta_dim))
-        self.j_u = np.zeros((d, spec.u_dim))
-        self.j_policy = np.zeros((d, spec.policy_dim)) if spec.policy_dim else None
-        for j, g in enumerate(grads):
-            part = g.get("parents")
-            if part is not None and len(spec.parents[j]):
-                self.j_x[j, list(spec.parents[j])] = part
-            part = g.get("theta")
-            if part is not None:
-                start, stop = spec.theta_slices[j]
-                self.j_theta[j, start:stop] = part
-            part = g.get("u")
-            if part is not None:
-                self.j_u[j, :] += part
-            part = g.get("policy")
-            if part is not None and self.j_policy is not None:
-                self.j_policy[j, :] += part
-        self.lhs_t = np.eye(d) - self.j_x.T
+        self.jac = sscm.node_jacobians(spec, x_star, theta, u=u, extern=extern, policy=policy)
+        lhs = np.eye(spec.d) - self.jac.x
+        try:
+            self.inv = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularAdjoint("I - df/dx is singular at the equilibrium") from exc
+        cond = float(np.linalg.norm(lhs, 1) * np.linalg.norm(self.inv, 1))
+        if not cond <= sscm.COND_MAX:
+            raise SingularAdjoint(
+                f"I - df/dx is ill-conditioned (condition number {cond:.3e} > {sscm.COND_MAX:.0e})")
 
     def vjp(self, cotangent) -> ImplicitGradient:
         cot = np.asarray(cotangent, dtype=np.float64)
-        a = np.linalg.solve(self.lhs_t, cot)
-        residual = float(np.linalg.norm(self.lhs_t @ a - cot))
+        a = self.inv.T @ cot
+        if not np.all(np.isfinite(a)):
+            raise SingularAdjoint("adjoint solve gave a non-finite solution")
+        residual = float(np.linalg.norm(a - self.jac.x.T @ a - cot))
         nrm = float(np.linalg.norm(a))
         report = SolveReport(a, residual, residual / nrm if nrm > 0 else residual, 0, True)
+        jac = self.jac
         return ImplicitGradient(
-            grad_theta=self.j_theta.T @ a,
-            grad_u=self.j_u.T @ a,
-            grad_policy=None if self.j_policy is None else self.j_policy.T @ a,
+            grad_theta=jac.theta.T @ a,
+            grad_u=jac.u.T @ a,
+            grad_policy=None if jac.policy is None else jac.policy.T @ a,
             adjoint_report=report,
         )
-
-
-def _iterative_vjp(spec: SscmSpec, theta, x_star, cotangent, cfg, u, extern, policy) -> ImplicitGradient:
-    cot = np.asarray(cotangent, dtype=np.float64)
-    parent_lists = [list(p) for p in spec.parents]
-
-    def adjoint_map(a: Array) -> Array:
-        out = cot.copy()
-        grads = sscm.node_gradients(spec, x_star, theta, u=u, extern=extern, policy=policy, cotangent=a)
-        for j, g in enumerate(grads):
-            part = g.get("parents")
-            if part is not None and parent_lists[j]:
-                np.add.at(out, parent_lists[j], part)
-        return out
-
-    report = fixedpoint.solve(adjoint_map, np.zeros(spec.d), cfg)
-    a = report.x
-    grads = sscm.node_gradients(spec, x_star, theta, u=u, extern=extern, policy=policy, cotangent=a)
-    grad_theta = np.zeros(spec.theta_dim)
-    grad_u = np.zeros(spec.u_dim)
-    grad_policy = np.zeros(spec.policy_dim) if spec.policy_dim else None
-    for j, g in enumerate(grads):
-        part = g.get("theta")
-        if part is not None:
-            start, stop = spec.theta_slices[j]
-            grad_theta[start:stop] += part
-        part = g.get("u")
-        if part is not None:
-            grad_u += part
-        part = g.get("policy")
-        if part is not None and grad_policy is not None:
-            grad_policy += part
-    return ImplicitGradient(grad_theta, grad_u, grad_policy, report)
 
 
 def implicit_vjp(spec: SscmSpec, theta, x_star, cotangent, cfg: SolverConfig,
@@ -121,50 +80,19 @@ def implicit_vjp(spec: SscmSpec, theta, x_star, cotangent, cfg: SolverConfig,
     """Pull a cotangent on x* back to theta, u and policy weights.
 
     Refuses (raises NotConverged) when x_star does not satisfy the fixed point
-    within cfg.tol; a non-converged adjoint solve is reported, not raised.
+    within cfg.tol. The adjoint is a dense solve; a singular or ill-conditioned
+    I - df/dx, or a non-finite adjoint, raises SingularAdjoint.
     """
     x = _check_forward(spec, theta, x_star, cfg, u, extern, policy)
-    if spec.d <= DENSE_DIM_LIMIT:
-        return _Prepared(spec, theta, x, u, extern, policy).vjp(cotangent)
-    return _iterative_vjp(spec, theta, x, cotangent, cfg, u, extern, policy)
+    return _Prepared(spec, theta, x, u, extern, policy).vjp(cotangent)
 
 
 def jacobian_wrt_theta(spec: SscmSpec, theta, x_star, cfg: SolverConfig,
                        u=None, extern=None, policy=None) -> Array:
-    """Dense dx*/dtheta, assembled row-wise from VJPs with basis cotangents."""
+    """Dense dx*/dtheta = (I - df/dx)^{-1} df/dtheta."""
     x = _check_forward(spec, theta, x_star, cfg, u, extern, policy)
-    d = spec.d
-    out = np.zeros((d, spec.theta_dim))
-    prepared = _Prepared(spec, theta, x, u, extern, policy) if d <= DENSE_DIM_LIMIT else None
-    basis = np.zeros(d)
-    for i in range(d):
-        basis[i] = 1.0
-        if prepared is not None:
-            ig = prepared.vjp(basis)
-        else:
-            ig = _iterative_vjp(spec, theta, x, basis, cfg, u, extern, policy)
-        out[i, :] = ig.grad_theta
-        basis[i] = 0.0
-    return out
-
-
-def jacobian_wrt_u(spec: SscmSpec, theta, x_star, cfg: SolverConfig,
-                   u=None, extern=None, policy=None) -> Array:
-    """Dense dx*/du for the shared intervention vector."""
-    x = _check_forward(spec, theta, x_star, cfg, u, extern, policy)
-    d = spec.d
-    out = np.zeros((d, spec.u_dim))
-    prepared = _Prepared(spec, theta, x, u, extern, policy) if d <= DENSE_DIM_LIMIT else None
-    basis = np.zeros(d)
-    for i in range(d):
-        basis[i] = 1.0
-        if prepared is not None:
-            ig = prepared.vjp(basis)
-        else:
-            ig = _iterative_vjp(spec, theta, x, basis, cfg, u, extern, policy)
-        out[i, :] = ig.grad_u
-        basis[i] = 0.0
-    return out
+    prepared = _Prepared(spec, theta, x, u, extern, policy)
+    return prepared.inv @ prepared.jac.theta
 
 
 @dataclass

@@ -79,6 +79,10 @@ class SingularMatrix(EqcausalError):
     """A dense linear solve hit a singular matrix."""
 
 
+class SingularAdjoint(SingularMatrix):
+    """The adjoint system I - df/dx is singular, ill-conditioned or gave a non-finite solution."""
+
+
 class SingularParameterization(EqcausalError):
     """Model parameters sit exactly on a non-solvable manifold."""
 

@@ -73,12 +73,19 @@ class IoTable:
 
 
 def hawkins_simon_check(A) -> bool:
-    """All leading principal minors of I - A positive (nonnegative equilibrium exists)."""
+    """All leading principal minors of I - A positive (nonnegative equilibrium exists).
+
+    Leading minor k is the product of the first k pivots of an unpivoted
+    elimination of I - A, so the check passes exactly when every pivot is
+    positive.
+    """
     A = np.asarray(A, dtype=np.float64)
     M = np.eye(A.shape[0]) - A
-    for k in range(1, A.shape[0] + 1):
-        if np.linalg.det(M[:k, :k]) <= 0.0:
+    for k in range(M.shape[0]):
+        pivot = M[k, k]
+        if not pivot > 0.0:
             return False
+        M[k + 1:, k + 1:] -= np.outer(M[k + 1:, k], M[k, k + 1:]) / pivot
     return True
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import deq, diffcore, interventions
 from .diffcore import ExprBuilder, ExprGraph
 from .errors import (DomainError, NonFiniteGradient, NonFiniteIterate, NotConverged,
-                     PolicyArityMismatch, ShapeMismatch, SolveFailedDuringOptimization)
+                     PolicyArityMismatch, ShapeMismatch, SingularAdjoint,
+                     SolveFailedDuringOptimization)
 from .fixedpoint import SolverConfig
 from .interventions import InvariantTwin, LieElement
 from .sscm import SscmSpec, solve_equilibrium
@@ -302,8 +303,9 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
 
     Each step applies the intervention, solves the equilibrium, pulls the loss
     gradient back through the implicit function, and Adam-steps in log space
-    (multiplicative group) or raw space (additive). Solve failures halve the
-    step size up to 5 times before aborting with the partial trajectory.
+    (multiplicative group) or raw space (additive). Failures of the equilibrium
+    or adjoint solve halve the step size up to 5 times before aborting with
+    the partial trajectory.
     """
     wired = interventions.apply(spec, g0)
     base_dim = spec.u_dim
@@ -342,7 +344,7 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
             value = loss.value(sol.x_star)
             cot = loss.grad(sol.x_star)
             ig = deq.implicit_vjp(wired, theta, sol.x_star, cot, solver, u=u)
-        except (NonFiniteIterate, NotConverged, DomainError):
+        except (NonFiniteIterate, NotConverged, DomainError, SingularAdjoint):
             failures.append(step)
             if prev_state is None or len(failures) > 5:
                 if not trajectory:
@@ -461,7 +463,7 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
                 ig = deq.implicit_vjp(twin.rerouted, theta, int_sol.x_star, cot, solver,
                                       u=u, extern=extern, policy=state.params)
                 grad += ig.grad_policy
-        except (NonFiniteIterate, NotConverged, DomainError):
+        except (NonFiniteIterate, NotConverged, DomainError, SingularAdjoint):
             failures += 1
             if prev_state is None or failures > 5:
                 aborted = True

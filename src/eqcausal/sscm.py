@@ -29,9 +29,8 @@ Array = np.ndarray
 #: slots an assignment graph may declare, besides "parents" and "theta"
 SHARED_SLOTS = ("u", "extern", "policy")
 
-#: above this dimension, implicit differentiation falls back to iterative
-#: adjoint solves instead of dense Jacobian assembly
-DENSE_DIM_LIMIT = 64
+#: largest condition number of I - df/dx accepted as locally invertible
+COND_MAX = 1e8
 
 
 def _frozen_array(value, dtype=np.float64) -> Array:
@@ -56,6 +55,8 @@ class SscmSpec:
     policy_dim: int = 0
     policy_ref: Array | None = None
     x_ref: Array | None = None
+    # set once validate() passes; the fields are frozen, so the verdict cannot change
+    _validated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -151,9 +152,12 @@ def validate(spec: SscmSpec) -> list[str]:
 
 
 def _require_valid(spec: SscmSpec):
+    if spec._validated:
+        return
     diags = validate(spec)
     if diags:
         raise SpecValidationError(diags)
+    object.__setattr__(spec, "_validated", True)
 
 
 def _bindings_template(spec: SscmSpec, theta, u, extern, policy) -> list[dict]:
@@ -211,34 +215,54 @@ def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=N
     return EquilibriumSolution(report.x, report, np.asarray(theta, dtype=np.float64).copy())
 
 
-def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None,
-                   cotangent=None) -> list[diffcore.Gradient]:
-    """Per-node VJPs of the scalar assignments, weighted by cotangent components.
-
-    With cotangent = a this yields, per node j, a_j * grad f_j for every slot;
-    scattering the "parents" parts gives a^T (df/dx) row contributions.
-    """
+def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> list[diffcore.Gradient]:
+    """Per-node VJPs of the scalar assignments: grad f_j for every slot of node j."""
     static = _bindings_template(spec, theta, u, extern, policy)
     x = np.asarray(x, dtype=np.float64)
-    if cotangent is None:
-        cotangent = np.ones(spec.d)
     grads = []
     for j in range(spec.d):
         b = dict(static[j])
         b["parents"] = x[np.asarray(spec.parents[j], dtype=np.intp)]
-        grads.append(diffcore.reverse_vjp(spec.assignments[j], b, [cotangent[j]]))
+        grads.append(diffcore.reverse_vjp(spec.assignments[j], b, [1.0]))
     return grads
 
 
-def jacobian_wrt_state(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> Array:
-    """Dense df/dx at (x, theta); intended for desk-scale dimensions."""
+@dataclass
+class NodeJacobians:
+    """Dense partials of the stacked map f at one point; row j belongs to node j."""
+
+    x: Array  # (d, d)
+    theta: Array  # (d, theta_dim)
+    u: Array  # (d, u_dim)
+    policy: Array | None  # (d, policy_dim), None without policy weights
+
+
+def node_jacobians(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
+    """df/d(x, theta, u, policy) at (x, theta), scattered from one node_gradients call."""
     grads = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
-    jac = np.zeros((spec.d, spec.d))
+    d = spec.d
+    jac = NodeJacobians(np.zeros((d, d)), np.zeros((d, spec.theta_dim)), np.zeros((d, spec.u_dim)),
+                        np.zeros((d, spec.policy_dim)) if spec.policy_dim else None)
     for j, g in enumerate(grads):
         part = g.get("parents")
-        if part is not None and len(spec.parents[j]):
-            jac[j, list(spec.parents[j])] = part
+        if part is not None and spec.parents[j]:
+            jac.x[j, list(spec.parents[j])] = part
+        part = g.get("theta")
+        if part is not None:
+            start, stop = spec.theta_slices[j]
+            jac.theta[j, start:stop] = part
+        part = g.get("u")
+        if part is not None:
+            jac.u[j, :] = part
+        part = g.get("policy")
+        if part is not None and jac.policy is not None:
+            jac.policy[j, :] = part
     return jac
+
+
+def jacobian_wrt_state(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> Array:
+    """Dense df/dx at (x, theta)."""
+    return node_jacobians(spec, x, theta, u=u, extern=extern, policy=policy).x
 
 
 @dataclass
@@ -249,10 +273,9 @@ class DiffeoReport:
     residual: float
 
 
-def check_local_diffeomorphism(spec: SscmSpec, x, theta, cond_max: float = 1e8,
+def check_local_diffeomorphism(spec: SscmSpec, x, theta, cond_max: float = COND_MAX,
                                tol: float = 1e-4, u=None, extern=None, policy=None) -> DiffeoReport:
     """Check that (x, theta) is a fixed point and that I - df/dx is well conditioned."""
-    _require_valid(spec)
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
     x = np.asarray(x, dtype=np.float64)
     res, err = fixedpoint._error(x, f(x))

@@ -1,7 +1,8 @@
-"""Hand-built model fixtures shared across test modules."""
+"""Hand-built model fixtures and fault injection shared across test modules."""
 
 import numpy as np
 
+from eqcausal import sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.sscm import SscmSpec
 
@@ -61,3 +62,20 @@ def leontief_spec(A, y):
     box = np.stack([np.zeros(d), 2.0 * np.maximum(y, 1.0)], axis=1)
     return SscmSpec(tuple(f"s{k}" for k in range(d)), tuple(parents), tuple(graphs),
                     y, box, tuple(slices))
+
+
+def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
+    """Replace df/dx in sscm.node_jacobians by j_x, or by the identity (so that
+    I - df/dx = 0) when j_x is None; only on the given 0-based calls if on_calls
+    is set. The other partials are kept."""
+    original = sscm.node_jacobians
+    count = []
+
+    def injected(*args, **kwargs):
+        jac = original(*args, **kwargs)
+        if on_calls is None or len(count) in on_calls:
+            jac.x = np.eye(jac.x.shape[0]) if j_x is None else np.asarray(j_x, dtype=float)
+        count.append(1)
+        return jac
+
+    monkeypatch.setattr(sscm, "node_jacobians", injected)

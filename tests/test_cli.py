@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from eqcausal import dataio, modelzoo
+import eqcausal
+from eqcausal import cli, dataio, modelzoo
 from eqcausal.cli import (_config_from_obj, build_model, config_hash, load_config, main,
                           run_experiment)
 from eqcausal.errors import DimensionMismatch, NegativeEntry, ParseError, SchemaError
+
+from ._models import inject_state_jacobian
 
 
 def write_config(path, obj):
@@ -223,3 +226,22 @@ def test_cli_seed_override(tmp_path):
     assert manifest["seed"] == 9
     assert manifest["version"]
     assert manifest["config_hash"] == config_hash(load_config(path))
+
+
+def test_singular_adjoint_exits_1_with_manifest(tmp_path, monkeypatch):
+    inject_state_jacobian(monkeypatch)
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", {"command": "grad-check", "model": "motivating-example",
+                                              "out": str(out)})
+    result = CliRunner().invoke(main, ["grad-check", "--config", path])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["success"]
+    failed = manifest["stages"][-1]
+    assert failed["name"] == "grad-check" and failed["status"] == "error"
+    assert failed["detail"]["error"].startswith("SingularAdjoint: ")
+
+
+def test_cli_version_is_package_version():
+    assert cli.__version__ is eqcausal.__version__

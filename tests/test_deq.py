@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from eqcausal import deq, sscm
+from eqcausal import deq, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import NotConverged
+from eqcausal.errors import NotConverged, SingularAdjoint, SingularMatrix
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.sscm import SscmSpec, solve_equilibrium
 
-from ._models import THETA_REF, leontief_spec, motivating_spec
+from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
 
 TIGHT = SolverConfig(tol=1e-10)
+EXACT = SolverConfig(tol=1e-10, beta=1.0)
 
 
 def scalar_cycle_spec():
@@ -104,21 +105,74 @@ def test_adjoint_consistency_bilinear_forms():
         assert via_vjp == pytest.approx(v @ jac @ w, abs=1e-8)
 
 
-def test_iterative_adjoint_large_dimension():
-    # d > DENSE_DIM_LIMIT exercises the matrix-free adjoint path
-    rng = np.random.default_rng(2)
-    d = sscm.DENSE_DIM_LIMIT + 6
-    A = rng.uniform(0.0, 1.0, size=(d, d))
+def random_leontief(rng, d, density=0.3):
+    """Sparse nonnegative A with spectral radius 0.6 and demand y."""
+    A = rng.uniform(0.0, 1.0, size=(d, d)) * (rng.uniform(size=(d, d)) < density)
     np.fill_diagonal(A, 0.0)
     A *= 0.6 / max(abs(np.linalg.eigvals(A)))
-    A[A < 0.02] = 0.0
-    y = rng.uniform(0.5, 1.5, size=d)
+    return A, rng.uniform(0.5, 1.5, size=d)
+
+
+def test_dense_adjoint_large_dimension():
+    rng = np.random.default_rng(2)
+    for d in (70, 200):
+        A, y = random_leontief(rng, d)
+        spec = leontief_spec(A, y)
+        sol = solve_equilibrium(spec, y, EXACT)
+        c = rng.normal(size=d)
+        ig = deq.implicit_vjp(spec, y, sol.x_star, c, EXACT)
+        assert ig.adjoint_report.converged
+        assert ig.adjoint_report.iterations == 0
+        np.testing.assert_allclose(ig.grad_theta, np.linalg.solve((np.eye(d) - A).T, c), atol=1e-10)
+
+
+def test_implicit_vjp_makes_one_node_gradients_call(monkeypatch):
+    calls = []
+    original = sscm.node_gradients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sscm, "node_gradients", counting)
+    A, y = random_leontief(np.random.default_rng(4), 30)
     spec = leontief_spec(A, y)
-    sol = solve_equilibrium(spec, y, TIGHT)
-    c = rng.normal(size=d)
-    ig = deq.implicit_vjp(spec, y, sol.x_star, c, TIGHT)
-    assert ig.adjoint_report.converged
-    np.testing.assert_allclose(ig.grad_theta, np.linalg.solve((np.eye(d) - A).T, c), atol=1e-6)
+    sol = solve_equilibrium(spec, y, EXACT)
+    calls.clear()
+    deq.implicit_vjp(spec, y, sol.x_star, np.ones(30), EXACT)
+    assert len(calls) == 1
+
+
+def test_jacobian_wrt_theta_100_sectors_is_inverse():
+    # theta is final demand y, so dx*/dtheta = (I - A)^{-1}; the zoo model divides
+    # each row by 1 - A_kk, which the dense solve must undo
+    table = modelzoo.leontief_synthetic(100)
+    spec = modelzoo.leontief_model(table)
+    sol = solve_equilibrium(spec, spec.theta_ref, EXACT)
+    jac = deq.jacobian_wrt_theta(spec, spec.theta_ref, sol.x_star, EXACT)
+    np.testing.assert_allclose(jac, np.linalg.inv(np.eye(100) - table.A), atol=1e-10)
+
+
+@pytest.mark.parametrize("j_x, cot, message", [
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], "singular"),  # LinAlgError in the factorization
+    ([[0.0, 1.0 - 1e-10], [1.0, 0.0]], [1.0, 0.0], "ill-conditioned"),
+    ([[0.0, 0.5], [1.0, 0.0]], [np.inf, 0.0], "non-finite"),
+])
+def test_adjoint_failures_raise_singular_adjoint(monkeypatch, j_x, cot, message):
+    spec = scalar_cycle_spec()
+    sol = solve_equilibrium(spec, [0.5], TIGHT)
+    inject_state_jacobian(monkeypatch, j_x)
+    with pytest.raises(SingularAdjoint, match=message) as info:
+        deq.implicit_vjp(spec, [0.5], sol.x_star, cot, TIGHT)
+    assert isinstance(info.value, SingularMatrix)
+
+
+def test_jacobian_wrt_theta_raises_on_singular_adjoint(monkeypatch):
+    spec = scalar_cycle_spec()
+    sol = solve_equilibrium(spec, [0.5], TIGHT)
+    inject_state_jacobian(monkeypatch, [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(SingularAdjoint):
+        deq.jacobian_wrt_theta(spec, [0.5], sol.x_star, TIGHT)
 
 
 def test_refuses_unconverged_equilibrium():

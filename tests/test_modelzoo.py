@@ -101,6 +101,21 @@ def test_hawkins_simon():
     assert hawkins_simon_check(A2)  # minors 0.9 and 0.75
 
 
+def test_hawkins_simon_matches_leading_minors():
+    # spectral radii spread over about 0.25-2, so both verdicts occur
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        A = rng.uniform(0.0, 1.0, size=(n, n)) * rng.uniform(0.5, 4.0) / n
+        M = np.eye(n) - A
+        minors_positive = all(np.linalg.det(M[:k, :k]) > 0.0 for k in range(1, n + 1))
+        assert hawkins_simon_check(A) == minors_positive
+        verdicts.add(minors_positive)
+    assert verdicts == {True, False}
+    assert not hawkins_simon_check(np.full((2, 2), 0.5))  # second pivot is exactly 0
+
+
 def test_hawkins_simon_implies_forward_convergence():
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqcausal import deq, modelzoo, sscm
+from eqcausal import deq, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian
 from eqcausal.errors import NonFiniteGradient, PolicyArityMismatch
 from eqcausal.fixedpoint import SolverConfig
@@ -12,7 +12,7 @@ from eqcausal.optimize import (AdamConfig, AdamState, DistanceLoss, GhgEmploymen
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import leontief_spec, motivating_spec
+from ._models import inject_state_jacobian, leontief_spec, motivating_spec
 
 TIGHT = SolverConfig(tol=1e-10, beta=1.0)
 
@@ -200,6 +200,44 @@ def test_solve_failures_halve_step_size_then_abort():
     assert res.aborted
     assert len(res.failures) >= 1
     assert len(res.trajectory) >= 1
+
+
+def record_lr_scales(monkeypatch):
+    scales = []
+
+    def recording(state, grads, cfg, lr_scale=1.0):
+        scales.append(lr_scale)
+        return adam_step(state, grads, cfg, lr_scale)
+
+    monkeypatch.setattr(optimize, "adam_step", recording)
+    return scales
+
+
+def test_singular_adjoint_halves_step_size(monkeypatch):
+    spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
+    inject_state_jacobian(monkeypatch, on_calls={1})
+    scales = record_lr_scales(monkeypatch)
+    res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
+                                    DistanceLoss(np.array([1.0, 1.0])),
+                                    AdamConfig(learning_rate=0.02, iterations=4, early_stop=False),
+                                    SolverConfig(tol=1e-8, beta=1.0))
+    assert res.failures == [1]
+    assert not res.aborted
+    assert scales == [1.0, 0.5, 0.5]
+
+
+def test_singular_adjoint_halves_training_step_size(monkeypatch):
+    twin = scalar_policy_twin()
+    inject_state_jacobian(monkeypatch, on_calls={2})  # inside the second step of 2 samples
+    scales = record_lr_scales(monkeypatch)
+    trained = train_invariant_policy(twin, np.array([0.4]),
+                                     SamplingConfig(samples_per_step=2),
+                                     AdamConfig(learning_rate=0.05, iterations=3, seed=1,
+                                                early_stop=False),
+                                     SolverConfig(tol=1e-8, beta=1.0))
+    assert trained.failures == 1
+    assert not trained.aborted
+    assert scales == [1.0, 0.5]
 
 
 def test_optimizer_is_deterministic():

@@ -162,3 +162,39 @@ def test_solve_rejects_invalid_spec():
                         spec.theta_ref, spec.theta_box, spec.theta_slices)
     with pytest.raises(sscm.SpecValidationError):
         solve_equilibrium(bad, THETA_REF, SolverConfig())
+
+
+def count_validate_calls(monkeypatch):
+    calls = []
+    original = sscm.validate
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(sscm, "validate", counting)
+    return calls
+
+
+def test_valid_spec_is_validated_once(monkeypatch):
+    calls = count_validate_calls(monkeypatch)
+    spec = motivating_spec()
+    for _ in range(3):
+        assemble_map(spec, THETA_REF)
+    x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10, beta=1.0)).x_star
+    check_local_diffeomorphism(spec, x, THETA_REF)
+    assert calls == [spec]
+    other = spec.with_u(spec.u_ref)  # a new spec object is validated afresh
+    assemble_map(other, THETA_REF)
+    assert calls == [spec, other]
+
+
+def test_invalid_spec_raises_on_every_call(monkeypatch):
+    calls = count_validate_calls(monkeypatch)
+    spec = motivating_spec()
+    bad = sscm.SscmSpec(spec.names, ((9,), (0, 2), (1,)), spec.assignments,
+                        spec.theta_ref, spec.theta_box, spec.theta_slices)
+    for _ in range(3):
+        with pytest.raises(sscm.SpecValidationError):
+            assemble_map(bad, THETA_REF)
+    assert len(calls) == 3
