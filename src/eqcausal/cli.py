@@ -9,11 +9,9 @@ byte-identical outputs; only wall-clock fields differ between reruns.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -36,6 +34,18 @@ COMMANDS = ("solve", "grad-check", "optimize", "pareto", "invariant", "compartme
 
 _NUMBER = {"type": "number"}
 _POS_INT = {"type": "integer", "minimum": 1}
+# JSON types of the config dataclasses' annotations; their values are checked
+# by the dataclasses themselves
+_JSON_TYPES = {"int": {"type": "integer"}, "float": _NUMBER, "bool": {"type": "boolean"},
+               "str": {"type": "string"}, "tuple | None": {"type": "array", "items": _NUMBER}}
+
+
+def _dataclass_schema(cls, exclude=()) -> dict:
+    """Strict object schema typing every field of a config dataclass but `exclude`."""
+    return {"type": "object", "additionalProperties": False,
+            "properties": {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls)
+                           if f.name not in exclude}}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -58,42 +68,9 @@ CONFIG_SCHEMA = {
                 },
             ]
         },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "method": {"enum": ["forward", "anderson"]},
-                "m": _POS_INT,
-                "beta": _NUMBER,
-                "tol": _NUMBER,
-                "max_iter": _POS_INT,
-                "ridge": _NUMBER,
-            },
-        },
-        "adam": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "learning_rate": _NUMBER,
-                "beta1": _NUMBER,
-                "beta2": _NUMBER,
-                "eps": _NUMBER,
-                "iterations": _POS_INT,
-                "early_stop": {"type": "boolean"},
-                "plateau_window": _POS_INT,
-                "plateau_rtol": _NUMBER,
-            },
-        },
-        "sampling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "theta_stddev": {"type": "array", "items": _NUMBER},
-                "u_low": _NUMBER,
-                "u_high": _NUMBER,
-                "samples_per_step": _POS_INT,
-            },
-        },
+        "solver": _dataclass_schema(SolverConfig),
+        "adam": _dataclass_schema(AdamConfig, exclude=("seed",)),
+        "sampling": _dataclass_schema(SamplingConfig, exclude=("theta_mean",)),
         "intervention": {
             "type": "object",
             "additionalProperties": False,
@@ -173,15 +150,20 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
             resolved[key] = str(path)
         model = resolved
 
+    def section(cls, key, **extra):
+        fields = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.get(key, {}).items()}
+        try:
+            return cls(**fields, **extra)
+        except ValueError as exc:
+            raise SchemaError(str(exc), pointer=f"/{key}") from None
+
     seed = int(obj.get("seed", 0))
-    adam_fields = dict(obj.get("adam", {}))
     return ExperimentConfig(
         command=command,
         model=model,
-        solver=SolverConfig(**obj.get("solver", {})),
-        adam=AdamConfig(seed=seed, **adam_fields),
-        sampling=SamplingConfig(**{k: tuple(v) if k == "theta_stddev" else v
-                                   for k, v in obj.get("sampling", {}).items()}),
+        solver=section(SolverConfig, "solver"),
+        adam=section(AdamConfig, "adam", seed=seed),
+        sampling=section(SamplingConfig, "sampling"),
         intervention=obj.get("intervention"),
         loss=loss,
         bench=dict(obj.get("bench", {})),
@@ -417,7 +399,7 @@ def _run_pareto(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter
     return {"points": len(points), "all_converged": all(p.converged for p in points)}
 
 
-def _train_phases(adam: AdamConfig):
+def _phase_schedule(adam: AdamConfig):
     """Coarse-to-fine schedule derived from the configured optimizer settings."""
     return (
         adam,
@@ -426,6 +408,17 @@ def _train_phases(adam: AdamConfig):
         replace(adam, learning_rate=adam.learning_rate / 20.0,
                 iterations=max(1, (3 * adam.iterations) // 8), seed=adam.seed + 2),
     )
+
+
+def _train_phases(twin, weights, sampling: SamplingConfig, phases, solver: SolverConfig):
+    """Train the twin's policies phase after phase, carrying the weights over;
+    returns the final weights and the final loss of every phase."""
+    losses = []
+    for phase in phases:
+        trained = optimize.train_invariant_policy(twin, weights, sampling, phase, solver)
+        weights = trained.weights
+        losses.append(trained.final_loss)
+    return weights, losses
 
 
 def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter) -> dict:
@@ -442,12 +435,8 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
                                  LieElement("multiplicative", (inst.energy_sector,), [1.0]))
     train_solver = replace(_tight(config.solver, tol=1e-5), tol=1e-5)
-    weights = w0
-    train_losses = []
-    for phase in _train_phases(config.adam):
-        trained = optimize.train_invariant_policy(twin, weights, sampling, phase, train_solver)
-        weights = trained.weights
-        train_losses.append(trained.final_loss)
+    weights, train_losses = _train_phases(twin, w0, sampling, _phase_schedule(config.adam),
+                                          train_solver)
 
     eval_solver = _tight(config.solver)
     rng = np.random.default_rng(config.seed + 99)
@@ -521,12 +510,8 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
     us = tuple(LieElement(p.group, (p.intervened,), [1.0]) for p in inst.plan.plans)
     twin = build_invariant_model(inst.spec, inst.plan.plans, us)
     train_solver = replace(_tight(config.solver, tol=1e-6), tol=1e-6)
-    weights = inst.w0
-    train_losses = []
-    for phase in _train_phases(config.adam)[:2]:
-        trained = optimize.train_invariant_policy(twin, weights, sampling, phase, train_solver)
-        weights = trained.weights
-        train_losses.append(trained.final_loss)
+    weights, train_losses = _train_phases(twin, inst.w0, sampling,
+                                          _phase_schedule(config.adam)[:2], train_solver)
 
     eval_solver = _tight(config.solver)
     grid = np.exp(np.linspace(np.log(inst.u_low), np.log(inst.u_high), 5))
@@ -586,15 +571,7 @@ def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter)
     radius = config.bench.get("spectral_radius", 0.9)
     seed_list = [config.seed + i for i in range(n_seeds)]
     cells = [(dim, method, beta) for dim in dims for method, beta in BENCH_METHODS]
-    workers = max(1, int(os.environ.get("EQCAUSAL_THREADS", "1")))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda cell: _bench_cell(*cell, seed_list, config.solver, radius), cells))
-    else:
-        results = [_bench_cell(*cell, seed_list, config.solver, radius) for cell in cells]
-
-    rows = [r for cell_rows in results for r in cell_rows]
+    rows = [r for cell in cells for r in _bench_cell(*cell, seed_list, config.solver, radius)]
     out.write_csv("bench.csv", ["dim", "method", "seed", "relative_error", "iterations",
                                 "converged"],
                   [[r["dim"], r["method"], r["seed"], r["relative_error"], r["iterations"],

@@ -43,10 +43,14 @@ def _check_forward(spec: SscmSpec, theta, x_star, cfg, u, extern, policy):
     return x
 
 
-class _Prepared:
-    """Dense partials and the inverse of I - df/dx at one equilibrium."""
+class Linearization:
+    """Dense partials and the inverse of I - df/dx at one equilibrium.
 
-    def __init__(self, spec: SscmSpec, theta, x_star, u, extern, policy):
+    Raises SingularAdjoint when I - df/dx is singular or its 1-norm condition
+    number exceeds sscm.COND_MAX.
+    """
+
+    def __init__(self, spec: SscmSpec, theta, x_star, u=None, extern=None, policy=None):
         self.jac = sscm.node_jacobians(spec, x_star, theta, u=u, extern=extern, policy=policy)
         lhs = np.eye(spec.d) - self.jac.x
         try:
@@ -84,14 +88,14 @@ def implicit_vjp(spec: SscmSpec, theta, x_star, cotangent, cfg: SolverConfig,
     I - df/dx, or a non-finite adjoint, raises SingularAdjoint.
     """
     x = _check_forward(spec, theta, x_star, cfg, u, extern, policy)
-    return _Prepared(spec, theta, x, u, extern, policy).vjp(cotangent)
+    return Linearization(spec, theta, x, u, extern, policy).vjp(cotangent)
 
 
 def jacobian_wrt_theta(spec: SscmSpec, theta, x_star, cfg: SolverConfig,
                        u=None, extern=None, policy=None) -> Array:
     """Dense dx*/dtheta = (I - df/dx)^{-1} df/dtheta."""
     x = _check_forward(spec, theta, x_star, cfg, u, extern, policy)
-    prepared = _Prepared(spec, theta, x, u, extern, policy)
+    prepared = Linearization(spec, theta, x, u, extern, policy)
     return prepared.inv @ prepared.jac.theta
 
 

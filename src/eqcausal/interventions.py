@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import deq, sscm
+from . import deq
 from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidPartition, MismatchedTargets,
-                     NonFiniteIterate, PolicyArityMismatch)
+                     NonFiniteIterate, NotConverged, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
 from .sscm import EquilibriumSolution, SscmSpec, solve_equilibrium
 
@@ -129,8 +129,12 @@ def hard_intervention_derivative(spec: SscmSpec, j: int, k: int, theta,
     sol = solve_equilibrium(spec, theta, cfg)
     if not sol.report.converged:
         raise ClampedModelSingular("base model does not converge at the requested theta")
-    lam0 = float(sol.x_star[k])
+    return _clamped_derivative(spec, j, k, theta, float(sol.x_star[k]), cfg)
 
+
+def _clamped_derivative(spec: SscmSpec, j: int, k: int, theta, lam0: float,
+                        cfg: SolverConfig) -> float:
+    """d x_j / d(lambda) at lambda = lam0 for the model clamped at x_k = lambda."""
     clamped, theta_ext = clamp_node(spec, k, theta, lam0)
     try:
         csol = solve_equilibrium(clamped, theta_ext, cfg)
@@ -207,21 +211,26 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     well conditioned, (b) the map theta -> equilibrium values of the auxiliary
     node's parents has full column rank, (c) the hard-intervention derivative
     of the invariant node w.r.t. the auxiliary node is nonzero. The checks are
-    sufficient, not necessary.
+    sufficient, not necessary. One linearization of the base model at its
+    equilibrium serves the diffeomorphism check, (a) and (b); an unconverged
+    equilibrium raises NotConverged and a singular I - df/dx SingularAdjoint.
     """
     if i == j or i == k:
         raise ValueError("intervened node must differ from invariant and auxiliary nodes")
     cfg = cfg or SolverConfig(tol=1e-10)
     theta = spec.theta_ref if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
     sol = solve_equilibrium(spec, theta, cfg)
-    diffeo = sscm.check_local_diffeomorphism(spec, sol.x_star, theta, cond_max=cond_max, tol=cfg.tol)
-
-    jac_full = np.eye(spec.d) - sscm.jacobian_wrt_state(spec, sol.x_star, theta)
+    if not sol.report.converged:
+        raise NotConverged(f"x_star is not a converged equilibrium (error "
+                           f"{sol.report.relative_error:.3e} > tol {cfg.tol:.3e})")
+    lin = deq.Linearization(spec, theta, sol.x_star)
+    jac_full = np.eye(spec.d) - lin.jac.x
+    cond = float(np.linalg.cond(jac_full))
     keep = [n for n in range(spec.d) if n != j]
     reduced = jac_full[np.ix_(keep, keep)]
     cond_red = float(np.linalg.cond(reduced))
 
-    jac_theta = deq.jacobian_wrt_theta(spec, theta, sol.x_star, cfg)
+    jac_theta = lin.inv @ lin.jac.theta
     pa_rows = jac_theta[list(spec.parents[k]), :] if spec.parents[k] else np.zeros((0, spec.theta_dim))
     p = spec.theta_dim
     if pa_rows.shape[0] >= p and p > 0:
@@ -229,7 +238,7 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     else:
         sigma_min = 0.0
 
-    deriv = hard_intervention_derivative(spec, j, k, theta, cfg)
+    deriv = _clamped_derivative(spec, j, k, theta, float(sol.x_star[k]), cfg)
 
     return InvarianceReport(
         reduced_jacobian_invertible=bool(np.isfinite(cond_red) and cond_red <= cond_max),
@@ -238,7 +247,7 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
         parents_jacobian_sigma_min=sigma_min,
         hard_derivative_nonzero=bool(abs(deriv) > derivative_threshold),
         hard_derivative=deriv,
-        diffeomorphic_at_reference=bool(diffeo.is_solution and diffeo.jacobian_invertible),
+        diffeomorphic_at_reference=bool(np.isfinite(cond) and cond <= cond_max),
     )
 
 

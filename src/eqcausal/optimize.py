@@ -1,4 +1,9 @@
-"""Optimization: Adam, MLP policies, losses and the training loops.
+"""Optimization: Adam, MLP policies, losses, and descent through equilibria.
+
+Intervention design and invariant-policy training are one descent,
+`_descend`: Adam on a closure that solves the equilibria at the current
+parameters and returns the loss and its implicit gradient, with one recovery
+policy for solver failures (retry at half the step size, then abort).
 
 Multiplicative intervention values are optimized in log space, which keeps
 them strictly positive without projections; box bounds are enforced by
@@ -44,6 +49,8 @@ class AdamConfig:
             raise ValueError("learning rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if self.iterations < 1 or self.plateau_window < 1:
+            raise ValueError("iterations and plateau_window must be >= 1")
 
 
 @dataclass
@@ -83,6 +90,59 @@ def _plateaued(losses: list[float], cfg: AdamConfig) -> bool:
     past = losses[-2 * w:-w]
     change = abs(np.mean(past) - np.mean(recent))
     return change <= cfg.plateau_rtol * (abs(np.mean(past)) + 1e-30)
+
+
+# failures of one evaluation that a retry at half the step size may avoid
+_RECOVERABLE = (NonFiniteIterate, NotConverged, DomainError, SingularAdjoint)
+_MAX_FAILURES = 5
+
+
+@dataclass
+class _Descent:
+    params: Array  # the current parameters when the descent ended
+    losses: list[float]  # one per successful evaluation
+    failures: list[int]  # steps whose evaluation failed
+    aborted: bool
+    early_stopped: bool
+
+
+def _descend(evaluate, p0, adam: AdamConfig, bounds=None) -> _Descent:
+    """Adam on evaluate(params) -> (loss, grad), clamped to the optional (lo, hi) box.
+
+    Every evaluation, failed or not, uses one of adam.iterations steps. A
+    recoverable failure restores the previous parameters and halves the step
+    size; more than _MAX_FAILURES failures abort. A failure before any
+    evaluation has succeeded raises SolveFailedDuringOptimization.
+    """
+    state = AdamState.init(p0)
+    if bounds is not None:
+        state.params = np.clip(state.params, *bounds)
+    losses: list[float] = []
+    failures: list[int] = []
+    lr_scale = 1.0
+    prev_state = None
+
+    for step in range(adam.iterations):
+        try:
+            loss, grad = evaluate(state.params)
+        except _RECOVERABLE as exc:
+            failures.append(step)
+            if prev_state is None:
+                raise SolveFailedDuringOptimization(
+                    f"equilibrium solve failed at step {step} with no recoverable state") from exc
+            if len(failures) > _MAX_FAILURES:
+                return _Descent(state.params, losses, failures, True, False)
+            state = prev_state
+            lr_scale *= 0.5
+            continue
+        losses.append(loss)
+        if _plateaued(losses, adam):
+            return _Descent(state.params, losses, failures, False, True)
+        prev_state = state
+        state = adam_step(state, grad, adam, lr_scale)
+        if bounds is not None:
+            state.params = np.clip(state.params, *bounds)
+    return _Descent(state.params, losses, failures, False, False)
 
 
 # --- MLP policies ---
@@ -303,72 +363,32 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
 
     Each step applies the intervention, solves the equilibrium, pulls the loss
     gradient back through the implicit function, and Adam-steps in log space
-    (multiplicative group) or raw space (additive). Failures of the equilibrium
-    or adjoint solve halve the step size up to 5 times before aborting with
-    the partial trajectory.
+    (multiplicative group) or raw space (additive), clamped to the bounds.
+    Failures of the equilibrium or adjoint solve are handled by `_descend`;
+    an abort keeps the partial trajectory.
     """
     wired = interventions.apply(spec, g0)
     base_dim = spec.u_dim
     theta = spec.theta_ref if theta is None else np.asarray(theta, dtype=np.float64)
     mult = g0.group == "multiplicative"
-
-    def to_w(vals):
-        return np.log(vals) if mult else np.asarray(vals, dtype=np.float64).copy()
-
-    def to_vals(w):
-        return np.exp(w) if mult else w.copy()
-
-    w_lo = w_hi = None
-    if bounds is not None:
-        lo, hi = bounds
-        w_lo, w_hi = (np.log(lo), np.log(hi)) if mult else (lo, hi)
-
-    state = AdamState.init(to_w(g0.values))
-    if w_lo is not None:
-        state.params = np.clip(state.params, w_lo, w_hi)
     trajectory: list = []
-    losses: list[float] = []
-    failures: list[int] = []
-    lr_scale = 1.0
-    prev_state = None
-    early = False
 
-    step = 0
-    while step < adam.iterations:
-        vals = to_vals(state.params)
+    def evaluate(w):
+        vals = np.exp(w) if mult else w.copy()
         u = np.concatenate([wired.u_ref[:base_dim], vals])
-        try:
-            sol = solve_equilibrium(wired, theta, solver, u=u)
-            if not sol.report.converged:
-                raise NotConverged("equilibrium solve did not converge")
-            value = loss.value(sol.x_star)
-            cot = loss.grad(sol.x_star)
-            ig = deq.implicit_vjp(wired, theta, sol.x_star, cot, solver, u=u)
-        except (NonFiniteIterate, NotConverged, DomainError, SingularAdjoint):
-            failures.append(step)
-            if prev_state is None or len(failures) > 5:
-                if not trajectory:
-                    raise SolveFailedDuringOptimization(
-                        f"equilibrium solve failed at step {step} with no recoverable state")
-                return OptimizationResult(trajectory, True, failures, early)
-            state = prev_state
-            lr_scale *= 0.5
-            step += 1
-            continue
+        sol = solve_equilibrium(wired, theta, solver, u=u)
+        if not sol.report.converged:
+            raise NotConverged("equilibrium solve did not converge")
+        value = loss.value(sol.x_star)
+        cot = loss.grad(sol.x_star)
+        g_tail = deq.implicit_vjp(wired, theta, sol.x_star, cot, solver, u=u).grad_u[base_dim:]
         trajectory.append((LieElement(g0.group, g0.targets, vals), value))
-        losses.append(value)
-        if _plateaued(losses, adam):
-            early = True
-            break
-        g_tail = ig.grad_u[base_dim:]
-        grad_w = g_tail * vals if mult else g_tail
-        prev_state = state
-        state = adam_step(state, grad_w, adam, lr_scale)
-        if w_lo is not None:
-            state.params = np.clip(state.params, w_lo, w_hi)
-        step += 1
+        return value, (g_tail * vals if mult else g_tail)
 
-    return OptimizationResult(trajectory, False, failures, early)
+    w0 = np.log(g0.values) if mult else g0.values
+    w_bounds = None if bounds is None else tuple(np.log(bounds) if mult else bounds)
+    res = _descend(evaluate, w0, adam, w_bounds)
+    return OptimizationResult(trajectory, res.aborted, res.failures, res.early_stopped)
 
 
 # --- sampling ---
@@ -394,6 +414,9 @@ def sample_theta(spec: SscmSpec, sampling: SamplingConfig, rng: np.random.Genera
     mean = spec.theta_ref if sampling.theta_mean is None else np.asarray(sampling.theta_mean, float)
     std = (0.05 * np.abs(spec.theta_ref) + 0.01 if sampling.theta_stddev is None
            else np.asarray(sampling.theta_stddev, float))
+    for name, vec in (("theta_mean", mean), ("theta_stddev", std)):
+        if vec.shape != (spec.theta_dim,):
+            raise ShapeMismatch(f"{name} has shape {vec.shape}, expected ({spec.theta_dim},)")
     lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
     for _ in range(1000):  # rejection into the box
         theta = rng.normal(mean, std)
@@ -431,55 +454,38 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
     Each step draws (theta, u) samples, solves the unintervened and rerouted
     intervened equilibria, and backpropagates the squared deviation of the
     invariant nodes through the intervened equilibrium into the policy
-    weights.
+    weights. Failures are handled by `_descend`: a failing first step raises
+    SolveFailedDuringOptimization, and more than five stop the run with
+    `aborted` set.
     """
     rng = np.random.default_rng(adam.seed)
-    state = AdamState.init(w0)
     inv_nodes = list(twin.invariant_nodes)
-    losses: list[float] = []
-    lr_scale = 1.0
-    prev_state = None
-    failures = 0
-    early = False
-    aborted = False
+    n = sampling.samples_per_step
 
-    for step in range(adam.iterations):
-        grad = np.zeros_like(state.params)
+    def evaluate(policy):
+        grad = np.zeros_like(policy)
         batch_loss = 0.0
-        try:
-            for _ in range(sampling.samples_per_step):
-                theta = sample_theta(twin.base, sampling, rng)
-                u_vals = [sample_u(stop - start, plan.group, sampling, rng)
-                          for plan, (start, stop) in zip(twin.plans, twin.u_slices)]
-                u = twin.assemble_u(u_vals)
-                base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=state.params)
-                if not (base_sol.report.converged and int_sol.report.converged):
-                    raise NotConverged("equilibrium solve failed in training step")
-                diff = int_sol.x_star[inv_nodes] - base_sol.x_star[inv_nodes]
-                batch_loss += float(diff @ diff)
-                cot = np.zeros(twin.rerouted.d)
-                cot[inv_nodes] = 2.0 * diff
-                extern = base_sol.x_star[inv_nodes]
-                ig = deq.implicit_vjp(twin.rerouted, theta, int_sol.x_star, cot, solver,
-                                      u=u, extern=extern, policy=state.params)
-                grad += ig.grad_policy
-        except (NonFiniteIterate, NotConverged, DomainError, SingularAdjoint):
-            failures += 1
-            if prev_state is None or failures > 5:
-                aborted = True
-                break
-            state = prev_state
-            lr_scale *= 0.5
-            continue
-        n = sampling.samples_per_step
-        losses.append(batch_loss / n)
-        if _plateaued(losses, adam):
-            early = True
-            break
-        prev_state = state
-        state = adam_step(state, grad / n, adam, lr_scale)
+        for _ in range(n):
+            theta = sample_theta(twin.base, sampling, rng)
+            u_vals = [sample_u(stop - start, plan.group, sampling, rng)
+                      for plan, (start, stop) in zip(twin.plans, twin.u_slices)]
+            u = twin.assemble_u(u_vals)
+            base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
+            if not (base_sol.report.converged and int_sol.report.converged):
+                raise NotConverged("equilibrium solve failed in training step")
+            diff = int_sol.x_star[inv_nodes] - base_sol.x_star[inv_nodes]
+            batch_loss += float(diff @ diff)
+            cot = np.zeros(twin.rerouted.d)
+            cot[inv_nodes] = 2.0 * diff
+            extern = base_sol.x_star[inv_nodes]
+            ig = deq.implicit_vjp(twin.rerouted, theta, int_sol.x_star, cot, solver,
+                                  u=u, extern=extern, policy=policy)
+            grad += ig.grad_policy
+        return batch_loss / n, grad / n
 
-    return TrainedPolicy(state.params, losses, len(losses), early, aborted, failures)
+    res = _descend(evaluate, w0, adam)
+    return TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped, res.aborted,
+                         len(res.failures))
 
 
 # --- Pareto sweep ---

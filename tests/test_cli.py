@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from eqcausal import cli, dataio, modelzoo
 from eqcausal.cli import (_config_from_obj, build_model, config_hash, load_config, main,
                           run_experiment)
 from eqcausal.errors import DimensionMismatch, NegativeEntry, ParseError, SchemaError
+from eqcausal.fixedpoint import SolverConfig
+from eqcausal.optimize import AdamConfig, SamplingConfig
 
 from ._models import inject_state_jacobian
 
@@ -84,6 +87,54 @@ def test_lambda_list_only_valid_for_pareto(tmp_path):
             "command": "optimize", "model": "leontief-synthetic-4",
             "loss": {"lambdas": [0.1, 0.2]},
         }))
+
+
+BAD_VALUES = [
+    ("solver", {"beta": -1}), ("solver", {"method": "bisect"}), ("solver", {"m": 0}),
+    ("solver", {"tol": 0}), ("solver", {"ridge": -1e-8}),
+    ("adam", {"learning_rate": 0}), ("adam", {"beta1": 1.0}), ("adam", {"iterations": 0}),
+    ("adam", {"plateau_window": 0}),
+    ("sampling", {"u_low": -1.0}), ("sampling", {"u_low": 2.0, "u_high": 1.0}),
+    ("sampling", {"samples_per_step": 0}),
+]
+
+
+@pytest.mark.parametrize("section,values", BAD_VALUES)
+def test_bad_config_value_is_a_schema_error(tmp_path, section, values):
+    obj = {"command": "solve", "model": "motivating-example", section: values}
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj(obj)
+    assert info.value.pointer == f"/{section}"
+    path = write_config(tmp_path / "c.json", obj)
+    result = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+
+
+@pytest.mark.parametrize("section,values", [("adam", {"seed": 1}),
+                                            ("sampling", {"theta_mean": [1.0]}),
+                                            ("adam", {"iterations": 2.5}),
+                                            ("adam", {"early_stop": 1}),
+                                            ("sampling", {"theta_stddev": 0.2})])
+def test_config_sections_are_typed_and_closed(section, values):
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj({"command": "solve", "model": "motivating-example", section: values})
+    assert info.value.pointer.startswith(f"/{section}")
+
+
+def test_config_sections_follow_the_dataclasses():
+    props = cli.CONFIG_SCHEMA["properties"]
+    for key, cls, hidden in (("solver", SolverConfig, set()), ("adam", AdamConfig, {"seed"}),
+                             ("sampling", SamplingConfig, {"theta_mean"})):
+        names = {f.name for f in dataclasses.fields(cls)} - hidden
+        assert set(props[key]["properties"]) == names
+    cfg = _config_from_obj({"command": "solve", "model": "motivating-example",
+                            "solver": {"method": "forward", "beta": 1},
+                            "adam": {"early_stop": False, "plateau_rtol": 0.5},
+                            "sampling": {"theta_stddev": [0.1, 0.2], "samples_per_step": 3}})
+    assert (cfg.solver.method, cfg.solver.beta) == ("forward", 1)
+    assert (cfg.adam.early_stop, cfg.adam.plateau_rtol) == (False, 0.5)
+    assert (cfg.sampling.theta_stddev, cfg.sampling.samples_per_step) == ((0.1, 0.2), 3)
 
 
 def test_missing_model_file_rejected(tmp_path):
@@ -162,18 +213,6 @@ def test_bench_command_small(tmp_path):
     assert len(summary) == 1 + 2 * 3  # two dims, three methods
 
 
-def test_bench_respects_thread_env(tmp_path, monkeypatch):
-    cfg = _config_from_obj({"command": "bench", "model": "leontief-synthetic-4",
-                            "bench": {"dims": [2, 5], "seeds": 3}})
-    serial = run_experiment(cfg, out_dir=tmp_path / "serial")
-    monkeypatch.setenv("EQCAUSAL_THREADS", "4")
-    threaded = run_experiment(cfg, out_dir=tmp_path / "threaded")
-    a = (tmp_path / "serial" / "bench.csv").read_bytes()
-    b = (tmp_path / "threaded" / "bench.csv").read_bytes()
-    assert a == b
-    assert serial.success and threaded.success
-
-
 def test_reproducible_manifests_modulo_timing(tmp_path):
     cfg = _config_from_obj({"command": "pareto", "model": "leontief-synthetic-4",
                             "adam": {"learning_rate": 0.05, "iterations": 80},
@@ -241,6 +280,33 @@ def test_singular_adjoint_exits_1_with_manifest(tmp_path, monkeypatch):
     failed = manifest["stages"][-1]
     assert failed["name"] == "grad-check" and failed["status"] == "error"
     assert failed["detail"]["error"].startswith("SingularAdjoint: ")
+
+
+def run_failing_invariant(tmp_path, **sections):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", {
+        "command": "invariant", "model": "rebound-3sector", "out": str(out),
+        "adam": {"iterations": 2}, **sections})
+    result = CliRunner().invoke(main, ["invariant", "--config", path])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["success"]
+    failed = manifest["stages"][-1]
+    assert failed["name"] == "invariant" and failed["status"] == "error"
+    return failed["detail"]["error"]
+
+
+def test_invariant_first_step_failure_exits_1_with_manifest(tmp_path, monkeypatch):
+    inject_state_jacobian(monkeypatch)
+    error = run_failing_invariant(tmp_path, sampling={"samples_per_step": 2})
+    assert error.startswith("SolveFailedDuringOptimization: ")
+
+
+def test_invariant_theta_stddev_length_exits_1_with_manifest(tmp_path):
+    # rebound-3sector has one parameter; two deviations must not broadcast
+    error = run_failing_invariant(tmp_path, sampling={"theta_stddev": [0.1, 0.2]})
+    assert error.startswith("ShapeMismatch: ")
 
 
 def test_cli_version_is_package_version():

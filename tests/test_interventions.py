@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcausal import interventions, modelzoo, sscm
+from eqcausal import deq, interventions, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import InvalidPartition, MismatchedTargets, PolicyArityMismatch
 from eqcausal.fixedpoint import SolverConfig
@@ -170,6 +170,39 @@ def test_invariance_conditions_derivative_fails_without_path():
     # invariant x, auxiliary z: clamping z never moves x
     rep = check_invariance_conditions(spec, i=1, j=0, k=2)
     assert not rep.hard_derivative_nonzero
+
+
+def test_invariance_conditions_linearize_the_base_model_once(monkeypatch):
+    calls = []
+    original = sscm.node_gradients
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.d)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(sscm, "node_gradients", counting)
+    check_invariance_conditions(modelzoo.motivating_example(free=("tau",)), i=1, j=2, k=2)
+    assert len(calls) == 2  # the base model, then the model clamped at the auxiliary node
+
+
+@pytest.mark.parametrize("free,j", [(("tau",), 2), (("tau",), 0), (None, 2)])
+def test_invariance_report_matches_the_separate_checks(free, j):
+    spec = modelzoo.motivating_example(free=free) if free else modelzoo.motivating_example()
+    cfg = SolverConfig(tol=1e-10)
+    theta = spec.theta_ref
+    rep = check_invariance_conditions(spec, i=1, j=j, k=2)
+    x_star = solve_equilibrium(spec, theta, cfg).x_star
+    diffeo = sscm.check_local_diffeomorphism(spec, x_star, theta, tol=cfg.tol)
+    keep = [n for n in range(spec.d) if n != j]
+    reduced = (np.eye(spec.d) - sscm.jacobian_wrt_state(spec, x_star, theta))[np.ix_(keep, keep)]
+    pa_rows = deq.jacobian_wrt_theta(spec, theta, x_star, cfg)[list(spec.parents[2]), :]
+    sigma = np.linalg.svd(pa_rows, compute_uv=False)
+    assert rep.diffeomorphic_at_reference == (diffeo.is_solution and diffeo.jacobian_invertible)
+    assert rep.reduced_condition_number == pytest.approx(np.linalg.cond(reduced), rel=1e-12)
+    expected_sigma = sigma[spec.theta_dim - 1] if pa_rows.shape[0] >= spec.theta_dim else 0.0
+    assert rep.parents_jacobian_sigma_min == pytest.approx(expected_sigma, rel=1e-12, abs=1e-12)
+    assert rep.hard_derivative == pytest.approx(
+        hard_intervention_derivative(spec, j, 2, theta, cfg), rel=1e-12, abs=1e-12)
 
 
 def analytic_policy_graph():

@@ -3,7 +3,8 @@ import pytest
 
 from eqcausal import deq, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian
-from eqcausal.errors import NonFiniteGradient, PolicyArityMismatch
+from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismatch,
+                             SolveFailedDuringOptimization)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import InvariantInterventionSpec, LieElement, build_invariant_model
 from eqcausal.optimize import (AdamConfig, AdamState, DistanceLoss, GhgEmploymentLoss, MlpSpec,
@@ -38,6 +39,12 @@ def test_adam_first_step_magnitude_is_learning_rate():
 def test_adam_rejects_non_finite_gradient():
     with pytest.raises(NonFiniteGradient):
         adam_step(AdamState.init([0.0]), [np.nan], AdamConfig())
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "iterations", "plateau_window"])
+def test_adam_config_rejects_non_positive_values(field):
+    with pytest.raises(ValueError):
+        AdamConfig(**{field: 0})
 
 
 def test_adam_deterministic_trajectories():
@@ -240,6 +247,41 @@ def test_singular_adjoint_halves_training_step_size(monkeypatch):
     assert scales == [1.0, 0.5]
 
 
+def test_lie_first_step_failure_raises(monkeypatch):
+    spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
+    inject_state_jacobian(monkeypatch)
+    with pytest.raises(SolveFailedDuringOptimization, match="step 0"):
+        optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
+                                  DistanceLoss(np.array([1.0, 1.0])),
+                                  AdamConfig(learning_rate=0.02, iterations=4),
+                                  SolverConfig(tol=1e-8, beta=1.0))
+
+
+def test_training_first_step_failure_raises(monkeypatch):
+    inject_state_jacobian(monkeypatch)
+    with pytest.raises(SolveFailedDuringOptimization, match="step 0"):
+        train_invariant_policy(scalar_policy_twin(), np.array([0.4]),
+                               SamplingConfig(samples_per_step=2),
+                               AdamConfig(learning_rate=0.05, iterations=3, seed=1),
+                               SolverConfig(tol=1e-8, beta=1.0))
+
+
+def test_training_aborts_after_six_failures(monkeypatch):
+    inject_state_jacobian(monkeypatch, on_calls=set(range(1, 100)))  # every step after the first
+    scales = record_lr_scales(monkeypatch)
+    trained = train_invariant_policy(scalar_policy_twin(), np.array([0.4]),
+                                     SamplingConfig(samples_per_step=1),
+                                     AdamConfig(learning_rate=0.05, iterations=20, seed=1,
+                                                early_stop=False),
+                                     SolverConfig(tol=1e-8, beta=1.0))
+    assert trained.aborted
+    assert trained.failures == 6
+    assert trained.steps == 1 and len(trained.losses) == 1
+    assert scales == [1.0]
+    # each failure restored the weights from before the one step taken
+    assert trained.weights[0] == 0.4
+
+
 def test_optimizer_is_deterministic():
     spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
     loss = DistanceLoss(np.array([1.0, 1.0]))
@@ -296,6 +338,14 @@ def test_sampling_respects_box_and_range():
         assert np.all(theta >= lo) and np.all(theta <= hi)
     us = sample_u(500, "multiplicative", sampling, rng)
     assert np.all(us >= 0.5) and np.all(us <= 2.0)
+
+
+def test_sample_theta_rejects_wrong_lengths():
+    spec = motivating_spec()  # theta dimension 4
+    rng = np.random.default_rng(0)
+    for sampling in (SamplingConfig(theta_stddev=(0.1, 0.2)), SamplingConfig(theta_mean=(1.0,))):
+        with pytest.raises(ShapeMismatch):
+            sample_theta(spec, sampling, rng)
 
 
 # --- invariant-policy training ---
