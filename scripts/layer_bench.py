@@ -1,0 +1,155 @@
+"""Per-layer timings: one structural-map call, one node_gradients call, one Anderson step.
+
+    python scripts/layer_bench.py --label change --out BENCH_4.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_4.json
+
+Each model is timed at its equilibrium: `leontief-synthetic-N` at
+N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
+model the invariant pipeline trains). The Anderson step runs the default
+solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver) on the
+model's linearisation x -> J x + (x* - J x*), so it times the solver and not
+the map. Every figure is the median, over REPEATS batches, of the mean time of
+one call in a batch. The record, with machine info and the git revision of the measured
+sources, is stored under its label in the output file; other labels are kept.
+It reports and gates nothing, so no test runs it.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 15
+
+
+def _median_call_s(fn, batch: int) -> float:
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(batch):
+            fn()
+        times.append((time.perf_counter() - t0) / batch)
+    return float(np.median(times))
+
+
+def _models():
+    from eqcausal import modelzoo, optimize
+    from eqcausal.interventions import LieElement, build_invariant_model
+    from eqcausal.sscm import solve_equilibrium
+
+    cfg = _solver(tol=1e-10)
+    for n in (10, 50, 100, 200):
+        spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(n))
+        x = solve_equilibrium(spec, spec.theta_ref, cfg).x_star
+        yield f"leontief-synthetic-{n}", spec, x, {}
+
+    inst = modelzoo.rebound_3sector()
+    mlp = inst.policy_mlp()
+    policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
+    twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
+                                 LieElement("multiplicative", (inst.energy_sector,), [1.0]))
+    theta = twin.base.theta_ref
+    u = twin.assemble_u([[0.7]])
+    base = solve_equilibrium(twin.base, theta, cfg)
+    kwargs = {"u": u, "extern": base.x_star[list(twin.invariant_nodes)], "policy": w0}
+    x = solve_equilibrium(twin.rerouted, theta, cfg, **kwargs).x_star
+    yield "rebound-twin", twin.rerouted, x, kwargs
+
+
+def _solver(**kw):
+    from eqcausal.fixedpoint import SolverConfig
+
+    return SolverConfig(beta=1.0, m=8, **kw)
+
+
+def measure() -> dict:
+    from eqcausal import fixedpoint, sscm
+
+    out = {}
+    for name, spec, x, kwargs in _models():
+        theta = spec.theta_ref
+        f = sscm.assemble_map(spec, theta, **kwargs)
+        jac = sscm.jacobian_wrt_state(spec, x, theta, **kwargs)
+        shift = x - jac @ x
+        linear = lambda z, jac=jac, shift=shift: jac @ z + shift  # noqa: E731
+        steps = _solver(tol=1e-300, max_iter=40)
+        iters = fixedpoint.anderson_solve(linear, np.zeros(spec.d), steps).iterations
+        batch = max(5, 2000 // spec.d)
+        out[name] = {
+            "d": spec.d,
+            "map_call_s": _median_call_s(lambda: f(x), batch),
+            "node_gradients_s": _median_call_s(
+                lambda: sscm.node_gradients(spec, x, theta, **kwargs), max(2, batch // 10)),
+            "anderson_step_s": _median_call_s(
+                lambda: fixedpoint.anderson_solve(linear, np.zeros(spec.d), steps), 5) / iters,
+            "anderson_iterations": iters,
+        }
+    return out
+
+
+def _git(src: Path, *args) -> str:
+    try:
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def machine() -> dict:
+    cpu = "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas_threads": 1}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this record in the output file")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="eqcausal sources to measure")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to add the record to")
+    args = ap.parse_args()
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import eqcausal
+
+    if Path(eqcausal.__file__).resolve().parent.parent != src:
+        print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
+        return 2
+    record = {
+        "git_sha": _git(src, "rev-parse", "HEAD"),
+        "git_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
+        "machine": machine(),
+        "repeats": REPEATS,
+        "layers": measure(),
+    }
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data.setdefault("runs", {})[args.label] = record
+    args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    for name, row in record["layers"].items():
+        print(f"{name:24s} map {row['map_call_s'] * 1e6:9.1f} us   "
+              f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
+              f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -124,6 +124,27 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+def _check_intervention(inter: dict, command: str):
+    """Values and bounds must lie in the group: positive, and lo <= hi, when multiplicative.
+
+    The pareto sweep always optimizes in the multiplicative group, so it rejects any other.
+    """
+    multiplicative = inter.get("group", "multiplicative") == "multiplicative"
+    if command == "pareto" and not multiplicative:
+        raise SchemaError("the pareto command sweeps multiplicative interventions only",
+                          pointer="/intervention/group")
+    if multiplicative and any(v <= 0 for v in inter.get("values", ())):
+        raise SchemaError("multiplicative intervention values must be positive",
+                          pointer="/intervention/values")
+    if "bounds" in inter:
+        lo, hi = inter["bounds"]
+        if lo > hi:
+            raise SchemaError(f"lower bound {lo} exceeds upper bound {hi}", pointer="/intervention/bounds")
+        if multiplicative and lo <= 0:
+            raise SchemaError("multiplicative intervention bounds must be positive",
+                              pointer="/intervention/bounds")
+
+
 def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
     try:
         jsonschema.validate(obj, CONFIG_SCHEMA)
@@ -137,6 +158,8 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         raise SchemaError("a lambda list is only valid for the pareto command", pointer="/loss/lambdas")
     if command == "pareto" and "lambdas" not in loss:
         raise SchemaError("the pareto command requires loss.lambdas", pointer="/loss")
+
+    _check_intervention(obj.get("intervention") or {}, command)
 
     model = obj["model"]
     if isinstance(model, dict):
@@ -548,11 +571,7 @@ def _bench_cell(dim: int, method: str, beta: float | None, seed_list, base_cfg: 
                 spectral_radius: float):
     rows = []
     for si in seed_list:
-        rng = np.random.default_rng([si, dim])
-        A = rng.uniform(0.0, 1.0, size=(dim, dim))
-        np.fill_diagonal(A, 0.0)
-        A *= spectral_radius / max(abs(np.linalg.eigvals(A)))
-        y = rng.uniform(0.5, 1.5, size=dim)
+        A, y = modelzoo.random_contraction(dim, si, spectral_radius)
         f = lambda x: A @ x + y  # noqa: E731
         cfg = replace(base_cfg, method=method, beta=beta if beta is not None else base_cfg.beta)
         solver = forward_iterate if method == "forward" else anderson_solve

@@ -1,17 +1,21 @@
 """Reverse-mode automatic differentiation over dense float64 vectors.
 
 Expression graphs are immutable DAGs of vector-valued operations with named
-input slots (e.g. "parents", "theta", "u"). Evaluation allocates fresh value
-buffers per call, so one graph can be evaluated concurrently. Supported
-operations: add, sub, mul (elementwise), recip, neg, matvec (constant matrix),
-dot, pow (constant exponent), exp, log, relu, concat, slice, gather,
-broadcast (scalar to vector).
+input slots (e.g. "parents", "theta", "u"). A graph is compiled once, at its
+first evaluation, into a step list with each node's dispatch and payload
+resolved, and the step list is cached on the frozen graph; forward_eval and
+reverse_vjp both run it. Evaluation allocates fresh value buffers per call, so
+one graph can be evaluated concurrently. Supported operations: add, sub, mul
+(elementwise), recip, neg, matvec (constant matrix), matmul (a row-major
+weight block read from a vector node, times a vector), dot, pow (constant
+exponent), exp, log, relu, concat, slice, gather, broadcast (scalar to
+vector).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +33,7 @@ def _as_vector(value, what="value") -> Array:
     return arr
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     op: str
     args: tuple[int, ...]
     payload: object = None
@@ -44,6 +47,8 @@ class ExprGraph:
     output: int
     slots: dict  # slot name -> (node index, dim)
     dims: tuple[int, ...]  # per-node output dimension
+    # the compiled step list, set at the first evaluation
+    _program: object = field(default=None, init=False, repr=False)
 
     @property
     def output_dim(self) -> int:
@@ -82,21 +87,22 @@ class ExprBuilder:
     def __init__(self):
         self._nodes: list[GraphNode] = []
         self._dims: list[int] = []
-        self._inputs: dict[str, Ref] = {}
+        # slot -> (node index, dim); no Ref is kept, so a builder and its Refs form no cycle
+        self._inputs: dict[str, tuple[int, int]] = {}
 
     def _push(self, op, args, payload, dim) -> Ref:
-        self._nodes.append(GraphNode(op, tuple(a.idx for a in args), payload))
+        self._nodes.append(GraphNode(op, tuple([a.idx for a in args]), payload))
         self._dims.append(dim)
         return Ref(self, len(self._nodes) - 1, dim)
 
     def input(self, slot: str, dim: int) -> Ref:
         if slot in self._inputs:
-            ref = self._inputs[slot]
-            if ref.dim != dim:
-                raise ShapeMismatch(f"slot {slot!r} re-declared with dim {dim}, was {ref.dim}")
-            return ref
+            idx, declared = self._inputs[slot]
+            if declared != dim:
+                raise ShapeMismatch(f"slot {slot!r} re-declared with dim {dim}, was {declared}")
+            return Ref(self, idx, declared)
         ref = self._push("input", (), (slot, int(dim)), int(dim))
-        self._inputs[slot] = ref
+        self._inputs[slot] = (ref.idx, ref.dim)
         return ref
 
     def const(self, value) -> Ref:
@@ -133,6 +139,14 @@ class ExprBuilder:
         mat = mat.copy()
         mat.setflags(write=False)
         return self._push("matvec", (v,), mat, mat.shape[0])
+
+    def matmul(self, w, x, n_out: int, offset: int = 0) -> Ref:
+        """W @ x with W the row-major (n_out, x.dim) block of w starting at offset."""
+        stop = offset + n_out * x.dim
+        if n_out < 1 or offset < 0 or stop > w.dim:
+            raise ShapeMismatch(f"matmul: a ({n_out}, {x.dim}) block at offset {offset} "
+                                f"does not fit a weight vector of dim {w.dim}")
+        return self._push("matmul", (w, x), (int(offset), int(n_out)), int(n_out))
 
     def dot(self, a, b) -> Ref:
         if a.dim != b.dim:
@@ -173,7 +187,7 @@ class ExprBuilder:
         return self._push("broadcast", (a,), int(dim), int(dim))
 
     def build(self, output: Ref) -> ExprGraph:
-        slots = {slot: (ref.idx, ref.dim) for slot, ref in self._inputs.items()}
+        slots = dict(self._inputs)
         return ExprGraph(tuple(self._nodes), output.idx, slots, tuple(self._dims))
 
 
@@ -198,70 +212,216 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
         elif node.op == "const":
             mapping[i] = builder._push("const", (), node.payload, graph.dims[i])
         else:
-            args = tuple(mapping[a] for a in node.args)
+            args = [mapping[a] for a in node.args]
             mapping[i] = builder._push(node.op, args, node.payload, graph.dims[i])
     return mapping[graph.output]
 
 
+# --- compiled evaluation ---
+
+def _acc(adj: list, idx: int, value: Array):
+    """Add a contribution to a node's adjoint; the first lands in a fresh value + 0.0,
+    which has the bits of adding it into a zero buffer."""
+    cur = adj[idx]
+    if cur is None:
+        adj[idx] = value + 0.0
+    else:
+        cur += value
+
+
+# Op kernels, one (forward, backward) pair per op. forward(v, a, b, p) returns a
+# node's value from the value list v, its first two arguments a and b, and its
+# prepared payload p (see _prepare); backward(g, v, adj, i, a, b, p) adds node
+# i's adjoint g, pulled back, into the adjoints of its arguments.
+
+def _recip(v, a, b, p):
+    x = v[a]
+    if np.any(x == 0.0):
+        raise DomainError("reciprocal of zero")
+    return 1.0 / x
+
+
+def _recip_vjp(g, v, adj, i, a, b, p):
+    out = v[i]
+    _acc(adj, a, -g * out * out)
+
+
+def _matmul(v, w, x, p):
+    start, stop, n_out, n_in, _ = p
+    return v[w][start:stop].reshape(n_out, n_in) @ v[x]
+
+
+def _matmul_vjp(g, v, adj, i, w, x, p):
+    start, stop, n_out, n_in, n_w = p
+    full = np.zeros(n_w)
+    full[start:stop] = np.multiply.outer(g, v[x]).ravel()
+    _acc(adj, w, full)
+    _acc(adj, x, v[w][start:stop].reshape(n_out, n_in).T @ g)
+
+
+def _add_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g)
+    _acc(adj, b, g)
+
+
+def _sub_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g)
+    _acc(adj, b, -g)
+
+
+def _mul_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g * v[b])
+    _acc(adj, b, g * v[a])
+
+
+def _dot_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g[0] * v[b])
+    _acc(adj, b, g[0] * v[a])
+
+
+def _neg_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, -g)
+
+
+def _matvec_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, p[1] @ g)
+
+
+def _pow(v, a, b, c):
+    x = v[a]
+    if c < 0.0 and np.any(x <= 0.0):
+        raise DomainError(f"pow with negative exponent {c} on non-positive base")
+    if c != int(c) and np.any(x < 0.0):
+        raise DomainError(f"pow with fractional exponent {c} on negative base")
+    return np.power(x, c)
+
+
+def _pow_vjp(g, v, adj, i, a, b, c):
+    _acc(adj, a, g * c * np.power(v[a], c - 1.0))
+
+
+def _exp_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g * v[i])
+
+
+def _log(v, a, b, p):
+    x = v[a]
+    if np.any(x <= 0.0):
+        raise DomainError("log of non-positive value")
+    return np.log(x)
+
+
+def _log_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g / v[a])
+
+
+def _relu_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g * (v[a] > 0.0))
+
+
+def _concat_vjp(g, v, adj, i, args, b, pieces):
+    for arg, lo, hi in pieces:
+        _acc(adj, arg, g[lo:hi])
+
+
+def _slice_vjp(g, v, adj, i, a, b, p):
+    start, stop, n_a = p
+    full = np.zeros(n_a)
+    full[start:stop] = g
+    _acc(adj, a, full)
+
+
+def _gather_vjp(g, v, adj, i, a, b, p):
+    idx, n_a = p
+    full = np.zeros(n_a)
+    np.add.at(full, idx, g)
+    _acc(adj, a, full)
+
+
+def _broadcast_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, np.array([g.sum()]))
+
+
+_KERNELS = {
+    "add": (lambda v, a, b, p: v[a] + v[b], _add_vjp),
+    "sub": (lambda v, a, b, p: v[a] - v[b], _sub_vjp),
+    "mul": (lambda v, a, b, p: v[a] * v[b], _mul_vjp),
+    "recip": (_recip, _recip_vjp),
+    "neg": (lambda v, a, b, p: -v[a], _neg_vjp),
+    "matvec": (lambda v, a, b, p: p[0] @ v[a], _matvec_vjp),
+    "matmul": (_matmul, _matmul_vjp),
+    "dot": (lambda v, a, b, p: np.array([v[a] @ v[b]]), _dot_vjp),
+    "pow": (_pow, _pow_vjp),
+    "exp": (lambda v, a, b, p: np.exp(v[a]), _exp_vjp),
+    "log": (_log, _log_vjp),
+    "relu": (lambda v, a, b, p: np.maximum(v[a], 0.0), _relu_vjp),
+    "concat": (lambda v, args, b, p: np.concatenate([v[arg] for arg in args]), _concat_vjp),
+    "slice": (lambda v, a, b, p: v[a][p[0]:p[1]], _slice_vjp),
+    "gather": (lambda v, a, b, p: v[a][p[0]], _gather_vjp),
+    "broadcast": (lambda v, a, b, n: np.full(n, v[a][0]), _broadcast_vjp),
+}
+
+
+def _prepare(node: GraphNode, dims: tuple[int, ...]) -> tuple:
+    """A node's (a, b, payload) as its kernels read them; concat's a is its argument tuple."""
+    op, args, payload = node
+    a = args[0] if args else None
+    b = args[1] if len(args) > 1 else None
+    if op == "matvec":
+        payload = (payload, payload.T)
+    elif op == "matmul":
+        start, n_out = payload
+        payload = (start, start + n_out * dims[b], n_out, dims[b], dims[a])
+    elif op == "concat":
+        a, bounds = args, np.cumsum([0] + [dims[arg] for arg in args]).tolist()
+        payload = tuple(zip(args, bounds[:-1], bounds[1:]))
+    elif op == "slice":
+        payload = (*payload, dims[a])
+    elif op == "gather":
+        payload = (np.asarray(payload, dtype=np.intp), dims[a])
+    return a, b, payload
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A graph compiled into a step list: inputs to bind, consts in place, one step per other node."""
+
+    inputs: tuple  # (node index, slot, dim)
+    template: tuple  # per-node initial value: the const payloads, None elsewhere
+    steps: tuple  # (node index, forward, backward, a, b, payload) in topological order
+
+
+def _compile(graph: ExprGraph) -> _Program:
+    """The graph's step list, built at its first evaluation and cached on the frozen graph."""
+    prog = graph._program
+    if prog is None:
+        inputs, template, steps = [], [None] * len(graph.nodes), []
+        for i, node in enumerate(graph.nodes):
+            if node.op == "input":
+                inputs.append((i, *node.payload))
+            elif node.op == "const":
+                template[i] = node.payload
+            elif node.op in _KERNELS:
+                steps.append((i, *_KERNELS[node.op], *_prepare(node, graph.dims)))
+            else:
+                raise ValueError(f"unknown op {node.op!r}")
+        prog = _Program(tuple(inputs), tuple(template), tuple(steps))
+        object.__setattr__(graph, "_program", prog)
+    return prog
+
+
 def _forward_values(graph: ExprGraph, bindings: Mapping[str, Array]) -> list[Array]:
-    vals: list[Array] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    for i, node in enumerate(graph.nodes):
-        op = node.op
-        if op == "input":
-            slot, dim = node.payload
-            if slot not in bindings:
-                raise UnboundSlot(f"slot {slot!r} not bound")
-            v = np.asarray(bindings[slot], dtype=np.float64)
-            if v.ndim != 1 or v.shape[0] != dim:
-                raise ShapeMismatch(f"slot {slot!r} expects dim {dim}, got shape {v.shape}")
-            vals[i] = v
-        elif op == "const":
-            vals[i] = node.payload
-        elif op == "add":
-            vals[i] = vals[node.args[0]] + vals[node.args[1]]
-        elif op == "sub":
-            vals[i] = vals[node.args[0]] - vals[node.args[1]]
-        elif op == "mul":
-            vals[i] = vals[node.args[0]] * vals[node.args[1]]
-        elif op == "recip":
-            a = vals[node.args[0]]
-            if np.any(a == 0.0):
-                raise DomainError("reciprocal of zero")
-            vals[i] = 1.0 / a
-        elif op == "neg":
-            vals[i] = -vals[node.args[0]]
-        elif op == "matvec":
-            vals[i] = node.payload @ vals[node.args[0]]
-        elif op == "dot":
-            vals[i] = np.array([vals[node.args[0]] @ vals[node.args[1]]])
-        elif op == "pow":
-            a = vals[node.args[0]]
-            c = node.payload
-            if c < 0.0 and np.any(a <= 0.0):
-                raise DomainError(f"pow with negative exponent {c} on non-positive base")
-            if c != int(c) and np.any(a < 0.0):
-                raise DomainError(f"pow with fractional exponent {c} on negative base")
-            vals[i] = np.power(a, c)
-        elif op == "exp":
-            vals[i] = np.exp(vals[node.args[0]])
-        elif op == "log":
-            a = vals[node.args[0]]
-            if np.any(a <= 0.0):
-                raise DomainError("log of non-positive value")
-            vals[i] = np.log(a)
-        elif op == "relu":
-            vals[i] = np.maximum(vals[node.args[0]], 0.0)
-        elif op == "concat":
-            vals[i] = np.concatenate([vals[a] for a in node.args])
-        elif op == "slice":
-            start, stop = node.payload
-            vals[i] = vals[node.args[0]][start:stop]
-        elif op == "gather":
-            vals[i] = vals[node.args[0]][list(node.payload)]
-        elif op == "broadcast":
-            vals[i] = np.full(node.payload, vals[node.args[0]][0])
-        else:
-            raise ValueError(f"unknown op {op!r}")
+    prog = _compile(graph)
+    vals = list(prog.template)
+    for i, slot, dim in prog.inputs:
+        if slot not in bindings:
+            raise UnboundSlot(f"slot {slot!r} not bound")
+        v = np.asarray(bindings[slot], dtype=np.float64)
+        if v.ndim != 1 or v.shape[0] != dim:
+            raise ShapeMismatch(f"slot {slot!r} expects dim {dim}, got shape {v.shape}")
+        vals[i] = v
+    for i, fwd, _, a, b, p in prog.steps:
+        vals[i] = fwd(vals, a, b, p)
     return vals
 
 
@@ -283,11 +443,16 @@ class Gradient:
         return self.parts.get(slot, default)
 
 
-def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent) -> Gradient:
+def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
+                at: Sequence[int] | None = None) -> Gradient | dict[int, Array]:
     """Vector-Jacobian product v^T J for each input slot of the graph.
 
-    The relu derivative at exactly 0 is taken to be 0.
+    With `at`, a sequence of node indices, the sweep treats those nodes as
+    leaves (it propagates nothing below them) and returns a plain dict of the
+    adjoints at those nodes, keyed by node index. The relu derivative at
+    exactly 0 is taken to be 0.
     """
+    prog = _compile(graph)
     vals = _forward_values(graph, bindings)
     cot = _as_vector(cotangent, "cotangent")
     if cot.shape[0] != graph.output_dim:
@@ -295,69 +460,14 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent) -> G
 
     adj: list[Array | None] = [None] * len(graph.nodes)
     adj[graph.output] = cot.astype(np.float64, copy=True)
-
-    def acc(idx, value):
-        if adj[idx] is None:
-            adj[idx] = np.zeros(graph.dims[idx])
-        adj[idx] += value
-
-    for i in range(len(graph.nodes) - 1, -1, -1):
+    leaves = frozenset(at) if at is not None else ()
+    for i, _, bwd, a, b, p in reversed(prog.steps):
         g = adj[i]
-        if g is None:
-            continue
-        node = graph.nodes[i]
-        op = node.op
-        if op in ("input", "const"):
-            continue
-        elif op == "add":
-            acc(node.args[0], g)
-            acc(node.args[1], g)
-        elif op == "sub":
-            acc(node.args[0], g)
-            acc(node.args[1], -g)
-        elif op == "mul":
-            acc(node.args[0], g * vals[node.args[1]])
-            acc(node.args[1], g * vals[node.args[0]])
-        elif op == "recip":
-            out = vals[i]
-            acc(node.args[0], -g * out * out)
-        elif op == "neg":
-            acc(node.args[0], -g)
-        elif op == "matvec":
-            acc(node.args[0], node.payload.T @ g)
-        elif op == "dot":
-            acc(node.args[0], g[0] * vals[node.args[1]])
-            acc(node.args[1], g[0] * vals[node.args[0]])
-        elif op == "pow":
-            a = vals[node.args[0]]
-            c = node.payload
-            acc(node.args[0], g * c * np.power(a, c - 1.0))
-        elif op == "exp":
-            acc(node.args[0], g * vals[i])
-        elif op == "log":
-            acc(node.args[0], g / vals[node.args[0]])
-        elif op == "relu":
-            acc(node.args[0], g * (vals[node.args[0]] > 0.0))
-        elif op == "concat":
-            offset = 0
-            for a in node.args:
-                d = graph.dims[a]
-                acc(a, g[offset:offset + d])
-                offset += d
-        elif op == "slice":
-            start, stop = node.payload
-            full = np.zeros(graph.dims[node.args[0]])
-            full[start:stop] = g
-            acc(node.args[0], full)
-        elif op == "gather":
-            full = np.zeros(graph.dims[node.args[0]])
-            np.add.at(full, list(node.payload), g)
-            acc(node.args[0], full)
-        elif op == "broadcast":
-            acc(node.args[0], np.array([g.sum()]))
-        else:
-            raise ValueError(f"unknown op {op!r}")
+        if g is not None and i not in leaves:
+            bwd(g, vals, adj, i, a, b, p)
 
+    if at is not None:
+        return {i: np.zeros(graph.dims[i]) if adj[i] is None else adj[i] for i in at}
     parts = {}
     for slot, (idx, dim) in graph.slots.items():
         grad = adj[idx]
@@ -407,6 +517,8 @@ def graph_to_obj(graph: ExprGraph) -> dict:
             rec["values"] = node.payload.tolist()
         elif node.op == "matvec":
             rec["matrix"] = node.payload.tolist()
+        elif node.op == "matmul":
+            rec["offset"], rec["rows"] = node.payload
         elif node.op == "pow":
             rec["exponent"] = node.payload
         elif node.op == "slice":
@@ -432,6 +544,8 @@ def graph_from_obj(obj: dict) -> ExprGraph:
             refs.append(b.const(rec["values"]))
         elif op == "matvec":
             refs.append(b.matvec(rec["matrix"], args[0]))
+        elif op == "matmul":
+            refs.append(b.matmul(args[0], args[1], rec["rows"], rec["offset"]))
         elif op == "pow":
             refs.append(b.powc(args[0], rec["exponent"]))
         elif op == "slice":

@@ -53,6 +53,10 @@ class ClampedModelSingular(EqcausalError):
 
 # --- interventions ---
 
+class InvalidGroupElement(EqcausalError, ValueError):
+    """A Lie-group element lies outside its group, e.g. a non-positive multiplicative value."""
+
+
 class MismatchedTargets(EqcausalError):
     """Group elements act on different target sets or group kinds."""
 

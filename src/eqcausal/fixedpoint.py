@@ -8,7 +8,6 @@ is returned either way.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,34 +102,33 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
 
         x_{k+1} = beta * (F alpha) + (1 - beta) * (X alpha)
 
-    With m = 1 and beta = 1 this reduces exactly to forward iteration.
+    With m = 1 and beta = 1 this reduces exactly to forward iteration. The
+    difference columns dx, df and dg are kept oldest first in one buffer; each
+    iteration appends one column to each and drops the oldest, so no residual
+    or difference is recomputed.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = np.asarray(f(x), dtype=np.float64)
     _check_finite(fx, 0)
-    xs: deque[Array] = deque(maxlen=cfg.m)
-    fs: deque[Array] = deque(maxlen=cfg.m)
-    xs.append(x)
-    fs.append(fx)
+    g = fx - x
+    n_cols = cfg.m - 1
+    hist = np.empty((3, x.shape[0], n_cols))  # dx, df, dg columns, oldest first
+    n_hist = 0
     for k in range(cfg.max_iter + 1):
         res, err = _error(x, fx)
         if err <= cfg.tol:
             return SolveReport(x, res, err, k, True)
         if k == cfg.max_iter:
             break
-        n_hist = len(xs)
-        if n_hist == 1:
+        if n_hist == 0:
             x_new = cfg.beta * fx + (1.0 - cfg.beta) * x
         else:
-            gs = [fs[i] - xs[i] for i in range(n_hist)]
-            d_g = np.stack([gs[i + 1] - gs[i] for i in range(n_hist - 1)], axis=1)
-            d_f = np.stack([fs[i + 1] - fs[i] for i in range(n_hist - 1)], axis=1)
-            d_x = np.stack([xs[i + 1] - xs[i] for i in range(n_hist - 1)], axis=1)
+            d_x, d_f, d_g = hist if n_hist == n_cols else np.ascontiguousarray(hist[:, :, :n_hist])
             gram = d_g.T @ d_g
             if cfg.ridge > 0.0:
-                gram = gram + cfg.ridge * np.eye(n_hist - 1)
+                gram = gram + ridge_eye
             try:
-                gamma = np.linalg.solve(gram, d_g.T @ gs[-1])
+                gamma = np.linalg.solve(gram, d_g.T @ g)
             except np.linalg.LinAlgError as exc:
                 raise SingularLeastSquares(
                     f"Anderson least-squares system singular at iteration {k} (ridge={cfg.ridge})"
@@ -138,11 +136,20 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             x_bar = x - d_x @ gamma
             f_bar = fx - d_f @ gamma
             x_new = cfg.beta * f_bar + (1.0 - cfg.beta) * x_bar
-        x = x_new
-        fx = np.asarray(f(x), dtype=np.float64)
-        _check_finite(fx, k + 1)
-        xs.append(x)
-        fs.append(fx)
+        fx_new = np.asarray(f(x_new), dtype=np.float64)
+        _check_finite(fx_new, k + 1)
+        if n_cols:
+            g_new = fx_new - x_new
+            if n_hist == n_cols:
+                hist[:, :, :-1] = hist[:, :, 1:]
+            else:
+                n_hist += 1
+                ridge_eye = cfg.ridge * np.eye(n_hist)
+            hist[0, :, n_hist - 1] = x_new - x
+            hist[1, :, n_hist - 1] = fx_new - fx
+            hist[2, :, n_hist - 1] = g_new - g
+            g = g_new
+        x, fx = x_new, fx_new
     res, err = _error(x, fx)
     return SolveReport(x, res, err, cfg.max_iter, False)
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import deq
 from .diffcore import ExprBuilder, ExprGraph, inline
-from .errors import (ClampedModelSingular, InvalidPartition, MismatchedTargets,
-                     NonFiniteIterate, NotConverged, PolicyArityMismatch)
+from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
+                     MismatchedTargets, NonFiniteIterate, NotConverged, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
 from .sscm import EquilibriumSolution, SscmSpec, solve_equilibrium
 
@@ -36,13 +36,13 @@ class LieElement:
 
     def __post_init__(self):
         if self.group not in GROUPS:
-            raise ValueError(f"group must be one of {GROUPS}, got {self.group!r}")
+            raise InvalidGroupElement(f"group must be one of {GROUPS}, got {self.group!r}")
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         if vals.shape[0] != len(self.targets):
             raise MismatchedTargets(f"{len(self.targets)} targets but {vals.shape[0]} values")
         if self.group == "multiplicative" and np.any(vals <= 0.0):
-            raise ValueError("multiplicative group elements must be strictly positive")
+            raise InvalidGroupElement("multiplicative group elements must be strictly positive")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -599,3 +599,14 @@ def leontief_synthetic(n: int, seed: int = 2024, spectral_radius: float = 0.3,
     return IoTable(A=A, R=np.stack([ghg, employment]), y=y,
                    sectors=tuple(f"sector_{k}" for k in range(n)),
                    impacts=("ghg", "employment"))
+
+
+def random_contraction(dim: int, seed: int, spectral_radius: float) -> tuple[Array, Array]:
+    """Seeded affine contraction x -> A x + y: A nonnegative with zero diagonal,
+    scaled to the given spectral radius, and y in [0.5, 1.5]."""
+    rng = np.random.default_rng([seed, dim])
+    A = rng.uniform(0.0, 1.0, size=(dim, dim))
+    np.fill_diagonal(A, 0.0)
+    A *= spectral_radius / max(abs(np.linalg.eigvals(A)))
+    y = rng.uniform(0.5, 1.5, size=dim)
+    return A, y

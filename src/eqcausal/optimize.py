@@ -189,19 +189,15 @@ def init_mlp_weights(mlp: MlpSpec) -> Array:
 
 
 def _mlp_stack(b: ExprBuilder, mlp: MlpSpec, x, w):
-    """ReLU perceptron stack reading row-major weights and biases from w."""
+    """ReLU perceptron stack reading row-major weights and biases from w: one matmul per layer."""
     offset = 0
     h = x
     for n_in, n_out in zip(mlp.sizes, mlp.sizes[1:]):
-        outs = []
-        for r in range(n_out):
-            row = b.slice(w, offset + r * n_in, offset + (r + 1) * n_in)
-            outs.append(b.dot(row, h))
+        z = b.matmul(w, h, n_out, offset)
         offset += n_out * n_in
         bias = b.slice(w, offset, offset + n_out)
         offset += n_out
-        z = (outs[0] if n_out == 1 else b.concat(*outs)) + bias
-        h = b.relu(z)
+        h = b.relu(z + bias)
     return h
 
 

@@ -57,6 +57,8 @@ class SscmSpec:
     x_ref: Array | None = None
     # set once validate() passes; the fields are frozen, so the verdict cannot change
     _validated: bool = field(default=False, init=False, repr=False)
+    # the stacked program, compiled at first use; it holds no reference back to the spec
+    _stacked: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -160,50 +162,67 @@ def _require_valid(spec: SscmSpec):
     object.__setattr__(spec, "_validated", True)
 
 
-def _bindings_template(spec: SscmSpec, theta, u, extern, policy) -> list[dict]:
-    """Static per-node bindings; the per-evaluation 'parents' entry is added later."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if u is None:
-        u = spec.u_ref
-    u = np.asarray(u, dtype=np.float64)
-    if policy is None and spec.policy_ref is not None:
+@dataclass(frozen=True)
+class _Stacked:
+    """The d assignments inlined into one graph over x, theta and the shared slots.
+
+    Every node reads its own entry nodes: its parents as a gather of x, its
+    theta slice, and its own view of each shared slot. A reverse sweep that
+    stops at the entries therefore gives each node's partials unmixed.
+    """
+
+    graph: ExprGraph  # output: (f_1, ..., f_d)
+    entries: tuple  # per node: (slot, entry node index), in the node graph's slot order
+    leaves: tuple[int, ...]  # every entry node index
+    first_reader: dict  # shared slot -> first node that reads it
+
+
+def _stacked(spec: SscmSpec) -> _Stacked:
+    prog = spec._stacked
+    if prog is None:
+        b = diffcore.ExprBuilder()
+        outs, entries, first_reader = [], [], {}
+        for j, graph in enumerate(spec.assignments):
+            slot_map = {}
+            for slot, (_, dim) in graph.slots.items():
+                if slot == "parents":
+                    slot_map[slot] = b.gather(b.input("x", spec.d), spec.parents[j])
+                elif slot == "theta":
+                    slot_map[slot] = b.slice(b.input("theta", spec.theta_dim), *spec.theta_slices[j])
+                else:
+                    first_reader.setdefault(slot, j)
+                    slot_map[slot] = b.slice(b.input(slot, dim), 0, dim)
+            outs.append(diffcore.inline(b, graph, slot_map))
+            entries.append(tuple((slot, ref.idx) for slot, ref in slot_map.items()))
+        prog = _Stacked(b.build(b.concat(*outs)), tuple(entries),
+                        tuple(idx for node in entries for _, idx in node), first_reader)
+        object.__setattr__(spec, "_stacked", prog)
+    return prog
+
+
+def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
+    """Bindings of the stacked graph, except the per-evaluation "x"."""
+    bindings = {"theta": np.asarray(theta, dtype=np.float64),
+                "u": spec.u_ref if u is None else np.asarray(u, dtype=np.float64)}
+    if policy is None:
         policy = spec.policy_ref
-    static: list[dict] = []
-    for j in range(spec.d):
-        g = spec.assignments[j]
-        b: dict = {}
-        if "theta" in g.slots:
-            start, stop = spec.theta_slices[j]
-            b["theta"] = theta[start:stop]
-        if "u" in g.slots:
-            b["u"] = u
-        if "extern" in g.slots:
-            if extern is None:
-                raise SpecValidationError([f"node {j} requires an extern binding"])
-            b["extern"] = np.asarray(extern, dtype=np.float64)
-        if "policy" in g.slots:
-            if policy is None:
-                raise SpecValidationError([f"node {j} requires a policy binding"])
-            b["policy"] = np.asarray(policy, dtype=np.float64)
-        static.append(b)
-    return static
+    for slot, value in (("extern", extern), ("policy", policy)):
+        if slot in prog.first_reader:
+            if value is None:
+                raise SpecValidationError([f"node {prog.first_reader[slot]} requires a binding for {slot!r}"])
+            bindings[slot] = np.asarray(value, dtype=np.float64)
+    return bindings
 
 
 def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Callable[[Array], Array]:
     """The stacked structural map x -> (f_1(Pa_1, theta_1), ..., f_d(Pa_d, theta_d))."""
     _require_valid(spec)
-    static = _bindings_template(spec, theta, u, extern, policy)
-    parent_idx = [np.asarray(p, dtype=np.intp) for p in spec.parents]
-    assignments = spec.assignments
-    d = spec.d
+    prog = _stacked(spec)
+    graph = prog.graph
+    static = _bindings(spec, prog, theta, u, extern, policy)
 
     def f(x: Array) -> Array:
-        out = np.empty(d)
-        for j in range(d):
-            b = dict(static[j])
-            b["parents"] = x[parent_idx[j]]
-            out[j] = diffcore.forward_eval(assignments[j], b)[0]
-        return out
+        return diffcore.forward_eval(graph, {**static, "x": x})
 
     return f
 
@@ -216,15 +235,17 @@ def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=N
 
 
 def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> list[diffcore.Gradient]:
-    """Per-node VJPs of the scalar assignments: grad f_j for every slot of node j."""
-    static = _bindings_template(spec, theta, u, extern, policy)
-    x = np.asarray(x, dtype=np.float64)
-    grads = []
-    for j in range(spec.d):
-        b = dict(static[j])
-        b["parents"] = x[np.asarray(spec.parents[j], dtype=np.intp)]
-        grads.append(diffcore.reverse_vjp(spec.assignments[j], b, [1.0]))
-    return grads
+    """Per-node VJPs of the scalar assignments: grad f_j for every slot of node j.
+
+    One reverse sweep of the stacked graph, seeded with 1 at every node output,
+    read at each node's entry nodes.
+    """
+    _require_valid(spec)
+    prog = _stacked(spec)
+    bindings = _bindings(spec, prog, theta, u, extern, policy)
+    bindings["x"] = x
+    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d), at=prog.leaves)
+    return [diffcore.Gradient({slot: adj[idx] for slot, idx in node}) for node in prog.entries]
 
 
 @dataclass

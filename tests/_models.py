@@ -1,9 +1,14 @@
-"""Hand-built model fixtures and fault injection shared across test modules."""
+"""Hand-built model fixtures, reference implementations and fault injection shared
+across test modules."""
+
+from collections import deque
 
 import numpy as np
 
 from eqcausal import sscm
 from eqcausal.diffcore import ExprBuilder
+from eqcausal.errors import SingularLeastSquares
+from eqcausal.fixedpoint import SolveReport, _check_finite, _error
 from eqcausal.sscm import SscmSpec
 
 THETA_REF = np.array([1.0, 0.5, 0.3, 0.4])
@@ -79,3 +84,64 @@ def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
         return jac
 
     monkeypatch.setattr(sscm, "node_jacobians", injected)
+
+
+def reference_anderson_solve(f, x0, cfg):
+    """Anderson loop that rebuilds every residual and difference from the iterate
+    history on each step; fixedpoint.anderson_solve must match it bit for bit."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    fx = np.asarray(f(x), dtype=np.float64)
+    _check_finite(fx, 0)
+    xs = deque(maxlen=cfg.m)
+    fs = deque(maxlen=cfg.m)
+    xs.append(x)
+    fs.append(fx)
+    for k in range(cfg.max_iter + 1):
+        res, err = _error(x, fx)
+        if err <= cfg.tol:
+            return SolveReport(x, res, err, k, True)
+        if k == cfg.max_iter:
+            break
+        n_hist = len(xs)
+        if n_hist == 1:
+            x_new = cfg.beta * fx + (1.0 - cfg.beta) * x
+        else:
+            gs = [fs[i] - xs[i] for i in range(n_hist)]
+            d_g = np.stack([gs[i + 1] - gs[i] for i in range(n_hist - 1)], axis=1)
+            d_f = np.stack([fs[i + 1] - fs[i] for i in range(n_hist - 1)], axis=1)
+            d_x = np.stack([xs[i + 1] - xs[i] for i in range(n_hist - 1)], axis=1)
+            gram = d_g.T @ d_g
+            if cfg.ridge > 0.0:
+                gram = gram + cfg.ridge * np.eye(n_hist - 1)
+            try:
+                gamma = np.linalg.solve(gram, d_g.T @ gs[-1])
+            except np.linalg.LinAlgError as exc:
+                raise SingularLeastSquares(f"singular at iteration {k}") from exc
+            x_bar = x - d_x @ gamma
+            f_bar = fx - d_f @ gamma
+            x_new = cfg.beta * f_bar + (1.0 - cfg.beta) * x_bar
+        x = x_new
+        fx = np.asarray(f(x), dtype=np.float64)
+        _check_finite(fx, k + 1)
+        xs.append(x)
+        fs.append(fx)
+    res, err = _error(x, fx)
+    return SolveReport(x, res, err, cfg.max_iter, False)
+
+
+def reference_mlp_stack(b, mlp, x, w):
+    """The MLP as one slice and one dot per unit, the layout optimize._mlp_stack
+    replaced by one matmul per layer."""
+    offset = 0
+    h = x
+    for n_in, n_out in zip(mlp.sizes, mlp.sizes[1:]):
+        outs = []
+        for r in range(n_out):
+            row = b.slice(w, offset + r * n_in, offset + (r + 1) * n_in)
+            outs.append(b.dot(row, h))
+        offset += n_out * n_in
+        bias = b.slice(w, offset, offset + n_out)
+        offset += n_out
+        z = (outs[0] if n_out == 1 else b.concat(*outs)) + bias
+        h = b.relu(z)
+    return h

@@ -119,11 +119,7 @@ def test_criterion_4_solver_accuracy_protocol():
         for label, cfg in methods.items():
             iters = []
             for seed in range(20):
-                rng = np.random.default_rng([seed, dim])
-                A = rng.uniform(0.0, 1.0, size=(dim, dim))
-                np.fill_diagonal(A, 0.0)
-                A *= 0.9 / max(abs(np.linalg.eigvals(A)))
-                y = rng.uniform(0.5, 1.5, size=dim)
+                A, y = modelzoo.random_contraction(dim, seed, 0.9)
                 f = lambda x: A @ x + y  # noqa: E731
                 solver = forward_iterate if cfg.method == "forward" else anderson_solve
                 report = solver(f, np.zeros(dim), cfg)

@@ -111,6 +111,38 @@ def test_bad_config_value_is_a_schema_error(tmp_path, section, values):
     assert "config error" in result.output
 
 
+BAD_INTERVENTIONS = [
+    ("optimize", {"targets": [0], "values": [0.0]}, "/intervention/values"),
+    ("solve", {"targets": [0], "values": [0.0]}, "/intervention/values"),
+    ("optimize", {"targets": [0], "bounds": [-1.0, 2.0]}, "/intervention/bounds"),
+    ("optimize", {"targets": [0], "bounds": [2.0, 0.5]}, "/intervention/bounds"),
+    ("pareto", {"targets": [0], "bounds": [-1.0, 2.0]}, "/intervention/bounds"),
+    ("pareto", {"group": "additive", "targets": [0], "bounds": [-1.0, 2.0]}, "/intervention/group"),
+]
+
+
+@pytest.mark.parametrize("command,inter,pointer", BAD_INTERVENTIONS)
+def test_bad_intervention_is_a_schema_error(tmp_path, command, inter, pointer):
+    obj = {"command": command, "model": "leontief-synthetic-4", "intervention": inter}
+    if command == "pareto":
+        obj["loss"] = {"lambdas": [0.0, 1.0]}
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj(obj)
+    assert info.value.pointer == pointer
+    path = write_config(tmp_path / "c.json", obj)
+    result = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_additive_intervention_may_be_zero_or_negative():
+    cfg = _config_from_obj({"command": "optimize", "model": "leontief-synthetic-4",
+                            "intervention": {"group": "additive", "targets": [0], "values": [0.0],
+                                             "bounds": [-1.0, 1.0]}})
+    assert cfg.intervention["bounds"] == [-1.0, 1.0]
+
+
 @pytest.mark.parametrize("section,values", [("adam", {"seed": 1}),
                                             ("sampling", {"theta_mean": [1.0]}),
                                             ("adam", {"iterations": 2.5}),

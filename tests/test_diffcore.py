@@ -118,6 +118,7 @@ def _one_op_graphs():
     case("slice", lambda b, x: b.slice(x, 1, 3), [0.5, 1.2, -0.7, 0.4], 4)
     case("gather", lambda b, x: b.gather(x, [2, 0, 2]), [0.5, 1.2, -0.7], 3)
     case("broadcast", lambda b, x: b.broadcast(b.dot(x, x), 4), [0.5, 1.2], 2)
+    case("matmul", lambda b, x: b.matmul(x, b.slice(x, 0, 2), 2, 1), [0.5, 1.2, -0.7, 0.3, 0.9], 5)
     return cases
 
 
@@ -257,3 +258,75 @@ def test_graph_json_roundtrip_bit_exact():
     assert diffcore.graph_to_obj(g2) == obj
     bindings = {"x": np.array([0.9, 1.7]), "theta": np.array([2.3])}
     assert forward_eval(g, bindings).tobytes() == forward_eval(g2, bindings).tobytes()
+
+
+# --- matmul ---
+
+def _matmul_graph(n_out, n_in, offset, n_w):
+    b = ExprBuilder()
+    w = b.input("w", n_w)
+    x = b.input("x", n_in)
+    return b.build(b.matmul(w, x, n_out, offset))
+
+
+def test_matmul_equals_per_row_dots():
+    rng = np.random.default_rng(5)
+    n_out, n_in, offset = 4, 3, 2
+    w = rng.normal(size=offset + n_out * n_in + 1)
+    x = rng.normal(size=n_in)
+    out = forward_eval(_matmul_graph(n_out, n_in, offset, w.shape[0]), {"w": w, "x": x})
+    rows = [w[offset + r * n_in:offset + (r + 1) * n_in] @ x for r in range(n_out)]
+    np.testing.assert_allclose(out, rows, rtol=0, atol=1e-12)
+
+
+def test_matmul_vjp_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    n_out, n_in, offset, n_w = 3, 2, 1, 8
+    g = _matmul_graph(n_out, n_in, offset, n_w)
+    w, x, v = rng.normal(size=n_w), rng.normal(size=n_in), rng.normal(size=n_out)
+    grad = reverse_vjp(g, {"w": w, "x": x}, v)
+    fd_w = v @ finite_difference_jacobian(lambda z: forward_eval(g, {"w": z, "x": x}), w)
+    fd_x = v @ finite_difference_jacobian(lambda z: forward_eval(g, {"w": w, "x": z}), x)
+    np.testing.assert_allclose(grad["w"], fd_w, atol=1e-8)
+    np.testing.assert_allclose(grad["x"], fd_x, atol=1e-8)
+    assert not grad["w"][:offset].any() and not grad["w"][offset + n_out * n_in:].any()
+
+
+def test_matmul_json_roundtrip_bit_exact():
+    g = _matmul_graph(2, 3, 1, 9)
+    obj = diffcore.graph_to_obj(g)
+    g2 = diffcore.graph_from_obj(obj)
+    assert diffcore.graph_to_obj(g2) == obj
+    bindings = {"w": np.linspace(-1.0, 1.0, 9) / 3.0, "x": np.array([0.1, 1 / 7, -2.3])}
+    assert forward_eval(g, bindings).tobytes() == forward_eval(g2, bindings).tobytes()
+    assert (reverse_vjp(g, bindings, [0.3, 0.9])["w"].tobytes()
+            == reverse_vjp(g2, bindings, [0.3, 0.9])["w"].tobytes())
+
+
+@pytest.mark.parametrize("n_w,n_out,offset", [(5, 2, 0), (6, 2, 1), (6, 0, 0), (6, 2, -1)])
+def test_matmul_weight_dimension_mismatch_raises(n_w, n_out, offset):
+    b = ExprBuilder()
+    w = b.input("w", n_w)
+    x = b.input("x", 3)
+    with pytest.raises(ShapeMismatch):
+        b.matmul(w, x, n_out, offset)
+
+
+def test_compiled_step_list_is_cached_on_the_graph():
+    g = affine_graph([[0.1, 0.2], [0.3, 0.1]], [1.0, 1.0])
+    assert g._program is None
+    forward_eval(g, {"x": [1.0, 2.0]})
+    prog = g._program
+    reverse_vjp(g, {"x": [1.0, 2.0]}, [1.0, 0.0])
+    assert g._program is prog
+
+
+def test_vjp_at_nodes_treats_them_as_leaves():
+    b = ExprBuilder()
+    x = b.input("x", 2)
+    h = b.exp(x)
+    g = b.build(b.dot(h, h))
+    bindings = {"x": np.array([0.2, -0.4])}
+    at_h = reverse_vjp(g, bindings, [1.0], at=[h.idx, x.idx])
+    np.testing.assert_allclose(at_h[h.idx], 2.0 * np.exp(bindings["x"]))
+    np.testing.assert_array_equal(at_h[x.idx], [0.0, 0.0])  # nothing propagates below h

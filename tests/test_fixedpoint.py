@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from eqcausal import modelzoo
 from eqcausal.errors import NonFiniteIterate, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
+
+from ._models import reference_anderson_solve
 
 
 def contraction_2x2():
@@ -170,3 +173,31 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     cfg = SolverConfig()
     assert (cfg.m, cfg.beta, cfg.tol, cfg.max_iter) == (5, 2.0, 1e-4, 5000)
+
+
+ANDERSON_CONFIGS = [SolverConfig(beta=1.0), SolverConfig(beta=2.0), SolverConfig(m=1, beta=1.0),
+                    SolverConfig(m=2), SolverConfig(m=2, beta=1.0),
+                    SolverConfig(m=8, beta=1.0, tol=1e-10), SolverConfig(ridge=0.0, beta=1.0)]
+
+
+@pytest.mark.parametrize("dim", [2, 10, 50, 100, 200])
+def test_anderson_iterates_equal_the_rebuilding_reference(dim):
+    for seed in range(3):
+        A, y = modelzoo.random_contraction(dim, seed, 0.9)
+        f = lambda x: A @ x + y  # noqa: E731
+        for cfg in ANDERSON_CONFIGS:
+            for max_iter in (3, cfg.max_iter):  # a history still filling, and a full solve
+                cfg_k = SolverConfig(cfg.method, cfg.m, cfg.beta, cfg.tol, max_iter, cfg.ridge)
+                got = anderson_solve(f, np.zeros(dim), cfg_k)
+                ref = reference_anderson_solve(f, np.zeros(dim), cfg_k)
+                assert got.x.tobytes() == ref.x.tobytes()
+                assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+                assert got.residual_norm == ref.residual_norm
+
+
+def test_random_contraction_is_seeded_and_scaled():
+    A, y = modelzoo.random_contraction(20, 3, 0.9)
+    A2, y2 = modelzoo.random_contraction(20, 3, 0.9)
+    assert A.tobytes() == A2.tobytes() and y.tobytes() == y2.tobytes()
+    assert max(abs(np.linalg.eigvals(A))) == pytest.approx(0.9)
+    assert np.all(A >= 0.0) and not np.diag(A).any()

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from eqcausal import deq, interventions, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import InvalidPartition, MismatchedTargets, PolicyArityMismatch
+from eqcausal.errors import (EqcausalError, InvalidGroupElement, InvalidPartition, MismatchedTargets,
+                             PolicyArityMismatch)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, LieElement,
                                     apply, build_invariant_model, check_compartmentalization,
@@ -61,6 +62,13 @@ def test_multiplicative_values_must_be_positive():
         LieElement("multiplicative", (0,), [-1.0])
     with pytest.raises(ValueError):
         LieElement("multiplicative", (0,), [0.0])
+
+
+def test_invalid_group_element_is_a_typed_error():
+    for group, values in (("multiplicative", [0.0]), ("rotation", [1.0])):
+        with pytest.raises(InvalidGroupElement) as info:
+            LieElement(group, (0,), values)
+        assert isinstance(info.value, EqcausalError)
 
 
 def test_compose_mismatched_targets():

@@ -13,7 +13,7 @@ from eqcausal.optimize import (AdamConfig, AdamState, DistanceLoss, GhgEmploymen
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import inject_state_jacobian, leontief_spec, motivating_spec
+from ._models import inject_state_jacobian, leontief_spec, motivating_spec, reference_mlp_stack
 
 TIGHT = SolverConfig(tol=1e-10, beta=1.0)
 
@@ -122,6 +122,30 @@ def test_mlp_gradient_matches_fd():
         lambda z: mlp_forward(mlp, z, x), w, h=1e-6)[0]
     dev = np.abs(grad - fd) / (1.0 + np.abs(fd))
     assert dev.max() < 1e-5
+
+
+@pytest.mark.parametrize("hidden,output_dim", [((20, 10), 1), ((4, 3), 2), ((1,), 1)])
+def test_mlp_matmul_layers_match_the_dot_per_unit_graph(hidden, output_dim):
+    from eqcausal.diffcore import forward_eval, reverse_vjp
+    from eqcausal.optimize import _standardize, build_mlp_graph
+
+    mlp = MlpSpec(input_dim=2, hidden=hidden, output_dim=output_dim, seed=4,
+                  input_shift=(0.5, 0.75), input_scale=(4.0, 5.0))
+    b = ExprBuilder()
+    x = _standardize(b, mlp, b.input("x", 2))
+    reference = b.build(reference_mlp_stack(b, mlp, x, b.input("policy", mlp.n_weights)))
+    graph = build_mlp_graph(mlp)
+    assert len(graph.nodes) < len(reference.nodes)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        w = init_mlp_weights(mlp) + rng.normal(scale=0.1, size=mlp.n_weights)
+        bindings = {"x": rng.uniform(0.3, 1.2, size=2), "policy": w}
+        np.testing.assert_allclose(mlp_forward(mlp, w, bindings["x"]),
+                                   forward_eval(reference, bindings), rtol=0, atol=1e-12)
+        v = rng.normal(size=output_dim)
+        for slot in ("x", "policy"):
+            np.testing.assert_allclose(reverse_vjp(graph, bindings, v)[slot],
+                                       reverse_vjp(reference, bindings, v)[slot], rtol=0, atol=1e-12)
 
 
 def test_mlp_standardization_changes_inputs_only():
