@@ -76,10 +76,10 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "group": {"enum": ["multiplicative", "additive"]},
-                "targets": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                "targets": {"type": "array", "items": {"type": "integer", "minimum": 0}, "uniqueItems": True},
                 "values": {"type": "array", "items": _NUMBER},
                 "bounds": {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2},
-                "builtin_values": {"type": "array", "items": _NUMBER},
+                "builtin_values": {"type": "array", "items": _NUMBER, "minItems": 1},
             },
         },
         "loss": {
@@ -136,6 +136,9 @@ def _check_intervention(inter: dict, command: str):
     if multiplicative and any(v <= 0 for v in inter.get("values", ())):
         raise SchemaError("multiplicative intervention values must be positive",
                           pointer="/intervention/values")
+    if command == "invariant" and any(v <= 0 for v in inter.get("builtin_values", ())):
+        raise SchemaError("the invariant command's efficiency multiplier must be positive",
+                          pointer="/intervention/builtin_values")
     if "bounds" in inter:
         lo, hi = inter["bounds"]
         if lo > hi:
@@ -299,26 +302,29 @@ def _report_obj(report) -> dict:
     }
 
 
-def _tight(cfg: SolverConfig, tol: float = 1e-8) -> SolverConfig:
+def _tight(cfg: SolverConfig) -> SolverConfig:
     """Evaluation-grade solver: beta=1 avoids extrapolation limit cycles."""
-    return replace(cfg, tol=min(cfg.tol, tol), beta=1.0, m=max(cfg.m, 8))
+    return replace(cfg, tol=min(cfg.tol, 1e-8), beta=1.0, m=max(cfg.m, 8))
+
+
+def _builtin_u(config: ExperimentConfig, spec: SscmSpec, default=None):
+    """The config's builtin_values as the model's u vector, or `default` when absent."""
+    u = (config.intervention or {}).get("builtin_values", default)
+    if u is not None and len(u) != spec.u_dim:
+        raise SchemaError(f"builtin_values length {len(u)} != model u_dim {spec.u_dim}",
+                          pointer="/intervention/builtin_values")
+    return None if u is None else np.asarray(u, dtype=float)
 
 
 def _intervened_spec(bundle: ModelBundle, config: ExperimentConfig):
     spec = bundle.spec
-    u = None
-    inter = config.intervention
-    if inter:
-        if "builtin_values" in inter:
-            u = np.asarray(inter["builtin_values"], dtype=float)
-            if u.shape[0] != spec.u_dim:
-                raise SchemaError(f"builtin_values length {u.shape[0]} != model u_dim {spec.u_dim}",
-                                  pointer="/intervention/builtin_values")
-        if "targets" in inter:
-            values = inter.get("values", [1.0 if inter.get("group", "multiplicative") == "multiplicative" else 0.0]
-                               * len(inter["targets"]))
-            g = LieElement(inter.get("group", "multiplicative"), tuple(inter["targets"]), values)
-            spec = interventions.apply(spec, g)
+    u = _builtin_u(config, spec)
+    inter = config.intervention or {}
+    if "targets" in inter:
+        values = inter.get("values", [1.0 if inter.get("group", "multiplicative") == "multiplicative" else 0.0]
+                           * len(inter["targets"]))
+        g = LieElement(inter.get("group", "multiplicative"), tuple(inter["targets"]), values)
+        spec = interventions.apply(spec, g)
     return spec, u
 
 
@@ -388,16 +394,15 @@ def _run_optimize(config: ExperimentConfig, bundle: ModelBundle, out: OutputWrit
     out.write_csv("trajectory.csv", ["step", "loss"] + [f"u_{t}" for t in targets],
                   [[i, float(v)] + [float(x) for x in g.values]
                    for i, (g, v) in enumerate(res.trajectory)])
-    gopt = res.optimum
-    sol = solve_equilibrium(interventions.apply(spec, gopt), spec.theta_ref, _tight(config.solver))
-    ghg, l1 = loss.components(sol.x_star)
+    ghg, l1 = loss.components(res.x_star)
     out.write_json("optimum.json", {
-        "values": gopt.values.tolist(),
+        "values": res.optimum.values.tolist(),
         "loss": res.final_loss,
         "ghg_total": ghg,
         "employment_l1_deviation": l1,
         "aborted": res.aborted,
         "early_stopped": res.early_stopped,
+        "failures": res.failures,
         "steps": len(res.trajectory),
     })
     return {"loss": res.final_loss, "aborted": res.aborted}
@@ -448,8 +453,7 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     if bundle.rebound is None:
         raise SchemaError("the invariant command runs on the rebound-3sector model", pointer="/model")
     inst = bundle.rebound
-    inter = config.intervention or {}
-    u_eval = float(inter.get("builtin_values", [0.7])[0])
+    u_eval = float(_builtin_u(config, inst.spec, default=[0.7])[0])
     sampling = replace(config.sampling, u_low=inst.u_low, u_high=inst.u_high,
                        theta_stddev=config.sampling.theta_stddev or (0.2,))
 
@@ -457,7 +461,7 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
     twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
                                  LieElement("multiplicative", (inst.energy_sector,), [1.0]))
-    train_solver = replace(_tight(config.solver, tol=1e-5), tol=1e-5)
+    train_solver = replace(_tight(config.solver), tol=1e-5)
     weights, train_losses = _train_phases(twin, w0, sampling, _phase_schedule(config.adam),
                                           train_solver)
 
@@ -467,7 +471,8 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     for _ in range(50):
         theta = optimize.sample_theta(twin.base, sampling, rng)
         u = twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)])
-        base, dep = twin.solve_pair(theta, u, eval_solver, policy=weights, rerouted=False)
+        base = solve_equilibrium(twin.base, theta, eval_solver)
+        dep = solve_equilibrium(twin.deployed, theta, eval_solver, u=u, policy=weights)
         j = inst.invariant_node
         devs.append(abs(dep.x_star[j] - base.x_star[j]) / abs(base.x_star[j]))
 
@@ -479,8 +484,8 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     theta_ref = inst.spec.theta_ref.copy()
     base_ref = solve_equilibrium(inst.spec, theta_ref, eval_solver)
     for u_val in np.linspace(inst.u_low, 1.0, 6):
-        _, dep = twin.solve_pair(theta_ref, twin.assemble_u([[u_val]]), eval_solver,
-                                 policy=weights, rerouted=False)
+        dep = solve_equilibrium(twin.deployed, theta_ref, eval_solver,
+                                u=twin.assemble_u([[u_val]]), policy=weights)
         j = inst.invariant_node
         u_sweep.append([float(u_val),
                         float(abs(dep.x_star[j] - base_ref.x_star[j]) / abs(base_ref.x_star[j]))])
@@ -493,8 +498,8 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
         theta = np.array([theta_val])
         ref = solve_equilibrium(inst.spec, theta, eval_solver)
         lie = solve_equilibrium(inst.spec, theta, eval_solver, u=[u_eval])
-        _, inv = twin.solve_pair(theta, twin.assemble_u([[u_eval]]), eval_solver,
-                                 policy=weights, rerouted=False)
+        inv = solve_equilibrium(twin.deployed, theta, eval_solver,
+                                u=twin.assemble_u([[u_eval]]), policy=weights)
         d = inst.table.d
         e_ref = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, ref.x_star[:d])
         e_lie = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, lie.x_star[:d],
@@ -532,7 +537,7 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
                        theta_stddev=config.sampling.theta_stddev or (0.1,))
     us = tuple(LieElement(p.group, (p.intervened,), [1.0]) for p in inst.plan.plans)
     twin = build_invariant_model(inst.spec, inst.plan.plans, us)
-    train_solver = replace(_tight(config.solver, tol=1e-6), tol=1e-6)
+    train_solver = replace(_tight(config.solver), tol=1e-6)
     weights, train_losses = _train_phases(twin, inst.w0, sampling,
                                           _phase_schedule(config.adam)[:2], train_solver)
 
@@ -553,8 +558,8 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
     ref = solve_equilibrium(inst.spec, theta_mid, eval_solver)
     for u in grid:
         for v in grid:
-            _, dep = twin.solve_pair(theta_mid, twin.assemble_u([[u], [v]]), eval_solver,
-                                     policy=weights, rerouted=False)
+            dep = solve_equilibrium(twin.deployed, theta_mid, eval_solver,
+                                    u=twin.assemble_u([[u], [v]]), policy=weights)
             rows.append([float(u), float(v)] + [float(x) for x in dep.x_star])
     out.write_csv("compartment_curves.csv",
                   ["u", "v"] + [f"x_{name}" for name in inst.spec.names], rows)

@@ -21,7 +21,7 @@ from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
                      MismatchedTargets, NonFiniteIterate, NotConverged, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
-from .sscm import EquilibriumSolution, SscmSpec, solve_equilibrium
+from .sscm import COND_MAX, EquilibriumSolution, SscmSpec, solve_equilibrium
 
 Array = np.ndarray
 
@@ -41,6 +41,8 @@ class LieElement:
         vals = np.asarray(self.values, dtype=np.float64).reshape(-1).copy()
         if vals.shape[0] != len(self.targets):
             raise MismatchedTargets(f"{len(self.targets)} targets but {vals.shape[0]} values")
+        if len(set(self.targets)) != len(self.targets):
+            raise MismatchedTargets(f"targets {self.targets} repeat a node")
         if self.group == "multiplicative" and np.any(vals <= 0.0):
             raise InvalidGroupElement("multiplicative group elements must be strictly positive")
         vals.setflags(write=False)
@@ -202,7 +204,7 @@ class InvarianceReport:
 
 
 def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_ref=None,
-                                cond_max: float = 1e8, cfg: SolverConfig | None = None,
+                                cond_max: float = COND_MAX, cfg: SolverConfig | None = None,
                                 sigma_min_threshold: float = 1e-6,
                                 derivative_threshold: float = 1e-6) -> InvarianceReport:
     """Numerically check the sufficient conditions for an invariant intervention.
@@ -282,8 +284,8 @@ class InvariantTwin:
 
     `rerouted` reads every arrow leaving an invariant node from the
     unintervened equilibrium (bound through the "extern" slot); it is the
-    training target. `deployed` keeps all arrows live and is what an actual
-    intervention on the system would produce.
+    training target, solved by `solve_pair`. `deployed` keeps all arrows live, is
+    what an actual intervention would produce and, needing no base, is solved directly.
     """
 
     base: SscmSpec
@@ -300,14 +302,12 @@ class InvariantTwin:
             u[start:stop] = np.asarray(vals, dtype=np.float64).reshape(-1)
         return u
 
-    def solve_pair(self, theta, u, cfg: SolverConfig, policy=None,
-                   rerouted: bool = True) -> tuple[EquilibriumSolution, EquilibriumSolution]:
+    def solve_pair(self, theta, u, cfg: SolverConfig,
+                   policy=None) -> tuple[EquilibriumSolution, EquilibriumSolution]:
+        """The base equilibrium and the rerouted intervened one that reads its invariant nodes."""
         base_sol = solve_equilibrium(self.base, theta, cfg)
-        if rerouted:
-            extern = base_sol.x_star[list(self.invariant_nodes)]
-            int_sol = solve_equilibrium(self.rerouted, theta, cfg, u=u, extern=extern, policy=policy)
-        else:
-            int_sol = solve_equilibrium(self.deployed, theta, cfg, u=u, policy=policy)
+        extern = base_sol.x_star[list(self.invariant_nodes)]
+        int_sol = solve_equilibrium(self.rerouted, theta, cfg, u=u, extern=extern, policy=policy)
         return base_sol, int_sol
 
 
@@ -490,21 +490,16 @@ class CompartmentReport:
 
 
 def check_compartmentalization(spec: SscmSpec, plan: CompartmentPlan, theta_samples,
-                               u_grids, cfg: SolverConfig, policy=None,
-                               rerouted: bool = False) -> CompartmentReport:
+                               u_grids, cfg: SolverConfig, policy=None) -> CompartmentReport:
     """Monte-Carlo check that each compartment ignores the other interventions.
 
-    For every theta sample the intervened model is solved over the cartesian
+    For every theta sample the deployed intervened model is solved over the cartesian
     grid of per-compartment intervention values. A compartment's deviation is
     the largest spread of its node values across the *other* compartments'
     values (holding its own fixed), normalized by the unintervened magnitude.
     """
     violations = compartment_structure_violations(spec, plan)
-    interventions = [
-        LieElement(p.group, (p.intervened,), [1.0 if p.group == "multiplicative" else 0.0])
-        for p in plan.plans
-    ]
-    twin = build_invariant_model(spec, plan.plans, interventions)
+    twin = build_invariant_model(spec, plan.plans, [identity(p.group, (p.intervened,)) for p in plan.plans])
     n_comp = len(plan.compartments)
     grids = [np.asarray(g, dtype=np.float64) for g in u_grids]
     shape = tuple(len(g) for g in grids)
@@ -518,8 +513,7 @@ def check_compartmentalization(spec: SscmSpec, plan: CompartmentPlan, theta_samp
         sols = np.empty(shape + (spec.d,))
         for combo in itertools.product(*(range(s) for s in shape)):
             u = twin.assemble_u([[grids[c][combo[c]]] for c in range(n_comp)])
-            _, int_sol = twin.solve_pair(theta, u, cfg, policy=policy, rerouted=rerouted)
-            sols[combo] = int_sol.x_star
+            sols[combo] = solve_equilibrium(twin.deployed, theta, cfg, u=u, policy=policy).x_star
         for c, comp in enumerate(plan.compartments):
             others = tuple(ax for ax in range(n_comp) if ax != c)
             spread = sols.max(axis=others) - sols.min(axis=others) if others else np.zeros_like(sols)

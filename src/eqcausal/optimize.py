@@ -338,10 +338,12 @@ class DistanceLoss:
 
 @dataclass
 class OptimizationResult:
+    """One descent; x_star is the equilibrium of the optimum, as solved during the descent."""
     trajectory: list  # (LieElement, loss) pairs
     aborted: bool
-    failures: list[int]  # steps where the equilibrium solve failed
+    failures: list[int]  # steps where the equilibrium or adjoint solve failed
     early_stopped: bool
+    x_star: Array
 
     @property
     def optimum(self) -> LieElement:
@@ -368,8 +370,10 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
     theta = spec.theta_ref if theta is None else np.asarray(theta, dtype=np.float64)
     mult = g0.group == "multiplicative"
     trajectory: list = []
+    x_star = None
 
     def evaluate(w):
+        nonlocal x_star
         vals = np.exp(w) if mult else w.copy()
         u = np.concatenate([wired.u_ref[:base_dim], vals])
         sol = solve_equilibrium(wired, theta, solver, u=u)
@@ -379,12 +383,13 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
         cot = loss.grad(sol.x_star)
         g_tail = deq.implicit_vjp(wired, theta, sol.x_star, cot, solver, u=u).grad_u[base_dim:]
         trajectory.append((LieElement(g0.group, g0.targets, vals), value))
+        x_star = sol.x_star
         return value, (g_tail * vals if mult else g_tail)
 
     w0 = np.log(g0.values) if mult else g0.values
     w_bounds = None if bounds is None else tuple(np.log(bounds) if mult else bounds)
     res = _descend(evaluate, w0, adam, w_bounds)
-    return OptimizationResult(trajectory, res.aborted, res.failures, res.early_stopped)
+    return OptimizationResult(trajectory, res.aborted, res.failures, res.early_stopped, x_star)
 
 
 # --- sampling ---
@@ -499,7 +504,8 @@ class TradeoffPoint:
 def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
                  solver: SolverConfig, bounds: tuple[float, float],
                  targets=None) -> list[TradeoffPoint]:
-    """Optimize the intervention per lambda, warm-starting from the previous optimum."""
+    """Optimize the intervention per lambda, warm-starting from the previous optimum; a lambda
+    whose optimization fails repeats the previous point (at the first, the unintervened model)."""
     c = np.asarray(c, dtype=np.float64)
     r = np.asarray(employment_row, dtype=np.float64)
     if not len(lambdas):
@@ -507,8 +513,8 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
     if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda values must be nonnegative")
     targets = tuple(range(spec.d)) if targets is None else tuple(targets)
-    base = solve_equilibrium(spec, spec.theta_ref, solver)
-    e_star = r * base.x_star
+    x_star = solve_equilibrium(spec, spec.theta_ref, solver).x_star
+    e_star = r * x_star
 
     points: list[TradeoffPoint] = []
     g = interventions.identity("multiplicative", targets)
@@ -516,18 +522,17 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
         loss = GhgEmploymentLoss(c, r, e_star, lam)
         try:
             res = optimize_lie_intervention(spec, g, loss, adam, solver, bounds=bounds)
-            g = res.optimum
+            g, x_star = res.optimum, res.x_star
             ok = not res.aborted
         except SolveFailedDuringOptimization:
             ok = False
-        sol = solve_equilibrium(interventions.apply(spec, g), spec.theta_ref, solver)
-        e_u = r * sol.x_star
+        e_u = r * x_star
         points.append(TradeoffPoint(
             lam=float(lam),
-            ghg_total=float(c @ sol.x_star),
+            ghg_total=float(c @ x_star),
             employment_l1_deviation=float(np.abs(e_u - e_star).sum()),
             alpha=g.values.copy(),
             employment_delta=e_u - e_star,
-            converged=ok and sol.report.converged,
+            converged=ok,
         ))
     return points

@@ -63,7 +63,7 @@ def test_criterion_2_exact_linear_invariance():
         theta = _sample_motivating_theta(rng)
         z_star = motivating_closed_form(*theta)[2]
         for u_y in np.linspace(0.5, 2.0, 9):
-            _, dep = twin.solve_pair(theta, twin.assemble_u([[u_y]]), cfg, rerouted=False)
+            dep = solve_equilibrium(twin.deployed, theta, cfg, u=twin.assemble_u([[u_y]]))
             worst = max(worst, abs(dep.x_star[2] - z_star))
     elapsed = time.perf_counter() - t0
     _report(2, f"reciprocal policy keeps z invariant, worst |dev| {worst:.2e}",

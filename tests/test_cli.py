@@ -118,12 +118,16 @@ BAD_INTERVENTIONS = [
     ("optimize", {"targets": [0], "bounds": [2.0, 0.5]}, "/intervention/bounds"),
     ("pareto", {"targets": [0], "bounds": [-1.0, 2.0]}, "/intervention/bounds"),
     ("pareto", {"group": "additive", "targets": [0], "bounds": [-1.0, 2.0]}, "/intervention/group"),
+    ("solve", {"targets": [0, 0], "values": [0.5, 2.0]}, "/intervention/targets"),
+    ("invariant", {"builtin_values": []}, "/intervention/builtin_values"),
+    ("invariant", {"builtin_values": [-0.5]}, "/intervention/builtin_values"),
 ]
 
 
 @pytest.mark.parametrize("command,inter,pointer", BAD_INTERVENTIONS)
 def test_bad_intervention_is_a_schema_error(tmp_path, command, inter, pointer):
-    obj = {"command": command, "model": "leontief-synthetic-4", "intervention": inter}
+    model = "rebound-3sector" if command == "invariant" else "leontief-synthetic-4"
+    obj = {"command": command, "model": model, "intervention": inter}
     if command == "pareto":
         obj["loss"] = {"lambdas": [0.0, 1.0]}
     with pytest.raises(SchemaError) as info:
@@ -339,6 +343,22 @@ def test_invariant_theta_stddev_length_exits_1_with_manifest(tmp_path):
     # rebound-3sector has one parameter; two deviations must not broadcast
     error = run_failing_invariant(tmp_path, sampling={"theta_stddev": [0.1, 0.2]})
     assert error.startswith("ShapeMismatch: ")
+
+
+def test_invariant_builtin_values_length_exits_1_with_manifest(tmp_path):
+    # rebound-3sector has one builtin intervention component
+    error = run_failing_invariant(tmp_path, intervention={"builtin_values": [0.7, 0.8]})
+    assert error == "SchemaError: /intervention/builtin_values: builtin_values length 2 != model u_dim 1"
+
+
+def test_optimum_records_failed_steps(tmp_path, monkeypatch):
+    inject_state_jacobian(monkeypatch, on_calls={1})
+    config = _config_from_obj({"command": "optimize", "model": "leontief-synthetic-4",
+                               "adam": {"iterations": 4, "learning_rate": 0.02}})
+    assert run_experiment(config, out_dir=tmp_path).success
+    optimum = json.loads((tmp_path / "optimum.json").read_text())
+    assert optimum["failures"] == [1]
+    assert optimum["steps"] == 3
 
 
 def test_cli_version_is_package_version():

@@ -131,6 +131,13 @@ def test_apply_rejects_bad_targets():
         apply(motivating_spec(), LieElement("multiplicative", (7,), [2.0]))
 
 
+def test_repeated_targets_rejected():
+    # one value per node: apply would keep only the last of a repeated target's values
+    for group in ("multiplicative", "additive"):
+        with pytest.raises(MismatchedTargets):
+            LieElement(group, (0, 0), [0.5, 2.0])
+
+
 def test_hard_intervention_derivative_motivating():
     spec = motivating_spec()
     # clamping z makes y* = alpha*tau + beta*lambda, so dy/dlambda = beta
@@ -238,8 +245,8 @@ def test_analytic_policy_gives_exact_invariance():
         for u_y in (0.5, 1.0, 2.0):
             u = twin.assemble_u([[u_y]])
             z_star = modelzoo.motivating_closed_form(*theta)[2]
-            _, dep = twin.solve_pair(theta, u, TIGHT, rerouted=False)
-            _, rer = twin.solve_pair(theta, u, TIGHT, rerouted=True)
+            dep = solve_equilibrium(twin.deployed, theta, TIGHT, u=u)
+            _, rer = twin.solve_pair(theta, u, TIGHT)
             assert abs(dep.x_star[2] - z_star) < 1e-8
             assert abs(rer.x_star[2] - z_star) < 1e-8
 
@@ -254,7 +261,8 @@ def test_identity_u_with_original_policy_reproduces_equilibrium():
     plan = InvariantInterventionSpec(1, 2, 2, policy)
     twin = build_invariant_model(spec, plan, identity("multiplicative", (1,)))
     cfg = SolverConfig()
-    base, dep = twin.solve_pair(THETA_REF, twin.assemble_u([[1.0]]), cfg, rerouted=False)
+    base = solve_equilibrium(twin.base, THETA_REF, cfg)
+    dep = solve_equilibrium(twin.deployed, THETA_REF, cfg, u=twin.assemble_u([[1.0]]))
     assert np.linalg.norm(dep.x_star - base.x_star) <= 10 * cfg.tol * np.linalg.norm(base.x_star)
 
 
@@ -317,6 +325,22 @@ def test_compartmentalization_exact_linear_policies():
     assert rep.structural_ok
     assert max(rep.cross_deviation) < 1e-7
     assert min(rep.own_response) > 0.1
+
+
+def test_compartmentalization_solves_one_base_and_the_deployed_grid(monkeypatch):
+    inst = modelzoo.two_compartment_model()
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append("base" if spec is inst.spec else "rerouted" if spec.extern_dim else "deployed")
+        return solve_equilibrium(spec, *args, **kwargs)
+
+    monkeypatch.setattr(interventions, "solve_equilibrium", counting)
+    plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None))
+    grid = np.array([0.8, 1.0, 1.25])
+    check_compartmentalization(inst.spec, plan, [np.array([0.45]), np.array([0.75])],
+                               [grid, grid], SolverConfig(tol=1e-8, beta=1.0))
+    assert calls == (["base"] + ["deployed"] * 9) * 2
 
 
 def test_compartmentalization_detects_bad_topology():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqcausal import deq, modelzoo, optimize, sscm
+from eqcausal import deq, interventions, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian
 from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismatch,
                              SolveFailedDuringOptimization)
@@ -306,6 +306,22 @@ def test_training_aborts_after_six_failures(monkeypatch):
     assert trained.weights[0] == 0.4
 
 
+@pytest.mark.parametrize("failing", [None, {3}])
+def test_result_holds_the_equilibrium_of_its_optimum(monkeypatch, failing):
+    # a VJP failing after its solve succeeded (the last step) must not leave that solve's x*
+    spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
+    solver = SolverConfig(tol=1e-8, beta=1.0)
+    if failing:
+        inject_state_jacobian(monkeypatch, on_calls=failing)
+    res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
+                                    DistanceLoss(np.array([1.0, 1.0])),
+                                    AdamConfig(learning_rate=0.02, iterations=4, early_stop=False),
+                                    solver)
+    assert res.failures == ([3] if failing else [])
+    fresh = solve_equilibrium(interventions.apply(spec, res.optimum), spec.theta_ref, solver)
+    assert res.x_star.tobytes() == fresh.x_star.tobytes()
+
+
 def test_optimizer_is_deterministic():
     spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
     loss = DistanceLoss(np.array([1.0, 1.0]))
@@ -348,6 +364,47 @@ def test_pareto_duplicate_lambdas_identical():
                           [0.2, 0.2], adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 1.0))
     assert points[0].ghg_total == points[1].ghg_total
     np.testing.assert_array_equal(points[0].alpha, points[1].alpha)
+
+
+def test_pareto_sweep_solves_each_equilibrium_once(monkeypatch):
+    table = modelzoo.leontief_synthetic(4)
+    spec = modelzoo.leontief_model(table)
+    solves, applies = [], []
+
+    def counting(record, fn):
+        def wrapped(*args, **kwargs):
+            record.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(optimize, "solve_equilibrium", counting(solves, solve_equilibrium))
+    monkeypatch.setattr(interventions, "apply", counting(applies, interventions.apply))
+    adam = AdamConfig(learning_rate=0.05, iterations=5, early_stop=False)
+    points = pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
+                          [0.0, 0.5, 2.0], adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 1.0))
+    assert all(p.converged for p in points)
+    assert len(solves) == 1 + 3 * 5  # the base, then one per evaluation
+    assert len(applies) == 3
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_pareto_point_whose_optimization_fails_repeats_the_previous_point(monkeypatch, failing):
+    table = modelzoo.leontief_synthetic(4)
+    spec = modelzoo.leontief_model(table)
+    c = table.impact_row("ghg")
+    solver = SolverConfig(tol=1e-8, beta=1.0)
+    adam = AdamConfig(learning_rate=0.05, iterations=3, early_stop=False)
+    # the first VJP of the failing lambda fails, so its optimization raises at step 0
+    inject_state_jacobian(monkeypatch, on_calls={failing * adam.iterations})
+    points = pareto_sweep(spec, c, table.impact_row("employment"), [0.0, 1.0], adam, solver,
+                          bounds=(0.5, 1.0))
+    if failing:
+        previous = (points[0].alpha, points[0].ghg_total)
+    else:
+        previous = (np.ones(4), float(c @ solve_equilibrium(spec, spec.theta_ref, solver).x_star))
+    assert [p.converged for p in points] == [i != failing for i in range(2)]
+    np.testing.assert_array_equal(points[failing].alpha, previous[0])
+    assert points[failing].ghg_total == previous[1]
 
 
 # --- sampling ---
@@ -401,7 +458,8 @@ def test_training_recovers_exact_scalar_policy():
     for _ in range(10):
         theta = sample_theta(twin.base, SamplingConfig(), rng)
         u = twin.assemble_u([sample_u(1, "multiplicative", sampling, rng)])
-        base, dep = twin.solve_pair(theta, u, TIGHT, policy=trained.weights, rerouted=False)
+        base = solve_equilibrium(twin.base, theta, TIGHT)
+        dep = solve_equilibrium(twin.deployed, theta, TIGHT, u=u, policy=trained.weights)
         assert abs(dep.x_star[2] - base.x_star[2]) < 1e-3 * abs(base.x_star[2])
 
 
