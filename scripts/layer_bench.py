@@ -81,7 +81,7 @@ def measure() -> dict:
     for name, spec, x, kwargs in _models():
         theta = spec.theta_ref
         f = sscm.assemble_map(spec, theta, **kwargs)
-        jac = sscm.jacobian_wrt_state(spec, x, theta, **kwargs)
+        jac = sscm.node_jacobians(spec, x, theta, **kwargs).x
         shift = x - jac @ x
         linear = lambda z, jac=jac, shift=shift: jac @ z + shift  # noqa: E731
         steps = _solver(tol=1e-300, max_iter=40)

@@ -124,11 +124,31 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
+# the intervention keys each command reads
+_INTERVENTION_KEYS = {
+    "solve": {"group", "targets", "values", "builtin_values"},
+    "grad-check": {"group", "targets", "values", "builtin_values"},
+    "optimize": {"group", "targets", "values", "bounds"},
+    "pareto": {"group", "targets", "bounds"},
+    "invariant": {"builtin_values"},
+    "compartment": set(),
+    "bench": set(),
+}
+
+
 def _check_intervention(inter: dict, command: str):
-    """Values and bounds must lie in the group: positive, and lo <= hi, when multiplicative.
+    """A command accepts only the intervention keys it reads. Values and bounds must
+    lie in the group: positive, and lo <= hi, when multiplicative.
 
     The pareto sweep always optimizes in the multiplicative group, so it rejects any other.
     """
+    for key in inter:
+        if key not in _INTERVENTION_KEYS[command]:
+            raise SchemaError(f"the {command} command does not read intervention.{key}",
+                              pointer=f"/intervention/{key}")
+    if command in ("solve", "grad-check") and "values" in inter and "targets" not in inter:
+        raise SchemaError("intervention.values requires intervention.targets",
+                          pointer="/intervention/values")
     multiplicative = inter.get("group", "multiplicative") == "multiplicative"
     if command == "pareto" and not multiplicative:
         raise SchemaError("the pareto command sweeps multiplicative interventions only",
@@ -545,7 +565,7 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
     grid = np.exp(np.linspace(np.log(inst.u_low), np.log(inst.u_high), 5))
     lo, hi = inst.spec.theta_box[0]
     thetas = [np.array([t]) for t in (lo + 0.1 * (hi - lo), 0.5 * (lo + hi), hi - 0.1 * (hi - lo))]
-    rep = check_compartmentalization(inst.spec, inst.plan, thetas, [grid, grid],
+    rep = check_compartmentalization(twin, inst.plan, thetas, [grid, grid],
                                      eval_solver, policy=weights)
 
     policies = []

@@ -7,9 +7,9 @@ policy for solver failures (retry at half the step size, then abort).
 
 Multiplicative intervention values are optimized in log space, which keeps
 them strictly positive without projections; box bounds are enforced by
-clamping the unconstrained coordinates. Losses expose value(x) and grad(x);
-the emission/employment loss reports the true L1 regularizer but
-differentiates a smoothed surrogate.
+clamping the unconstrained coordinates. Losses are closed-form numpy and
+expose value(x) and grad(x); the emission/employment loss reports the true
+L1 regularizer but differentiates a smoothed surrogate.
 """
 
 from __future__ import annotations
@@ -288,19 +288,12 @@ class GhgEmploymentLoss:
         self.r = np.asarray(employment_row, dtype=np.float64)
         self.e_star = np.asarray(e_star, dtype=np.float64)
         self.lam = float(lam)
+        self.eps_smooth = float(eps_smooth)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         d = self.c.shape[0]
         if self.r.shape[0] != d or self.e_star.shape[0] != d:
             raise ShapeMismatch("loss row dimensions disagree")
-        b = ExprBuilder()
-        x = b.input("x", d)
-        ghg = b.dot(b.const(self.c), x)
-        delta = b.mul(b.const(self.r), x) - b.const(self.e_star)
-        smooth = b.powc(delta * delta + b.const(np.full(d, eps_smooth)), 0.5) - b.const(
-            np.full(d, np.sqrt(eps_smooth)))
-        reg = b.dot(b.const(np.ones(d)), smooth)
-        self._graph = b.build(ghg + b.const([self.lam]) * reg)
 
     def components(self, x) -> tuple[float, float]:
         x = np.asarray(x, dtype=np.float64)
@@ -311,10 +304,15 @@ class GhgEmploymentLoss:
         return ghg + self.lam * l1
 
     def surrogate(self, x) -> float:
-        return float(diffcore.forward_eval(self._graph, {"x": x})[0])
+        x = np.asarray(x, dtype=np.float64)
+        delta = self.r * x - self.e_star
+        smooth = np.power(delta * delta + self.eps_smooth, 0.5) - np.sqrt(self.eps_smooth)
+        return float(self.c @ x + self.lam * (np.ones_like(smooth) @ smooth))
 
     def grad(self, x) -> Array:
-        return diffcore.reverse_vjp(self._graph, {"x": x}, [1.0])["x"]
+        delta = self.r * np.asarray(x, dtype=np.float64) - self.e_star
+        t = self.lam * 0.5 * np.power(delta * delta + self.eps_smooth, -0.5) * delta
+        return (t + t) * self.r + self.c
 
 
 class DistanceLoss:
@@ -322,16 +320,14 @@ class DistanceLoss:
 
     def __init__(self, x_ref):
         self.x_ref = np.asarray(x_ref, dtype=np.float64)
-        b = ExprBuilder()
-        x = b.input("x", self.x_ref.shape[0])
-        delta = x - b.const(self.x_ref)
-        self._graph = b.build(b.dot(delta, delta))
 
     def value(self, x) -> float:
-        return float(diffcore.forward_eval(self._graph, {"x": x})[0])
+        delta = np.asarray(x, dtype=np.float64) - self.x_ref
+        return float(delta @ delta)
 
     def grad(self, x) -> Array:
-        return diffcore.reverse_vjp(self._graph, {"x": x}, [1.0])["x"]
+        delta = np.asarray(x, dtype=np.float64) - self.x_ref
+        return delta + delta
 
 
 # --- Lie intervention optimization ---
@@ -377,11 +373,9 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
         vals = np.exp(w) if mult else w.copy()
         u = np.concatenate([wired.u_ref[:base_dim], vals])
         sol = solve_equilibrium(wired, theta, solver, u=u)
-        if not sol.report.converged:
-            raise NotConverged("equilibrium solve did not converge")
         value = loss.value(sol.x_star)
         cot = loss.grad(sol.x_star)
-        g_tail = deq.implicit_vjp(wired, theta, sol.x_star, cot, solver, u=u).grad_u[base_dim:]
+        g_tail = deq.implicit_vjp(wired, sol, cot, u=u).grad_u[base_dim:]
         trajectory.append((LieElement(g0.group, g0.targets, vals), value))
         x_star = sol.x_star
         return value, (g_tail * vals if mult else g_tail)
@@ -479,8 +473,7 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
             cot = np.zeros(twin.rerouted.d)
             cot[inv_nodes] = 2.0 * diff
             extern = base_sol.x_star[inv_nodes]
-            ig = deq.implicit_vjp(twin.rerouted, theta, int_sol.x_star, cot, solver,
-                                  u=u, extern=extern, policy=policy)
+            ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
             grad += ig.grad_policy
         return batch_loss / n, grad / n
 

@@ -8,7 +8,9 @@ an external-value vector "extern" (used to reroute arrows when building
 invariant twins), and a trainable "policy" weight vector.
 
 Equilibria solve x = f(x, theta) from zero initialization with a configured
-fixed-point solver.
+fixed-point solver. A Linearization holds the dense partials of f at one point
+and the inverse and 1-norm condition number of I - df/dx; the diffeomorphism
+check and the implicit gradients of deq both read it.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from .fixedpoint import SolveReport, SolverConfig
 
 Array = np.ndarray
 
-#: slots an assignment graph may declare, besides "parents" and "theta"
-SHARED_SLOTS = ("u", "extern", "policy")
-
-#: largest condition number of I - df/dx accepted as locally invertible
+#: largest 1-norm condition number of I - df/dx accepted as locally invertible
 COND_MAX = 1e8
 
 
@@ -281,9 +280,22 @@ def node_jacobians(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
     return jac
 
 
-def jacobian_wrt_state(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> Array:
-    """Dense df/dx at (x, theta)."""
-    return node_jacobians(spec, x, theta, u=u, extern=extern, policy=policy).x
+class Linearization:
+    """Dense partials of f and the inverse of I - df/dx at one point.
+
+    cond is the 1-norm condition number of I - df/dx, taken from the inverse;
+    when I - df/dx is singular, inv is None and cond is inf. It never raises.
+    """
+
+    def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
+        self.jac = node_jacobians(spec, x, theta, u=u, extern=extern, policy=policy)
+        lhs = np.eye(spec.d) - self.jac.x
+        try:
+            self.inv = np.linalg.inv(lhs)
+        except np.linalg.LinAlgError:
+            self.inv, self.cond = None, np.inf
+        else:
+            self.cond = float(np.linalg.norm(lhs, 1) * np.linalg.norm(self.inv, 1))
 
 
 @dataclass
@@ -294,17 +306,16 @@ class DiffeoReport:
     residual: float
 
 
-def check_local_diffeomorphism(spec: SscmSpec, x, theta, cond_max: float = COND_MAX,
-                               tol: float = 1e-4, u=None, extern=None, policy=None) -> DiffeoReport:
+def check_local_diffeomorphism(spec: SscmSpec, x, theta, tol: float = 1e-4,
+                               u=None, extern=None, policy=None) -> DiffeoReport:
     """Check that (x, theta) is a fixed point and that I - df/dx is well conditioned."""
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
     x = np.asarray(x, dtype=np.float64)
     res, err = fixedpoint._error(x, f(x))
-    jac = np.eye(spec.d) - jacobian_wrt_state(spec, x, theta, u=u, extern=extern, policy=policy)
-    cond = float(np.linalg.cond(jac))
+    cond = Linearization(spec, x, theta, u=u, extern=extern, policy=policy).cond
     return DiffeoReport(
         is_solution=bool(err <= tol),
-        jacobian_invertible=bool(np.isfinite(cond) and cond <= cond_max),
+        jacobian_invertible=bool(cond <= COND_MAX),
         condition_number=cond,
         residual=res,
     )

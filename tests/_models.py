@@ -145,3 +145,25 @@ def reference_mlp_stack(b, mlp, x, w):
         z = (outs[0] if n_out == 1 else b.concat(*outs)) + bias
         h = b.relu(z)
     return h
+
+
+def reference_ghg_employment_graph(c, r, e_star, lam, eps_smooth=1e-8):
+    """The expression graph optimize.GhgEmploymentLoss replaced by its closed
+    form: its forward pass is the surrogate and its VJP the gradient."""
+    d = len(c)
+    b = ExprBuilder()
+    x = b.input("x", d)
+    ghg = b.dot(b.const(c), x)
+    delta = b.mul(b.const(r), x) - b.const(e_star)
+    smooth = b.powc(delta * delta + b.const(np.full(d, eps_smooth)), 0.5) - b.const(
+        np.full(d, np.sqrt(eps_smooth)))
+    reg = b.dot(b.const(np.ones(d)), smooth)
+    return b.build(ghg + b.const([lam]) * reg)
+
+
+def reference_distance_graph(x_ref):
+    """The expression graph ||x - x_ref||^2 that optimize.DistanceLoss replaced."""
+    b = ExprBuilder()
+    x = b.input("x", len(x_ref))
+    delta = x - b.const(x_ref)
+    return b.build(b.dot(delta, delta))

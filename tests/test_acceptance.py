@@ -89,7 +89,7 @@ def test_criterion_3_implicit_gradient_correctness():
 
     def max_dev(spec, theta):
         sol = solve_equilibrium(spec, theta, cfg)
-        jac = deq.jacobian_wrt_theta(spec, theta, sol.x_star, cfg)
+        jac = deq.jacobian_wrt_theta(spec, sol)
         fd = fd_jacobian(spec, theta)
         return float((np.abs(jac - fd) / (1.0 + np.abs(fd))).max())
 

@@ -121,6 +121,14 @@ BAD_INTERVENTIONS = [
     ("solve", {"targets": [0, 0], "values": [0.5, 2.0]}, "/intervention/targets"),
     ("invariant", {"builtin_values": []}, "/intervention/builtin_values"),
     ("invariant", {"builtin_values": [-0.5]}, "/intervention/builtin_values"),
+    # keys the command does not read
+    ("solve", {"bounds": [0.5, 2.0]}, "/intervention/bounds"),
+    ("grad-check", {"values": [0.5]}, "/intervention/values"),  # values need targets
+    ("optimize", {"targets": [0], "builtin_values": [0.5]}, "/intervention/builtin_values"),
+    ("pareto", {"targets": [0], "values": [0.5]}, "/intervention/values"),
+    ("invariant", {"targets": [0], "values": [0.5]}, "/intervention/targets"),
+    ("compartment", {"builtin_values": [1.0]}, "/intervention/builtin_values"),
+    ("bench", {"group": "additive"}, "/intervention/group"),
 ]
 
 
@@ -138,6 +146,26 @@ def test_bad_intervention_is_a_schema_error(tmp_path, command, inter, pointer):
     assert result.exit_code == 2
     assert "config error" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+ALLOWED_INTERVENTIONS = {
+    "solve": {"group": "multiplicative", "targets": [0], "values": [1.0], "builtin_values": [1.0]},
+    "grad-check": {"group": "multiplicative", "targets": [0], "values": [1.0], "builtin_values": [1.0]},
+    "optimize": {"group": "multiplicative", "targets": [0], "values": [1.0], "bounds": [0.5, 2.0]},
+    "pareto": {"group": "multiplicative", "targets": [0], "bounds": [0.5, 2.0]},
+    "invariant": {"builtin_values": [0.7]},
+    "compartment": {},
+    "bench": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALLOWED_INTERVENTIONS))
+def test_each_command_accepts_the_intervention_keys_it_reads(command):
+    obj = {"command": command, "model": "leontief-synthetic-4",
+           "intervention": ALLOWED_INTERVENTIONS[command]}
+    if command == "pareto":
+        obj["loss"] = {"lambdas": [0.0, 1.0]}
+    assert _config_from_obj(obj).intervention == ALLOWED_INTERVENTIONS[command]
 
 
 def test_additive_intervention_may_be_zero_or_negative():

@@ -40,8 +40,7 @@ def test_scalar_affine_fixed_point_gradient():
     sol = solve_equilibrium(spec, theta, TIGHT)
     np.testing.assert_allclose(sol.x_star, [2.0, 2.0], atol=1e-8)
     # dL/dtheta for L = x1: c / (1 - theta)^2 = 4
-    ig = deq.implicit_vjp(spec, theta, sol.x_star, [1.0, 0.0], TIGHT)
-    assert ig.adjoint_report.converged
+    ig = deq.implicit_vjp(spec, sol, [1.0, 0.0])
     assert ig.grad_theta[0] == pytest.approx(4.0, rel=1e-6)
 
 
@@ -51,14 +50,14 @@ def test_leontief_gradient_is_inverse_transpose():
     spec = leontief_spec(A, y)
     sol = solve_equilibrium(spec, y, TIGHT)
     c = np.array([2.0, -1.0])
-    ig = deq.implicit_vjp(spec, y, sol.x_star, c, TIGHT)
+    ig = deq.implicit_vjp(spec, sol, c)
     np.testing.assert_allclose(ig.grad_theta, np.linalg.solve((np.eye(2) - A).T, c), atol=1e-8)
 
 
 def test_zero_cotangent_gives_zero_gradients():
     spec = scalar_cycle_spec()
     sol = solve_equilibrium(spec, [0.5], TIGHT)
-    ig = deq.implicit_vjp(spec, [0.5], sol.x_star, np.zeros(2), TIGHT)
+    ig = deq.implicit_vjp(spec, sol, np.zeros(2))
     np.testing.assert_array_equal(ig.grad_theta, [0.0])
 
 
@@ -67,14 +66,14 @@ def test_jacobian_wrt_theta_leontief_is_inverse():
     y = np.array([1.0, 2.0])
     spec = leontief_spec(A, y)
     sol = solve_equilibrium(spec, y, TIGHT)
-    jac = deq.jacobian_wrt_theta(spec, y, sol.x_star, TIGHT)
+    jac = deq.jacobian_wrt_theta(spec, sol)
     np.testing.assert_allclose(jac, np.linalg.inv(np.eye(2) - A), atol=1e-8)
 
 
 def test_jacobian_wrt_theta_motivating_example():
     spec = motivating_spec()
     sol = solve_equilibrium(spec, THETA_REF, TIGHT)
-    jac = deq.jacobian_wrt_theta(spec, THETA_REF, sol.x_star, TIGHT)
+    jac = deq.jacobian_wrt_theta(spec, sol)
     # dz*/dtau = gamma*alpha / (1 - beta*gamma)
     assert jac[2, 0] == pytest.approx(0.4 * 0.5 / (1 - 0.12), rel=1e-6)
 
@@ -82,7 +81,7 @@ def test_jacobian_wrt_theta_motivating_example():
 def test_jacobian_wrt_theta_matches_finite_differences():
     spec = motivating_spec()
     sol = solve_equilibrium(spec, THETA_REF, TIGHT)
-    jac = deq.jacobian_wrt_theta(spec, THETA_REF, sol.x_star, TIGHT)
+    jac = deq.jacobian_wrt_theta(spec, sol)
     h = 1e-5
     for k in range(4):
         tp, tm = THETA_REF.copy(), THETA_REF.copy()
@@ -96,12 +95,12 @@ def test_jacobian_wrt_theta_matches_finite_differences():
 def test_adjoint_consistency_bilinear_forms():
     spec = motivating_spec()
     sol = solve_equilibrium(spec, THETA_REF, TIGHT)
-    jac = deq.jacobian_wrt_theta(spec, THETA_REF, sol.x_star, TIGHT)
+    jac = deq.jacobian_wrt_theta(spec, sol)
     rng = np.random.default_rng(9)
     for _ in range(5):
         v = rng.normal(size=3)
         w = rng.normal(size=4)
-        via_vjp = deq.implicit_vjp(spec, THETA_REF, sol.x_star, v, TIGHT).grad_theta @ w
+        via_vjp = deq.implicit_vjp(spec, sol, v).grad_theta @ w
         assert via_vjp == pytest.approx(v @ jac @ w, abs=1e-8)
 
 
@@ -120,27 +119,36 @@ def test_dense_adjoint_large_dimension():
         spec = leontief_spec(A, y)
         sol = solve_equilibrium(spec, y, EXACT)
         c = rng.normal(size=d)
-        ig = deq.implicit_vjp(spec, y, sol.x_star, c, EXACT)
-        assert ig.adjoint_report.converged
-        assert ig.adjoint_report.iterations == 0
+        ig = deq.implicit_vjp(spec, sol, c)
         np.testing.assert_allclose(ig.grad_theta, np.linalg.solve((np.eye(d) - A).T, c), atol=1e-10)
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named sscm functions, per name."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(sscm, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(sscm, name, counting)
+    return calls
+
+
 def test_implicit_vjp_makes_one_node_gradients_call(monkeypatch):
-    calls = []
-    original = sscm.node_gradients
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(sscm, "node_gradients", counting)
     A, y = random_leontief(np.random.default_rng(4), 30)
     spec = leontief_spec(A, y)
     sol = solve_equilibrium(spec, y, EXACT)
-    calls.clear()
-    deq.implicit_vjp(spec, y, sol.x_star, np.ones(30), EXACT)
-    assert len(calls) == 1
+    calls = count_calls(monkeypatch, "node_gradients", "assemble_map")
+    deq.implicit_vjp(spec, sol, np.ones(30))
+    assert calls == {"node_gradients": 1, "assemble_map": 0}
+
+
+def test_jacobian_wrt_theta_makes_one_node_gradients_call(monkeypatch):
+    spec = motivating_spec()
+    sol = solve_equilibrium(spec, THETA_REF, TIGHT)
+    calls = count_calls(monkeypatch, "node_gradients", "assemble_map")
+    deq.jacobian_wrt_theta(spec, sol)
+    assert calls == {"node_gradients": 1, "assemble_map": 0}
 
 
 def test_jacobian_wrt_theta_100_sectors_is_inverse():
@@ -149,7 +157,7 @@ def test_jacobian_wrt_theta_100_sectors_is_inverse():
     table = modelzoo.leontief_synthetic(100)
     spec = modelzoo.leontief_model(table)
     sol = solve_equilibrium(spec, spec.theta_ref, EXACT)
-    jac = deq.jacobian_wrt_theta(spec, spec.theta_ref, sol.x_star, EXACT)
+    jac = deq.jacobian_wrt_theta(spec, sol)
     np.testing.assert_allclose(jac, np.linalg.inv(np.eye(100) - table.A), atol=1e-10)
 
 
@@ -163,7 +171,7 @@ def test_adjoint_failures_raise_singular_adjoint(monkeypatch, j_x, cot, message)
     sol = solve_equilibrium(spec, [0.5], TIGHT)
     inject_state_jacobian(monkeypatch, j_x)
     with pytest.raises(SingularAdjoint, match=message) as info:
-        deq.implicit_vjp(spec, [0.5], sol.x_star, cot, TIGHT)
+        deq.implicit_vjp(spec, sol, cot)
     assert isinstance(info.value, SingularMatrix)
 
 
@@ -172,13 +180,30 @@ def test_jacobian_wrt_theta_raises_on_singular_adjoint(monkeypatch):
     sol = solve_equilibrium(spec, [0.5], TIGHT)
     inject_state_jacobian(monkeypatch, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SingularAdjoint):
-        deq.jacobian_wrt_theta(spec, [0.5], sol.x_star, TIGHT)
+        deq.jacobian_wrt_theta(spec, sol)
 
 
-def test_refuses_unconverged_equilibrium():
+def unconverged_cycle():
     spec = scalar_cycle_spec()
+    sol = solve_equilibrium(spec, [0.5], SolverConfig(tol=1e-10, max_iter=1))
+    assert not sol.report.converged
+    return spec, sol
+
+
+def test_refuses_unconverged_equilibrium(monkeypatch):
+    spec, sol = unconverged_cycle()
+    calls = count_calls(monkeypatch, "node_gradients")
     with pytest.raises(NotConverged):
-        deq.implicit_vjp(spec, [0.5], np.array([10.0, -3.0]), [1.0, 0.0], TIGHT)
+        deq.implicit_vjp(spec, sol, [1.0, 0.0])
+    assert calls == {"node_gradients": 0}
+
+
+def test_jacobian_wrt_theta_refuses_unconverged_equilibrium(monkeypatch):
+    spec, sol = unconverged_cycle()
+    calls = count_calls(monkeypatch, "node_gradients")
+    with pytest.raises(NotConverged):
+        deq.jacobian_wrt_theta(spec, sol)
+    assert calls == {"node_gradients": 0}
 
 
 def test_grad_check_affine_model():

@@ -206,14 +206,14 @@ def test_invariance_report_matches_the_separate_checks(free, j):
     cfg = SolverConfig(tol=1e-10)
     theta = spec.theta_ref
     rep = check_invariance_conditions(spec, i=1, j=j, k=2)
-    x_star = solve_equilibrium(spec, theta, cfg).x_star
-    diffeo = sscm.check_local_diffeomorphism(spec, x_star, theta, tol=cfg.tol)
+    sol = solve_equilibrium(spec, theta, cfg)
+    diffeo = sscm.check_local_diffeomorphism(spec, sol.x_star, theta, tol=cfg.tol)
     keep = [n for n in range(spec.d) if n != j]
-    reduced = (np.eye(spec.d) - sscm.jacobian_wrt_state(spec, x_star, theta))[np.ix_(keep, keep)]
-    pa_rows = deq.jacobian_wrt_theta(spec, theta, x_star, cfg)[list(spec.parents[2]), :]
+    reduced = (np.eye(spec.d) - sscm.node_jacobians(spec, sol.x_star, theta).x)[np.ix_(keep, keep)]
+    pa_rows = deq.jacobian_wrt_theta(spec, sol)[list(spec.parents[2]), :]
     sigma = np.linalg.svd(pa_rows, compute_uv=False)
     assert rep.diffeomorphic_at_reference == (diffeo.is_solution and diffeo.jacobian_invertible)
-    assert rep.reduced_condition_number == pytest.approx(np.linalg.cond(reduced), rel=1e-12)
+    assert rep.reduced_condition_number == pytest.approx(np.linalg.cond(reduced, 1), rel=1e-12)
     expected_sigma = sigma[spec.theta_dim - 1] if pa_rows.shape[0] >= spec.theta_dim else 0.0
     assert rep.parents_jacobian_sigma_min == pytest.approx(expected_sigma, rel=1e-12, abs=1e-12)
     assert rep.hard_derivative == pytest.approx(
@@ -298,6 +298,10 @@ def exact_compartment_policies(inst, cfg):
     )
 
 
+def compartment_twin(spec, plan):
+    return build_invariant_model(spec, plan.plans, [identity(p.group, (p.intervened,)) for p in plan.plans])
+
+
 def test_compartment_structure_of_frozen_instance():
     inst = modelzoo.two_compartment_model()
     assert interventions.compartment_structure_violations(inst.spec, inst.plan) == []
@@ -308,8 +312,8 @@ def test_compartmentalization_identity_interventions_zero_deviation():
     cfg = SolverConfig(tol=1e-9, beta=1.0)
     plans = exact_compartment_policies(inst, cfg)
     plan = CompartmentPlan(inst.plan.compartments, plans)
-    rep = check_compartmentalization(inst.spec, plan, [np.array([0.6])],
-                                     [np.array([1.0]), np.array([1.0])], cfg)
+    rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan,
+                                     [np.array([0.6])], [np.array([1.0]), np.array([1.0])], cfg)
     assert rep.structural_ok
     assert max(rep.cross_deviation) < 1e-6
 
@@ -320,8 +324,8 @@ def test_compartmentalization_exact_linear_policies():
     cfg = SolverConfig(tol=1e-10, beta=1.0)
     plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, cfg))
     grid = np.array([0.8, 1.0, 1.25])
-    rep = check_compartmentalization(inst.spec, plan, [np.array([0.45]), np.array([0.75])],
-                                     [grid, grid], cfg)
+    rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan,
+                                     [np.array([0.45]), np.array([0.75])], [grid, grid], cfg)
     assert rep.structural_ok
     assert max(rep.cross_deviation) < 1e-7
     assert min(rep.own_response) > 0.1
@@ -338,8 +342,9 @@ def test_compartmentalization_solves_one_base_and_the_deployed_grid(monkeypatch)
     monkeypatch.setattr(interventions, "solve_equilibrium", counting)
     plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None))
     grid = np.array([0.8, 1.0, 1.25])
-    check_compartmentalization(inst.spec, plan, [np.array([0.45]), np.array([0.75])],
-                               [grid, grid], SolverConfig(tol=1e-8, beta=1.0))
+    twin = compartment_twin(inst.spec, plan)
+    check_compartmentalization(twin, plan, [np.array([0.45]), np.array([0.75])], [grid, grid],
+                               SolverConfig(tol=1e-8, beta=1.0))
     assert calls == (["base"] + ["deployed"] * 9) * 2
 
 
@@ -352,10 +357,18 @@ def test_compartmentalization_detects_bad_topology():
     violations = interventions.compartment_structure_violations(inst.spec, plan)
     assert violations  # node 1 feeds compartment 2 but is no longer invariant
     cfg = SolverConfig(tol=1e-8, beta=1.0)
-    rep = check_compartmentalization(inst.spec, plan, [np.array([0.6])],
+    rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan, [np.array([0.6])],
                                      [np.array([0.8, 1.25]), np.array([0.8, 1.25])], cfg)
     assert not rep.structural_ok
     assert max(rep.cross_deviation) > 0.01  # leakage across compartments
+
+
+def test_compartmentalization_rejects_a_twin_of_other_plans():
+    inst = modelzoo.two_compartment_model()
+    plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None))
+    with pytest.raises(InvalidPartition):
+        check_compartmentalization(compartment_twin(inst.spec, inst.plan), plan, [np.array([0.6])],
+                                   [np.array([1.0]), np.array([1.0])], SolverConfig(tol=1e-8))
 
 
 def test_invalid_partition_raises():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqcausal import deq, interventions, modelzoo, optimize, sscm
-from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian
+from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, reverse_vjp
 from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismatch,
                              SolveFailedDuringOptimization)
 from eqcausal.fixedpoint import SolverConfig
@@ -13,7 +15,8 @@ from eqcausal.optimize import (AdamConfig, AdamState, DistanceLoss, GhgEmploymen
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import inject_state_jacobian, leontief_spec, motivating_spec, reference_mlp_stack
+from ._models import (inject_state_jacobian, leontief_spec, motivating_spec,
+                      reference_distance_graph, reference_ghg_employment_graph, reference_mlp_stack)
 
 TIGHT = SolverConfig(tol=1e-10, beta=1.0)
 
@@ -92,6 +95,33 @@ def test_ghg_loss_gradient_matches_fd():
     x = rng.uniform(1.0, 2.0, 3)
     fd = finite_difference_jacobian(lambda z: np.array([loss.surrogate(z)]), x, h=1e-6)[0]
     np.testing.assert_allclose(loss.grad(x), fd, atol=1e-7)
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), zero_lam=st.booleans(),
+       zero_delta=st.booleans())
+def test_closed_form_losses_equal_their_graphs(seed, d, zero_lam, zero_delta):
+    rng = np.random.default_rng(seed)
+    c, r = rng.normal(size=d), rng.uniform(0.0, 2.0, size=d)
+    x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=d)
+    # delta = r*x - e_star is exactly 0 when e_star is r*x
+    e_star = r * x if zero_delta else rng.normal(size=d)
+    lam = 0.0 if zero_lam else float(rng.uniform(0.0, 10.0))
+    eps = float(10.0 ** rng.uniform(-12, -4))
+    loss = GhgEmploymentLoss(c, r, e_star, lam, eps_smooth=eps)
+    graph = reference_ghg_employment_graph(c, r, e_star, lam, eps)
+    assert bits(loss.surrogate(x)) == bits(forward_eval(graph, {"x": x})[0])
+    assert bits(loss.grad(x)) == bits(reverse_vjp(graph, {"x": x}, [1.0])["x"])
+
+    x_ref = e_star
+    distance = DistanceLoss(x_ref)
+    graph = reference_distance_graph(x_ref)
+    assert bits(distance.value(x)) == bits(forward_eval(graph, {"x": x})[0])
+    assert bits(distance.grad(x)) == bits(reverse_vjp(graph, {"x": x}, [1.0])["x"])
 
 
 # --- MLP ---

@@ -13,7 +13,7 @@ from eqcausal.interventions import LieElement, build_invariant_model
 from eqcausal.sscm import (SscmSpec, assemble_map, check_local_diffeomorphism, node_gradients,
                            solve_equilibrium, validate)
 
-from ._models import THETA_REF, leontief_spec, motivating_spec
+from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
 
 
 def test_validate_well_formed():
@@ -111,7 +111,7 @@ def test_diffeo_check_singular_at_beta_gamma_one():
     wide = sscm.SscmSpec(spec.names, spec.parents, spec.assignments, theta,
                          np.array([[0.0, 3.0]] * 4), spec.theta_slices)
     x = np.array([1.0, 1.0, 0.5])
-    rep = check_local_diffeomorphism(wide, x, theta, cond_max=1e8)
+    rep = check_local_diffeomorphism(wide, x, theta)
     assert not rep.jacobian_invertible
 
 
@@ -125,6 +125,28 @@ def test_diffeo_check_constant_map_condition_one():
     assert rep.condition_number == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("name", ["motivating", "leontief-10", "rebound"])
+def test_diffeo_condition_number_is_the_1_norm_one(name):
+    spec = {"motivating": motivating_spec,
+            "leontief-10": lambda: modelzoo.leontief_model(modelzoo.leontief_synthetic(10)),
+            "rebound": lambda: modelzoo.rebound_3sector().spec}[name]()
+    x = solve_equilibrium(spec, spec.theta_ref, SolverConfig(tol=1e-10, beta=1.0)).x_star
+    rep = check_local_diffeomorphism(spec, x, spec.theta_ref)
+    lhs = np.eye(spec.d) - sscm.node_jacobians(spec, x, spec.theta_ref).x
+    assert rep.condition_number == pytest.approx(np.linalg.cond(lhs, 1), rel=1e-12)
+    assert rep.jacobian_invertible
+
+
+def test_diffeo_check_singular_jacobian_gives_infinite_condition(monkeypatch):
+    spec = motivating_spec()
+    x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10)).x_star
+    inject_state_jacobian(monkeypatch)  # I - df/dx = 0
+    rep = check_local_diffeomorphism(spec, x, THETA_REF)
+    assert rep.condition_number == np.inf
+    assert not rep.jacobian_invertible
+    assert rep.is_solution
+
+
 def test_solvability_and_continuity_near_reference():
     spec = motivating_spec()
     cfg = SolverConfig(tol=1e-10)
@@ -132,7 +154,7 @@ def test_solvability_and_continuity_near_reference():
     rep = check_local_diffeomorphism(spec, x_ref, THETA_REF)
     assert rep.jacobian_invertible
 
-    jac_x = sscm.jacobian_wrt_state(spec, x_ref, THETA_REF)
+    jac_x = sscm.node_jacobians(spec, x_ref, THETA_REF).x
     grads = sscm.node_gradients(spec, x_ref, THETA_REF)
     jac_theta = np.zeros((spec.d, spec.theta_dim))
     for j, g in enumerate(grads):
