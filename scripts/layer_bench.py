@@ -1,15 +1,23 @@
-"""Per-layer timings: one structural-map call, one node_gradients call, one Anderson step.
+"""Per-layer timings: one structural-map call, one node_gradients call, one Anderson step,
+and B equilibrium solves and implicit VJPs of the rerouted rebound twin.
 
-    python scripts/layer_bench.py --label change --out BENCH_4.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_4.json
+    python scripts/layer_bench.py --label change --out BENCH_7.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_7.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
 model the invariant pipeline trains). The Anderson step runs the default
 solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver) on the
 model's linearisation x -> J x + (x* - J x*), so it times the solver and not
-the map. Every figure is the median, over REPEATS batches, of the mean time of
-one call in a batch. The record, with machine info and the git revision of the measured
+the map.
+
+The batched layers solve B = 1, 4, 16, 50 rerouted-twin equilibria (random
+theta and u, shared policy weights, the CLI's evaluation solver at tol 1e-8)
+and pull B cotangents back through them. Sources with a batch axis solve them
+as one batch ("mode": "batched"); older sources, one at a time ("loop").
+
+Every figure is the median, over REPEATS batches, of the mean time of one
+call in a batch. The record, with machine info and the git revision of the measured
 sources, is stored under its label in the output file; other labels are kept.
 It reports and gates nothing, so no test runs it.
 """
@@ -44,9 +52,21 @@ def _median_call_s(fn, batch: int) -> float:
     return float(np.median(times))
 
 
-def _models():
+def _rebound_twin():
+    """The invariant pipeline's twin of the rebound model and its initial policy weights."""
     from eqcausal import modelzoo, optimize
     from eqcausal.interventions import LieElement, build_invariant_model
+
+    inst = modelzoo.rebound_3sector()
+    mlp = inst.policy_mlp()
+    policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
+    twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
+                                 LieElement("multiplicative", (inst.energy_sector,), [1.0]))
+    return twin, w0
+
+
+def _models():
+    from eqcausal import modelzoo
     from eqcausal.sscm import solve_equilibrium
 
     cfg = _solver(tol=1e-10)
@@ -55,11 +75,7 @@ def _models():
         x = solve_equilibrium(spec, spec.theta_ref, cfg).x_star
         yield f"leontief-synthetic-{n}", spec, x, {}
 
-    inst = modelzoo.rebound_3sector()
-    mlp = inst.policy_mlp()
-    policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
-    twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
-                                 LieElement("multiplicative", (inst.energy_sector,), [1.0]))
+    twin, w0 = _rebound_twin()
     theta = twin.base.theta_ref
     u = twin.assemble_u([[0.7]])
     base = solve_equilibrium(twin.base, theta, cfg)
@@ -96,6 +112,52 @@ def measure() -> dict:
                 lambda: fixedpoint.anderson_solve(linear, np.zeros(spec.d), steps), 5) / iters,
             "anderson_iterations": iters,
         }
+    return out
+
+
+BATCH_ROWS = (1, 4, 16, 50)
+
+
+def measure_batched() -> dict:
+    import dataclasses
+
+    from eqcausal import deq, fixedpoint
+    from eqcausal.sscm import solve_equilibrium
+
+    twin, policy = _rebound_twin()
+    spec = twin.rerouted
+    batched = "row_iterations" in {f.name for f in dataclasses.fields(fixedpoint.SolveReport)}
+    cfg = _solver(tol=1e-8)
+    rng = np.random.default_rng(0)
+    out = {}
+    for rows in BATCH_ROWS:
+        theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
+        u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
+        extern = np.array([solve_equilibrium(twin.base, t, cfg).x_star[list(twin.invariant_nodes)]
+                           for t in theta])
+        cot = rng.normal(size=(rows, spec.d))
+        if batched:
+            def solve():
+                return solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy)
+
+            sol = solve()
+
+            def vjp():
+                return deq.implicit_vjp(spec, sol, cot, u=u, extern=extern, policy=policy)
+        else:
+            def solve():
+                return [solve_equilibrium(spec, theta[r], cfg, u=u[r], extern=extern[r], policy=policy)
+                        for r in range(rows)]
+
+            sols = solve()
+
+            def vjp():
+                return [deq.implicit_vjp(spec, sols[r], cot[r], u=u[r], extern=extern[r], policy=policy)
+                        for r in range(rows)]
+        repeat = max(1, 16 // rows)
+        out[f"rebound-twin-B{rows}"] = {"rows": rows, "mode": "batched" if batched else "loop",
+                                        "solve_s": _median_call_s(solve, repeat),
+                                        "implicit_vjp_s": _median_call_s(vjp, repeat)}
     return out
 
 
@@ -140,6 +202,7 @@ def main() -> int:
         "machine": machine(),
         "repeats": REPEATS,
         "layers": measure(),
+        "batched_layers": measure_batched(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data.setdefault("runs", {})[args.label] = record
@@ -148,6 +211,9 @@ def main() -> int:
         print(f"{name:24s} map {row['map_call_s'] * 1e6:9.1f} us   "
               f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
+    for name, row in record["batched_layers"].items():
+        print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
+              f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms")
     return 0
 
 

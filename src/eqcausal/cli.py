@@ -487,48 +487,48 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
 
     eval_solver = _tight(config.solver)
     rng = np.random.default_rng(config.seed + 99)
-    devs = []
+    thetas, us = [], []
     for _ in range(50):
-        theta = optimize.sample_theta(twin.base, sampling, rng)
-        u = twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)])
-        base = solve_equilibrium(twin.base, theta, eval_solver)
-        dep = solve_equilibrium(twin.deployed, theta, eval_solver, u=u, policy=weights)
-        j = inst.invariant_node
-        devs.append(abs(dep.x_star[j] - base.x_star[j]) / abs(base.x_star[j]))
+        thetas.append(optimize.sample_theta(twin.base, sampling, rng))
+        us.append(twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)]))
+    j = inst.invariant_node
+    base = solve_equilibrium(twin.base, np.array(thetas), eval_solver).x_star[:, j]
+    dep = solve_equilibrium(twin.deployed, np.array(thetas), eval_solver, u=np.array(us),
+                            policy=weights).x_star[:, j]
+    devs = (np.abs(dep - base) / np.abs(base)).tolist()
 
     out.write_json("policy.json", optimize.mlp_weights_to_obj(mlp, weights))
 
     # near-identity continuity: invariant-node deviation sampled along u at the
     # reference parameters
-    u_sweep = []
     theta_ref = inst.spec.theta_ref.copy()
-    base_ref = solve_equilibrium(inst.spec, theta_ref, eval_solver)
-    for u_val in np.linspace(inst.u_low, 1.0, 6):
-        dep = solve_equilibrium(twin.deployed, theta_ref, eval_solver,
-                                u=twin.assemble_u([[u_val]]), policy=weights)
-        j = inst.invariant_node
-        u_sweep.append([float(u_val),
-                        float(abs(dep.x_star[j] - base_ref.x_star[j]) / abs(base_ref.x_star[j]))])
+    base_ref = solve_equilibrium(inst.spec, theta_ref, eval_solver).x_star[j]
+    u_vals = np.linspace(inst.u_low, 1.0, 6)
+    dep = solve_equilibrium(twin.deployed, theta_ref, eval_solver,
+                            u=np.array([twin.assemble_u([[u_val]]) for u_val in u_vals]),
+                            policy=weights).x_star[:, j]
+    u_sweep = [[float(u_val), float(abs(x - base_ref) / abs(base_ref))] for u_val, x in zip(u_vals, dep)]
 
     # protocol curves: reference vs plain intervention vs invariant intervention
     rows = []
     backfire_everywhere, reduction_everywhere = True, True
     lo, hi = inst.spec.theta_box[0]
-    for theta_val in np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 13):
-        theta = np.array([theta_val])
-        ref = solve_equilibrium(inst.spec, theta, eval_solver)
-        lie = solve_equilibrium(inst.spec, theta, eval_solver, u=[u_eval])
-        inv = solve_equilibrium(twin.deployed, theta, eval_solver,
-                                u=twin.assemble_u([[u_eval]]), policy=weights)
-        d = inst.table.d
-        e_ref = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, ref.x_star[:d])
-        e_lie = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, lie.x_star[:d],
+    theta_vals = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 13)
+    thetas = theta_vals[:, None]
+    ref = solve_equilibrium(inst.spec, thetas, eval_solver).x_star
+    lie = solve_equilibrium(inst.spec, thetas, eval_solver, u=[u_eval]).x_star
+    inv = solve_equilibrium(twin.deployed, thetas, eval_solver,
+                            u=twin.assemble_u([[u_eval]]), policy=weights).x_star
+    d = inst.table.d
+    p_node = inst.price_node
+    for theta_val, x_ref, x_lie, x_inv in zip(theta_vals, ref, lie, inv):
+        e_ref = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, x_ref[:d])
+        e_lie = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, x_lie[:d],
                                              u_eval, inst.efficiency_slot)
-        e_inv = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, inv.x_star[:d],
+        e_inv = modelzoo.total_energy_demand(inst.table.A, inst.energy_sector, x_inv[:d],
                                              u_eval, inst.efficiency_slot)
-        p_node = inst.price_node
-        rows.append([float(theta_val), float(ref.x_star[p_node]), float(lie.x_star[p_node]),
-                     float(inv.x_star[p_node]), e_ref, e_lie, e_inv])
+        rows.append([float(theta_val), float(x_ref[p_node]), float(x_lie[p_node]),
+                     float(x_inv[p_node]), e_ref, e_lie, e_inv])
         backfire_everywhere &= e_lie > e_ref
         reduction_everywhere &= e_inv < e_ref
     out.write_csv("rebound_curves.csv",
@@ -564,7 +564,8 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
     eval_solver = _tight(config.solver)
     grid = np.exp(np.linspace(np.log(inst.u_low), np.log(inst.u_high), 5))
     lo, hi = inst.spec.theta_box[0]
-    thetas = [np.array([t]) for t in (lo + 0.1 * (hi - lo), 0.5 * (lo + hi), hi - 0.1 * (hi - lo))]
+    theta_mid = np.array([0.5 * (lo + hi)])
+    thetas = [np.array([lo + 0.1 * (hi - lo)]), theta_mid, np.array([hi - 0.1 * (hi - lo)])]
     rep = check_compartmentalization(twin, inst.plan, thetas, [grid, grid],
                                      eval_solver, policy=weights)
 
@@ -573,20 +574,17 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
         policies.append(optimize.mlp_weights_to_obj(plan.training_config, weights[start:stop]))
     out.write_json("policies.json", {"compartments": policies})
 
-    rows = []
-    theta_mid = np.array([0.5 * (lo + hi)])
-    ref = solve_equilibrium(inst.spec, theta_mid, eval_solver)
-    for u in grid:
-        for v in grid:
-            dep = solve_equilibrium(twin.deployed, theta_mid, eval_solver,
-                                    u=twin.assemble_u([[u], [v]]), policy=weights)
-            rows.append([float(u), float(v)] + [float(x) for x in dep.x_star])
+    pairs = [(u, v) for u in grid for v in grid]
+    dep = solve_equilibrium(twin.deployed, theta_mid, eval_solver,
+                            u=np.array([twin.assemble_u([[u], [v]]) for u, v in pairs]),
+                            policy=weights).x_star
+    rows = [[float(u), float(v)] + [float(x) for x in x_dep] for (u, v), x_dep in zip(pairs, dep)]
     out.write_csv("compartment_curves.csv",
                   ["u", "v"] + [f"x_{name}" for name in inst.spec.names], rows)
     out.write_json("compartment_report.json", {
         **rep.to_obj(),
         "training_phase_losses": train_losses,
-        "reference_equilibrium": ref.x_star.tolist(),
+        "reference_equilibrium": rep.base_equilibria[1].tolist(),  # thetas[1] is theta_mid
     })
     return {"cross_deviation": max(rep.cross_deviation), "own_response": min(rep.own_response),
             "structural_ok": rep.structural_ok}

@@ -9,6 +9,11 @@ df/d(x, theta, u, policy) and the inverse of I - df/dx, which gives the adjoint
 and the dense dx*/dtheta. An unconverged solution raises NotConverged; a
 singular or ill-conditioned I - df/dx, or a non-finite adjoint, raises
 SingularAdjoint.
+
+A batched solution (x* of shape (B, d)) is linearized as one stack: one
+batched reverse sweep, one stacked inverse, and a condition number per row.
+Any unconverged or ill-conditioned row refuses the whole batch, and the
+gradients come per row, (B, ...).
 """
 
 from __future__ import annotations
@@ -32,38 +37,52 @@ class ImplicitGradient:
     grad_policy: Array | None
 
 
+def require_converged(sol: EquilibriumSolution):
+    """Raise NotConverged unless sol (every row of a batch) met its tolerance."""
+    if not sol.report.converged:
+        raise NotConverged(f"x_star is not a converged equilibrium "
+                           f"(relative error {np.max(sol.report.relative_error):.3e})")
+
+
 def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, extern=None,
                policy=None) -> sscm.Linearization:
     """The linearization at sol's x*, refusing an unconverged or ill-conditioned one."""
-    if not sol.report.converged:
-        raise NotConverged(f"x_star is not a converged equilibrium "
-                           f"(relative error {sol.report.relative_error:.3e})")
+    require_converged(sol)
     lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, extern=extern, policy=policy)
     if lin.inv is None:
         raise SingularAdjoint("I - df/dx is singular at the equilibrium")
-    if not lin.cond <= sscm.COND_MAX:
+    cond = np.max(lin.cond)
+    if not cond <= sscm.COND_MAX:
         raise SingularAdjoint(
-            f"I - df/dx is ill-conditioned (condition number {lin.cond:.3e} > {sscm.COND_MAX:.0e})")
+            f"I - df/dx is ill-conditioned (condition number {cond:.3e} > {sscm.COND_MAX:.0e})")
     return lin
+
+
+def _pull(m: Array, a: Array) -> Array:
+    """m^T a, row by row for a stack of m."""
+    if m.ndim == 2:
+        return m.T @ a
+    return (a[..., None, :] @ m)[..., 0, :]
 
 
 def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
                  u=None, extern=None, policy=None) -> ImplicitGradient:
     """Pull a cotangent on x* back to theta, u and policy weights.
 
-    The adjoint is a dense solve. An unconverged sol raises NotConverged; a
-    singular or ill-conditioned I - df/dx, or a non-finite adjoint, raises
-    SingularAdjoint.
+    The adjoint is a dense solve. A batched sol takes a (B, d) cotangent (a
+    vector seeds every row) and gives (B, ...) gradients. An unconverged sol
+    raises NotConverged; a singular or ill-conditioned I - df/dx, or a
+    non-finite adjoint, raises SingularAdjoint.
     """
     lin = _linearize(spec, sol, u, extern, policy)
-    a = lin.inv.T @ np.asarray(cotangent, dtype=np.float64)
+    a = _pull(lin.inv, np.asarray(cotangent, dtype=np.float64))
     if not np.all(np.isfinite(a)):
         raise SingularAdjoint("adjoint solve gave a non-finite solution")
     jac = lin.jac
     return ImplicitGradient(
-        grad_theta=jac.theta.T @ a,
-        grad_u=jac.u.T @ a,
-        grad_policy=None if jac.policy is None else jac.policy.T @ a,
+        grad_theta=_pull(jac.theta, a),
+        grad_u=_pull(jac.u, a),
+        grad_policy=None if jac.policy is None else _pull(jac.policy, a),
     )
 
 

@@ -10,6 +10,14 @@ one graph can be evaluated concurrently. Supported operations: add, sub, mul
 weight block read from a vector node, times a vector), dot, pow (constant
 exponent), exp, log, relu, concat, slice, gather, broadcast (scalar to
 vector).
+
+Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
+the evaluation batched. The graph is then run by its batched step list, also
+compiled once and cached, in which a value that depends on a batched slot is
+held as a (dim, B) array and every other value, such as a shared slot or a
+const, as a (dim, 1) one that broadcasts. forward_eval returns (B, output_dim);
+reverse_vjp takes a (B, output_dim) cotangent, or a vector for every row, and
+gives every slot's partials per row, shaped (B, dim), a shared slot's too.
 """
 
 from __future__ import annotations
@@ -47,8 +55,9 @@ class ExprGraph:
     output: int
     slots: dict  # slot name -> (node index, dim)
     dims: tuple[int, ...]  # per-node output dimension
-    # the compiled step list, set at the first evaluation
+    # the compiled step lists, unbatched and batched, each set at its first evaluation
     _program: object = field(default=None, init=False, repr=False)
+    _row_program: object = field(default=None, init=False, repr=False)
 
     @property
     def output_dim(self) -> int:
@@ -362,6 +371,79 @@ _KERNELS = {
 }
 
 
+# Batched variants. A batched step list holds (n, B) and (n, 1) values (see the
+# module docstring), so the elementwise ops, matvec, slice, gather and a concat
+# of equal widths run the kernels above unchanged; adjoints are always (n, B).
+
+def _matmul_rows(v, w, x, p):
+    start, stop, n_out, n_in, _ = p
+    block = v[w][start:stop]
+    if block.shape[1] == 1:
+        return block.reshape(n_out, n_in) @ v[x]
+    return (block.reshape(n_out, n_in, -1) * v[x]).sum(axis=1)
+
+
+def _matmul_rows_vjp(g, v, adj, i, w, x, p):
+    start, stop, n_out, n_in, n_w = p
+    full = np.zeros((n_w, g.shape[1]))
+    full[start:stop] = (g[:, None, :] * v[x]).reshape(n_out * n_in, -1)
+    _acc(adj, w, full)
+    block = v[w][start:stop]
+    if block.shape[1] == 1:
+        _acc(adj, x, block.reshape(n_out, n_in).T @ g)
+    else:
+        _acc(adj, x, (block.reshape(n_out, n_in, -1) * g[:, None, :]).sum(axis=0))
+
+
+def _concat_rows(v, args, b, pieces):
+    parts = [v[arg] for arg in args]
+    widths = {part.shape[1] for part in parts}
+    if len(widths) == 1:
+        return np.concatenate(parts)
+    out = np.empty((pieces[-1][2], max(widths)))
+    for part, (_, lo, hi) in zip(parts, pieces):
+        out[lo:hi] = part
+    return out
+
+
+def _dot_rows(v, a, b, p):
+    x, y = v[a], v[b]
+    if x.shape[1] == 1:
+        return x.T @ y
+    if y.shape[1] == 1:
+        return y.T @ x
+    return np.einsum("ij,ij->j", x, y)[None]
+
+
+def _slice_rows_vjp(g, v, adj, i, a, b, p):
+    start, stop, n_a = p
+    full = np.zeros((n_a, g.shape[1]))
+    full[start:stop] = g
+    _acc(adj, a, full)
+
+
+def _gather_rows_vjp(g, v, adj, i, a, b, p):
+    idx, n_a = p
+    full = np.zeros((n_a, g.shape[1]))
+    np.add.at(full, idx, g)
+    _acc(adj, a, full)
+
+
+def _broadcast_rows_vjp(g, v, adj, i, a, b, p):
+    _acc(adj, a, g.sum(axis=0, keepdims=True))
+
+
+_ROW_KERNELS = {
+    **_KERNELS,
+    "matmul": (_matmul_rows, _matmul_rows_vjp),
+    "dot": (_dot_rows, _dot_vjp),
+    "concat": (_concat_rows, _concat_vjp),
+    "slice": (_KERNELS["slice"][0], _slice_rows_vjp),
+    "gather": (lambda v, a, b, p: v[a].take(p[0], axis=0), _gather_rows_vjp),
+    "broadcast": (lambda v, a, b, n: np.repeat(v[a], n, axis=0), _broadcast_rows_vjp),
+}
+
+
 def _prepare(node: GraphNode, dims: tuple[int, ...]) -> tuple:
     """A node's (a, b, payload) as its kernels read them; concat's a is its argument tuple."""
     op, args, payload = node
@@ -391,26 +473,35 @@ class _Program:
     steps: tuple  # (node index, forward, backward, a, b, payload) in topological order
 
 
-def _compile(graph: ExprGraph) -> _Program:
-    """The graph's step list, built at its first evaluation and cached on the frozen graph."""
-    prog = graph._program
+def _compile(graph: ExprGraph, rows: bool = False) -> _Program:
+    """The graph's unbatched or batched step list, built at its first evaluation of
+    that kind and cached on the frozen graph."""
+    prog = graph._row_program if rows else graph._program
     if prog is None:
+        kernels = _ROW_KERNELS if rows else _KERNELS
         inputs, template, steps = [], [None] * len(graph.nodes), []
         for i, node in enumerate(graph.nodes):
             if node.op == "input":
                 inputs.append((i, *node.payload))
             elif node.op == "const":
-                template[i] = node.payload
-            elif node.op in _KERNELS:
-                steps.append((i, *_KERNELS[node.op], *_prepare(node, graph.dims)))
+                template[i] = node.payload[:, None] if rows else node.payload
+            elif node.op in kernels:
+                steps.append((i, *kernels[node.op], *_prepare(node, graph.dims)))
             else:
                 raise ValueError(f"unknown op {node.op!r}")
         prog = _Program(tuple(inputs), tuple(template), tuple(steps))
-        object.__setattr__(graph, "_program", prog)
+        object.__setattr__(graph, "_row_program" if rows else "_program", prog)
     return prog
 
 
-def _forward_values(graph: ExprGraph, bindings: Mapping[str, Array]) -> list[Array]:
+def _forward_values(graph: ExprGraph, bindings: Mapping[str, Array],
+                    rows: int | None = None) -> tuple[list[Array], int | None]:
+    """Every node's value and the batch size, None when no slot is bound with a batch axis.
+
+    `rows` asks for a batched evaluation of that size even when every slot is a vector.
+    """
+    if rows is not None:
+        return _row_values(graph, bindings, rows)
     prog = _compile(graph)
     vals = list(prog.template)
     for i, slot, dim in prog.inputs:
@@ -418,16 +509,44 @@ def _forward_values(graph: ExprGraph, bindings: Mapping[str, Array]) -> list[Arr
             raise UnboundSlot(f"slot {slot!r} not bound")
         v = np.asarray(bindings[slot], dtype=np.float64)
         if v.ndim != 1 or v.shape[0] != dim:
-            raise ShapeMismatch(f"slot {slot!r} expects dim {dim}, got shape {v.shape}")
+            return _row_values(graph, bindings, None)
         vals[i] = v
     for i, fwd, _, a, b, p in prog.steps:
         vals[i] = fwd(vals, a, b, p)
-    return vals
+    return vals, None
 
 
-def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array]) -> Array:
-    """Evaluate the graph's output for the given slot bindings."""
-    return _forward_values(graph, bindings)[graph.output].copy()
+def _row_values(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | None):
+    """_forward_values by the batched step list."""
+    prog = _compile(graph, rows=True)
+    vals = list(prog.template)
+    for i, slot, dim in prog.inputs:
+        if slot not in bindings:
+            raise UnboundSlot(f"slot {slot!r} not bound")
+        v = np.asarray(bindings[slot], dtype=np.float64)
+        if v.ndim == 2 and rows is None:
+            rows = v.shape[0]
+        if v.ndim not in (1, 2) or v.shape[-1] != dim or (v.ndim == 2 and v.shape[0] != rows):
+            raise ShapeMismatch(f"slot {slot!r} expects dim {dim}"
+                                f"{'' if rows is None else f' in {rows} rows'}, got shape {v.shape}")
+        vals[i] = v.T if v.ndim == 2 else v[:, None]
+    if not rows:
+        raise ShapeMismatch("a batch needs at least one row")
+    for i, fwd, _, a, b, p in prog.steps:
+        vals[i] = fwd(vals, a, b, p)
+    return vals, rows
+
+
+def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | None = None) -> Array:
+    """Evaluate the graph's output for the given slot bindings; (B, output_dim) for a batch.
+
+    `rows` asks for a batch of that size even when no slot the graph reads is batched.
+    """
+    vals, rows = _forward_values(graph, bindings, rows)
+    out = vals[graph.output]
+    if rows is None:
+        return out.copy()
+    return (out if out.shape[1] == rows else np.repeat(out, rows, axis=1)).T.copy()
 
 
 @dataclass
@@ -451,41 +570,46 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     leaves (it propagates nothing below them) and returns a plain dict of the
     adjoints at those nodes, keyed by node index. The relu derivative at
     exactly 0 is taken to be 0.
-    """
-    prog = _compile(graph)
-    vals = _forward_values(graph, bindings)
-    cot = _as_vector(cotangent, "cotangent")
-    if cot.shape[0] != graph.output_dim:
-        raise ShapeMismatch(f"cotangent dim {cot.shape[0]} != output dim {graph.output_dim}")
 
+    A batch (a slot bound with a batch axis, or a (B, output_dim) cotangent)
+    gives every adjoint per row, shaped (B, dim); a vector cotangent then
+    seeds every row.
+    """
+    cot = np.asarray(cotangent, dtype=np.float64)
+    if cot.ndim == 0:
+        cot = cot.reshape(1)
+    vals, rows = _forward_values(graph, bindings, cot.shape[0] if cot.ndim == 2 else None)
+    if cot.ndim > 2 or cot.shape[-1] != graph.output_dim:
+        raise ShapeMismatch(f"cotangent shape {cot.shape} does not end in output dim {graph.output_dim}")
+
+    prog = _compile(graph, rows=rows is not None)
     adj: list[Array | None] = [None] * len(graph.nodes)
-    adj[graph.output] = cot.astype(np.float64, copy=True)
+    if rows is None:
+        adj[graph.output] = cot.copy()
+    else:
+        adj[graph.output] = np.broadcast_to(cot.T if cot.ndim == 2 else cot[:, None],
+                                            (graph.output_dim, rows)).copy()
     leaves = frozenset(at) if at is not None else ()
     for i, _, bwd, a, b, p in reversed(prog.steps):
         g = adj[i]
         if g is not None and i not in leaves:
             bwd(g, vals, adj, i, a, b, p)
 
+    if rows is None:
+        def read(i, dim):
+            return np.zeros(dim) if adj[i] is None else adj[i]
+    else:
+        def read(i, dim):
+            return np.zeros((rows, dim)) if adj[i] is None else adj[i].T
     if at is not None:
-        return {i: np.zeros(graph.dims[i]) if adj[i] is None else adj[i] for i in at}
-    parts = {}
-    for slot, (idx, dim) in graph.slots.items():
-        grad = adj[idx]
-        parts[slot] = np.zeros(dim) if grad is None else grad
-    return Gradient(parts)
+        return {i: read(i, graph.dims[i]) for i in at}
+    return Gradient({slot: read(idx, dim) for slot, (idx, dim) in graph.slots.items()})
 
 
 def jacobian(graph: ExprGraph, bindings: Mapping[str, Array], slot: str) -> Array:
-    """Dense Jacobian of the output w.r.t. one input slot (n x m)."""
-    n = graph.output_dim
-    m = graph.slot_dim(slot)
-    out = np.zeros((n, m))
-    cot = np.zeros(n)
-    for i in range(n):
-        cot[i] = 1.0
-        out[i, :] = reverse_vjp(graph, bindings, cot)[slot]
-        cot[i] = 0.0
-    return out
+    """Dense Jacobian of the output w.r.t. one input slot (n x m) at unbatched
+    bindings: one batched reverse sweep seeded with the identity."""
+    return reverse_vjp(graph, bindings, np.eye(graph.output_dim))[slot]
 
 
 def finite_difference_jacobian(fn: Callable[[Array], Array], x, h: float = 1e-6) -> Array:

@@ -21,7 +21,7 @@ from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
                      MismatchedTargets, NonFiniteIterate, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
-from .sscm import COND_MAX, EquilibriumSolution, SscmSpec, solve_equilibrium
+from .sscm import COND_MAX, EquilibriumSolution, Linearization, SscmSpec, solve_equilibrium
 
 Array = np.ndarray
 
@@ -203,27 +203,27 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     of the invariant node w.r.t. the auxiliary node is nonzero. The checks are
     sufficient, not necessary. One linearization of the base model at its
     equilibrium serves the diffeomorphism check, (a) and (b); an unconverged
-    equilibrium raises NotConverged and a singular or ill-conditioned
-    I - df/dx SingularAdjoint. Condition numbers are 1-norm ones, held to
-    sscm.COND_MAX.
+    equilibrium raises NotConverged. A singular or ill-conditioned I - df/dx
+    is reported as diffeomorphic_at_reference = False (and all_pass = False);
+    when it is singular, (b) has no Jacobian and reports sigma_min 0. Condition
+    numbers are 1-norm ones, held to sscm.COND_MAX.
     """
     if i == j or i == k:
         raise ValueError("intervened node must differ from invariant and auxiliary nodes")
     cfg = cfg or SolverConfig(tol=1e-10)
     theta = spec.theta_ref if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
     sol = solve_equilibrium(spec, theta, cfg)
-    lin = deq._linearize(spec, sol)
+    deq.require_converged(sol)
+    lin = Linearization(spec, sol.x_star, theta)
     keep = [n for n in range(spec.d) if n != j]
     reduced = (np.eye(spec.d) - lin.jac.x)[np.ix_(keep, keep)]
     cond_red = float(np.linalg.cond(reduced, 1))
 
-    jac_theta = lin.inv @ lin.jac.theta
-    pa_rows = jac_theta[list(spec.parents[k]), :] if spec.parents[k] else np.zeros((0, spec.theta_dim))
     p = spec.theta_dim
-    if pa_rows.shape[0] >= p and p > 0:
+    sigma_min = 0.0
+    if lin.inv is not None and len(spec.parents[k]) >= p > 0:
+        pa_rows = (lin.inv @ lin.jac.theta)[list(spec.parents[k]), :]
         sigma_min = float(np.linalg.svd(pa_rows, compute_uv=False)[p - 1])
-    else:
-        sigma_min = 0.0
 
     deriv = _clamped_derivative(spec, j, k, theta, float(sol.x_star[k]), cfg)
 
@@ -289,9 +289,10 @@ class InvariantTwin:
 
     def solve_pair(self, theta, u, cfg: SolverConfig,
                    policy=None) -> tuple[EquilibriumSolution, EquilibriumSolution]:
-        """The base equilibrium and the rerouted intervened one that reads its invariant nodes."""
+        """The base equilibrium and the rerouted intervened one that reads its invariant nodes;
+        a batch of theta or u solves both as batches."""
         base_sol = solve_equilibrium(self.base, theta, cfg)
-        extern = base_sol.x_star[list(self.invariant_nodes)]
+        extern = base_sol.x_star[..., list(self.invariant_nodes)]
         int_sol = solve_equilibrium(self.rerouted, theta, cfg, u=u, extern=extern, policy=policy)
         return base_sol, int_sol
 
@@ -463,6 +464,7 @@ class CompartmentReport:
     cross_deviation: list[float]  # per compartment, relative to node magnitude
     own_response: list[float]  # intervened-node relative swing across its own range
     n_theta_samples: int
+    base_equilibria: Array  # (n_theta_samples, d), the unintervened x* per sample; not serialized
 
     def to_obj(self) -> dict:
         return {
@@ -482,6 +484,7 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
     over the cartesian grid of per-compartment intervention values. A compartment's
     deviation is the largest spread of its node values across the *other*
     compartments' values (holding its own fixed), normalized by the unintervened magnitude.
+    The base equilibria and the whole theta-by-grid set are each solved as one batch.
     """
     if twin.plans != plan.plans:
         raise InvalidPartition("the twin was not built from the compartment plan's invariance plans")
@@ -491,22 +494,23 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
     grids = [np.asarray(g, dtype=np.float64) for g in u_grids]
     shape = tuple(len(g) for g in grids)
 
+    thetas = np.array(theta_samples, dtype=np.float64)
+    base = solve_equilibrium(spec, thetas, cfg).x_star
+    combos = list(itertools.product(*(range(s) for s in shape)))
+    us = np.array([twin.assemble_u([[grids[c][combo[c]]] for c in range(n_comp)]) for combo in combos])
+    deployed = solve_equilibrium(twin.deployed, np.repeat(thetas, len(combos), axis=0), cfg,
+                                 u=np.tile(us, (len(thetas), 1)), policy=policy).x_star
+
     cross_dev = np.zeros(n_comp)
     own_resp = np.zeros(n_comp)
-    theta_samples = [np.asarray(t, dtype=np.float64) for t in theta_samples]
-    for theta in theta_samples:
-        base = solve_equilibrium(spec, theta, cfg)
-        scale = np.maximum(np.abs(base.x_star), 1e-9)
-        sols = np.empty(shape + (spec.d,))
-        for combo in itertools.product(*(range(s) for s in shape)):
-            u = twin.assemble_u([[grids[c][combo[c]]] for c in range(n_comp)])
-            sols[combo] = solve_equilibrium(twin.deployed, theta, cfg, u=u, policy=policy).x_star
+    mid = tuple(len(grids[ax]) // 2 for ax in range(n_comp))
+    for x_base, sols in zip(base, deployed.reshape((len(thetas),) + shape + (spec.d,))):
+        scale = np.maximum(np.abs(x_base), 1e-9)
         for c, comp in enumerate(plan.compartments):
             others = tuple(ax for ax in range(n_comp) if ax != c)
             spread = sols.max(axis=others) - sols.min(axis=others) if others else np.zeros_like(sols)
             rel = (np.abs(spread[..., list(comp)]) / scale[list(comp)]).max()
             cross_dev[c] = max(cross_dev[c], rel)
-            mid = tuple(len(grids[ax]) // 2 for ax in range(n_comp))
             own_line = sols[tuple(slice(None) if ax == c else mid[ax] for ax in range(n_comp))]
             node = plan.plans[c].intervened
             swing = (own_line[..., node].max() - own_line[..., node].min()) / scale[node]
@@ -517,5 +521,6 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
         structural_violations=violations,
         cross_deviation=cross_dev.tolist(),
         own_response=own_resp.tolist(),
-        n_theta_samples=len(theta_samples),
+        n_theta_samples=len(thetas),
+        base_equilibria=base,
     )

@@ -350,18 +350,30 @@ class OptimizationResult:
         return self.trajectory[-1][1]
 
 
+def _wired(spec: SscmSpec, g0: LieElement) -> SscmSpec:
+    """interventions.apply(spec, g0), built once per model, group and targets and kept on
+    the model: a descent binds the intervention values itself, so one wired model serves
+    every element."""
+    key = (g0.group, g0.targets)
+    if key not in spec._wired:
+        spec._wired[key] = interventions.apply(spec, g0)
+    return spec._wired[key]
+
+
 def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamConfig,
                               solver: SolverConfig, bounds: tuple[float, float] | None = None,
                               theta=None) -> OptimizationResult:
     """Gradient-descend the intervention values against loss(x^(u)).
 
-    Each step applies the intervention, solves the equilibrium, pulls the loss
-    gradient back through the implicit function, and Adam-steps in log space
-    (multiplicative group) or raw space (additive), clamped to the bounds.
-    Failures of the equilibrium or adjoint solve are handled by `_descend`;
-    an abort keeps the partial trajectory.
+    Each step solves the intervened model's equilibrium at the current values,
+    pulls the loss gradient back through the implicit function, and Adam-steps
+    in log space (multiplicative group) or raw space (additive), clamped to the
+    bounds. The intervened model is built once per model, group and targets,
+    so repeated descents (a Pareto sweep) share it. Failures of the equilibrium
+    or adjoint solve are handled by `_descend`; an abort keeps the partial
+    trajectory.
     """
-    wired = interventions.apply(spec, g0)
+    wired = _wired(spec, g0)
     base_dim = spec.u_dim
     theta = spec.theta_ref if theta is None else np.asarray(theta, dtype=np.float64)
     mult = g0.group == "multiplicative"
@@ -447,35 +459,32 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
     """Fit the auxiliary policies by least squares on the invariant-node deviation.
 
     Each step draws (theta, u) samples, solves the unintervened and rerouted
-    intervened equilibria, and backpropagates the squared deviation of the
-    invariant nodes through the intervened equilibrium into the policy
-    weights. Failures are handled by `_descend`: a failing first step raises
-    SolveFailedDuringOptimization, and more than five stop the run with
-    `aborted` set.
+    intervened equilibria of all samples as two batches, and backpropagates the
+    squared deviation of the invariant nodes through the intervened equilibria
+    into the policy weights with one batched VJP. Failures are handled by
+    `_descend`: a failing first step raises SolveFailedDuringOptimization, and
+    more than five stop the run with `aborted` set.
     """
     rng = np.random.default_rng(adam.seed)
     inv_nodes = list(twin.invariant_nodes)
     n = sampling.samples_per_step
 
     def evaluate(policy):
-        grad = np.zeros_like(policy)
-        batch_loss = 0.0
+        thetas, us = [], []
         for _ in range(n):
-            theta = sample_theta(twin.base, sampling, rng)
-            u_vals = [sample_u(stop - start, plan.group, sampling, rng)
-                      for plan, (start, stop) in zip(twin.plans, twin.u_slices)]
-            u = twin.assemble_u(u_vals)
-            base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
-            if not (base_sol.report.converged and int_sol.report.converged):
-                raise NotConverged("equilibrium solve failed in training step")
-            diff = int_sol.x_star[inv_nodes] - base_sol.x_star[inv_nodes]
-            batch_loss += float(diff @ diff)
-            cot = np.zeros(twin.rerouted.d)
-            cot[inv_nodes] = 2.0 * diff
-            extern = base_sol.x_star[inv_nodes]
-            ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
-            grad += ig.grad_policy
-        return batch_loss / n, grad / n
+            thetas.append(sample_theta(twin.base, sampling, rng))
+            us.append(twin.assemble_u([sample_u(stop - start, plan.group, sampling, rng)
+                                       for plan, (start, stop) in zip(twin.plans, twin.u_slices)]))
+        theta, u = np.array(thetas), np.array(us)
+        base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
+        if not (base_sol.report.converged and int_sol.report.converged):
+            raise NotConverged("equilibrium solve failed in training step")
+        extern = base_sol.x_star[:, inv_nodes]
+        diff = int_sol.x_star[:, inv_nodes] - extern
+        cot = np.zeros((n, twin.rerouted.d))
+        cot[:, inv_nodes] = 2.0 * diff
+        ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
+        return float(np.einsum("ij,ij->", diff, diff)) / n, ig.grad_policy.sum(axis=0) / n
 
     res = _descend(evaluate, w0, adam)
     return TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped, res.aborted,
@@ -498,7 +507,8 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
                  solver: SolverConfig, bounds: tuple[float, float],
                  targets=None) -> list[TradeoffPoint]:
     """Optimize the intervention per lambda, warm-starting from the previous optimum; a lambda
-    whose optimization fails repeats the previous point (at the first, the unintervened model)."""
+    whose optimization fails repeats the previous point (at the first, the unintervened model).
+    Every lambda descends on the one intervened model that optimize_lie_intervention builds."""
     c = np.asarray(c, dtype=np.float64)
     r = np.asarray(employment_row, dtype=np.float64)
     if not len(lambdas):

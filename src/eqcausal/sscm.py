@@ -11,6 +11,12 @@ Equilibria solve x = f(x, theta) from zero initialization with a configured
 fixed-point solver. A Linearization holds the dense partials of f at one point
 and the inverse and 1-norm condition number of I - df/dx; the diffeomorphism
 check and the implicit gradients of deq both read it.
+
+Batches: binding x, theta, u, extern or policy with a leading batch axis of
+B rows stacks B independent problems, and a binding without it is shared by
+every row. assemble_map then maps (B, d) to (B, d), solve_equilibrium solves
+the B equilibria in lockstep, node_gradients gives (B, k) partials and
+node_jacobians and Linearization (B, ...) stacks.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ class SscmSpec:
     _validated: bool = field(default=False, init=False, repr=False)
     # the stacked program, compiled at first use; it holds no reference back to the spec
     _stacked: object = field(default=None, init=False, repr=False)
+    # intervened specs derived from this one, by (group, targets); see optimize_lie_intervention
+    _wired: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -213,23 +221,34 @@ def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
     return bindings
 
 
+def _rows(*bindings) -> int | None:
+    """The batch size of a set of bindings: the leading length of the 2-d ones, None without any."""
+    for value in bindings:
+        if value is not None and np.ndim(value) == 2:
+            return len(value)
+    return None
+
+
 def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Callable[[Array], Array]:
-    """The stacked structural map x -> (f_1(Pa_1, theta_1), ..., f_d(Pa_d, theta_d))."""
+    """The stacked structural map x -> (f_1(Pa_1, theta_1), ..., f_d(Pa_d, theta_d)),
+    (B, d) -> (B, d) for a batch."""
     _require_valid(spec)
     prog = _stacked(spec)
     graph = prog.graph
     static = _bindings(spec, prog, theta, u, extern, policy)
 
     def f(x: Array) -> Array:
-        return diffcore.forward_eval(graph, {**static, "x": x})
+        return diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
 
     return f
 
 
 def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=None, policy=None) -> EquilibriumSolution:
-    """Solve x = f(x, theta) from zero initialization with the configured solver."""
+    """Solve x = f(x, theta) from zero initialization with the configured solver; a
+    batch gives a (B, d) x_star and a batched report."""
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
-    report = fixedpoint.solve(f, np.zeros(spec.d), cfg)
+    rows = _rows(theta, u, extern, policy)
+    report = fixedpoint.solve(f, np.zeros(spec.d if rows is None else (rows, spec.d)), cfg)
     return EquilibriumSolution(report.x, report, np.asarray(theta, dtype=np.float64).copy())
 
 
@@ -237,19 +256,22 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
     """Per-node VJPs of the scalar assignments: grad f_j for every slot of node j.
 
     One reverse sweep of the stacked graph, seeded with 1 at every node output,
-    read at each node's entry nodes.
+    read at each node's entry nodes; for a batch, each partial is (B, k).
     """
     _require_valid(spec)
     prog = _stacked(spec)
     bindings = _bindings(spec, prog, theta, u, extern, policy)
     bindings["x"] = x
-    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d), at=prog.leaves)
+    rows = _rows(x, theta, u, extern, policy)
+    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d if rows is None else (rows, spec.d)),
+                               at=prog.leaves)
     return [diffcore.Gradient({slot: adj[idx] for slot, idx in node}) for node in prog.entries]
 
 
 @dataclass
 class NodeJacobians:
-    """Dense partials of the stacked map f at one point; row j belongs to node j."""
+    """Dense partials of the stacked map f at one point; row j belongs to node j.
+    A batch stacks them, (B, d, ...)."""
 
     x: Array  # (d, d)
     theta: Array  # (d, theta_dim)
@@ -261,30 +283,34 @@ def node_jacobians(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
     """df/d(x, theta, u, policy) at (x, theta), scattered from one node_gradients call."""
     grads = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
     d = spec.d
-    jac = NodeJacobians(np.zeros((d, d)), np.zeros((d, spec.theta_dim)), np.zeros((d, spec.u_dim)),
-                        np.zeros((d, spec.policy_dim)) if spec.policy_dim else None)
+    rows = _rows(x, theta, u, extern, policy)
+    lead = () if rows is None else (rows,)
+    jac = NodeJacobians(np.zeros(lead + (d, d)), np.zeros(lead + (d, spec.theta_dim)),
+                        np.zeros(lead + (d, spec.u_dim)),
+                        np.zeros(lead + (d, spec.policy_dim)) if spec.policy_dim else None)
     for j, g in enumerate(grads):
         part = g.get("parents")
         if part is not None and spec.parents[j]:
-            jac.x[j, list(spec.parents[j])] = part
+            jac.x[..., j, list(spec.parents[j])] = part
         part = g.get("theta")
         if part is not None:
             start, stop = spec.theta_slices[j]
-            jac.theta[j, start:stop] = part
+            jac.theta[..., j, start:stop] = part
         part = g.get("u")
         if part is not None:
-            jac.u[j, :] = part
+            jac.u[..., j, :] = part
         part = g.get("policy")
         if part is not None and jac.policy is not None:
-            jac.policy[j, :] = part
+            jac.policy[..., j, :] = part
     return jac
 
 
 class Linearization:
-    """Dense partials of f and the inverse of I - df/dx at one point.
+    """Dense partials of f and the inverse of I - df/dx at one point, or a stack of them.
 
-    cond is the 1-norm condition number of I - df/dx, taken from the inverse;
-    when I - df/dx is singular, inv is None and cond is inf. It never raises.
+    cond is the 1-norm condition number of I - df/dx, taken from the inverse,
+    one per row of a batch; when I - df/dx is singular (in any row), inv is
+    None and cond is inf (in those rows). It never raises.
     """
 
     def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
@@ -293,9 +319,9 @@ class Linearization:
         try:
             self.inv = np.linalg.inv(lhs)
         except np.linalg.LinAlgError:
-            self.inv, self.cond = None, np.inf
+            self.inv, self.cond = None, np.linalg.cond(lhs, 1)
         else:
-            self.cond = float(np.linalg.norm(lhs, 1) * np.linalg.norm(self.inv, 1))
+            self.cond = np.linalg.norm(lhs, 1, axis=(-2, -1)) * np.linalg.norm(self.inv, 1, axis=(-2, -1))
 
 
 @dataclass

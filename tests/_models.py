@@ -71,15 +71,16 @@ def leontief_spec(A, y):
 
 def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
     """Replace df/dx in sscm.node_jacobians by j_x, or by the identity (so that
-    I - df/dx = 0) when j_x is None; only on the given 0-based calls if on_calls
-    is set. The other partials are kept."""
+    I - df/dx = 0) when j_x is None, in every row of a batch; only on the given
+    0-based calls if on_calls is set. The other partials are kept."""
     original = sscm.node_jacobians
     count = []
 
     def injected(*args, **kwargs):
         jac = original(*args, **kwargs)
         if on_calls is None or len(count) in on_calls:
-            jac.x = np.eye(jac.x.shape[0]) if j_x is None else np.asarray(j_x, dtype=float)
+            j_new = np.eye(jac.x.shape[-1]) if j_x is None else np.asarray(j_x, dtype=float)
+            jac.x = np.broadcast_to(j_new, jac.x.shape).copy()
         count.append(1)
         return jac
 
@@ -167,3 +168,38 @@ def reference_distance_graph(x_ref):
     x = b.input("x", len(x_ref))
     delta = x - b.const(x_ref)
     return b.build(b.dot(delta, delta))
+
+
+def reference_train_invariant_policy(twin, w0, sampling, adam, solver):
+    """optimize.train_invariant_policy as one solve pair and one VJP per sample;
+    the batched version must draw its samples in this order and match it."""
+    from eqcausal import deq, optimize
+    from eqcausal.errors import NotConverged
+
+    rng = np.random.default_rng(adam.seed)
+    inv_nodes = list(twin.invariant_nodes)
+    n = sampling.samples_per_step
+
+    def evaluate(policy):
+        grad = np.zeros_like(policy)
+        batch_loss = 0.0
+        for _ in range(n):
+            theta = optimize.sample_theta(twin.base, sampling, rng)
+            u_vals = [optimize.sample_u(stop - start, plan.group, sampling, rng)
+                      for plan, (start, stop) in zip(twin.plans, twin.u_slices)]
+            u = twin.assemble_u(u_vals)
+            base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
+            if not (base_sol.report.converged and int_sol.report.converged):
+                raise NotConverged("equilibrium solve failed in training step")
+            diff = int_sol.x_star[inv_nodes] - base_sol.x_star[inv_nodes]
+            batch_loss += float(diff @ diff)
+            cot = np.zeros(twin.rerouted.d)
+            cot[inv_nodes] = 2.0 * diff
+            extern = base_sol.x_star[inv_nodes]
+            ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
+            grad += ig.grad_policy
+        return batch_loss / n, grad / n
+
+    res = optimize._descend(evaluate, w0, adam)
+    return optimize.TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped,
+                                  res.aborted, len(res.failures))

@@ -389,5 +389,24 @@ def test_optimum_records_failed_steps(tmp_path, monkeypatch):
     assert optimum["steps"] == 3
 
 
+def test_compartment_run_reads_its_reference_from_the_check(tmp_path, monkeypatch):
+    solved = []
+
+    def counting(spec, theta, *args, **kwargs):
+        solved.append(("deployed" if spec.policy_dim else "base", np.shape(theta)))
+        return cli.sscm.solve_equilibrium(spec, theta, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", counting)
+    config = _config_from_obj({"command": "compartment", "model": "two-compartment",
+                               "adam": {"iterations": 1}, "sampling": {"samples_per_step": 2}})
+    assert run_experiment(config, out_dir=tmp_path).success
+    inst = modelzoo.two_compartment_model()
+    assert solved == [("deployed", (1,))]  # the curve grid at theta_mid, one batch
+    report = json.loads((tmp_path / "compartment_report.json").read_text())
+    lo, hi = inst.spec.theta_box[0]
+    ref = cli.sscm.solve_equilibrium(inst.spec, [0.5 * (lo + hi)], cli._tight(config.solver))
+    np.testing.assert_allclose(report["reference_equilibrium"], ref.x_star, rtol=1e-12)
+
+
 def test_cli_version_is_package_version():
     assert cli.__version__ is eqcausal.__version__

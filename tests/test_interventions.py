@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eqcausal import deq, interventions, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import (EqcausalError, InvalidGroupElement, InvalidPartition, MismatchedTargets,
-                             PolicyArityMismatch)
+                             NotConverged, PolicyArityMismatch)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, LieElement,
                                     apply, build_invariant_model, check_compartmentalization,
@@ -14,7 +14,7 @@ from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, 
                                     hard_intervention_derivative, identity, inverse)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import THETA_REF, leontief_spec, motivating_spec
+from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
 
 TIGHT = SolverConfig(tol=1e-10, beta=1.0)
 
@@ -220,6 +220,37 @@ def test_invariance_report_matches_the_separate_checks(free, j):
         hard_intervention_derivative(spec, j, 2, theta, cfg), rel=1e-12, abs=1e-12)
 
 
+def test_ill_conditioned_reference_is_a_verdict_not_an_error():
+    # beta * gamma = 0.999999999: the 1-norm condition number of I - df/dx is 4e9
+    rep = check_invariance_conditions(modelzoo.motivating_example(), i=1, j=2, k=2,
+                                      theta_ref=np.array([1.0, 0.5, 1.0, 0.999999999]))
+    assert not rep.diffeomorphic_at_reference
+    assert not rep.all_pass
+
+
+def test_ill_conditioned_reference_alone_fails_all_pass():
+    spec = modelzoo.motivating_example(beta=1.0, gamma=0.999999999, free=("tau",))
+    rep = check_invariance_conditions(spec, i=1, j=2, k=2)
+    assert rep.reduced_jacobian_invertible and rep.parents_jacobian_full_rank
+    assert rep.hard_derivative_nonzero
+    assert not rep.diffeomorphic_at_reference
+    assert not rep.all_pass
+
+
+def test_singular_reference_has_no_parents_jacobian(monkeypatch):
+    inject_state_jacobian(monkeypatch, on_calls={0})  # I - df/dx = 0 at the base equilibrium only
+    rep = check_invariance_conditions(modelzoo.motivating_example(free=("tau",)), i=1, j=2, k=2)
+    assert not rep.diffeomorphic_at_reference
+    assert rep.parents_jacobian_sigma_min == 0.0 and not rep.parents_jacobian_full_rank
+    assert not rep.all_pass
+
+
+def test_invariance_conditions_refuse_an_unconverged_base():
+    with pytest.raises(NotConverged):
+        check_invariance_conditions(modelzoo.motivating_example(free=("tau",)), i=1, j=2, k=2,
+                                    cfg=SolverConfig(tol=1e-12, max_iter=1))
+
+
 def analytic_policy_graph():
     # f_z^(u)(y, u_y) = (1 / u_y) * gamma * y, with gamma owned by node z's theta slice
     b = ExprBuilder()
@@ -345,7 +376,7 @@ def test_compartmentalization_solves_one_base_and_the_deployed_grid(monkeypatch)
     twin = compartment_twin(inst.spec, plan)
     check_compartmentalization(twin, plan, [np.array([0.45]), np.array([0.75])], [grid, grid],
                                SolverConfig(tol=1e-8, beta=1.0))
-    assert calls == (["base"] + ["deployed"] * 9) * 2
+    assert calls == ["base", "deployed"]  # one batch of both thetas, one of the 2 x 9 grid
 
 
 def test_compartmentalization_detects_bad_topology():
