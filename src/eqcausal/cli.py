@@ -106,7 +106,8 @@ CONFIG_SCHEMA = {
     },
 }
 
-BENCH_METHODS = (("forward", None), ("anderson", 1.0), ("anderson", 2.0))
+# bench.csv method labels and their Anderson beta; forward iteration has none
+BENCH_METHODS = (("forward", None), ("anderson_beta1", 1.0), ("anderson_beta2", 2.0))
 
 
 @dataclass
@@ -322,9 +323,16 @@ def _report_obj(report) -> dict:
     }
 
 
-def _tight(cfg: SolverConfig) -> SolverConfig:
-    """Evaluation-grade solver: beta=1 avoids extrapolation limit cycles."""
-    return replace(cfg, tol=min(cfg.tol, 1e-8), beta=1.0, m=max(cfg.m, 8))
+def _eval_solver(config: ExperimentConfig) -> SolverConfig:
+    """The config's solver at its tolerance or 1e-8, whichever is tighter, for evaluation."""
+    return replace(config.solver, tol=min(config.solver.tol, 1e-8))
+
+
+def _equilibria(spec: SscmSpec, theta, cfg: SolverConfig, **kwargs) -> np.ndarray:
+    """x* of an evaluation solve; an unconverged row raises NotConverged."""
+    sol = solve_equilibrium(spec, theta, cfg, **kwargs)
+    deq.require_converged(sol)
+    return sol.x_star
 
 
 def _builtin_u(config: ExperimentConfig, spec: SscmSpec, default=None):
@@ -379,7 +387,7 @@ def _run_grad_check(config: ExperimentConfig, bundle: ModelBundle, out: OutputWr
     b = ExprBuilder()
     x = b.input("x", spec.d)
     loss_graph = b.build(b.dot(b.const(c), x))
-    rep = deq.grad_check(spec, spec.theta_ref, loss_graph, _tight(config.solver), u=u)
+    rep = deq.grad_check(spec, spec.theta_ref, loss_graph, _eval_solver(config), u=u)
     out.write_json("grad_check.json", {
         "max_rel_deviation": rep.max_rel_deviation,
         "implicit_grad": rep.implicit_grad.tolist(),
@@ -407,10 +415,10 @@ def _run_optimize(config: ExperimentConfig, bundle: ModelBundle, out: OutputWrit
     g0 = LieElement(group, targets, values)
 
     c, r = _loss_rows(config, bundle)
-    base = solve_equilibrium(spec, spec.theta_ref, _tight(config.solver))
+    solver = _eval_solver(config)
+    base = solve_equilibrium(spec, spec.theta_ref, solver)
     loss = optimize.GhgEmploymentLoss(c, r, r * base.x_star, config.loss.get("lambda", 0.0))
-    res = optimize.optimize_lie_intervention(spec, g0, loss, config.adam,
-                                             _tight(config.solver), bounds=bounds)
+    res = optimize.optimize_lie_intervention(spec, g0, loss, config.adam, solver, bounds=bounds)
     out.write_csv("trajectory.csv", ["step", "loss"] + [f"u_{t}" for t in targets],
                   [[i, float(v)] + [float(x) for x in g.values]
                    for i, (g, v) in enumerate(res.trajectory)])
@@ -435,7 +443,7 @@ def _run_pareto(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter
     bounds = tuple(inter.get("bounds", (0.5, 1.0)))
     targets = tuple(inter.get("targets", range(spec.d)))
     points = optimize.pareto_sweep(spec, c, r, config.loss["lambdas"], config.adam,
-                                   _tight(config.solver), bounds=bounds, targets=targets)
+                                   _eval_solver(config), bounds=bounds, targets=targets)
     out.write_csv("tradeoff.csv",
                   ["lambda", "ghg_total", "employment_l1_deviation", "converged"],
                   [[p.lam, p.ghg_total, p.employment_l1_deviation, p.converged] for p in points])
@@ -481,20 +489,19 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
     twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
                                  LieElement("multiplicative", (inst.energy_sector,), [1.0]))
-    train_solver = replace(_tight(config.solver), tol=1e-5)
     weights, train_losses = _train_phases(twin, w0, sampling, _phase_schedule(config.adam),
-                                          train_solver)
+                                          replace(config.solver, tol=1e-5))
 
-    eval_solver = _tight(config.solver)
+    eval_solver = _eval_solver(config)
     rng = np.random.default_rng(config.seed + 99)
     thetas, us = [], []
     for _ in range(50):
         thetas.append(optimize.sample_theta(twin.base, sampling, rng))
         us.append(twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)]))
     j = inst.invariant_node
-    base = solve_equilibrium(twin.base, np.array(thetas), eval_solver).x_star[:, j]
-    dep = solve_equilibrium(twin.deployed, np.array(thetas), eval_solver, u=np.array(us),
-                            policy=weights).x_star[:, j]
+    base = _equilibria(twin.base, np.array(thetas), eval_solver)[:, j]
+    dep = _equilibria(twin.deployed, np.array(thetas), eval_solver, u=np.array(us),
+                      policy=weights)[:, j]
     devs = (np.abs(dep - base) / np.abs(base)).tolist()
 
     out.write_json("policy.json", optimize.mlp_weights_to_obj(mlp, weights))
@@ -502,11 +509,11 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     # near-identity continuity: invariant-node deviation sampled along u at the
     # reference parameters
     theta_ref = inst.spec.theta_ref.copy()
-    base_ref = solve_equilibrium(inst.spec, theta_ref, eval_solver).x_star[j]
+    base_ref = _equilibria(inst.spec, theta_ref, eval_solver)[j]
     u_vals = np.linspace(inst.u_low, 1.0, 6)
-    dep = solve_equilibrium(twin.deployed, theta_ref, eval_solver,
-                            u=np.array([twin.assemble_u([[u_val]]) for u_val in u_vals]),
-                            policy=weights).x_star[:, j]
+    dep = _equilibria(twin.deployed, theta_ref, eval_solver,
+                      u=np.array([twin.assemble_u([[u_val]]) for u_val in u_vals]),
+                      policy=weights)[:, j]
     u_sweep = [[float(u_val), float(abs(x - base_ref) / abs(base_ref))] for u_val, x in zip(u_vals, dep)]
 
     # protocol curves: reference vs plain intervention vs invariant intervention
@@ -515,10 +522,10 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     lo, hi = inst.spec.theta_box[0]
     theta_vals = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 13)
     thetas = theta_vals[:, None]
-    ref = solve_equilibrium(inst.spec, thetas, eval_solver).x_star
-    lie = solve_equilibrium(inst.spec, thetas, eval_solver, u=[u_eval]).x_star
-    inv = solve_equilibrium(twin.deployed, thetas, eval_solver,
-                            u=twin.assemble_u([[u_eval]]), policy=weights).x_star
+    ref = _equilibria(inst.spec, thetas, eval_solver)
+    lie = _equilibria(inst.spec, thetas, eval_solver, u=[u_eval])
+    inv = _equilibria(twin.deployed, thetas, eval_solver, u=twin.assemble_u([[u_eval]]),
+                      policy=weights)
     d = inst.table.d
     p_node = inst.price_node
     for theta_val, x_ref, x_lie, x_inv in zip(theta_vals, ref, lie, inv):
@@ -557,27 +564,24 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
                        theta_stddev=config.sampling.theta_stddev or (0.1,))
     us = tuple(LieElement(p.group, (p.intervened,), [1.0]) for p in inst.plan.plans)
     twin = build_invariant_model(inst.spec, inst.plan.plans, us)
-    train_solver = replace(_tight(config.solver), tol=1e-6)
-    weights, train_losses = _train_phases(twin, inst.w0, sampling,
-                                          _phase_schedule(config.adam)[:2], train_solver)
+    weights, train_losses = _train_phases(twin, inst.w0, sampling, _phase_schedule(config.adam)[:2],
+                                          replace(config.solver, tol=1e-6))
 
-    eval_solver = _tight(config.solver)
     grid = np.exp(np.linspace(np.log(inst.u_low), np.log(inst.u_high), 5))
     lo, hi = inst.spec.theta_box[0]
     theta_mid = np.array([0.5 * (lo + hi)])
     thetas = [np.array([lo + 0.1 * (hi - lo)]), theta_mid, np.array([hi - 0.1 * (hi - lo)])]
     rep = check_compartmentalization(twin, inst.plan, thetas, [grid, grid],
-                                     eval_solver, policy=weights)
+                                     _eval_solver(config), policy=weights)
 
     policies = []
     for plan, (start, stop) in zip(inst.plan.plans, twin.policy_slices):
         policies.append(optimize.mlp_weights_to_obj(plan.training_config, weights[start:stop]))
     out.write_json("policies.json", {"compartments": policies})
 
+    # the deployed grid at theta_mid (thetas[1]), in the check's (u, v) order
     pairs = [(u, v) for u in grid for v in grid]
-    dep = solve_equilibrium(twin.deployed, theta_mid, eval_solver,
-                            u=np.array([twin.assemble_u([[u], [v]]) for u, v in pairs]),
-                            policy=weights).x_star
+    dep = rep.deployed_equilibria[1].reshape(len(pairs), -1)
     rows = [[float(u), float(v)] + [float(x) for x in x_dep] for (u, v), x_dep in zip(pairs, dep)]
     out.write_csv("compartment_curves.csv",
                   ["u", "v"] + [f"x_{name}" for name in inst.spec.names], rows)
@@ -596,12 +600,12 @@ def _bench_cell(dim: int, method: str, beta: float | None, seed_list, base_cfg: 
     for si in seed_list:
         A, y = modelzoo.random_contraction(dim, si, spectral_radius)
         f = lambda x: A @ x + y  # noqa: E731
-        cfg = replace(base_cfg, method=method, beta=beta if beta is not None else base_cfg.beta)
-        solver = forward_iterate if method == "forward" else anderson_solve
-        report = solver(f, np.zeros(dim), cfg)
+        if beta is None:
+            report = forward_iterate(f, np.zeros(dim), base_cfg)
+        else:
+            report = anderson_solve(f, np.zeros(dim), replace(base_cfg, beta=beta))
         rows.append({
-            "dim": dim, "method": method if beta is None else f"{method}_beta{beta:g}",
-            "seed": int(si), "relative_error": report.relative_error,
+            "dim": dim, "method": method, "seed": int(si), "relative_error": report.relative_error,
             "iterations": report.iterations, "converged": report.converged,
         })
     return rows
@@ -620,8 +624,7 @@ def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter)
                     r["converged"]] for r in rows])
     summary = []
     for dim in dims:
-        for method, beta in BENCH_METHODS:
-            label = method if beta is None else f"{method}_beta{beta:g}"
+        for label, _ in BENCH_METHODS:
             sel = [r for r in rows if r["dim"] == dim and r["method"] == label]
             errs = np.array([r["relative_error"] for r in sel])
             iters = np.array([r["iterations"] for r in sel])

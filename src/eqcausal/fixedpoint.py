@@ -1,6 +1,7 @@
-"""Fixed-point solvers: plain forward iteration and Anderson acceleration.
+"""Fixed-point solvers: Anderson acceleration, and forward iteration as its m = 1,
+beta = 1 case.
 
-Both solvers stop when the relative error ||x - f(x)|| / ||x|| drops below the
+The solver stops when the relative error ||x - f(x)|| / ||x|| drops below the
 configured tolerance (falling back to the absolute residual at ||x|| = 0,
 which matters for zero initialization) or when max_iter is reached. A report
 is returned either way.
@@ -23,21 +24,19 @@ from .errors import NonFiniteIterate, SingularLeastSquares, ZeroNorm
 
 Array = np.ndarray
 
-METHODS = ("forward", "anderson")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    method: str = "anderson"
-    m: int = 5
-    beta: float = 2.0
+    """Anderson settings. The defaults (m = 8, beta = 1) converge at loose and tight
+    tolerances; beta > 1 extrapolates and can stall near 1e-6."""
+
+    m: int = 8
+    beta: float = 1.0
     tol: float = 1e-4
     max_iter: int = 5000
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.tol <= 0:
@@ -127,23 +126,9 @@ class _Rows:
 
 
 def forward_iterate(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:
-    """Iterate x_{k+1} = f(x_k) until the relative error meets cfg.tol."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.ndim == 2:  # Anderson with m = 1 and beta = 1 steps exactly as forward iteration
-        return _anderson_rows(f, x, replace(cfg, m=1, beta=1.0))
-    fx = np.asarray(f(x), dtype=np.float64)
-    _check_finite(fx, 0)
-    for k in range(cfg.max_iter + 1):
-        res, err = _error(x, fx)
-        if err <= cfg.tol:
-            return SolveReport(x, res, err, k, True)
-        if k == cfg.max_iter:
-            break
-        x = fx
-        fx = np.asarray(f(x), dtype=np.float64)
-        _check_finite(fx, k + 1)
-    res, err = _error(x, fx)
-    return SolveReport(x, res, err, cfg.max_iter, False)
+    """Iterate x_{k+1} = f(x_k) until the relative error meets cfg.tol: Anderson with
+    m = 1 and beta = 1, which steps exactly as forward iteration."""
+    return anderson_solve(f, x0, replace(cfg, m=1, beta=1.0))
 
 
 def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:
@@ -267,7 +252,5 @@ def _anderson_rows(f: Callable[[Array], Array], x: Array, cfg: SolverConfig) -> 
 
 
 def solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:
-    """Dispatch to the solver named by cfg.method."""
-    if cfg.method == "forward":
-        return forward_iterate(f, x0, cfg)
+    """Solve x = f(x) from x0 with Anderson acceleration under cfg."""
     return anderson_solve(f, x0, cfg)

@@ -465,6 +465,7 @@ class CompartmentReport:
     own_response: list[float]  # intervened-node relative swing across its own range
     n_theta_samples: int
     base_equilibria: Array  # (n_theta_samples, d), the unintervened x* per sample; not serialized
+    deployed_equilibria: Array  # (n_theta_samples, *grid shape, d), the deployed x*; not serialized
 
     def to_obj(self) -> dict:
         return {
@@ -484,7 +485,8 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
     over the cartesian grid of per-compartment intervention values. A compartment's
     deviation is the largest spread of its node values across the *other*
     compartments' values (holding its own fixed), normalized by the unintervened magnitude.
-    The base equilibria and the whole theta-by-grid set are each solved as one batch.
+    The base equilibria and the whole theta-by-grid set are each solved as one batch;
+    an unconverged row raises NotConverged.
     """
     if twin.plans != plan.plans:
         raise InvalidPartition("the twin was not built from the compartment plan's invariance plans")
@@ -495,16 +497,19 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
     shape = tuple(len(g) for g in grids)
 
     thetas = np.array(theta_samples, dtype=np.float64)
-    base = solve_equilibrium(spec, thetas, cfg).x_star
+    base = solve_equilibrium(spec, thetas, cfg)
+    deq.require_converged(base)
     combos = list(itertools.product(*(range(s) for s in shape)))
     us = np.array([twin.assemble_u([[grids[c][combo[c]]] for c in range(n_comp)]) for combo in combos])
     deployed = solve_equilibrium(twin.deployed, np.repeat(thetas, len(combos), axis=0), cfg,
-                                 u=np.tile(us, (len(thetas), 1)), policy=policy).x_star
+                                 u=np.tile(us, (len(thetas), 1)), policy=policy)
+    deq.require_converged(deployed)
+    deployed = deployed.x_star.reshape((len(thetas),) + shape + (spec.d,))
 
     cross_dev = np.zeros(n_comp)
     own_resp = np.zeros(n_comp)
     mid = tuple(len(grids[ax]) // 2 for ax in range(n_comp))
-    for x_base, sols in zip(base, deployed.reshape((len(thetas),) + shape + (spec.d,))):
+    for x_base, sols in zip(base.x_star, deployed):
         scale = np.maximum(np.abs(x_base), 1e-9)
         for c, comp in enumerate(plan.compartments):
             others = tuple(ax for ax in range(n_comp) if ax != c)
@@ -522,5 +527,6 @@ def check_compartmentalization(twin: InvariantTwin, plan: CompartmentPlan, theta
         cross_deviation=cross_dev.tolist(),
         own_response=own_resp.tolist(),
         n_theta_samples=len(thetas),
-        base_equilibria=base,
+        base_equilibria=base.x_star,
+        deployed_equilibria=deployed,
     )

@@ -69,6 +69,14 @@ def leontief_spec(A, y):
                     y, box, tuple(slices))
 
 
+def random_leontief(rng, d, density=0.3):
+    """Sparse nonnegative A with spectral radius 0.6 and demand y."""
+    A = rng.uniform(0.0, 1.0, size=(d, d)) * (rng.uniform(size=(d, d)) < density)
+    np.fill_diagonal(A, 0.0)
+    A *= 0.6 / max(abs(np.linalg.eigvals(A)))
+    return A, rng.uniform(0.5, 1.5, size=d)
+
+
 def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
     """Replace df/dx in sscm.node_jacobians by j_x, or by the identity (so that
     I - df/dx = 0) when j_x is None, in every row of a batch; only on the given

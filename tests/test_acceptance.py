@@ -56,7 +56,7 @@ def test_criterion_2_exact_linear_invariance():
     policy = b.build(b.recip(u) * t * p)  # u_z = 1 / u_y
     plan = InvariantInterventionSpec(intervened=1, invariant=2, auxiliary=2, policy=policy)
     twin = build_invariant_model(spec, plan, LieElement("multiplicative", (1,), [1.0]))
-    cfg = SolverConfig(tol=1e-8, beta=1.0, m=8)
+    cfg = SolverConfig(tol=1e-8)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
@@ -72,7 +72,7 @@ def test_criterion_2_exact_linear_invariance():
 
 def test_criterion_3_implicit_gradient_correctness():
     t0 = time.perf_counter()
-    cfg = SolverConfig(tol=1e-8, beta=1.0, m=8)
+    cfg = SolverConfig(tol=1e-8)
     h = 1e-4
 
     def fd_jacobian(spec, theta):
@@ -109,7 +109,7 @@ def test_criterion_4_solver_accuracy_protocol():
     t0 = time.perf_counter()
     dims = (2, 10, 50, 100, 200)
     methods = {
-        "forward": SolverConfig(method="forward"),
+        "forward": SolverConfig(),
         "anderson_beta1": SolverConfig(beta=1.0),
         "anderson_beta2": SolverConfig(beta=2.0),
     }
@@ -121,7 +121,7 @@ def test_criterion_4_solver_accuracy_protocol():
             for seed in range(20):
                 A, y = modelzoo.random_contraction(dim, seed, 0.9)
                 f = lambda x: A @ x + y  # noqa: E731
-                solver = forward_iterate if cfg.method == "forward" else anderson_solve
+                solver = forward_iterate if label == "forward" else anderson_solve
                 report = solver(f, np.zeros(dim), cfg)
                 all_within_tol &= report.converged and report.relative_error <= 1e-4
                 iters.append(report.iterations)
@@ -178,7 +178,7 @@ def test_criterion_7_pareto_sweep_shape():
                                plateau_window=50, plateau_rtol=1e-10)
     lambdas = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0]
     points = optimize.pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
-                                   lambdas, adam, SolverConfig(tol=1e-8, beta=1.0),
+                                   lambdas, adam, SolverConfig(tol=1e-8),
                                    bounds=(0.5, 1.0))
     ghg = [p.ghg_total for p in points]
     dev = [p.employment_l1_deviation for p in points]
@@ -241,7 +241,7 @@ def test_criterion_8_property_suites():
         A = rng.uniform(0.0, 1.0, size=(n, n))
         A *= rng.uniform(0.3, 0.95) / max(abs(np.linalg.eigvals(A)))
         ok &= modelzoo.hawkins_simon_check(A)
-        rep = forward_iterate(lambda z: A @ z + 1.0, np.zeros(n), SolverConfig(method="forward"))
+        rep = forward_iterate(lambda z: A @ z + 1.0, np.zeros(n), SolverConfig())
         ok &= rep.converged
 
     # determinism of seeded runs

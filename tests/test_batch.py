@@ -100,8 +100,8 @@ def _contractions(rng, rows, d):
 
 
 SOLVER_CONFIGS = (
-    SolverConfig(method="forward", tol=1e-8),
-    SolverConfig(tol=1e-10, beta=1.0, m=8),
+    SolverConfig(m=1, beta=1.0, tol=1e-8),  # forward iteration
+    SolverConfig(tol=1e-10),
     SolverConfig(tol=1e-9, beta=0.8, m=4, max_iter=500),
     SolverConfig(tol=1e-10, beta=1.0, m=3),
     SolverConfig(tol=1e-12, beta=1.0, max_iter=7),  # some rows stop unconverged
@@ -140,7 +140,7 @@ def test_batched_solve_without_ridge_meets_the_tolerance_of_per_row_solves(seed)
 
 def test_rows_settle_at_different_iterations():
     batched, singles = _contractions(np.random.default_rng(3), 5, 10)
-    for cfg in (SolverConfig(method="forward", tol=1e-8), SolverConfig(tol=1e-10, beta=1.0, m=8)):
+    for cfg in (SolverConfig(m=1, beta=1.0, tol=1e-8), SolverConfig(tol=1e-10)):
         rep = fixedpoint.solve(batched, np.zeros((5, 10)), cfg)
         assert rep.converged and len(set(rep.row_iterations.tolist())) > 1
         assert isinstance(rep.iterations, int) and isinstance(rep.converged, bool)
@@ -161,7 +161,7 @@ def test_a_non_finite_row_fails_the_batch(cfg):
 
 def test_batched_solve_equilibrium_on_rebound_twin_equals_per_row_solves():
     rng = np.random.default_rng(5)
-    twin, cfg = REBOUND_TWIN, SolverConfig(tol=1e-10, beta=1.0, m=8)
+    twin, cfg = REBOUND_TWIN, SolverConfig(tol=1e-10)
     theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(6, 1))
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=6)])
     base, rerouted = twin.solve_pair(theta, u, cfg, policy=REBOUND_W0)
@@ -183,7 +183,7 @@ def _solution_rows(sol):
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5))
 def test_batched_implicit_vjp_equals_per_row_vjps(seed, rows):
     rng = np.random.default_rng(seed)
-    twin, cfg = REBOUND_TWIN, SolverConfig(tol=1e-10, beta=1.0, m=8)
+    twin, cfg = REBOUND_TWIN, SolverConfig(tol=1e-10)
     theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
     policy = REBOUND_W0 + rng.normal(scale=0.05, size=REBOUND_W0.shape)
@@ -204,7 +204,7 @@ def test_batched_implicit_vjp_equals_per_row_vjps(seed, rows):
 def test_implicit_vjp_refuses_a_batch_with_an_unconverged_row():
     twin = REBOUND_TWIN
     theta = twin.base.theta_ref * np.array([[0.9], [1.1]])
-    sol = solve_equilibrium(twin.base, theta, SolverConfig(tol=1e-10, beta=1.0, m=8))
+    sol = solve_equilibrium(twin.base, theta, SolverConfig(tol=1e-10))
     sol.report.row_converged[1] = False
     sol.report.converged = False
     with pytest.raises(NotConverged):
@@ -215,7 +215,7 @@ def test_implicit_vjp_refuses_a_batch_with_an_unconverged_row():
 def test_batched_training_draws_samples_in_the_per_sample_order(samples):
     sampling = SamplingConfig(u_low=0.5, u_high=1.0, theta_stddev=(0.2,), samples_per_step=samples)
     adam = AdamConfig(learning_rate=0.01, iterations=3, seed=11, early_stop=False)
-    solver = SolverConfig(tol=1e-5, beta=1.0, m=8)
+    solver = SolverConfig(tol=1e-5)
     got = train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver)
     want = reference_train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver)
     assert got.steps == want.steps == 3
@@ -228,7 +228,7 @@ def test_training_batch_with_one_unconverged_row_raises_not_converged(monkeypatc
     twin = scalar_policy_twin()
     thetas = iter([np.array([1.0, 0.5, 0.3, 0.4]), np.array([1.0, 0.5, 0.99, 1.0])])
     monkeypatch.setattr(optimize, "sample_theta", lambda spec, sampling, rng: next(thetas))
-    solver = SolverConfig(method="forward", tol=1e-8, max_iter=200)
+    solver = SolverConfig(m=1, beta=1.0, tol=1e-8, max_iter=200)
     base, _ = twin.solve_pair(np.array([[1.0, 0.5, 0.3, 0.4], [1.0, 0.5, 0.99, 1.0]]),
                               np.array([twin.assemble_u([[1.0]])] * 2), solver, policy=np.array([0.4]))
     assert base.report.row_converged.tolist() == [True, False]

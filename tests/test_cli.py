@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import eqcausal
-from eqcausal import cli, dataio, modelzoo
+from eqcausal import cli, dataio, fixedpoint, modelzoo
 from eqcausal.cli import (_config_from_obj, build_model, config_hash, load_config, main,
                           run_experiment)
 from eqcausal.errors import DimensionMismatch, NegativeEntry, ParseError, SchemaError
@@ -67,8 +67,8 @@ def test_parse_error_reports_location(tmp_path):
 def test_minimal_config_gets_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path / "c.json",
                                    {"command": "solve", "model": "motivating-example"}))
-    assert cfg.solver.m == 5
-    assert cfg.solver.beta == 2.0
+    assert cfg.solver.m == 8
+    assert cfg.solver.beta == 1.0
     assert cfg.solver.tol == 1e-4
     assert cfg.solver.max_iter == 5000
     assert cfg.adam.learning_rate == 0.001
@@ -90,7 +90,7 @@ def test_lambda_list_only_valid_for_pareto(tmp_path):
 
 
 BAD_VALUES = [
-    ("solver", {"beta": -1}), ("solver", {"method": "bisect"}), ("solver", {"m": 0}),
+    ("solver", {"beta": -1}), ("solver", {"method": "forward"}), ("solver", {"m": 0}),
     ("solver", {"tol": 0}), ("solver", {"ridge": -1e-8}),
     ("adam", {"learning_rate": 0}), ("adam", {"beta1": 1.0}), ("adam", {"iterations": 0}),
     ("adam", {"plateau_window": 0}),
@@ -193,10 +193,10 @@ def test_config_sections_follow_the_dataclasses():
         names = {f.name for f in dataclasses.fields(cls)} - hidden
         assert set(props[key]["properties"]) == names
     cfg = _config_from_obj({"command": "solve", "model": "motivating-example",
-                            "solver": {"method": "forward", "beta": 1},
+                            "solver": {"m": 1, "beta": 1},
                             "adam": {"early_stop": False, "plateau_rtol": 0.5},
                             "sampling": {"theta_stddev": [0.1, 0.2], "samples_per_step": 3}})
-    assert (cfg.solver.method, cfg.solver.beta) == ("forward", 1)
+    assert (cfg.solver.m, cfg.solver.beta) == (1, 1)
     assert (cfg.adam.early_stop, cfg.adam.plateau_rtol) == (False, 0.5)
     assert (cfg.sampling.theta_stddev, cfg.sampling.samples_per_step) == ((0.1, 0.2), 3)
 
@@ -379,6 +379,37 @@ def test_invariant_builtin_values_length_exits_1_with_manifest(tmp_path):
     assert error == "SchemaError: /intervention/builtin_values: builtin_values length 2 != model u_dim 1"
 
 
+def test_unconverged_evaluation_row_exits_1_with_manifest(tmp_path, monkeypatch):
+    def one_row_unconverged(spec, theta, cfg, **kwargs):
+        sol = cli.sscm.solve_equilibrium(spec, theta, cfg, **kwargs)
+        sol.report.row_converged[0] = sol.report.converged = False
+        return sol
+
+    # training solves through other bindings; the first of this one is the held-out base batch
+    monkeypatch.setattr(cli, "solve_equilibrium", one_row_unconverged)
+    error = run_failing_invariant(tmp_path)
+    assert error.startswith("NotConverged: ")
+
+
+@pytest.mark.parametrize("command,model,tols", [
+    ("optimize", "leontief-synthetic-4", {1e-8}),
+    ("invariant", "rebound-3sector", {1e-5, 1e-8}),  # training, evaluation
+])
+def test_every_solve_runs_the_configured_solver(tmp_path, monkeypatch, command, model, tols):
+    seen, solve = [], fixedpoint.solve
+
+    def recording(f, x0, cfg):
+        seen.append(cfg)
+        return solve(f, x0, cfg)
+
+    monkeypatch.setattr(fixedpoint, "solve", recording)
+    config = _config_from_obj({"command": command, "model": model, "adam": {"iterations": 2},
+                               "solver": {"m": 6, "max_iter": 4000, "ridge": 1e-9}})
+    assert run_experiment(config, out_dir=tmp_path).success
+    assert {(c.m, c.beta, c.max_iter, c.ridge) for c in seen} == {(6, 1.0, 4000, 1e-9)}
+    assert {c.tol for c in seen} == tols
+
+
 def test_optimum_records_failed_steps(tmp_path, monkeypatch):
     inject_state_jacobian(monkeypatch, on_calls={1})
     config = _config_from_obj({"command": "optimize", "model": "leontief-synthetic-4",
@@ -390,22 +421,35 @@ def test_optimum_records_failed_steps(tmp_path, monkeypatch):
 
 
 def test_compartment_run_reads_its_reference_from_the_check(tmp_path, monkeypatch):
-    solved = []
+    solved, checked, check = [], [], cli.check_compartmentalization
 
     def counting(spec, theta, *args, **kwargs):
         solved.append(("deployed" if spec.policy_dim else "base", np.shape(theta)))
         return cli.sscm.solve_equilibrium(spec, theta, *args, **kwargs)
 
+    def checking(twin, plan, thetas, grids, cfg, policy=None):
+        checked.append((twin, thetas[1], grids[0], cfg, policy))
+        return check(twin, plan, thetas, grids, cfg, policy=policy)
+
     monkeypatch.setattr(cli, "solve_equilibrium", counting)
+    monkeypatch.setattr(cli, "check_compartmentalization", checking)
     config = _config_from_obj({"command": "compartment", "model": "two-compartment",
                                "adam": {"iterations": 1}, "sampling": {"samples_per_step": 2}})
     assert run_experiment(config, out_dir=tmp_path).success
+    assert solved == []  # the curves and the reference come from the check's batches
+    [(twin, theta_mid, grid, cfg, weights)] = checked
     inst = modelzoo.two_compartment_model()
-    assert solved == [("deployed", (1,))]  # the curve grid at theta_mid, one batch
-    report = json.loads((tmp_path / "compartment_report.json").read_text())
     lo, hi = inst.spec.theta_box[0]
-    ref = cli.sscm.solve_equilibrium(inst.spec, [0.5 * (lo + hi)], cli._tight(config.solver))
+    assert theta_mid.tolist() == [0.5 * (lo + hi)] and cfg == cli._eval_solver(config)
+    report = json.loads((tmp_path / "compartment_report.json").read_text())
+    ref = cli.sscm.solve_equilibrium(inst.spec, theta_mid, cfg)
     np.testing.assert_allclose(report["reference_equilibrium"], ref.x_star, rtol=1e-12)
+    curves = np.loadtxt(tmp_path / "compartment_curves.csv", delimiter=",", skiprows=1)
+    pairs = [(u, v) for u in grid for v in grid]
+    assert curves[:, :2].tolist() == [[float(u), float(v)] for u, v in pairs]
+    fresh = cli.sscm.solve_equilibrium(twin.deployed, theta_mid, cfg, policy=weights,
+                                       u=np.array([twin.assemble_u([[u], [v]]) for u, v in pairs]))
+    np.testing.assert_allclose(curves[:, 2:], fresh.x_star, rtol=1e-12)
 
 
 def test_cli_version_is_package_version():

@@ -7,10 +7,9 @@ from eqcausal.errors import NotConverged, SingularAdjoint, SingularMatrix
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.sscm import SscmSpec, solve_equilibrium
 
-from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
+from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec, random_leontief
 
 TIGHT = SolverConfig(tol=1e-10)
-EXACT = SolverConfig(tol=1e-10, beta=1.0)
 
 
 def scalar_cycle_spec():
@@ -104,20 +103,12 @@ def test_adjoint_consistency_bilinear_forms():
         assert via_vjp == pytest.approx(v @ jac @ w, abs=1e-8)
 
 
-def random_leontief(rng, d, density=0.3):
-    """Sparse nonnegative A with spectral radius 0.6 and demand y."""
-    A = rng.uniform(0.0, 1.0, size=(d, d)) * (rng.uniform(size=(d, d)) < density)
-    np.fill_diagonal(A, 0.0)
-    A *= 0.6 / max(abs(np.linalg.eigvals(A)))
-    return A, rng.uniform(0.5, 1.5, size=d)
-
-
 def test_dense_adjoint_large_dimension():
     rng = np.random.default_rng(2)
     for d in (70, 200):
         A, y = random_leontief(rng, d)
         spec = leontief_spec(A, y)
-        sol = solve_equilibrium(spec, y, EXACT)
+        sol = solve_equilibrium(spec, y, TIGHT)
         c = rng.normal(size=d)
         ig = deq.implicit_vjp(spec, sol, c)
         np.testing.assert_allclose(ig.grad_theta, np.linalg.solve((np.eye(d) - A).T, c), atol=1e-10)
@@ -137,7 +128,7 @@ def count_calls(monkeypatch, *names):
 def test_implicit_vjp_makes_one_node_gradients_call(monkeypatch):
     A, y = random_leontief(np.random.default_rng(4), 30)
     spec = leontief_spec(A, y)
-    sol = solve_equilibrium(spec, y, EXACT)
+    sol = solve_equilibrium(spec, y, TIGHT)
     calls = count_calls(monkeypatch, "node_gradients", "assemble_map")
     deq.implicit_vjp(spec, sol, np.ones(30))
     assert calls == {"node_gradients": 1, "assemble_map": 0}
@@ -156,7 +147,7 @@ def test_jacobian_wrt_theta_100_sectors_is_inverse():
     # each row by 1 - A_kk, which the dense solve must undo
     table = modelzoo.leontief_synthetic(100)
     spec = modelzoo.leontief_model(table)
-    sol = solve_equilibrium(spec, spec.theta_ref, EXACT)
+    sol = solve_equilibrium(spec, spec.theta_ref, TIGHT)
     jac = deq.jacobian_wrt_theta(spec, sol)
     np.testing.assert_allclose(jac, np.linalg.inv(np.eye(100) - table.A), atol=1e-10)
 

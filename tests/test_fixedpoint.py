@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eqcausal import modelzoo
 from eqcausal.errors import NonFiniteIterate, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
 
-from ._models import reference_anderson_solve
+from ._models import random_leontief, reference_anderson_solve
 
 
 def contraction_2x2():
@@ -32,13 +36,13 @@ def random_io_affine(rng, n, radius=0.9):
 
 
 def test_forward_scalar_affine():
-    report = forward_iterate(lambda x: 0.5 * x + 1.0, np.zeros(1), SolverConfig(method="forward"))
+    report = forward_iterate(lambda x: 0.5 * x + 1.0, np.zeros(1), SolverConfig())
     assert report.converged
     assert report.x == pytest.approx([2.0], abs=1e-3)
 
 
 def test_forward_identity_converges_immediately():
-    report = forward_iterate(lambda x: x, np.array([3.0, -1.0]), SolverConfig(method="forward"))
+    report = forward_iterate(lambda x: x, np.array([3.0, -1.0]), SolverConfig())
     assert report.converged
     assert report.iterations == 0
     assert report.relative_error == 0.0
@@ -46,7 +50,7 @@ def test_forward_identity_converges_immediately():
 
 def test_forward_matches_inversion_oracle():
     f, x_star = contraction_2x2()
-    report = forward_iterate(f, np.zeros(2), SolverConfig(method="forward", tol=1e-8))
+    report = forward_iterate(f, np.zeros(2), SolverConfig(tol=1e-8))
     np.testing.assert_allclose(report.x, x_star, atol=1e-6)
 
 
@@ -74,10 +78,9 @@ def test_anderson_near_exact_on_affine_with_full_history():
 
 def test_anderson_faster_than_forward_on_scalar():
     f = lambda x: 0.5 * x + 1.0
-    cfg_fwd = SolverConfig(method="forward", tol=1e-10)
-    cfg_and = SolverConfig(tol=1e-10)
-    rep_fwd = forward_iterate(f, np.zeros(1), cfg_fwd)
-    rep_and = anderson_solve(f, np.zeros(1), cfg_and)
+    cfg = SolverConfig(tol=1e-10)
+    rep_fwd = forward_iterate(f, np.zeros(1), cfg)
+    rep_and = anderson_solve(f, np.zeros(1), cfg)
     assert rep_and.converged and rep_fwd.converged
     assert rep_and.x == pytest.approx([2.0], abs=1e-9)
     assert rep_and.iterations < rep_fwd.iterations
@@ -86,21 +89,53 @@ def test_anderson_faster_than_forward_on_scalar():
 def test_anderson_m1_beta1_reduces_to_forward():
     rng = np.random.default_rng(3)
     f_base, _ = random_affine(rng, 4)
-    seq_fwd, seq_and = [], []
+    cfg = SolverConfig(m=1, beta=1.0, tol=1e-6, max_iter=300)
+    plain = [np.zeros(4)]  # x_{k+1} = f(x_k) until the relative error meets tol
+    while not plain[-1].any() or relative_error(f_base, plain[-1]) > cfg.tol:
+        plain.append(f_base(plain[-1]))
+    for solver in (anderson_solve, forward_iterate):
+        seen = []
 
-    def wrap(seq):
         def f(x):
-            seq.append(x.copy())
+            seen.append(x.copy())
             return f_base(x)
-        return f
 
-    cfg_f = SolverConfig(method="forward", tol=1e-6, max_iter=50)
-    cfg_a = SolverConfig(method="anderson", m=1, beta=1.0, tol=1e-6, max_iter=50)
-    forward_iterate(wrap(seq_fwd), np.zeros(4), cfg_f)
-    anderson_solve(wrap(seq_and), np.zeros(4), cfg_a)
-    assert len(seq_fwd) == len(seq_and)
-    for a, b in zip(seq_fwd, seq_and):
-        np.testing.assert_array_equal(a, b)
+        report = solver(f, np.zeros(4), cfg)
+        assert report.converged and report.iterations == len(plain) - 1
+        assert len(seen) == len(plain)
+        for got, want in zip(seen, plain):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(report.x, plain[-1])
+
+
+@pytest.mark.parametrize("d", [10, 30])
+def test_default_config_meets_a_tight_tolerance_on_sparse_contractions(d):
+    # an extrapolating default (beta = 2, m = 5) stalled near 1e-6 on these maps
+    rng = np.random.default_rng(d)
+    cfg = SolverConfig(tol=1e-10)
+    for _ in range(10):
+        A, y = random_leontief(rng, d)
+        f = lambda x: A @ x + y  # noqa: E731
+        fwd = forward_iterate(f, np.zeros(d), cfg)
+        report = anderson_solve(f, np.zeros(d), cfg)
+        assert fwd.converged and report.converged
+        assert report.iterations <= fwd.iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 40), radius=st.floats(0.05, 0.97),
+       signed=st.booleans(), tol=st.sampled_from([1e-4, 1e-8, 1e-10]))
+def test_default_config_converges_whenever_forward_iteration_does(seed, d, radius, signed, tol):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(d, d)) if signed else rng.uniform(0.0, 1.0, size=(d, d))
+    rho = max(abs(np.linalg.eigvals(A)))
+    assume(rho > 0.0)
+    A *= radius / rho
+    y = rng.uniform(0.5, 1.5, size=d)
+    f = lambda x: A @ x + y  # noqa: E731
+    cfg = SolverConfig(tol=tol)
+    if forward_iterate(f, np.zeros(d), cfg).converged:
+        assert anderson_solve(f, np.zeros(d), cfg).converged
 
 
 def test_relative_error_examples():
@@ -124,8 +159,7 @@ def test_solver_agreement_on_random_contractions():
     cfg = SolverConfig()
     for n in (2, 7, 50, 200):
         f, x_star = random_affine(rng, n)
-        for method in ("forward", "anderson"):
-            report = solve(f, np.zeros(n), SolverConfig(method=method))
+        for report in (forward_iterate(f, np.zeros(n), cfg), solve(f, np.zeros(n), cfg)):
             assert report.converged
             assert np.linalg.norm(report.x - x_star) / np.linalg.norm(x_star) <= 10 * cfg.tol
 
@@ -137,21 +171,21 @@ def test_anderson_beats_forward_at_dim_50_and_up():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             f, _ = random_io_affine(rng, n)
-            fwd_iters.append(forward_iterate(f, np.zeros(n), SolverConfig(method="forward")).iterations)
+            fwd_iters.append(forward_iterate(f, np.zeros(n), SolverConfig()).iterations)
             and_iters.append(anderson_solve(f, np.zeros(n), SolverConfig(beta=2.0)).iterations)
         assert np.mean(and_iters) < np.mean(fwd_iters)
 
 
 def test_report_returned_on_non_convergence():
     # period-2 oscillation never converges but stays finite
-    report = forward_iterate(lambda x: 1.0 - x, np.zeros(1), SolverConfig(method="forward", max_iter=30))
+    report = forward_iterate(lambda x: 1.0 - x, np.zeros(1), SolverConfig(max_iter=30))
     assert not report.converged
     assert report.iterations == 30
 
 
 def test_divergence_raises_non_finite():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
-        forward_iterate(lambda x: 2.0 * x + 1.0, np.zeros(1), SolverConfig(method="forward"))
+        forward_iterate(lambda x: 2.0 * x + 1.0, np.zeros(1), SolverConfig())
 
 
 def test_singular_least_squares_only_without_ridge():
@@ -166,18 +200,17 @@ def test_singular_least_squares_only_without_ridge():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(method="newton")
-    with pytest.raises(ValueError):
         SolverConfig(m=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     cfg = SolverConfig()
-    assert (cfg.m, cfg.beta, cfg.tol, cfg.max_iter) == (5, 2.0, 1e-4, 5000)
+    assert (cfg.m, cfg.beta, cfg.tol, cfg.max_iter, cfg.ridge) == (8, 1.0, 1e-4, 5000, 1e-8)
 
 
-ANDERSON_CONFIGS = [SolverConfig(beta=1.0), SolverConfig(beta=2.0), SolverConfig(m=1, beta=1.0),
-                    SolverConfig(m=2), SolverConfig(m=2, beta=1.0),
-                    SolverConfig(m=8, beta=1.0, tol=1e-10), SolverConfig(ridge=0.0, beta=1.0)]
+ANDERSON_CONFIGS = [SolverConfig(m=5, beta=1.0), SolverConfig(m=5, beta=2.0), SolverConfig(m=1, beta=1.0),
+                    SolverConfig(m=2, beta=2.0), SolverConfig(m=2, beta=1.0),
+                    SolverConfig(m=8, beta=1.0, tol=1e-10), SolverConfig(m=5, ridge=0.0, beta=1.0),
+                    SolverConfig()]
 
 
 @pytest.mark.parametrize("dim", [2, 10, 50, 100, 200])
@@ -187,7 +220,7 @@ def test_anderson_iterates_equal_the_rebuilding_reference(dim):
         f = lambda x: A @ x + y  # noqa: E731
         for cfg in ANDERSON_CONFIGS:
             for max_iter in (3, cfg.max_iter):  # a history still filling, and a full solve
-                cfg_k = SolverConfig(cfg.method, cfg.m, cfg.beta, cfg.tol, max_iter, cfg.ridge)
+                cfg_k = replace(cfg, max_iter=max_iter)
                 got = anderson_solve(f, np.zeros(dim), cfg_k)
                 ref = reference_anderson_solve(f, np.zeros(dim), cfg_k)
                 assert got.x.tobytes() == ref.x.tobytes()

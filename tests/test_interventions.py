@@ -16,7 +16,7 @@ from eqcausal.sscm import solve_equilibrium
 
 from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
 
-TIGHT = SolverConfig(tol=1e-10, beta=1.0)
+TIGHT = SolverConfig(tol=1e-10)
 
 pos = st.floats(0.1, 10.0)
 real = st.floats(-5.0, 5.0)
@@ -220,17 +220,23 @@ def test_invariance_report_matches_the_separate_checks(free, j):
         hard_intervention_derivative(spec, j, 2, theta, cfg), rel=1e-12, abs=1e-12)
 
 
+# beta * gamma = 0.999999999 puts x* near 5e8: reaching it takes a 1e9-fold Anderson
+# extrapolation, which the default ridge (1e-8, absolute) damps until max_iter
+NEAR_SINGULAR = SolverConfig(tol=1e-10, ridge=0.0)
+
+
 def test_ill_conditioned_reference_is_a_verdict_not_an_error():
-    # beta * gamma = 0.999999999: the 1-norm condition number of I - df/dx is 4e9
+    # the 1-norm condition number of I - df/dx is 4e9
     rep = check_invariance_conditions(modelzoo.motivating_example(), i=1, j=2, k=2,
-                                      theta_ref=np.array([1.0, 0.5, 1.0, 0.999999999]))
+                                      theta_ref=np.array([1.0, 0.5, 1.0, 0.999999999]),
+                                      cfg=NEAR_SINGULAR)
     assert not rep.diffeomorphic_at_reference
     assert not rep.all_pass
 
 
 def test_ill_conditioned_reference_alone_fails_all_pass():
     spec = modelzoo.motivating_example(beta=1.0, gamma=0.999999999, free=("tau",))
-    rep = check_invariance_conditions(spec, i=1, j=2, k=2)
+    rep = check_invariance_conditions(spec, i=1, j=2, k=2, cfg=NEAR_SINGULAR)
     assert rep.reduced_jacobian_invertible and rep.parents_jacobian_full_rank
     assert rep.hard_derivative_nonzero
     assert not rep.diffeomorphic_at_reference
@@ -340,7 +346,7 @@ def test_compartment_structure_of_frozen_instance():
 
 def test_compartmentalization_identity_interventions_zero_deviation():
     inst = modelzoo.two_compartment_model()
-    cfg = SolverConfig(tol=1e-9, beta=1.0)
+    cfg = SolverConfig(tol=1e-9)
     plans = exact_compartment_policies(inst, cfg)
     plan = CompartmentPlan(inst.plan.compartments, plans)
     rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan,
@@ -352,7 +358,7 @@ def test_compartmentalization_identity_interventions_zero_deviation():
 def test_compartmentalization_exact_linear_policies():
     # with invariance enforced exactly, compartment-2 values are independent of u
     inst = modelzoo.two_compartment_model()
-    cfg = SolverConfig(tol=1e-10, beta=1.0)
+    cfg = SolverConfig(tol=1e-10)
     plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, cfg))
     grid = np.array([0.8, 1.0, 1.25])
     rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan,
@@ -374,9 +380,27 @@ def test_compartmentalization_solves_one_base_and_the_deployed_grid(monkeypatch)
     plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None))
     grid = np.array([0.8, 1.0, 1.25])
     twin = compartment_twin(inst.spec, plan)
-    check_compartmentalization(twin, plan, [np.array([0.45]), np.array([0.75])], [grid, grid],
-                               SolverConfig(tol=1e-8, beta=1.0))
+    rep = check_compartmentalization(twin, plan, [np.array([0.45]), np.array([0.75])], [grid, grid],
+                                     SolverConfig(tol=1e-8))
     assert calls == ["base", "deployed"]  # one batch of both thetas, one of the 2 x 9 grid
+    assert rep.deployed_equilibria.shape == (2, 3, 3, inst.spec.d)
+
+
+@pytest.mark.parametrize("short", ["base", "deployed"])
+def test_compartmentalization_refuses_an_unconverged_row(monkeypatch, short):
+    inst = modelzoo.two_compartment_model()
+    cfg = SolverConfig(tol=1e-8)
+
+    def capped(spec, theta, cfg, **kwargs):  # too few iterations for the `short` batch
+        if (spec is inst.spec) == (short == "base"):
+            cfg = SolverConfig(tol=cfg.tol, max_iter=2)
+        return solve_equilibrium(spec, theta, cfg, **kwargs)
+
+    monkeypatch.setattr(interventions, "solve_equilibrium", capped)
+    plan = CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None))
+    with pytest.raises(NotConverged):
+        check_compartmentalization(compartment_twin(inst.spec, plan), plan, [np.array([0.6])],
+                                   [np.array([0.8, 1.25]), np.array([0.8, 1.25])], cfg)
 
 
 def test_compartmentalization_detects_bad_topology():
@@ -387,7 +411,7 @@ def test_compartmentalization_detects_bad_topology():
     plan = CompartmentPlan(inst.plan.compartments, bad)
     violations = interventions.compartment_structure_violations(inst.spec, plan)
     assert violations  # node 1 feeds compartment 2 but is no longer invariant
-    cfg = SolverConfig(tol=1e-8, beta=1.0)
+    cfg = SolverConfig(tol=1e-8)
     rep = check_compartmentalization(compartment_twin(inst.spec, plan), plan, [np.array([0.6])],
                                      [np.array([0.8, 1.25]), np.array([0.8, 1.25])], cfg)
     assert not rep.structural_ok

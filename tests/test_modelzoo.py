@@ -12,7 +12,7 @@ from eqcausal.modelzoo import (DemandCurve, IoTable, hawkins_simon_check, impact
                                two_compartment_model)
 from eqcausal.sscm import solve_equilibrium
 
-TIGHT = SolverConfig(tol=1e-10, beta=1.0)
+TIGHT = SolverConfig(tol=1e-10)
 
 A2 = np.array([[0.1, 0.2], [0.3, 0.1]])
 Y2 = np.array([1.0, 1.0])
@@ -82,7 +82,7 @@ def test_leontief_model_warns_above_unit_radius():
     with pytest.warns(UserWarning):
         spec = leontief_model(table)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = solve_equilibrium(spec, Y2, SolverConfig(method="forward", max_iter=200)).report
+        report = solve_equilibrium(spec, Y2, SolverConfig(m=1, beta=1.0, max_iter=200)).report
     assert not report.converged or not np.isfinite(report.relative_error)
 
 
@@ -125,7 +125,7 @@ def test_hawkins_simon_implies_forward_convergence():
         assert hawkins_simon_check(A)
         table = IoTable(A=A, R=np.zeros((1, n)), y=rng.uniform(0.5, 1.5, size=n),
                         sectors=tuple(f"s{k}" for k in range(n)), impacts=("i",))
-        sol = solve_equilibrium(leontief_model(table), table.y, SolverConfig(method="forward"))
+        sol = solve_equilibrium(leontief_model(table), table.y, SolverConfig(m=1, beta=1.0))
         assert sol.report.converged
 
 

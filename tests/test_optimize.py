@@ -18,7 +18,7 @@ from eqcausal.sscm import solve_equilibrium
 from ._models import (inject_state_jacobian, leontief_spec, motivating_spec,
                       reference_distance_graph, reference_ghg_employment_graph, reference_mlp_stack)
 
-TIGHT = SolverConfig(tol=1e-10, beta=1.0)
+TIGHT = SolverConfig(tol=1e-10)
 
 
 # --- Adam ---
@@ -213,7 +213,7 @@ def test_quadratic_loss_optimum_at_identity():
     g0 = LieElement("multiplicative", (0, 1), [1.4, 0.7])
     adam = AdamConfig(learning_rate=0.05, iterations=2500, early_stop=True,
                       plateau_window=100, plateau_rtol=1e-14)
-    res = optimize_lie_intervention(spec, g0, loss, adam, SolverConfig(tol=1e-10, beta=1.0),
+    res = optimize_lie_intervention(spec, g0, loss, adam, SolverConfig(tol=1e-10),
                                     bounds=(0.5, 2.0))
     assert res.final_loss < 1e-8
     np.testing.assert_allclose(res.optimum.values, [1.0, 1.0], atol=1e-3)
@@ -232,7 +232,7 @@ def test_unregularized_ghg_drives_to_lower_bound():
     adam = AdamConfig(learning_rate=0.05, iterations=800, early_stop=True,
                       plateau_window=50, plateau_rtol=1e-12)
     res = optimize_lie_intervention(spec, LieElement("multiplicative", tuple(range(6)), np.ones(6)),
-                                    loss, adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 2.0))
+                                    loss, adam, SolverConfig(tol=1e-8), bounds=(0.5, 2.0))
     np.testing.assert_allclose(res.optimum.values, np.full(6, 0.5), atol=1e-3)
 
 
@@ -241,7 +241,7 @@ def test_multiplicative_values_stay_positive():
     loss = DistanceLoss(np.zeros(2))
     res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.0, 1.0]),
                                     loss, AdamConfig(learning_rate=0.1, iterations=100, early_stop=False),
-                                    SolverConfig(tol=1e-8, beta=1.0))
+                                    SolverConfig(tol=1e-8))
     assert all(np.all(g.values > 0.0) for g, _ in res.trajectory)
 
 
@@ -257,7 +257,7 @@ def test_solve_failures_halve_step_size_then_abort():
     with np.errstate(over="ignore", invalid="ignore"):
         res = optimize_lie_intervention(
             spec, LieElement("multiplicative", (0, 1), [1.0, 1.0]), loss, adam,
-            SolverConfig(method="forward", tol=1e-6, max_iter=200), bounds=(0.5, 4.0))
+            SolverConfig(m=1, beta=1.0, tol=1e-6, max_iter=200), bounds=(0.5, 4.0))
     assert res.aborted
     assert len(res.failures) >= 1
     assert len(res.trajectory) >= 1
@@ -281,7 +281,7 @@ def test_singular_adjoint_halves_step_size(monkeypatch):
     res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
                                     DistanceLoss(np.array([1.0, 1.0])),
                                     AdamConfig(learning_rate=0.02, iterations=4, early_stop=False),
-                                    SolverConfig(tol=1e-8, beta=1.0))
+                                    SolverConfig(tol=1e-8))
     assert res.failures == [1]
     assert not res.aborted
     assert scales == [1.0, 0.5, 0.5]
@@ -295,7 +295,7 @@ def test_singular_adjoint_halves_training_step_size(monkeypatch):
                                      SamplingConfig(samples_per_step=2),
                                      AdamConfig(learning_rate=0.05, iterations=3, seed=1,
                                                 early_stop=False),
-                                     SolverConfig(tol=1e-8, beta=1.0))
+                                     SolverConfig(tol=1e-8))
     assert trained.failures == 1
     assert not trained.aborted
     assert scales == [1.0, 0.5]
@@ -308,7 +308,7 @@ def test_lie_first_step_failure_raises(monkeypatch):
         optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
                                   DistanceLoss(np.array([1.0, 1.0])),
                                   AdamConfig(learning_rate=0.02, iterations=4),
-                                  SolverConfig(tol=1e-8, beta=1.0))
+                                  SolverConfig(tol=1e-8))
 
 
 def test_training_first_step_failure_raises(monkeypatch):
@@ -317,7 +317,7 @@ def test_training_first_step_failure_raises(monkeypatch):
         train_invariant_policy(scalar_policy_twin(), np.array([0.4]),
                                SamplingConfig(samples_per_step=2),
                                AdamConfig(learning_rate=0.05, iterations=3, seed=1),
-                               SolverConfig(tol=1e-8, beta=1.0))
+                               SolverConfig(tol=1e-8))
 
 
 def test_training_aborts_after_six_failures(monkeypatch):
@@ -327,7 +327,7 @@ def test_training_aborts_after_six_failures(monkeypatch):
                                      SamplingConfig(samples_per_step=1),
                                      AdamConfig(learning_rate=0.05, iterations=20, seed=1,
                                                 early_stop=False),
-                                     SolverConfig(tol=1e-8, beta=1.0))
+                                     SolverConfig(tol=1e-8))
     assert trained.aborted
     assert trained.failures == 6
     assert trained.steps == 1 and len(trained.losses) == 1
@@ -340,7 +340,7 @@ def test_training_aborts_after_six_failures(monkeypatch):
 def test_result_holds_the_equilibrium_of_its_optimum(monkeypatch, failing):
     # a VJP failing after its solve succeeded (the last step) must not leave that solve's x*
     spec = leontief_spec(np.array([[0.0, 0.2], [0.3, 0.0]]), np.array([1.0, 1.0]))
-    solver = SolverConfig(tol=1e-8, beta=1.0)
+    solver = SolverConfig(tol=1e-8)
     if failing:
         inject_state_jacobian(monkeypatch, on_calls=failing)
     res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
@@ -359,7 +359,7 @@ def test_optimizer_is_deterministic():
 
     def run():
         res = optimize_lie_intervention(spec, LieElement("multiplicative", (0, 1), [1.2, 0.9]),
-                                        loss, adam, SolverConfig(tol=1e-8, beta=1.0))
+                                        loss, adam, SolverConfig(tol=1e-8))
         return np.array([v for _, v in res.trajectory])
 
     assert run().tobytes() == run().tobytes()
@@ -374,7 +374,7 @@ def test_pareto_sweep_shape_and_endpoints():
                       plateau_window=50, plateau_rtol=1e-10)
     lambdas = [0.0, 0.1, 0.3, 1.0, 3.0, 10.0]
     points = pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
-                          lambdas, adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 1.0))
+                          lambdas, adam, SolverConfig(tol=1e-8), bounds=(0.5, 1.0))
     assert len(points) == len(lambdas)
     ghg = [p.ghg_total for p in points]
     dev = [p.employment_l1_deviation for p in points]
@@ -391,7 +391,7 @@ def test_pareto_duplicate_lambdas_identical():
     spec = modelzoo.leontief_model(table)
     adam = AdamConfig(learning_rate=0.05, iterations=120, early_stop=False)
     points = pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
-                          [0.2, 0.2], adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 1.0))
+                          [0.2, 0.2], adam, SolverConfig(tol=1e-8), bounds=(0.5, 1.0))
     assert points[0].ghg_total == points[1].ghg_total
     np.testing.assert_array_equal(points[0].alpha, points[1].alpha)
 
@@ -411,7 +411,7 @@ def test_pareto_sweep_solves_each_equilibrium_once(monkeypatch):
     monkeypatch.setattr(interventions, "apply", counting(applies, interventions.apply))
     adam = AdamConfig(learning_rate=0.05, iterations=5, early_stop=False)
     points = pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
-                          [0.0, 0.5, 2.0], adam, SolverConfig(tol=1e-8, beta=1.0), bounds=(0.5, 1.0))
+                          [0.0, 0.5, 2.0], adam, SolverConfig(tol=1e-8), bounds=(0.5, 1.0))
     assert all(p.converged for p in points)
     assert len(solves) == 1 + 3 * 5  # the base, then one per evaluation
     assert len(applies) == 1  # one intervened model serves every lambda
@@ -422,7 +422,7 @@ def test_pareto_point_whose_optimization_fails_repeats_the_previous_point(monkey
     table = modelzoo.leontief_synthetic(4)
     spec = modelzoo.leontief_model(table)
     c = table.impact_row("ghg")
-    solver = SolverConfig(tol=1e-8, beta=1.0)
+    solver = SolverConfig(tol=1e-8)
     adam = AdamConfig(learning_rate=0.05, iterations=3, early_stop=False)
     # the first VJP of the failing lambda fails, so its optimization raises at step 0
     inject_state_jacobian(monkeypatch, on_calls={failing * adam.iterations})
@@ -480,7 +480,7 @@ def test_training_recovers_exact_scalar_policy():
     sampling = SamplingConfig(u_low=0.5, u_high=2.0, samples_per_step=8)
     adam = AdamConfig(learning_rate=0.05, iterations=400, seed=7, early_stop=False)
     trained = train_invariant_policy(twin, np.array([0.3]), sampling, adam,
-                                     SolverConfig(tol=1e-8, beta=1.0))
+                                     SolverConfig(tol=1e-8))
     assert trained.final_loss < 1e-6
     assert trained.weights[0] == pytest.approx(1.0, abs=1e-3)
     # held-out: invariant node matches the unintervened equilibrium
@@ -498,7 +498,7 @@ def test_training_with_identity_u_reaches_zero_loss():
     sampling = SamplingConfig(u_low=1.0, u_high=1.0, samples_per_step=4)
     adam = AdamConfig(learning_rate=0.05, iterations=300, seed=3, early_stop=False)
     trained = train_invariant_policy(twin, np.array([0.5]), sampling, adam,
-                                     SolverConfig(tol=1e-8, beta=1.0))
+                                     SolverConfig(tol=1e-8))
     assert trained.final_loss < 1e-6
 
 
@@ -509,6 +509,6 @@ def test_training_deterministic_given_seed():
 
     def run():
         return train_invariant_policy(twin, np.array([0.4]), sampling, adam,
-                                      SolverConfig(tol=1e-8, beta=1.0)).weights
+                                      SolverConfig(tol=1e-8)).weights
 
     assert run().tobytes() == run().tobytes()

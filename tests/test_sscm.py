@@ -130,7 +130,7 @@ def test_diffeo_condition_number_is_the_1_norm_one(name):
     spec = {"motivating": motivating_spec,
             "leontief-10": lambda: modelzoo.leontief_model(modelzoo.leontief_synthetic(10)),
             "rebound": lambda: modelzoo.rebound_3sector().spec}[name]()
-    x = solve_equilibrium(spec, spec.theta_ref, SolverConfig(tol=1e-10, beta=1.0)).x_star
+    x = solve_equilibrium(spec, spec.theta_ref, SolverConfig(tol=1e-10)).x_star
     rep = check_local_diffeomorphism(spec, x, spec.theta_ref)
     lhs = np.eye(spec.d) - sscm.node_jacobians(spec, x, spec.theta_ref).x
     assert rep.condition_number == pytest.approx(np.linalg.cond(lhs, 1), rel=1e-12)
@@ -210,7 +210,7 @@ def test_valid_spec_is_validated_once(monkeypatch):
     spec = motivating_spec()
     for _ in range(3):
         assemble_map(spec, THETA_REF)
-    x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10, beta=1.0)).x_star
+    x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10)).x_star
     check_local_diffeomorphism(spec, x, THETA_REF)
     assert calls == [spec]
     other = spec.with_u(spec.u_ref)  # a new spec object is validated afresh
