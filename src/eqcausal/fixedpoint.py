@@ -27,8 +27,8 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Anderson settings. The defaults (m = 8, beta = 1) converge at loose and tight
-    tolerances; beta > 1 extrapolates and can stall near 1e-6."""
+    """Anderson settings. ridge is relative to the squared Frobenius norm of the
+    residual differences, so it does not depend on the scale of the problem."""
 
     m: int = 8
     beta: float = 1.0
@@ -136,8 +136,10 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
 
     At step k the residual histories g_i = f(x_i) - x_i are combined through
     the sum-to-one least-squares weights, solved in the standard unconstrained
-    form over residual differences with a ridge regularizer, and the update
-    mixes function values and iterates with relaxation beta:
+    form over residual differences with a ridge regularizer (cfg.ridge times the
+    trace of their Gram matrix, or cfg.ridge itself when every difference
+    vanishes), and the update mixes function values and iterates with
+    relaxation beta:
 
         x_{k+1} = beta * (F alpha) + (1 - beta) * (X alpha)
 
@@ -167,7 +169,8 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             d_x, d_f, d_g = hist if n_hist == n_cols else np.ascontiguousarray(hist[:, :, :n_hist])
             gram = d_g.T @ d_g
             if cfg.ridge > 0.0:
-                gram = gram + ridge_eye
+                scale = np.trace(gram)
+                gram = gram + (cfg.ridge * (scale if scale > 0.0 else 1.0)) * eye
             try:
                 gamma = np.linalg.solve(gram, d_g.T @ g)
             except np.linalg.LinAlgError as exc:
@@ -185,7 +188,7 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
                 hist[:, :, :-1] = hist[:, :, 1:]
             else:
                 n_hist += 1
-                ridge_eye = cfg.ridge * np.eye(n_hist)
+                eye = np.eye(n_hist)
             hist[0, :, n_hist - 1] = x_new - x
             hist[1, :, n_hist - 1] = fx_new - fx
             hist[2, :, n_hist - 1] = g_new - g
@@ -219,7 +222,8 @@ def _anderson_rows(f: Callable[[Array], Array], x: Array, cfg: SolverConfig) -> 
             d_gt = d_g.transpose(0, 2, 1)
             gram = d_gt @ d_g
             if cfg.ridge > 0.0:
-                gram = gram + ridge_eye
+                scale = np.trace(gram, axis1=1, axis2=2)
+                gram = gram + (cfg.ridge * np.where(scale > 0.0, scale, 1.0))[:, None, None] * eye
             try:
                 gamma = np.linalg.solve(gram, d_gt @ g[live][:, :, None])
             except np.linalg.LinAlgError as exc:
@@ -242,7 +246,7 @@ def _anderson_rows(f: Callable[[Array], Array], x: Array, cfg: SolverConfig) -> 
                 hist[..., :-1] = hist[..., 1:]
             else:
                 n_hist += 1
-                ridge_eye = cfg.ridge * np.eye(n_hist)
+                eye = np.eye(n_hist)
             hist[0, ..., n_hist - 1] = x_new - x
             hist[1, ..., n_hist - 1] = fx_new - fx
             hist[2, ..., n_hist - 1] = g_new - g

@@ -121,7 +121,8 @@ def reference_anderson_solve(f, x0, cfg):
             d_x = np.stack([xs[i + 1] - xs[i] for i in range(n_hist - 1)], axis=1)
             gram = d_g.T @ d_g
             if cfg.ridge > 0.0:
-                gram = gram + cfg.ridge * np.eye(n_hist - 1)
+                scale = np.trace(gram)
+                gram = gram + (cfg.ridge * (scale if scale > 0.0 else 1.0)) * np.eye(n_hist - 1)
             try:
                 gamma = np.linalg.solve(gram, d_g.T @ gs[-1])
             except np.linalg.LinAlgError as exc:

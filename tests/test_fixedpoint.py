@@ -110,7 +110,7 @@ def test_anderson_m1_beta1_reduces_to_forward():
 
 @pytest.mark.parametrize("d", [10, 30])
 def test_default_config_meets_a_tight_tolerance_on_sparse_contractions(d):
-    # an extrapolating default (beta = 2, m = 5) stalled near 1e-6 on these maps
+    # with a ridge not scaled to the residual differences, beta = 2 stalled near 1e-6 here
     rng = np.random.default_rng(d)
     cfg = SolverConfig(tol=1e-10)
     for _ in range(10):
@@ -120,6 +120,17 @@ def test_default_config_meets_a_tight_tolerance_on_sparse_contractions(d):
         report = anderson_solve(f, np.zeros(d), cfg)
         assert fwd.converged and report.converged
         assert report.iterations <= fwd.iterations
+        assert anderson_solve(f, np.zeros(d), replace(cfg, beta=2.0)).converged
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_ridge_is_relative_to_the_residual_differences(beta):
+    # x* = 1e9 and every residual difference is 1e-9 times its step: a ridge of
+    # 1e-8 added as is would swamp the Gram matrix and stall the solve
+    f = lambda x: (1.0 - 1e-9) * x + 1.0  # noqa: E731
+    report = anderson_solve(f, np.zeros(1), SolverConfig(tol=1e-10, beta=beta))
+    assert report.converged
+    assert report.x == pytest.approx([1e9], rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
