@@ -1,8 +1,9 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Anderson step,
-and B equilibrium solves and implicit VJPs of the rerouted rebound twin.
+the first-use cost of a fresh d = 100 spec, and B map calls, equilibrium solves and
+implicit VJPs of the rerouted rebound twin.
 
-    python scripts/layer_bench.py --label change --out BENCH_7.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_7.json
+    python scripts/layer_bench.py --label change --out BENCH_9.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_9.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -11,10 +12,16 @@ solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver) on the
 model's linearisation x -> J x + (x* - J x*), so it times the solver and not
 the map.
 
-The batched layers solve B = 1, 4, 16, 50 rerouted-twin equilibria (random
-theta and u, shared policy weights, the CLI's evaluation solver at tol 1e-8)
-and pull B cotangents back through them. Sources with a batch axis solve them
-as one batch ("mode": "batched"); older sources, one at a time ("loop").
+`compile_s` is the one-off cost of a spec's first use: `interventions.apply`
+a multiplicative intervention on all sectors of `leontief-synthetic-100`, then
+time its first map call and first node_gradients call, which validate, stack
+and compile the spec, minus the same two calls warm.
+
+The batched layers evaluate the map of, solve and pull B cotangents back
+through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
+policy weights, the CLI's evaluation solver at tol 1e-8). Sources with a batch
+axis run each as one batch ("mode": "batched"; only these time the map call);
+older sources solve one at a time ("loop").
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch. The record, with machine info and the git revision of the measured
@@ -115,13 +122,34 @@ def measure() -> dict:
     return out
 
 
+def measure_compile() -> float:
+    from eqcausal import interventions, modelzoo, sscm
+    from eqcausal.interventions import LieElement
+
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    everywhere = LieElement("multiplicative", tuple(range(spec.d)), np.ones(spec.d))
+    x = np.ones(spec.d)
+    times = []
+    for _ in range(REPEATS):
+        wired = interventions.apply(spec, everywhere)
+        t0 = time.perf_counter()
+        f = sscm.assemble_map(wired, wired.theta_ref)
+        f(x)
+        sscm.node_gradients(wired, x, wired.theta_ref)
+        t1 = time.perf_counter()
+        f(x)
+        sscm.node_gradients(wired, x, wired.theta_ref)
+        times.append((t1 - t0) - (time.perf_counter() - t1))
+    return float(np.median(times))
+
+
 BATCH_ROWS = (1, 4, 16, 50)
 
 
 def measure_batched() -> dict:
     import dataclasses
 
-    from eqcausal import deq, fixedpoint
+    from eqcausal import deq, fixedpoint, sscm
     from eqcausal.sscm import solve_equilibrium
 
     twin, policy = _rebound_twin()
@@ -136,7 +164,12 @@ def measure_batched() -> dict:
         extern = np.array([solve_equilibrium(twin.base, t, cfg).x_star[list(twin.invariant_nodes)]
                            for t in theta])
         cot = rng.normal(size=(rows, spec.d))
+        timings = {}
         if batched:
+            f = sscm.assemble_map(spec, theta, u=u, extern=extern, policy=policy)
+            x = solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy).x_star
+            timings["map_call_s"] = _median_call_s(lambda: f(x), max(5, 200 // rows))
+
             def solve():
                 return solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy)
 
@@ -157,7 +190,7 @@ def measure_batched() -> dict:
         repeat = max(1, 16 // rows)
         out[f"rebound-twin-B{rows}"] = {"rows": rows, "mode": "batched" if batched else "loop",
                                         "solve_s": _median_call_s(solve, repeat),
-                                        "implicit_vjp_s": _median_call_s(vjp, repeat)}
+                                        "implicit_vjp_s": _median_call_s(vjp, repeat), **timings}
     return out
 
 
@@ -202,6 +235,7 @@ def main() -> int:
         "machine": machine(),
         "repeats": REPEATS,
         "layers": measure(),
+        "compile_s": measure_compile(),
         "batched_layers": measure_batched(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -211,9 +245,11 @@ def main() -> int:
         print(f"{name:24s} map {row['map_call_s'] * 1e6:9.1f} us   "
               f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
+    print(f"{'compile_s':24s} {record['compile_s'] * 1e3:9.2f} ms")
     for name, row in record["batched_layers"].items():
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
-              f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms")
+              f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "
+              f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us")
     return 0
 
 

@@ -2,27 +2,31 @@
 
 Expression graphs are immutable DAGs of vector-valued operations with named
 input slots (e.g. "parents", "theta", "u"). A graph is compiled once, at its
-first evaluation, into a step list with each node's dispatch and payload
-resolved, and the step list is cached on the frozen graph; forward_eval and
-reverse_vjp both run it. Evaluation allocates fresh value buffers per call, so
-one graph can be evaluated concurrently. Supported operations: add, sub, mul
-(elementwise), recip, neg, matvec (constant matrix), matmul (a row-major
-weight block read from a vector node, times a vector), dot, pow (constant
-exponent), exp, log, relu, concat, slice, gather, broadcast (scalar to
-vector).
+first evaluation, into a level-fused program, which is cached on the frozen
+graph; forward_eval and reverse_vjp both run it. Every node owns a segment of
+one flat float64 buffer, and the nodes of one op at one topological level run
+as one wide numpy step that reads its operands through index arrays (slices
+where they are contiguous). The ops lower to four kernel families, each with
+one VJP: elementwise unary, elementwise binary, segment sum of products (dot,
+matvec, matmul) and copy (slice, gather, concat, broadcast), which costs
+nothing forward. Evaluation allocates fresh buffers per call, so one graph can
+be evaluated concurrently. Supported operations: add, sub, mul (elementwise),
+recip, neg, matvec (constant matrix), matmul (a row-major weight block read
+from a vector node, times a vector), dot, pow (constant exponent), exp, log,
+relu, concat, slice, gather, broadcast (scalar to vector).
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
-the evaluation batched. The graph is then run by its batched step list, also
-compiled once and cached, in which a value that depends on a batched slot is
-held as a (dim, B) array and every other value, such as a shared slot or a
-const, as a (dim, 1) one that broadcasts. forward_eval returns (B, output_dim);
-reverse_vjp takes a (B, output_dim) cotangent, or a vector for every row, and
-gives every slot's partials per row, shaped (B, dim), a shared slot's too.
+the evaluation batched. The same program then runs on a (N, B) buffer, into
+which a shared slot, bound without the batch axis, and the consts are
+broadcast. forward_eval returns (B, output_dim); reverse_vjp takes a
+(B, output_dim) cotangent, or a vector for every row, and gives every slot's
+partials per row, shaped (B, dim), a shared slot's too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -55,9 +59,8 @@ class ExprGraph:
     output: int
     slots: dict  # slot name -> (node index, dim)
     dims: tuple[int, ...]  # per-node output dimension
-    # the compiled step lists, unbatched and batched, each set at its first evaluation
+    # the fused program (see _compile), set at the first evaluation
     _program: object = field(default=None, init=False, repr=False)
-    _row_program: object = field(default=None, init=False, repr=False)
 
     @property
     def output_dim(self) -> int:
@@ -227,77 +230,32 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 
 
 # --- compiled evaluation ---
+#
+# A graph compiles, at its first evaluation, into a level-fused program over one
+# flat float64 buffer, shaped (N,) for a vector call and (N, B) for a batch. Every
+# node owns a segment of it: the consts first, then the input slots, then the
+# computed nodes, then the copies (slice, gather, concat, broadcast). A copy holds
+# no value: whatever reads it reads its sources, through positions resolved at
+# compile time. It keeps an adjoint segment, so a reverse sweep can stop at it.
+#
+# Inputs and consts are level 0, a computed node sits one level above its highest
+# argument and a copy at its highest argument's level. The computed nodes of one op
+# (and, for pow, one exponent) at one level form one wide step, which reads its
+# operands through index arrays and writes one contiguous range. The copies of one
+# level and one number of hops (the longest run of copies a copy reads through,
+# itself included) form one step that only the reverse sweep runs, in descending
+# hops, so that a copy passes its adjoint on after every copy that reads it. The
+# ops lower to four kernel families: elementwise unary, elementwise binary, segment
+# sum of products (dot, matvec, matmul) and copy, each with one VJP.
 
-def _acc(adj: list, idx: int, value: Array):
-    """Add a contribution to a node's adjoint; the first lands in a fresh value + 0.0,
-    which has the bits of adding it into a zero buffer."""
-    cur = adj[idx]
-    if cur is None:
-        adj[idx] = value + 0.0
-    else:
-        cur += value
 
-
-# Op kernels, one (forward, backward) pair per op. forward(v, a, b, p) returns a
-# node's value from the value list v, its first two arguments a and b, and its
-# prepared payload p (see _prepare); backward(g, v, adj, i, a, b, p) adds node
-# i's adjoint g, pulled back, into the adjoints of its arguments.
-
-def _recip(v, a, b, p):
-    x = v[a]
+def _recip(x, c):
     if np.any(x == 0.0):
         raise DomainError("reciprocal of zero")
     return 1.0 / x
 
 
-def _recip_vjp(g, v, adj, i, a, b, p):
-    out = v[i]
-    _acc(adj, a, -g * out * out)
-
-
-def _matmul(v, w, x, p):
-    start, stop, n_out, n_in, _ = p
-    return v[w][start:stop].reshape(n_out, n_in) @ v[x]
-
-
-def _matmul_vjp(g, v, adj, i, w, x, p):
-    start, stop, n_out, n_in, n_w = p
-    full = np.zeros(n_w)
-    full[start:stop] = np.multiply.outer(g, v[x]).ravel()
-    _acc(adj, w, full)
-    _acc(adj, x, v[w][start:stop].reshape(n_out, n_in).T @ g)
-
-
-def _add_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g)
-    _acc(adj, b, g)
-
-
-def _sub_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g)
-    _acc(adj, b, -g)
-
-
-def _mul_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g * v[b])
-    _acc(adj, b, g * v[a])
-
-
-def _dot_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g[0] * v[b])
-    _acc(adj, b, g[0] * v[a])
-
-
-def _neg_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, -g)
-
-
-def _matvec_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, p[1] @ g)
-
-
-def _pow(v, a, b, c):
-    x = v[a]
+def _pow(x, c):
     if c < 0.0 and np.any(x <= 0.0):
         raise DomainError(f"pow with negative exponent {c} on non-positive base")
     if c != int(c) and np.any(x < 0.0):
@@ -305,222 +263,347 @@ def _pow(v, a, b, c):
     return np.power(x, c)
 
 
-def _pow_vjp(g, v, adj, i, a, b, c):
-    _acc(adj, a, g * c * np.power(v[a], c - 1.0))
-
-
-def _exp_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g * v[i])
-
-
-def _log(v, a, b, p):
-    x = v[a]
+def _log(x, c):
     if np.any(x <= 0.0):
         raise DomainError("log of non-positive value")
     return np.log(x)
 
 
-def _log_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g / v[a])
-
-
-def _relu_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g * (v[a] > 0.0))
-
-
-def _concat_vjp(g, v, adj, i, args, b, pieces):
-    for arg, lo, hi in pieces:
-        _acc(adj, arg, g[lo:hi])
-
-
-def _slice_vjp(g, v, adj, i, a, b, p):
-    start, stop, n_a = p
-    full = np.zeros(n_a)
-    full[start:stop] = g
-    _acc(adj, a, full)
-
-
-def _gather_vjp(g, v, adj, i, a, b, p):
-    idx, n_a = p
-    full = np.zeros(n_a)
-    np.add.at(full, idx, g)
-    _acc(adj, a, full)
-
-
-def _broadcast_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, np.array([g.sum()]))
-
-
-_KERNELS = {
-    "add": (lambda v, a, b, p: v[a] + v[b], _add_vjp),
-    "sub": (lambda v, a, b, p: v[a] - v[b], _sub_vjp),
-    "mul": (lambda v, a, b, p: v[a] * v[b], _mul_vjp),
-    "recip": (_recip, _recip_vjp),
-    "neg": (lambda v, a, b, p: -v[a], _neg_vjp),
-    "matvec": (lambda v, a, b, p: p[0] @ v[a], _matvec_vjp),
-    "matmul": (_matmul, _matmul_vjp),
-    "dot": (lambda v, a, b, p: np.array([v[a] @ v[b]]), _dot_vjp),
-    "pow": (_pow, _pow_vjp),
-    "exp": (lambda v, a, b, p: np.exp(v[a]), _exp_vjp),
-    "log": (_log, _log_vjp),
-    "relu": (lambda v, a, b, p: np.maximum(v[a], 0.0), _relu_vjp),
-    "concat": (lambda v, args, b, p: np.concatenate([v[arg] for arg in args]), _concat_vjp),
-    "slice": (lambda v, a, b, p: v[a][p[0]:p[1]], _slice_vjp),
-    "gather": (lambda v, a, b, p: v[a][p[0]], _gather_vjp),
-    "broadcast": (lambda v, a, b, n: np.full(n, v[a][0]), _broadcast_vjp),
+# op -> (forward(x, c), vjp(g, x, y, c)), with x the argument, y the value and c
+# the exponent of a pow
+_UNARY = {
+    "recip": (_recip, lambda g, x, y, c: -g * y * y),
+    "neg": (lambda x, c: -x, lambda g, x, y, c: -g),
+    "pow": (_pow, lambda g, x, y, c: g * c * np.power(x, c - 1.0)),
+    "exp": (lambda x, c: np.exp(x), lambda g, x, y, c: g * y),
+    "log": (_log, lambda g, x, y, c: g / x),
+    "relu": (lambda x, c: np.maximum(x, 0.0), lambda g, x, y, c: g * (x > 0.0)),
 }
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+_SEGMENT = ("dot", "matvec", "matmul")
+_COPY = ("slice", "gather", "concat", "broadcast")
+_COMPUTED, _COPIED, _SUMMED = 0, 1, 2  # _SUMMED: computed, unless it sums no products
+_KIND = {**dict.fromkeys((*_UNARY, *_BINARY), _COMPUTED), **dict.fromkeys(_SEGMENT, _SUMMED),
+         **dict.fromkeys(_COPY, _COPIED)}
 
 
-# Batched variants. A batched step list holds (n, B) and (n, 1) values (see the
-# module docstring), so the elementwise ops, matvec, slice, gather and a concat
-# of equal widths run the kernels above unchanged; adjoints are always (n, B).
-
-def _matmul_rows(v, w, x, p):
-    start, stop, n_out, n_in, _ = p
-    block = v[w][start:stop]
-    if block.shape[1] == 1:
-        return block.reshape(n_out, n_in) @ v[x]
-    return (block.reshape(n_out, n_in, -1) * v[x]).sum(axis=1)
+def dot_sum(a, b) -> float:
+    """a . b summed as a compiled dot node sums it, which may round differently from BLAS."""
+    return float(np.add.reduceat(np.multiply(a, b), [0])[0])
 
 
-def _matmul_rows_vjp(g, v, adj, i, w, x, p):
-    start, stop, n_out, n_in, n_w = p
-    full = np.zeros((n_w, g.shape[1]))
-    full[start:stop] = (g[:, None, :] * v[x]).reshape(n_out * n_in, -1)
-    _acc(adj, w, full)
-    block = v[w][start:stop]
-    if block.shape[1] == 1:
-        _acc(adj, x, block.reshape(n_out, n_in).T @ g)
-    else:
-        _acc(adj, x, (block.reshape(n_out, n_in, -1) * g[:, None, :]).sum(axis=0))
+def _runs(starts, lengths) -> Array:
+    """The ranges [start, start + length) end to end, as one intp array."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _concat_rows(v, args, b, pieces):
-    parts = [v[arg] for arg in args]
-    widths = {part.shape[1] for part in parts}
-    if len(widths) == 1:
-        return np.concatenate(parts)
-    out = np.empty((pieces[-1][2], max(widths)))
-    for part, (_, lo, hi) in zip(parts, pieces):
-        out[lo:hi] = part
-    return out
+def _index(pos: Array) -> slice | Array:
+    """Buffer positions as an index: a slice when they are one ascending run."""
+    n = len(pos)
+    first = int(pos[0]) if n else 0
+    if n == 0 or (pos[-1] - first == n - 1 and (pos[1:] > pos[:-1]).all()):
+        return slice(first, first + n)
+    return pos
 
 
-def _dot_rows(v, a, b, p):
-    x, y = v[a], v[b]
-    if x.shape[1] == 1:
-        return x.T @ y
-    if y.shape[1] == 1:
-        return y.T @ x
-    return np.einsum("ij,ij->j", x, y)[None]
+def _take(v: Array, at) -> Array:
+    """v[at] along the first axis, where `at` is a slice or an index array (on a 2-d
+    batch buffer take() is several times faster than fancy indexing; on a vector,
+    slower)."""
+    return v[at] if at.__class__ is slice or v.ndim == 1 else v.take(at, axis=0)
 
 
-def _slice_rows_vjp(g, v, adj, i, a, b, p):
-    start, stop, n_a = p
-    full = np.zeros((n_a, g.shape[1]))
-    full[start:stop] = g
-    _acc(adj, a, full)
+class _Scatter:
+    """Adds one contribution per position into an adjoint buffer, except the rows
+    `cut` of them. Contributions that land on one position are summed first, in their
+    order, by np.add.reduceat."""
+
+    __slots__ = ("to", "order", "starts")
+
+    def __init__(self, positions: Array):
+        self.order = self.starts = None
+        if len(positions) > 1 and not (positions[1:] > positions[:-1]).all():
+            order = np.argsort(positions, kind="stable")
+            ranked = positions[order]
+            starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+            if len(starts) < len(ranked):
+                self.order, self.starts, positions = order, starts, ranked[starts]
+        self.to = _index(positions)
+
+    def add(self, adj: Array, contrib: Array, cut):
+        if cut is not None:
+            contrib = np.array(contrib)
+            contrib[cut] = 0.0
+        if self.starts is not None:
+            contrib = np.add.reduceat(contrib.take(self.order, axis=0), self.starts, axis=0)
+        adj[self.to] += contrib
 
 
-def _gather_rows_vjp(g, v, adj, i, a, b, p):
-    idx, n_a = p
-    full = np.zeros((n_a, g.shape[1]))
-    np.add.at(full, idx, g)
-    _acc(adj, a, full)
+class _Step:
+    """One wide step. `members` are its nodes, whose segments fill the buffer range
+    `out` in order. `sides[k]` lists the node its k-th operand reads, one per member,
+    or for a copy every argument, member by member, with `spans` the start of each
+    member's arguments when some member has several. `elems[k]` are the operand's
+    elements, whose adjoints `to[k]` scatters into. A sweep builds what it needs of
+    these for the reverse pass (a copy's sides, the scatters) the first time."""
+
+    __slots__ = ("members", "out", "sides", "spans", "elems", "to")
 
 
-def _broadcast_rows_vjp(g, v, adj, i, a, b, p):
-    _acc(adj, a, g.sum(axis=0, keepdims=True))
+class _Unary(_Step):
+    __slots__ = ("fwd", "vjp", "c", "x")
+
+    def forward(self, v):
+        v[self.out] = self.fwd(_take(v, self.x), self.c)
+
+    def backward(self, v, adj, g, need, cut):
+        self.to[0].add(adj, self.vjp(g, _take(v, self.x), v[self.out], self.c), cut)
 
 
-_ROW_KERNELS = {
-    **_KERNELS,
-    "matmul": (_matmul_rows, _matmul_rows_vjp),
-    "dot": (_dot_rows, _dot_vjp),
-    "concat": (_concat_rows, _concat_vjp),
-    "slice": (_KERNELS["slice"][0], _slice_rows_vjp),
-    "gather": (lambda v, a, b, p: v[a].take(p[0], axis=0), _gather_rows_vjp),
-    "broadcast": (lambda v, a, b, n: np.repeat(v[a], n, axis=0), _broadcast_rows_vjp),
-}
+class _Binary(_Step):
+    __slots__ = ("op", "fn", "a", "b")
+
+    def forward(self, v):
+        self.fn(_take(v, self.a), _take(v, self.b), out=v[self.out])
+
+    def backward(self, v, adj, g, need, cut):
+        mul = self.op == "mul"
+        if need[0]:
+            self.to[0].add(adj, g * _take(v, self.b) if mul else g, cut)
+        if need[1]:
+            self.to[1].add(adj, g * _take(v, self.a) if mul else g if self.op == "add" else -g, cut)
 
 
-def _prepare(node: GraphNode, dims: tuple[int, ...]) -> tuple:
-    """A node's (a, b, payload) as its kernels read them; concat's a is its argument tuple."""
-    op, args, payload = node
-    a = args[0] if args else None
-    b = args[1] if len(args) > 1 else None
-    if op == "matvec":
-        payload = (payload, payload.T)
-    elif op == "matmul":
-        start, n_out = payload
-        payload = (start, start + n_out * dims[b], n_out, dims[b], dims[a])
-    elif op == "concat":
-        a, bounds = args, np.cumsum([0] + [dims[arg] for arg in args]).tolist()
-        payload = tuple(zip(args, bounds[:-1], bounds[1:]))
-    elif op == "slice":
-        payload = (*payload, dims[a])
-    elif op == "gather":
-        payload = (np.asarray(payload, dtype=np.intp), dims[a])
-    return a, b, payload
+class _SegmentSum(_Step):
+    """out[s] = the sum over segment s of a[k] * b[k]; `seg` maps each product to its
+    segment, and `starts` and `seg` are None when every segment holds one product."""
+
+    __slots__ = ("a", "b", "starts", "seg")
+
+    def forward(self, v):
+        if self.starts is None:
+            np.multiply(_take(v, self.a), _take(v, self.b), out=v[self.out])
+        else:
+            np.add.reduceat(_take(v, self.a) * _take(v, self.b), self.starts, axis=0, out=v[self.out])
+
+    def backward(self, v, adj, g, need, cut):
+        if self.seg is not None:
+            g = g.take(self.seg, axis=0)
+        if need[0]:
+            self.to[0].add(adj, g * _take(v, self.b), cut)
+        if need[1]:
+            self.to[1].add(adj, g * _take(v, self.a), cut)
 
 
-@dataclass(frozen=True)
+class _Copy(_Step):
+    __slots__ = ()
+
+    def backward(self, v, adj, g, need, cut):
+        self.to[0].add(adj, g, cut)
+
+
+@dataclass(frozen=True, eq=False)
 class _Program:
-    """A graph compiled into a step list: inputs to bind, consts in place, one step per other node."""
+    """A graph compiled into wide steps over one buffer (see the comment above)."""
 
-    inputs: tuple  # (node index, slot, dim)
-    template: tuple  # per-node initial value: the const payloads, None elsewhere
-    steps: tuple  # (node index, forward, backward, a, b, payload) in topological order
+    n_values: int  # the consts, inputs and computed nodes
+    n_adjoints: int  # those and the copies
+    template: Array  # the const part of the buffer, matvec matrices included
+    inputs: tuple  # (slot, dim, start, stop)
+    steps: tuple  # every wide step, in the forward order
+    runs: tuple  # the steps with a forward pass
+    out: object  # where the output's values are read
+    offsets: Array  # per node, the start of its segment
+    base: Array  # per node, its first element; an element is a (node, component) pair
+    own: Array  # per element, its position in the buffer
+    source: Array  # per element of a copy, the element it copies; -1 elsewhere
+    sweeps: dict = field(default_factory=dict)  # reverse sweep per `at`, see _sweep
 
 
-def _compile(graph: ExprGraph, rows: bool = False) -> _Program:
-    """The graph's unbatched or batched step list, built at its first evaluation of
-    that kind and cached on the frozen graph."""
-    prog = graph._row_program if rows else graph._program
+def _compile(graph: ExprGraph) -> _Program:
+    """The graph's fused program, built at its first evaluation and cached on the frozen graph."""
+    prog = graph._program
     if prog is None:
-        kernels = _ROW_KERNELS if rows else _KERNELS
-        inputs, template, steps = [], [None] * len(graph.nodes), []
-        for i, node in enumerate(graph.nodes):
-            if node.op == "input":
-                inputs.append((i, *node.payload))
-            elif node.op == "const":
-                template[i] = node.payload[:, None] if rows else node.payload
-            elif node.op in kernels:
-                steps.append((i, *kernels[node.op], *_prepare(node, graph.dims)))
-            else:
-                raise ValueError(f"unknown op {node.op!r}")
-        prog = _Program(tuple(inputs), tuple(template), tuple(steps))
-        object.__setattr__(graph, "_row_program" if rows else "_program", prog)
+        prog = _fuse(graph)
+        object.__setattr__(graph, "_program", prog)
     return prog
 
 
-def _forward_values(graph: ExprGraph, bindings: Mapping[str, Array],
-                    rows: int | None = None) -> tuple[list[Array], int | None]:
-    """Every node's value and the batch size, None when no slot is bound with a batch axis.
+def _fuse(graph: ExprGraph) -> _Program:
+    nodes, dims = graph.nodes, graph.dims
+    n = len(nodes)
+    base = list(accumulate(dims, initial=0))  # node i's elements are base[i]:base[i + 1]
+    level, hops = [0] * n, [0] * n  # hops > 0 marks a copy
+    consts, inputs, matvecs, groups = [], [], [], {}
+    spans, picks = [], []  # the copies' elements: runs (dst, src, length), picks (dst, src, indices)
+    for i, (op, args, payload) in enumerate(nodes):
+        kind = _KIND.get(op)
+        if kind is None:
+            if op == "input":
+                inputs.append(i)
+            elif op == "const":
+                consts.append(i)
+            else:
+                raise ValueError(f"unknown op {op!r}")
+            continue
+        if kind == _SUMMED:
+            if (dims[args[0]] if op == "dot" else payload.size if op == "matvec"
+                    else payload[1] * dims[args[1]]) == 0:
+                consts.append(i)  # a dot, matvec or matmul of no products is a const zero
+                continue
+            kind = _COMPUTED
+        lv = level[args[0]]
+        if len(args) > 1:
+            for a in args:
+                if level[a] > lv:
+                    lv = level[a]
+        if kind == _COPIED:
+            level[i] = lv
+            h = hops[args[0]]
+            if len(args) > 1:
+                for a in args:
+                    if hops[a] > h:
+                        h = hops[a]
+            hops[i] = h = h + 1
+            key = (lv, _COPIED, h)
+            if op == "slice":
+                spans.append((base[i], base[args[0]] + payload[0], payload[1] - payload[0]))
+            elif op == "concat":
+                spans.extend(zip(accumulate([dims[a] for a in args[:-1]], initial=base[i]),
+                                 [base[a] for a in args], [dims[a] for a in args]))
+            else:
+                picks.append((base[i], base[args[0]], payload if op == "gather" else (0,) * payload))
+        else:
+            level[i] = lv = lv + 1
+            key = (lv, _COMPUTED, op, payload if op == "pow" else None)
+            if op == "matvec":
+                matvecs.append(i)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [i]
+        else:
+            group.append(i)
+
+    # layout: consts and matvec matrices, inputs, computed nodes by step, copies by step
+    order = sorted(groups)
+    # consts in the order the steps read them, so that a step reading its consts in
+    # member order reads one slice
+    const_set = set(consts)
+    read = dict.fromkeys(a for key in order if key[1] == _COMPUTED for i in groups[key]
+                         for a in nodes[i].args if a in const_set)
+    consts = [*read, *(i for i in consts if i not in read)]
+    n_consts = sum(dims[i] for i in consts)
+    blocks = dict(zip(matvecs, accumulate([nodes[i].payload.size for i in matvecs], initial=n_consts)))
+    template = np.concatenate([nodes[i].payload if nodes[i].op == "const" else np.zeros(dims[i])
+                               for i in consts] + [nodes[i].payload.ravel() for i in matvecs] + [np.zeros(0)])
+    valued = inputs + [i for key in order if key[1] == _COMPUTED for i in groups[key]]
+    copies = [i for key in order if key[1] == _COPIED for i in groups[key]]
+    dims_arr = np.array(dims, dtype=np.intp)
+    base_arr = np.concatenate(([0], np.cumsum(dims_arr)))
+    placed = np.array(consts + valued + copies, dtype=np.intp)
+    sizes = dims_arr[placed]
+    starts = np.cumsum(sizes) - sizes
+    starts[len(consts):] += len(template) - n_consts  # the matvec matrices sit between consts and inputs
+    off = np.empty(n, dtype=np.intp)
+    off[placed] = starts
+    n_values = len(template) + int(sizes[len(consts):len(consts) + len(valued)].sum())
+    n_adjoints = n_values + int(sizes[len(consts) + len(valued):].sum())
+
+    # each element's own buffer (and adjoint) position, the element a copy's element
+    # copies, and where each element's value is read: its own position, or its source's
+    own = np.repeat(off - base_arr[:-1], dims_arr) + np.arange(base[-1])
+    source = np.full(base[-1], -1, dtype=np.intp)
+    if spans:
+        dst, src, length = zip(*spans)
+        source[_runs(dst, length)] = _runs(src, length)
+    if picks:
+        dst, src, idx = zip(*picks)
+        length = [len(k) for k in idx]
+        source[_runs(dst, length)] = np.repeat(src, length) + np.fromiter(chain.from_iterable(idx), np.intp)
+    copied = np.flatnonzero(source >= 0)
+    pos, sources = own.copy(), source[copied]
+    pos[copied] = own[sources]
+    deeper = copied[source[sources] >= 0]  # copies of copies
+    for _ in range(max(hops) - 1):
+        pos[deeper] = pos[source[deeper]]
+
+    def elements(of):
+        of = np.array(of, dtype=np.intp)
+        return _runs(base_arr[of], dims_arr[of])
+
+    steps = []
+    for key in order:
+        members = groups[key]
+        op = nodes[members[0]].op
+        if key[1] == _COPIED:
+            step = _Copy()
+            step.sides = step.spans = None  # a reverse-only step: the first sweep fills them in
+            step.elems, step.to = (None,), [None]
+        else:
+            args = [nodes[i].args for i in members]
+            if op in _UNARY:
+                step = _Unary()
+                step.fwd, step.vjp = _UNARY[op]
+                step.c = key[3]
+                x = [arg[0] for arg in args]
+                ex = elements(x)
+                step.x = _index(pos[ex])
+                step.sides, step.elems = (x,), (ex,)
+            elif op in _BINARY:
+                step = _Binary()
+                step.op, step.fn = op, _BINARY[op]
+                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
+                ea, eb = elements(a), elements(b)
+                step.a, step.b = _index(pos[ea]), _index(pos[eb])
+                step.sides, step.elems = (a, b), (ea, eb)
+            else:
+                step = _SegmentSum()
+                b = [arg[-1] for arg in args]
+                cols = dims_arr[b]
+                if op == "dot":
+                    a = [arg[0] for arg in args]
+                    ea, eb, lengths = elements(a), elements(b), cols
+                else:  # one segment per row of a matrix; a matvec's matrix is a block of the consts
+                    if op == "matvec":
+                        a, ea = [], None
+                        rows = np.array([nodes[i].payload.shape[0] for i in members], dtype=np.intp)
+                        step.a = _index(_runs([blocks[i] for i in members], rows * cols))
+                    else:
+                        a = [arg[0] for arg in args]
+                        start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
+                        ea = _runs(base_arr[a] + start, rows * cols)
+                    lengths = np.repeat(cols, rows)
+                    eb = _runs(np.repeat(base_arr[b], rows), lengths)
+                if ea is not None:
+                    step.a = _index(pos[ea])
+                step.b = _index(pos[eb])
+                step.starts = step.seg = None
+                if np.any(lengths != 1):
+                    step.starts = np.cumsum(lengths) - lengths
+                    step.seg = np.repeat(np.arange(len(lengths)), lengths)
+                step.sides, step.elems = (a, b), (ea, eb)
+            step.spans, step.to = None, [None] * len(step.sides)
+        step.members = np.array(members, dtype=np.intp)
+        step.out = slice(int(off[members[0]]), int(off[members[-1]]) + dims[members[-1]])
+        steps.append(step)
+
+    return _Program(n_values, n_adjoints, template,
+                    tuple((nodes[i].payload[0], dims[i], int(off[i]), int(off[i]) + dims[i]) for i in inputs),
+                    tuple(steps), tuple(s for s in steps if not isinstance(s, _Copy)),
+                    _index(pos[elements([graph.output])]), off, base_arr, own, source)
+
+
+def _forward_values(prog: _Program, bindings: Mapping[str, Array],
+                    rows: int | None = None) -> tuple[Array, int | None]:
+    """The value buffer and the batch size, None when no slot is bound with a batch axis.
 
     `rows` asks for a batched evaluation of that size even when every slot is a vector.
     """
-    if rows is not None:
-        return _row_values(graph, bindings, rows)
-    prog = _compile(graph)
-    vals = list(prog.template)
-    for i, slot, dim in prog.inputs:
-        if slot not in bindings:
-            raise UnboundSlot(f"slot {slot!r} not bound")
-        v = np.asarray(bindings[slot], dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != dim:
-            return _row_values(graph, bindings, None)
-        vals[i] = v
-    for i, fwd, _, a, b, p in prog.steps:
-        vals[i] = fwd(vals, a, b, p)
-    return vals, None
-
-
-def _row_values(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | None):
-    """_forward_values by the batched step list."""
-    prog = _compile(graph, rows=True)
-    vals = list(prog.template)
-    for i, slot, dim in prog.inputs:
+    values = []
+    for slot, dim, _, _ in prog.inputs:
         if slot not in bindings:
             raise UnboundSlot(f"slot {slot!r} not bound")
         v = np.asarray(bindings[slot], dtype=np.float64)
@@ -529,12 +612,23 @@ def _row_values(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | Non
         if v.ndim not in (1, 2) or v.shape[-1] != dim or (v.ndim == 2 and v.shape[0] != rows):
             raise ShapeMismatch(f"slot {slot!r} expects dim {dim}"
                                 f"{'' if rows is None else f' in {rows} rows'}, got shape {v.shape}")
-        vals[i] = v.T if v.ndim == 2 else v[:, None]
-    if not rows:
+        values.append(v)
+    if rows == 0:
         raise ShapeMismatch("a batch needs at least one row")
-    for i, fwd, _, a, b, p in prog.steps:
-        vals[i] = fwd(vals, a, b, p)
-    return vals, rows
+    consts = len(prog.template)
+    if rows is None:
+        buf = np.empty(prog.n_values)
+        buf[:consts] = prog.template
+        for (_, _, start, stop), v in zip(prog.inputs, values):
+            buf[start:stop] = v
+    else:
+        buf = np.empty((prog.n_values, rows))
+        buf[:consts] = prog.template[:, None]
+        for (_, _, start, stop), v in zip(prog.inputs, values):
+            buf[start:stop] = v.T if v.ndim == 2 else v[:, None]
+    for step in prog.runs:
+        step.forward(buf)
+    return buf, rows
 
 
 def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | None = None) -> Array:
@@ -542,11 +636,10 @@ def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | No
 
     `rows` asks for a batch of that size even when no slot the graph reads is batched.
     """
-    vals, rows = _forward_values(graph, bindings, rows)
-    out = vals[graph.output]
-    if rows is None:
-        return out.copy()
-    return (out if out.shape[1] == rows else np.repeat(out, rows, axis=1)).T.copy()
+    prog = _compile(graph)
+    buf, rows = _forward_values(prog, bindings, rows)
+    out = _take(buf, prog.out)
+    return out.copy() if rows is None else out.T.copy()
 
 
 @dataclass
@@ -560,6 +653,78 @@ class Gradient:
 
     def get(self, slot: str, default=None):
         return self.parts.get(slot, default)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    steps: tuple  # (step, operand sides to scatter into, contribution rows to cut or None)
+    reads: tuple  # (key, start, stop) of every adjoint returned
+
+
+def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
+    """The reverse sweep toward the input slots, or toward the `at` nodes with them as
+    leaves; cached on the program per `at`. A member of a step passes its adjoint on
+    when the output's adjoint reaches it, it is not a leaf and its adjoint flows on
+    to a target; the sweep runs the steps with such members, scatters only into the
+    operands that lead on, and cuts the contributions of the other members, so that
+    a node the output does not reach adds nothing, not even 0 * inf."""
+    key = None if at is None else tuple(at)
+    sweep = prog.sweeps.get(key)
+    if sweep is not None:
+        return sweep
+    n = len(graph.nodes)
+    if key is None:
+        returned = [(slot, idx) for slot, (idx, _) in graph.slots.items()]
+    else:
+        returned = [(i, i) for i in key]
+    leaf = np.zeros(n, dtype=bool)
+    leaf[list(key or ())] = True
+    flows = np.zeros(n, dtype=bool)  # a target, or a node whose adjoint flows on to one
+    flows[[i for _, i in returned]] = True
+    for step in prog.steps:
+        if step.sides is None:
+            args = [graph.nodes[i].args for i in step.members.tolist()]
+            arity = [len(arg) for arg in args]
+            step.sides = (list(chain.from_iterable(args)),)
+            step.spans = np.cumsum(arity) - arity if max(arity) > 1 else None
+        hit = [flows[side] for side in step.sides]
+        hit = np.logical_or.reduce([h if step.spans is None else np.logical_or.reduceat(h, step.spans)
+                                    for h in hit if len(h)])
+        flows[step.members] |= hit & ~leaf[step.members]
+
+    dims = np.array(graph.dims, dtype=np.intp)
+    reached = np.zeros(n, dtype=bool)  # nodes the output's adjoint reaches
+    reached[graph.output] = True
+    steps = []
+    for step in reversed(prog.steps):
+        moves = reached[step.members] & flows[step.members] & ~leaf[step.members]
+        if not moves.any():
+            continue
+        need = []
+        for k, side in enumerate(step.sides):
+            if not len(side):  # a matvec's matrix
+                need.append(False)
+                continue
+            side = np.asarray(side)
+            by_arg = moves if step.spans is None else np.repeat(moves, np.diff(step.spans, append=len(side)))
+            reached[side[by_arg]] = True
+            need.append(bool((flows[side] & by_arg).any()))
+            if need[k] and step.to[k] is None:
+                elems = step.elems[k]
+                if elems is None:  # a copy's adjoint goes to its sources
+                    elems = prog.source[_runs(prog.base[step.members], dims[step.members])]
+                step.to[k] = _Scatter(prog.own[elems])
+        cut = None
+        if not moves.all():
+            cut = np.flatnonzero(np.repeat(~moves, dims[step.members]))
+            if isinstance(step, _SegmentSum) and step.seg is not None:
+                cut = np.flatnonzero(np.isin(step.seg, cut))  # in products
+        steps.append((step, tuple(need), cut))
+    keys, idx = zip(*returned) if returned else ((), ())
+    starts = prog.offsets[list(idx)]
+    sweep = _Sweep(tuple(steps), tuple(zip(keys, starts.tolist(), (starts + dims[list(idx)]).tolist())))
+    prog.sweeps[key] = sweep
+    return sweep
 
 
 def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
@@ -578,32 +743,27 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     cot = np.asarray(cotangent, dtype=np.float64)
     if cot.ndim == 0:
         cot = cot.reshape(1)
-    vals, rows = _forward_values(graph, bindings, cot.shape[0] if cot.ndim == 2 else None)
+    prog = _compile(graph)
+    vals, rows = _forward_values(prog, bindings, cot.shape[0] if cot.ndim == 2 else None)
     if cot.ndim > 2 or cot.shape[-1] != graph.output_dim:
         raise ShapeMismatch(f"cotangent shape {cot.shape} does not end in output dim {graph.output_dim}")
 
-    prog = _compile(graph, rows=rows is not None)
-    adj: list[Array | None] = [None] * len(graph.nodes)
+    sweep = _sweep(graph, prog, at)
+    seed = slice(prog.offsets[graph.output], prog.offsets[graph.output] + graph.output_dim)
     if rows is None:
-        adj[graph.output] = cot.copy()
+        adj = np.zeros(prog.n_adjoints)
+        adj[seed] = cot
     else:
-        adj[graph.output] = np.broadcast_to(cot.T if cot.ndim == 2 else cot[:, None],
-                                            (graph.output_dim, rows)).copy()
-    leaves = frozenset(at) if at is not None else ()
-    for i, _, bwd, a, b, p in reversed(prog.steps):
-        g = adj[i]
-        if g is not None and i not in leaves:
-            bwd(g, vals, adj, i, a, b, p)
+        adj = np.zeros((prog.n_adjoints, rows))
+        adj[seed] = cot.T if cot.ndim == 2 else cot[:, None]
+    for step, need, cut in sweep.steps:
+        step.backward(vals, adj, adj[step.out], need, cut)
 
     if rows is None:
-        def read(i, dim):
-            return np.zeros(dim) if adj[i] is None else adj[i]
+        parts = {k: adj[start:stop] for k, start, stop in sweep.reads}
     else:
-        def read(i, dim):
-            return np.zeros((rows, dim)) if adj[i] is None else adj[i].T
-    if at is not None:
-        return {i: read(i, graph.dims[i]) for i in at}
-    return Gradient({slot: read(idx, dim) for slot, (idx, dim) in graph.slots.items()})
+        parts = {k: adj[start:stop].T for k, start, stop in sweep.reads}
+    return parts if at is not None else Gradient(parts)
 
 
 def jacobian(graph: ExprGraph, bindings: Mapping[str, Array], slot: str) -> Array:

@@ -307,7 +307,7 @@ class GhgEmploymentLoss:
         x = np.asarray(x, dtype=np.float64)
         delta = self.r * x - self.e_star
         smooth = np.power(delta * delta + self.eps_smooth, 0.5) - np.sqrt(self.eps_smooth)
-        return float(self.c @ x + self.lam * (np.ones_like(smooth) @ smooth))
+        return diffcore.dot_sum(self.c, x) + self.lam * diffcore.dot_sum(np.ones_like(smooth), smooth)
 
     def grad(self, x) -> Array:
         delta = self.r * np.asarray(x, dtype=np.float64) - self.e_star
@@ -323,7 +323,7 @@ class DistanceLoss:
 
     def value(self, x) -> float:
         delta = np.asarray(x, dtype=np.float64) - self.x_ref
-        return float(delta @ delta)
+        return diffcore.dot_sum(delta, delta)
 
     def grad(self, x) -> Array:
         delta = np.asarray(x, dtype=np.float64) - self.x_ref

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diffcore, fixedpoint
 from .diffcore import ExprGraph
-from .errors import SpecValidationError
+from .errors import ShapeMismatch, SpecValidationError
 from .fixedpoint import SolveReport, SolverConfig
 
 Array = np.ndarray
@@ -334,7 +334,13 @@ class DiffeoReport:
 
 def check_local_diffeomorphism(spec: SscmSpec, x, theta, tol: float = 1e-4,
                                u=None, extern=None, policy=None) -> DiffeoReport:
-    """Check that (x, theta) is a fixed point and that I - df/dx is well conditioned."""
+    """Check that (x, theta) is a fixed point and that I - df/dx is well conditioned.
+
+    The report is for one point: x, theta and the other bindings are unbatched,
+    and a batch axis on any of them raises ShapeMismatch.
+    """
+    if _rows(x, theta, u, extern, policy) is not None:
+        raise ShapeMismatch("check_local_diffeomorphism takes one point, not a batch")
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
     x = np.asarray(x, dtype=np.float64)
     res, err = fixedpoint._error(x, f(x))

@@ -6,8 +6,8 @@ from collections import deque
 import numpy as np
 
 from eqcausal import sscm
-from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import SingularLeastSquares
+from eqcausal.diffcore import ExprBuilder, Gradient
+from eqcausal.errors import DomainError, SingularLeastSquares, UnboundSlot
 from eqcausal.fixedpoint import SolveReport, _check_finite, _error
 from eqcausal.sscm import SscmSpec
 
@@ -212,3 +212,156 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver):
     res = optimize._descend(evaluate, w0, adam)
     return optimize.TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped,
                                   res.aborted, len(res.failures))
+
+
+# --- the per-node graph interpreter diffcore's fused program replaced ---
+#
+# One Python step per node, forward and backward, vector and batch. In a batch a
+# value that depends on a batched slot is (n, B) and every other value (n, 1),
+# which broadcasts; every adjoint is (n, B). The fused program must match it to
+# rounding.
+
+def _ref_value(node, x, dims):
+    """A node's value from its arguments' values x."""
+    op, args, p = node
+    if op in ("add", "sub", "mul"):
+        return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](x[0], x[1])
+    if op == "neg":
+        return -x[0]
+    if op == "recip":
+        if np.any(x[0] == 0.0):
+            raise DomainError("reciprocal of zero")
+        return 1.0 / x[0]
+    if op == "pow":
+        if p < 0.0 and np.any(x[0] <= 0.0):
+            raise DomainError(f"pow with negative exponent {p} on non-positive base")
+        if p != int(p) and np.any(x[0] < 0.0):
+            raise DomainError(f"pow with fractional exponent {p} on negative base")
+        return np.power(x[0], p)
+    if op == "exp":
+        return np.exp(x[0])
+    if op == "log":
+        if np.any(x[0] <= 0.0):
+            raise DomainError("log of non-positive value")
+        return np.log(x[0])
+    if op == "relu":
+        return np.maximum(x[0], 0.0)
+    if op == "matvec":
+        return p @ x[0]
+    if op == "dot":
+        return np.sum(x[0] * x[1], axis=0, keepdims=True)
+    if op == "matmul":
+        start, n_out = p
+        block = x[0][start:start + n_out * dims[args[1]]]
+        return (block.reshape(n_out, dims[args[1]], *block.shape[1:]) * x[1]).sum(axis=1)
+    if op == "concat":
+        width = max(part.shape[1:] for part in x)
+        return np.concatenate([np.broadcast_to(part, part.shape[:1] + width) for part in x])
+    if op == "slice":
+        return x[0][p[0]:p[1]]
+    if op == "gather":
+        return x[0].take(list(p), axis=0)
+    if op == "broadcast":
+        return np.repeat(x[0], p, axis=0)
+    raise ValueError(f"unknown op {op!r}")
+
+
+def _ref_pullback(node, g, x, y, dims):
+    """The contributions of a node's adjoint g to its arguments' adjoints, in order."""
+    op, args, p = node
+    if op == "add":
+        return [g, g]
+    if op == "sub":
+        return [g, -g]
+    if op == "mul":
+        return [g * x[1], g * x[0]]
+    if op == "neg":
+        return [-g]
+    if op == "recip":
+        return [-g * y * y]
+    if op == "pow":
+        return [g * p * np.power(x[0], p - 1.0)]
+    if op == "exp":
+        return [g * y]
+    if op == "log":
+        return [g / x[0]]
+    if op == "relu":
+        return [g * (x[0] > 0.0)]
+    if op == "matvec":
+        return [p.T @ g]
+    if op == "dot":
+        return [g * x[1], g * x[0]]
+    if op == "matmul":
+        start, n_out = p
+        n_in = dims[args[1]]
+        block = x[0][start:start + n_out * n_in]
+        full = np.zeros((dims[args[0]],) + g.shape[1:])
+        full[start:start + n_out * n_in] = (g[:, None] * x[1][None]).reshape(n_out * n_in, *g.shape[1:])
+        return [full, (block.reshape(n_out, n_in, *block.shape[1:]) * g[:, None]).sum(axis=0)]
+    if op == "concat":
+        bounds = np.cumsum([0] + [dims[a] for a in args])
+        return [g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    full = np.zeros((dims[args[0]],) + g.shape[1:])
+    if op == "slice":
+        full[p[0]:p[1]] = g
+    elif op == "gather":
+        np.add.at(full, list(p), g)
+    else:  # broadcast
+        full[0] = g.sum(axis=0)
+    return [full]
+
+
+def _ref_values(graph, bindings, rows):
+    batch = rows is not None or any(np.ndim(bindings.get(slot)) == 2 for slot in graph.slots)
+    vals = []
+    for node in graph.nodes:
+        if node.op == "input":
+            slot, dim = node.payload
+            if slot not in bindings:
+                raise UnboundSlot(f"slot {slot!r} not bound")
+            v = np.asarray(bindings[slot], dtype=np.float64)
+            if v.ndim == 2 and rows is None:
+                rows = v.shape[0]
+            vals.append(v.T if v.ndim == 2 else v[:, None] if batch else v)
+        elif node.op == "const":
+            vals.append(node.payload[:, None] if batch else node.payload)
+        else:
+            vals.append(_ref_value(node, [vals[a] for a in node.args], graph.dims))
+    return vals, rows if batch else None
+
+
+def reference_forward_eval(graph, bindings, rows=None):
+    """diffcore.forward_eval as one Python step per node."""
+    vals, rows = _ref_values(graph, bindings, rows)
+    out = vals[graph.output]
+    return out.copy() if rows is None else np.broadcast_to(out, (out.shape[0], rows)).T.copy()
+
+
+def reference_reverse_vjp(graph, bindings, cotangent, at=None):
+    """diffcore.reverse_vjp as one Python step per node, backwards: a node with no
+    adjoint, or one of the `at` leaves, passes nothing on."""
+    cot = np.asarray(cotangent, dtype=np.float64)
+    vals, rows = _ref_values(graph, bindings, cot.shape[0] if cot.ndim == 2 else None)
+    adj = [None] * len(graph.nodes)
+    if rows is None:
+        adj[graph.output] = cot.copy()
+    else:
+        adj[graph.output] = np.broadcast_to(cot.T if cot.ndim == 2 else cot[:, None],
+                                            (graph.output_dim, rows)).copy()
+    leaves = set(at or ())
+    for i in reversed(range(len(graph.nodes))):
+        node = graph.nodes[i]
+        if node.op in ("input", "const") or adj[i] is None or i in leaves:
+            continue
+        x = [vals[a] for a in node.args]
+        for a, part in zip(node.args, _ref_pullback(node, adj[i], x, vals[i], graph.dims)):
+            adj[a] = part + 0.0 if adj[a] is None else adj[a] + part
+
+    def read(i):
+        dim = graph.dims[i]
+        if adj[i] is None:
+            return np.zeros(dim if rows is None else (rows, dim))
+        return adj[i] if rows is None else np.broadcast_to(adj[i], (dim, rows)).T
+    if at is not None:
+        return {i: read(i) for i in at}
+    return Gradient({slot: read(idx) for slot, (idx, _) in graph.slots.items()})

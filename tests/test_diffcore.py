@@ -7,6 +7,8 @@ from eqcausal import diffcore
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, inline, jacobian, reverse_vjp
 from eqcausal.errors import DomainError, ShapeMismatch, UnboundSlot
 
+from ._models import reference_forward_eval, reference_reverse_vjp
+
 
 def square_graph():
     b = ExprBuilder()
@@ -317,7 +319,10 @@ def test_compiled_step_list_is_cached_on_the_graph():
     assert g._program is None
     forward_eval(g, {"x": [1.0, 2.0]})
     prog = g._program
+    assert len(prog.steps) == 2  # the matvec, then the add
     reverse_vjp(g, {"x": [1.0, 2.0]}, [1.0, 0.0])
+    forward_eval(g, {"x": [[1.0, 2.0], [3.0, 4.0]]})  # a batch runs the same program
+    reverse_vjp(g, {"x": [1.0, 2.0]}, [1.0, 0.0], at=[0])
     assert g._program is prog
 
 
@@ -330,3 +335,184 @@ def test_vjp_at_nodes_treats_them_as_leaves():
     at_h = reverse_vjp(g, bindings, [1.0], at=[h.idx, x.idx])
     np.testing.assert_allclose(at_h[h.idx], 2.0 * np.exp(bindings["x"]))
     np.testing.assert_array_equal(at_h[x.idx], [0.0, 0.0])  # nothing propagates below h
+
+
+def test_nodes_that_pass_no_adjoint_on_add_nothing_to_the_gradient():
+    # exp(x) and its derivative overflow at x = 800: a wide step that ran the VJP of
+    # a node the output does not reach, with its zero adjoint, would add 0 * inf = nan,
+    # and one that ran the VJP of a leaf would add inf
+    b = ExprBuilder()
+    x = b.input("x", 1)
+    b.exp(b.exp(x))  # read by nothing
+    dead = b.build(x * x)
+    b = ExprBuilder()
+    x = b.input("x", 1)
+    h = b.exp(x)
+    leaf = b.build(b.concat(x * x, h))
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(reverse_vjp(dead, {"x": [800.0]}, [1.0])["x"], [1600.0])
+        at_h = reverse_vjp(leaf, {"x": [800.0]}, [1.0, 1.0], at=[h.idx, x.idx])
+    np.testing.assert_array_equal(at_h[x.idx], [1600.0])
+    np.testing.assert_array_equal(at_h[h.idx], [1.0])
+
+
+# --- the fused program against the per-node interpreter ---
+
+@st.composite
+def random_graphs(draw):
+    """A random graph over slots "x", "y" and a weight slot "w", with every op kind,
+    dots of mixed lengths, gathers with repeated indices, mixed-width concats and
+    matmul blocks. Domain-limited ops only see values known to be positive."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = ExprBuilder()
+    dims = {"x": int(rng.integers(1, 5)), "y": int(rng.integers(1, 5)), "w": 24}
+    refs = [(b.input("x", dims["x"]), True), (b.input("y", dims["y"]), True)]
+    w = b.input("w", dims["w"])
+
+    def pick(positive=False, dim=None):
+        """A (node, known to be positive) pair from those made so far, or a fresh const."""
+        pool = [(r, p) for r, p in refs if (p or not positive) and (dim is None or r.dim == dim)]
+        if not pool:
+            size = dim if dim is not None else int(rng.integers(1, 5))
+            return b.const(rng.uniform(0.5, 1.5, size=size)), True
+        return pool[int(rng.integers(len(pool)))]
+
+    for _ in range(int(rng.integers(4, 16))):
+        op = rng.choice(["add", "sub", "mul", "recip", "neg", "matvec", "matmul", "dot", "pow", "exp",
+                         "log", "relu", "concat", "slice", "gather", "broadcast"])
+        if op in ("add", "sub", "mul"):
+            a, pa = pick()
+            c, pc = pick(dim=a.dim)
+            refs.append((getattr(b, op)(a, c), op != "sub" and pa and pc))
+        elif op in ("recip", "log"):
+            a, _ = pick(positive=True)
+            refs.append((getattr(b, op)(a), op == "recip"))
+        elif op == "pow":
+            c = float(rng.choice([2.0, 3.0, 0.5, -1.5, 1.0 / 3.0]))
+            a, pa = pick(positive=c != int(c) or c < 0)
+            refs.append((b.powc(a, c), pa))
+        elif op == "exp":
+            a, _ = pick()
+            refs.append((b.exp(b.mul(a, b.const(np.full(a.dim, 0.2)))), True))
+        elif op in ("neg", "relu"):
+            a, _ = pick()
+            refs.append((getattr(b, op)(a), False))
+        elif op == "matvec":
+            a, _ = pick()
+            refs.append((b.matvec(rng.normal(size=(int(rng.integers(1, 4)), a.dim)), a), False))
+        elif op == "matmul":
+            x, _ = pick()
+            n_out = int(rng.integers(1, 4))
+            if n_out * x.dim <= dims["w"]:
+                offset = int(rng.integers(0, dims["w"] - n_out * x.dim + 1))
+                refs.append((b.matmul(w, x, n_out, offset), False))
+        elif op == "dot":
+            a, pa = pick()
+            c, pc = pick(dim=a.dim)
+            refs.append((b.dot(a, c), pa and pc and a.dim > 0))
+        elif op == "concat":
+            parts = [pick() for _ in range(int(rng.integers(1, 4)))]
+            refs.append((b.concat(*[r for r, _ in parts]), all(p for _, p in parts)))
+        elif op == "slice":
+            a, pa = pick()
+            start = int(rng.integers(0, a.dim + 1))
+            refs.append((b.slice(a, start, int(rng.integers(start, a.dim + 1))), pa))
+        elif op == "gather":
+            a, pa = pick()
+            if a.dim:
+                refs.append((b.gather(a, rng.integers(0, a.dim, size=int(rng.integers(1, 6)))), pa))
+        else:
+            a, pa = pick()
+            if a.dim:
+                refs.append((b.broadcast(b.slice(a, 0, 1), int(rng.integers(1, 4))), pa))
+    tail = [r for r, _ in refs[2:]][-int(rng.integers(1, 5)):] or [refs[0][0]]
+    graph = b.build(tail[0] if len(tail) == 1 else b.concat(*tail))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    bindings = {}
+    for slot, dim in dims.items():
+        batched = rows is not None and rng.random() < 0.5
+        bindings[slot] = rng.uniform(0.5, 1.5, size=(rows, dim) if batched else dim)
+    at = sorted(rng.choice(len(graph.nodes), size=int(rng.integers(1, 5)), replace=False).tolist())
+    return graph, bindings, rows, at, rng
+
+
+def assert_close(got, want):
+    """Equal to 1e-12 of the array's largest finite magnitude, with infs and NaNs in the same places."""
+    want = np.asarray(want)
+    scale = max(1.0, np.max(np.abs(want[np.isfinite(want)]), initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=random_graphs())
+def test_fused_program_matches_the_per_node_interpreter(case):
+    graph, bindings, rows, at, rng = case
+    assert_close(forward_eval(graph, bindings, rows), reference_forward_eval(graph, bindings, rows))
+    cot = rng.normal(size=graph.output_dim if rows is None else (rows, graph.output_dim))
+    got, want = reverse_vjp(graph, bindings, cot), reference_reverse_vjp(graph, bindings, cot)
+    for slot in want.parts:
+        assert_close(got[slot], want[slot])
+    got, want = reverse_vjp(graph, bindings, cot, at=at), reference_reverse_vjp(graph, bindings, cot, at=at)
+    assert list(got) == list(want)
+    for i in want:
+        assert_close(got[i], want[i])
+
+
+# --- errors raised inside a wide step ---
+
+def _hundred_wide(op):
+    """One op on each of 100 scalar slices of x: one wide step of 100 members."""
+    b = ExprBuilder()
+    x = b.input("x", 100)
+    g = b.build(b.concat(*[op(b, b.slice(x, k, k + 1)) for k in range(100)]))
+    forward_eval(g, {"x": np.ones(100)})
+    assert len(g._program.runs) == 1
+    return g
+
+
+@pytest.mark.parametrize("op,bad,message", [
+    (lambda b, s: b.recip(s), 0.0, "reciprocal of zero"),
+    (lambda b, s: b.log(s), 0.0, "log of non-positive value"),
+    (lambda b, s: b.log(s), -1.0, "log of non-positive value"),
+    (lambda b, s: b.powc(s, 0.5), -2.0, "pow with fractional exponent 0.5 on negative base"),
+    (lambda b, s: b.powc(s, -2.0), 0.0, "pow with negative exponent -2.0 on non-positive base"),
+])
+def test_one_bad_member_of_a_wide_step_raises_domain_error(op, bad, message):
+    g = _hundred_wide(op)
+    x = np.full(100, 2.0)
+    x[57] = bad
+    with pytest.raises(DomainError, match=message):
+        forward_eval(g, {"x": x})
+    with pytest.raises(DomainError, match=message):
+        reverse_vjp(g, {"x": x}, np.ones(100))
+    batch = np.full((4, 100), 2.0)
+    batch[2, 57] = bad
+    with pytest.raises(DomainError, match=message):
+        forward_eval(g, {"x": batch})
+    with pytest.raises(DomainError, match=message):
+        reverse_vjp(g, {"x": batch}, np.ones(100))
+
+
+def test_binding_error_messages_are_unchanged():
+    b = ExprBuilder()
+    x = b.input("x", 1)
+    y = b.input("y", 2)
+    g = b.build(b.dot(y, y) * x)
+    cases = [
+        ({}, None, UnboundSlot, "slot 'x' not bound"),
+        ({"x": [1.0, 2.0], "y": [1.0, 1.0]}, None, ShapeMismatch, "slot 'x' expects dim 1, got shape (2,)"),
+        ({"x": np.ones((3, 1)), "y": np.ones((4, 2))}, None, ShapeMismatch,
+         "slot 'y' expects dim 2 in 3 rows, got shape (4, 2)"),
+        ({"x": np.ones((0, 1)), "y": [1.0, 1.0]}, None, ShapeMismatch, "a batch needs at least one row"),
+        ({"x": [1.0], "y": [1.0, 1.0]}, [1.0, 2.0, 3.0], ShapeMismatch,
+         "cotangent shape (3,) does not end in output dim 1"),
+        ({"x": np.ones((2, 1)), "y": [1.0, 1.0]}, np.ones((3, 1)), ShapeMismatch,
+         "slot 'x' expects dim 1 in 3 rows, got shape (2, 1)"),
+    ]
+    for bindings, cot, error, message in cases:
+        with pytest.raises(error) as info:
+            if cot is None:
+                forward_eval(g, bindings)
+            else:
+                reverse_vjp(g, bindings, cot)
+        assert str(info.value) == message

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcausal import diffcore, modelzoo, optimize, sscm
+from eqcausal import diffcore, interventions, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder
+from eqcausal.errors import ShapeMismatch
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import LieElement, build_invariant_model
 from eqcausal.sscm import (SscmSpec, assemble_map, check_local_diffeomorphism, node_gradients,
@@ -135,6 +136,16 @@ def test_diffeo_condition_number_is_the_1_norm_one(name):
     lhs = np.eye(spec.d) - sscm.node_jacobians(spec, x, spec.theta_ref).x
     assert rep.condition_number == pytest.approx(np.linalg.cond(lhs, 1), rel=1e-12)
     assert rep.jacobian_invertible
+
+
+@pytest.mark.parametrize("batched", ["x", "theta"])
+def test_diffeo_check_refuses_a_batch(batched):
+    spec = motivating_spec()
+    x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10)).x_star
+    point = {"x": x, "theta": THETA_REF}
+    point[batched] = np.stack([point[batched]] * 3)
+    with pytest.raises(ShapeMismatch, match="one point, not a batch"):
+        check_local_diffeomorphism(spec, point["x"], point["theta"])
 
 
 def test_diffeo_check_singular_jacobian_gives_infinite_condition(monkeypatch):
@@ -372,6 +383,15 @@ def test_stacked_program_is_compiled_once_and_lazily():
     node_gradients(spec, np.ones(3), THETA_REF)
     assert spec._stacked is prog
     assert spec.with_u(spec.u_ref)._stacked is None
+
+
+def test_stacked_programs_compile_to_few_wide_steps():
+    # one step per (op, level) group instead of one per node: 901 and 58 nodes
+    # of these two graphs are computed or copied
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    wired = interventions.apply(spec, LieElement("multiplicative", tuple(range(100)), np.ones(100)))
+    assert len(diffcore._compile(sscm._stacked(wired).graph).steps) <= 9
+    assert len(diffcore._compile(sscm._stacked(REBOUND_TWIN.deployed).graph).steps) <= 25
 
 
 def test_stacked_program_holds_no_reference_to_its_spec():
