@@ -1,16 +1,18 @@
-"""Per-layer timings: one structural-map call, one node_gradients call, one Anderson step,
-the first-use cost of a fresh d = 100 spec, and B map calls, equilibrium solves and
-implicit VJPs of the rerouted rebound twin.
+"""Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
+one Anderson step, the first-use cost of a fresh d = 100 spec, and B map calls,
+equilibrium solves and implicit VJPs of the rerouted rebound twin.
 
-    python scripts/layer_bench.py --label change --out BENCH_9.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_9.json
+    python scripts/layer_bench.py --label change --out BENCH_10.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_10.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
-model the invariant pipeline trains). The Anderson step runs the default
-solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver) on the
-model's linearisation x -> J x + (x* - J x*), so it times the solver and not
-the map.
+model the invariant pipeline trains). `linearization_s` is one
+sscm.Linearization: the dense partials of the map and the inverse of
+I - df/dx, as deq's implicit gradients take them. The Anderson step runs the
+default solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver)
+on the model's linearisation x -> J x + (x* - J x*), so it times the solver
+and not the map.
 
 `compile_s` is the one-off cost of a spec's first use: `interventions.apply`
 a multiplicative intervention on all sectors of `leontief-synthetic-100`, then
@@ -104,7 +106,7 @@ def measure() -> dict:
     for name, spec, x, kwargs in _models():
         theta = spec.theta_ref
         f = sscm.assemble_map(spec, theta, **kwargs)
-        jac = sscm.node_jacobians(spec, x, theta, **kwargs).x
+        jac = sscm.Linearization(spec, x, theta, **kwargs).jac.x
         shift = x - jac @ x
         linear = lambda z, jac=jac, shift=shift: jac @ z + shift  # noqa: E731
         steps = _solver(tol=1e-300, max_iter=40)
@@ -115,6 +117,8 @@ def measure() -> dict:
             "map_call_s": _median_call_s(lambda: f(x), batch),
             "node_gradients_s": _median_call_s(
                 lambda: sscm.node_gradients(spec, x, theta, **kwargs), max(2, batch // 10)),
+            "linearization_s": _median_call_s(
+                lambda: sscm.Linearization(spec, x, theta, **kwargs), max(2, batch // 10)),
             "anderson_step_s": _median_call_s(
                 lambda: fixedpoint.anderson_solve(linear, np.zeros(spec.d), steps), 5) / iters,
             "anderson_iterations": iters,
@@ -244,6 +248,7 @@ def main() -> int:
     for name, row in record["layers"].items():
         print(f"{name:24s} map {row['map_call_s'] * 1e6:9.1f} us   "
               f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
+              f"linearization {row['linearization_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
     print(f"{'compile_s':24s} {record['compile_s'] * 1e3:9.2f} ms")
     for name, row in record["batched_layers"].items():

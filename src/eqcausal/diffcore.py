@@ -642,23 +642,10 @@ def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | No
     return out.copy() if rows is None else out.T.copy()
 
 
-@dataclass
-class Gradient:
-    """Per-input-slot partial derivatives, each shaped like its slot."""
-
-    parts: dict
-
-    def __getitem__(self, slot: str) -> Array:
-        return self.parts[slot]
-
-    def get(self, slot: str, default=None):
-        return self.parts.get(slot, default)
-
-
 @dataclass(frozen=True)
 class _Sweep:
     steps: tuple  # (step, operand sides to scatter into, contribution rows to cut or None)
-    reads: tuple  # (key, start, stop) of every adjoint returned
+    reads: object  # per slot (slot, start, stop); with `at`, the at nodes' adjoint positions end to end
 
 
 def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
@@ -673,14 +660,11 @@ def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
     if sweep is not None:
         return sweep
     n = len(graph.nodes)
-    if key is None:
-        returned = [(slot, idx) for slot, (idx, _) in graph.slots.items()]
-    else:
-        returned = [(i, i) for i in key]
+    targets = [idx for idx, _ in graph.slots.values()] if key is None else list(key)
     leaf = np.zeros(n, dtype=bool)
     leaf[list(key or ())] = True
     flows = np.zeros(n, dtype=bool)  # a target, or a node whose adjoint flows on to one
-    flows[[i for _, i in returned]] = True
+    flows[targets] = True
     for step in prog.steps:
         if step.sides is None:
             args = [graph.nodes[i].args for i in step.members.tolist()]
@@ -720,25 +704,29 @@ def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
             if isinstance(step, _SegmentSum) and step.seg is not None:
                 cut = np.flatnonzero(np.isin(step.seg, cut))  # in products
         steps.append((step, tuple(need), cut))
-    keys, idx = zip(*returned) if returned else ((), ())
-    starts = prog.offsets[list(idx)]
-    sweep = _Sweep(tuple(steps), tuple(zip(keys, starts.tolist(), (starts + dims[list(idx)]).tolist())))
+    starts = prog.offsets[targets]
+    if key is None:
+        reads = tuple(zip(graph.slots, starts.tolist(), (starts + dims[targets]).tolist()))
+    else:
+        reads = _index(_runs(starts, dims[targets]))
+    sweep = _Sweep(tuple(steps), reads)
     prog.sweeps[key] = sweep
     return sweep
 
 
 def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
-                at: Sequence[int] | None = None) -> Gradient | dict[int, Array]:
-    """Vector-Jacobian product v^T J for each input slot of the graph.
+                at: Sequence[int] | None = None) -> dict[str, Array] | Array:
+    """Vector-Jacobian product v^T J for each input slot of the graph, as a dict
+    slot -> partial, each shaped like its slot.
 
     With `at`, a sequence of node indices, the sweep treats those nodes as
-    leaves (it propagates nothing below them) and returns a plain dict of the
-    adjoints at those nodes, keyed by node index. The relu derivative at
-    exactly 0 is taken to be 0.
+    leaves (it propagates nothing below them) and returns their adjoints end to
+    end as one array of K entries, K the sum of their dims, in the order of
+    `at`. The relu derivative at exactly 0 is taken to be 0.
 
     A batch (a slot bound with a batch axis, or a (B, output_dim) cotangent)
-    gives every adjoint per row, shaped (B, dim); a vector cotangent then
-    seeds every row.
+    gives every adjoint per row: (B, dim) per slot, or (B, K) with `at`; a
+    vector cotangent then seeds every row.
     """
     cot = np.asarray(cotangent, dtype=np.float64)
     if cot.ndim == 0:
@@ -759,11 +747,11 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     for step, need, cut in sweep.steps:
         step.backward(vals, adj, adj[step.out], need, cut)
 
+    if at is not None:
+        return _take(adj, sweep.reads) if rows is None else _take(adj, sweep.reads).T
     if rows is None:
-        parts = {k: adj[start:stop] for k, start, stop in sweep.reads}
-    else:
-        parts = {k: adj[start:stop].T for k, start, stop in sweep.reads}
-    return parts if at is not None else Gradient(parts)
+        return {slot: adj[start:stop] for slot, start, stop in sweep.reads}
+    return {slot: adj[start:stop].T for slot, start, stop in sweep.reads}
 
 
 def jacobian(graph: ExprGraph, bindings: Mapping[str, Array], slot: str) -> Array:

@@ -51,12 +51,13 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """One solve's result. For a batch, x is (B, d), the norms are per row, iterations is
-    the loop count (the most any row took) and converged holds when every row did."""
+    """One solve's result. For a batch, x is (B, d), residual_norm and relative_error are
+    (B,) arrays, one per row, iterations is the loop count (the most any row took) and
+    converged holds when every row did."""
 
     x: Array
-    residual_norm: float
-    relative_error: float
+    residual_norm: float | Array
+    relative_error: float | Array
     iterations: int
     converged: bool
     row_iterations: Array | None = None  # per row of a batch

@@ -15,14 +15,15 @@ check and the implicit gradients of deq both read it.
 Batches: binding x, theta, u, extern or policy with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
 every row. assemble_map then maps (B, d) to (B, d), solve_equilibrium solves
-the B equilibria in lockstep, node_gradients gives (B, k) partials and
-node_jacobians and Linearization (B, ...) stacks.
+the B equilibria in lockstep, and node_gradients and Linearization give
+(B, ...) stacks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -179,30 +180,51 @@ class _Stacked:
     """
 
     graph: ExprGraph  # output: (f_1, ..., f_d)
-    entries: tuple  # per node: (slot, entry node index), in the node graph's slot order
-    leaves: tuple[int, ...]  # every entry node index
+    leaves: tuple[int, ...]  # the entry nodes whose partials NodeJacobians keeps, field by field
+    cells: tuple  # per field: (field, columns, the flat cells its leaves' adjoint entries fill)
     first_reader: dict  # shared slot -> first node that reads it
+
+
+#: the NodeJacobians field each slot's partials fill; extern partials are not kept
+_FIELDS = {"parents": "x", "theta": "theta", "u": "u", "policy": "policy"}
 
 
 def _stacked(spec: SscmSpec) -> _Stacked:
     prog = spec._stacked
     if prog is None:
         b = diffcore.ExprBuilder()
-        outs, entries, first_reader = [], [], {}
+        width = {"x": spec.d, "theta": spec.theta_dim, "u": spec.u_dim}
+        if spec.policy_dim:
+            width["policy"] = spec.policy_dim
+        # per field: the entry nodes, and the row and the columns of each
+        leaves, rows, cols = ({name: [] for name in width} for _ in range(3))
+        outs, first_reader = [], {}
         for j, graph in enumerate(spec.assignments):
             slot_map = {}
             for slot, (_, dim) in graph.slots.items():
                 if slot == "parents":
                     slot_map[slot] = b.gather(b.input("x", spec.d), spec.parents[j])
+                    at = spec.parents[j]
                 elif slot == "theta":
                     slot_map[slot] = b.slice(b.input("theta", spec.theta_dim), *spec.theta_slices[j])
+                    at = range(*spec.theta_slices[j])
                 else:
                     first_reader.setdefault(slot, j)
                     slot_map[slot] = b.slice(b.input(slot, dim), 0, dim)
+                    at = range(dim)
+                name = _FIELDS.get(slot)
+                if name in width:
+                    leaves[name].append(slot_map[slot].idx)
+                    rows[name].append(j)
+                    cols[name].append(at)
             outs.append(diffcore.inline(b, graph, slot_map))
-            entries.append(tuple((slot, ref.idx) for slot, ref in slot_map.items()))
-        prog = _Stacked(b.build(b.concat(*outs)), tuple(entries),
-                        tuple(idx for node in entries for _, idx in node), first_reader)
+        cells = []
+        for name, w in width.items():
+            lengths = np.array([len(at) for at in cols[name]], dtype=np.intp)
+            flat = np.fromiter(chain.from_iterable(cols[name]), np.intp, int(lengths.sum()))
+            cells.append((name, w, np.repeat(np.array(rows[name], dtype=np.intp) * w, lengths) + flat))
+        prog = _Stacked(b.build(b.concat(*outs)), tuple(i for name in width for i in leaves[name]),
+                        tuple(cells), first_reader)
         object.__setattr__(spec, "_stacked", prog)
     return prog
 
@@ -252,22 +274,6 @@ def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=N
     return EquilibriumSolution(report.x, report, np.asarray(theta, dtype=np.float64).copy())
 
 
-def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> list[diffcore.Gradient]:
-    """Per-node VJPs of the scalar assignments: grad f_j for every slot of node j.
-
-    One reverse sweep of the stacked graph, seeded with 1 at every node output,
-    read at each node's entry nodes; for a batch, each partial is (B, k).
-    """
-    _require_valid(spec)
-    prog = _stacked(spec)
-    bindings = _bindings(spec, prog, theta, u, extern, policy)
-    bindings["x"] = x
-    rows = _rows(x, theta, u, extern, policy)
-    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d if rows is None else (rows, spec.d)),
-                               at=prog.leaves)
-    return [diffcore.Gradient({slot: adj[idx] for slot, idx in node}) for node in prog.entries]
-
-
 @dataclass
 class NodeJacobians:
     """Dense partials of the stacked map f at one point; row j belongs to node j.
@@ -276,33 +282,31 @@ class NodeJacobians:
     x: Array  # (d, d)
     theta: Array  # (d, theta_dim)
     u: Array  # (d, u_dim)
-    policy: Array | None  # (d, policy_dim), None without policy weights
+    policy: Array | None = None  # (d, policy_dim), None without policy weights
 
 
-def node_jacobians(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
-    """df/d(x, theta, u, policy) at (x, theta), scattered from one node_gradients call."""
-    grads = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
-    d = spec.d
+def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
+    """df/d(x, theta, u, policy) at (x, theta), (B, d, ...) stacks for a batch.
+
+    One reverse sweep of the stacked graph, seeded with 1 at every node output and
+    stopped at the entry nodes; their adjoints fill each dense matrix with one
+    assignment through the cells the stacked program holds.
+    """
+    _require_valid(spec)
+    prog = _stacked(spec)
+    bindings = _bindings(spec, prog, theta, u, extern, policy)
+    bindings["x"] = x
     rows = _rows(x, theta, u, extern, policy)
-    lead = () if rows is None else (rows,)
-    jac = NodeJacobians(np.zeros(lead + (d, d)), np.zeros(lead + (d, spec.theta_dim)),
-                        np.zeros(lead + (d, spec.u_dim)),
-                        np.zeros(lead + (d, spec.policy_dim)) if spec.policy_dim else None)
-    for j, g in enumerate(grads):
-        part = g.get("parents")
-        if part is not None and spec.parents[j]:
-            jac.x[..., j, list(spec.parents[j])] = part
-        part = g.get("theta")
-        if part is not None:
-            start, stop = spec.theta_slices[j]
-            jac.theta[..., j, start:stop] = part
-        part = g.get("u")
-        if part is not None:
-            jac.u[..., j, :] = part
-        part = g.get("policy")
-        if part is not None and jac.policy is not None:
-            jac.policy[..., j, :] = part
-    return jac
+    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d if rows is None else (rows, spec.d)),
+                               at=prog.leaves)
+    lead = adj.shape[:-1]
+    dense, start = {}, 0
+    for name, width, cells in prog.cells:
+        flat = np.zeros(lead + (spec.d * width,))
+        flat[..., cells] = adj[..., start:start + len(cells)]
+        dense[name] = flat.reshape(lead + (spec.d, width))
+        start += len(cells)
+    return NodeJacobians(**dense)
 
 
 class Linearization:
@@ -314,7 +318,7 @@ class Linearization:
     """
 
     def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
-        self.jac = node_jacobians(spec, x, theta, u=u, extern=extern, policy=policy)
+        self.jac = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
         lhs = np.eye(spec.d) - self.jac.x
         try:
             self.inv = np.linalg.inv(lhs)

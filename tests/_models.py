@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 
 from eqcausal import sscm
-from eqcausal.diffcore import ExprBuilder, Gradient
+from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import DomainError, SingularLeastSquares, UnboundSlot
 from eqcausal.fixedpoint import SolveReport, _check_finite, _error
 from eqcausal.sscm import SscmSpec
@@ -78,10 +78,10 @@ def random_leontief(rng, d, density=0.3):
 
 
 def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
-    """Replace df/dx in sscm.node_jacobians by j_x, or by the identity (so that
+    """Replace df/dx in sscm.node_gradients by j_x, or by the identity (so that
     I - df/dx = 0) when j_x is None, in every row of a batch; only on the given
     0-based calls if on_calls is set. The other partials are kept."""
-    original = sscm.node_jacobians
+    original = sscm.node_gradients
     count = []
 
     def injected(*args, **kwargs):
@@ -92,7 +92,7 @@ def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
         count.append(1)
         return jac
 
-    monkeypatch.setattr(sscm, "node_jacobians", injected)
+    monkeypatch.setattr(sscm, "node_gradients", injected)
 
 
 def reference_anderson_solve(f, x0, cfg):
@@ -363,5 +363,5 @@ def reference_reverse_vjp(graph, bindings, cotangent, at=None):
             return np.zeros(dim if rows is None else (rows, dim))
         return adj[i] if rows is None else np.broadcast_to(adj[i], (dim, rows)).T
     if at is not None:
-        return {i: read(i) for i in at}
-    return Gradient({slot: read(idx) for slot, (idx, _) in graph.slots.items()})
+        return np.concatenate([read(i) for i in at], axis=-1)
+    return {slot: read(idx) for slot, (idx, _) in graph.slots.items()}

@@ -14,7 +14,7 @@ from eqcausal.sscm import EquilibriumSolution, assemble_map, node_gradients, sol
 
 from ._models import reference_train_invariant_policy
 from .test_optimize import scalar_policy_twin
-from .test_sscm import REBOUND_TWIN, REBOUND_W0, _random_spec
+from .test_sscm import REBOUND_TWIN, REBOUND_W0, _random_spec, node_columns
 
 TOL = 1e-12
 
@@ -58,12 +58,18 @@ def _check_map_and_gradients(spec, x, theta, kwargs, rng):
         rest = {k: v for k, v in b.items() if k not in ("x", "theta")}
         return assemble_map(spec, b["theta"], **rest)(b["x"]), node_gradients(spec, b["x"], b["theta"], **rest)
 
-    fx, grads = call(stacked)
+    fx, jac = call(stacked)
     singles = [call(b) for b in per_row]
     assert_rows_close(fx, [f for f, _ in singles])
     for j in range(spec.d):
-        for slot, part in grads[j].parts.items():
-            assert_rows_close(part, [g[j][slot] for _, g in singles])
+        for name, cols in node_columns(spec, j).items():
+            dense = getattr(jac, name)
+            if dense is None:
+                continue
+            assert dense[:, j].tobytes() == np.stack([getattr(g, name)[j] for _, g in singles]).tobytes()
+            outside = np.ones(dense.shape[-1], dtype=bool)
+            outside[cols] = False
+            assert not dense[:, j, outside].any()
 
 
 @settings(max_examples=60, deadline=None)

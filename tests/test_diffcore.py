@@ -332,9 +332,10 @@ def test_vjp_at_nodes_treats_them_as_leaves():
     h = b.exp(x)
     g = b.build(b.dot(h, h))
     bindings = {"x": np.array([0.2, -0.4])}
-    at_h = reverse_vjp(g, bindings, [1.0], at=[h.idx, x.idx])
-    np.testing.assert_allclose(at_h[h.idx], 2.0 * np.exp(bindings["x"]))
-    np.testing.assert_array_equal(at_h[x.idx], [0.0, 0.0])  # nothing propagates below h
+    at_h = reverse_vjp(g, bindings, [1.0], at=[h.idx, x.idx])  # h's adjoint, then x's
+    assert at_h.shape == (4,)
+    np.testing.assert_allclose(at_h[:2], 2.0 * np.exp(bindings["x"]))
+    np.testing.assert_array_equal(at_h[2:], [0.0, 0.0])  # nothing propagates below h
 
 
 def test_nodes_that_pass_no_adjoint_on_add_nothing_to_the_gradient():
@@ -352,8 +353,7 @@ def test_nodes_that_pass_no_adjoint_on_add_nothing_to_the_gradient():
     with np.errstate(over="ignore"):
         np.testing.assert_array_equal(reverse_vjp(dead, {"x": [800.0]}, [1.0])["x"], [1600.0])
         at_h = reverse_vjp(leaf, {"x": [800.0]}, [1.0, 1.0], at=[h.idx, x.idx])
-    np.testing.assert_array_equal(at_h[x.idx], [1600.0])
-    np.testing.assert_array_equal(at_h[h.idx], [1.0])
+    np.testing.assert_array_equal(at_h, [1.0, 1600.0])  # h's adjoint, then x's
 
 
 # --- the fused program against the per-node interpreter ---
@@ -450,12 +450,12 @@ def test_fused_program_matches_the_per_node_interpreter(case):
     assert_close(forward_eval(graph, bindings, rows), reference_forward_eval(graph, bindings, rows))
     cot = rng.normal(size=graph.output_dim if rows is None else (rows, graph.output_dim))
     got, want = reverse_vjp(graph, bindings, cot), reference_reverse_vjp(graph, bindings, cot)
-    for slot in want.parts:
+    assert list(got) == list(want)
+    for slot in want:
         assert_close(got[slot], want[slot])
     got, want = reverse_vjp(graph, bindings, cot, at=at), reference_reverse_vjp(graph, bindings, cot, at=at)
-    assert list(got) == list(want)
-    for i in want:
-        assert_close(got[i], want[i])
+    assert got.shape == want.shape
+    assert_close(got, want)
 
 
 # --- errors raised inside a wide step ---

@@ -209,7 +209,7 @@ def test_invariance_report_matches_the_separate_checks(free, j):
     sol = solve_equilibrium(spec, theta, cfg)
     diffeo = sscm.check_local_diffeomorphism(spec, sol.x_star, theta, tol=cfg.tol)
     keep = [n for n in range(spec.d) if n != j]
-    reduced = (np.eye(spec.d) - sscm.node_jacobians(spec, sol.x_star, theta).x)[np.ix_(keep, keep)]
+    reduced = (np.eye(spec.d) - sscm.node_gradients(spec, sol.x_star, theta).x)[np.ix_(keep, keep)]
     pa_rows = deq.jacobian_wrt_theta(spec, sol)[list(spec.parents[2]), :]
     sigma = np.linalg.svd(pa_rows, compute_uv=False)
     assert rep.diffeomorphic_at_reference == (diffeo.is_solution and diffeo.jacobian_invertible)

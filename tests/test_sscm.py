@@ -133,7 +133,7 @@ def test_diffeo_condition_number_is_the_1_norm_one(name):
             "rebound": lambda: modelzoo.rebound_3sector().spec}[name]()
     x = solve_equilibrium(spec, spec.theta_ref, SolverConfig(tol=1e-10)).x_star
     rep = check_local_diffeomorphism(spec, x, spec.theta_ref)
-    lhs = np.eye(spec.d) - sscm.node_jacobians(spec, x, spec.theta_ref).x
+    lhs = np.eye(spec.d) - sscm.node_gradients(spec, x, spec.theta_ref).x
     assert rep.condition_number == pytest.approx(np.linalg.cond(lhs, 1), rel=1e-12)
     assert rep.jacobian_invertible
 
@@ -165,15 +165,8 @@ def test_solvability_and_continuity_near_reference():
     rep = check_local_diffeomorphism(spec, x_ref, THETA_REF)
     assert rep.jacobian_invertible
 
-    jac_x = sscm.node_jacobians(spec, x_ref, THETA_REF).x
-    grads = sscm.node_gradients(spec, x_ref, THETA_REF)
-    jac_theta = np.zeros((spec.d, spec.theta_dim))
-    for j, g in enumerate(grads):
-        part = g.get("theta")
-        if part is not None:
-            start, stop = spec.theta_slices[j]
-            jac_theta[j, start:stop] = part
-    slope_bound = np.linalg.norm(np.linalg.solve(np.eye(spec.d) - jac_x, jac_theta), 2)
+    jac = sscm.node_gradients(spec, x_ref, THETA_REF)
+    slope_bound = np.linalg.norm(np.linalg.solve(np.eye(spec.d) - jac.x, jac.theta), 2)
 
     rng = np.random.default_rng(5)
     for scale in (1e-2, 1e-3, 1e-4):
@@ -307,18 +300,37 @@ def _node_bindings(spec, j, x, theta, u, extern, policy):
     return {slot: full[slot] for slot in graph.slots}
 
 
+#: the slot whose partials fill each NodeJacobians field
+SLOT_OF = {"x": "parents", "theta": "theta", "u": "u", "policy": "policy"}
+
+
+def node_columns(spec, j):
+    """Per NodeJacobians field, the columns node j's row may fill, in its slot's order:
+    its parents, its theta slice and the shared slots it reads. Every other entry is 0."""
+    slots = spec.assignments[j].slots
+    return {"x": list(spec.parents[j]),
+            "theta": list(range(*spec.theta_slices[j])) if "theta" in slots else [],
+            "u": list(range(spec.u_dim)) if "u" in slots else [],
+            "policy": list(range(spec.policy_dim)) if "policy" in slots else []}
+
+
 def _assert_matches_per_node(spec, x, theta, u=None, extern=None, policy=None):
     kwargs = {"u": u, "extern": extern, "policy": policy}
     fx = assemble_map(spec, theta, **kwargs)(x)
-    grads = node_gradients(spec, x, theta, **kwargs)
-    assert fx.shape == (spec.d,) and len(grads) == spec.d
+    jac = node_gradients(spec, x, theta, **kwargs)
+    assert fx.shape == (spec.d,)
+    widths = {"x": spec.d, "theta": spec.theta_dim, "u": spec.u_dim, "policy": spec.policy_dim}
+    assert (jac.policy is None) == (spec.policy_dim == 0)
     for j, graph in enumerate(spec.assignments):
         bindings = _node_bindings(spec, j, x, theta, u, extern, policy)
         assert fx[j:j + 1].tobytes() == diffcore.forward_eval(graph, bindings).tobytes()
         ref = diffcore.reverse_vjp(graph, bindings, [1.0])
-        assert list(grads[j].parts) == list(ref.parts)
-        for slot, part in ref.parts.items():
-            assert grads[j][slot].tobytes() == part.tobytes(), (j, slot)
+        for name, cols in node_columns(spec, j).items():
+            want = np.zeros(widths[name])
+            if SLOT_OF[name] in ref:
+                want[cols] = ref[SLOT_OF[name]]
+            got = getattr(jac, name)
+            assert (np.zeros(0) if got is None else got[j]).tobytes() == want.tobytes(), (j, name)
 
 
 @settings(max_examples=60, deadline=None)
