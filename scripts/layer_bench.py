@@ -1,9 +1,10 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
-one Anderson step, the first-use cost of a fresh d = 100 spec, and B map calls,
-equilibrium solves and implicit VJPs of the rerouted rebound twin.
+one Anderson step, the first-use cost of a fresh d = 100 spec, the construction of a
+CSV model, and B map calls, equilibrium solves and implicit VJPs of the rerouted
+rebound twin.
 
-    python scripts/layer_bench.py --label change --out BENCH_10.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_10.json
+    python scripts/layer_bench.py --label change --out BENCH_11.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_11.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -16,8 +17,19 @@ and not the map.
 
 `compile_s` is the one-off cost of a spec's first use: `interventions.apply`
 a multiplicative intervention on all sectors of `leontief-synthetic-100`, then
-time its first map call and first node_gradients call, which validate, stack
-and compile the spec, minus the same two calls warm.
+time its first map call and first node_gradients call minus the same two calls
+warm. Sources whose `apply` stacks the intervened spec afresh validate, stack
+and compile it there; sources that derive its program from the model's do not.
+
+The construction layers build `leontief-synthetic-N` at N = 100, 300, 1,000 from
+CSV files written by dataio.write_iotable_csv: `load_s` is dataio.load_iotable_csv
+of the three files, `leontief_model_s` modelzoo.leontief_model of the loaded
+table, `apply_s` an all-sector multiplicative interventions.apply on a model
+already in use (stacked and compiled, as in the pareto pipeline), and
+`stack_compile_s` the first map call of a fresh model minus a warm one (validate,
+stack and compile). `csv_to_first_map_s` runs the whole path once: load, build,
+apply, and the first map call of the intervened model. Each is the median of
+max(3, 3000 // N) calls.
 
 The batched layers evaluate the map of, solve and pull B cotangents back
 through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
@@ -147,6 +159,61 @@ def measure_compile() -> float:
     return float(np.median(times))
 
 
+CONSTRUCTION_DIMS = (100, 300, 1000)
+
+
+def _median_once_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times))
+
+
+def measure_construction() -> dict:
+    import tempfile
+
+    from eqcausal import dataio, interventions, modelzoo, sscm
+    from eqcausal.interventions import LieElement
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in CONSTRUCTION_DIMS:
+            paths = [Path(tmp) / f"{name}.csv" for name in ("A", "y", "R")]
+            dataio.write_iotable_csv(modelzoo.leontief_synthetic(n), *paths)
+            everywhere = LieElement("multiplicative", tuple(range(n)), np.ones(n))
+            x = np.ones(n)
+            repeats = max(3, 3000 // n)
+            table = dataio.load_iotable_csv(*paths)
+            spec = modelzoo.leontief_model(table)
+            sscm.assemble_map(spec, spec.theta_ref)(x)
+
+            def first_call():
+                fresh = modelzoo.leontief_model(table)
+                t0 = time.perf_counter()
+                f = sscm.assemble_map(fresh, fresh.theta_ref)
+                f(x)
+                t1 = time.perf_counter()
+                f(x)
+                return (t1 - t0) - (time.perf_counter() - t1)
+
+            def csv_to_first_map():
+                loaded = modelzoo.leontief_model(dataio.load_iotable_csv(*paths))
+                wired = interventions.apply(loaded, everywhere)
+                sscm.assemble_map(wired, wired.theta_ref)(x)
+
+            out[f"leontief-synthetic-{n}"] = {
+                "d": n,
+                "load_s": _median_once_s(lambda: dataio.load_iotable_csv(*paths), repeats),
+                "leontief_model_s": _median_once_s(lambda: modelzoo.leontief_model(table), repeats),
+                "apply_s": _median_once_s(lambda: interventions.apply(spec, everywhere), repeats),
+                "stack_compile_s": float(np.median([first_call() for _ in range(repeats)])),
+                "csv_to_first_map_s": _median_once_s(csv_to_first_map, repeats),
+            }
+    return out
+
+
 BATCH_ROWS = (1, 4, 16, 50)
 
 
@@ -240,6 +307,7 @@ def main() -> int:
         "repeats": REPEATS,
         "layers": measure(),
         "compile_s": measure_compile(),
+        "construction": measure_construction(),
         "batched_layers": measure_batched(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -251,6 +319,10 @@ def main() -> int:
               f"linearization {row['linearization_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
     print(f"{'compile_s':24s} {record['compile_s'] * 1e3:9.2f} ms")
+    for name, row in record["construction"].items():
+        print(f"{name:24s} load {row['load_s'] * 1e3:8.2f} ms   leontief_model {row['leontief_model_s'] * 1e3:8.2f} ms"
+              f"   apply {row['apply_s'] * 1e3:8.2f} ms   stack+compile {row['stack_compile_s'] * 1e3:8.2f} ms"
+              f"   csv to first map {row['csv_to_first_map_s'] * 1e3:8.2f} ms")
     for name, row in record["batched_layers"].items():
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
               f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "

@@ -254,8 +254,6 @@ def build_model(config: ExperimentConfig) -> ModelBundle:
     model = config.model
     if isinstance(model, dict):
         table = dataio.load_iotable_csv(model["a_csv"], model["y_csv"], model.get("r_csv"))
-        if not modelzoo.hawkins_simon_check(table.A):
-            click.echo("warning: table fails the Hawkins-Simon check", err=True)
         return ModelBundle(modelzoo.leontief_model(table), table, None)
     if model == "motivating-example":
         return ModelBundle(modelzoo.motivating_example(), None, model)

@@ -6,7 +6,9 @@ Formats (UTF-8, decimal point, comma separator):
          impact name followed by d intensities
   y.csv  d rows of one final-demand value each, no header
 
-Floats are written with repr so a write/load round trip is bit-exact.
+Floats are written with repr so a write/load round trip is bit-exact. A file
+loads with one numpy conversion and array checks; only a failure walks the
+cells, to name the first ragged row or non-finite or negative cell.
 """
 
 from __future__ import annotations
@@ -30,9 +32,32 @@ def _read_rows(path) -> list[list[str]]:
 
 def _parse_cell(text: str, path, line: int, column: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{path}: {text!r} is not a number", line=line, column=column) from None
+    if not np.isfinite(value):
+        raise ParseError(f"{path}: {text!r} is not a finite number", line=line, column=column)
+    return value
+
+
+def _numbers(path, rows, line: int, width: int, ragged: str, entry, skip: int = 0) -> np.ndarray:
+    """The cells of `rows` (the first on `line`) after `skip` labels, as one float array. A row
+    not `width` long or a cell not a finite nonnegative number raises; only then are the cells
+    walked, to name the first failure in reading order (`entry(i, j)` names a negative cell)."""
+    try:
+        arr = np.array([row[skip:] for row in rows], dtype=np.float64).reshape(len(rows), width - skip)
+        if np.isfinite(arr).all() and not (arr < 0).any():
+            return arr
+    except ValueError:
+        pass
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"{path}: {ragged}", line=line + i)
+        for j, cell in enumerate(row[skip:]):
+            value = _parse_cell(cell, path, line + i, skip + j + 1)
+            if value < 0:
+                raise NegativeEntry(f"{path}: {entry(i, j)} = {value} is negative")
+    return np.array([[float(cell) for cell in row[skip:]] for row in rows]).reshape(len(rows), width - skip)
 
 
 def load_iotable_csv(a_path, y_path, r_path=None) -> IoTable:
@@ -44,27 +69,12 @@ def load_iotable_csv(a_path, y_path, r_path=None) -> IoTable:
     d = len(sectors)
     if len(a_rows) != d + 1:
         raise DimensionMismatch(f"{a_path}: expected {d} coefficient rows, found {len(a_rows) - 1}")
-    A = np.zeros((d, d))
-    for i, row in enumerate(a_rows[1:], start=2):
-        if len(row) != d:
-            raise ParseError(f"{a_path}: expected {d} columns", line=i)
-        for j, cell in enumerate(row):
-            value = _parse_cell(cell, a_path, i, j + 1)
-            if value < 0:
-                raise NegativeEntry(f"{a_path}: A[{i - 2}, {j}] = {value} is negative")
-            A[i - 2, j] = value
+    A = _numbers(a_path, a_rows[1:], 2, d, f"expected {d} columns", lambda i, j: f"A[{i}, {j}]")
 
     y_rows = _read_rows(y_path)
     if len(y_rows) != d:
         raise DimensionMismatch(f"{y_path}: expected {d} demand rows, found {len(y_rows)}")
-    y = np.zeros(d)
-    for i, row in enumerate(y_rows, start=1):
-        if len(row) != 1:
-            raise ParseError(f"{y_path}: expected one value per row", line=i)
-        value = _parse_cell(row[0], y_path, i, 1)
-        if value < 0:
-            raise NegativeEntry(f"{y_path}: y[{i - 1}] = {value} is negative")
-        y[i - 1] = value
+    y = _numbers(y_path, y_rows, 1, 1, "expected one value per row", lambda i, j: f"y[{i}]")[:, 0]
 
     if r_path is None:
         R = np.zeros((1, d))
@@ -76,34 +86,22 @@ def load_iotable_csv(a_path, y_path, r_path=None) -> IoTable:
         header = tuple(name.strip() for name in r_rows[0][1:])
         if header != sectors:
             raise DimensionMismatch(f"{r_path}: sector header does not match {a_path}")
+        R = _numbers(r_path, r_rows[1:], 2, d + 1, f"expected {d + 1} columns",
+                     lambda i, j: f"R[{i}, {j}]", skip=1)
         impacts = tuple(row[0].strip() for row in r_rows[1:])
-        R = np.zeros((len(impacts), d))
-        for i, row in enumerate(r_rows[1:], start=2):
-            if len(row) != d + 1:
-                raise ParseError(f"{r_path}: expected {d + 1} columns", line=i)
-            for j, cell in enumerate(row[1:]):
-                value = _parse_cell(cell, r_path, i, j + 2)
-                if value < 0:
-                    raise NegativeEntry(f"{r_path}: R[{i - 2}, {j}] = {value} is negative")
-                R[i - 2, j] = value
 
     return IoTable(A=A, R=R, y=y, sectors=sectors, impacts=impacts)
 
 
+def _write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_iotable_csv(table: IoTable, a_path, y_path, r_path=None):
     """Inverse of load_iotable_csv; floats are repr'd for exact round trips."""
-    with open(a_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.sectors)
-        for row in table.A:
-            writer.writerow([repr(float(v)) for v in row])
-    with open(y_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for v in table.y:
-            writer.writerow([repr(float(v))])
+    _write_rows(a_path, [table.sectors, *([repr(float(v)) for v in row] for row in table.A)])
+    _write_rows(y_path, [[repr(float(v))] for v in table.y])
     if r_path is not None:
-        with open(r_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("impact",) + table.sectors)
-            for name, row in zip(table.impacts, table.R):
-                writer.writerow([name] + [repr(float(v)) for v in row])
+        _write_rows(r_path, [("impact",) + table.sectors,
+                             *([name] + [repr(float(v)) for v in row] for name, row in zip(table.impacts, table.R))])

@@ -188,8 +188,8 @@ class ExprBuilder:
         return self._push("slice", (a,), (int(start), int(stop)), stop - start)
 
     def gather(self, a, indices) -> Ref:
-        idx = tuple(int(i) for i in indices)
-        if any(i < 0 or i >= a.dim for i in idx):
+        idx = tuple(map(int, indices))
+        if idx and (min(idx) < 0 or max(idx) >= a.dim):
             raise ShapeMismatch(f"gather indices {idx} out of range for dim {a.dim}")
         return self._push("gather", (a,), idx, len(idx))
 

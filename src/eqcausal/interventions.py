@@ -21,7 +21,8 @@ from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
                      MismatchedTargets, NonFiniteIterate, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
-from .sscm import COND_MAX, EquilibriumSolution, Linearization, SscmSpec, solve_equilibrium
+from .sscm import (COND_MAX, EquilibriumSolution, Linearization, SscmSpec, derive_wrapped,
+                   solve_equilibrium)
 
 Array = np.ndarray
 
@@ -77,22 +78,15 @@ def inverse(g: LieElement) -> LieElement:
     return LieElement(g.group, g.targets, -g.values)
 
 
-def _remap_u(builder: ExprBuilder, graph: ExprGraph, new_u_dim: int, old_u_dim: int):
-    """Slot map that rebinds a graph's old u slot to a prefix of the widened u vector."""
-    slot_map = {}
-    if "u" in graph.slots:
-        u_in = builder.input("u", new_u_dim)
-        slot_map["u"] = builder.slice(u_in, 0, old_u_dim)
-    return slot_map
-
-
 def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
     """Wrap the targeted assignments by fresh intervention-slot components.
 
     Returns a new spec with u_dim extended by len(g.targets); the new
     components default to g's values, so solving the returned spec directly
     yields the intervened equilibrium. Parent sets and node count are
-    unchanged (the intervention is soft).
+    unchanged (the intervention is soft). The new spec runs a stacked program
+    derived from spec's (sscm.derive_wrapped), so spec must be valid; its
+    per-node graphs serve validate, JSON and dataclasses.replace.
     """
     if any(t < 0 or t >= spec.d for t in g.targets):
         raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")
@@ -104,19 +98,16 @@ def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
         if j not in pos_of and "u" not in graph.slots:
             assignments.append(graph)
             continue
-        b = ExprBuilder()
-        out = inline(b, graph, _remap_u(b, graph, new_dim, old_dim))
+        b = ExprBuilder()  # the old u slot reads a prefix of the widened u
+        out = inline(b, graph, {"u": b.slice(b.input("u", new_dim), 0, old_dim)} if "u" in graph.slots else {})
         if j in pos_of:
-            u_in = b.input("u", new_dim)
-            val = b.gather(u_in, [pos_of[j]])
+            val = b.gather(b.input("u", new_dim), [pos_of[j]])
             out = out * val if g.group == "multiplicative" else out + val
         assignments.append(b.build(out))
-    return replace(
-        spec,
-        assignments=tuple(assignments),
-        u_dim=new_dim,
-        u_ref=np.concatenate([spec.u_ref, g.values]),
-    )
+    out = replace(spec, assignments=tuple(assignments), u_dim=new_dim,
+                  u_ref=np.concatenate([spec.u_ref, g.values]))
+    derive_wrapped(spec, out, g.group == "multiplicative", g.targets)
+    return out
 
 
 def hard_intervention_derivative(spec: SscmSpec, j: int, k: int, theta,
@@ -354,7 +345,6 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
             wired = apply(wired, g)
             u_slices.append((start, wired.u_dim))
 
-    # widen any stale u slots (earlier plans' graphs) to the final dimension
     final_dim = wired.u_dim
     policy_total = sum(p.policy_dim for p in plans)
     policy_slices: list[tuple[int, int]] = []
@@ -387,11 +377,6 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
         assignments[k] = b.build(inline(b, pol, slot_map))
         policy_slices.append((offset, offset + plan.policy_dim))
         offset += plan.policy_dim
-
-    for j, graph in enumerate(assignments):
-        if "u" in graph.slots and graph.slot_dim("u") != final_dim:
-            b = ExprBuilder()
-            assignments[j] = b.build(inline(b, graph, _remap_u(b, graph, final_dim, graph.slot_dim("u"))))
 
     deployed = replace(wired, assignments=tuple(assignments), policy_dim=policy_total)
 

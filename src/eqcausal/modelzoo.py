@@ -85,7 +85,7 @@ def hawkins_simon_check(A) -> bool:
         pivot = M[k, k]
         if not pivot > 0.0:
             return False
-        M[k + 1:, k + 1:] -= np.outer(M[k + 1:, k], M[k, k + 1:]) / pivot
+        M[k + 1:, k + 1:] -= M[k + 1:, k, None] * M[k, k + 1:] / pivot
     return True
 
 
@@ -137,30 +137,34 @@ def leontief_model(table: IoTable, free_a_entries=()) -> SscmSpec:
             raise DimensionMismatch("diagonal A entries cannot be freed")
         if not (0 <= i < d and 0 <= j < d):
             raise DimensionMismatch(f"free entry ({i}, {j}) out of range")
-    free_by_row: dict[int, list[int]] = {}
+    scales = np.where(np.diagonal(A) != 0.0, 1.0 / (1.0 - np.diagonal(A)), 1.0)
+    coefs = A * scales[:, None]  # the parent coefficients, but 0 for the freed entries
+    linked = A != 0.0  # the parents: nonzero off-diagonal entries and the freed ones
+    np.fill_diagonal(linked, False)
     for i, j in free_a_entries:
-        free_by_row.setdefault(i, []).append(j)
+        linked[i, j], coefs[i, j] = True, 0.0
+    flat = np.flatnonzero(linked)  # every row's parents, row after row
+    bounds = np.searchsorted(flat, np.arange(d + 1) * d).tolist()
+    cols, coefs = flat % d, coefs.ravel()[flat]
 
     graphs, parents, slices, theta, box = [], [], [], [], []
     cursor = 0
     for k in range(d):
-        scale = 1.0 / (1.0 - A[k, k]) if A[k, k] != 0.0 else 1.0
-        free_cols = free_by_row.get(k, [])
-        pa = tuple(j for j in range(d) if j != k and (A[k, j] != 0.0 or j in free_cols))
+        free_cols = [j for i, j in free_a_entries if i == k]
+        pa, row = cols[bounds[k]:bounds[k + 1]], coefs[bounds[k]:bounds[k + 1]]
         b = ExprBuilder()
         n_theta = 1 + len(free_cols)
         t = b.input("theta", n_theta)
-        expr = b.slice(t, 0, 1) * b.const([scale])
-        if pa:
+        expr = b.slice(t, 0, 1) * b.const([scales[k]])
+        if len(pa):
             p = b.input("parents", len(pa))
-            coefs = np.array([0.0 if j in free_cols else A[k, j] * scale for j in pa])
-            if np.any(coefs != 0.0):
-                expr = expr + b.dot(b.const(coefs), p)
+            if row.any():
+                expr = expr + b.dot(b.const(row), p)
             for fi, j in enumerate(free_cols):
-                pos = pa.index(j)
-                expr = expr + b.slice(t, 1 + fi, 2 + fi) * b.const([scale]) * b.gather(p, [pos])
+                pos = int(np.searchsorted(pa, j))
+                expr = expr + b.slice(t, 1 + fi, 2 + fi) * b.const([scales[k]]) * b.gather(p, [pos])
         graphs.append(b.build(expr))
-        parents.append(pa)
+        parents.append(pa.tolist())
         slices.append((cursor, cursor + n_theta))
         theta.append(y[k])
         box.append([0.0, 2.0 * max(y[k], 1.0)])

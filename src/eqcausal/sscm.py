@@ -12,6 +12,10 @@ fixed-point solver. A Linearization holds the dense partials of f at one point
 and the inverse and 1-norm condition number of I - df/dx; the diffeomorphism
 check and the implicit gradients of deq both read it.
 
+An intervened spec from interventions.apply runs a program derived from its
+parent's: the parent's stacked, compiled graph, then each target's wrap by its
+u component. dataclasses.replace drops it, and the copy stacks its own graphs.
+
 Batches: binding x, theta, u, extern or policy with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
 every row. assemble_map then maps (B, d) to (B, d), solve_equilibrium solves
@@ -70,7 +74,7 @@ class SscmSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "parents", tuple(tuple(int(i) for i in p) for p in self.parents))
+        object.__setattr__(self, "parents", tuple(tuple(map(int, p)) for p in self.parents))
         object.__setattr__(self, "theta_slices", tuple((int(a), int(b)) for a, b in self.theta_slices))
         object.__setattr__(self, "theta_ref", _frozen_array(self.theta_ref))
         object.__setattr__(self, "theta_box", _frozen_array(np.asarray(self.theta_box).reshape(-1, 2)))
@@ -90,9 +94,6 @@ class SscmSpec:
 
     def with_u(self, u_ref) -> "SscmSpec":
         return replace(self, u_ref=_frozen_array(u_ref))
-
-    def with_policy(self, weights) -> "SscmSpec":
-        return replace(self, policy_ref=_frozen_array(weights))
 
 
 @dataclass
@@ -117,8 +118,12 @@ def validate(spec: SscmSpec) -> list[str]:
             out.append("theta_box has lo > hi components")
         if np.any(spec.theta_ref < spec.theta_box[:, 0]) or np.any(spec.theta_ref > spec.theta_box[:, 1]):
             out.append("theta_ref outside theta_box")
+    out += [f"{name} has non-finite entries" for name in ("theta_ref", "theta_box", "u_ref", "policy_ref")
+            if getattr(spec, name) is not None and not np.isfinite(getattr(spec, name)).all()]
     used = np.zeros(p, dtype=bool)
     for j in range(d):
+        if len(set(spec.parents[j])) != len(spec.parents[j]):
+            out.append(f"node {j}: parent list {spec.parents[j]} repeats a node")
         for parent in spec.parents[j]:
             if parent < 0 or parent >= d:
                 out.append(f"node {j}: parent {parent} out of range")
@@ -127,7 +132,7 @@ def validate(spec: SscmSpec) -> list[str]:
         start, stop = spec.theta_slices[j]
         if not (0 <= start <= stop <= p):
             out.append(f"node {j}: theta slice [{start}:{stop}] out of range")
-        elif np.any(used[start:stop]):
+        elif used[start:stop].any():
             out.append(f"node {j}: theta slice [{start}:{stop}] overlaps another node's slice")
         else:
             used[start:stop] = True
@@ -177,12 +182,38 @@ class _Stacked:
     Every node reads its own entry nodes: its parents as a gather of x, its
     theta slice, and its own view of each shared slot. A reverse sweep that
     stops at the entries therefore gives each node's partials unmixed.
+
+    A derived program (see derive_wrapped) runs its parent's graph on a prefix of u, then
+    wraps that multiply (or add to) the targets' outputs by their own u components.
     """
 
     graph: ExprGraph  # output: (f_1, ..., f_d)
     leaves: tuple[int, ...]  # the entry nodes whose partials NodeJacobians keeps, field by field
     cells: tuple  # per field: (field, columns, the flat cells its leaves' adjoint entries fill)
     first_reader: dict  # shared slot -> first node that reads it
+    wraps: tuple = ()  # (multiplicative, targets, their u positions), applied in order
+
+
+def _wrap(wraps, out: Array, u: Array) -> Array:
+    """A stacked graph's output with a derived program's wraps applied, in place."""
+    for mul, targets, positions in wraps:
+        out[..., targets] = (np.multiply if mul else np.add)(out[..., targets], u[..., positions])
+    return out
+
+
+def _unwrap(prog: _Stacked, seed: Array, bindings: dict, u: Array, rows) -> list:
+    """Turn a derived program's all-ones seed into its graph's: the adjoint each wrap's mul
+    passes down, summed into 0 as the per-node graphs' sweep sums it (0 + -0 is 0). Returns
+    per wrap its df/du cells and their partials, its output's adjoint (times its input for a mul)."""
+    inputs, out, value = [], [], diffcore.forward_eval(prog.graph, bindings, rows) if prog.wraps else None
+    for wrap in prog.wraps:
+        inputs.append(value[..., wrap[1]])
+        _wrap((wrap,), value, u)
+    for (mul, targets, positions), value in zip(reversed(prog.wraps), reversed(inputs)):
+        g = seed[..., targets]
+        out.append((targets * u.shape[-1] + positions, g * value + 0.0 if mul else g))
+        seed[..., targets] = g * u[..., positions] + 0.0 if mul else g
+    return out
 
 
 #: the NodeJacobians field each slot's partials fill; extern partials are not kept
@@ -229,10 +260,29 @@ def _stacked(spec: SscmSpec) -> _Stacked:
     return prog
 
 
-def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
-    """Bindings of the stacked graph, except the per-evaluation "x"."""
+def derive_wrapped(parent: SscmSpec, spec: SscmSpec, multiplicative: bool, targets) -> None:
+    """Give `spec`, `parent` with each target's output multiplied by (or added to) a new u
+    component, the parent's stacked program (stacked first if need be) with one more wrap:
+    nothing is stacked or compiled again, and df/du gains one cell per target. The wrapped
+    graphs are valid by construction, so only non-finite new u values can fail validate."""
+    _require_valid(parent)
+    prog = _stacked(parent)
+    old, new = parent.u_dim, spec.u_dim
+    cells = tuple((name, new, at // max(old, 1) * new + at % max(old, 1)) if name == "u" else (name, w, at)
+                  for name, w, at in prog.cells)
+    wrap = (multiplicative, np.array(targets, dtype=np.intp), np.arange(old, new, dtype=np.intp))
+    object.__setattr__(spec, "_stacked", replace(prog, cells=cells, wraps=prog.wraps + (wrap,)))
+    object.__setattr__(spec, "_validated", bool(np.isfinite(spec.u_ref).all()))
+
+
+def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> tuple[dict, Array]:
+    """Bindings of the stacked graph, except the per-evaluation "x", and the whole u, of
+    which a derived program's graph reads a prefix."""
+    u = spec.u_ref if u is None else np.asarray(u, dtype=np.float64)
+    if prog.wraps and (u.ndim not in (1, 2) or u.shape[-1] != spec.u_dim):
+        raise ShapeMismatch(f"slot 'u' expects dim {spec.u_dim}, got shape {u.shape}")
     bindings = {"theta": np.asarray(theta, dtype=np.float64),
-                "u": spec.u_ref if u is None else np.asarray(u, dtype=np.float64)}
+                "u": u[..., :prog.graph.slot_dim("u")] if prog.wraps and "u" in prog.graph.slots else u}
     if policy is None:
         policy = spec.policy_ref
     for slot, value in (("extern", extern), ("policy", policy)):
@@ -240,15 +290,15 @@ def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
             if value is None:
                 raise SpecValidationError([f"node {prog.first_reader[slot]} requires a binding for {slot!r}"])
             bindings[slot] = np.asarray(value, dtype=np.float64)
-    return bindings
+    return bindings, u
 
 
 def _rows(*bindings) -> int | None:
     """The batch size of a set of bindings: the leading length of the 2-d ones, None without any."""
-    for value in bindings:
-        if value is not None and np.ndim(value) == 2:
-            return len(value)
-    return None
+    rows = {len(value) for value in bindings if value is not None and np.ndim(value) == 2}
+    if len(rows) > 1:
+        raise ShapeMismatch(f"bindings with a batch axis disagree on its length: {sorted(rows)}")
+    return rows.pop() if rows else None
 
 
 def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Callable[[Array], Array]:
@@ -257,10 +307,12 @@ def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Cal
     _require_valid(spec)
     prog = _stacked(spec)
     graph = prog.graph
-    static = _bindings(spec, prog, theta, u, extern, policy)
+    static, u = _bindings(spec, prog, theta, u, extern, policy)
+    if not prog.wraps:
+        return lambda x: diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
 
     def f(x: Array) -> Array:
-        return diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
+        return _wrap(prog.wraps, diffcore.forward_eval(graph, {**static, "x": x}, _rows(x, u)), u)
 
     return f
 
@@ -288,22 +340,25 @@ class NodeJacobians:
 def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
     """df/d(x, theta, u, policy) at (x, theta), (B, d, ...) stacks for a batch.
 
-    One reverse sweep of the stacked graph, seeded with 1 at every node output and
-    stopped at the entry nodes; their adjoints fill each dense matrix with one
-    assignment through the cells the stacked program holds.
+    One reverse sweep of the stacked graph, seeded with 1 at every node output (with
+    what the wraps pass down in a derived program) and stopped at the entry nodes;
+    their adjoints fill each dense matrix through the cells the stacked program holds.
     """
     _require_valid(spec)
     prog = _stacked(spec)
-    bindings = _bindings(spec, prog, theta, u, extern, policy)
+    bindings, u = _bindings(spec, prog, theta, u, extern, policy)
     bindings["x"] = x
     rows = _rows(x, theta, u, extern, policy)
-    adj = diffcore.reverse_vjp(prog.graph, bindings, np.ones(spec.d if rows is None else (rows, spec.d)),
-                               at=prog.leaves)
+    seed = np.ones(spec.d if rows is None else (rows, spec.d))
+    wrapped = _unwrap(prog, seed, bindings, u, rows)
+    adj = diffcore.reverse_vjp(prog.graph, bindings, seed, at=prog.leaves)
     lead = adj.shape[:-1]
     dense, start = {}, 0
     for name, width, cells in prog.cells:
         flat = np.zeros(lead + (spec.d * width,))
         flat[..., cells] = adj[..., start:start + len(cells)]
+        for at, partial in wrapped if name == "u" else ():
+            flat[..., at] = partial
         dense[name] = flat.reshape(lead + (spec.d, width))
         start += len(cells)
     return NodeJacobians(**dense)

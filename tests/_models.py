@@ -69,6 +69,43 @@ def leontief_spec(A, y):
                     y, box, tuple(slices))
 
 
+def reference_leontief_model(table, free_a_entries=()):
+    """modelzoo.leontief_model built entry by entry: the parents and coefficients of each
+    row read one A entry at a time, with no Hawkins-Simon check."""
+    A, y, d = table.A, table.y, table.d
+    free_by_row = {}
+    for i, j in free_a_entries:
+        free_by_row.setdefault(i, []).append(j)
+    graphs, parents, slices, theta, box = [], [], [], [], []
+    cursor = 0
+    for k in range(d):
+        scale = 1.0 / (1.0 - A[k, k]) if A[k, k] != 0.0 else 1.0
+        free_cols = free_by_row.get(k, [])
+        pa = tuple(j for j in range(d) if j != k and (A[k, j] != 0.0 or j in free_cols))
+        b = ExprBuilder()
+        n_theta = 1 + len(free_cols)
+        t = b.input("theta", n_theta)
+        expr = b.slice(t, 0, 1) * b.const([scale])
+        if pa:
+            p = b.input("parents", len(pa))
+            coefs = np.array([0.0 if j in free_cols else A[k, j] * scale for j in pa])
+            if np.any(coefs != 0.0):
+                expr = expr + b.dot(b.const(coefs), p)
+            for fi, j in enumerate(free_cols):
+                expr = expr + b.slice(t, 1 + fi, 2 + fi) * b.const([scale]) * b.gather(p, [pa.index(j)])
+        graphs.append(b.build(expr))
+        parents.append(pa)
+        slices.append((cursor, cursor + n_theta))
+        theta.append(y[k])
+        box.append([0.0, 2.0 * max(y[k], 1.0)])
+        for j in free_cols:
+            theta.append(A[k, j])
+            box.append([0.0, max(2.0 * A[k, j], 1.0)])
+        cursor += n_theta
+    return SscmSpec(table.sectors, tuple(parents), tuple(graphs), np.array(theta), np.array(box),
+                    tuple(slices))
+
+
 def random_leontief(rng, d, density=0.3):
     """Sparse nonnegative A with spectral radius 0.6 and demand y."""
     A = rng.uniform(0.0, 1.0, size=(d, d)) * (rng.uniform(size=(d, d)) < density)

@@ -62,6 +62,55 @@ def test_parse_error_reports_location(tmp_path):
         dataio.load_iotable_csv(a, y)
 
 
+GOOD_CSV = {"A": "s0,s1\n0.1,0.2\n0.3,0.4\n", "y": "1.0\n1.0\n", "R": "impact,s0,s1\nghg,1.0,2.0\n"}
+
+
+@pytest.mark.parametrize("name, text, error, message", [
+    # the messages of the per-cell loader, which named the first failure in reading order
+    ("A", "s0,s1\n0.1,0.2\n0.3\n", ParseError, "expected 2 columns (line 3)"),
+    ("A", "s0,s1\n0.1,0.2,0.5\n-0.3,0.4\n", ParseError, "expected 2 columns (line 2)"),
+    ("A", "s0,s1\n0.1,zap\n0.3\n", ParseError, "'zap' is not a number (line 2, column 2)"),
+    ("A", "s0,s1\n-0.1,zap\n0.3,0.4\n", NegativeEntry, "A[0, 0] = -0.1 is negative"),
+    ("A", "s0,s1\n0.1,0.2\n0.3,-0.4\n", NegativeEntry, "A[1, 1] = -0.4 is negative"),
+    ("y", "1.0,2.0\n1.0\n", ParseError, "expected one value per row (line 1)"),
+    ("y", "1.0\n\n", ParseError, "expected one value per row (line 2)"),
+    ("y", "1.0\nabc\n", ParseError, "'abc' is not a number (line 2, column 1)"),
+    ("y", "1.0\n-1.0\n", NegativeEntry, "y[1] = -1.0 is negative"),
+    ("R", "impact,s0,s1\nghg,1.0\n", ParseError, "expected 3 columns (line 2)"),
+    ("R", "impact,s0,s1\nghg,1.0,x\n", ParseError, "'x' is not a number (line 2, column 3)"),
+    ("R", "impact,s0,s1\nghg,1.0,2.0\njobs,-2,1\n", NegativeEntry, "R[1, 0] = -2.0 is negative"),
+    # non-finite cells, which loaded before and failed the first solve with NonFiniteIterate
+    ("A", "s0,s1\n0.1,0.2\nnan,0.4\n", ParseError, "'nan' is not a finite number (line 3, column 1)"),
+    ("A", "s0,s1\n0.1,1e400\n0.3,0.4\n", ParseError, "'1e400' is not a finite number (line 2, column 2)"),
+    ("y", "1.0\ninf\n", ParseError, "'inf' is not a finite number (line 2, column 1)"),
+    ("R", "impact,s0,s1\nghg,1.0,-inf\n", ParseError, "'-inf' is not a finite number (line 2, column 3)"),
+])
+def test_bad_cells_name_the_first_failure(tmp_path, name, text, error, message):
+    paths = {key: tmp_path / f"{key}.csv" for key in GOOD_CSV}
+    for key, path in paths.items():
+        path.write_text(text if key == name else GOOD_CSV[key], encoding="utf-8")
+    with pytest.raises(error) as info:
+        dataio.load_iotable_csv(paths["A"], paths["y"], paths["R"])
+    assert str(info.value) == f"{paths[name]}: {message}"
+
+
+def test_hawkins_simon_check_runs_once_per_build_and_warns_once(tmp_path, monkeypatch):
+    table = modelzoo.IoTable(A=np.array([[0.0, 1.2], [1.2, 0.0]]), R=np.ones((2, 2)), y=np.ones(2),
+                             sectors=("a", "b"), impacts=("ghg", "employment"))
+    dataio.write_iotable_csv(table, tmp_path / "A.csv", tmp_path / "y.csv", tmp_path / "R.csv")
+    cfg = load_config(write_config(tmp_path / "c.json", {
+        "command": "pareto", "model": {"a_csv": "A.csv", "y_csv": "y.csv", "r_csv": "R.csv"},
+        "loss": {"lambdas": [0.0]}}))
+    calls = []
+    check = modelzoo.hawkins_simon_check
+    monkeypatch.setattr(modelzoo, "hawkins_simon_check", lambda A: calls.append(A) or check(A))
+    with pytest.warns(UserWarning) as record:
+        build_model(cfg)
+    assert len(calls) == 1
+    assert [str(w.message) for w in record] == [
+        "table fails the Hawkins-Simon check; forward iteration may diverge"]
+
+
 # --- config loading ---
 
 def test_minimal_config_gets_defaults(tmp_path):

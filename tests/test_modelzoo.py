@@ -12,6 +12,8 @@ from eqcausal.modelzoo import (DemandCurve, IoTable, hawkins_simon_check, impact
                                two_compartment_model)
 from eqcausal.sscm import solve_equilibrium
 
+from ._models import reference_leontief_model
+
 TIGHT = SolverConfig(tol=1e-10)
 
 A2 = np.array([[0.1, 0.2], [0.3, 0.1]])
@@ -74,6 +76,37 @@ def test_leontief_model_free_a_entries():
     A_mod[0, 1] = 0.35
     sol2 = solve_equilibrium(spec, theta, TIGHT)
     np.testing.assert_allclose(sol2.x_star, leontief_closed_form(A_mod, Y2), atol=1e-8)
+
+
+def _same_graph(a, b):
+    assert (a.output, a.slots, a.dims) == (b.output, b.slots, b.dims)
+    assert len(a.nodes) == len(b.nodes)
+    for m, n in zip(a.nodes, b.nodes):
+        assert (m.op, m.args) == (n.op, n.args)
+        if isinstance(m.payload, np.ndarray):
+            assert m.payload.shape == n.payload.shape and m.payload.tobytes() == n.payload.tobytes()
+        else:
+            assert m.payload == n.payload
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leontief_model_matches_the_per_entry_build(seed):
+    rng = np.random.default_rng(seed)
+    d = [1, 2, 7, 40][seed]
+    A = rng.uniform(0.0, 0.2, (d, d)) * (rng.random((d, d)) < 0.4)
+    A[rng.random(d) < 0.5, :] = 0.0  # rows with no parents
+    np.fill_diagonal(A, np.where(rng.random(d) < 0.5, 0.0, rng.uniform(0.0, 0.5, d)))
+    table = IoTable(A=A, R=np.ones((1, d)), y=rng.uniform(0.5, 1.5, d),
+                    sectors=tuple(f"s{k}" for k in range(d)), impacts=("i",))
+    off = [(i, j) for i in range(d) for j in range(d) if i != j]
+    free = [off[k] for k in rng.permutation(len(off))[:min(len(off), 5)]]
+    for entries in ((), free):
+        got, want = leontief_model(table, entries), reference_leontief_model(table, entries)
+        assert got.parents == want.parents and got.theta_slices == want.theta_slices
+        assert got.theta_ref.tobytes() == want.theta_ref.tobytes()
+        assert got.theta_box.tobytes() == want.theta_box.tobytes()
+        for a, b in zip(got.assignments, want.assignments, strict=True):
+            _same_graph(a, b)
 
 
 def test_leontief_model_warns_above_unit_radius():

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,38 @@ def test_validate_theta_outside_box():
     bad = sscm.SscmSpec(spec.names, spec.parents, spec.assignments,
                         np.array([10.0, 0.5, 0.3, 0.4]), spec.theta_box, spec.theta_slices)
     assert any("theta_ref outside" in d for d in validate(bad))
+
+
+def _repeated_parent_spec():
+    """a := theta_a; b := 0.2 a + 0.3 a + theta_b, with a listed twice among b's parents."""
+    b = ExprBuilder()
+    ga = b.build(b.input("theta", 1))
+    b = ExprBuilder()
+    gb = b.build(b.dot(b.const([0.2, 0.3]), b.input("parents", 2)) + b.input("theta", 1))
+    return SscmSpec(("a", "b"), ((), (0, 0)), (ga, gb), [1.0, 0.5], [[0.0, 2.0], [0.0, 2.0]],
+                    ((0, 1), (1, 2)))
+
+
+def test_validate_rejects_repeated_parents():
+    spec = _repeated_parent_spec()
+    assert any("repeats a node" in d for d in validate(spec))
+    with pytest.raises(sscm.SpecValidationError, match="node 1: parent list"):
+        node_gradients(spec, np.ones(2), spec.theta_ref)
+
+
+@pytest.mark.parametrize("field", ["theta_ref", "theta_box", "u_ref", "policy_ref"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_reference_values(field, bad):
+    spec = motivating_spec()
+    spec = sscm.SscmSpec(spec.names, spec.parents, spec.assignments, spec.theta_ref, spec.theta_box,
+                         spec.theta_slices, u_dim=1, u_ref=[1.0], policy_dim=2, policy_ref=[0.5, 0.5])
+    assert validate(spec) == []
+    value = np.array(getattr(spec, field))
+    value.flat[-1] = bad
+    spec = replace(spec, **{field: value})
+    assert f"{field} has non-finite entries" in validate(spec)
+    with pytest.raises(sscm.SpecValidationError, match=f"{field} has non-finite entries"):
+        assemble_map(spec, THETA_REF)
 
 
 def test_assemble_map_hand_values():
@@ -430,3 +463,98 @@ def test_missing_shared_binding_names_the_first_reading_node():
         kwargs = {"u": u, "extern": np.ones(1), "policy": REBOUND_W0, slot: None}
         with pytest.raises(sscm.SpecValidationError, match=f"node {first} requires a binding for '{slot}'"):
             assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+
+
+# --- the program interventions.apply derives against a freshly stacked one ---
+
+def _element(rng, d, group):
+    targets = tuple(range(d)) if rng.random() < 0.4 else \
+        tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()))
+    values = rng.uniform(0.5, 2.0, len(targets)) if group == "multiplicative" else rng.uniform(-1, 1, len(targets))
+    return LieElement(group, targets, values)
+
+
+def _bitwise_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_derived_matches_fresh(applied, x, theta, kwargs):
+    fresh = replace(applied)
+    assert applied._stacked.wraps and fresh._stacked is None
+    assert applied._validated and validate(applied) == []  # valid by construction, and so found
+    _bitwise_equal(assemble_map(applied, theta, **kwargs)(x), assemble_map(fresh, theta, **kwargs)(x))
+    got, want = node_gradients(applied, x, theta, **kwargs), node_gradients(fresh, x, theta, **kwargs)
+    assert not fresh._stacked.wraps
+    for name in ("x", "theta", "u", "policy"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None
+        else:
+            _bitwise_equal(getattr(got, name), getattr(want, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), groups=st.sampled_from(
+    [("multiplicative",), ("additive",), ("multiplicative", "multiplicative"),
+     ("additive", "multiplicative"), ("multiplicative", "additive")]))
+def test_applied_program_matches_a_freshly_stacked_one(seed, groups):
+    # the map, a batch of 3 that mixes shared and batched bindings, and node_gradients
+    # of apply(spec, g) (chained: apply(apply(spec, g), h)) equal, bit for bit, those of
+    # the same spec stacked afresh from its per-node graphs; some of the targets' graphs
+    # read u already, and some u components are zero
+    spec, x, kwargs = _random_spec(seed)
+    rng = np.random.default_rng(seed)
+    applied = spec
+    for group in groups:
+        applied = interventions.apply(applied, _element(rng, spec.d, group))
+    u = rng.normal(size=applied.u_dim)
+    u[rng.random(applied.u_dim) < 0.2] = -0.0
+    kwargs = {"u": u, **kwargs}
+    theta = spec.theta_ref
+    _assert_derived_matches_fresh(applied, x, theta, kwargs)
+
+    rows = 3
+    batched = {name for name in ("x", "theta", "u", "extern", "policy") if rng.random() < 0.5} or {"u"}
+    values = {"x": x, "theta": theta, **kwargs}
+    values = {name: value * rng.uniform(0.9, 1.1, (rows, len(value))) if name in batched else value
+              for name, value in values.items()}
+    if "x" not in batched:
+        values["x"] = np.broadcast_to(x, (rows, spec.d))
+    _assert_derived_matches_fresh(applied, values.pop("x"), values.pop("theta"), values)
+
+
+def test_applied_program_reads_one_u_cell_per_target():
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    wired = interventions.apply(spec, LieElement("multiplicative", tuple(range(100)), np.ones(100)))
+    prog = sscm._stacked(wired)
+    assert prog.graph is sscm._stacked(spec).graph
+    u_cells = [at for name, _, at in prog.cells if name == "u"]
+    assert sum(map(len, u_cells)) + sum(len(targets) for _, targets, _ in prog.wraps) == 100
+    jac = node_gradients(wired, np.ones(100), wired.theta_ref)
+    assert np.count_nonzero(jac.u) == 100
+
+
+def test_applied_program_holds_no_reference_to_the_parent_spec():
+    gc.disable()
+    try:
+        spec = motivating_spec()
+        applied = interventions.apply(spec, LieElement("additive", (1,), [0.5]))
+        ref = weakref.ref(spec)
+        del spec
+        assert ref() is None
+        assemble_map(applied, THETA_REF)(np.ones(3))
+    finally:
+        gc.enable()
+
+
+def test_applied_spec_with_a_non_finite_value_fails_validation_at_first_use():
+    applied = interventions.apply(motivating_spec(), LieElement("additive", (0,), [np.nan]))
+    with pytest.raises(sscm.SpecValidationError, match="u_ref has non-finite entries"):
+        assemble_map(applied, THETA_REF)
+
+
+def test_applied_map_refuses_a_u_of_the_wrong_width_or_rows():
+    applied = interventions.apply(motivating_spec(), LieElement("multiplicative", (1, 2), [2.0, 1.0]))
+    with pytest.raises(ShapeMismatch):
+        assemble_map(applied, THETA_REF, u=np.ones(3))(np.ones(3))
+    with pytest.raises(ShapeMismatch):
+        assemble_map(applied, THETA_REF, u=np.ones((2, 2)))(np.ones((3, 3)))
