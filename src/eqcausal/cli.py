@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -169,7 +170,20 @@ def _check_intervention(inter: dict, command: str):
                               pointer="/intervention/bounds")
 
 
+def _check_finite_numbers(obj, pointer: str = ""):
+    """Reject NaN and +-Infinity, which Python's json reads and the schema's number accepts."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise SchemaError(f"{obj!r} is not a finite number", pointer=pointer)
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _check_finite_numbers(value, f"{pointer}/{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _check_finite_numbers(value, f"{pointer}/{i}")
+
+
 def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    _check_finite_numbers(obj)
     try:
         jsonschema.validate(obj, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -592,21 +606,23 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
             "structural_ok": rep.structural_ok}
 
 
-def _bench_cell(dim: int, method: str, beta: float | None, seed_list, base_cfg: SolverConfig,
-                spectral_radius: float):
-    rows = []
+def _bench_rows(dim: int, seed_list, base_cfg: SolverConfig, spectral_radius: float):
+    """bench.csv rows of one dim, method by method; each seed's contraction is built once
+    and solved by every method."""
+    rows = {method: [] for method, _ in BENCH_METHODS}
     for si in seed_list:
         A, y = modelzoo.random_contraction(dim, si, spectral_radius)
         f = lambda x: A @ x + y  # noqa: E731
-        if beta is None:
-            report = forward_iterate(f, np.zeros(dim), base_cfg)
-        else:
-            report = anderson_solve(f, np.zeros(dim), replace(base_cfg, beta=beta))
-        rows.append({
-            "dim": dim, "method": method, "seed": int(si), "relative_error": report.relative_error,
-            "iterations": report.iterations, "converged": report.converged,
-        })
-    return rows
+        for method, beta in BENCH_METHODS:
+            if beta is None:
+                report = forward_iterate(f, np.zeros(dim), base_cfg)
+            else:
+                report = anderson_solve(f, np.zeros(dim), replace(base_cfg, beta=beta))
+            rows[method].append({
+                "dim": dim, "method": method, "seed": int(si), "relative_error": report.relative_error,
+                "iterations": report.iterations, "converged": report.converged,
+            })
+    return [row for method_rows in rows.values() for row in method_rows]
 
 
 def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter) -> dict:
@@ -614,8 +630,7 @@ def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter)
     n_seeds = config.bench.get("seeds", 20)
     radius = config.bench.get("spectral_radius", 0.9)
     seed_list = [config.seed + i for i in range(n_seeds)]
-    cells = [(dim, method, beta) for dim in dims for method, beta in BENCH_METHODS]
-    rows = [r for cell in cells for r in _bench_cell(*cell, seed_list, config.solver, radius)]
+    rows = [r for dim in dims for r in _bench_rows(dim, seed_list, config.solver, radius)]
     out.write_csv("bench.csv", ["dim", "method", "seed", "relative_error", "iterations",
                                 "converged"],
                   [[r["dim"], r["method"], r["seed"], r["relative_error"], r["iterations"],
@@ -632,7 +647,7 @@ def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter)
     out.write_csv("bench_summary.csv",
                   ["dim", "method", "relative_error_mean", "relative_error_std",
                    "iterations_mean", "iterations_std", "all_converged"], summary)
-    return {"cells": len(cells), "all_converged": all(r["converged"] for r in rows)}
+    return {"cells": len(dims) * len(BENCH_METHODS), "all_converged": all(r["converged"] for r in rows)}
 
 
 _PIPELINES = {

@@ -10,7 +10,10 @@ A (B, d) starting point solves B independent problems in lockstep: f maps
 (B, d) iterates to (B, d) values, every row keeps its own history, and a row
 is frozen at the first iterate that meets the tolerance, so each row's result
 is the one its own solve would give. A non-finite row or a singular
-least-squares system raises for the whole batch.
+least-squares system raises for the whole batch. A vector solve is a one-row
+batch: the loop is the same, f is called on the row, and the report holds
+floats where a batch's holds (B,) arrays. f must return a new array on each
+call: the loop keeps the values f returns, and at beta = 1 steps to them.
 """
 
 from __future__ import annotations
@@ -36,16 +39,16 @@ class SolverConfig:
     max_iter: int = 5000
     ridge: float = 1e-8
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __post_init__(self):  # every check fails on NaN
+        if not self.m >= 1:
             raise ValueError("m must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ValueError("ridge must be nonnegative")
 
 
@@ -73,57 +76,21 @@ def relative_error(f: Callable[[Array], Array], x: Array) -> float:
     return float(np.linalg.norm(x - f(x))) / nrm
 
 
-def _error(x: Array, fx: Array) -> tuple[float, float]:
-    """(residual norm, convergence error) with absolute fallback at ||x|| = 0."""
-    res = float(np.linalg.norm(x - fx))
-    nrm = float(np.linalg.norm(x))
-    return res, (res / nrm if nrm > 0.0 else res)
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _check_finite(v: Array, k: int):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
 
 
-def _row_error(x: Array, fx: Array) -> tuple[Array, Array]:
-    """_error per row of a batch."""
-    r = x - fx
-    res = np.sqrt(np.einsum("ij,ij->i", r, r))
-    nrm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    return res, np.divide(res, nrm, out=res.copy(), where=nrm > 0.0)
-
-
-class _Rows:
-    """Per-row results of a batched solve; a row is recorded, and then frozen by the
-    solver, at the first iterate that meets the tolerance."""
-
-    def __init__(self, x: Array):
-        self.x = x.copy()
-        self.res = np.zeros(len(x))
-        self.err = np.zeros(len(x))
-        self.iterations = np.zeros(len(x), dtype=np.int64)
-        self.live = np.ones(len(x), dtype=bool)
-
-    def _keep(self, rows: Array, x: Array, res: Array, err: Array, k: int):
-        self.x[rows], self.res[rows], self.err[rows] = x[rows], res[rows], err[rows]
-        self.iterations[rows] = k
-
-    def settle(self, x: Array, fx: Array, k: int, tol: float) -> bool:
-        """Record the live rows whose iterate k meets tol; True once no row is live."""
-        res, err = _row_error(x, fx)
-        done = self.live & (err <= tol)
-        if done.any():
-            self._keep(done, x, res, err, k)
-            self.live &= ~done
-        return not self.live.any()
-
-    def report(self, x: Array, fx: Array, k: int) -> SolveReport:
-        """The batch's report; the rows still live end unconverged at iterate k."""
-        converged = ~self.live
-        if self.live.any():
-            self._keep(self.live, x, *_row_error(x, fx), k)
-        return SolveReport(self.x, self.res, self.err, int(self.iterations.max()),
-                           bool(converged.all()), self.iterations, converged)
+def _row_error(x: Array, g: Array) -> tuple[Array, Array]:
+    """Per row of x and its residual g = f(x) - x: the residual norm ||g|| and the
+    convergence error ||g|| / ||x||, which falls back to ||g|| at ||x|| = 0."""
+    res = np.sqrt(np.vecdot(g, g))
+    nrm = np.sqrt(np.vecdot(x, x))
+    # a norm that overflows divides as the largest float: inf / inf is inf, not nan
+    return res, res / np.fmin(np.where(nrm > 0.0, nrm, 1.0), _FLOAT_MAX)
 
 
 def forward_iterate(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:
@@ -142,118 +109,93 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     vanishes), and the update mixes function values and iterates with
     relaxation beta:
 
-        x_{k+1} = beta * (F alpha) + (1 - beta) * (X alpha)
+        x_{k+1} = beta * (F alpha) + (1 - beta) * (X alpha) = z_k - dZ gamma
 
-    With m = 1 and beta = 1 this reduces exactly to forward iteration. The
-    difference columns dx, df and dg are kept oldest first in one buffer; each
-    iteration appends one column to each and drops the oldest, so no residual
-    or difference is recomputed.
+    where z_i = beta * f(x_i) + (1 - beta) * x_i is the relaxed step from x_i
+    (f(x_i) itself at beta = 1) and dZ holds the differences of the last z_i.
+    With m = 1 and beta = 1 this is exactly forward iteration. A row's
+    differences dz and dg are kept oldest first in one (2, B, m - 1, d) buffer,
+    so the least-squares products read contiguous rows; each iteration appends
+    one of each and drops the oldest, so no residual or difference is
+    recomputed.
+
+    A 1-d x0 runs as a one-row batch with f called on row 0, and its report
+    holds floats and no row_* arrays.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.ndim == 2:
-        return _anderson_rows(f, x, cfg)
-    fx = np.asarray(f(x), dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
+    vector = x.ndim == 1
+    if vector:
+        x = x[None]
+
+        def call(z):
+            return np.asarray(f(z[0]), dtype=np.float64)[None]
+    else:
+        def call(z):
+            return np.asarray(f(z), dtype=np.float64)
+    fx = call(x)
     _check_finite(fx, 0)
     g = fx - x
-    n_cols = cfg.m - 1
-    hist = np.empty((3, x.shape[0], n_cols))  # dx, df, dg columns, oldest first
+    rows, n_cols = x.shape[0], cfg.m - 1
+    hist = np.empty((2, rows, n_cols, x.shape[1]))  # dz, dg rows per batch row, oldest first
     n_hist = 0
+    res_out, err_out = np.empty(rows), np.empty(rows)
+    row_iterations = np.full(rows, cfg.max_iter)
+    live, n_live = np.ones(rows, dtype=bool), rows
     for k in range(cfg.max_iter + 1):
-        res, err = _error(x, fx)
-        if err <= cfg.tol:
-            return SolveReport(x, res, err, k, True)
+        res, err = _row_error(x, g)
+        done = err <= cfg.tol
+        if n_live < rows:
+            done &= live
+        n_done = np.count_nonzero(done)
+        if n_done:  # record these rows at iterate k; they step no further
+            res_out[done], err_out[done], row_iterations[done] = res[done], err[done], k
+            live &= ~done
+            n_live -= n_done
+            if not n_live:
+                break
         if k == cfg.max_iter:
+            res_out[live], err_out[live] = res[live], err[live]
             break
-        if n_hist == 0:
-            x_new = cfg.beta * fx + (1.0 - cfg.beta) * x
-        else:
-            d_x, d_f, d_g = hist if n_hist == n_cols else np.ascontiguousarray(hist[:, :, :n_hist])
-            gram = d_g.T @ d_g
-            if cfg.ridge > 0.0:
-                scale = np.trace(gram)
-                gram = gram + (cfg.ridge * (scale if scale > 0.0 else 1.0)) * eye
-            try:
-                gamma = np.linalg.solve(gram, d_g.T @ g)
-            except np.linalg.LinAlgError as exc:
-                raise SingularLeastSquares(
-                    f"Anderson least-squares system singular at iteration {k} (ridge={cfg.ridge})"
-                ) from exc
-            x_bar = x - d_x @ gamma
-            f_bar = fx - d_f @ gamma
-            x_new = cfg.beta * f_bar + (1.0 - cfg.beta) * x_bar
-        fx_new = np.asarray(f(x_new), dtype=np.float64)
-        _check_finite(fx_new, k + 1)
-        if n_cols:
-            g_new = fx_new - x_new
+        z = fx if cfg.beta == 1.0 else cfg.beta * fx + (1.0 - cfg.beta) * x
+        if n_cols and k:
             if n_hist == n_cols:
                 hist[:, :, :-1] = hist[:, :, 1:]
             else:
                 n_hist += 1
-                eye = np.eye(n_hist)
-            hist[0, :, n_hist - 1] = x_new - x
-            hist[1, :, n_hist - 1] = fx_new - fx
-            hist[2, :, n_hist - 1] = g_new - g
-            g = g_new
-        x, fx = x_new, fx_new
-    res, err = _error(x, fx)
-    return SolveReport(x, res, err, cfg.max_iter, False)
-
-
-def _anderson_rows(f: Callable[[Array], Array], x: Array, cfg: SolverConfig) -> SolveReport:
-    """anderson_solve on a (B, d) batch: one stacked least-squares solve per
-    iteration over the live rows; a settled row keeps its iterate."""
-    fx = np.asarray(f(x), dtype=np.float64)
-    _check_finite(fx, 0)
-    g = fx - x
-    n_cols = cfg.m - 1
-    hist = np.empty((3, x.shape[0], x.shape[1], n_cols))  # dx, df, dg columns per row
-    n_hist = 0
-    rows = _Rows(x)
-    for k in range(cfg.max_iter + 1):
-        if rows.settle(x, fx, k, cfg.tol):
-            return rows.report(x, fx, k)
-        if k == cfg.max_iter:
-            break
-        all_live = rows.live.all()
-        live = slice(None) if all_live else rows.live
-        if n_hist == 0:
-            step = cfg.beta * fx[live] + (1.0 - cfg.beta) * x[live]
-        else:
-            d_x, d_f, d_g = hist[:, live, :, :n_hist]
-            d_gt = d_g.transpose(0, 2, 1)
-            gram = d_gt @ d_g
+                newest = hist[:, :, n_hist - 1]
+                ridge_eye = cfg.ridge * np.eye(n_hist)
+            np.subtract(z, z_prev, out=newest[0])
+            np.subtract(g, g_prev, out=newest[1])
+        sel = slice(None) if n_live == rows else live
+        step = z[sel]
+        if n_hist:
+            d_z, d_g = hist[:, sel, :n_hist]
+            gram = d_g @ d_g.mT
             if cfg.ridge > 0.0:
-                scale = np.trace(gram, axis1=1, axis2=2)
-                gram = gram + (cfg.ridge * np.where(scale > 0.0, scale, 1.0))[:, None, None] * eye
+                scale = np.add.reduce(gram.reshape(len(gram), -1)[:, ::n_hist + 1], axis=1)  # trace
+                gram += np.where(scale > 0.0, scale, 1.0)[:, None, None] * ridge_eye
             try:
-                gamma = np.linalg.solve(gram, d_gt @ g[live][:, :, None])
+                gamma = np.linalg.solve(gram, np.matvec(d_g, g[sel])[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise SingularLeastSquares(
                     f"Anderson least-squares system singular at iteration {k} (ridge={cfg.ridge})"
                 ) from exc
-            x_bar = x[live] - (d_x @ gamma)[:, :, 0]
-            f_bar = fx[live] - (d_f @ gamma)[:, :, 0]
-            step = cfg.beta * f_bar + (1.0 - cfg.beta) * x_bar
-        if all_live:
+            step = step - np.vecmat(gamma, d_z)
+        if n_live == rows:
             x_new = step
         else:
             x_new = x.copy()
             x_new[live] = step
-        fx_new = np.asarray(f(x_new), dtype=np.float64)
-        _check_finite(fx_new, k + 1)
-        if n_cols:
-            g_new = fx_new - x_new
-            if n_hist == n_cols:
-                hist[..., :-1] = hist[..., 1:]
-            else:
-                n_hist += 1
-                eye = np.eye(n_hist)
-            hist[0, ..., n_hist - 1] = x_new - x
-            hist[1, ..., n_hist - 1] = fx_new - fx
-            hist[2, ..., n_hist - 1] = g_new - g
-            g = g_new
-        x, fx = x_new, fx_new
-    return rows.report(x, fx, cfg.max_iter)
+        fx = call(x_new)
+        _check_finite(fx, k + 1)
+        x, z_prev, g_prev = x_new, z, g
+        g = fx - x
+    converged = ~live
+    if vector:
+        return SolveReport(x[0], float(res_out[0]), float(err_out[0]), int(row_iterations[0]),
+                           bool(converged[0]))
+    return SolveReport(x, res_out, err_out, int(row_iterations.max()), bool(converged.all()),
+                       row_iterations, converged)
 
 
 def solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:

@@ -75,18 +75,19 @@ class IoTable:
 def hawkins_simon_check(A) -> bool:
     """All leading principal minors of I - A positive (nonnegative equilibrium exists).
 
-    Leading minor k is the product of the first k pivots of an unpivoted
-    elimination of I - A, so the check passes exactly when every pivot is
-    positive.
+    A must be nonnegative (NegativeEntry otherwise), so I - A is a Z-matrix, and a
+    Z-matrix has positive leading minors exactly when it is a nonsingular M-matrix:
+    when (I - A) x = 1 has a solution and it is nonnegative. One LAPACK solve decides.
     """
     A = np.asarray(A, dtype=np.float64)
-    M = np.eye(A.shape[0]) - A
-    for k in range(M.shape[0]):
-        pivot = M[k, k]
-        if not pivot > 0.0:
-            return False
-        M[k + 1:, k + 1:] -= M[k + 1:, k, None] * M[k, k + 1:] / pivot
-    return True
+    if (A < 0.0).any():
+        idx = tuple(int(i) for i in np.argwhere(A < 0.0)[0])
+        raise NegativeEntry(f"A{idx} = {A[idx]} is negative")
+    try:
+        x = np.linalg.solve(np.eye(len(A)) - A, np.ones(len(A)))
+    except np.linalg.LinAlgError:
+        return False
+    return bool((x >= 0.0).all())
 
 
 def leontief_closed_form(A, y) -> Array:

@@ -44,12 +44,12 @@ class AdamConfig:
     plateau_window: int = 200
     plateau_rtol: float = 1e-9
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
+    def __post_init__(self):  # every check fails on NaN
+        if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.iterations < 1 or self.plateau_window < 1:
+        if not (self.iterations >= 1 and self.plateau_window >= 1):
             raise ValueError("iterations and plateau_window must be >= 1")
 
 
@@ -410,10 +410,10 @@ class SamplingConfig:
     u_high: float = 2.0
     samples_per_step: int = 16
 
-    def __post_init__(self):
-        if self.samples_per_step < 1:
+    def __post_init__(self):  # every check fails on NaN
+        if not self.samples_per_step >= 1:
             raise ValueError("samples_per_step must be >= 1")
-        if self.u_low <= 0 or self.u_high < self.u_low:
+        if not 0 < self.u_low <= self.u_high:
             raise ValueError("u range must satisfy 0 < u_low <= u_high")
 
 

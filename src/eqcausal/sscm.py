@@ -402,13 +402,13 @@ def check_local_diffeomorphism(spec: SscmSpec, x, theta, tol: float = 1e-4,
         raise ShapeMismatch("check_local_diffeomorphism takes one point, not a batch")
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
     x = np.asarray(x, dtype=np.float64)
-    res, err = fixedpoint._error(x, f(x))
+    res, err = fixedpoint._row_error(x, f(x) - x)
     cond = Linearization(spec, x, theta, u=u, extern=extern, policy=policy).cond
     return DiffeoReport(
         is_solution=bool(err <= tol),
         jacobian_invertible=bool(cond <= COND_MAX),
         condition_number=cond,
-        residual=res,
+        residual=float(res),
     )
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from eqcausal import sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import DomainError, SingularLeastSquares, UnboundSlot
-from eqcausal.fixedpoint import SolveReport, _check_finite, _error
+from eqcausal.fixedpoint import SolveReport, _check_finite, _row_error
 from eqcausal.sscm import SscmSpec
 
 THETA_REF = np.array([1.0, 0.5, 0.3, 0.4])
@@ -134,46 +134,54 @@ def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):
 
 def reference_anderson_solve(f, x0, cfg):
     """Anderson loop that rebuilds every residual and difference from the iterate
-    history on each step; fixedpoint.anderson_solve must match it bit for bit."""
-    x = np.asarray(x0, dtype=np.float64).copy()
-    fx = np.asarray(f(x), dtype=np.float64)
+    history on each step; fixedpoint.anderson_solve must match it bit for bit.
+
+    A vector is solved as a one-row batch, as the solver does, and the least-squares
+    products take the solver's stacked forms (the 2-d BLAS forms differ in the last
+    bits); the bookkeeping of settled rows is left out.
+    """
+    x = np.asarray(x0, dtype=np.float64)[None].copy()
+
+    def call(z):
+        return np.asarray(f(z[0]), dtype=np.float64)[None]
+
+    fx = call(x)
     _check_finite(fx, 0)
     xs = deque(maxlen=cfg.m)
     fs = deque(maxlen=cfg.m)
     xs.append(x)
     fs.append(fx)
     for k in range(cfg.max_iter + 1):
-        res, err = _error(x, fx)
-        if err <= cfg.tol:
-            return SolveReport(x, res, err, k, True)
+        res, err = _row_error(x, fx - x)
+        if err[0] <= cfg.tol:
+            return SolveReport(x[0], float(res[0]), float(err[0]), k, True)
         if k == cfg.max_iter:
             break
         n_hist = len(xs)
-        if n_hist == 1:
-            x_new = cfg.beta * fx + (1.0 - cfg.beta) * x
-        else:
+        zs = [fs[i] if cfg.beta == 1.0 else cfg.beta * fs[i] + (1.0 - cfg.beta) * xs[i]
+              for i in range(n_hist)]
+        x_new = zs[-1]
+        if n_hist > 1:
             gs = [fs[i] - xs[i] for i in range(n_hist)]
             d_g = np.stack([gs[i + 1] - gs[i] for i in range(n_hist - 1)], axis=1)
-            d_f = np.stack([fs[i + 1] - fs[i] for i in range(n_hist - 1)], axis=1)
-            d_x = np.stack([xs[i + 1] - xs[i] for i in range(n_hist - 1)], axis=1)
-            gram = d_g.T @ d_g
+            d_z = np.stack([zs[i + 1] - zs[i] for i in range(n_hist - 1)], axis=1)
+            gram = d_g @ d_g.mT
             if cfg.ridge > 0.0:
-                scale = np.trace(gram)
-                gram = gram + (cfg.ridge * (scale if scale > 0.0 else 1.0)) * np.eye(n_hist - 1)
+                scale = np.trace(gram, axis1=1, axis2=2)
+                ridge = np.where(scale > 0.0, scale, 1.0)[:, None, None] * (cfg.ridge * np.eye(n_hist - 1))
+                gram = gram + ridge
             try:
-                gamma = np.linalg.solve(gram, d_g.T @ gs[-1])
+                gamma = np.linalg.solve(gram, np.matvec(d_g, gs[-1])[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:
                 raise SingularLeastSquares(f"singular at iteration {k}") from exc
-            x_bar = x - d_x @ gamma
-            f_bar = fx - d_f @ gamma
-            x_new = cfg.beta * f_bar + (1.0 - cfg.beta) * x_bar
+            x_new = x_new - np.vecmat(gamma, d_z)
         x = x_new
-        fx = np.asarray(f(x), dtype=np.float64)
+        fx = call(x)
         _check_finite(fx, k + 1)
         xs.append(x)
         fs.append(fx)
-    res, err = _error(x, fx)
-    return SolveReport(x, res, err, cfg.max_iter, False)
+    res, err = _row_error(x, fx - x)
+    return SolveReport(x[0], float(res[0]), float(err[0]), cfg.max_iter, False)
 
 
 def reference_mlp_stack(b, mlp, x, w):

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +164,54 @@ def test_bad_config_value_is_a_schema_error(tmp_path, section, values):
     assert "config error" in result.output
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [
+    ({"command": "solve", "model": "motivating-example", "solver": {"tol": NAN}}, "/solver/tol"),
+    ({"command": "optimize", "model": "leontief-synthetic-4", "intervention": {"targets": [0]},
+      "adam": {"learning_rate": INF}}, "/adam/learning_rate"),
+    ({"command": "pareto", "model": "leontief-synthetic-4", "loss": {"lambdas": [0.0, NAN]}},
+     "/loss/lambdas/1"),
+    ({"command": "optimize", "model": "leontief-synthetic-4",
+      "intervention": {"targets": [0], "bounds": [-INF, 2.0]}}, "/intervention/bounds/0"),
+    ({"command": "bench", "model": "motivating-example", "bench": {"spectral_radius": INF}},
+     "/bench/spectral_radius"),
+    ({"command": "invariant", "model": "rebound-3sector", "sampling": {"theta_stddev": [NAN]}},
+     "/sampling/theta_stddev/0"),
+]
+
+
+@pytest.mark.parametrize("obj,pointer", NON_FINITE)
+def test_non_finite_config_number_is_a_schema_error(obj, pointer):
+    with pytest.raises(SchemaError, match="is not a finite number") as info:
+        _config_from_obj(obj)
+    assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize("cls,field", [
+    (SolverConfig, "m"), (SolverConfig, "tol"), (SolverConfig, "max_iter"), (SolverConfig, "beta"),
+    (SolverConfig, "ridge"), (AdamConfig, "learning_rate"), (AdamConfig, "beta1"),
+    (AdamConfig, "iterations"), (SamplingConfig, "u_low"), (SamplingConfig, "u_high"),
+    (SamplingConfig, "samples_per_step"),
+])
+def test_config_checks_reject_nan(cls, field):
+    with pytest.raises(ValueError):
+        cls(**{field: NAN})
+
+
+def test_non_finite_config_exits_2_from_the_command_line(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"command": "solve", "model": "motivating-example", "solver": {"tol": NaN}}',
+                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(eqcausal.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "eqcausal.cli", "solve", "--config", str(path),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "config error: /solver/tol: nan is not a finite number" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 BAD_INTERVENTIONS = [
     ("optimize", {"targets": [0], "values": [0.0]}, "/intervention/values"),
     ("solve", {"targets": [0], "values": [0.0]}, "/intervention/values"),
@@ -317,11 +369,20 @@ def test_grad_check_command(tmp_path):
     assert rep["max_rel_deviation"] < 1e-4
 
 
-def test_bench_command_small(tmp_path):
+def test_bench_command_small(tmp_path, monkeypatch):
+    built = []
+    contraction = modelzoo.random_contraction
+    monkeypatch.setattr(modelzoo, "random_contraction",
+                        lambda *args: built.append(args[:2]) or contraction(*args))
     cfg = _config_from_obj({"command": "bench", "model": "leontief-synthetic-4",
                             "bench": {"dims": [2, 5], "seeds": 3}})
     manifest = run_experiment(cfg, out_dir=tmp_path / "out")
     assert manifest.success
+    assert built == [(dim, seed) for dim in (2, 5) for seed in range(3)]  # each problem built once
+    rows = (tmp_path / "out" / "bench.csv").read_text().strip().splitlines()[1:]
+    assert [tuple(row.split(",")[:3]) for row in rows] == [
+        (str(dim), method, str(seed)) for dim in (2, 5) for method, _ in cli.BENCH_METHODS
+        for seed in range(3)]
     summary = (tmp_path / "out" / "bench_summary.csv").read_text().strip().splitlines()
     assert len(summary) == 1 + 2 * 3  # two dims, three methods
 

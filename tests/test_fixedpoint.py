@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -195,8 +196,13 @@ def test_report_returned_on_non_convergence():
 
 
 def test_divergence_raises_non_finite():
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteIterate):
-        forward_iterate(lambda x: 2.0 * x + 1.0, np.zeros(1), SolverConfig())
+    # the iterates' squared norms overflow long before f(x) does: the error of such a
+    # row is inf, with no RuntimeWarning beyond numpy's own overflow one
+    for x0 in (np.zeros(1), np.zeros((3, 1))):
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteIterate):
+                forward_iterate(lambda x: 2.0 * x + 1.0, x0, SolverConfig())
 
 
 def test_singular_least_squares_only_without_ridge():
@@ -237,6 +243,34 @@ def test_anderson_iterates_equal_the_rebuilding_reference(dim):
                 assert got.x.tobytes() == ref.x.tobytes()
                 assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
                 assert got.residual_norm == ref.residual_norm
+                assert got.relative_error == ref.relative_error
+
+
+@pytest.mark.parametrize("dim", [2, 10, 50])
+def test_vector_solve_is_the_one_row_batch(dim):
+    A, y = modelzoo.random_contraction(dim, 1, 0.9)
+    f = lambda x: A @ x + y  # noqa: E731
+
+    def rows(x):
+        return np.stack([f(row) for row in x])
+
+    verdicts = set()
+    for cfg in ANDERSON_CONFIGS:
+        for max_iter in (3, cfg.max_iter):  # mostly unconverged, and a full solve
+            cfg_k = replace(cfg, max_iter=max_iter)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                vec = anderson_solve(f, np.zeros(dim), cfg_k)
+                batch = anderson_solve(rows, np.zeros((1, dim)), cfg_k)
+            assert type(vec.residual_norm) is float and type(vec.relative_error) is float
+            assert type(vec.iterations) is int and type(vec.converged) is bool
+            assert vec.row_iterations is None and vec.row_converged is None
+            assert vec.x.shape == (dim,) and vec.x.tobytes() == batch.x[0].tobytes()
+            assert np.float64(vec.residual_norm).tobytes() == batch.residual_norm[0].tobytes()
+            assert np.float64(vec.relative_error).tobytes() == batch.relative_error[0].tobytes()
+            assert (vec.iterations, vec.converged) == (batch.row_iterations[0], batch.row_converged[0])
+            verdicts.add(vec.converged)
+    assert verdicts == {True, False}
 
 
 def test_random_contraction_is_seeded_and_scaled():

@@ -147,6 +147,20 @@ def test_hawkins_simon_matches_leading_minors():
         verdicts.add(minors_positive)
     assert verdicts == {True, False}
     assert not hawkins_simon_check(np.full((2, 2), 0.5))  # second pivot is exactly 0
+    # just inside and just outside the boundary: the check holds exactly when rho(A) < 1
+    for radius, expected in ((0.999, True), (1.001, False)):
+        for n in (2, 5, 30):
+            A = rng.uniform(0.0, 1.0, size=(n, n))
+            A *= radius / max(abs(np.linalg.eigvals(A)))
+            M = np.eye(n) - A
+            minors_positive = all(np.linalg.det(M[:k, :k]) > 0.0 for k in range(1, n + 1))
+            assert minors_positive is expected
+            assert hawkins_simon_check(A) is expected
+
+
+def test_hawkins_simon_rejects_a_negative_table():
+    with pytest.raises(NegativeEntry, match=r"A\(0, 1\) = -0.2 is negative"):
+        hawkins_simon_check(np.array([[0.1, -0.2], [0.3, 0.1]]))
 
 
 def test_hawkins_simon_implies_forward_convergence():
