@@ -1,6 +1,7 @@
 """Experiment configuration, pipelines, and the `eqcausal` command line.
 
-Configs are strict JSON (unknown fields rejected) with every solver and
+Configs are strict JSON, checked by one walk of CONFIG_SCHEMA (unknown fields,
+floats as integers, NaN and Infinity are rejected), with every solver and
 optimizer default applied when omitted. A run executes one command's pipeline
 into the output directory and records a manifest: config hash, seed, stage
 reports, and a checksum for every file written. Identical config + seed give
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__, dataio, deq, interventions, modelzoo, optimize, sscm
@@ -90,7 +90,7 @@ CONFIG_SCHEMA = {
                 "objective_row": {"type": "string"},
                 "regularizer_row": {"type": "string"},
                 "lambda": {"type": "number", "minimum": 0},
-                "lambdas": {"type": "array", "items": {"type": "number", "minimum": 0}},
+                "lambdas": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
             },
         },
         "bench": {
@@ -170,25 +170,45 @@ def _check_intervention(inter: dict, command: str):
                               pointer="/intervention/bounds")
 
 
-def _check_finite_numbers(obj, pointer: str = ""):
-    """Reject NaN and +-Infinity, which Python's json reads and the schema's number accepts."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise SchemaError(f"{obj!r} is not a finite number", pointer=pointer)
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _check_finite_numbers(value, f"{pointer}/{key}")
-    elif isinstance(obj, list):
-        for i, value in enumerate(obj):
-            _check_finite_numbers(value, f"{pointer}/{i}")
+_PY_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "boolean": (bool,),
+             "integer": (int,), "number": (int, float)}
+
+
+def _check(value, schema: dict, pointer: str = ""):
+    """Raise a SchemaError where `value` first breaks `schema`, which may use only the keywords of
+    CONFIG_SCHEMA. Types are exact: True is no integer and, unlike JSON Schema, 2.0 is none either
+    and NaN or +-Infinity is no number. An unknown or missing key fails at its object's pointer."""
+    if type(value) is float and not math.isfinite(value):
+        raise SchemaError(f"{value!r} is not a finite number", pointer=pointer)
+    if "oneOf" in schema:  # alternatives of distinct types
+        schema = next((s for s in schema["oneOf"] if type(value) in _PY_TYPES[s["type"]]), None)
+        if schema is None:
+            raise SchemaError(f"{value!r} is not valid under any of the given schemas", pointer=pointer)
+    if "enum" in schema and value not in schema["enum"]:
+        raise SchemaError(f"{value!r} is not one of {schema['enum']!r}", pointer=pointer)
+    if "type" in schema and type(value) not in _PY_TYPES[schema["type"]]:
+        raise SchemaError(f"{value!r} is not of type {schema['type']!r}", pointer=pointer)
+    if "minimum" in schema and value < schema["minimum"]:
+        raise SchemaError(f"{value!r} is less than the minimum of {schema['minimum']!r}", pointer=pointer)
+    if type(value) is dict:
+        for key in sorted(set(value) - set(schema["properties"])):
+            raise SchemaError(f"unknown key {key!r}", pointer=pointer)
+        for key in (k for k in schema.get("required", ()) if k not in value):
+            raise SchemaError(f"{key!r} is a required property", pointer=pointer)
+        for key, item in value.items():
+            _check(item, schema["properties"][key], f"{pointer}/{key}")
+    elif type(value) is list:
+        for i, item in enumerate(value):  # before uniqueItems, which hashes the items
+            _check(item, schema["items"], f"{pointer}/{i}")
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            size = "short" if len(value) < schema.get("minItems", 0) else "long"
+            raise SchemaError(f"{value!r} is too {size}", pointer=pointer)
+        if schema.get("uniqueItems") and len(set(value)) < len(value):
+            raise SchemaError(f"{value!r} has non-unique elements", pointer=pointer)
 
 
 def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    _check_finite_numbers(obj)
-    try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise SchemaError(exc.message, pointer=pointer) from None
+    _check(obj, CONFIG_SCHEMA)
 
     command = obj["command"]
     loss = dict(obj.get("loss", {}))
@@ -218,7 +238,7 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         except ValueError as exc:
             raise SchemaError(str(exc), pointer=f"/{key}") from None
 
-    seed = int(obj.get("seed", 0))
+    seed = obj.get("seed", 0)
     return ExperimentConfig(
         command=command,
         model=model,

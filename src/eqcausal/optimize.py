@@ -45,12 +45,12 @@ class AdamConfig:
     plateau_rtol: float = 1e-9
 
     def __post_init__(self):  # every check fails on NaN
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+        if not (self.learning_rate > 0 and self.eps > 0):
+            raise ValueError("learning_rate and eps must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not (self.iterations >= 1 and self.plateau_window >= 1):
-            raise ValueError("iterations and plateau_window must be >= 1")
+        if not (self.iterations >= 1 and self.plateau_window >= 1 and self.plateau_rtol >= 0):
+            raise ValueError("iterations and plateau_window must be >= 1 and plateau_rtol >= 0")
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eqcausal
 from eqcausal import cli, dataio, fixedpoint, modelzoo
@@ -142,6 +145,12 @@ def test_lambda_list_only_valid_for_pareto(tmp_path):
         }))
 
 
+def test_pareto_lambda_list_must_be_nonempty():
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj({"command": "pareto", "model": "leontief-synthetic-4", "loss": {"lambdas": []}})
+    assert info.value.pointer == "/loss/lambdas"
+
+
 BAD_VALUES = [
     ("solver", {"beta": -1}), ("solver", {"method": "forward"}), ("solver", {"m": 0}),
     ("solver", {"tol": 0}), ("solver", {"ridge": -1e-8}),
@@ -149,6 +158,7 @@ BAD_VALUES = [
     ("adam", {"plateau_window": 0}),
     ("sampling", {"u_low": -1.0}), ("sampling", {"u_low": 2.0, "u_high": 1.0}),
     ("sampling", {"samples_per_step": 0}),
+    ("adam", {"eps": -1.0}), ("adam", {"eps": 0.0}), ("adam", {"plateau_rtol": -5.0}),
 ]
 
 
@@ -190,7 +200,8 @@ def test_non_finite_config_number_is_a_schema_error(obj, pointer):
 @pytest.mark.parametrize("cls,field", [
     (SolverConfig, "m"), (SolverConfig, "tol"), (SolverConfig, "max_iter"), (SolverConfig, "beta"),
     (SolverConfig, "ridge"), (AdamConfig, "learning_rate"), (AdamConfig, "beta1"),
-    (AdamConfig, "iterations"), (SamplingConfig, "u_low"), (SamplingConfig, "u_high"),
+    (AdamConfig, "iterations"), (AdamConfig, "eps"), (AdamConfig, "plateau_rtol"),
+    (SamplingConfig, "u_low"), (SamplingConfig, "u_high"),
     (SamplingConfig, "samples_per_step"),
 ])
 def test_config_checks_reject_nan(cls, field):
@@ -212,6 +223,28 @@ def test_non_finite_config_exits_2_from_the_command_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_valued_float_exits_2_from_the_command_line(tmp_path):
+    path = write_config(tmp_path / "c.json", {"command": "solve", "model": "motivating-example",
+                                              "solver": {"max_iter": 50.0}})
+    env = {**os.environ, "PYTHONPATH": str(Path(eqcausal.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "eqcausal.cli", "solve", "--config", path,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "config error: /solver/max_iter: 50.0 is not of type 'integer'" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_validation_does_not_import_jsonschema():
+    code = ("import sys; sys.modules['jsonschema'] = None; from eqcausal import cli; "
+            "cli._config_from_obj({'command': 'solve', 'model': 'motivating-example'})")
+    env = {**os.environ, "PYTHONPATH": str(Path(eqcausal.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 BAD_INTERVENTIONS = [
     ("optimize", {"targets": [0], "values": [0.0]}, "/intervention/values"),
     ("solve", {"targets": [0], "values": [0.0]}, "/intervention/values"),
@@ -230,6 +263,7 @@ BAD_INTERVENTIONS = [
     ("invariant", {"targets": [0], "values": [0.5]}, "/intervention/targets"),
     ("compartment", {"builtin_values": [1.0]}, "/intervention/builtin_values"),
     ("bench", {"group": "additive"}, "/intervention/group"),
+    ("solve", {"targets": [{}]}, "/intervention/targets/0"),  # typed before uniqueness is checked
 ]
 
 
@@ -280,7 +314,11 @@ def test_additive_intervention_may_be_zero_or_negative():
                                             ("sampling", {"theta_mean": [1.0]}),
                                             ("adam", {"iterations": 2.5}),
                                             ("adam", {"early_stop": 1}),
-                                            ("sampling", {"theta_stddev": 0.2})])
+                                            ("sampling", {"theta_stddev": 0.2}),
+                                            ("solver", {"max_iter": 50.0}),
+                                            ("adam", {"iterations": 3.0}),
+                                            ("bench", {"seeds": 2.0}),
+                                            ("solver", {"max_iter": True})])
 def test_config_sections_are_typed_and_closed(section, values):
     with pytest.raises(SchemaError) as info:
         _config_from_obj({"command": "solve", "model": "motivating-example", section: values})
@@ -300,6 +338,100 @@ def test_config_sections_follow_the_dataclasses():
     assert (cfg.solver.m, cfg.solver.beta) == (1, 1)
     assert (cfg.adam.early_stop, cfg.adam.plateau_rtol) == (False, 0.5)
     assert (cfg.sampling.theta_stddev, cfg.sampling.samples_per_step) == ((0.1, 0.2), 3)
+
+
+# one valid config per command, each with as many keys as the command reads
+_SOLVER = {"m": 8, "beta": 1.0, "tol": 1e-4, "max_iter": 50, "ridge": 1e-8}
+_ADAM = {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "iterations": 3,
+         "early_stop": True, "plateau_window": 2, "plateau_rtol": 1e-9}
+_SAMPLING = {"theta_stddev": [0.2], "u_low": 0.5, "u_high": 2.0, "samples_per_step": 4}
+VALID_CONFIGS = [
+    {"command": "solve", "model": "leontief-synthetic-4", "solver": _SOLVER, "seed": 3,
+     "intervention": {"group": "multiplicative", "targets": [0, 1], "values": [0.5, 2.0],
+                      "builtin_values": [1.0]}},
+    {"command": "grad-check", "model": "leontief-synthetic-4", "loss": {"objective_row": "ghg"},
+     "intervention": {"group": "additive", "targets": [2], "values": [0.0]}},
+    {"command": "optimize", "model": "leontief-synthetic-4", "solver": _SOLVER, "adam": _ADAM,
+     "intervention": {"targets": [0, 3], "values": [1.0, 1.0], "bounds": [0.5, 2.0]},
+     "loss": {"objective_row": "ghg", "regularizer_row": "employment", "lambda": 0.1}},
+    {"command": "pareto", "model": {"a_csv": "A.csv", "y_csv": "y.csv", "r_csv": "R.csv"},
+     "adam": _ADAM, "intervention": {"targets": [1], "bounds": [0.5, 1.0]},
+     "loss": {"lambdas": [0.0, 0.5]}, "out": "results", "seed": 0},
+    {"command": "invariant", "model": "rebound-3sector", "adam": _ADAM, "sampling": _SAMPLING,
+     "intervention": {"builtin_values": [0.7]}},
+    {"command": "compartment", "model": "two-compartment", "sampling": _SAMPLING, "solver": _SOLVER},
+    {"command": "bench", "model": "motivating-example",
+     "bench": {"dims": [2, 3], "seeds": 2, "spectral_radius": 0.9}},
+]
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) of a JSON value, the value itself first."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutations():
+    """(config index, path, kind) of every single mutation of a valid config: replace any value
+    but the whole config, add a key to any object, delete any key, or turn an int into a float."""
+    for i, obj in enumerate(VALID_CONFIGS):
+        for path, node in _nodes(obj):
+            if path:
+                yield i, path, "replace"
+            if isinstance(node, dict):
+                yield i, path, "add"
+            if path and isinstance(path[-1], str):
+                yield i, path, "delete"
+            if type(node) is int:
+                yield i, path, "float"
+
+
+MUTATIONS = list(_mutations())
+MUTANT_VALUES = st.one_of(
+    st.sampled_from(["", "x", [], [1], [{}], {}, {"k": 1}, True, False, None, 2.0]),
+    st.sampled_from([NAN, INF, -INF]), st.integers(-2, 0), st.floats(max_value=0.0))
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables")
+    for name in ("A.csv", "y.csv", "R.csv"):
+        (path / name).write_text("", encoding="utf-8")  # only their existence is checked here
+    return path
+
+
+def test_valid_configs_validate(csv_dir):
+    for obj in VALID_CONFIGS:
+        _config_from_obj(copy.deepcopy(obj), base_dir=csv_dir)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=st.sampled_from(MUTATIONS), value=MUTANT_VALUES)
+@example(mutation=(0, ("intervention", "targets", 0), "replace"), value={})
+def test_a_mutated_config_is_typed_or_a_schema_error(csv_dir, mutation, value):
+    index, path, kind = mutation
+    obj = copy.deepcopy(VALID_CONFIGS[index])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "replace":
+        parent[path[-1]] = value
+    elif kind == "add":
+        (parent[path[-1]] if path else obj)["unknown"] = value
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = float(parent[path[-1]])
+    try:
+        cfg = _config_from_obj(obj, base_dir=csv_dir)
+    except SchemaError:
+        return
+    for section in (cfg.solver, cfg.adam, cfg.sampling):
+        for f in dataclasses.fields(section):
+            if f.type == "int":
+                assert type(getattr(section, f.name)) is int, (f.name, obj)
 
 
 def test_missing_model_file_rejected(tmp_path):
