@@ -298,11 +298,10 @@ def build_model(config: ExperimentConfig) -> ModelBundle:
         inst = modelzoo.two_compartment_model()
         return ModelBundle(inst.spec, None, model, compartment=inst)
     if model.startswith("leontief-synthetic-"):
-        try:
-            n = int(model.rsplit("-", 1)[1])
-        except ValueError:
-            raise SchemaError(f"bad synthetic size in zoo id {model!r}", pointer="/model") from None
-        table = modelzoo.leontief_synthetic(n)
+        size = model.removeprefix("leontief-synthetic-")
+        if not (size.isascii() and size.isdigit()):
+            raise SchemaError(f"bad synthetic size in zoo id {model!r}", pointer="/model")
+        table = modelzoo.leontief_synthetic(int(size))
         return ModelBundle(modelzoo.leontief_model(table), table, model)
     raise SchemaError(f"unknown model id {model!r}", pointer="/model")
 

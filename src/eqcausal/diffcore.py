@@ -6,14 +6,15 @@ first evaluation, into a level-fused program, which is cached on the frozen
 graph; forward_eval and reverse_vjp both run it. Every node owns a segment of
 one flat float64 buffer, and the nodes of one op at one topological level run
 as one wide numpy step that reads its operands through index arrays (slices
-where they are contiguous). The ops lower to four kernel families, each with
-one VJP: elementwise unary, elementwise binary, segment sum of products (dot,
-matvec, matmul) and copy (slice, gather, concat, broadcast), which costs
-nothing forward. Evaluation allocates fresh buffers per call, so one graph can
-be evaluated concurrently. Supported operations: add, sub, mul (elementwise),
-recip, neg, matvec (constant matrix), matmul (a row-major weight block read
-from a vector node, times a vector), dot, pow (constant exponent), exp, log,
-relu, concat, slice, gather, broadcast (scalar to vector).
+where they are contiguous). The graph has 15 ops: input, const, add, sub, mul
+(elementwise), recip, neg, pow (constant exponent), exp, log, relu, matmul (a
+row-major weight block read from a vector node, times a vector), concat, slice
+and gather. They lower to four kernel families, each with one VJP: elementwise
+unary, elementwise binary, segment sum of products (matmul) and copy (slice,
+gather, concat), which costs nothing forward. The builder's dot (a one-row
+matmul), matvec (a matmul over a constant matrix) and broadcast (a gather of
+component 0) emit these ops. Evaluation allocates fresh buffers per call, so
+one graph can be evaluated concurrently.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
 the evaluation batched. The same program then runs on a (N, B) buffer, into
@@ -118,7 +119,7 @@ class ExprBuilder:
         return ref
 
     def const(self, value) -> Ref:
-        arr = _as_vector(value, "const")
+        arr = _as_vector(value, "const").copy()  # frozen, so the caller's array stays theirs
         arr.setflags(write=False)
         return self._push("const", (), arr, arr.shape[0])
 
@@ -143,14 +144,13 @@ class ExprBuilder:
         return self._push("neg", (a,), None, a.dim)
 
     def matvec(self, matrix, v) -> Ref:
+        """matrix @ v for a constant matrix: a matmul over the matrix as a row-major const."""
         mat = np.asarray(matrix, dtype=np.float64)
         if mat.ndim != 2:
             raise ShapeMismatch(f"matvec matrix must be 2-d, got shape {mat.shape}")
         if mat.shape[1] != v.dim:
             raise ShapeMismatch(f"matvec: matrix is {mat.shape}, vector dim {v.dim}")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        return self._push("matvec", (v,), mat, mat.shape[0])
+        return self.matmul(self.const(mat.ravel()), v, mat.shape[0])
 
     def matmul(self, w, x, n_out: int, offset: int = 0) -> Ref:
         """W @ x with W the row-major (n_out, x.dim) block of w starting at offset."""
@@ -161,9 +161,10 @@ class ExprBuilder:
         return self._push("matmul", (w, x), (int(offset), int(n_out)), int(n_out))
 
     def dot(self, a, b) -> Ref:
+        """a . b as a one-row matmul."""
         if a.dim != b.dim:
             raise ShapeMismatch(f"dot: dims {a.dim} vs {b.dim}")
-        return self._push("dot", (a, b), None, 1)
+        return self.matmul(a, b, 1)
 
     def powc(self, a, exponent: float) -> Ref:
         return self._push("pow", (a,), float(exponent), a.dim)
@@ -194,9 +195,10 @@ class ExprBuilder:
         return self._push("gather", (a,), idx, len(idx))
 
     def broadcast(self, a, dim: int) -> Ref:
+        """A scalar node repeated dim times, as a gather."""
         if a.dim != 1:
             raise ShapeMismatch(f"broadcast expects a scalar node, got dim {a.dim}")
-        return self._push("broadcast", (a,), int(dim), int(dim))
+        return self.gather(a, (0,) * int(dim))
 
     def build(self, output: Ref) -> ExprGraph:
         slots = dict(self._inputs)
@@ -234,7 +236,7 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 # A graph compiles, at its first evaluation, into a level-fused program over one
 # flat float64 buffer, shaped (N,) for a vector call and (N, B) for a batch. Every
 # node owns a segment of it: the consts first, then the input slots, then the
-# computed nodes, then the copies (slice, gather, concat, broadcast). A copy holds
+# computed nodes, then the copies (slice, gather, concat). A copy holds
 # no value: whatever reads it reads its sources, through positions resolved at
 # compile time. It keeps an adjoint segment, so a reverse sweep can stop at it.
 #
@@ -246,7 +248,7 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 # itself included) form one step that only the reverse sweep runs, in descending
 # hops, so that a copy passes its adjoint on after every copy that reads it. The
 # ops lower to four kernel families: elementwise unary, elementwise binary, segment
-# sum of products (dot, matvec, matmul) and copy, each with one VJP.
+# sum of products (matmul) and copy, each with one VJP.
 
 
 def _recip(x, c):
@@ -280,15 +282,13 @@ _UNARY = {
     "relu": (lambda x, c: np.maximum(x, 0.0), lambda g, x, y, c: g * (x > 0.0)),
 }
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-_SEGMENT = ("dot", "matvec", "matmul")
-_COPY = ("slice", "gather", "concat", "broadcast")
-_COMPUTED, _COPIED, _SUMMED = 0, 1, 2  # _SUMMED: computed, unless it sums no products
-_KIND = {**dict.fromkeys((*_UNARY, *_BINARY), _COMPUTED), **dict.fromkeys(_SEGMENT, _SUMMED),
-         **dict.fromkeys(_COPY, _COPIED)}
+_COPY = ("slice", "gather", "concat")
+_COMPUTED, _COPIED = 0, 1
+_KIND = {**dict.fromkeys((*_UNARY, *_BINARY, "matmul"), _COMPUTED), **dict.fromkeys(_COPY, _COPIED)}
 
 
 def dot_sum(a, b) -> float:
-    """a . b summed as a compiled dot node sums it, which may round differently from BLAS."""
+    """a . b summed as a compiled one-row matmul sums it, which may round differently from BLAS."""
     return float(np.add.reduceat(np.multiply(a, b), [0])[0])
 
 
@@ -411,7 +411,7 @@ class _Program:
 
     n_values: int  # the consts, inputs and computed nodes
     n_adjoints: int  # those and the copies
-    template: Array  # the const part of the buffer, matvec matrices included
+    template: Array  # the const part of the buffer
     inputs: tuple  # (slot, dim, start, stop)
     steps: tuple  # every wide step, in the forward order
     runs: tuple  # the steps with a forward pass
@@ -437,7 +437,7 @@ def _fuse(graph: ExprGraph) -> _Program:
     n = len(nodes)
     base = list(accumulate(dims, initial=0))  # node i's elements are base[i]:base[i + 1]
     level, hops = [0] * n, [0] * n  # hops > 0 marks a copy
-    consts, inputs, matvecs, groups = [], [], [], {}
+    consts, inputs, groups = [], [], {}
     spans, picks = [], []  # the copies' elements: runs (dst, src, length), picks (dst, src, indices)
     for i, (op, args, payload) in enumerate(nodes):
         kind = _KIND.get(op)
@@ -449,12 +449,9 @@ def _fuse(graph: ExprGraph) -> _Program:
             else:
                 raise ValueError(f"unknown op {op!r}")
             continue
-        if kind == _SUMMED:
-            if (dims[args[0]] if op == "dot" else payload.size if op == "matvec"
-                    else payload[1] * dims[args[1]]) == 0:
-                consts.append(i)  # a dot, matvec or matmul of no products is a const zero
-                continue
-            kind = _COMPUTED
+        if op == "matmul" and dims[args[1]] == 0:
+            consts.append(i)  # a matmul of no products is a const zero
+            continue
         lv = level[args[0]]
         if len(args) > 1:
             for a in args:
@@ -475,19 +472,17 @@ def _fuse(graph: ExprGraph) -> _Program:
                 spans.extend(zip(accumulate([dims[a] for a in args[:-1]], initial=base[i]),
                                  [base[a] for a in args], [dims[a] for a in args]))
             else:
-                picks.append((base[i], base[args[0]], payload if op == "gather" else (0,) * payload))
+                picks.append((base[i], base[args[0]], payload))
         else:
             level[i] = lv = lv + 1
             key = (lv, _COMPUTED, op, payload if op == "pow" else None)
-            if op == "matvec":
-                matvecs.append(i)
         group = groups.get(key)
         if group is None:
             groups[key] = [i]
         else:
             group.append(i)
 
-    # layout: consts and matvec matrices, inputs, computed nodes by step, copies by step
+    # layout: consts, inputs, computed nodes by step, copies by step
     order = sorted(groups)
     # consts in the order the steps read them, so that a step reading its consts in
     # member order reads one slice
@@ -495,10 +490,8 @@ def _fuse(graph: ExprGraph) -> _Program:
     read = dict.fromkeys(a for key in order if key[1] == _COMPUTED for i in groups[key]
                          for a in nodes[i].args if a in const_set)
     consts = [*read, *(i for i in consts if i not in read)]
-    n_consts = sum(dims[i] for i in consts)
-    blocks = dict(zip(matvecs, accumulate([nodes[i].payload.size for i in matvecs], initial=n_consts)))
     template = np.concatenate([nodes[i].payload if nodes[i].op == "const" else np.zeros(dims[i])
-                               for i in consts] + [nodes[i].payload.ravel() for i in matvecs] + [np.zeros(0)])
+                               for i in consts] + [np.zeros(0)])
     valued = inputs + [i for key in order if key[1] == _COMPUTED for i in groups[key]]
     copies = [i for key in order if key[1] == _COPIED for i in groups[key]]
     dims_arr = np.array(dims, dtype=np.intp)
@@ -506,7 +499,6 @@ def _fuse(graph: ExprGraph) -> _Program:
     placed = np.array(consts + valued + copies, dtype=np.intp)
     sizes = dims_arr[placed]
     starts = np.cumsum(sizes) - sizes
-    starts[len(consts):] += len(template) - n_consts  # the matvec matrices sit between consts and inputs
     off = np.empty(n, dtype=np.intp)
     off[placed] = starts
     n_values = len(template) + int(sizes[len(consts):len(consts) + len(valued)].sum())
@@ -559,27 +551,15 @@ def _fuse(graph: ExprGraph) -> _Program:
                 ea, eb = elements(a), elements(b)
                 step.a, step.b = _index(pos[ea]), _index(pos[eb])
                 step.sides, step.elems = (a, b), (ea, eb)
-            else:
+            else:  # a matmul: one segment per row of its weight block
                 step = _SegmentSum()
-                b = [arg[-1] for arg in args]
+                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
                 cols = dims_arr[b]
-                if op == "dot":
-                    a = [arg[0] for arg in args]
-                    ea, eb, lengths = elements(a), elements(b), cols
-                else:  # one segment per row of a matrix; a matvec's matrix is a block of the consts
-                    if op == "matvec":
-                        a, ea = [], None
-                        rows = np.array([nodes[i].payload.shape[0] for i in members], dtype=np.intp)
-                        step.a = _index(_runs([blocks[i] for i in members], rows * cols))
-                    else:
-                        a = [arg[0] for arg in args]
-                        start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
-                        ea = _runs(base_arr[a] + start, rows * cols)
-                    lengths = np.repeat(cols, rows)
-                    eb = _runs(np.repeat(base_arr[b], rows), lengths)
-                if ea is not None:
-                    step.a = _index(pos[ea])
-                step.b = _index(pos[eb])
+                start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
+                lengths = np.repeat(cols, rows)
+                ea = _runs(base_arr[a] + start, rows * cols)
+                eb = _runs(np.repeat(base_arr[b], rows), lengths)
+                step.a, step.b = _index(pos[ea]), _index(pos[eb])
                 step.starts = step.seg = None
                 if np.any(lengths != 1):
                     step.starts = np.cumsum(lengths) - lengths
@@ -645,24 +625,24 @@ def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | No
 @dataclass(frozen=True)
 class _Sweep:
     steps: tuple  # (step, operand sides to scatter into, contribution rows to cut or None)
-    reads: object  # per slot (slot, start, stop); with `at`, the at nodes' adjoint positions end to end
+    reads: object  # the at nodes' adjoint positions end to end
 
 
-def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
-    """The reverse sweep toward the input slots, or toward the `at` nodes with them as
-    leaves; cached on the program per `at`. A member of a step passes its adjoint on
-    when the output's adjoint reaches it, it is not a leaf and its adjoint flows on
-    to a target; the sweep runs the steps with such members, scatters only into the
-    operands that lead on, and cuts the contributions of the other members, so that
-    a node the output does not reach adds nothing, not even 0 * inf."""
-    key = None if at is None else tuple(at)
+def _sweep(graph: ExprGraph, prog: _Program, at: Sequence[int]) -> _Sweep:
+    """The reverse sweep toward the `at` nodes, with them as leaves; cached on the
+    program per `at`. A member of a step passes its adjoint on when the output's
+    adjoint reaches it, it is not a leaf and its adjoint flows on to a target; the
+    sweep runs the steps with such members, scatters only into the operands that
+    lead on, and cuts the contributions of the other members, so that a node the
+    output does not reach adds nothing, not even 0 * inf."""
+    key = tuple(at)
     sweep = prog.sweeps.get(key)
     if sweep is not None:
         return sweep
     n = len(graph.nodes)
-    targets = [idx for idx, _ in graph.slots.values()] if key is None else list(key)
+    targets = list(key)
     leaf = np.zeros(n, dtype=bool)
-    leaf[list(key or ())] = True
+    leaf[targets] = True
     flows = np.zeros(n, dtype=bool)  # a target, or a node whose adjoint flows on to one
     flows[targets] = True
     for step in prog.steps:
@@ -673,7 +653,7 @@ def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
             step.spans = np.cumsum(arity) - arity if max(arity) > 1 else None
         hit = [flows[side] for side in step.sides]
         hit = np.logical_or.reduce([h if step.spans is None else np.logical_or.reduceat(h, step.spans)
-                                    for h in hit if len(h)])
+                                    for h in hit])
         flows[step.members] |= hit & ~leaf[step.members]
 
     dims = np.array(graph.dims, dtype=np.intp)
@@ -686,9 +666,6 @@ def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
             continue
         need = []
         for k, side in enumerate(step.sides):
-            if not len(side):  # a matvec's matrix
-                need.append(False)
-                continue
             side = np.asarray(side)
             by_arg = moves if step.spans is None else np.repeat(moves, np.diff(step.spans, append=len(side)))
             reached[side[by_arg]] = True
@@ -704,12 +681,7 @@ def _sweep(graph: ExprGraph, prog: _Program, at) -> _Sweep:
             if isinstance(step, _SegmentSum) and step.seg is not None:
                 cut = np.flatnonzero(np.isin(step.seg, cut))  # in products
         steps.append((step, tuple(need), cut))
-    starts = prog.offsets[targets]
-    if key is None:
-        reads = tuple(zip(graph.slots, starts.tolist(), (starts + dims[targets]).tolist()))
-    else:
-        reads = _index(_runs(starts, dims[targets]))
-    sweep = _Sweep(tuple(steps), reads)
+    sweep = _Sweep(tuple(steps), _index(_runs(prog.offsets[targets], dims[targets])))
     prog.sweeps[key] = sweep
     return sweep
 
@@ -736,7 +708,7 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     if cot.ndim > 2 or cot.shape[-1] != graph.output_dim:
         raise ShapeMismatch(f"cotangent shape {cot.shape} does not end in output dim {graph.output_dim}")
 
-    sweep = _sweep(graph, prog, at)
+    sweep = _sweep(graph, prog, [idx for idx, _ in graph.slots.values()] if at is None else at)
     seed = slice(prog.offsets[graph.output], prog.offsets[graph.output] + graph.output_dim)
     if rows is None:
         adj = np.zeros(prog.n_adjoints)
@@ -747,11 +719,11 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     for step, need, cut in sweep.steps:
         step.backward(vals, adj, adj[step.out], need, cut)
 
+    out = _take(adj, sweep.reads) if rows is None else _take(adj, sweep.reads).T
     if at is not None:
-        return _take(adj, sweep.reads) if rows is None else _take(adj, sweep.reads).T
-    if rows is None:
-        return {slot: adj[start:stop] for slot, start, stop in sweep.reads}
-    return {slot: adj[start:stop].T for slot, start, stop in sweep.reads}
+        return out
+    ends = accumulate(dim for _, dim in graph.slots.values())
+    return {slot: out[..., end - dim:end] for (slot, (_, dim)), end in zip(graph.slots.items(), ends)}
 
 
 def jacobian(graph: ExprGraph, bindings: Mapping[str, Array], slot: str) -> Array:
@@ -787,8 +759,6 @@ def graph_to_obj(graph: ExprGraph) -> dict:
             rec["slot"], rec["dim"] = node.payload
         elif node.op == "const":
             rec["values"] = node.payload.tolist()
-        elif node.op == "matvec":
-            rec["matrix"] = node.payload.tolist()
         elif node.op == "matmul":
             rec["offset"], rec["rows"] = node.payload
         elif node.op == "pow":
@@ -797,14 +767,13 @@ def graph_to_obj(graph: ExprGraph) -> dict:
             rec["start"], rec["stop"] = node.payload
         elif node.op == "gather":
             rec["indices"] = list(node.payload)
-        elif node.op == "broadcast":
-            rec["dim"] = node.payload
         nodes.append(rec)
     return {"nodes": nodes, "output": graph.output}
 
 
 def graph_from_obj(obj: dict) -> ExprGraph:
-    """Inverse of graph_to_obj."""
+    """Inverse of graph_to_obj. The dot, matvec and broadcast records that graph_to_obj
+    wrote before those ops became builder sugar load through the sugar."""
     b = ExprBuilder()
     refs: list[Ref] = []
     for rec in obj["nodes"]:

@@ -85,12 +85,15 @@ def _check_finite(v: Array, k: int):
 
 
 def _row_error(x: Array, g: Array) -> tuple[Array, Array]:
-    """Per row of x and its residual g = f(x) - x: the residual norm ||g|| and the
-    convergence error ||g|| / ||x||, which falls back to ||g|| at ||x|| = 0."""
+    """Per row of a (B, d) x and its residual g = f(x) - x: the residual norm ||g|| and
+    the convergence error ||g|| / ||x||, which falls back to ||g|| at ||x|| = 0. A row
+    whose ||x|| overflows has error inf: ||g|| over the largest float would pass any
+    tolerance while x diverges."""
     res = np.sqrt(np.vecdot(g, g))
     nrm = np.sqrt(np.vecdot(x, x))
-    # a norm that overflows divides as the largest float: inf / inf is inf, not nan
-    return res, res / np.fmin(np.where(nrm > 0.0, nrm, 1.0), _FLOAT_MAX)
+    err = res / np.fmin(np.where(nrm > 0.0, nrm, 1.0), _FLOAT_MAX)  # no inf / inf, which warns
+    err[np.isinf(nrm)] = np.inf
+    return res, err
 
 
 def forward_iterate(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:

@@ -415,6 +415,8 @@ class SamplingConfig:
             raise ValueError("samples_per_step must be >= 1")
         if not 0 < self.u_low <= self.u_high:
             raise ValueError("u range must satisfy 0 < u_low <= u_high")
+        if self.theta_stddev is not None and not all(s >= 0 for s in self.theta_stddev):
+            raise ValueError("theta_stddev entries must be nonnegative")
 
 
 def sample_theta(spec: SscmSpec, sampling: SamplingConfig, rng: np.random.Generator) -> Array:

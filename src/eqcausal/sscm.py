@@ -402,7 +402,7 @@ def check_local_diffeomorphism(spec: SscmSpec, x, theta, tol: float = 1e-4,
         raise ShapeMismatch("check_local_diffeomorphism takes one point, not a batch")
     f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
     x = np.asarray(x, dtype=np.float64)
-    res, err = fixedpoint._row_error(x, f(x) - x)
+    (res,), (err,) = fixedpoint._row_error(x[None], (f(x) - x)[None])
     cond = Linearization(spec, x, theta, u=u, extern=extern, policy=policy).cond
     return DiffeoReport(
         is_solution=bool(err <= tol),

@@ -291,10 +291,6 @@ def _ref_value(node, x, dims):
         return np.log(x[0])
     if op == "relu":
         return np.maximum(x[0], 0.0)
-    if op == "matvec":
-        return p @ x[0]
-    if op == "dot":
-        return np.sum(x[0] * x[1], axis=0, keepdims=True)
     if op == "matmul":
         start, n_out = p
         block = x[0][start:start + n_out * dims[args[1]]]
@@ -306,8 +302,6 @@ def _ref_value(node, x, dims):
         return x[0][p[0]:p[1]]
     if op == "gather":
         return x[0].take(list(p), axis=0)
-    if op == "broadcast":
-        return np.repeat(x[0], p, axis=0)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -332,10 +326,6 @@ def _ref_pullback(node, g, x, y, dims):
         return [g / x[0]]
     if op == "relu":
         return [g * (x[0] > 0.0)]
-    if op == "matvec":
-        return [p.T @ g]
-    if op == "dot":
-        return [g * x[1], g * x[0]]
     if op == "matmul":
         start, n_out = p
         n_in = dims[args[1]]
@@ -349,10 +339,8 @@ def _ref_pullback(node, g, x, y, dims):
     full = np.zeros((dims[args[0]],) + g.shape[1:])
     if op == "slice":
         full[p[0]:p[1]] = g
-    elif op == "gather":
+    else:  # gather
         np.add.at(full, list(p), g)
-    else:  # broadcast
-        full[0] = g.sum(axis=0)
     return [full]
 
 

@@ -159,6 +159,7 @@ BAD_VALUES = [
     ("sampling", {"u_low": -1.0}), ("sampling", {"u_low": 2.0, "u_high": 1.0}),
     ("sampling", {"samples_per_step": 0}),
     ("adam", {"eps": -1.0}), ("adam", {"eps": 0.0}), ("adam", {"plateau_rtol": -5.0}),
+    ("sampling", {"theta_stddev": [-0.2]}),
 ]
 
 
@@ -443,9 +444,10 @@ def test_missing_model_file_rejected(tmp_path):
 
 
 def test_unknown_zoo_id_rejected():
-    cfg = _config_from_obj({"command": "solve", "model": "no-such-model"})
-    with pytest.raises(SchemaError):
-        build_model(cfg)
+    for model in ("no-such-model", "leontief-synthetic--3"):
+        cfg = _config_from_obj({"command": "solve", "model": model})
+        with pytest.raises(SchemaError):
+            build_model(cfg)
 
 
 def test_loss_row_must_exist(tmp_path):
@@ -493,8 +495,29 @@ def test_solve_with_csv_model(tmp_path):
     assert np.linalg.norm(values - oracle) / np.linalg.norm(oracle) < 1e-3
 
 
+def test_solve_applies_the_intervention_targets(tmp_path):
+    cfg = _config_from_obj({"command": "solve", "model": "motivating-example",
+                            "intervention": {"targets": [1, 2], "values": [2.0, 1.0]},
+                            "solver": {"tol": 1e-10}})
+    manifest = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert manifest.success
+    rows = (tmp_path / "out" / "equilibrium.csv").read_text().strip().splitlines()[1:]
+    values = [float(r.split(",")[1]) for r in rows]
+    np.testing.assert_allclose(values, modelzoo.motivating_closed_form(1.0, 0.5, 0.3, 0.4, u_y=2.0),
+                               rtol=1e-8)
+
+
 def test_grad_check_command(tmp_path):
     cfg = _config_from_obj({"command": "grad-check", "model": "motivating-example"})
+    manifest = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert manifest.success
+    rep = json.loads((tmp_path / "out" / "grad_check.json").read_text())
+    assert rep["max_rel_deviation"] < 1e-4
+
+
+def test_grad_check_reads_the_objective_row(tmp_path):
+    cfg = _config_from_obj({"command": "grad-check", "model": "rebound-3sector",
+                            "loss": {"objective_row": "energy_input"}})
     manifest = run_experiment(cfg, out_dir=tmp_path / "out")
     assert manifest.success
     rep = json.loads((tmp_path / "out" / "grad_check.json").read_text())

@@ -262,6 +262,44 @@ def test_graph_json_roundtrip_bit_exact():
     assert forward_eval(g, bindings).tobytes() == forward_eval(g2, bindings).tobytes()
 
 
+# a graph written when dot, matvec and broadcast were ops of their own
+OLD_FORM = {"nodes": [
+    {"op": "input", "args": [], "slot": "x", "dim": 3},
+    {"op": "matvec", "args": [0], "matrix": [[0.1, 1 / 3, -0.7], [2.5, 0.3, 1 / 7]]},
+    {"op": "dot", "args": [1, 1]},
+    {"op": "broadcast", "args": [2], "dim": 3},
+    {"op": "mul", "args": [3, 0]},
+], "output": 4}
+
+
+def test_old_dot_matvec_broadcast_records_load_through_the_builder_sugar():
+    g = diffcore.graph_from_obj(OLD_FORM)
+    assert [node.op for node in g.nodes] == ["input", "const", "matmul", "matmul", "gather", "mul"]
+    x = np.array([0.3, -1.1, 2 / 3])
+    # the bits the graph gave when each of the three was its own op
+    assert [v.hex() for v in forward_eval(g, {"x": x})] == [
+        "0x1.17cd62bd3e7e6p-2", "-0x1.007c452d79493p+0", "0x1.36e434d2456ffp-1"]
+    assert [v.hex() for v in reverse_vjp(g, {"x": x}, [1.0, -0.5, 0.25])["x"]] == [
+        "0x1.aeeca8dddd275p+1", "-0x1.5f0620445e946p-1", "0x1.8551c90b02ca7p+0"]
+
+
+def test_builder_sugar_emits_matmul_and_gather():
+    b = ExprBuilder()
+    x = b.input("x", 2)
+    g = b.build(b.concat(b.matvec([[1.0, 2.0]], x), b.dot(x, x), b.broadcast(b.slice(x, 0, 1), 3)))
+    assert {node.op for node in g.nodes} == {"input", "const", "matmul", "slice", "gather", "concat"}
+    np.testing.assert_array_equal(forward_eval(g, {"x": [3.0, -1.0]}), [1.0, 10.0, 3.0, 3.0, 3.0])
+
+
+def test_const_and_matvec_leave_the_callers_arrays_writable():
+    a, m = np.array([1.0, 2.0]), np.array([[0.5, 0.25], [1.0, -1.0]])
+    b = ExprBuilder()
+    g = b.build(b.add(b.const(a), b.matvec(m, b.const([2.0, 4.0]))))
+    a[0], m[0, 0] = 5.0, 9.0
+    np.testing.assert_array_equal(forward_eval(g, {}), [3.0, 0.0])
+    assert reverse_vjp(g, {}, [1.0, 1.0]) == {}  # a graph with no slots has no partials
+
+
 # --- matmul ---
 
 def _matmul_graph(n_out, n_in, offset, n_w):
@@ -319,7 +357,7 @@ def test_compiled_step_list_is_cached_on_the_graph():
     assert g._program is None
     forward_eval(g, {"x": [1.0, 2.0]})
     prog = g._program
-    assert len(prog.steps) == 2  # the matvec, then the add
+    assert len(prog.steps) == 2  # the matvec's matmul, then the add
     reverse_vjp(g, {"x": [1.0, 2.0]}, [1.0, 0.0])
     forward_eval(g, {"x": [[1.0, 2.0], [3.0, 4.0]]})  # a batch runs the same program
     reverse_vjp(g, {"x": [1.0, 2.0]}, [1.0, 0.0], at=[0])

@@ -197,12 +197,14 @@ def test_report_returned_on_non_convergence():
 
 def test_divergence_raises_non_finite():
     # the iterates' squared norms overflow long before f(x) does: the error of such a
-    # row is inf, with no RuntimeWarning beyond numpy's own overflow one
-    for x0 in (np.zeros(1), np.zeros((3, 1))):
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NonFiniteIterate):
-                forward_iterate(lambda x: 2.0 * x + 1.0, x0, SolverConfig())
+    # row is inf, with no RuntimeWarning beyond numpy's own overflow one; at slope 1.5
+    # ||x||^2 overflows while ||f(x) - x||^2 does not
+    for slope in (2.0, 1.5):
+        for x0 in (np.zeros(1), np.zeros((3, 1))):
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(NonFiniteIterate):
+                    forward_iterate(lambda x: slope * x + 1.0, x0, SolverConfig())
 
 
 def test_singular_least_squares_only_without_ridge():
