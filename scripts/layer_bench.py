@@ -1,10 +1,10 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
 one Anderson step, the first-use cost of a fresh d = 100 spec, the construction of a
-CSV model, and B map calls, equilibrium solves and implicit VJPs of the rerouted
-rebound twin.
+CSV model, B map calls, equilibrium solves and implicit VJPs of the rerouted
+rebound twin, and the bench pipeline's problem construction and run.
 
-    python scripts/layer_bench.py --label change --out BENCH_12.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_12.json
+    python scripts/layer_bench.py --label change --out BENCH_15.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_15.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -36,6 +36,12 @@ through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
 policy weights, the CLI's evaluation solver at tol 1e-8). Sources with a batch
 axis run each as one batch ("mode": "batched"; only these time the map call);
 older sources solve one at a time ("loop").
+
+The bench layers time modelzoo.random_contraction at d = 50, 100, 200
+(`random_contraction_s`, one contraction's construction and scaling) and
+one cli._run_bench of the solver-sweep benchmark workload's config (dims 2,
+10, 50, 100, 200, 6 seeds, seed 1; `solver_sweep_s`, problems built and
+solved, bench.csv and bench_summary.csv written to a temporary directory).
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch, and the whole set is measured ROUNDS times in turn, each figure
@@ -272,6 +278,26 @@ def measure_batched() -> dict:
     return out
 
 
+BENCH_DIMS = (50, 100, 200)
+
+
+def measure_bench() -> dict:
+    import tempfile
+
+    from eqcausal import cli, modelzoo
+
+    out = {"random_contraction_s": {
+        f"d{d}": _median_call_s(lambda d=d: modelzoo.random_contraction(d, 1, 0.9), max(2, 2000 // d))
+        for d in BENCH_DIMS}}
+    config = cli._config_from_obj({"command": "bench", "model": "motivating-example",
+                                   "bench": {"dims": [2, 10, 50, 100, 200], "seeds": 6}, "seed": 1})
+    bundle = cli.build_model(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = cli.OutputWriter(Path(tmp))
+        out["solver_sweep_s"] = _median_once_s(lambda: cli._run_bench(config, bundle, writer), REPEATS)
+    return out
+
+
 def _git(src: Path, *args) -> str:
     try:
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -293,7 +319,7 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "compile_s", "construction", "batched_layers")
+MEASURED = ("layers", "compile_s", "construction", "batched_layers", "bench")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -326,7 +352,7 @@ def main() -> int:
         print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
         return 2
     rounds = [dict(zip(MEASURED, (measure(), measure_compile(), measure_construction(),
-                                  measure_batched())))
+                                  measure_batched(), measure_bench())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -359,6 +385,10 @@ def main() -> int:
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
               f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "
               f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us")
+    bench = record["bench"]
+    print("random_contraction       " + "   ".join(
+        f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contraction_s"].items()))
+    print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
     return 0
 
 

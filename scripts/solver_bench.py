@@ -2,7 +2,9 @@
 
 Runs forward iteration against Anderson acceleration (beta = 1 and beta = 2)
 on random nonnegative affine contractions with spectral radius 0.9, writing
-bench.csv / bench_summary.csv and the run manifest.
+bench.csv / bench_summary.csv and the run manifest. Each A is scaled by its
+Perron root, found by a bounded power iteration with Collatz-Wielandt bounds,
+and each method solves a dimension's seeds as one batch.
 """
 
 import argparse

@@ -97,7 +97,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "dims": {"type": "array", "items": _POS_INT},
+                "dims": {"type": "array", "items": {"type": "integer", "minimum": 2}},
                 "seeds": _POS_INT,
                 "spectral_radius": _NUMBER,
             },
@@ -626,22 +626,26 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
 
 
 def _bench_rows(dim: int, seed_list, base_cfg: SolverConfig, spectral_radius: float):
-    """bench.csv rows of one dim, method by method; each seed's contraction is built once
-    and solved by every method."""
-    rows = {method: [] for method, _ in BENCH_METHODS}
-    for si in seed_list:
-        A, y = modelzoo.random_contraction(dim, si, spectral_radius)
-        f = lambda x: A @ x + y  # noqa: E731
-        for method, beta in BENCH_METHODS:
-            if beta is None:
-                report = forward_iterate(f, np.zeros(dim), base_cfg)
-            else:
-                report = anderson_solve(f, np.zeros(dim), replace(base_cfg, beta=beta))
-            rows[method].append({
-                "dim": dim, "method": method, "seed": int(si), "relative_error": report.relative_error,
-                "iterations": report.iterations, "converged": report.converged,
-            })
-    return [row for method_rows in rows.values() for row in method_rows]
+    """bench.csv rows of one dim, method by method. Each seed's contraction is built once,
+    in seed order, into one (S, d, d) and one (S, d) stack, and each method solves the S
+    problems as one batch of x -> A x + y; a batch row's result is the one its own solve
+    would give."""
+    A = np.empty((len(seed_list), dim, dim))
+    y = np.empty((len(seed_list), dim))
+    for i, si in enumerate(seed_list):
+        A[i], y[i] = modelzoo.random_contraction(dim, si, spectral_radius)
+    f = lambda x: np.matvec(A, x) + y  # noqa: E731
+    rows = []
+    for method, beta in BENCH_METHODS:
+        if beta is None:
+            report = forward_iterate(f, np.zeros_like(y), base_cfg)
+        else:
+            report = anderson_solve(f, np.zeros_like(y), replace(base_cfg, beta=beta))
+        rows += [{"dim": dim, "method": method, "seed": int(si),
+                  "relative_error": float(report.relative_error[i]),
+                  "iterations": int(report.row_iterations[i]),
+                  "converged": bool(report.row_converged[i])} for i, si in enumerate(seed_list)]
+    return rows
 
 
 def _run_bench(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter) -> dict:

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatch, UnboundSlot
+from .errors import DomainError, ShapeMismatch, SpecValidationError, UnboundSlot
 
 Array = np.ndarray
 
@@ -773,34 +773,52 @@ def graph_to_obj(graph: ExprGraph) -> dict:
 
 def graph_from_obj(obj: dict) -> ExprGraph:
     """Inverse of graph_to_obj. The dot, matvec and broadcast records that graph_to_obj
-    wrote before those ops became builder sugar load through the sugar."""
+    wrote before those ops became builder sugar load through the sugar.
+
+    A malformed record raises SpecValidationError naming it: an unknown op, a missing
+    key, too few args, or an arg (or the output) that is not the index of a node built
+    before it, such as a negative index, which would count from the end."""
     b = ExprBuilder()
     refs: list[Ref] = []
-    for rec in obj["nodes"]:
-        op = rec["op"]
-        args = tuple(refs[a] for a in rec["args"])
-        if op == "input":
-            refs.append(b.input(rec["slot"], rec["dim"]))
-        elif op == "const":
-            refs.append(b.const(rec["values"]))
-        elif op == "matvec":
-            refs.append(b.matvec(rec["matrix"], args[0]))
-        elif op == "matmul":
-            refs.append(b.matmul(args[0], args[1], rec["rows"], rec["offset"]))
-        elif op == "pow":
-            refs.append(b.powc(args[0], rec["exponent"]))
-        elif op == "slice":
-            refs.append(b.slice(args[0], rec["start"], rec["stop"]))
-        elif op == "gather":
-            refs.append(b.gather(args[0], rec["indices"]))
-        elif op == "broadcast":
-            refs.append(b.broadcast(args[0], rec["dim"]))
-        elif op == "concat":
-            refs.append(b.concat(*args))
-        elif op in ("add", "sub", "mul", "dot"):
-            refs.append(getattr(b, op)(args[0], args[1]))
-        elif op in ("recip", "neg", "exp", "log", "relu"):
-            refs.append(getattr(b, op)(args[0]))
-        else:
-            raise ValueError(f"unknown op {op!r}")
-    return b.build(refs[obj["output"]])
+    where = "graph"
+
+    def node(index) -> Ref:
+        if type(index) is not int or not 0 <= index < len(refs):
+            raise SpecValidationError([f"{where}: {index!r} is not the index of a node built before it"])
+        return refs[index]
+
+    try:
+        for k, rec in enumerate(obj["nodes"]):
+            where = f"graph record {k}"
+            op = rec["op"]
+            args = tuple(node(a) for a in rec["args"])
+            if op == "input":
+                refs.append(b.input(rec["slot"], rec["dim"]))
+            elif op == "const":
+                refs.append(b.const(rec["values"]))
+            elif op == "matvec":
+                refs.append(b.matvec(rec["matrix"], args[0]))
+            elif op == "matmul":
+                refs.append(b.matmul(args[0], args[1], rec["rows"], rec["offset"]))
+            elif op == "pow":
+                refs.append(b.powc(args[0], rec["exponent"]))
+            elif op == "slice":
+                refs.append(b.slice(args[0], rec["start"], rec["stop"]))
+            elif op == "gather":
+                refs.append(b.gather(args[0], rec["indices"]))
+            elif op == "broadcast":
+                refs.append(b.broadcast(args[0], rec["dim"]))
+            elif op == "concat":
+                refs.append(b.concat(*args))
+            elif op in ("add", "sub", "mul", "dot"):
+                refs.append(getattr(b, op)(args[0], args[1]))
+            elif op in ("recip", "neg", "exp", "log", "relu"):
+                refs.append(getattr(b, op)(args[0]))
+            else:
+                raise SpecValidationError([f"{where}: unknown op {op!r}"])
+        where = "graph output"
+        return b.build(node(obj["output"]))
+    except KeyError as exc:
+        raise SpecValidationError([f"{where}: missing key {exc.args[0]!r}"]) from None
+    except IndexError:
+        raise SpecValidationError([f"{where}: too few args"]) from None

@@ -606,12 +606,47 @@ def leontief_synthetic(n: int, seed: int = 2024, spectral_radius: float = 0.3,
                    impacts=("ghg", "employment"))
 
 
+_PERRON_STEPS = 100  # the worst of 20,000 seeds at d = 2, 3, 4 takes 43
+
+
+def _perron_root(A: Array) -> float:
+    """Spectral radius of a nonnegative A with a positive off-diagonal, from the
+    Collatz-Wielandt bounds min(Av / v) <= rho <= max(Av / v) on positive vectors v.
+
+    v is iterated by A(A + lo I), where lo is the best lower bound so far; since it
+    commutes with A, each step tightens both bounds. The factor A damps the small
+    eigenvalues as plain power iteration does, and A + lo I the ones near -rho,
+    which leave a nearly periodic A (and the periodic 2 x 2 one) slow or stuck under
+    powers of A alone. The bounds are read off A itself, at v and at Av, so no shift
+    limits their precision. The loop stops when they are 4 eps apart, when a step no
+    longer tightens them (rounding), or after _PERRON_STEPS steps, and returns their
+    midpoint.
+    """
+    v = np.ones(len(A))
+    lo, hi = 0.0, np.inf
+    for _ in range(_PERRON_STEPS):
+        w = A @ v
+        u = A @ w
+        gap = hi - lo
+        lo = max(lo, (w / v).min(), (u / w).min())
+        hi = min(hi, (w / v).max(), (u / w).max())
+        if hi - lo <= 4.0 * np.finfo(np.float64).eps * hi or hi - lo >= gap:
+            break
+        v = u + lo * w
+        v /= v.max()
+    return 0.5 * (lo + hi)
+
+
 def random_contraction(dim: int, seed: int, spectral_radius: float) -> tuple[Array, Array]:
-    """Seeded affine contraction x -> A x + y: A nonnegative with zero diagonal,
-    scaled to the given spectral radius, and y in [0.5, 1.5]."""
+    """Seeded affine contraction x -> A x + y: A nonnegative with zero diagonal and a
+    positive off-diagonal, scaled to the given spectral radius by its Perron root
+    (_perron_root, not an eigendecomposition), and y in [0.5, 1.5]. A 1 x 1 A is zero
+    and cannot be scaled, so dim must be at least 2."""
+    if dim < 2:
+        raise DimensionMismatch(f"a random contraction needs dim >= 2, got {dim}")
     rng = np.random.default_rng([seed, dim])
     A = rng.uniform(0.0, 1.0, size=(dim, dim))
     np.fill_diagonal(A, 0.0)
-    A *= spectral_radius / max(abs(np.linalg.eigvals(A)))
+    A *= spectral_radius / _perron_root(A)
     y = rng.uniform(0.5, 1.5, size=dim)
     return A, y

@@ -542,6 +542,37 @@ def test_bench_command_small(tmp_path, monkeypatch):
     assert len(summary) == 1 + 2 * 3  # two dims, three methods
 
 
+def test_batched_bench_rows_equal_per_seed_vector_solves():
+    cfg, seeds = SolverConfig(), [4, 5, 6]
+    for dim in (2, 10, 50):
+        rows = iter(cli._bench_rows(dim, seeds, cfg, 0.9))
+        for method, beta in cli.BENCH_METHODS:
+            for seed in seeds:
+                A, y = modelzoo.random_contraction(dim, seed, 0.9)
+                f = lambda x: A @ x + y  # noqa: E731
+                if beta is None:
+                    report = fixedpoint.forward_iterate(f, np.zeros(dim), cfg)
+                else:
+                    report = fixedpoint.anderson_solve(f, np.zeros(dim), dataclasses.replace(cfg, beta=beta))
+                row = next(rows)
+                assert (row["dim"], row["method"], row["seed"]) == (dim, method, seed)
+                assert (row["iterations"], row["converged"]) == (report.iterations, report.converged)
+                assert (np.float64(row["relative_error"]).tobytes()
+                        == np.float64(report.relative_error).tobytes())
+        assert next(rows, None) is None
+
+
+def test_bench_dims_below_two_exit_2(tmp_path):
+    obj = {"command": "bench", "model": "motivating-example", "bench": {"dims": [1], "seeds": 1}}
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj(obj)
+    assert info.value.pointer == "/bench/dims/0"
+    path = write_config(tmp_path / "c.json", obj)
+    result = CliRunner().invoke(main, ["bench", "--config", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error: /bench/dims/0" in result.output
+
+
 def test_reproducible_manifests_modulo_timing(tmp_path):
     cfg = _config_from_obj({"command": "pareto", "model": "leontief-synthetic-4",
                             "adam": {"learning_rate": 0.05, "iterations": 80},

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eqcausal import diffcore
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, inline, jacobian, reverse_vjp
-from eqcausal.errors import DomainError, ShapeMismatch, UnboundSlot
+from eqcausal.errors import DomainError, ShapeMismatch, SpecValidationError, UnboundSlot
 
 from ._models import reference_forward_eval, reference_reverse_vjp
 
@@ -281,6 +281,32 @@ def test_old_dot_matvec_broadcast_records_load_through_the_builder_sugar():
         "0x1.17cd62bd3e7e6p-2", "-0x1.007c452d79493p+0", "0x1.36e434d2456ffp-1"]
     assert [v.hex() for v in reverse_vjp(g, {"x": x}, [1.0, -0.5, 0.25])["x"]] == [
         "0x1.aeeca8dddd275p+1", "-0x1.5f0620445e946p-1", "0x1.8551c90b02ca7p+0"]
+
+
+_INPUT = {"op": "input", "args": [], "slot": "x", "dim": 2}
+MALFORMED_GRAPHS = [
+    ({"nodes": [_INPUT, {"op": "neg", "args": [-1]}], "output": 1},
+     "graph record 1: -1 is not the index of a node built before it"),
+    ({"nodes": [_INPUT, {"op": "neg", "args": [0]}], "output": -1},
+     "graph output: -1 is not the index of a node built before it"),
+    ({"nodes": [_INPUT, {"op": "neg", "args": [1]}], "output": 1},
+     "graph record 1: 1 is not the index of a node built before it"),
+    ({"nodes": [_INPUT], "output": 1}, "graph output: 1 is not the index of a node built before it"),
+    ({"nodes": [_INPUT, {"op": "matmul", "args": [0, 0], "offset": 0}], "output": 1},
+     "graph record 1: missing key 'rows'"),
+    ({"nodes": [{"args": []}], "output": 0}, "graph record 0: missing key 'op'"),
+    ({"nodes": [_INPUT]}, "graph output: missing key 'output'"),
+    ({"nodes": [_INPUT, {"op": "tanh", "args": [0]}], "output": 1},
+     "graph record 1: unknown op 'tanh'"),
+    ({"nodes": [_INPUT, {"op": "add", "args": [0]}], "output": 1}, "graph record 1: too few args"),
+]
+
+
+@pytest.mark.parametrize("obj,message", MALFORMED_GRAPHS)
+def test_malformed_graph_record_is_a_spec_validation_error(obj, message):
+    with pytest.raises(SpecValidationError) as info:
+        diffcore.graph_from_obj(obj)
+    assert info.value.diagnostics == [message]
 
 
 def test_builder_sugar_emits_matmul_and_gather():

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqcausal import modelzoo
-from eqcausal.errors import NonFiniteIterate, SingularLeastSquares, ZeroNorm
+from eqcausal.errors import DimensionMismatch, NonFiniteIterate, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
 
 from ._models import random_leontief, reference_anderson_solve
@@ -281,3 +281,18 @@ def test_random_contraction_is_seeded_and_scaled():
     assert A.tobytes() == A2.tobytes() and y.tobytes() == y2.tobytes()
     assert max(abs(np.linalg.eigvals(A))) == pytest.approx(0.9)
     assert np.all(A >= 0.0) and not np.diag(A).any()
+
+
+# (3, 2707) is nearly periodic (eigenvalues 0.5877 and -0.5869), the slowest of 20,000
+# d = 3 seeds under powers of A; every 2 x 2 one, (2, 17) among them, is periodic
+@pytest.mark.parametrize("dim,seed", [(d, s) for d in (2, 3, 10, 50, 100, 200) for s in range(20)]
+                         + [(3, 2707)])
+def test_random_contraction_radius_matches_the_eigenvalues(dim, seed):
+    A, _ = modelzoo.random_contraction(dim, seed, 0.9)
+    assert max(abs(np.linalg.eigvals(A))) == pytest.approx(0.9, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_random_contraction_needs_two_dimensions(dim):
+    with pytest.raises(DimensionMismatch, match="dim >= 2"):
+        modelzoo.random_contraction(dim, 0, 0.9)

@@ -1,4 +1,5 @@
 import gc
+import json
 import weakref
 from dataclasses import replace
 
@@ -220,6 +221,13 @@ def test_json_roundtrip_bit_exact():
     sol1 = solve_equilibrium(spec, THETA_REF, SolverConfig())
     sol2 = solve_equilibrium(spec2, THETA_REF, SolverConfig())
     assert sol1.x_star.tobytes() == sol2.x_star.tobytes()
+
+
+def test_json_with_a_negative_arg_index_is_a_spec_validation_error():
+    obj = json.loads(sscm.spec_to_json(motivating_spec()))
+    next(rec for g in obj["assignments"] for rec in g["nodes"] if rec["args"])["args"][0] = -1
+    with pytest.raises(sscm.SpecValidationError, match="graph record"):
+        sscm.spec_from_json(json.dumps(obj))
 
 
 def test_solve_rejects_invalid_spec():
