@@ -6,9 +6,12 @@ Formats (UTF-8, decimal point, comma separator):
          impact name followed by d intensities
   y.csv  d rows of one final-demand value each, no header
 
-Floats are written with repr so a write/load round trip is bit-exact. A file
-loads with one numpy conversion and array checks; only a failure walks the
-cells, to name the first ragged row or non-finite or negative cell.
+Floats are written with repr so a write/load round trip is bit-exact. When
+csv would read each line of A.csv and y.csv as one row split at its commas
+(no quote, no blank line), the header is split at its commas and np.loadtxt
+parses the numbers. Otherwise, or when a shape, finiteness or sign check
+fails, csv reads the rows and numpy converts them in one call; only a failed
+check there walks the cells, to name the first ragged row or bad cell.
 """
 
 from __future__ import annotations
@@ -40,6 +43,28 @@ def _parse_cell(text: str, path, line: int, column: int) -> float:
     return value
 
 
+def _plain_lines(path) -> list[str] | None:
+    """The file's lines, when csv reads each as one row split at its commas alone: no quote
+    and no blank line, which csv reads as an empty row. None otherwise."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    return None if '"' in text or "" in lines else lines
+
+
+def _loadtxt(lines, rows: int, width: int) -> np.ndarray | None:
+    """`lines` parsed by np.loadtxt, when they hold rows x width finite nonnegative numbers."""
+    if len(lines) != rows or not rows:
+        return None
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape == (rows, width) and np.isfinite(arr).all() and not (arr < 0).any() else None
+
+
 def _numbers(path, rows, line: int, width: int, ragged: str, entry, skip: int = 0) -> np.ndarray:
     """The cells of `rows` (the first on `line`) after `skip` labels, as one float array. A row
     not `width` long or a cell not a finite nonnegative number raises; only then are the cells
@@ -62,19 +87,25 @@ def _numbers(path, rows, line: int, width: int, ragged: str, entry, skip: int = 
 
 def load_iotable_csv(a_path, y_path, r_path=None) -> IoTable:
     """Load and validate a table; R defaults to a single zero impact row."""
-    a_rows = _read_rows(a_path)
-    if not a_rows:
-        raise ParseError(f"{a_path}: empty file", line=1)
-    sectors = tuple(name.strip() for name in a_rows[0])
+    a_lines, y_lines = _plain_lines(a_path), _plain_lines(y_path)
+    sectors = tuple(name.strip() for name in a_lines[0].split(",")) if a_lines else ()
     d = len(sectors)
-    if len(a_rows) != d + 1:
-        raise DimensionMismatch(f"{a_path}: expected {d} coefficient rows, found {len(a_rows) - 1}")
-    A = _numbers(a_path, a_rows[1:], 2, d, f"expected {d} columns", lambda i, j: f"A[{i}, {j}]")
+    A = _loadtxt(a_lines[1:], d, d) if a_lines else None
+    y = _loadtxt(y_lines, d, 1) if y_lines else None
+    if A is None or y is None:  # not plain, or a check fails: csv reads it and the cells are walked
+        a_rows = _read_rows(a_path)
+        if not a_rows:
+            raise ParseError(f"{a_path}: empty file", line=1)
+        sectors = tuple(name.strip() for name in a_rows[0])
+        d = len(sectors)
+        if len(a_rows) != d + 1:
+            raise DimensionMismatch(f"{a_path}: expected {d} coefficient rows, found {len(a_rows) - 1}")
+        A = _numbers(a_path, a_rows[1:], 2, d, f"expected {d} columns", lambda i, j: f"A[{i}, {j}]")
 
-    y_rows = _read_rows(y_path)
-    if len(y_rows) != d:
-        raise DimensionMismatch(f"{y_path}: expected {d} demand rows, found {len(y_rows)}")
-    y = _numbers(y_path, y_rows, 1, 1, "expected one value per row", lambda i, j: f"y[{i}]")[:, 0]
+        y_rows = _read_rows(y_path)
+        if len(y_rows) != d:
+            raise DimensionMismatch(f"{y_path}: expected {d} demand rows, found {len(y_rows)}")
+        y = _numbers(y_path, y_rows, 1, 1, "expected one value per row", lambda i, j: f"y[{i}]")
 
     if r_path is None:
         R = np.zeros((1, d))
@@ -90,7 +121,7 @@ def load_iotable_csv(a_path, y_path, r_path=None) -> IoTable:
                      lambda i, j: f"R[{i}, {j}]", skip=1)
         impacts = tuple(row[0].strip() for row in r_rows[1:])
 
-    return IoTable(A=A, R=R, y=y, sectors=sectors, impacts=impacts)
+    return IoTable(A=A, R=R, y=y[:, 0], sectors=sectors, impacts=impacts)
 
 
 def _write_rows(path, rows):

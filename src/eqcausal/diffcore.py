@@ -6,14 +6,15 @@ first evaluation, into a level-fused program, which is cached on the frozen
 graph; forward_eval and reverse_vjp both run it. Every node owns a segment of
 one flat float64 buffer, and the nodes of one op at one topological level run
 as one wide numpy step that reads its operands through index arrays (slices
-where they are contiguous). The graph has 15 ops: input, const, add, sub, mul
+where they are contiguous). The graph has 16 ops: input, const, add, sub, mul
 (elementwise), recip, neg, pow (constant exponent), exp, log, relu, matmul (a
-row-major weight block read from a vector node, times a vector), concat, slice
-and gather. They lower to four kernel families, each with one VJP: elementwise
-unary, elementwise binary, segment sum of products (matmul) and copy (slice,
-gather, concat), which costs nothing forward. The builder's dot (a one-row
-matmul), matvec (a matmul over a constant matrix) and broadcast (a gather of
-component 0) emit these ops. Evaluation allocates fresh buffers per call, so
+row-major weight block read from a vector node, times a vector), segdot (the
+dot products of two vectors over consecutive segments), concat, slice and
+gather. They lower to four kernel families, each with one VJP: elementwise
+unary, elementwise binary, segment sum of products (matmul, segdot) and copy
+(slice, gather, concat), which costs nothing forward. The builder's dot (a
+one-row matmul), matvec (a matmul over a constant matrix) and broadcast (a
+gather of component 0) emit these ops. Evaluation allocates fresh buffers per call, so
 one graph can be evaluated concurrently.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
@@ -160,6 +161,13 @@ class ExprBuilder:
                                 f"does not fit a weight vector of dim {w.dim}")
         return self._push("matmul", (w, x), (int(offset), int(n_out)), int(n_out))
 
+    def segdot(self, a, b, lengths) -> Ref:
+        """The dot products of a and b over consecutive segments of the given lengths."""
+        lengths = tuple(map(int, lengths))
+        if a.dim != b.dim or not lengths or min(lengths) < 1 or sum(lengths) != a.dim:
+            raise ShapeMismatch(f"segdot: dims {a.dim} and {b.dim} in segments {lengths}")
+        return self._push("segdot", (a, b), lengths, len(lengths))
+
     def dot(self, a, b) -> Ref:
         """a . b as a one-row matmul."""
         if a.dim != b.dim:
@@ -284,7 +292,8 @@ _UNARY = {
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 _COPY = ("slice", "gather", "concat")
 _COMPUTED, _COPIED = 0, 1
-_KIND = {**dict.fromkeys((*_UNARY, *_BINARY, "matmul"), _COMPUTED), **dict.fromkeys(_COPY, _COPIED)}
+_KIND = {**dict.fromkeys((*_UNARY, *_BINARY, "matmul", "segdot"), _COMPUTED),
+         **dict.fromkeys(_COPY, _COPIED)}
 
 
 def dot_sum(a, b) -> float:
@@ -514,7 +523,8 @@ def _fuse(graph: ExprGraph) -> _Program:
     if picks:
         dst, src, idx = zip(*picks)
         length = [len(k) for k in idx]
-        source[_runs(dst, length)] = np.repeat(src, length) + np.fromiter(chain.from_iterable(idx), np.intp)
+        indices = np.concatenate([np.asarray(k, dtype=np.intp) for k in idx])  # tuples or intp arrays
+        source[_runs(dst, length)] = np.repeat(src, length) + indices
     copied = np.flatnonzero(source >= 0)
     pos, sources = own.copy(), source[copied]
     pos[copied] = own[sources]
@@ -551,14 +561,18 @@ def _fuse(graph: ExprGraph) -> _Program:
                 ea, eb = elements(a), elements(b)
                 step.a, step.b = _index(pos[ea]), _index(pos[eb])
                 step.sides, step.elems = (a, b), (ea, eb)
-            else:  # a matmul: one segment per row of its weight block
+            else:  # a matmul, one segment per row of its weight block, or a segdot
                 step = _SegmentSum()
                 a, b = [arg[0] for arg in args], [arg[1] for arg in args]
-                cols = dims_arr[b]
-                start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
-                lengths = np.repeat(cols, rows)
-                ea = _runs(base_arr[a] + start, rows * cols)
-                eb = _runs(np.repeat(base_arr[b], rows), lengths)
+                if op == "segdot":
+                    lengths = np.concatenate([np.asarray(nodes[i].payload, dtype=np.intp) for i in members])
+                    ea, eb = elements(a), elements(b)
+                else:
+                    cols = dims_arr[b]
+                    start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
+                    lengths = np.repeat(cols, rows)
+                    ea = _runs(base_arr[a] + start, rows * cols)
+                    eb = _runs(np.repeat(base_arr[b], rows), lengths)
                 step.a, step.b = _index(pos[ea]), _index(pos[eb])
                 step.starts = step.seg = None
                 if np.any(lengths != 1):
@@ -726,12 +740,6 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     return {slot: out[..., end - dim:end] for (slot, (_, dim)), end in zip(graph.slots.items(), ends)}
 
 
-def jacobian(graph: ExprGraph, bindings: Mapping[str, Array], slot: str) -> Array:
-    """Dense Jacobian of the output w.r.t. one input slot (n x m) at unbatched
-    bindings: one batched reverse sweep seeded with the identity."""
-    return reverse_vjp(graph, bindings, np.eye(graph.output_dim))[slot]
-
-
 def finite_difference_jacobian(fn: Callable[[Array], Array], x, h: float = 1e-6) -> Array:
     """Central-difference Jacobian estimate of fn at x; column j uses x +/- h e_j."""
     x = _as_vector(x, "x").copy()
@@ -765,8 +773,10 @@ def graph_to_obj(graph: ExprGraph) -> dict:
             rec["exponent"] = node.payload
         elif node.op == "slice":
             rec["start"], rec["stop"] = node.payload
+        elif node.op == "segdot":
+            rec["lengths"] = list(node.payload)
         elif node.op == "gather":
-            rec["indices"] = list(node.payload)
+            rec["indices"] = list(map(int, node.payload))
         nodes.append(rec)
     return {"nodes": nodes, "output": graph.output}
 
@@ -804,6 +814,8 @@ def graph_from_obj(obj: dict) -> ExprGraph:
                 refs.append(b.powc(args[0], rec["exponent"]))
             elif op == "slice":
                 refs.append(b.slice(args[0], rec["start"], rec["stop"]))
+            elif op == "segdot":
+                refs.append(b.segdot(args[0], args[1], rec["lengths"]))
             elif op == "gather":
                 refs.append(b.gather(args[0], rec["indices"]))
             elif op == "broadcast":

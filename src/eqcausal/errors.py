@@ -104,7 +104,7 @@ class SolveFailedDuringOptimization(EqcausalError):
 # --- ingestion / configuration ---
 
 class ParseError(EqcausalError):
-    """A CSV input failed to parse; carries line/column context."""
+    """A CSV or JSON input failed to parse; carries line/column context."""
 
     def __init__(self, message, line=None, column=None):
         loc = ""

@@ -85,29 +85,12 @@ def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
     components default to g's values, so solving the returned spec directly
     yields the intervened equilibrium. Parent sets and node count are
     unchanged (the intervention is soft). The new spec runs a stacked program
-    derived from spec's (sscm.derive_wrapped), so spec must be valid; its
-    per-node graphs serve validate, JSON and dataclasses.replace.
+    derived from spec's (sscm.derive_wrapped), so spec must be valid. Its
+    per-node graphs are built only when read (validate, JSON, dataclasses.replace).
     """
     if any(t < 0 or t >= spec.d for t in g.targets):
         raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")
-    old_dim = spec.u_dim
-    new_dim = old_dim + g.dim
-    pos_of = {t: old_dim + i for i, t in enumerate(g.targets)}
-    assignments = []
-    for j, graph in enumerate(spec.assignments):
-        if j not in pos_of and "u" not in graph.slots:
-            assignments.append(graph)
-            continue
-        b = ExprBuilder()  # the old u slot reads a prefix of the widened u
-        out = inline(b, graph, {"u": b.slice(b.input("u", new_dim), 0, old_dim)} if "u" in graph.slots else {})
-        if j in pos_of:
-            val = b.gather(b.input("u", new_dim), [pos_of[j]])
-            out = out * val if g.group == "multiplicative" else out + val
-        assignments.append(b.build(out))
-    out = replace(spec, assignments=tuple(assignments), u_dim=new_dim,
-                  u_ref=np.concatenate([spec.u_ref, g.values]))
-    derive_wrapped(spec, out, g.group == "multiplicative", g.targets)
-    return out
+    return derive_wrapped(spec, g.group == "multiplicative", g.targets, g.values)
 
 
 def hard_intervention_derivative(spec: SscmSpec, j: int, k: int, theta,

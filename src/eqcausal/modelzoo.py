@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import optimize
-from .diffcore import ExprBuilder, ExprGraph
+from .diffcore import ExprBuilder, ExprGraph, GraphNode
 from .errors import (DimensionMismatch, NegativeEntry, SingularMatrix,
                      SingularParameterization, TopologyViolation)
 from .interventions import CompartmentPlan, InvariantInterventionSpec
 from .optimize import MlpSpec
-from .sscm import SscmSpec
+from .sscm import SscmSpec, with_program
 
 Array = np.ndarray
 
@@ -111,21 +112,14 @@ def impacts(R, x) -> Array:
     return R @ x
 
 
-def employment_distribution(row, x) -> Array:
-    """Per-sector impact: entrywise product of one intensity row with output."""
-    row = np.asarray(row, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if row.shape != x.shape:
-        raise DimensionMismatch(f"row {row.shape} against x {x.shape}")
-    return row * x
-
-
 def leontief_model(table: IoTable, free_a_entries=()) -> SscmSpec:
     """Demand-driven spec x_k := sum_j A_kj x_j + y_k with y (and optionally
     selected off-diagonal A entries) as free parameters.
 
     Diagonal entries are eliminated algebraically: the assignment for x_k is
     (sum_{j != k} A_kj x_j + y_k) / (1 - A_kk), which has the same fixed point.
+    Node k's theta slice is y_k, then the entries freed in row k in the order given.
+    The stacked program is built from the arrays, and the per-node graphs only when read.
     """
     A, y = table.A, table.y
     d = table.d
@@ -145,17 +139,34 @@ def leontief_model(table: IoTable, free_a_entries=()) -> SscmSpec:
     for i, j in free_a_entries:
         linked[i, j], coefs[i, j] = True, 0.0
     flat = np.flatnonzero(linked)  # every row's parents, row after row
-    bounds = np.searchsorted(flat, np.arange(d + 1) * d).tolist()
-    cols, coefs = flat % d, coefs.ravel()[flat]
+    bounds = np.searchsorted(flat, np.arange(d + 1) * d)
+    coefs = coefs.ravel()[flat]
 
-    graphs, parents, slices, theta, box = [], [], [], [], []
-    cursor = 0
-    for k in range(d):
+    free = np.array(free_a_entries, dtype=np.intp).reshape(-1, 2)
+    free = free[np.argsort(free[:, 0], kind="stable")]
+    n_theta = 1 + np.bincount(free[:, 0], minlength=d)
+    starts = np.cumsum(n_theta) - n_theta  # of each theta slice, at its y_k
+    rank = np.arange(len(free)) - np.searchsorted(free[:, 0], free[:, 0])  # of each entry in its row
+    free_at = starts[free[:, 0]] + 1 + rank
+    theta, box = np.empty(d + len(free)), np.zeros((d + len(free), 2))
+    theta[starts], theta[free_at] = y, A[free[:, 0], free[:, 1]]
+    box[starts, 1], box[free_at, 1] = 2.0 * np.maximum(y, 1.0), np.maximum(2.0 * theta[free_at], 1.0)
+
+    cols, at = (flat % d).tolist(), bounds.tolist()
+    spec = SscmSpec(table.sectors, tuple(tuple(cols[a:b]) for a, b in zip(at, at[1:])),
+                    partial(_leontief_graphs, flat % d, coefs, bounds, scales, free_a_entries),
+                    theta, box, tuple(zip(starts.tolist(), (starts + n_theta).tolist())))
+    return with_program(spec, *_leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at))
+
+
+def _leontief_graphs(cols, coefs, bounds, scales, free_a_entries) -> list[ExprGraph]:
+    """leontief_model's per-node graphs."""
+    graphs = []
+    for k in range(len(scales)):
         free_cols = [j for i, j in free_a_entries if i == k]
         pa, row = cols[bounds[k]:bounds[k + 1]], coefs[bounds[k]:bounds[k + 1]]
         b = ExprBuilder()
-        n_theta = 1 + len(free_cols)
-        t = b.input("theta", n_theta)
+        t = b.input("theta", 1 + len(free_cols))
         expr = b.slice(t, 0, 1) * b.const([scales[k]])
         if len(pa):
             p = b.input("parents", len(pa))
@@ -165,17 +176,57 @@ def leontief_model(table: IoTable, free_a_entries=()) -> SscmSpec:
                 pos = int(np.searchsorted(pa, j))
                 expr = expr + b.slice(t, 1 + fi, 2 + fi) * b.const([scales[k]]) * b.gather(p, [pos])
         graphs.append(b.build(expr))
-        parents.append(pa.tolist())
-        slices.append((cursor, cursor + n_theta))
-        theta.append(y[k])
-        box.append([0.0, 2.0 * max(y[k], 1.0)])
-        for j in free_cols:
-            theta.append(A[k, j])
-            box.append([0.0, max(2.0 * A[k, j], 1.0)])
-        cursor += n_theta
+    return graphs
 
-    return SscmSpec(table.sectors, tuple(parents), tuple(graphs),
-                    np.array(theta), np.array(box), tuple(slices))
+
+def _leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at):
+    """leontief_model's stacked program, leaves and cells, built from its arrays: f_k is
+    theta_k scale_k, plus the segment dot of row k's coefficients and gathered parents
+    (unless all are 0), plus theta_f scale_k x_j for each entry (k, j) freed in row k in
+    turn. These are the per-node graphs' ops in their order, so the fused steps compute
+    what those graphs stacked compute, bit for bit. A term that some rows take is added
+    to those rows and merged back by copies, which the fused program resolves."""
+    d, p, nnz = len(scales), int(n_theta.sum()), len(flat)
+    nodes, dims = [], []
+
+    def node(op, dim, *args, payload=None):
+        nodes.append(GraphNode(op, args, payload))
+        dims.append(int(dim))
+        return len(nodes) - 1
+
+    def plus(out, rows, term):  # out with term added to its entries at rows, ascending
+        if len(rows) == d:
+            return node("add", d, out, term)
+        added = node("add", len(rows), node("gather", len(rows), out, payload=rows), term)
+        merge = np.arange(d)
+        merge[rows] = d + np.arange(len(rows))
+        return node("gather", d, node("concat", d + len(rows), out, added), payload=merge)
+
+    x, t = node("input", d, payload=("x", d)), node("input", p, payload=("theta", p))
+    # the theta leaf is a copy of theta, so the copies that read it pass their adjoints to it
+    # in a reverse step of their own, not in the parents gather's
+    theta = node("slice", p, t, payload=(0, p))
+    out = node("mul", d, node("gather", d, theta, payload=np.cumsum(n_theta) - n_theta),
+               node("const", d, payload=scales))
+    parents = node("gather", nnz, x, payload=flat % d) if nnz else None
+    summed = np.bincount(flat[coefs != 0.0] // d, minlength=d) > 0
+    if summed.any():
+        at = np.flatnonzero(summed[flat // d])
+        read = parents if len(at) == nnz else node("gather", len(at), parents, payload=at)
+        lengths = tuple(np.diff(bounds)[summed].tolist())
+        dotted = node("segdot", len(lengths), node("const", len(at), payload=coefs[at]), read, payload=lengths)
+        out = plus(out, np.flatnonzero(summed), dotted)
+    for r in range(rank.max() + 1 if len(rank) else 0):
+        k, j = free[rank == r].T
+        coef = node("mul", len(k), node("gather", len(k), theta, payload=free_at[rank == r]),
+                    node("const", len(k), payload=scales[k]))
+        picked = node("gather", len(k), parents, payload=np.searchsorted(flat, k * d + j))
+        out = plus(out, k, node("mul", len(k), coef, picked))
+
+    graph = ExprGraph(tuple(nodes), out, {"x": (x, d), "theta": (t, p)}, tuple(dims))
+    cells = (("x", d, flat), ("theta", p, np.repeat(np.arange(d), n_theta) * p + np.arange(p)),
+             ("u", 0, np.zeros(0, dtype=np.intp)))
+    return graph, (parents, theta) if nnz else (theta,), cells
 
 
 # --- motivating 3-node example ---

@@ -315,21 +315,6 @@ class GhgEmploymentLoss:
         return (t + t) * self.r + self.c
 
 
-class DistanceLoss:
-    """L(x) = ||x - x_ref||^2."""
-
-    def __init__(self, x_ref):
-        self.x_ref = np.asarray(x_ref, dtype=np.float64)
-
-    def value(self, x) -> float:
-        delta = np.asarray(x, dtype=np.float64) - self.x_ref
-        return diffcore.dot_sum(delta, delta)
-
-    def grad(self, x) -> Array:
-        delta = np.asarray(x, dtype=np.float64) - self.x_ref
-        return delta + delta
-
-
 # --- Lie intervention optimization ---
 
 @dataclass

@@ -12,9 +12,12 @@ fixed-point solver. A Linearization holds the dense partials of f at one point
 and the inverse and 1-norm condition number of I - df/dx; the diffeomorphism
 check and the implicit gradients of deq both read it.
 
-An intervened spec from interventions.apply runs a program derived from its
-parent's: the parent's stacked, compiled graph, then each target's wrap by its
-u component. dataclasses.replace drops it, and the copy stacks its own graphs.
+A spec stacks its per-node graphs into one program at first use, except two
+kinds: modelzoo.leontief_model builds its program from the table's arrays, and
+an intervened spec (interventions.apply) runs one derived from its parent's,
+the parent's stacked, compiled graph, then each target's wrap by its u
+component. These build their per-node graphs only when `assignments` is read:
+by validate, JSON, dataclasses.replace (whose copy stacks its own graphs).
 
 Batches: binding x, theta, u, extern or policy with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
@@ -26,7 +29,7 @@ the B equilibria in lockstep, and node_gradients and Linearization give
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import chain
 from typing import Callable
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import diffcore, fixedpoint
 from .diffcore import ExprGraph
-from .errors import ShapeMismatch, SpecValidationError
+from .errors import ParseError, ShapeMismatch, SpecValidationError
 from .fixedpoint import SolveReport, SolverConfig
 
 Array = np.ndarray
@@ -49,13 +52,35 @@ def _frozen_array(value, dtype=np.float64) -> Array:
     return arr
 
 
+class _OnDemand:
+    """A field holding its value or a function that returns it, which the first read calls."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, spec, owner=None):
+        if spec is None:
+            raise AttributeError(self.key)  # so the field has no default
+        if callable(value := spec.__dict__[self.key]):
+            value = spec.__dict__[self.key] = tuple(value())
+        return value
+
+    def __set__(self, spec, value):
+        spec.__dict__[self.key] = value
+
+
+class _Parents(tuple):
+    """Parent lists that SscmSpec has made tuples of ints, which a copy keeps."""
+
+
 @dataclass(frozen=True, eq=False)
 class SscmSpec:
-    """Node names, parent lists, assignment graphs and the parameter box."""
+    """Node names, parent lists, assignment graphs and the parameter box. `assignments`
+    may be a function that returns the graphs, for a spec built with its program."""
 
     names: tuple[str, ...]
     parents: tuple[tuple[int, ...], ...]
-    assignments: tuple[ExprGraph, ...]
+    assignments: tuple[ExprGraph, ...] = _OnDemand()
     theta_ref: Array
     theta_box: Array  # (p, 2) columns [lo, hi]
     theta_slices: tuple[tuple[int, int], ...]  # per-node (start, stop) into theta
@@ -74,7 +99,8 @@ class SscmSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "parents", tuple(tuple(map(int, p)) for p in self.parents))
+        if type(self.parents) is not _Parents:
+            object.__setattr__(self, "parents", _Parents(tuple(map(int, p)) for p in self.parents))
         object.__setattr__(self, "theta_slices", tuple((int(a), int(b)) for a, b in self.theta_slices))
         object.__setattr__(self, "theta_ref", _frozen_array(self.theta_ref))
         object.__setattr__(self, "theta_box", _frozen_array(np.asarray(self.theta_box).reshape(-1, 2)))
@@ -260,19 +286,47 @@ def _stacked(spec: SscmSpec) -> _Stacked:
     return prog
 
 
-def derive_wrapped(parent: SscmSpec, spec: SscmSpec, multiplicative: bool, targets) -> None:
-    """Give `spec`, `parent` with each target's output multiplied by (or added to) a new u
-    component, the parent's stacked program (stacked first if need be) with one more wrap:
-    nothing is stacked or compiled again, and df/du gains one cell per target. The wrapped
-    graphs are valid by construction, so only non-finite new u values can fail validate."""
+def with_program(spec: SscmSpec, graph: ExprGraph, leaves, cells) -> SscmSpec:
+    """`spec`, built from arrays, with `graph` (over x and theta) as its program and `leaves`
+    and `cells` as _Stacked holds them. It is valid by construction, but for non-finite
+    parameter values, so only these are checked."""
+    object.__setattr__(spec, "_stacked", _Stacked(graph, tuple(leaves), tuple(cells), {}))
+    finite = np.isfinite(spec.theta_ref).all() and np.isfinite(spec.theta_box).all()
+    object.__setattr__(spec, "_validated", bool(finite))
+    return spec
+
+
+def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> SscmSpec:
+    """`parent` with each target's output multiplied by (or added to) a new u component,
+    `values` by default. It runs the parent's stacked program (stacked first if need be)
+    with one more wrap: nothing is stacked or compiled again, and df/du gains one cell per
+    target. Its per-node graphs, each target's wrapped, are built only when read. They are
+    valid by construction, so only non-finite new u values can fail validate."""
     _require_valid(parent)
     prog = _stacked(parent)
-    old, new = parent.u_dim, spec.u_dim
+    old, new = parent.u_dim, parent.u_dim + len(targets)
+    pos_of = {t: old + i for i, t in enumerate(targets)}
+    graphs = parent.__dict__["_assignments"]  # a function, if the parent's are not built
+
+    def wrapped():
+        for j, graph in enumerate(graphs() if callable(graphs) else graphs):
+            if j in pos_of or "u" in graph.slots:
+                b = diffcore.ExprBuilder()  # the old u slot reads a prefix of the widened u
+                u = {"u": b.slice(b.input("u", new), 0, old)} if "u" in graph.slots else {}
+                out = diffcore.inline(b, graph, u)
+                if j in pos_of:
+                    val = b.gather(b.input("u", new), [pos_of[j]])
+                    out = out * val if multiplicative else out + val
+                graph = b.build(out)
+            yield graph
+
+    spec = replace(parent, assignments=wrapped, u_dim=new, u_ref=np.concatenate([parent.u_ref, values]))
     cells = tuple((name, new, at // max(old, 1) * new + at % max(old, 1)) if name == "u" else (name, w, at)
                   for name, w, at in prog.cells)
     wrap = (multiplicative, np.array(targets, dtype=np.intp), np.arange(old, new, dtype=np.intp))
     object.__setattr__(spec, "_stacked", replace(prog, cells=cells, wraps=prog.wraps + (wrap,)))
     object.__setattr__(spec, "_validated", bool(np.isfinite(spec.u_ref).all()))
+    return spec
 
 
 def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> tuple[dict, Array]:
@@ -432,6 +486,11 @@ def spec_to_obj(spec: SscmSpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> SscmSpec:
+    """Inverse of spec_to_obj; a non-object or a missing key raises SpecValidationError."""
+    missing = [f.name for f in fields(SscmSpec) if f.init and not (isinstance(obj, dict) and f.name in obj)]
+    if missing:
+        kind = "object" if isinstance(obj, dict) else f"JSON {type(obj).__name__}, not an object,"
+        raise SpecValidationError([f"spec {kind} lacks keys {', '.join(map(repr, missing))}"])
     return SscmSpec(
         names=tuple(obj["names"]),
         parents=tuple(tuple(p) for p in obj["parents"]),
@@ -453,4 +512,9 @@ def spec_to_json(spec: SscmSpec) -> str:
 
 
 def spec_from_json(text: str) -> SscmSpec:
-    return spec_from_obj(json.loads(text))
+    """Inverse of spec_to_json; text that is not JSON raises ParseError at its line and column."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"spec JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    return spec_from_obj(obj)

@@ -5,9 +5,9 @@ from collections import deque
 
 import numpy as np
 
-from eqcausal import sscm
+from eqcausal import diffcore, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import DomainError, SingularLeastSquares, UnboundSlot
+from eqcausal.errors import DimensionMismatch, DomainError, SingularLeastSquares, UnboundSlot
 from eqcausal.fixedpoint import SolveReport, _check_finite, _row_error
 from eqcausal.sscm import SscmSpec
 
@@ -67,6 +67,36 @@ def leontief_spec(A, y):
     box = np.stack([np.zeros(d), 2.0 * np.maximum(y, 1.0)], axis=1)
     return SscmSpec(tuple(f"s{k}" for k in range(d)), tuple(parents), tuple(graphs),
                     y, box, tuple(slices))
+
+
+def employment_distribution(row, x):
+    """Per-sector impact: entrywise product of one intensity row with output."""
+    row = np.asarray(row, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if row.shape != x.shape:
+        raise DimensionMismatch(f"row {row.shape} against x {x.shape}")
+    return row * x
+
+
+def jacobian(graph, bindings, slot):
+    """Dense Jacobian of the output w.r.t. one input slot (n x m) at unbatched
+    bindings: one batched reverse sweep seeded with the identity."""
+    return diffcore.reverse_vjp(graph, bindings, np.eye(graph.output_dim))[slot]
+
+
+class DistanceLoss:
+    """L(x) = ||x - x_ref||^2, a loss in the form optimize_lie_intervention takes."""
+
+    def __init__(self, x_ref):
+        self.x_ref = np.asarray(x_ref, dtype=np.float64)
+
+    def value(self, x) -> float:
+        delta = np.asarray(x, dtype=np.float64) - self.x_ref
+        return diffcore.dot_sum(delta, delta)
+
+    def grad(self, x):
+        delta = np.asarray(x, dtype=np.float64) - self.x_ref
+        return delta + delta
 
 
 def reference_leontief_model(table, free_a_entries=()):
@@ -217,7 +247,7 @@ def reference_ghg_employment_graph(c, r, e_star, lam, eps_smooth=1e-8):
 
 
 def reference_distance_graph(x_ref):
-    """The expression graph ||x - x_ref||^2 that optimize.DistanceLoss replaced."""
+    """The expression graph ||x - x_ref||^2 that DistanceLoss replaced."""
     b = ExprBuilder()
     x = b.input("x", len(x_ref))
     delta = x - b.const(x_ref)
@@ -295,6 +325,9 @@ def _ref_value(node, x, dims):
         start, n_out = p
         block = x[0][start:start + n_out * dims[args[1]]]
         return (block.reshape(n_out, dims[args[1]], *block.shape[1:]) * x[1]).sum(axis=1)
+    if op == "segdot":
+        ends = np.cumsum(p)
+        return np.stack([(x[0][end - n:end] * x[1][end - n:end]).sum(axis=0) for n, end in zip(p, ends)])
     if op == "concat":
         width = max(part.shape[1:] for part in x)
         return np.concatenate([np.broadcast_to(part, part.shape[:1] + width) for part in x])
@@ -333,6 +366,9 @@ def _ref_pullback(node, g, x, y, dims):
         full = np.zeros((dims[args[0]],) + g.shape[1:])
         full[start:start + n_out * n_in] = (g[:, None] * x[1][None]).reshape(n_out * n_in, *g.shape[1:])
         return [full, (block.reshape(n_out, n_in, *block.shape[1:]) * g[:, None]).sum(axis=0)]
+    if op == "segdot":
+        per_element = np.repeat(g, p, axis=0)
+        return [per_element * x[1], per_element * x[0]]
     if op == "concat":
         bounds = np.cumsum([0] + [dims[a] for a in args])
         return [g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -101,6 +101,42 @@ def test_bad_cells_name_the_first_failure(tmp_path, name, text, error, message):
     assert str(info.value) == f"{paths[name]}: {message}"
 
 
+@pytest.mark.parametrize("name, text, error, message", [
+    # lines np.loadtxt would read otherwise than csv: blank or blank-looking, or with a '#'
+    ("A", "s0,s1\n0.1,0.2\n0.3,0.4\n\n", DimensionMismatch, "expected 2 coefficient rows, found 3"),
+    ("A", "s0,s1\n0.1,0.2\n \n", ParseError, "expected 2 columns (line 3)"),
+    ("A", "s0,s1\n0.1,0.2#c\n0.3,0.4\n", ParseError, "'0.2#c' is not a number (line 2, column 2)"),
+    ("y", "1.0\n\n1.0\n", DimensionMismatch, "expected 2 demand rows, found 3"),
+])
+def test_lines_that_csv_reads_otherwise_keep_the_csv_errors(tmp_path, name, text, error, message):
+    paths = {key: tmp_path / f"{key}.csv" for key in GOOD_CSV}
+    for key, path in paths.items():
+        path.write_text(text if key == name else GOOD_CSV[key], encoding="utf-8")
+    with pytest.raises(error) as info:
+        dataio.load_iotable_csv(paths["A"], paths["y"], paths["R"])
+    assert str(info.value) == f"{paths[name]}: {message}"
+
+
+def test_plain_and_quoted_files_load_the_same_table(tmp_path):
+    # write_iotable_csv ends its lines with CRLF; LF files and files whose cells are
+    # quoted (which csv, not np.loadtxt, reads) give the same table, bit for bit
+    table = modelzoo.leontief_synthetic(7)
+    crlf = [tmp_path / f"{key}.csv" for key in "AyR"]
+    dataio.write_iotable_csv(table, *crlf)
+    assert b"\r\n" in crlf[0].read_bytes()
+    variants = {"lf": lambda text: text.replace("\r\n", "\n"),
+                "quoted": lambda text: "\n".join(",".join(f'"{cell}"' for cell in line.split(","))
+                                                 for line in text.splitlines())}
+    for label, rewrite in variants.items():
+        paths = [tmp_path / f"{label}_{key}.csv" for key in "AyR"]
+        for src, dst in zip(crlf, paths):
+            dst.write_bytes(rewrite(src.read_bytes().decode()).encode())
+        for loaded in (dataio.load_iotable_csv(*crlf), dataio.load_iotable_csv(*paths)):
+            assert (loaded.A.tobytes(), loaded.y.tobytes(), loaded.R.tobytes()) == \
+                (table.A.tobytes(), table.y.tobytes(), table.R.tobytes())
+            assert (loaded.sectors, loaded.impacts) == (table.sectors, table.impacts)
+
+
 def test_hawkins_simon_check_runs_once_per_build_and_warns_once(tmp_path, monkeypatch):
     table = modelzoo.IoTable(A=np.array([[0.0, 1.2], [1.2, 0.0]]), R=np.ones((2, 2)), y=np.ones(2),
                              sectors=("a", "b"), impacts=("ghg", "employment"))

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqcausal import diffcore
-from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, inline, jacobian, reverse_vjp
+from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, inline, reverse_vjp
 from eqcausal.errors import DomainError, ShapeMismatch, SpecValidationError, UnboundSlot
 
-from ._models import reference_forward_eval, reference_reverse_vjp
+from ._models import jacobian, reference_forward_eval, reference_reverse_vjp
 
 
 def square_graph():
@@ -369,6 +369,51 @@ def test_matmul_json_roundtrip_bit_exact():
             == reverse_vjp(g2, bindings, [0.3, 0.9])["w"].tobytes())
 
 
+def _segdot_graph(lengths):
+    b = ExprBuilder()
+    a, x = b.input("a", sum(lengths)), b.input("x", sum(lengths))
+    return b.build(b.segdot(a, x, lengths))
+
+
+def test_segdot_equals_the_dots_of_its_segments_and_a_matmul_of_one_row_each():
+    # a segment dot sums its products as a one-row matmul of the segment does, bit for bit
+    rng = np.random.default_rng(11)
+    lengths = (3, 1, 5, 2)
+    a, x = rng.normal(size=11), rng.normal(size=11)
+    out = forward_eval(_segdot_graph(lengths), {"a": a, "x": x})
+    ends = np.cumsum(lengths)
+    for k, (n, end) in enumerate(zip(lengths, ends)):
+        b = ExprBuilder()
+        row = b.build(b.dot(b.input("a", n), b.input("x", n)))
+        assert out[k:k + 1].tobytes() == forward_eval(row, {"a": a[end - n:end], "x": x[end - n:end]}).tobytes()
+    batch = forward_eval(_segdot_graph(lengths), {"a": a, "x": np.stack([x, 2.0 * x])})
+    assert batch.shape == (2, 4) and batch[0].tobytes() == out.tobytes()
+
+
+def test_segdot_vjp_matches_finite_differences_and_json_roundtrip():
+    rng = np.random.default_rng(12)
+    g = _segdot_graph((2, 3))
+    a, x, v = rng.normal(size=5), rng.normal(size=5), rng.normal(size=2)
+    grad = reverse_vjp(g, {"a": a, "x": x}, v)
+    np.testing.assert_allclose(grad["x"], v @ finite_difference_jacobian(
+        lambda z: forward_eval(g, {"a": a, "x": z}), x), atol=1e-8)
+    np.testing.assert_allclose(grad["a"], v @ finite_difference_jacobian(
+        lambda z: forward_eval(g, {"a": z, "x": x}), a), atol=1e-8)
+    obj = diffcore.graph_to_obj(g)
+    assert obj["nodes"][-1] == {"op": "segdot", "args": [0, 1], "lengths": [2, 3]}
+    g2 = diffcore.graph_from_obj(obj)
+    assert diffcore.graph_to_obj(g2) == obj
+    assert forward_eval(g2, {"a": a, "x": x}).tobytes() == forward_eval(g, {"a": a, "x": x}).tobytes()
+
+
+@pytest.mark.parametrize("dims,lengths", [((3, 3), (1, 1)), ((3, 3), (3, 0)), ((3, 3), ()), ((3, 2), (2, 1))])
+def test_segdot_segments_must_cover_its_operands(dims, lengths):
+    b = ExprBuilder()
+    a, x = b.input("a", dims[0]), b.input("x", dims[1])
+    with pytest.raises(ShapeMismatch):
+        b.segdot(a, x, lengths)
+
+
 @pytest.mark.parametrize("n_w,n_out,offset", [(5, 2, 0), (6, 2, 1), (6, 0, 0), (6, 2, -1)])
 def test_matmul_weight_dimension_mismatch_raises(n_w, n_out, offset):
     b = ExprBuilder()
@@ -425,8 +470,8 @@ def test_nodes_that_pass_no_adjoint_on_add_nothing_to_the_gradient():
 @st.composite
 def random_graphs(draw):
     """A random graph over slots "x", "y" and a weight slot "w", with every op kind,
-    dots of mixed lengths, gathers with repeated indices, mixed-width concats and
-    matmul blocks. Domain-limited ops only see values known to be positive."""
+    dots of mixed lengths, segment dots of mixed segments, gathers with repeated
+    indices, mixed-width concats and matmul blocks. Domain-limited ops only see values known to be positive."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     b = ExprBuilder()
     dims = {"x": int(rng.integers(1, 5)), "y": int(rng.integers(1, 5)), "w": 24}
@@ -442,8 +487,8 @@ def random_graphs(draw):
         return pool[int(rng.integers(len(pool)))]
 
     for _ in range(int(rng.integers(4, 16))):
-        op = rng.choice(["add", "sub", "mul", "recip", "neg", "matvec", "matmul", "dot", "pow", "exp",
-                         "log", "relu", "concat", "slice", "gather", "broadcast"])
+        op = rng.choice(["add", "sub", "mul", "recip", "neg", "matvec", "matmul", "dot", "segdot", "pow",
+                         "exp", "log", "relu", "concat", "slice", "gather", "broadcast"])
         if op in ("add", "sub", "mul"):
             a, pa = pick()
             c, pc = pick(dim=a.dim)
@@ -474,6 +519,13 @@ def random_graphs(draw):
             a, pa = pick()
             c, pc = pick(dim=a.dim)
             refs.append((b.dot(a, c), pa and pc and a.dim > 0))
+        elif op == "segdot":
+            a, pa = pick()
+            c, pc = pick(dim=a.dim)
+            if a.dim:
+                cuts = np.sort(rng.choice(np.arange(1, a.dim), size=int(rng.integers(0, a.dim)), replace=False))
+                lengths = np.diff(np.concatenate([[0], cuts, [a.dim]]))
+                refs.append((b.segdot(a, c, lengths), pa and pc))
         elif op == "concat":
             parts = [pick() for _ in range(int(rng.integers(1, 4)))]
             refs.append((b.concat(*[r for r, _ in parts]), all(p for _, p in parts)))

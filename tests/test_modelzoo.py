@@ -1,7 +1,13 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqcausal import modelzoo, sscm
+from eqcausal import interventions, modelzoo, sscm
+from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import (DimensionMismatch, NegativeEntry, SingularMatrix,
                              SingularParameterization, TopologyViolation)
 from eqcausal.fixedpoint import SolverConfig
@@ -10,9 +16,10 @@ from eqcausal.modelzoo import (DemandCurve, IoTable, hawkins_simon_check, impact
                                motivating_closed_form, motivating_example,
                                price_rebound_model, rebound_3sector, total_energy_demand,
                                two_compartment_model)
-from eqcausal.sscm import solve_equilibrium
+from eqcausal.interventions import LieElement
+from eqcausal.sscm import assemble_map, node_gradients, solve_equilibrium
 
-from ._models import reference_leontief_model
+from ._models import employment_distribution, reference_leontief_model
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -123,7 +130,7 @@ def test_impacts():
     np.testing.assert_array_equal(impacts(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
     np.testing.assert_array_equal(impacts(np.array([[1.0, 2.0]]), [3.0, 4.0]), [11.0])
     np.testing.assert_array_equal(
-        modelzoo.employment_distribution(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0])
+        employment_distribution(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0])
     with pytest.raises(DimensionMismatch):
         impacts(np.eye(3), [1.0, 2.0])
 
@@ -325,3 +332,116 @@ def test_leontief_synthetic_frozen_and_solvable():
     assert sol.report.converged
     np.testing.assert_allclose(sol.x_star, leontief_closed_form(t1.A, t1.y),
                                atol=1e-3)
+
+
+# --- the stacked program leontief_model builds from the table's arrays ---
+
+def _random_leontief_case(seed):
+    """A table with rows without parents, nonzero diagonals and rows of one parent, and
+    freed entries: some zero in A, several in one row, and every parent of one row."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 13))
+    A = rng.uniform(0.0, 0.3, (d, d)) * (rng.random((d, d)) < 0.4)
+    A[rng.random(d) < 0.25, :] = 0.0
+    np.fill_diagonal(A, np.where(rng.random(d) < 0.5, 0.0, rng.uniform(0.0, 0.5, d)))
+    table = IoTable(A=A, R=np.ones((1, d)), y=rng.uniform(0.5, 1.5, d),
+                    sectors=tuple(f"s{k}" for k in range(d)), impacts=("i",))
+    off = [(i, j) for i in range(d) for j in range(d) if i != j]
+    free = [off[k] for k in rng.permutation(len(off))[:int(rng.integers(0, min(len(off), 6) + 1))]]
+    k = int(rng.integers(d))
+    if rng.random() < 0.5 and np.count_nonzero(A[k]) > (A[k, k] != 0.0):
+        free += [(k, j) for j in np.flatnonzero(A[k]) if j != k and (k, j) not in free]
+    return table, free, rng
+
+
+def _bitwise_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_restacked(spec, x, theta, u=None):
+    """The map and node_gradients of `spec` equal, bit for bit, those of its copy, which
+    dataclasses.replace stacks afresh from the per-node graphs."""
+    fresh = replace(spec)
+    assert fresh._stacked is None
+    with np.errstate(invalid="ignore"):
+        _bitwise_equal(assemble_map(spec, theta, u=u)(x), assemble_map(fresh, theta, u=u)(x))
+        got, want = node_gradients(spec, x, theta, u=u), node_gradients(fresh, x, theta, u=u)
+    for name in ("x", "theta", "u"):
+        _bitwise_equal(getattr(got, name), getattr(want, name))
+    assert got.policy is None and want.policy is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_array_built_program_matches_the_per_node_graphs_bit_for_bit(seed):
+    table, free, rng = _random_leontief_case(seed)
+    d = table.d
+    spec = leontief_model(table, free)
+    assert spec._validated and sscm.validate(spec) == []
+    theta = spec.theta_ref * rng.uniform(0.5, 1.5, spec.theta_dim)
+    theta[rng.random(spec.theta_dim) < 0.1] = -0.0
+    x = rng.uniform(-1.0, 2.0, d)
+    x[rng.random(d) < 0.2] = rng.choice([0.0, -0.0, np.inf, np.nan])  # 0 * inf is nan in a sum of products
+    _assert_matches_restacked(spec, x, theta)
+    rows = 3  # a batch that mixes a batched and a shared binding
+    if rng.random() < 0.5:
+        _assert_matches_restacked(spec, x * rng.uniform(0.5, 1.5, (rows, d)), theta)
+    else:
+        _assert_matches_restacked(spec, x, theta * rng.uniform(0.5, 1.5, (rows, spec.theta_dim)))
+    applied = interventions.apply(spec, LieElement("multiplicative", tuple(range(d)), rng.uniform(0.5, 1.5, d)))
+    u = applied.u_ref * rng.uniform(0.5, 1.5, (rows, d))
+    _assert_matches_restacked(applied, x, theta, u=applied.u_ref)
+    _assert_matches_restacked(applied, np.broadcast_to(x, (rows, d)), theta, u=u)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_array_built_program_matches_the_per_node_graphs_on_synthetic_tables(n):
+    rng = np.random.default_rng(n)
+    table = leontief_synthetic(n)
+    free = [(int(i), int(j)) for i, j in rng.integers(0, n, (8, 2)) if i != j]
+    spec = leontief_model(table, free)
+    _assert_matches_restacked(spec, rng.uniform(0.0, 2.0, n), spec.theta_ref)
+    applied = interventions.apply(spec, LieElement("multiplicative", tuple(range(n)), np.full(n, 0.9)))
+    _assert_matches_restacked(applied, rng.uniform(0.0, 2.0, (4, n)), spec.theta_ref, u=applied.u_ref)
+
+
+#: sha256 of spec_to_json, as the per-node build wrote it before the program was built
+#: from arrays: leontief_synthetic(12) with entries freed (two of them zero in A, three
+#: in row 0), then after an all-sector multiplicative and an additive intervention
+SYNTHETIC_12_JSON_SHA256 = ("75812c48e08b3790de24daf690e13ab62696c2566015a876702bbb46ca58d233",
+                            "d378bc70a5ac0e07ca38a0da969eb43c9564ca0217d685cd9c1292ab0124dd8b")
+
+
+def _synthetic_12_specs():
+    spec = leontief_model(leontief_synthetic(12), free_a_entries=((0, 9), (1, 2), (0, 3), (7, 5), (0, 10)))
+    applied = interventions.apply(spec, LieElement("multiplicative", tuple(range(12)), np.linspace(0.5, 1.5, 12)))
+    return spec, interventions.apply(applied, LieElement("additive", (2, 9), [0.25, -0.5]))
+
+
+@pytest.mark.parametrize("parent_first", [True, False])
+def test_on_demand_graphs_write_the_json_of_the_per_node_build(parent_first):
+    spec, applied = _synthetic_12_specs()
+    order = (spec, applied) if parent_first else (applied, spec)
+    digests = {id(s): hashlib.sha256(sscm.spec_to_json(s).encode()).hexdigest() for s in order}
+    assert (digests[id(spec)], digests[id(applied)]) == SYNTHETIC_12_JSON_SHA256
+
+
+def test_model_apply_solve_and_gradients_build_no_per_node_graph(monkeypatch):
+    pushed = []
+    push = ExprBuilder._push
+    monkeypatch.setattr(ExprBuilder, "_push", lambda self, *args: pushed.append(args[0]) or push(self, *args))
+    spec = leontief_model(leontief_synthetic(30), free_a_entries=((0, 1), (4, 2)))
+    applied = interventions.apply(spec, LieElement("multiplicative", tuple(range(30)), np.full(30, 0.9)))
+    sol = solve_equilibrium(applied, applied.theta_ref, TIGHT)
+    node_gradients(applied, sol.x_star, applied.theta_ref)
+    assert sol.report.converged and pushed == []
+    assert len(applied.assignments) == 30 and pushed  # a read builds them
+    assert applied.assignments is applied.assignments
+
+
+def test_array_built_spec_with_non_finite_demand_fails_validation_at_first_use():
+    table = IoTable(A=A2, R=np.ones((1, 2)), y=np.array([1.0, np.nan]), sectors=("a", "b"), impacts=("i",))
+    spec = leontief_model(table)
+    assert not spec._validated
+    with pytest.raises(sscm.SpecValidationError, match="theta_ref has non-finite entries"):
+        assemble_map(spec, spec.theta_ref)

@@ -9,13 +9,13 @@ from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismat
                              SolveFailedDuringOptimization)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import InvariantInterventionSpec, LieElement, build_invariant_model
-from eqcausal.optimize import (AdamConfig, AdamState, DistanceLoss, GhgEmploymentLoss, MlpSpec,
+from eqcausal.optimize import (AdamConfig, AdamState, GhgEmploymentLoss, MlpSpec,
                                SamplingConfig, adam_step, build_mlp_policy, init_mlp_weights,
                                mlp_forward, optimize_lie_intervention, pareto_sweep,
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import (inject_state_jacobian, leontief_spec, motivating_spec,
+from ._models import (DistanceLoss, inject_state_jacobian, leontief_spec, motivating_spec,
                       reference_distance_graph, reference_ghg_employment_graph, reference_mlp_stack)
 
 TIGHT = SolverConfig(tol=1e-10)

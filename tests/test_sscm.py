@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eqcausal import diffcore, interventions, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import ShapeMismatch
+from eqcausal.errors import ParseError, ShapeMismatch
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import LieElement, build_invariant_model
 from eqcausal.sscm import (SscmSpec, assemble_map, check_local_diffeomorphism, node_gradients,
@@ -230,6 +230,31 @@ def test_json_with_a_negative_arg_index_is_a_spec_validation_error():
         sscm.spec_from_json(json.dumps(obj))
 
 
+def test_spec_json_without_names_is_a_spec_validation_error():
+    with pytest.raises(sscm.SpecValidationError, match="lacks keys 'names', 'parents'"):
+        sscm.spec_from_json("{}")
+
+
+def test_spec_json_without_parents_is_a_spec_validation_error():
+    with pytest.raises(sscm.SpecValidationError, match="lacks keys 'parents', 'assignments'") as err:
+        sscm.spec_from_json('{"names": ["a"]}')
+    assert "'names'" not in str(err.value)
+
+
+def test_spec_json_that_is_not_an_object_is_a_spec_validation_error():
+    with pytest.raises(sscm.SpecValidationError, match="JSON list, not an object, lacks keys 'names'"):
+        sscm.spec_from_json("[]")
+
+
+def test_spec_text_that_is_not_json_is_a_parse_error_at_its_position():
+    with pytest.raises(ParseError, match=r"spec JSON: Expecting value \(line 1, column 1\)") as err:
+        sscm.spec_from_json("nope")
+    assert (err.value.line, err.value.column) == (1, 1)
+    with pytest.raises(ParseError) as err:
+        sscm.spec_from_json('{"names": ["a"],\n "parents": [[]],, }')
+    assert (err.value.line, err.value.column) == (2, 18)  # the second comma
+
+
 def test_solve_rejects_invalid_spec():
     spec = motivating_spec()
     bad = sscm.SscmSpec(spec.names, ((9,), (0, 2), (1,)), spec.assignments,
@@ -380,6 +405,50 @@ def test_stacked_program_matches_per_node_graphs_on_random_specs(seed):
     spec, x, kwargs = _random_spec(seed)
     assert validate(spec) == []
     _assert_matches_per_node(spec, x, spec.theta_ref, **kwargs)
+
+
+def _assert_matches_finite_differences(spec, x, theta, u=None, extern=None, policy=None):
+    """node_gradients against central differences of the map in x, theta, u and policy."""
+    u = spec.u_ref if u is None else u
+    policy = spec.policy_ref if policy is None else policy
+    jac = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
+    args = {"x": x, "theta": theta, "u": u, "policy": policy}
+
+    def f(name):
+        def at(value):
+            point = {**args, name: value}
+            return assemble_map(spec, point["theta"], u=point["u"], extern=extern, policy=point["policy"])(point["x"])
+        return at
+
+    for name in ("x", "theta", "u", "policy"):
+        if getattr(jac, name) is None:
+            continue
+        fd = diffcore.finite_difference_jacobian(f(name), args[name], h=1e-6)
+        np.testing.assert_allclose(getattr(jac, name), fd, rtol=1e-6, atol=1e-7, err_msg=name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_node_gradients_match_finite_differences_on_random_specs(seed):
+    spec, x, kwargs = _random_spec(seed)
+    _assert_matches_finite_differences(spec, x, spec.theta_ref, **kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_node_gradients_match_finite_differences_on_array_built_leontief_specs(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 9))
+    A = rng.uniform(0.0, 0.3, (d, d)) * (rng.random((d, d)) < 0.5)
+    np.fill_diagonal(A, np.where(rng.random(d) < 0.5, 0.0, rng.uniform(0.0, 0.5, d)))
+    table = modelzoo.IoTable(A=A, R=np.ones((1, d)), y=rng.uniform(0.5, 1.5, d),
+                             sectors=tuple(f"s{k}" for k in range(d)), impacts=("i",))
+    off = [(i, j) for i in range(d) for j in range(d) if i != j]
+    spec = modelzoo.leontief_model(table, [off[k] for k in rng.permutation(len(off))[:3]])
+    applied = interventions.apply(spec, LieElement("multiplicative", tuple(range(d)), rng.uniform(0.5, 1.5, d)))
+    x = rng.uniform(0.0, 2.0, d)
+    _assert_matches_finite_differences(spec, x, spec.theta_ref * rng.uniform(0.5, 1.5, spec.theta_dim))
+    _assert_matches_finite_differences(applied, x, spec.theta_ref)
 
 
 def _rebound_twin():
