@@ -1,16 +1,19 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
 one Anderson step, the first-use cost of a fresh d = 100 spec, the construction of a
-CSV model, B map calls, equilibrium solves and implicit VJPs of the rerouted
-rebound twin, and the bench pipeline's problem construction and run.
+CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves and
+implicit VJPs of the rerouted rebound twin, and the bench pipeline's problem
+construction and run.
 
-    python scripts/layer_bench.py --label change --out BENCH_15.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_15.json
+    python scripts/layer_bench.py --label change --out BENCH_17.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_17.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
 model the invariant pipeline trains). `linearization_s` is one
-sscm.Linearization: the dense partials of the map and the inverse of
-I - df/dx, as deq's implicit gradients take them. The Anderson step runs the
+sscm.Linearization: the dense partials of the map and I - df/dx. Sources that
+compute its inverse and condition number on first read (which deq's gradients
+skip when the Neumann bound settles the condition gate) do not form them here;
+older sources invert I - df/dx in every Linearization. The Anderson step runs the
 default solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver)
 on the model's linearisation x -> J x + (x* - J x*), so it times the solver
 and not the map.
@@ -30,6 +33,10 @@ already in use (stacked and compiled, as in the pareto pipeline), and
 stack and compile). `csv_to_first_map_s` runs the whole path once: load, build,
 apply, and the first map call of the intervened model. Each is the median of
 max(3, 3000 // N) calls.
+
+`implicit_vjp_s` is one deq.implicit_vjp of a cotangent of ones at the equilibrium
+of `leontief-synthetic-N`, N = 100, 300, 1,000: one Linearization, its condition
+gate and the adjoint.
 
 The batched layers evaluate the map of, solve and pull B cotangents back
 through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
@@ -227,6 +234,20 @@ def measure_construction() -> dict:
     return out
 
 
+def measure_adjoint() -> dict:
+    from eqcausal import deq, modelzoo
+    from eqcausal.sscm import solve_equilibrium
+
+    out = {}
+    for n in CONSTRUCTION_DIMS:
+        spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(n))
+        sol = solve_equilibrium(spec, spec.theta_ref, _solver(tol=1e-10))
+        cot = np.ones(n)
+        out[f"leontief-synthetic-{n}"] = {
+            "d": n, "implicit_vjp_s": _median_call_s(lambda: deq.implicit_vjp(spec, sol, cot), max(1, 300 // n))}
+    return out
+
+
 BATCH_ROWS = (1, 4, 16, 50)
 
 
@@ -319,7 +340,7 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "compile_s", "construction", "batched_layers", "bench")
+MEASURED = ("layers", "compile_s", "construction", "adjoint", "batched_layers", "bench")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -352,7 +373,7 @@ def main() -> int:
         print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
         return 2
     rounds = [dict(zip(MEASURED, (measure(), measure_compile(), measure_construction(),
-                                  measure_batched(), measure_bench())))
+                                  measure_adjoint(), measure_batched(), measure_bench())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -381,6 +402,8 @@ def main() -> int:
         print(f"{name:24s} load {row['load_s'] * 1e3:8.2f} ms   leontief_model {row['leontief_model_s'] * 1e3:8.2f} ms"
               f"   apply {row['apply_s'] * 1e3:8.2f} ms   stack+compile {row['stack_compile_s'] * 1e3:8.2f} ms"
               f"   csv to first map {row['csv_to_first_map_s'] * 1e3:8.2f} ms")
+    for name, row in record["adjoint"].items():
+        print(f"{name:24s} implicit_vjp {row['implicit_vjp_s'] * 1e3:8.3f} ms")
     for name, row in record["batched_layers"].items():
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
               f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "

@@ -226,8 +226,9 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
             path = Path(value)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            if not path.exists():
-                raise SchemaError(f"referenced file does not exist: {path}", pointer=f"/model/{key}")
+            if not path.is_file():
+                raise SchemaError(f"referenced file does not exist or is not a file: {path}",
+                                  pointer=f"/model/{key}")
             resolved[key] = str(path)
         model = resolved
 

@@ -29,8 +29,11 @@ def _read_rows(path) -> list[list[str]]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot be read ({exc})") from None
 
 
 def _parse_cell(text: str, path, line: int, column: int) -> float:

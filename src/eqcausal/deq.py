@@ -1,18 +1,21 @@
 """Implicit differentiation of equilibria.
 
 Gradients of losses through x*(theta) are obtained from the fixed-point
-identity: the adjoint a solves a = (df/dx)^T a + cotangent, after which
+identity: the adjoint a solves (I - df/dx)^T a = cotangent, after which
 dL/dtheta = (df/dtheta)^T a (and likewise for the intervention vector u and
 policy weights). Both entry points take the solver's EquilibriumSolution and
 linearize the map once at its x* (sscm.Linearization): the dense partials
-df/d(x, theta, u, policy) and the inverse of I - df/dx, which gives the adjoint
-and the dense dx*/dtheta. An unconverged solution raises NotConverged; a
-singular or ill-conditioned I - df/dx, or a non-finite adjoint, raises
-SingularAdjoint.
+df/d(x, theta, u, policy) and I - df/dx, which is solved, never inverted, for
+the adjoint and for the dense dx*/dtheta. An unconverged solution raises
+NotConverged; a singular or ill-conditioned I - df/dx (1-norm condition number
+above sscm.COND_MAX), or a non-finite adjoint, raises SingularAdjoint. When
+||df/dx||_1 < 1, as for a productive Leontief table, and the Neumann bound on the
+condition number lies below COND_MAX / 2, that settles the gate; otherwise it
+reads the exact condition number, which forms the inverse.
 
 A batched solution (x* of shape (B, d)) is linearized as one stack: one
-batched reverse sweep, one stacked inverse, and a condition number per row.
-Any unconverged or ill-conditioned row refuses the whole batch, and the
+batched reverse sweep, one stacked solve, and a bound or a condition number per
+row. Any unconverged or ill-conditioned row refuses the whole batch, and the
 gradients come per row, (B, ...).
 """
 
@@ -44,11 +47,21 @@ def require_converged(sol: EquilibriumSolution):
                            f"(relative error {np.max(sol.report.relative_error):.3e})")
 
 
+def _neumann_settles(lin: sscm.Linearization) -> bool:
+    """Whether cond_1(I - J) <= ||I - J||_1 / (1 - ||J||_1) <= (1 + ||J||_1) / (1 - ||J||_1),
+    for ||J||_1 < 1, lies below COND_MAX / 2 in every row: a margin that the rounding of the
+    norm and of the exact condition number cannot cross."""
+    norm_j = np.abs(lin.jac.x).sum(axis=-2).max(axis=-1)
+    return bool(np.all(1.0 + norm_j < (1.0 - norm_j) * (sscm.COND_MAX / 2)))
+
+
 def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, extern=None,
                policy=None) -> sscm.Linearization:
     """The linearization at sol's x*, refusing an unconverged or ill-conditioned one."""
     require_converged(sol)
     lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, extern=extern, policy=policy)
+    if _neumann_settles(lin):
+        return lin
     if lin.inv is None:
         raise SingularAdjoint("I - df/dx is singular at the equilibrium")
     cond = np.max(lin.cond)
@@ -69,13 +82,14 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
                  u=None, extern=None, policy=None) -> ImplicitGradient:
     """Pull a cotangent on x* back to theta, u and policy weights.
 
-    The adjoint is a dense solve. A batched sol takes a (B, d) cotangent (a
-    vector seeds every row) and gives (B, ...) gradients. An unconverged sol
-    raises NotConverged; a singular or ill-conditioned I - df/dx, or a
-    non-finite adjoint, raises SingularAdjoint.
+    The adjoint solves (I - df/dx)^T a = cotangent, one LU solve per row. A batched
+    sol takes a (B, d) cotangent (a vector seeds every row) and gives (B, ...)
+    gradients. An unconverged sol raises NotConverged; a singular or ill-conditioned
+    I - df/dx, or a non-finite adjoint, raises SingularAdjoint.
     """
     lin = _linearize(spec, sol, u, extern, policy)
-    a = _pull(lin.inv, np.asarray(cotangent, dtype=np.float64))
+    cot = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), lin.lhs.shape[:-1])
+    a = np.linalg.solve(lin.lhs.mT, cot[..., None])[..., 0]
     if not np.all(np.isfinite(a)):
         raise SingularAdjoint("adjoint solve gave a non-finite solution")
     jac = lin.jac
@@ -88,9 +102,9 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
 
 def jacobian_wrt_theta(spec: SscmSpec, sol: EquilibriumSolution,
                        u=None, extern=None, policy=None) -> Array:
-    """Dense dx*/dtheta = (I - df/dx)^{-1} df/dtheta at sol's x*."""
+    """Dense dx*/dtheta, the solution X of (I - df/dx) X = df/dtheta at sol's x*."""
     lin = _linearize(spec, sol, u, extern, policy)
-    return lin.inv @ lin.jac.theta
+    return np.linalg.solve(lin.lhs, lin.jac.theta)
 
 
 @dataclass

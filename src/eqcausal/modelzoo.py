@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, NegativeEntry, SingularMatrix,
                      SingularParameterization, TopologyViolation)
 from .interventions import CompartmentPlan, InvariantInterventionSpec
 from .optimize import MlpSpec
-from .sscm import SscmSpec, with_program
+from .sscm import SscmSpec, _Parents, with_program
 
 Array = np.ndarray
 
@@ -152,8 +152,8 @@ def leontief_model(table: IoTable, free_a_entries=()) -> SscmSpec:
     theta[starts], theta[free_at] = y, A[free[:, 0], free[:, 1]]
     box[starts, 1], box[free_at, 1] = 2.0 * np.maximum(y, 1.0), np.maximum(2.0 * theta[free_at], 1.0)
 
-    cols, at = (flat % d).tolist(), bounds.tolist()
-    spec = SscmSpec(table.sectors, tuple(tuple(cols[a:b]) for a, b in zip(at, at[1:])),
+    cols, at = (flat % d).tolist(), bounds.tolist()  # ints already, so SscmSpec keeps them
+    spec = SscmSpec(table.sectors, _Parents(tuple(cols[a:b]) for a, b in zip(at, at[1:])),
                     partial(_leontief_graphs, flat % d, coefs, bounds, scales, free_a_entries),
                     theta, box, tuple(zip(starts.tolist(), (starts + n_theta).tolist())))
     return with_program(spec, *_leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at))

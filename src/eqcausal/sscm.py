@@ -9,8 +9,9 @@ invariant twins), and a trainable "policy" weight vector.
 
 Equilibria solve x = f(x, theta) from zero initialization with a configured
 fixed-point solver. A Linearization holds the dense partials of f at one point
-and the inverse and 1-norm condition number of I - df/dx; the diffeomorphism
-check and the implicit gradients of deq both read it.
+and I - df/dx, whose inverse and 1-norm condition number it computes on first
+read; the diffeomorphism check reads the condition number, and the implicit
+gradients of deq solve I - df/dx (see deq for when they need neither).
 
 A spec stacks its per-node graphs into one program at first use, except two
 kinds: modelzoo.leontief_model builds its program from the table's arrays, and
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -70,7 +72,7 @@ class _OnDemand:
 
 
 class _Parents(tuple):
-    """Parent lists that SscmSpec has made tuples of ints, which a copy keeps."""
+    """Parent lists of ints that SscmSpec keeps as they are: its own, a copy's, leontief_model's."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,22 +421,30 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
 
 
 class Linearization:
-    """Dense partials of f and the inverse of I - df/dx at one point, or a stack of them.
+    """Dense partials of f and lhs = I - df/dx at one point, or a stack of them.
 
-    cond is the 1-norm condition number of I - df/dx, taken from the inverse,
-    one per row of a batch; when I - df/dx is singular (in any row), inv is
-    None and cond is inf (in those rows). It never raises.
+    deq solves lhs and does not invert it. inv, the inverse of lhs, and cond, its
+    1-norm condition number (one per row of a batch), are computed on first read;
+    when lhs is singular (in any row), inv is None and cond is inf (in those rows).
+    It never raises.
     """
 
     def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
         self.jac = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
-        lhs = np.eye(spec.d) - self.jac.x
+        self.lhs = np.eye(spec.d) - self.jac.x
+
+    @cached_property
+    def inv(self) -> Array | None:
         try:
-            self.inv = np.linalg.inv(lhs)
+            return np.linalg.inv(self.lhs)
         except np.linalg.LinAlgError:
-            self.inv, self.cond = None, np.linalg.cond(lhs, 1)
-        else:
-            self.cond = np.linalg.norm(lhs, 1, axis=(-2, -1)) * np.linalg.norm(self.inv, 1, axis=(-2, -1))
+            return None
+
+    @cached_property
+    def cond(self):
+        if self.inv is None:
+            return np.linalg.cond(self.lhs, 1)
+        return np.linalg.norm(self.lhs, 1, axis=(-2, -1)) * np.linalg.norm(self.inv, 1, axis=(-2, -1))
 
 
 @dataclass

@@ -10,7 +10,8 @@ from eqcausal import deq, fixedpoint, modelzoo, optimize
 from eqcausal.errors import NonFiniteIterate, NotConverged, SolveFailedDuringOptimization
 from eqcausal.fixedpoint import SolveReport, SolverConfig
 from eqcausal.optimize import AdamConfig, SamplingConfig, train_invariant_policy
-from eqcausal.sscm import EquilibriumSolution, assemble_map, node_gradients, solve_equilibrium
+from eqcausal.sscm import (EquilibriumSolution, Linearization, assemble_map, node_gradients,
+                           solve_equilibrium)
 
 from ._models import reference_train_invariant_policy
 from .test_optimize import scalar_policy_twin
@@ -205,6 +206,23 @@ def test_batched_implicit_vjp_equals_per_row_vjps(seed, rows):
     refs = [deq.jacobian_wrt_theta(twin.rerouted, s, u=u[r], extern=extern[r], policy=policy)
             for r, s in enumerate(_solution_rows(sol))]
     assert_rows_close(jac, refs)
+
+
+def test_batched_implicit_vjp_agrees_with_the_inverse_product_on_rebound_twin():
+    rng = np.random.default_rng(11)
+    twin, rows = REBOUND_TWIN, 4
+    theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
+    u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
+    policy = REBOUND_W0 + rng.normal(scale=0.05, size=REBOUND_W0.shape)
+    base, sol = twin.solve_pair(theta, u, SolverConfig(tol=1e-10), policy=policy)
+    kwargs = {"u": u, "extern": base.x_star[:, list(twin.invariant_nodes)], "policy": policy}
+    cot = rng.normal(size=(rows, twin.rerouted.d))
+    ig = deq.implicit_vjp(twin.rerouted, sol, cot, **kwargs)
+    lin = Linearization(twin.rerouted, sol.x_star, sol.theta, **kwargs)
+    a = np.einsum("bji,bj->bi", lin.inv, cot)
+    for name in ("theta", "u", "policy"):
+        want = np.einsum("bji,bj->bi", getattr(lin.jac, name), a)
+        np.testing.assert_allclose(getattr(ig, f"grad_{name}"), want, rtol=1e-12)
 
 
 def test_implicit_vjp_refuses_a_batch_with_an_unconverged_row():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -410,10 +411,10 @@ def _nodes(obj, path=()):
         yield from _nodes(value, path + (key,))
 
 
-def _mutations():
+def _mutations(configs):
     """(config index, path, kind) of every single mutation of a valid config: replace any value
     but the whole config, add a key to any object, delete any key, or turn an int into a float."""
-    for i, obj in enumerate(VALID_CONFIGS):
+    for i, obj in enumerate(configs):
         for path, node in _nodes(obj):
             if path:
                 yield i, path, "replace"
@@ -425,7 +426,24 @@ def _mutations():
                 yield i, path, "float"
 
 
-MUTATIONS = list(_mutations())
+def _mutate(configs, mutation, value):
+    index, path, kind = mutation
+    obj = copy.deepcopy(configs[index])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "replace":
+        parent[path[-1]] = value
+    elif kind == "add":
+        (parent[path[-1]] if path else obj)["unknown"] = value
+    elif kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = float(parent[path[-1]])
+    return obj
+
+
+MUTATIONS = list(_mutations(VALID_CONFIGS))
 MUTANT_VALUES = st.one_of(
     st.sampled_from(["", "x", [], [1], [{}], {}, {"k": 1}, True, False, None, 2.0]),
     st.sampled_from([NAN, INF, -INF]), st.integers(-2, 0), st.floats(max_value=0.0))
@@ -448,19 +466,7 @@ def test_valid_configs_validate(csv_dir):
 @given(mutation=st.sampled_from(MUTATIONS), value=MUTANT_VALUES)
 @example(mutation=(0, ("intervention", "targets", 0), "replace"), value={})
 def test_a_mutated_config_is_typed_or_a_schema_error(csv_dir, mutation, value):
-    index, path, kind = mutation
-    obj = copy.deepcopy(VALID_CONFIGS[index])
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    if kind == "replace":
-        parent[path[-1]] = value
-    elif kind == "add":
-        (parent[path[-1]] if path else obj)["unknown"] = value
-    elif kind == "delete":
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = float(parent[path[-1]])
+    obj = _mutate(VALID_CONFIGS, mutation, value)
     try:
         cfg = _config_from_obj(obj, base_dir=csv_dir)
     except SchemaError:
@@ -469,6 +475,56 @@ def test_a_mutated_config_is_typed_or_a_schema_error(csv_dir, mutation, value):
         for f in dataclasses.fields(section):
             if f.type == "int":
                 assert type(getattr(section, f.name)) is int, (f.name, obj)
+
+
+# The valid configs as runs: compartment gets the short Adam schedule too. Deleting a key
+# that sets the size of a run falls back to the full-size default (10,000 Adam steps, 16
+# samples a step, the default bench sweep), so the run test leaves those deletions out;
+# the test above validates them.
+RUN_CONFIGS = [{**obj, "adam": _ADAM} if obj["command"] == "compartment" else obj
+               for obj in VALID_CONFIGS]
+SIZE_KEYS = {"adam", "iterations", "sampling", "samples_per_step", "bench", "dims", "seeds"}
+RUN_MUTATIONS = [(i, path, kind) for i, path, kind in _mutations(RUN_CONFIGS)
+                 if not (kind == "delete" and path[-1] in SIZE_KEYS)]
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("runs")
+    dataio.write_iotable_csv(modelzoo.leontief_synthetic(4), path / "A.csv", path / "y.csv", path / "R.csv")
+    return path
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutation=st.sampled_from(RUN_MUTATIONS), value=MUTANT_VALUES)
+@example(mutation=(2, ("adam", "learning_rate"), "replace"), value=2.0)
+@example(mutation=(4, ("sampling", "u_high"), "replace"), value=2.0)
+@example(mutation=(3, ("model", "a_csv"), "replace"), value="")  # the config's directory
+def test_a_mutated_config_runs_to_an_exit_code(table_dir, mutation, value):
+    """Through the command line, a mutated config exits 0, 1 with a failed manifest, or 2,
+    and never with an uncaught exception."""
+    run = table_dir / uuid.uuid4().hex
+    run.mkdir()
+    config = table_dir / f"{run.name}.json"  # next to the CSV files its model may name
+    write_config(config, _mutate(RUN_CONFIGS, mutation, value))
+    result = CliRunner().invoke(main, [RUN_CONFIGS[mutation[0]]["command"], "--config", str(config),
+                                       "--out", str(run / "out")])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    assert "Traceback" not in result.output
+    assert result.exit_code in (0, 1, 2), result.output
+    if result.exit_code == 2:
+        assert result.output.startswith("config error: ")
+    else:
+        manifest = json.loads((run / "out" / "manifest.json").read_text())
+        assert manifest["success"] is (result.exit_code == 0)
+
+
+def test_a_file_that_cannot_be_read_is_a_parse_error(tmp_path):
+    dataio.write_iotable_csv(modelzoo.leontief_synthetic(3), *(tmp_path / n for n in ("A.csv", "y.csv", "R.csv")))
+    (tmp_path / "latin1.csv").write_bytes(b"\xe9\n")
+    for name in (".", "latin1.csv"):
+        with pytest.raises(ParseError, match="cannot be read"):
+            dataio.load_iotable_csv(tmp_path / "A.csv", tmp_path / name)
 
 
 def test_missing_model_file_rejected(tmp_path):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqcausal import deq, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
@@ -172,6 +176,107 @@ def test_jacobian_wrt_theta_raises_on_singular_adjoint(monkeypatch):
     inject_state_jacobian(monkeypatch, [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SingularAdjoint):
         deq.jacobian_wrt_theta(spec, sol)
+
+
+GATE_D = 4
+
+
+@functools.cache
+def gate_model():
+    """A 4-node model solved at one point and at a batch of two; the tests replace its df/dx."""
+    A = np.full((GATE_D, GATE_D), 0.1)
+    np.fill_diagonal(A, 0.0)
+    spec = leontief_spec(A, np.ones(GATE_D))
+    return spec, {rows: solve_equilibrium(spec, np.ones(GATE_D if rows is None else (rows, GATE_D)), TIGHT)
+                  for rows in (None, 2)}
+
+
+NEAR_ONE = [1 - 1e-7, 1 - 4e-8, 1 - 2e-8, 1 - 1e-8, 1 - 1e-9, 1.0]
+
+
+@st.composite
+def state_jacobians(draw):
+    """df/dx, or a stack of two, from one of three kinds: a random matrix scaled to a 1-norm
+    between 0 and 2; a positive one whose columns all sum to about 1, so cond_1(I - J) is near
+    COND_MAX; or I - M with cond(M) within a factor 10 of COND_MAX."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def one():
+        kind = draw(st.sampled_from(["scaled", "stochastic", "conditioned"]))
+        if kind == "scaled":
+            m = rng.normal(size=(GATE_D, GATE_D)) if draw(st.booleans()) else rng.uniform(size=(GATE_D, GATE_D))
+            return m * (draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from(NEAR_ONE))) / np.linalg.norm(m, 1))
+        if kind == "stochastic":
+            m = rng.uniform(size=(GATE_D, GATE_D))
+            return m * (draw(st.sampled_from(NEAR_ONE)) / m.sum(axis=0))
+        u, _ = np.linalg.qr(rng.normal(size=(GATE_D, GATE_D)))
+        v, _ = np.linalg.qr(rng.normal(size=(GATE_D, GATE_D)))
+        s = np.geomspace(1.0, 1.0 / (sscm.COND_MAX * 10 ** draw(st.floats(-1.0, 1.0))), GATE_D)
+        return np.eye(GATE_D) - draw(st.floats(0.1, 2.0)) * (u * s) @ v.T
+
+    return one() if draw(st.booleans()) else np.stack([one(), one()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(j_x=state_jacobians())
+@example(j_x=np.full((GATE_D, GATE_D), 0.1))  # the bound passes
+@example(j_x=np.full((GATE_D, GATE_D), 0.3))  # ||J||_1 = 1.2 > 1, the exact test passes
+@example(j_x=np.eye(GATE_D))  # singular
+@example(j_x=np.stack([np.full((GATE_D, GATE_D), 0.1), np.eye(GATE_D)]))  # one singular row
+def test_the_condition_gate_decides_as_the_exact_condition_number(j_x):
+    spec, sols = gate_model()
+    sol = sols[None if j_x.ndim == 2 else len(j_x)]
+    with pytest.MonkeyPatch.context() as mp:
+        inject_state_jacobian(mp, j_x)
+        try:
+            deq._linearize(spec, sol)
+            passed = True
+        except SingularAdjoint:
+            passed = False
+    with np.errstate(all="ignore"):
+        exact = np.max(np.linalg.cond(np.eye(GATE_D) - j_x, 1))
+    assert passed == bool(exact <= sscm.COND_MAX)
+
+
+def test_implicit_vjp_agrees_with_the_inverse_product_on_100_sectors():
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    sol = solve_equilibrium(spec, spec.theta_ref, TIGHT)
+    cot = np.random.default_rng(5).normal(size=spec.d)
+    lin = sscm.Linearization(spec, sol.x_star, sol.theta)
+    ig = deq.implicit_vjp(spec, sol, cot)
+    np.testing.assert_allclose(ig.grad_theta, lin.jac.theta.T @ (lin.inv.T @ cot), rtol=1e-12)
+
+
+def count_inverses(monkeypatch):
+    """Count the calls of np.linalg.inv and np.linalg.cond."""
+    calls = []
+    for name in ("inv", "cond"):
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_a_contractive_jacobian_settles_the_gate_without_an_inverse(monkeypatch):
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    theta = spec.theta_ref * np.array([[1.0], [0.9], [1.1]])
+    sols = [solve_equilibrium(spec, spec.theta_ref, TIGHT), solve_equilibrium(spec, theta, TIGHT)]
+    assert np.linalg.norm(sscm.node_gradients(spec, sols[0].x_star, spec.theta_ref).x, 1) < 1
+    calls = count_inverses(monkeypatch)
+    for sol in sols:
+        deq.implicit_vjp(spec, sol, np.ones(spec.d))
+        deq.jacobian_wrt_theta(spec, sol)
+    assert calls == []
+
+
+def test_a_jacobian_of_norm_one_reads_the_exact_condition_number(monkeypatch):
+    spec = scalar_cycle_spec()
+    sol = solve_equilibrium(spec, [0.5], TIGHT)
+    inject_state_jacobian(monkeypatch, [[0.0, 0.5], [1.0, 0.0]])  # ||J||_1 = 1
+    calls = count_inverses(monkeypatch)
+    deq.implicit_vjp(spec, sol, [1.0, 0.0])
+    assert calls == ["inv"]
 
 
 def unconverged_cycle():

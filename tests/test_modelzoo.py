@@ -426,6 +426,13 @@ def test_on_demand_graphs_write_the_json_of_the_per_node_build(parent_first):
     assert (digests[id(spec)], digests[id(applied)]) == SYNTHETIC_12_JSON_SHA256
 
 
+def test_array_built_parents_are_ints_that_the_spec_keeps():
+    spec, _ = _synthetic_12_specs()
+    assert type(spec.parents) is sscm._Parents
+    assert all(type(j) is int for pa in spec.parents for j in pa)
+    assert replace(spec).parents is spec.parents
+
+
 def test_model_apply_solve_and_gradients_build_no_per_node_graph(monkeypatch):
     pushed = []
     push = ExprBuilder._push
