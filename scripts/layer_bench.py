@@ -1,11 +1,11 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
 one Anderson step, the first-use cost of a fresh d = 100 spec, the construction of a
-CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves and
-implicit VJPs of the rerouted rebound twin, and the bench pipeline's problem
-construction and run.
+CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
+Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
+problem construction and run, and one reduced invariant pipeline run.
 
-    python scripts/layer_bench.py --label change --out BENCH_17.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_17.json
+    python scripts/layer_bench.py --label change --out BENCH_18.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_18.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -41,14 +41,22 @@ gate and the adjoint.
 The batched layers evaluate the map of, solve and pull B cotangents back
 through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
 policy weights, the CLI's evaluation solver at tol 1e-8). Sources with a batch
-axis run each as one batch ("mode": "batched"; only these time the map call);
-older sources solve one at a time ("loop").
+axis run each as one batch ("mode": "batched"; only these time the map call and
+the Anderson step); older sources solve one at a time ("loop"). `anderson_step_s`
+is one iteration of the batch's Anderson loop (m = 8, beta = 1) on the rows'
+linearisations x -> J x + (x* - J x*), as for the per-model layers: the (4, 9)
+row is the shape of an invariant training step.
 
 The bench layers time modelzoo.random_contraction at d = 50, 100, 200
 (`random_contraction_s`, one contraction's construction and scaling) and
 one cli._run_bench of the solver-sweep benchmark workload's config (dims 2,
 10, 50, 100, 200, 6 seeds, seed 1; `solver_sweep_s`, problems built and
 solved, bench.csv and bench_summary.csv written to a temporary directory).
+
+`invariant_run_s` is one cli._run_invariant of the rebound-invariant benchmark
+workload's config (4 Adam steps in the first of three phases, 4 samples per
+step, seed 1): training, the evaluation solves and the three outputs written
+to a temporary directory.
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch, and the whole set is measured ROUNDS times in turn, each figure
@@ -274,6 +282,15 @@ def measure_batched() -> dict:
             f = sscm.assemble_map(spec, theta, u=u, extern=extern, policy=policy)
             x = solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy).x_star
             timings["map_call_s"] = _median_call_s(lambda: f(x), max(5, 200 // rows))
+            jac = sscm.Linearization(spec, x, theta, u=u, extern=extern, policy=policy).jac.x
+            shift = x - np.matvec(jac, x)
+            linear = lambda z, jac=jac, shift=shift: np.matvec(jac, z) + shift  # noqa: E731
+            steps = _solver(tol=1e-300, max_iter=40)
+            x0 = np.zeros((rows, spec.d))
+            iters = fixedpoint.anderson_solve(linear, x0, steps).iterations
+            timings["anderson_step_s"] = _median_call_s(
+                lambda: fixedpoint.anderson_solve(linear, x0, steps), 5) / iters
+            timings["anderson_iterations"] = iters
 
             def solve():
                 return solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy)
@@ -319,6 +336,21 @@ def measure_bench() -> dict:
     return out
 
 
+def measure_pipelines() -> dict:
+    import tempfile
+
+    from eqcausal import cli
+
+    config = cli._config_from_obj({"command": "invariant", "model": "rebound-3sector",
+                                   "adam": {"iterations": 4}, "sampling": {"samples_per_step": 4},
+                                   "seed": 1})
+    bundle = cli.build_model(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = cli.OutputWriter(Path(tmp))
+        return {"invariant_run_s": _median_once_s(lambda: cli._run_invariant(config, bundle, writer),
+                                                  REPEATS)}
+
+
 def _git(src: Path, *args) -> str:
     try:
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -340,7 +372,7 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "compile_s", "construction", "adjoint", "batched_layers", "bench")
+MEASURED = ("layers", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -373,7 +405,8 @@ def main() -> int:
         print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
         return 2
     rounds = [dict(zip(MEASURED, (measure(), measure_compile(), measure_construction(),
-                                  measure_adjoint(), measure_batched(), measure_bench())))
+                                  measure_adjoint(), measure_batched(), measure_bench(),
+                                  measure_pipelines())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -407,11 +440,13 @@ def main() -> int:
     for name, row in record["batched_layers"].items():
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
               f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "
-              f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us")
+              f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us   "
+              f"anderson step {row.get('anderson_step_s', float('nan')) * 1e6:7.1f} us")
     bench = record["bench"]
     print("random_contraction       " + "   ".join(
         f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contraction_s"].items()))
     print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
+    print(f"{'invariant_run_s':24s} {record['pipelines']['invariant_run_s'] * 1e3:9.2f} ms")
     return 0
 
 

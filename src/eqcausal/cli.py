@@ -360,11 +360,15 @@ def _eval_solver(config: ExperimentConfig) -> SolverConfig:
     return replace(config.solver, tol=min(config.solver.tol, 1e-8))
 
 
-def _equilibria(spec: SscmSpec, theta, cfg: SolverConfig, **kwargs) -> np.ndarray:
-    """x* of an evaluation solve; an unconverged row raises NotConverged."""
-    sol = solve_equilibrium(spec, theta, cfg, **kwargs)
+def _equilibria(spec: SscmSpec, cfg: SolverConfig, blocks, **kwargs) -> list[np.ndarray]:
+    """x* of (theta, u) blocks, one (rows, theta_dim) theta and one u for all its rows or
+    one per row each, as one evaluation solve split back into a (rows, d) array per block;
+    an unconverged row raises NotConverged."""
+    theta = np.concatenate([t for t, _ in blocks])
+    u = np.concatenate([np.broadcast_to(u, (len(t), spec.u_dim)) for t, u in blocks])
+    sol = solve_equilibrium(spec, theta, cfg, u=u, **kwargs)
     deq.require_converged(sol)
-    return sol.x_star
+    return np.split(sol.x_star, np.cumsum([len(t) for t, _ in blocks[:-1]]))
 
 
 def _builtin_u(config: ExperimentConfig, spec: SscmSpec, default=None):
@@ -510,6 +514,11 @@ def _train_phases(twin, weights, sampling: SamplingConfig, phases, solver: Solve
 
 
 def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWriter) -> dict:
+    """Train the invariant policy on the rebound twin, then evaluate it with one batched
+    solve per spec. The base model solves the held-out samples, the reference point and
+    the reference and plain-intervention curves; the deployed twin solves the held-out
+    samples, the u-sweep at theta_ref and the invariant-intervention curve. Rows are
+    solved independently, so each gives the bits of a solve of its sweep alone."""
     if bundle.rebound is None:
         raise SchemaError("the invariant command runs on the rebound-3sector model", pointer="/model")
     inst = bundle.rebound
@@ -527,37 +536,31 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
     eval_solver = _eval_solver(config)
     rng = np.random.default_rng(config.seed + 99)
     thetas, us = [], []
-    for _ in range(50):
+    for _ in range(50):  # held-out samples
         thetas.append(optimize.sample_theta(twin.base, sampling, rng))
         us.append(twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)]))
+    thetas, us = np.array(thetas), np.array(us)
+    theta_ref = inst.spec.theta_ref[None]
+    u_vals = np.linspace(inst.u_low, 1.0, 6)  # near-identity continuity at theta_ref
+    lo, hi = inst.spec.theta_box[0]
+    theta_vals = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 13)  # protocol curves
+    curve, u_ref = theta_vals[:, None], inst.spec.u_ref
+    base, base_ref, ref, lie = _equilibria(inst.spec, eval_solver, [
+        (thetas, u_ref), (theta_ref, u_ref), (curve, u_ref), (curve, [u_eval])])
+    dep, dep_sweep, inv = _equilibria(twin.deployed, eval_solver, [
+        (thetas, us), (theta_ref.repeat(len(u_vals), axis=0), [twin.assemble_u([[v]]) for v in u_vals]),
+        (curve, twin.assemble_u([[u_eval]]))], policy=weights)
     j = inst.invariant_node
-    base = _equilibria(twin.base, np.array(thetas), eval_solver)[:, j]
-    dep = _equilibria(twin.deployed, np.array(thetas), eval_solver, u=np.array(us),
-                      policy=weights)[:, j]
-    devs = (np.abs(dep - base) / np.abs(base)).tolist()
+    devs = (np.abs(dep[:, j] - base[:, j]) / np.abs(base[:, j])).tolist()
 
     out.write_json("policy.json", optimize.mlp_weights_to_obj(mlp, weights))
 
-    # near-identity continuity: invariant-node deviation sampled along u at the
-    # reference parameters
-    theta_ref = inst.spec.theta_ref.copy()
-    base_ref = _equilibria(inst.spec, theta_ref, eval_solver)[j]
-    u_vals = np.linspace(inst.u_low, 1.0, 6)
-    dep = _equilibria(twin.deployed, theta_ref, eval_solver,
-                      u=np.array([twin.assemble_u([[u_val]]) for u_val in u_vals]),
-                      policy=weights)[:, j]
-    u_sweep = [[float(u_val), float(abs(x - base_ref) / abs(base_ref))] for u_val, x in zip(u_vals, dep)]
+    base_ref = base_ref[0, j]
+    u_sweep = [[float(u_val), float(abs(x - base_ref) / abs(base_ref))]
+               for u_val, x in zip(u_vals, dep_sweep[:, j])]
 
-    # protocol curves: reference vs plain intervention vs invariant intervention
     rows = []
     backfire_everywhere, reduction_everywhere = True, True
-    lo, hi = inst.spec.theta_box[0]
-    theta_vals = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 13)
-    thetas = theta_vals[:, None]
-    ref = _equilibria(inst.spec, thetas, eval_solver)
-    lie = _equilibria(inst.spec, thetas, eval_solver, u=[u_eval])
-    inv = _equilibria(twin.deployed, thetas, eval_solver, u=twin.assemble_u([[u_eval]]),
-                      policy=weights)
     d = inst.table.d
     p_node = inst.price_node
     for theta_val, x_ref, x_lie, x_inv in zip(theta_vals, ref, lie, inv):

@@ -9,9 +9,10 @@ df/d(x, theta, u, policy) and I - df/dx, which is solved, never inverted, for
 the adjoint and for the dense dx*/dtheta. An unconverged solution raises
 NotConverged; a singular or ill-conditioned I - df/dx (1-norm condition number
 above sscm.COND_MAX), or a non-finite adjoint, raises SingularAdjoint. When
-||df/dx||_1 < 1, as for a productive Leontief table, and the Neumann bound on the
-condition number lies below COND_MAX / 2, that settles the gate; otherwise it
-reads the exact condition number, which forms the inverse.
+||df/dx||_1 < 1, as for a productive Leontief table, or ||(df/dx)^2||_1 < 1, as
+for the rebound twin, and the Neumann bound on the condition number lies below
+COND_MAX / 2, that settles the gate; otherwise it reads the exact condition
+number, which forms the inverse.
 
 A batched solution (x* of shape (B, d)) is linearized as one stack: one
 batched reverse sweep, one stacked solve, and a bound or a condition number per
@@ -48,11 +49,24 @@ def require_converged(sol: EquilibriumSolution):
 
 
 def _neumann_settles(lin: sscm.Linearization) -> bool:
-    """Whether cond_1(I - J) <= ||I - J||_1 / (1 - ||J||_1) <= (1 + ||J||_1) / (1 - ||J||_1),
-    for ||J||_1 < 1, lies below COND_MAX / 2 in every row: a margin that the rounding of the
-    norm and of the exact condition number cannot cross."""
-    norm_j = np.abs(lin.jac.x).sum(axis=-2).max(axis=-1)
-    return bool(np.all(1.0 + norm_j < (1.0 - norm_j) * (sscm.COND_MAX / 2)))
+    """Whether a Neumann bound on cond_1(I - J) lies below COND_MAX / 2 in every row: a
+    margin that the rounding of the norms and of the exact condition number cannot cross.
+
+    The first bound, for ||J||_1 < 1, is cond_1(I - J) <= ||I - J||_1 / (1 - ||J||_1)
+    <= (1 + ||J||_1) / (1 - ||J||_1). Rows it leaves open try the second, for
+    ||J^2||_1 < 1, from (I - J)^-1 = (I + J)(I - J^2)^-1:
+    cond_1(I - J) <= (1 + ||J||_1)^2 / (1 - ||J^2||_1). It settles a J of 1-norm 1 or more
+    whose square is a contraction, such as the rebound twin's, at the cost of one product J J.
+    """
+    j = lin.jac.x
+    norm_j = np.abs(j).sum(axis=-2).max(axis=-1)
+    half = sscm.COND_MAX / 2
+    settled = 1.0 + norm_j < (1.0 - norm_j) * half
+    if settled.all():
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge J fails the bound, silently
+        norm_j2 = np.abs(j @ j).sum(axis=-2).max(axis=-1)
+        return bool(np.all(settled | ((1.0 + norm_j) ** 2 < (1.0 - norm_j2) * half)))
 
 
 def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, extern=None,

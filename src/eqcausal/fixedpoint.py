@@ -88,9 +88,13 @@ def _row_error(x: Array, g: Array) -> tuple[Array, Array]:
     """Per row of a (B, d) x and its residual g = f(x) - x: the residual norm ||g|| and
     the convergence error ||g|| / ||x||, which falls back to ||g|| at ||x|| = 0. A row
     whose ||x|| overflows has error inf: ||g|| over the largest float would pass any
-    tolerance while x diverges."""
+    tolerance while x diverges. When every ||x|| is positive and finite, as on all but
+    the first iterate of a solve from zero, the error is the plain quotient, and the
+    guards for the other cases are skipped."""
     res = np.sqrt(np.vecdot(g, g))
     nrm = np.sqrt(np.vecdot(x, x))
+    if nrm.min() > 0.0 and nrm.max() <= _FLOAT_MAX:  # False on NaN
+        return res, res / nrm
     err = res / np.fmin(np.where(nrm > 0.0, nrm, 1.0), _FLOAT_MAX)  # no inf / inf, which warns
     err[np.isinf(nrm)] = np.inf
     return res, err
@@ -166,17 +170,17 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             else:
                 n_hist += 1
                 newest = hist[:, :, n_hist - 1]
-                ridge_eye = cfg.ridge * np.eye(n_hist)
             np.subtract(z, z_prev, out=newest[0])
             np.subtract(g, g_prev, out=newest[1])
         sel = slice(None) if n_live == rows else live
         step = z[sel]
         if n_hist:
-            d_z, d_g = hist[:, sel, :n_hist]
+            d_z, d_g = hist[0, sel, :n_hist], hist[1, sel, :n_hist]
             gram = d_g @ d_g.mT
             if cfg.ridge > 0.0:
-                scale = np.add.reduce(gram.reshape(len(gram), -1)[:, ::n_hist + 1], axis=1)  # trace
-                gram += np.where(scale > 0.0, scale, 1.0)[:, None, None] * ridge_eye
+                diag = gram.reshape(len(gram), -1)[:, ::n_hist + 1]  # a view of the diagonals
+                scale = np.add.reduce(diag, axis=1)  # trace
+                diag += np.where(scale > 0.0, scale * cfg.ridge, cfg.ridge)[:, None]
             try:
                 gamma = np.linalg.solve(gram, np.matvec(d_g, g[sel])[..., None])[..., 0]
             except np.linalg.LinAlgError as exc:

@@ -14,6 +14,7 @@ from eqcausal.sscm import (EquilibriumSolution, Linearization, assemble_map, nod
                            solve_equilibrium)
 
 from ._models import reference_train_invariant_policy
+from .test_deq import count_inverses
 from .test_optimize import scalar_policy_twin
 from .test_sscm import REBOUND_TWIN, REBOUND_W0, _random_spec, node_columns
 
@@ -223,6 +224,21 @@ def test_batched_implicit_vjp_agrees_with_the_inverse_product_on_rebound_twin():
     for name in ("theta", "u", "policy"):
         want = np.einsum("bji,bj->bi", getattr(lin.jac, name), a)
         np.testing.assert_allclose(getattr(ig, f"grad_{name}"), want, rtol=1e-12)
+
+
+def test_batched_implicit_vjp_on_rebound_twin_forms_no_inverse(monkeypatch):
+    # the twin's df/dx has columns of 1-norm 1, so only the bound from ||J^2||_1 settles the gate
+    rng = np.random.default_rng(3)
+    twin, rows = REBOUND_TWIN, 4
+    theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
+    u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
+    base, sol = twin.solve_pair(theta, u, SolverConfig(tol=1e-10), policy=REBOUND_W0)
+    kwargs = {"u": u, "extern": base.x_star[:, list(twin.invariant_nodes)], "policy": REBOUND_W0}
+    j_x = node_gradients(twin.rerouted, sol.x_star, sol.theta, **kwargs).x
+    assert np.all(np.linalg.norm(j_x, 1, axis=(-2, -1)) >= 1.0)
+    calls = count_inverses(monkeypatch)
+    deq.implicit_vjp(twin.rerouted, sol, rng.normal(size=(rows, twin.rerouted.d)), **kwargs)
+    assert calls == []
 
 
 def test_implicit_vjp_refuses_a_batch_with_an_unconverged_row():

@@ -773,10 +773,40 @@ def test_unconverged_evaluation_row_exits_1_with_manifest(tmp_path, monkeypatch)
         sol.report.row_converged[0] = sol.report.converged = False
         return sol
 
-    # training solves through other bindings; the first of this one is the held-out base batch
+    # training solves through other bindings; the first of this one is the base model's
+    # evaluation batch, whose row 0 is the first held-out sample
     monkeypatch.setattr(cli, "solve_equilibrium", one_row_unconverged)
     error = run_failing_invariant(tmp_path)
     assert error.startswith("NotConverged: ")
+
+
+# the outputs of a reduced invariant run (4 Adam steps, 4 samples per step) from the
+# pipeline that solved each evaluation sweep on its own (x86-64, numpy 2.4, OpenBLAS)
+INVARIANT_SHA256 = {
+    1: {"invariant_report.json": "791dcf924750bed441b3bce7e2702b2d67e5a219fe16f9754c9aa6f88b2cc6f9",
+        "policy.json": "7829cd0f8585d0655ce0069f7dfeba930d97a3be8a0775e5a40a5100bf2026dd",
+        "rebound_curves.csv": "ef49704cd75578124fafea0cdc97579f8d21e2f1b213778da3ee0c47f9bf1487"},
+    7: {"invariant_report.json": "0df4f98312ecab0fe288e8ab6af72cb9b1a84540f746149545686c94e2ca0a8f",
+        "policy.json": "bcb458482b9321dba475c867b13befb1561bc524590d997280c8a705b202af0f",
+        "rebound_curves.csv": "88a954aa5abd4b6e6782bac9f099881fdbc18336c8458292e8349acd8deabab8"},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_invariant_evaluates_with_one_solve_per_spec(tmp_path, monkeypatch, seed):
+    blocks, equilibria = [], cli._equilibria
+
+    def recording(spec, cfg, spec_blocks, **kwargs):
+        blocks.append([len(theta) for theta, _ in spec_blocks])
+        return equilibria(spec, cfg, spec_blocks, **kwargs)
+
+    monkeypatch.setattr(cli, "_equilibria", recording)
+    config = _config_from_obj({"command": "invariant", "model": "rebound-3sector",
+                               "adam": {"iterations": 4}, "sampling": {"samples_per_step": 4}})
+    manifest = run_experiment(config, out_dir=tmp_path, seed=seed)
+    assert manifest.success
+    assert blocks == [[50, 1, 13, 13], [50, 6, 13]]  # the base model, the deployed twin
+    assert {rec["path"]: rec["sha256"] for rec in manifest.outputs} == INVARIANT_SHA256[seed]
 
 
 @pytest.mark.parametrize("command,model,tols", [

@@ -196,16 +196,21 @@ NEAR_ONE = [1 - 1e-7, 1 - 4e-8, 1 - 2e-8, 1 - 1e-8, 1 - 1e-9, 1.0]
 
 @st.composite
 def state_jacobians(draw):
-    """df/dx, or a stack of two, from one of three kinds: a random matrix scaled to a 1-norm
-    between 0 and 2; a positive one whose columns all sum to about 1, so cond_1(I - J) is near
-    COND_MAX; or I - M with cond(M) within a factor 10 of COND_MAX."""
+    """df/dx, or a stack of two, from one of four kinds: a random matrix scaled to a 1-norm
+    between 0 and 2; one scaled so that ||J||_1 >= 1 > ||J^2||_1, up to a square norm near 1;
+    a positive one whose columns all sum to about 1, so cond_1(I - J) is near COND_MAX; or
+    I - M with cond(M) within a factor 10 of COND_MAX."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def one():
-        kind = draw(st.sampled_from(["scaled", "stochastic", "conditioned"]))
-        if kind == "scaled":
+        kind = draw(st.sampled_from(["scaled", "squared", "stochastic", "conditioned"]))
+        if kind in ("scaled", "squared"):
             m = rng.normal(size=(GATE_D, GATE_D)) if draw(st.booleans()) else rng.uniform(size=(GATE_D, GATE_D))
+        if kind == "scaled":
             return m * (draw(st.one_of(st.floats(0.0, 2.0), st.sampled_from(NEAR_ONE))) / np.linalg.norm(m, 1))
+        if kind == "squared":
+            square = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(NEAR_ONE[:-1])))
+            return m * max(1.0 / np.linalg.norm(m, 1), np.sqrt(square / np.linalg.norm(m @ m, 1)))
         if kind == "stochastic":
             m = rng.uniform(size=(GATE_D, GATE_D))
             return m * (draw(st.sampled_from(NEAR_ONE)) / m.sum(axis=0))
@@ -221,6 +226,7 @@ def state_jacobians(draw):
 @given(j_x=state_jacobians())
 @example(j_x=np.full((GATE_D, GATE_D), 0.1))  # the bound passes
 @example(j_x=np.full((GATE_D, GATE_D), 0.3))  # ||J||_1 = 1.2 > 1, the exact test passes
+@example(j_x=np.column_stack([np.full(GATE_D, 0.25), np.full((GATE_D, GATE_D - 1), 0.1)]))  # the 2nd bound
 @example(j_x=np.eye(GATE_D))  # singular
 @example(j_x=np.stack([np.full((GATE_D, GATE_D), 0.1), np.eye(GATE_D)]))  # one singular row
 def test_the_condition_gate_decides_as_the_exact_condition_number(j_x):
@@ -273,7 +279,7 @@ def test_a_contractive_jacobian_settles_the_gate_without_an_inverse(monkeypatch)
 def test_a_jacobian_of_norm_one_reads_the_exact_condition_number(monkeypatch):
     spec = scalar_cycle_spec()
     sol = solve_equilibrium(spec, [0.5], TIGHT)
-    inject_state_jacobian(monkeypatch, [[0.0, 0.5], [1.0, 0.0]])  # ||J||_1 = 1
+    inject_state_jacobian(monkeypatch, [[0.0, -1.0], [1.0, 0.0]])  # ||J||_1 = ||J^2||_1 = 1
     calls = count_inverses(monkeypatch)
     deq.implicit_vjp(spec, sol, [1.0, 0.0])
     assert calls == ["inv"]
