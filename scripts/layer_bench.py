@@ -1,11 +1,12 @@
 """Per-layer timings: one structural-map call, one node_gradients call, one Linearization,
-one Anderson step, the first-use cost of a fresh d = 100 spec, the construction of a
+one Anderson step, the map call and node_gradients of an intervened d = 100 model, the
+first-use cost of a fresh intervened d = 100 spec, the construction of a
 CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
 Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
 problem construction and run, and one reduced invariant pipeline run.
 
-    python scripts/layer_bench.py --label change --out BENCH_18.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_18.json
+    python scripts/layer_bench.py --label change --out BENCH_19.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_19.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -18,11 +19,18 @@ default solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver)
 on the model's linearisation x -> J x + (x* - J x*), so it times the solver
 and not the map.
 
+`applied_map_call_s` and `applied_node_gradients_s` are one map call and one
+node_gradients call of `leontief-synthetic-100` with a multiplicative
+intervention applied on all sectors, at its equilibrium: the program that the
+pareto pipeline's descents run.
+
 `compile_s` is the one-off cost of a spec's first use: `interventions.apply`
-a multiplicative intervention on all sectors of `leontief-synthetic-100`, then
-time its first map call and first node_gradients call minus the same two calls
-warm. Sources whose `apply` stacks the intervened spec afresh validate, stack
-and compile it there; sources that derive its program from the model's do not.
+the same intervention, then time its first map call and first node_gradients
+call minus the same two calls warm. A derived spec compiles its own graph, the
+parent's graph with the wrap's nodes after it, at its first use, so the figure
+holds that compile. Sources that ran the parent's compiled graph and applied
+the wraps outside it compile nothing there; sources whose `apply` stacks the
+intervened spec afresh validate, stack and compile it.
 
 The construction layers build `leontief-synthetic-N` at N = 100, 300, 1,000 from
 CSV files written by dataio.write_iotable_csv: `load_s` is dataio.load_iotable_csv
@@ -164,6 +172,22 @@ def measure() -> dict:
             "anderson_iterations": iters,
         }
     return out
+
+
+def measure_applied() -> dict:
+    from eqcausal import interventions, modelzoo, sscm
+    from eqcausal.interventions import LieElement
+    from eqcausal.sscm import solve_equilibrium
+
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    wired = interventions.apply(spec, LieElement("multiplicative", tuple(range(spec.d)), np.ones(spec.d)))
+    theta = wired.theta_ref
+    x = solve_equilibrium(wired, theta, _solver(tol=1e-10)).x_star
+    f = sscm.assemble_map(wired, theta)
+    batch = max(5, 2000 // spec.d)
+    return {"d": spec.d, "applied_map_call_s": _median_call_s(lambda: f(x), batch),
+            "applied_node_gradients_s": _median_call_s(
+                lambda: sscm.node_gradients(wired, x, theta), max(2, batch // 10))}
 
 
 def measure_compile() -> float:
@@ -372,7 +396,7 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines")
+MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -404,9 +428,9 @@ def main() -> int:
     if Path(eqcausal.__file__).resolve().parent.parent != src:
         print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
         return 2
-    rounds = [dict(zip(MEASURED, (measure(), measure_compile(), measure_construction(),
-                                  measure_adjoint(), measure_batched(), measure_bench(),
-                                  measure_pipelines())))
+    rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
+                                  measure_construction(), measure_adjoint(), measure_batched(),
+                                  measure_bench(), measure_pipelines())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -430,6 +454,9 @@ def main() -> int:
               f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
               f"linearization {row['linearization_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
+    applied = record["applied"]
+    print(f"{'applied-synthetic-100':24s} map {applied['applied_map_call_s'] * 1e6:9.1f} us   "
+          f"node_gradients {applied['applied_node_gradients_s'] * 1e6:9.1f} us")
     print(f"{'compile_s':24s} {record['compile_s'] * 1e3:9.2f} ms")
     for name, row in record["construction"].items():
         print(f"{name:24s} load {row['load_s'] * 1e3:8.2f} ms   leontief_model {row['leontief_model_s'] * 1e3:8.2f} ms"

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteIterate, SingularLeastSquares, ZeroNorm
+from .errors import NonFiniteIterate, ShapeMismatch, SingularLeastSquares, ZeroNorm
 
 Array = np.ndarray
 
@@ -127,9 +127,11 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     recomputed.
 
     A 1-d x0 runs as a one-row batch with f called on row 0, and its report
-    holds floats and no row_* arrays.
+    holds floats and no row_* arrays. A batch of no rows raises ShapeMismatch.
     """
     x = np.array(x0, dtype=np.float64)
+    if x.ndim == 2 and not len(x):
+        raise ShapeMismatch("a batch needs at least one row")
     vector = x.ndim == 1
     if vector:
         x = x[None]

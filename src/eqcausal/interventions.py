@@ -84,9 +84,10 @@ def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
     Returns a new spec with u_dim extended by len(g.targets); the new
     components default to g's values, so solving the returned spec directly
     yields the intervened equilibrium. Parent sets and node count are
-    unchanged (the intervention is soft). The new spec runs a stacked program
-    derived from spec's (sscm.derive_wrapped), so spec must be valid. Its
-    per-node graphs are built only when read (validate, JSON, dataclasses.replace).
+    unchanged (the intervention is soft). The new spec's program is spec's
+    stacked graph with each target's wrap appended as nodes of it, compiled once
+    at its first use (sscm.derive_wrapped), so spec must be valid. Its per-node
+    graphs are built only when read (validate, JSON, dataclasses.replace).
     """
     if any(t < 0 or t >= spec.d for t in g.targets):
         raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")

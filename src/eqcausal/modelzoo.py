@@ -24,7 +24,7 @@ from .errors import (DimensionMismatch, NegativeEntry, SingularMatrix,
                      SingularParameterization, TopologyViolation)
 from .interventions import CompartmentPlan, InvariantInterventionSpec
 from .optimize import MlpSpec
-from .sscm import SscmSpec, _Parents, with_program
+from .sscm import SscmSpec, _Parents, merge_rows, with_program
 
 Array = np.ndarray
 
@@ -180,7 +180,7 @@ def _leontief_graphs(cols, coefs, bounds, scales, free_a_entries) -> list[ExprGr
 
 
 def _leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at):
-    """leontief_model's stacked program, leaves and cells, built from its arrays: f_k is
+    """leontief_model's stacked program and cells, built from its arrays: f_k is
     theta_k scale_k, plus the segment dot of row k's coefficients and gathered parents
     (unless all are 0), plus theta_f scale_k x_j for each entry (k, j) freed in row k in
     turn. These are the per-node graphs' ops in their order, so the fused steps compute
@@ -193,14 +193,6 @@ def _leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at)
         nodes.append(GraphNode(op, args, payload))
         dims.append(int(dim))
         return len(nodes) - 1
-
-    def plus(out, rows, term):  # out with term added to its entries at rows, ascending
-        if len(rows) == d:
-            return node("add", d, out, term)
-        added = node("add", len(rows), node("gather", len(rows), out, payload=rows), term)
-        merge = np.arange(d)
-        merge[rows] = d + np.arange(len(rows))
-        return node("gather", d, node("concat", d + len(rows), out, added), payload=merge)
 
     x, t = node("input", d, payload=("x", d)), node("input", p, payload=("theta", p))
     # the theta leaf is a copy of theta, so the copies that read it pass their adjoints to it
@@ -215,18 +207,19 @@ def _leontief_program(flat, coefs, bounds, scales, n_theta, free, rank, free_at)
         read = parents if len(at) == nnz else node("gather", len(at), parents, payload=at)
         lengths = tuple(np.diff(bounds)[summed].tolist())
         dotted = node("segdot", len(lengths), node("const", len(at), payload=coefs[at]), read, payload=lengths)
-        out = plus(out, np.flatnonzero(summed), dotted)
+        out = merge_rows(node, d, out, np.flatnonzero(summed), "add", dotted)
     for r in range(rank.max() + 1 if len(rank) else 0):
         k, j = free[rank == r].T
         coef = node("mul", len(k), node("gather", len(k), theta, payload=free_at[rank == r]),
                     node("const", len(k), payload=scales[k]))
         picked = node("gather", len(k), parents, payload=np.searchsorted(flat, k * d + j))
-        out = plus(out, k, node("mul", len(k), coef, picked))
+        out = merge_rows(node, d, out, k, "add", node("mul", len(k), coef, picked))
 
     graph = ExprGraph(tuple(nodes), out, {"x": (x, d), "theta": (t, p)}, tuple(dims))
-    cells = (("x", d, flat), ("theta", p, np.repeat(np.arange(d), n_theta) * p + np.arange(p)),
-             ("u", 0, np.zeros(0, dtype=np.intp)))
-    return graph, (parents, theta) if nnz else (theta,), cells
+    cells = (("x", d, (parents,) if nnz else (), flat),
+             ("theta", p, (theta,), np.repeat(np.arange(d), n_theta) * p + np.arange(p)),
+             ("u", 0, (), np.zeros(0, dtype=np.intp)))
+    return graph, cells
 
 
 # --- motivating 3-node example ---

@@ -495,7 +495,8 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
                  targets=None) -> list[TradeoffPoint]:
     """Optimize the intervention per lambda, warm-starting from the previous optimum; a lambda
     whose optimization fails repeats the previous point (at the first, the unintervened model).
-    Every lambda descends on the one intervened model that optimize_lie_intervention builds."""
+    Every lambda descends on the one intervened model that optimize_lie_intervention builds,
+    and the unintervened reference is solved on it at the identity."""
     c = np.asarray(c, dtype=np.float64)
     r = np.asarray(employment_row, dtype=np.float64)
     if not len(lambdas):
@@ -503,11 +504,14 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
     if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda values must be nonnegative")
     targets = tuple(range(spec.d)) if targets is None else tuple(targets)
-    x_star = solve_equilibrium(spec, spec.theta_ref, solver).x_star
+    g = interventions.identity("multiplicative", targets)
+    # the reference is the intervened model at the identity, bit for bit (f(x) * 1.0 is f(x)),
+    # so one program is compiled; u is passed whole, as a cached model keeps an earlier start
+    u = np.concatenate([spec.u_ref, g.values])
+    x_star = solve_equilibrium(_wired(spec, g), spec.theta_ref, solver, u=u).x_star
     e_star = r * x_star
 
     points: list[TradeoffPoint] = []
-    g = interventions.identity("multiplicative", targets)
     for lam in lambdas:
         loss = GhgEmploymentLoss(c, r, e_star, lam)
         try:

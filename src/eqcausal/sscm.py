@@ -15,10 +15,11 @@ gradients of deq solve I - df/dx (see deq for when they need neither).
 
 A spec stacks its per-node graphs into one program at first use, except two
 kinds: modelzoo.leontief_model builds its program from the table's arrays, and
-an intervened spec (interventions.apply) runs one derived from its parent's,
-the parent's stacked, compiled graph, then each target's wrap by its u
-component. These build their per-node graphs only when `assignments` is read:
-by validate, JSON, dataclasses.replace (whose copy stacks its own graphs).
+an intervened spec (interventions.apply) derives its program from its parent's:
+the parent's stacked graph with the wrap of each target by its u component
+appended as nodes of the same graph, compiled once, at its first use. These
+build their per-node graphs only when `assignments` is read: by validate, JSON,
+dataclasses.replace (whose copy stacks its own graphs).
 
 Batches: binding x, theta, u, extern or policy with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore, fixedpoint
-from .diffcore import ExprGraph
+from .diffcore import ExprGraph, GraphNode
 from .errors import ParseError, ShapeMismatch, SpecValidationError
 from .fixedpoint import SolveReport, SolverConfig
 
@@ -211,37 +212,17 @@ class _Stacked:
     theta slice, and its own view of each shared slot. A reverse sweep that
     stops at the entries therefore gives each node's partials unmixed.
 
-    A derived program (see derive_wrapped) runs its parent's graph on a prefix of u, then
-    wraps that multiply (or add to) the targets' outputs by their own u components.
+    A derived program (see derive_wrapped) is its parent's graph with more nodes after it,
+    and a new u entry per wrap: its cells sit in the u field beside the parent's.
     """
 
     graph: ExprGraph  # output: (f_1, ..., f_d)
-    leaves: tuple[int, ...]  # the entry nodes whose partials NodeJacobians keeps, field by field
-    cells: tuple  # per field: (field, columns, the flat cells its leaves' adjoint entries fill)
+    cells: tuple  # per field: (field, columns, its entry nodes, the flat cells their adjoint entries fill)
     first_reader: dict  # shared slot -> first node that reads it
-    wraps: tuple = ()  # (multiplicative, targets, their u positions), applied in order
+    leaves: tuple = field(init=False)  # every field's entry nodes end to end, which NodeJacobians keeps
 
-
-def _wrap(wraps, out: Array, u: Array) -> Array:
-    """A stacked graph's output with a derived program's wraps applied, in place."""
-    for mul, targets, positions in wraps:
-        out[..., targets] = (np.multiply if mul else np.add)(out[..., targets], u[..., positions])
-    return out
-
-
-def _unwrap(prog: _Stacked, seed: Array, bindings: dict, u: Array, rows) -> list:
-    """Turn a derived program's all-ones seed into its graph's: the adjoint each wrap's mul
-    passes down, summed into 0 as the per-node graphs' sweep sums it (0 + -0 is 0). Returns
-    per wrap its df/du cells and their partials, its output's adjoint (times its input for a mul)."""
-    inputs, out, value = [], [], diffcore.forward_eval(prog.graph, bindings, rows) if prog.wraps else None
-    for wrap in prog.wraps:
-        inputs.append(value[..., wrap[1]])
-        _wrap((wrap,), value, u)
-    for (mul, targets, positions), value in zip(reversed(prog.wraps), reversed(inputs)):
-        g = seed[..., targets]
-        out.append((targets * u.shape[-1] + positions, g * value + 0.0 if mul else g))
-        seed[..., targets] = g * u[..., positions] + 0.0 if mul else g
-    return out
+    def __post_init__(self):
+        object.__setattr__(self, "leaves", tuple(chain.from_iterable(c[2] for c in self.cells)))
 
 
 #: the NodeJacobians field each slot's partials fill; extern partials are not kept
@@ -281,32 +262,65 @@ def _stacked(spec: SscmSpec) -> _Stacked:
         for name, w in width.items():
             lengths = np.array([len(at) for at in cols[name]], dtype=np.intp)
             flat = np.fromiter(chain.from_iterable(cols[name]), np.intp, int(lengths.sum()))
-            cells.append((name, w, np.repeat(np.array(rows[name], dtype=np.intp) * w, lengths) + flat))
-        prog = _Stacked(b.build(b.concat(*outs)), tuple(i for name in width for i in leaves[name]),
-                        tuple(cells), first_reader)
+            cells.append((name, w, tuple(leaves[name]),
+                          np.repeat(np.array(rows[name], dtype=np.intp) * w, lengths) + flat))
+        prog = _Stacked(b.build(b.concat(*outs)), tuple(cells), first_reader)
         object.__setattr__(spec, "_stacked", prog)
     return prog
 
 
-def with_program(spec: SscmSpec, graph: ExprGraph, leaves, cells) -> SscmSpec:
-    """`spec`, built from arrays, with `graph` (over x and theta) as its program and `leaves`
-    and `cells` as _Stacked holds them. It is valid by construction, but for non-finite
-    parameter values, so only these are checked."""
-    object.__setattr__(spec, "_stacked", _Stacked(graph, tuple(leaves), tuple(cells), {}))
-    finite = np.isfinite(spec.theta_ref).all() and np.isfinite(spec.theta_box).all()
+def with_program(spec: SscmSpec, graph: ExprGraph, cells, first_reader=None) -> SscmSpec:
+    """`spec`, built from arrays or derived from a parent, with `graph` as its program and
+    `cells` and `first_reader` as _Stacked holds them. It is valid by construction, but for
+    non-finite theta_ref, theta_box or u_ref values, so only these are checked."""
+    object.__setattr__(spec, "_stacked", _Stacked(graph, tuple(cells), first_reader or {}))
+    finite = all(np.isfinite(getattr(spec, name)).all() for name in ("theta_ref", "theta_box", "u_ref"))
     object.__setattr__(spec, "_validated", bool(finite))
     return spec
 
 
+def merge_rows(node, d: int, out: int, rows, op: str, term: int) -> int:
+    """The d entries of node `out` with op(out[rows], term) at `rows`, in any order, merged
+    back by copies, which the fused program resolves. `node(op, dim, *args, payload=None)`
+    appends a node to the graph under construction and returns its index."""
+    if len(rows) == d and (np.asarray(rows) == np.arange(d)).all():
+        return node(op, d, out, term)
+    changed = node(op, len(rows), node("gather", len(rows), out, payload=rows), term)
+    merge = np.arange(d)
+    merge[rows] = d + np.arange(len(rows))
+    return node("gather", d, node("concat", d + len(rows), out, changed), payload=merge)
+
+
 def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> SscmSpec:
     """`parent` with each target's output multiplied by (or added to) a new u component,
-    `values` by default. It runs the parent's stacked program (stacked first if need be)
-    with one more wrap: nothing is stacked or compiled again, and df/du gains one cell per
-    target. Its per-node graphs, each target's wrapped, are built only when read. They are
-    valid by construction, so only non-finite new u values can fail validate."""
+    `values` by default. Its program, compiled at its first use, is the parent's stacked
+    graph (stacked first if need be) with its u input widened and three parts appended: a
+    gather of the new components (the targets' new u entry), the mul (or add) on the
+    targets' outputs and their merge back by copies. Its per-node graphs, each target's
+    wrapped, are built only when read. They are valid by construction, so only non-finite
+    new u values can fail validate."""
     _require_valid(parent)
     prog = _stacked(parent)
     old, new = parent.u_dim, parent.u_dim + len(targets)
+    nodes, dims, slots = list(prog.graph.nodes), list(prog.graph.dims), dict(prog.graph.slots)
+
+    def node(op, dim, *args, payload=None):
+        nodes.append(GraphNode(op, args, payload))
+        dims.append(int(dim))
+        return len(nodes) - 1
+
+    u = slots["u"][0] if "u" in slots else node("input", 0)
+    nodes[u], dims[u], slots["u"] = GraphNode("input", (), ("u", new)), new, (u, new)
+    entry = node("gather", new - old, u, payload=np.arange(old, new))
+    rows = np.array(targets, dtype=np.intp)
+    out = merge_rows(node, parent.d, prog.graph.output, rows, "mul" if multiplicative else "add", entry)
+    cells = []
+    for name, w, entries, at in prog.cells:
+        if name == "u":  # the parent's cells, in rows as wide as the new u, then one per target
+            w, entries = new, entries + (entry,)
+            at = np.concatenate([at // max(old, 1) * new + at % max(old, 1), rows * new + np.arange(old, new)])
+        cells.append((name, w, entries, at))
+
     pos_of = {t: old + i for i, t in enumerate(targets)}
     graphs = parent.__dict__["_assignments"]  # a function, if the parent's are not built
 
@@ -323,22 +337,13 @@ def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> S
             yield graph
 
     spec = replace(parent, assignments=wrapped, u_dim=new, u_ref=np.concatenate([parent.u_ref, values]))
-    cells = tuple((name, new, at // max(old, 1) * new + at % max(old, 1)) if name == "u" else (name, w, at)
-                  for name, w, at in prog.cells)
-    wrap = (multiplicative, np.array(targets, dtype=np.intp), np.arange(old, new, dtype=np.intp))
-    object.__setattr__(spec, "_stacked", replace(prog, cells=cells, wraps=prog.wraps + (wrap,)))
-    object.__setattr__(spec, "_validated", bool(np.isfinite(spec.u_ref).all()))
-    return spec
+    return with_program(spec, ExprGraph(tuple(nodes), out, slots, tuple(dims)), cells, prog.first_reader)
 
 
-def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> tuple[dict, Array]:
-    """Bindings of the stacked graph, except the per-evaluation "x", and the whole u, of
-    which a derived program's graph reads a prefix."""
-    u = spec.u_ref if u is None else np.asarray(u, dtype=np.float64)
-    if prog.wraps and (u.ndim not in (1, 2) or u.shape[-1] != spec.u_dim):
-        raise ShapeMismatch(f"slot 'u' expects dim {spec.u_dim}, got shape {u.shape}")
+def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
+    """Bindings of the stacked graph, except the per-evaluation "x"."""
     bindings = {"theta": np.asarray(theta, dtype=np.float64),
-                "u": u[..., :prog.graph.slot_dim("u")] if prog.wraps and "u" in prog.graph.slots else u}
+                "u": spec.u_ref if u is None else np.asarray(u, dtype=np.float64)}
     if policy is None:
         policy = spec.policy_ref
     for slot, value in (("extern", extern), ("policy", policy)):
@@ -346,7 +351,7 @@ def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> tuple
             if value is None:
                 raise SpecValidationError([f"node {prog.first_reader[slot]} requires a binding for {slot!r}"])
             bindings[slot] = np.asarray(value, dtype=np.float64)
-    return bindings, u
+    return bindings
 
 
 def _rows(*bindings) -> int | None:
@@ -363,14 +368,8 @@ def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Cal
     _require_valid(spec)
     prog = _stacked(spec)
     graph = prog.graph
-    static, u = _bindings(spec, prog, theta, u, extern, policy)
-    if not prog.wraps:
-        return lambda x: diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
-
-    def f(x: Array) -> Array:
-        return _wrap(prog.wraps, diffcore.forward_eval(graph, {**static, "x": x}, _rows(x, u)), u)
-
-    return f
+    static = _bindings(spec, prog, theta, u, extern, policy)
+    return lambda x: diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
 
 
 def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=None, policy=None) -> EquilibriumSolution:
@@ -396,25 +395,22 @@ class NodeJacobians:
 def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
     """df/d(x, theta, u, policy) at (x, theta), (B, d, ...) stacks for a batch.
 
-    One reverse sweep of the stacked graph, seeded with 1 at every node output (with
-    what the wraps pass down in a derived program) and stopped at the entry nodes;
-    their adjoints fill each dense matrix through the cells the stacked program holds.
+    One reverse sweep of the stacked graph, seeded with 1 at every node output and
+    stopped at the entry nodes; their adjoints fill each dense matrix through the cells
+    the stacked program holds.
     """
     _require_valid(spec)
     prog = _stacked(spec)
-    bindings, u = _bindings(spec, prog, theta, u, extern, policy)
+    bindings = _bindings(spec, prog, theta, u, extern, policy)
     bindings["x"] = x
     rows = _rows(x, theta, u, extern, policy)
     seed = np.ones(spec.d if rows is None else (rows, spec.d))
-    wrapped = _unwrap(prog, seed, bindings, u, rows)
     adj = diffcore.reverse_vjp(prog.graph, bindings, seed, at=prog.leaves)
     lead = adj.shape[:-1]
     dense, start = {}, 0
-    for name, width, cells in prog.cells:
+    for name, width, _, cells in prog.cells:
         flat = np.zeros(lead + (spec.d * width,))
         flat[..., cells] = adj[..., start:start + len(cells)]
-        for at, partial in wrapped if name == "u" else ():
-            flat[..., at] = partial
         dense[name] = flat.reshape(lead + (spec.d, width))
         start += len(cells)
     return NodeJacobians(**dense)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eqcausal import modelzoo
-from eqcausal.errors import DimensionMismatch, NonFiniteIterate, SingularLeastSquares, ZeroNorm
+from eqcausal.errors import DimensionMismatch, NonFiniteIterate, ShapeMismatch, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
 
 from ._models import random_leontief, reference_anderson_solve
@@ -205,6 +205,14 @@ def test_divergence_raises_non_finite():
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(NonFiniteIterate):
                     forward_iterate(lambda x: slope * x + 1.0, x0, SolverConfig())
+
+
+def test_empty_batch_is_a_shape_mismatch():
+    calls = []
+    for solver in (anderson_solve, forward_iterate):
+        with pytest.raises(ShapeMismatch, match="a batch needs at least one row"):
+            solver(lambda x: calls.append(x) or 0.5 * x, np.zeros((0, 3)), SolverConfig())
+    assert not calls  # refused before f is called
 
 
 def test_singular_least_squares_only_without_ridge():

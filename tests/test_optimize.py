@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcausal import deq, interventions, modelzoo, optimize, sscm
+from eqcausal import deq, diffcore, interventions, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, reverse_vjp
 from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismatch,
                              SolveFailedDuringOptimization)
@@ -396,25 +396,57 @@ def test_pareto_duplicate_lambdas_identical():
     np.testing.assert_array_equal(points[0].alpha, points[1].alpha)
 
 
+def _counting(record, fn):
+    def wrapped(*args, **kwargs):
+        record.append(1)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_pareto_sweep_solves_each_equilibrium_once(monkeypatch):
     table = modelzoo.leontief_synthetic(4)
     spec = modelzoo.leontief_model(table)
     solves, applies = [], []
-
-    def counting(record, fn):
-        def wrapped(*args, **kwargs):
-            record.append(1)
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(optimize, "solve_equilibrium", counting(solves, solve_equilibrium))
-    monkeypatch.setattr(interventions, "apply", counting(applies, interventions.apply))
+    monkeypatch.setattr(optimize, "solve_equilibrium", _counting(solves, solve_equilibrium))
+    monkeypatch.setattr(interventions, "apply", _counting(applies, interventions.apply))
     adam = AdamConfig(learning_rate=0.05, iterations=5, early_stop=False)
     points = pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"),
                           [0.0, 0.5, 2.0], adam, SolverConfig(tol=1e-8), bounds=(0.5, 1.0))
     assert all(p.converged for p in points)
     assert len(solves) == 1 + 3 * 5  # the base, then one per evaluation
     assert len(applies) == 1  # one intervened model serves every lambda
+
+
+def _sweep12(spec, table):
+    adam = AdamConfig(learning_rate=0.05, iterations=3, early_stop=False)
+    return pareto_sweep(spec, table.impact_row("ghg"), table.impact_row("employment"), [0.0, 1.0],
+                        adam, SolverConfig(tol=1e-8), bounds=(0.5, 1.0))
+
+
+def test_pareto_sweep_compiles_one_program(monkeypatch):
+    # the unintervened reference is solved on the intervened model, at the identity
+    table = modelzoo.leontief_synthetic(12)
+    fused = []
+    monkeypatch.setattr(diffcore, "_fuse", _counting(fused, diffcore._fuse))
+    assert all(p.converged for p in _sweep12(modelzoo.leontief_model(table), table))
+    assert len(fused) == 1
+
+
+def test_pareto_sweep_ignores_the_start_values_of_a_cached_intervened_model():
+    # an earlier descent from non-identity values leaves its intervened model, whose u_ref
+    # holds those values, on the spec; the sweep's reference equilibrium must not read them
+    table = modelzoo.leontief_synthetic(12)
+    used = modelzoo.leontief_model(table)
+    start = LieElement("multiplicative", tuple(range(12)), np.full(12, 0.7))
+    loss = GhgEmploymentLoss(table.impact_row("ghg"), table.impact_row("employment"), np.zeros(12), 0.0)
+    optimize_lie_intervention(used, start, loss, AdamConfig(iterations=2), SolverConfig(tol=1e-8))
+    (wired,) = used._wired.values()
+    np.testing.assert_array_equal(wired.u_ref, start.values)
+    for got, want in zip(_sweep12(used, table), _sweep12(modelzoo.leontief_model(table), table), strict=True):
+        assert (got.ghg_total, got.employment_l1_deviation, got.converged) == \
+            (want.ghg_total, want.employment_l1_deviation, want.converged)
+        assert got.alpha.tobytes() == want.alpha.tobytes()
+        assert got.employment_delta.tobytes() == want.employment_delta.tobytes()
 
 
 @pytest.mark.parametrize("failing", [0, 1])

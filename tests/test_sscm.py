@@ -545,8 +545,9 @@ def test_missing_shared_binding_names_the_first_reading_node():
 # --- the program interventions.apply derives against a freshly stacked one ---
 
 def _element(rng, d, group):
-    targets = tuple(range(d)) if rng.random() < 0.4 else \
-        tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()))
+    # targets in any order: a permutation of all nodes, or a subset drawn unsorted
+    targets = tuple(rng.permutation(d).tolist()) if rng.random() < 0.4 else \
+        tuple(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist())
     values = rng.uniform(0.5, 2.0, len(targets)) if group == "multiplicative" else rng.uniform(-1, 1, len(targets))
     return LieElement(group, targets, values)
 
@@ -557,11 +558,11 @@ def _bitwise_equal(a, b):
 
 def _assert_derived_matches_fresh(applied, x, theta, kwargs):
     fresh = replace(applied)
-    assert applied._stacked.wraps and fresh._stacked is None
+    assert applied._stacked is not None and fresh._stacked is None  # derived, and not yet stacked
     assert applied._validated and validate(applied) == []  # valid by construction, and so found
     _bitwise_equal(assemble_map(applied, theta, **kwargs)(x), assemble_map(fresh, theta, **kwargs)(x))
     got, want = node_gradients(applied, x, theta, **kwargs), node_gradients(fresh, x, theta, **kwargs)
-    assert not fresh._stacked.wraps
+    assert fresh._stacked.graph is not applied._stacked.graph
     for name in ("x", "theta", "u", "policy"):
         if getattr(want, name) is None:
             assert getattr(got, name) is None
@@ -603,9 +604,10 @@ def test_applied_program_reads_one_u_cell_per_target():
     spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
     wired = interventions.apply(spec, LieElement("multiplicative", tuple(range(100)), np.ones(100)))
     prog = sscm._stacked(wired)
-    assert prog.graph is sscm._stacked(spec).graph
-    u_cells = [at for name, _, at in prog.cells if name == "u"]
-    assert sum(map(len, u_cells)) + sum(len(targets) for _, targets, _ in prog.wraps) == 100
+    parent = sscm._stacked(spec).graph
+    assert prog.graph.nodes[:len(parent.nodes)] == parent.nodes  # the parent's graph, then the wrap
+    u_cells = [at for name, _, _, at in prog.cells if name == "u"]
+    assert sum(map(len, u_cells)) == 100
     jac = node_gradients(wired, np.ones(100), wired.theta_ref)
     assert np.count_nonzero(jac.u) == 100
 
