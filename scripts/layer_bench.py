@@ -3,18 +3,17 @@ one Anderson step, the map call and node_gradients of an intervened d = 100 mode
 first-use cost of a fresh intervened d = 100 spec, the construction of a
 CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
 Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
-problem construction and run, and one reduced invariant pipeline run.
+problem construction and run, one reduced invariant pipeline run, and the invariance
+checks.
 
-    python scripts/layer_bench.py --label change --out BENCH_19.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_19.json
+    python scripts/layer_bench.py --label change --out BENCH_20.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_20.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
 model the invariant pipeline trains). `linearization_s` is one
-sscm.Linearization: the dense partials of the map and I - df/dx. Sources that
-compute its inverse and condition number on first read (which deq's gradients
-skip when the Neumann bound settles the condition gate) do not form them here;
-older sources invert I - df/dx in every Linearization. The Anderson step runs the
+sscm.Linearization: the dense partials of the map and I - df/dx. Its condition
+number is computed on first read, so not here. The Anderson step runs the
 default solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver)
 on the model's linearisation x -> J x + (x* - J x*), so it times the solver
 and not the map.
@@ -65,6 +64,12 @@ solved, bench.csv and bench_summary.csv written to a temporary directory).
 workload's config (4 Adam steps in the first of three phases, 4 samples per
 step, seed 1): training, the evaluation solves and the three outputs written
 to a temporary directory.
+
+`invariance_check_s` is one interventions.check_invariance_conditions of the
+motivating example with tau free (i, j, k = 1, 2, 2), and `hard_derivative_s` one
+interventions.hard_intervention_derivative, each with its equilibrium solve: of the
+rebound base model, d x_1 / d x_7 (the target sector's output against its final
+demand), and of `leontief-synthetic-30`, d x_0 / d x_1.
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch, and the whole set is measured ROUNDS times in turn, each figure
@@ -375,6 +380,24 @@ def measure_pipelines() -> dict:
                                                   REPEATS)}
 
 
+def measure_invariance() -> dict:
+    from eqcausal import interventions, modelzoo
+
+    motivating = modelzoo.motivating_example(free=("tau",))
+    rebound = modelzoo.rebound_3sector().spec
+    leontief = modelzoo.leontief_model(modelzoo.leontief_synthetic(30))
+    derivative = interventions.hard_intervention_derivative
+    return {
+        "invariance_check_s": _median_call_s(
+            lambda: interventions.check_invariance_conditions(motivating, 1, 2, 2), 20),
+        "hard_derivative_s": {
+            "rebound-base": _median_call_s(lambda: derivative(rebound, 1, 7, rebound.theta_ref), 20),
+            "leontief-synthetic-30": _median_call_s(
+                lambda: derivative(leontief, 0, 1, leontief.theta_ref), 20),
+        },
+    }
+
+
 def _git(src: Path, *args) -> str:
     try:
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -396,7 +419,8 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines")
+MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines",
+            "invariance")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -430,7 +454,7 @@ def main() -> int:
         return 2
     rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
                                   measure_construction(), measure_adjoint(), measure_batched(),
-                                  measure_bench(), measure_pipelines())))
+                                  measure_bench(), measure_pipelines(), measure_invariance())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -474,6 +498,10 @@ def main() -> int:
         f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contraction_s"].items()))
     print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
     print(f"{'invariant_run_s':24s} {record['pipelines']['invariant_run_s'] * 1e3:9.2f} ms")
+    invariance = record["invariance"]
+    print(f"{'invariance_check_s':24s} {invariance['invariance_check_s'] * 1e3:9.3f} ms")
+    for name, t in invariance["hard_derivative_s"].items():
+        print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
     return 0
 
 

@@ -452,8 +452,8 @@ def _run_optimize(config: ExperimentConfig, bundle: ModelBundle, out: OutputWrit
 
     c, r = _loss_rows(config, bundle)
     solver = _eval_solver(config)
-    base = solve_equilibrium(spec, spec.theta_ref, solver)
-    loss = optimize.GhgEmploymentLoss(c, r, r * base.x_star, config.loss.get("lambda", 0.0))
+    x_base = optimize.unintervened_equilibrium(spec, group, targets, solver)
+    loss = optimize.GhgEmploymentLoss(c, r, r * x_base, config.loss.get("lambda", 0.0))
     res = optimize.optimize_lie_intervention(spec, g0, loss, config.adam, solver, bounds=bounds)
     out.write_csv("trajectory.csv", ["step", "loss"] + [f"u_{t}" for t in targets],
                   [[i, float(v)] + [float(x) for x in g.values]

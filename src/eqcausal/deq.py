@@ -12,7 +12,7 @@ above sscm.COND_MAX), or a non-finite adjoint, raises SingularAdjoint. When
 ||df/dx||_1 < 1, as for a productive Leontief table, or ||(df/dx)^2||_1 < 1, as
 for the rebound twin, and the Neumann bound on the condition number lies below
 COND_MAX / 2, that settles the gate; otherwise it reads the exact condition
-number, which forms the inverse.
+number, which is inf for a singular I - df/dx.
 
 A batched solution (x* of shape (B, d)) is linearized as one stack: one
 batched reverse sweep, one stacked solve, and a bound or a condition number per
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore, sscm
-from .errors import NotConverged, SingularAdjoint
+from .errors import NotConverged, ShapeMismatch, SingularAdjoint
 from .fixedpoint import SolverConfig
 from .sscm import EquilibriumSolution, SscmSpec
 
@@ -76,9 +76,9 @@ def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, extern=None,
     lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, extern=extern, policy=policy)
     if _neumann_settles(lin):
         return lin
-    if lin.inv is None:
-        raise SingularAdjoint("I - df/dx is singular at the equilibrium")
     cond = np.max(lin.cond)
+    if cond == np.inf:
+        raise SingularAdjoint("I - df/dx is singular at the equilibrium")
     if not cond <= sscm.COND_MAX:
         raise SingularAdjoint(
             f"I - df/dx is ill-conditioned (condition number {cond:.3e} > {sscm.COND_MAX:.0e})")
@@ -98,11 +98,17 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
 
     The adjoint solves (I - df/dx)^T a = cotangent, one LU solve per row. A batched
     sol takes a (B, d) cotangent (a vector seeds every row) and gives (B, ...)
-    gradients. An unconverged sol raises NotConverged; a singular or ill-conditioned
-    I - df/dx, or a non-finite adjoint, raises SingularAdjoint.
+    gradients; a cotangent of another shape raises ShapeMismatch. An unconverged sol
+    raises NotConverged; a singular or ill-conditioned I - df/dx, or a non-finite
+    adjoint, raises SingularAdjoint.
     """
+    cot = np.asarray(cotangent, dtype=np.float64)
+    try:
+        cot = np.broadcast_to(cot, sol.x_star.shape)
+    except ValueError:
+        raise ShapeMismatch(
+            f"cotangent of shape {cot.shape} does not fit x* of shape {sol.x_star.shape}") from None
     lin = _linearize(spec, sol, u, extern, policy)
-    cot = np.broadcast_to(np.asarray(cotangent, dtype=np.float64), lin.lhs.shape[:-1])
     a = np.linalg.solve(lin.lhs.mT, cot[..., None])[..., 0]
     if not np.all(np.isfinite(a)):
         raise SingularAdjoint("adjoint solve gave a non-finite solution")

@@ -48,7 +48,7 @@ class NotConverged(EqcausalError):
 
 
 class ClampedModelSingular(EqcausalError):
-    """The hard-intervened (clamped) model is not solvable at the reference."""
+    """The base model does not converge, or the clamped model's I - df/dx is ill-conditioned."""
 
 
 # --- interventions ---

@@ -40,6 +40,9 @@ class SolverConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):  # every check fails on NaN
+        for name in ("m", "max_iter"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not self.m >= 1:
             raise ValueError("m must be >= 1")
         if not self.tol > 0:
@@ -127,7 +130,8 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     recomputed.
 
     A 1-d x0 runs as a one-row batch with f called on row 0, and its report
-    holds floats and no row_* arrays. A batch of no rows raises ShapeMismatch.
+    holds floats and no row_* arrays. A batch of no rows, or an f that returns
+    another shape than its iterate's, raises ShapeMismatch.
     """
     x = np.array(x0, dtype=np.float64)
     if x.ndim == 2 and not len(x):
@@ -142,6 +146,9 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
         def call(z):
             return np.asarray(f(z), dtype=np.float64)
     fx = call(x)
+    if fx.shape != x.shape:
+        shapes = (fx.shape[1:], x.shape[1:]) if vector else (fx.shape, x.shape)
+        raise ShapeMismatch("f returned shape %s for an iterate of shape %s" % shapes)
     _check_finite(fx, 0)
     g = fx - x
     rows, n_cols = x.shape[0], cfg.m - 1

@@ -19,7 +19,7 @@ import numpy as np
 from . import deq
 from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
-                     MismatchedTargets, NonFiniteIterate, PolicyArityMismatch)
+                     MismatchedTargets, PolicyArityMismatch)
 from .fixedpoint import SolverConfig
 from .sscm import (COND_MAX, EquilibriumSolution, Linearization, SscmSpec, derive_wrapped,
                    solve_equilibrium)
@@ -96,57 +96,30 @@ def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
 
 def hard_intervention_derivative(spec: SscmSpec, j: int, k: int, theta,
                                  cfg: SolverConfig | None = None) -> float:
-    """d x_j / d(lambda) for the model clamped at x_k = lambda, at lambda = x*_k.
-
-    The clamp value enters as an extra trailing parameter so the derivative
-    comes out of the implicit-differentiation machinery.
-    """
+    """d x_j / d(lambda) of the model clamped at x_k = lambda, at lambda = x*_k. An unconverged
+    base model or an ill-conditioned clamped system raises ClampedModelSingular."""
     cfg = cfg or SolverConfig(tol=1e-10)
     theta = np.asarray(theta, dtype=np.float64)
     sol = solve_equilibrium(spec, theta, cfg)
     if not sol.report.converged:
         raise ClampedModelSingular("base model does not converge at the requested theta")
-    return _clamped_derivative(spec, j, k, theta, float(sol.x_star[k]), cfg)
+    return _clamped_derivative(Linearization(spec, sol.x_star, theta), j, k)
 
 
-def _clamped_derivative(spec: SscmSpec, j: int, k: int, theta, lam0: float,
-                        cfg: SolverConfig) -> float:
-    """d x_j / d(lambda) at lambda = lam0 for the model clamped at x_k = lambda."""
-    clamped, theta_ext = clamp_node(spec, k, theta, lam0)
-    try:
-        csol = solve_equilibrium(clamped, theta_ext, cfg)
-    except NonFiniteIterate as exc:
-        raise ClampedModelSingular("clamped model diverges") from exc
-    if not csol.report.converged:
-        raise ClampedModelSingular("clamped model does not converge")
-    return float(deq.jacobian_wrt_theta(clamped, csol)[j, -1])
+def _clamped_derivative(lin: Linearization, j: int, k: int) -> float:
+    """d x_j / d(lambda) from the base model's linearization at its equilibrium x*.
 
-
-def clamp_node(spec: SscmSpec, k: int, theta, lam: float) -> tuple[SscmSpec, Array]:
-    """Hard-intervene node k to a constant carried as a trailing theta component."""
-    b = ExprBuilder()
-    t = b.input("theta", 1)
-    clamped_graph = b.build(t)
-    p = spec.theta_dim
-    parents = list(spec.parents)
-    parents[k] = ()
-    assignments = list(spec.assignments)
-    assignments[k] = clamped_graph
-    slices = list(spec.theta_slices)
-    slices[k] = (p, p + 1)
-    span = max(1.0, abs(lam))
-    theta_ref = np.concatenate([spec.theta_ref, [lam]])
-    theta_box = np.concatenate([spec.theta_box, [[lam - span, lam + span]]], axis=0)
-    clamped = replace(
-        spec,
-        parents=tuple(parents),
-        assignments=tuple(assignments),
-        theta_slices=tuple(slices),
-        theta_ref=theta_ref,
-        theta_box=theta_box,
-        x_ref=None,
-    )
-    return clamped, np.concatenate([np.asarray(theta, dtype=np.float64), [lam]])
+    Clamped at lambda = x*_k, the model keeps x*; its I - df/dx is lin.lhs with row k set to
+    e_k^T and its df/d(lambda) is e_k. A clamped system whose 1-norm condition number is not
+    <= COND_MAX raises ClampedModelSingular."""
+    lhs = lin.lhs.copy()
+    lhs[k] = 0.0
+    lhs[k, k] = 1.0  # row k is now e_k
+    cond = np.linalg.cond(lhs, 1)
+    if not cond <= COND_MAX:
+        raise ClampedModelSingular(
+            f"clamped I - df/dx has condition number {cond:.3e} > {COND_MAX:.0e}")
+    return float(np.linalg.solve(lhs, lhs[k])[j])
 
 
 @dataclass
@@ -176,12 +149,12 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     well conditioned, (b) the map theta -> equilibrium values of the auxiliary
     node's parents has full column rank, (c) the hard-intervention derivative
     of the invariant node w.r.t. the auxiliary node is nonzero. The checks are
-    sufficient, not necessary. One linearization of the base model at its
-    equilibrium serves the diffeomorphism check, (a) and (b); an unconverged
-    equilibrium raises NotConverged. A singular or ill-conditioned I - df/dx
-    is reported as diffeomorphic_at_reference = False (and all_pass = False);
-    when it is singular, (b) has no Jacobian and reports sigma_min 0. Condition
-    numbers are 1-norm ones, held to sscm.COND_MAX.
+    sufficient, not necessary. One solve and one linearization of the base model serve
+    all four checks; an unconverged equilibrium raises NotConverged. A singular or
+    ill-conditioned I - df/dx is reported as diffeomorphic_at_reference = False (and
+    all_pass = False); when it is singular, (b) reports sigma_min 0, and an ill-conditioned
+    clamped system in (c) reports hard_derivative 0. Condition numbers are 1-norm ones,
+    held to sscm.COND_MAX.
     """
     if i == j or i == k:
         raise ValueError("intervened node must differ from invariant and auxiliary nodes")
@@ -191,16 +164,18 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     deq.require_converged(sol)
     lin = Linearization(spec, sol.x_star, theta)
     keep = [n for n in range(spec.d) if n != j]
-    reduced = (np.eye(spec.d) - lin.jac.x)[np.ix_(keep, keep)]
-    cond_red = float(np.linalg.cond(reduced, 1))
+    cond_red = float(np.linalg.cond(lin.lhs[np.ix_(keep, keep)], 1))
 
     p = spec.theta_dim
     sigma_min = 0.0
-    if lin.inv is not None and len(spec.parents[k]) >= p > 0:
-        pa_rows = (lin.inv @ lin.jac.theta)[list(spec.parents[k]), :]
+    if np.isfinite(lin.cond) and len(spec.parents[k]) >= p > 0:
+        pa_rows = np.linalg.solve(lin.lhs, lin.jac.theta)[list(spec.parents[k]), :]
         sigma_min = float(np.linalg.svd(pa_rows, compute_uv=False)[p - 1])
 
-    deriv = _clamped_derivative(spec, j, k, theta, float(sol.x_star[k]), cfg)
+    try:
+        deriv = _clamped_derivative(lin, j, k)
+    except ClampedModelSingular:
+        deriv = 0.0
 
     return InvarianceReport(
         reduced_jacobian_invertible=bool(cond_red <= COND_MAX),

@@ -345,6 +345,15 @@ def _wired(spec: SscmSpec, g0: LieElement) -> SscmSpec:
     return spec._wired[key]
 
 
+def unintervened_equilibrium(spec: SscmSpec, group: str, targets, solver: SolverConfig) -> Array:
+    """x* of spec at theta_ref, solved at the identity on the model that a descent over
+    (group, targets) runs, so no second program is compiled: f(x) * 1.0 is f(x), and so is
+    f(x) + 0.0 but for a -0.0. u is passed whole: a cached model keeps an earlier start."""
+    g = interventions.identity(group, targets)
+    u = np.concatenate([spec.u_ref, g.values])
+    return solve_equilibrium(_wired(spec, g), spec.theta_ref, solver, u=u).x_star
+
+
 def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamConfig,
                               solver: SolverConfig, bounds: tuple[float, float] | None = None,
                               theta=None) -> OptimizationResult:
@@ -505,10 +514,7 @@ def pareto_sweep(spec: SscmSpec, c, employment_row, lambdas, adam: AdamConfig,
         raise ValueError("lambda values must be nonnegative")
     targets = tuple(range(spec.d)) if targets is None else tuple(targets)
     g = interventions.identity("multiplicative", targets)
-    # the reference is the intervened model at the identity, bit for bit (f(x) * 1.0 is f(x)),
-    # so one program is compiled; u is passed whole, as a cached model keeps an earlier start
-    u = np.concatenate([spec.u_ref, g.values])
-    x_star = solve_equilibrium(_wired(spec, g), spec.theta_ref, solver, u=u).x_star
+    x_star = unintervened_equilibrium(spec, g.group, targets, solver)
     e_star = r * x_star
 
     points: list[TradeoffPoint] = []

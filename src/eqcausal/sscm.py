@@ -9,9 +9,9 @@ invariant twins), and a trainable "policy" weight vector.
 
 Equilibria solve x = f(x, theta) from zero initialization with a configured
 fixed-point solver. A Linearization holds the dense partials of f at one point
-and I - df/dx, whose inverse and 1-norm condition number it computes on first
-read; the diffeomorphism check reads the condition number, and the implicit
-gradients of deq solve I - df/dx (see deq for when they need neither).
+and I - df/dx, whose 1-norm condition number it computes on first read for the
+diffeomorphism check; deq's gradients and the invariance checks solve I - df/dx
+(see deq for when the gradients need no condition number).
 
 A spec stacks its per-node graphs into one program at first use, except two
 kinds: modelzoo.leontief_model builds its program from the table's arrays, and
@@ -31,7 +31,7 @@ the B equilibria in lockstep, and node_gradients and Linearization give
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Callable
@@ -419,10 +419,9 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
 class Linearization:
     """Dense partials of f and lhs = I - df/dx at one point, or a stack of them.
 
-    deq solves lhs and does not invert it. inv, the inverse of lhs, and cond, its
-    1-norm condition number (one per row of a batch), are computed on first read;
-    when lhs is singular (in any row), inv is None and cond is inf (in those rows).
-    It never raises.
+    deq and the invariance checks solve lhs and do not keep its inverse. cond, the
+    1-norm condition number of lhs (one per row of a batch), is computed on first
+    read; it is inf in a singular row. It never raises.
     """
 
     def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
@@ -430,17 +429,8 @@ class Linearization:
         self.lhs = np.eye(spec.d) - self.jac.x
 
     @cached_property
-    def inv(self) -> Array | None:
-        try:
-            return np.linalg.inv(self.lhs)
-        except np.linalg.LinAlgError:
-            return None
-
-    @cached_property
     def cond(self):
-        if self.inv is None:
-            return np.linalg.cond(self.lhs, 1)
-        return np.linalg.norm(self.lhs, 1, axis=(-2, -1)) * np.linalg.norm(self.inv, 1, axis=(-2, -1))
+        return np.linalg.cond(self.lhs, 1)
 
 
 @dataclass
@@ -491,26 +481,37 @@ def spec_to_obj(spec: SscmSpec) -> dict:
     }
 
 
+def _floats(value) -> Array | None:
+    return None if value is None else np.asarray(value, dtype=np.float64)
+
+
+# how spec_from_obj reads each key, in field order
+_SPEC_KEYS = {
+    "names": tuple,
+    "parents": lambda v: tuple(tuple(map(int, p)) for p in v),
+    "assignments": lambda v: tuple(map(diffcore.graph_from_obj, v)),
+    "theta_ref": _floats,
+    "theta_box": lambda v: np.asarray(v, dtype=np.float64).reshape(-1, 2),
+    "theta_slices": lambda v: tuple((int(a), int(b)) for a, b in v),
+    "u_dim": int, "u_ref": _floats, "extern_dim": int, "policy_dim": int,
+    "policy_ref": _floats, "x_ref": _floats,
+}
+
+
 def spec_from_obj(obj: dict) -> SscmSpec:
-    """Inverse of spec_to_obj; a non-object or a missing key raises SpecValidationError."""
-    missing = [f.name for f in fields(SscmSpec) if f.init and not (isinstance(obj, dict) and f.name in obj)]
+    """Inverse of spec_to_obj; a non-object, a missing key or a value of the wrong type or
+    shape raises SpecValidationError naming the key."""
+    missing = [key for key in _SPEC_KEYS if not (isinstance(obj, dict) and key in obj)]
     if missing:
         kind = "object" if isinstance(obj, dict) else f"JSON {type(obj).__name__}, not an object,"
         raise SpecValidationError([f"spec {kind} lacks keys {', '.join(map(repr, missing))}"])
-    return SscmSpec(
-        names=tuple(obj["names"]),
-        parents=tuple(tuple(p) for p in obj["parents"]),
-        assignments=tuple(diffcore.graph_from_obj(g) for g in obj["assignments"]),
-        theta_ref=np.asarray(obj["theta_ref"], dtype=np.float64),
-        theta_box=np.asarray(obj["theta_box"], dtype=np.float64).reshape(-1, 2),
-        theta_slices=tuple(tuple(s) for s in obj["theta_slices"]),
-        u_dim=int(obj["u_dim"]),
-        u_ref=np.asarray(obj["u_ref"], dtype=np.float64),
-        extern_dim=int(obj["extern_dim"]),
-        policy_dim=int(obj["policy_dim"]),
-        policy_ref=None if obj["policy_ref"] is None else np.asarray(obj["policy_ref"], dtype=np.float64),
-        x_ref=None if obj["x_ref"] is None else np.asarray(obj["x_ref"], dtype=np.float64),
-    )
+    values = {}
+    for key, read in _SPEC_KEYS.items():
+        try:
+            values[key] = read(obj[key])
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError([f"spec key {key!r}: {exc}"]) from None
+    return SscmSpec(**values)
 
 
 def spec_to_json(spec: SscmSpec) -> str:

@@ -2,10 +2,11 @@
 across test modules."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
-from eqcausal import diffcore, sscm
+from eqcausal import deq, diffcore, sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import DimensionMismatch, DomainError, SingularLeastSquares, UnboundSlot
 from eqcausal.fixedpoint import SolveReport, _check_finite, _row_error
@@ -142,6 +143,36 @@ def random_leontief(rng, d, density=0.3):
     np.fill_diagonal(A, 0.0)
     A *= 0.6 / max(abs(np.linalg.eigvals(A)))
     return A, rng.uniform(0.5, 1.5, size=d)
+
+
+def clamp_node(spec, k, theta, lam):
+    """Hard-intervene node k to a constant carried as a trailing theta component."""
+    b = ExprBuilder()
+    clamped_graph = b.build(b.input("theta", 1))
+    p = spec.theta_dim
+    parents, assignments, slices = list(spec.parents), list(spec.assignments), list(spec.theta_slices)
+    parents[k], assignments[k], slices[k] = (), clamped_graph, (p, p + 1)
+    span = max(1.0, abs(lam))
+    clamped = replace(
+        spec,
+        parents=tuple(parents),
+        assignments=tuple(assignments),
+        theta_slices=tuple(slices),
+        theta_ref=np.concatenate([spec.theta_ref, [lam]]),
+        theta_box=np.concatenate([spec.theta_box, [[lam - span, lam + span]]], axis=0),
+        x_ref=None,
+    )
+    return clamped, np.concatenate([np.asarray(theta, dtype=np.float64), [lam]])
+
+
+def reference_hard_derivative(spec, j, k, theta, cfg):
+    """d x_j / d(lambda) of the model clamped at x_k = lambda = x*_k, the long way: clamp
+    the spec, solve the clamped model again and read its dx*/dtheta in the clamp's column."""
+    lam = float(sscm.solve_equilibrium(spec, theta, cfg).x_star[k])
+    clamped, theta_ext = clamp_node(spec, k, theta, lam)
+    sol = sscm.solve_equilibrium(clamped, theta_ext, cfg)
+    assert sol.report.converged
+    return float(deq.jacobian_wrt_theta(clamped, sol)[j, -1])
 
 
 def inject_state_jacobian(monkeypatch, j_x=None, on_calls=None):

@@ -220,7 +220,7 @@ def test_batched_implicit_vjp_agrees_with_the_inverse_product_on_rebound_twin():
     cot = rng.normal(size=(rows, twin.rerouted.d))
     ig = deq.implicit_vjp(twin.rerouted, sol, cot, **kwargs)
     lin = Linearization(twin.rerouted, sol.x_star, sol.theta, **kwargs)
-    a = np.einsum("bji,bj->bi", lin.inv, cot)
+    a = np.einsum("bji,bj->bi", np.linalg.inv(lin.lhs), cot)
     for name in ("theta", "u", "policy"):
         want = np.einsum("bji,bj->bi", getattr(lin.jac, name), a)
         np.testing.assert_allclose(getattr(ig, f"grad_{name}"), want, rtol=1e-12)

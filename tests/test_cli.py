@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqcausal
-from eqcausal import cli, dataio, fixedpoint, modelzoo
+from eqcausal import cli, dataio, diffcore, fixedpoint, modelzoo
 from eqcausal.cli import (_config_from_obj, build_model, config_hash, load_config, main,
                           run_experiment)
 from eqcausal.errors import DimensionMismatch, NegativeEntry, ParseError, SchemaError
@@ -807,6 +807,37 @@ def test_invariant_evaluates_with_one_solve_per_spec(tmp_path, monkeypatch, seed
     assert manifest.success
     assert blocks == [[50, 1, 13, 13], [50, 6, 13]]  # the base model, the deployed twin
     assert {rec["path"]: rec["sha256"] for rec in manifest.outputs} == INVARIANT_SHA256[seed]
+
+
+# the outputs of a reduced optimize run (3 Adam steps) from the pipeline that solved its
+# unintervened base on the model itself (x86-64, numpy 2.4, OpenBLAS)
+OPTIMIZE_SHA256 = {
+    "multiplicative": {
+        "trajectory.csv": "4044a8b051c8770e124334cefdf2d3572f50b9f9542a7a4536874b5e1dd0d677",
+        "optimum.json": "9005e39a5d65c720e5f8e1cb10ad43895d7e0a209bde014129bee846eea7d9fc"},
+    "additive": {
+        "trajectory.csv": "2e57a6a69ca67ee342d601d3a66dfb40c7017f6e22d6e92a9d62156e4d31e644",
+        "optimum.json": "877794e2a517c19da3c547db264e0bdbf433c6648e6d26dcd78c4eb57d560594"},
+}
+
+
+@pytest.mark.parametrize("intervention", [{}, {"group": "additive", "bounds": [-0.5, 0.5]}])
+def test_optimize_compiles_one_program(tmp_path, monkeypatch, intervention):
+    # the base equilibrium is solved on the intervened model that the descent uses
+    fused, fuse = [], diffcore._fuse
+
+    def counting(graph):
+        fused.append(graph)
+        return fuse(graph)
+
+    monkeypatch.setattr(diffcore, "_fuse", counting)
+    config = _config_from_obj({"command": "optimize", "model": "leontief-synthetic-10",
+                               "adam": {"iterations": 3}, "intervention": intervention})
+    manifest = run_experiment(config, out_dir=tmp_path)
+    assert manifest.success
+    assert len(fused) == 1
+    group = intervention.get("group", "multiplicative")
+    assert {rec["path"]: rec["sha256"] for rec in manifest.outputs} == OPTIMIZE_SHA256[group]
 
 
 @pytest.mark.parametrize("command,model,tols", [

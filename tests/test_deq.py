@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from eqcausal import deq, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import NotConverged, SingularAdjoint, SingularMatrix
+from eqcausal.errors import NotConverged, ShapeMismatch, SingularAdjoint, SingularMatrix
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.sscm import SscmSpec, solve_equilibrium
 
@@ -157,7 +158,7 @@ def test_jacobian_wrt_theta_100_sectors_is_inverse():
 
 
 @pytest.mark.parametrize("j_x, cot, message", [
-    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], "singular"),  # LinAlgError in the factorization
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], "singular"),  # an exact zero pivot: cond is inf
     ([[0.0, 1.0 - 1e-10], [1.0, 0.0]], [1.0, 0.0], "ill-conditioned"),
     ([[0.0, 0.5], [1.0, 0.0]], [np.inf, 0.0], "non-finite"),
 ])
@@ -168,6 +169,14 @@ def test_adjoint_failures_raise_singular_adjoint(monkeypatch, j_x, cot, message)
     with pytest.raises(SingularAdjoint, match=message) as info:
         deq.implicit_vjp(spec, sol, cot)
     assert isinstance(info.value, SingularMatrix)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_a_cotangent_of_another_shape_is_a_shape_mismatch(shape):
+    sol = solve_equilibrium(motivating_spec(), THETA_REF, TIGHT)
+    message = f"cotangent of shape {shape} does not fit x* of shape (3,)"
+    with pytest.raises(ShapeMismatch, match=re.escape(message)):
+        deq.implicit_vjp(motivating_spec(), sol, np.ones(shape))
 
 
 def test_jacobian_wrt_theta_raises_on_singular_adjoint(monkeypatch):
@@ -250,7 +259,8 @@ def test_implicit_vjp_agrees_with_the_inverse_product_on_100_sectors():
     cot = np.random.default_rng(5).normal(size=spec.d)
     lin = sscm.Linearization(spec, sol.x_star, sol.theta)
     ig = deq.implicit_vjp(spec, sol, cot)
-    np.testing.assert_allclose(ig.grad_theta, lin.jac.theta.T @ (lin.inv.T @ cot), rtol=1e-12)
+    np.testing.assert_allclose(ig.grad_theta, lin.jac.theta.T @ (np.linalg.inv(lin.lhs).T @ cot),
+                               rtol=1e-12)
 
 
 def count_inverses(monkeypatch):
@@ -282,7 +292,32 @@ def test_a_jacobian_of_norm_one_reads_the_exact_condition_number(monkeypatch):
     inject_state_jacobian(monkeypatch, [[0.0, -1.0], [1.0, 0.0]])  # ||J||_1 = ||J^2||_1 = 1
     calls = count_inverses(monkeypatch)
     deq.implicit_vjp(spec, sol, [1.0, 0.0])
-    assert calls == ["inv"]
+    assert calls == ["cond"]
+
+
+def norm_product_cond(lhs):
+    """The 1-norm condition number as the product of the norms of lhs and its inverse,
+    read through np.linalg.cond when the inverse does not exist."""
+    try:
+        inv = np.linalg.inv(lhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.cond(lhs, 1)
+    return np.linalg.norm(lhs, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("rows, j_x, singular", [
+    (None, np.full((GATE_D, GATE_D), 0.3), False),
+    (None, np.eye(GATE_D), True),
+    (2, np.stack([np.full((GATE_D, GATE_D), 0.3), np.eye(GATE_D)]), [False, True]),
+])
+def test_the_condition_number_equals_the_norm_product(monkeypatch, rows, j_x, singular):
+    spec, sols = gate_model()
+    sol = sols[rows]
+    inject_state_jacobian(monkeypatch, j_x)
+    lin = sscm.Linearization(spec, sol.x_star, sol.theta)
+    want = norm_product_cond(np.eye(GATE_D) - j_x)
+    assert np.asarray(lin.cond).tobytes() == np.asarray(want).tobytes()
+    assert np.isinf(lin.cond).tolist() == singular
 
 
 def unconverged_cycle():

@@ -215,6 +215,24 @@ def test_empty_batch_is_a_shape_mismatch():
     assert not calls  # refused before f is called
 
 
+@pytest.mark.parametrize("field", ["m", "max_iter"])
+def test_a_non_integer_count_is_refused(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverConfig(**{field: 2.5})
+    assert getattr(SolverConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("x0, fx, message", [
+    (np.ones(3), lambda x: np.ones(2), r"shape \(2,\) for an iterate of shape \(3,\)"),
+    (np.ones(3), lambda x: 0.5, r"shape \(\) for an iterate of shape \(3,\)"),
+    (np.ones((2, 3)), lambda x: 0.5 * x[0], r"shape \(3,\) for an iterate of shape \(2, 3\)"),
+])
+def test_f_of_another_shape_is_a_shape_mismatch(x0, fx, message):
+    for solver in (anderson_solve, forward_iterate):
+        with pytest.raises(ShapeMismatch, match=message):
+            solver(fx, x0, SolverConfig())
+
+
 def test_singular_least_squares_only_without_ridge():
     # f(x) = x + 1 has constant residual, so residual differences vanish and
     # the unregularized Gram system is exactly singular

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from eqcausal import deq, interventions, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
-from eqcausal.errors import (EqcausalError, InvalidGroupElement, InvalidPartition, MismatchedTargets,
-                             NotConverged, PolicyArityMismatch)
+from eqcausal.errors import (ClampedModelSingular, EqcausalError, InvalidGroupElement, InvalidPartition,
+                             MismatchedTargets, NotConverged, PolicyArityMismatch)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, LieElement,
                                     apply, build_invariant_model, check_compartmentalization,
@@ -14,7 +14,8 @@ from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, 
                                     hard_intervention_derivative, identity, inverse)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
+from ._models import (THETA_REF, clamp_node, inject_state_jacobian, leontief_spec, motivating_spec,
+                      reference_hard_derivative)
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -157,10 +158,55 @@ def test_hard_intervention_derivative_matches_fd():
     base = solve_equilibrium(spec, THETA_REF, cfg)
     lam0 = base.x_star[2]
     h = 1e-6
-    clamped, _ = interventions.clamp_node(spec, 2, THETA_REF, lam0)
+    clamped, _ = clamp_node(spec, 2, THETA_REF, lam0)
     up = solve_equilibrium(clamped, np.concatenate([THETA_REF, [lam0 + h]]), cfg).x_star[1]
     dn = solve_equilibrium(clamped, np.concatenate([THETA_REF, [lam0 - h]]), cfg).x_star[1]
     assert deriv == pytest.approx((up - dn) / (2 * h), abs=1e-5)
+
+
+HARD_DERIVATIVE_PAIRS = {
+    "motivating": [(1, 2), (2, 2), (0, 2), (2, 1), (1, 0)],  # (2, 2) is j == k, (0, 2) has no path
+    "rebound": [(0, 1), (3, 1), (5, 4), (2, 2), (7, 3)],
+    "leontief-synthetic-12": [(0, 5), (11, 3), (4, 4), (7, 0)],
+}
+
+
+def hard_derivative_model(name):
+    if name == "motivating":
+        return modelzoo.motivating_example()
+    if name == "rebound":
+        return modelzoo.rebound_3sector().spec
+    return modelzoo.leontief_model(modelzoo.leontief_synthetic(12))
+
+
+@pytest.mark.parametrize("name", sorted(HARD_DERIVATIVE_PAIRS))
+def test_the_clamped_derivative_matches_a_resolved_clamped_model(name):
+    spec = hard_derivative_model(name)
+    sol = solve_equilibrium(spec, spec.theta_ref, TIGHT)
+    lin = sscm.Linearization(spec, sol.x_star, sol.theta)
+    for j, k in HARD_DERIVATIVE_PAIRS[name]:
+        deriv = interventions._clamped_derivative(lin, j, k)
+        np.testing.assert_allclose(deriv, reference_hard_derivative(spec, j, k, spec.theta_ref, TIGHT),
+                                   rtol=1e-9, err_msg=f"j={j}, k={k}")
+        assert hard_intervention_derivative(spec, j, k, spec.theta_ref) == deriv
+
+
+# I - df/dx = [[1, 1, 0], [1, 1, 1], [0, 1, 1]] is invertible; with row 2 set to e_2 it is singular
+SINGULAR_WHEN_CLAMPED = np.eye(3) - np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+def test_an_ill_conditioned_clamped_system_raises_clamped_model_singular(monkeypatch):
+    inject_state_jacobian(monkeypatch, SINGULAR_WHEN_CLAMPED)
+    with pytest.raises(ClampedModelSingular, match="condition number inf"):
+        hard_intervention_derivative(motivating_spec(), j=1, k=2, theta=THETA_REF)
+
+
+def test_an_ill_conditioned_clamped_system_is_a_verdict(monkeypatch):
+    inject_state_jacobian(monkeypatch, SINGULAR_WHEN_CLAMPED)
+    rep = check_invariance_conditions(modelzoo.motivating_example(free=("tau",)), i=0, j=1, k=2)
+    assert rep.diffeomorphic_at_reference
+    assert rep.hard_derivative == 0.0 and not rep.hard_derivative_nonzero
+    assert not rep.all_pass
 
 
 def test_invariance_conditions_pass_with_single_free_parameter():
@@ -189,15 +235,13 @@ def test_invariance_conditions_derivative_fails_without_path():
 
 def test_invariance_conditions_linearize_the_base_model_once(monkeypatch):
     calls = []
-    original = sscm.node_gradients
-
-    def counting(spec, *args, **kwargs):
-        calls.append(spec.d)
-        return original(spec, *args, **kwargs)
-
-    monkeypatch.setattr(sscm, "node_gradients", counting)
+    for module, name in ((interventions, "solve_equilibrium"), (sscm, "node_gradients")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
     check_invariance_conditions(modelzoo.motivating_example(free=("tau",)), i=1, j=2, k=2)
-    assert len(calls) == 2  # the base model, then the model clamped at the auxiliary node
+    assert calls == ["solve_equilibrium", "node_gradients"]
 
 
 @pytest.mark.parametrize("free,j", [(("tau",), 2), (("tau",), 0), (None, 2)])

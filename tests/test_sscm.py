@@ -241,6 +241,17 @@ def test_spec_json_without_parents_is_a_spec_validation_error():
     assert "'names'" not in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("u_dim", "x"), ("theta_ref", ["a"]), ("parents", 5), ("names", 3), ("theta_slices", [[0]]),
+    ("assignments", 7), ("policy_ref", "z"), ("assignments", [{"nodes": 5}] * 3),
+])
+def test_spec_json_with_a_value_of_the_wrong_type_is_a_spec_validation_error(key, value):
+    obj = json.loads(sscm.spec_to_json(motivating_spec()))
+    obj[key] = value
+    with pytest.raises(sscm.SpecValidationError, match=f"spec key '{key}': "):
+        sscm.spec_from_json(json.dumps(obj))
+
+
 def test_spec_json_that_is_not_an_object_is_a_spec_validation_error():
     with pytest.raises(sscm.SpecValidationError, match="JSON list, not an object, lacks keys 'names'"):
         sscm.spec_from_json("[]")
