@@ -3,11 +3,11 @@ one Anderson step, the map call and node_gradients of an intervened d = 100 mode
 first-use cost of a fresh intervened d = 100 spec, the construction of a
 CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
 Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
-problem construction and run, one reduced invariant pipeline run, and the invariance
-checks.
+problem construction and run, one reduced invariant pipeline run, the invariance
+checks, and the construction of the invariant twins.
 
-    python scripts/layer_bench.py --label change --out BENCH_20.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_20.json
+    python scripts/layer_bench.py --label change --out BENCH_21.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_21.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -70,6 +70,11 @@ motivating example with tau free (i, j, k = 1, 2, 2), and `hard_derivative_s` on
 interventions.hard_intervention_derivative, each with its equilibrium solve: of the
 rebound base model, d x_1 / d x_7 (the target sector's output against its final
 demand), and of `leontief-synthetic-30`, d x_0 / d x_1.
+
+`twin_build_s` is one interventions.build_invariant_model and the first map call
+of its rerouted spec (stacking and compiling its program), at the base model's
+equilibrium, for the twins the invariant pipeline (`rebound`, its MLP policy) and
+the compartment pipeline (`two-compartment`, one plan per compartment) build.
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch, and the whole set is measured ROUNDS times in turn, each figure
@@ -398,6 +403,36 @@ def measure_invariance() -> dict:
     }
 
 
+def measure_twin_build() -> dict:
+    from eqcausal import modelzoo, optimize, sscm
+    from eqcausal.interventions import LieElement, build_invariant_model
+    from eqcausal.sscm import solve_equilibrium
+
+    rebound = modelzoo.rebound_3sector()
+    mlp = rebound.policy_mlp()
+    policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
+    compartment = modelzoo.two_compartment_model()
+    twins = {
+        "rebound": (rebound.spec, rebound.plan(policy, mlp.n_weights),
+                    LieElement("multiplicative", (rebound.energy_sector,), [1.0]), w0),
+        "two-compartment": (compartment.spec, compartment.plan.plans,
+                            [LieElement(p.group, (p.intervened,), [1.0]) for p in compartment.plan.plans],
+                            compartment.w0),
+    }
+    out = {}
+    for name, (spec, plans, elements, weights) in twins.items():
+        theta = spec.theta_ref
+        x = solve_equilibrium(spec, theta, _solver(tol=1e-10)).x_star
+
+        def build_and_call():
+            twin = build_invariant_model(spec, plans, elements)
+            extern = x[list(twin.invariant_nodes)]
+            sscm.assemble_map(twin.rerouted, theta, u=twin.rerouted.u_ref, extern=extern, policy=weights)(x)
+
+        out[name] = _median_once_s(build_and_call, REPEATS)
+    return out
+
+
 def _git(src: Path, *args) -> str:
     try:
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -420,7 +455,7 @@ def machine() -> dict:
 
 
 MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines",
-            "invariance")
+            "invariance", "twin_build_s")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -454,7 +489,8 @@ def main() -> int:
         return 2
     rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
                                   measure_construction(), measure_adjoint(), measure_batched(),
-                                  measure_bench(), measure_pipelines(), measure_invariance())))
+                                  measure_bench(), measure_pipelines(), measure_invariance(),
+                                  measure_twin_build())))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -502,6 +538,8 @@ def main() -> int:
     print(f"{'invariance_check_s':24s} {invariance['invariance_check_s'] * 1e3:9.3f} ms")
     for name, t in invariance["hard_derivative_s"].items():
         print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
+    for name, t in record["twin_build_s"].items():
+        print(f"{'twin_build_s':24s} {name} {t * 1e3:9.3f} ms")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -325,25 +326,24 @@ class OutputWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.records: list[dict] = []
 
-    def _record(self, name: str):
-        digest = hashlib.sha256((self.dir / name).read_bytes()).hexdigest()
-        self.records.append({"path": name, "sha256": digest})
+    def _write(self, name: str, text: str):
+        """Write `text` as UTF-8 and record the sha256 of those bytes."""
+        data = text.encode("utf-8")
+        (self.dir / name).write_bytes(data)
+        self.records.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
 
     def write_json(self, name: str, obj):
-        with open(self.dir / name, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        self._record(name)
+        self._write(name, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
     def write_csv(self, name: str, header, rows):
         import csv as _csv
-        with open(self.dir / name, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                                 for v in row])
-        self._record(name)
+        buf = io.StringIO(newline="")
+        writer = _csv.writer(buf)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+        self._write(name, buf.getvalue())
 
 
 def _report_obj(report) -> dict:

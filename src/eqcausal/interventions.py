@@ -218,9 +218,10 @@ class InvariantTwin:
     """Paired unintervened/intervened models sharing theta.
 
     `rerouted` reads every arrow leaving an invariant node from the
-    unintervened equilibrium (bound through the "extern" slot); it is the
-    training target, solved by `solve_pair`. `deployed` keeps all arrows live, is
-    what an actual intervention would produce and, needing no base, is solved directly.
+    unintervened equilibrium: its parent lists name invariant node inv[i] as d + i,
+    component i of the "extern" binding; it is the training target, solved by
+    `solve_pair`. `deployed` keeps all arrows live, is what an actual intervention would
+    produce and, needing no base, is solved directly. Both share one tuple of assignments.
     """
 
     base: SscmSpec
@@ -247,35 +248,16 @@ class InvariantTwin:
         return base_sol, int_sol
 
 
-def _reroute_parents(graph: ExprGraph, parent_list, invariant_index: dict[int, int],
-                     extern_dim: int) -> ExprGraph:
-    positions = [pos for pos, par in enumerate(parent_list) if par in invariant_index]
-    if not positions or "parents" not in graph.slots:
-        return graph
-    n_pa = len(parent_list)
-    b = ExprBuilder()
-    p_in = b.input("parents", n_pa)
-    e_in = b.input("extern", extern_dim)
-    pieces = []
-    cursor = 0
-    for pos in positions:
-        if pos > cursor:
-            pieces.append(b.slice(p_in, cursor, pos))
-        pieces.append(b.gather(e_in, [invariant_index[parent_list[pos]]]))
-        cursor = pos + 1
-    if cursor < n_pa:
-        pieces.append(b.slice(p_in, cursor, n_pa))
-    new_parents = pieces[0] if len(pieces) == 1 else b.concat(*pieces)
-    return b.build(inline(b, graph, {"parents": new_parents}))
-
-
 def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin:
     """Construct the unintervened/intervened twin for one or more invariance plans.
 
     `plans` and `interventions` may be a single plan/LieElement or aligned
     sequences (one per compartment). Each plan's auxiliary assignment is
     replaced by its policy graph; in the rerouted twin every arrow leaving an
-    invariant node is redirected to the unintervened equilibrium value.
+    invariant node is redirected to the unintervened equilibrium value: where a
+    child of invariant node inv[i] lists inv[i] as a parent, the rerouted spec lists
+    d + i, which reads component i of its extern input. Deployed and rerouted share
+    one tuple of assignment graphs and differ only in their parent lists and extern_dim.
     """
     if isinstance(plans, InvariantInterventionSpec):
         plans = (plans,)
@@ -342,13 +324,9 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
     invariant_nodes = tuple(p.invariant for p in plans)
     if len(set(invariant_nodes)) != len(invariant_nodes):
         raise ValueError("plans share an invariant node")
-    inv_index = {node: idx for idx, node in enumerate(invariant_nodes)}
-    rerouted_assignments = [
-        _reroute_parents(g, wired.parents[m], inv_index, len(invariant_nodes))
-        for m, g in enumerate(assignments)
-    ]
-    rerouted = replace(wired, assignments=tuple(rerouted_assignments),
-                       policy_dim=policy_total, extern_dim=len(invariant_nodes))
+    extern_of = {node: spec.d + i for i, node in enumerate(invariant_nodes)}
+    rerouted = replace(deployed, extern_dim=len(invariant_nodes),
+                       parents=[[extern_of.get(p, p) for p in pa] for pa in deployed.parents])
 
     return InvariantTwin(
         base=spec,
@@ -392,7 +370,7 @@ def compartment_structure_violations(spec: SscmSpec, plan: CompartmentPlan) -> l
             if seen[node] != ci:
                 out.append(f"compartment {ci}: plan node {node} lies outside the compartment")
     for child in range(spec.d):
-        for parent in spec.parents[child]:
+        for parent in (p for p in spec.parents[child] if p < spec.d):  # past d: extern, not a node
             ci = seen[parent]
             if seen[child] != ci and parent != plan.plans[ci].invariant:
                 out.append(

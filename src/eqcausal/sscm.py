@@ -3,9 +3,10 @@
 A model is a list of named nodes, each with an ordered parent list and a
 scalar-valued assignment expression. Assignments read their parents through
 the "parents" slot, a node-owned contiguous slice of the global parameter
-vector through "theta", and optionally the shared intervention vector "u",
-an external-value vector "extern" (used to reroute arrows when building
-invariant twins), and a trainable "policy" weight vector.
+vector through "theta", and optionally the shared intervention vector "u"
+and a trainable "policy" weight vector. A parent index p below d reads x_p; one
+past it reads component p - d of an external-value vector "extern" of length
+extern_dim, bound per call like u (invariant twins reroute arrows this way).
 
 Equilibria solve x = f(x, theta) from zero initialization with a configured
 fixed-point solver. A Linearization holds the dense partials of f at one point
@@ -154,7 +155,7 @@ def validate(spec: SscmSpec) -> list[str]:
         if len(set(spec.parents[j])) != len(spec.parents[j]):
             out.append(f"node {j}: parent list {spec.parents[j]} repeats a node")
         for parent in spec.parents[j]:
-            if parent < 0 or parent >= d:
+            if parent < 0 or parent >= d + spec.extern_dim:
                 out.append(f"node {j}: parent {parent} out of range")
             if parent == j:
                 out.append(f"node {j}: self-loop in parent list")
@@ -178,9 +179,6 @@ def validate(spec: SscmSpec) -> list[str]:
             elif slot == "u":
                 if dim != spec.u_dim:
                     out.append(f"node {j}: u slot dim {dim} != u_dim {spec.u_dim}")
-            elif slot == "extern":
-                if dim != spec.extern_dim:
-                    out.append(f"node {j}: extern slot dim {dim} != extern_dim {spec.extern_dim}")
             elif slot == "policy":
                 if dim != spec.policy_dim:
                     out.append(f"node {j}: policy slot dim {dim} != policy_dim {spec.policy_dim}")
@@ -208,9 +206,10 @@ def _require_valid(spec: SscmSpec):
 class _Stacked:
     """The d assignments inlined into one graph over x, theta and the shared slots.
 
-    Every node reads its own entry nodes: its parents as a gather of x, its
+    Every node reads its own entry nodes: its parents below d as a gather of x, its
     theta slice, and its own view of each shared slot. A reverse sweep that
-    stops at the entries therefore gives each node's partials unmixed.
+    stops at the entries therefore gives each node's partials unmixed. Parents past
+    d are gathered from the extern input, whose partials no field keeps.
 
     A derived program (see derive_wrapped) is its parent's graph with more nodes after it,
     and a new u entry per wrap: its cells sit in the u field beside the parent's.
@@ -218,14 +217,14 @@ class _Stacked:
 
     graph: ExprGraph  # output: (f_1, ..., f_d)
     cells: tuple  # per field: (field, columns, its entry nodes, the flat cells their adjoint entries fill)
-    first_reader: dict  # shared slot -> first node that reads it
+    first_reader: dict  # shared input (u, extern, policy) -> first node that reads it
     leaves: tuple = field(init=False)  # every field's entry nodes end to end, which NodeJacobians keeps
 
     def __post_init__(self):
         object.__setattr__(self, "leaves", tuple(chain.from_iterable(c[2] for c in self.cells)))
 
 
-#: the NodeJacobians field each slot's partials fill; extern partials are not kept
+#: the NodeJacobians field each slot's partials fill
 _FIELDS = {"parents": "x", "theta": "theta", "u": "u", "policy": "policy"}
 
 
@@ -243,18 +242,25 @@ def _stacked(spec: SscmSpec) -> _Stacked:
             slot_map = {}
             for slot, (_, dim) in graph.slots.items():
                 if slot == "parents":
-                    slot_map[slot] = b.gather(b.input("x", spec.d), spec.parents[j])
-                    at = spec.parents[j]
+                    pa = spec.parents[j]
+                    at = [p for p in pa if p < spec.d]
+                    entry = slot_map[slot] = b.gather(b.input("x", spec.d), at)
+                    if len(at) < len(pa):  # a parent p past d reads extern[p - d]
+                        first_reader.setdefault("extern", j)
+                        ext = [p for p in pa if p >= spec.d]
+                        both = b.concat(entry, b.gather(b.input("extern", spec.extern_dim), np.subtract(ext, spec.d)))
+                        rank = {p: c for c, p in enumerate(at + ext)}
+                        slot_map[slot] = b.gather(both, [rank[p] for p in pa])
                 elif slot == "theta":
-                    slot_map[slot] = b.slice(b.input("theta", spec.theta_dim), *spec.theta_slices[j])
+                    entry = slot_map[slot] = b.slice(b.input("theta", spec.theta_dim), *spec.theta_slices[j])
                     at = range(*spec.theta_slices[j])
                 else:
                     first_reader.setdefault(slot, j)
-                    slot_map[slot] = b.slice(b.input(slot, dim), 0, dim)
+                    entry = slot_map[slot] = b.slice(b.input(slot, dim), 0, dim)
                     at = range(dim)
                 name = _FIELDS.get(slot)
                 if name in width:
-                    leaves[name].append(slot_map[slot].idx)
+                    leaves[name].append(entry.idx)
                     rows[name].append(j)
                     cols[name].append(at)
             outs.append(diffcore.inline(b, graph, slot_map))
@@ -485,15 +491,27 @@ def _floats(value) -> Array | None:
     return None if value is None else np.asarray(value, dtype=np.float64)
 
 
+def _exact(kind):
+    """A reader of values whose type is `kind` exactly: a bool or a float is refused, not
+    truncated into an int, since a parent index past d means an extern component."""
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not {kind.__name__}")
+        return value
+    return read
+
+
+_int, _str = _exact(int), _exact(str)
+
 # how spec_from_obj reads each key, in field order
 _SPEC_KEYS = {
-    "names": tuple,
-    "parents": lambda v: tuple(tuple(map(int, p)) for p in v),
+    "names": lambda v: tuple(map(_str, v)),
+    "parents": lambda v: tuple(tuple(map(_int, p)) for p in v),
     "assignments": lambda v: tuple(map(diffcore.graph_from_obj, v)),
     "theta_ref": _floats,
     "theta_box": lambda v: np.asarray(v, dtype=np.float64).reshape(-1, 2),
-    "theta_slices": lambda v: tuple((int(a), int(b)) for a, b in v),
-    "u_dim": int, "u_ref": _floats, "extern_dim": int, "policy_dim": int,
+    "theta_slices": lambda v: tuple((_int(a), _int(b)) for a, b in v),
+    "u_dim": _int, "u_ref": _floats, "extern_dim": _int, "policy_dim": _int,
     "policy_ref": _floats, "x_ref": _floats,
 }
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,11 @@ from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, 
                                     apply, build_invariant_model, check_compartmentalization,
                                     check_invariance_conditions, compose,
                                     hard_intervention_derivative, identity, inverse)
-from eqcausal.sscm import solve_equilibrium
+from eqcausal.sscm import solve_equilibrium, validate
 
 from ._models import (THETA_REF, clamp_node, inject_state_jacobian, leontief_spec, motivating_spec,
                       reference_hard_derivative)
+from .test_sscm import REBOUND_TWIN, REBOUND_W0
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -377,9 +380,82 @@ def compartment_twin(spec, plan):
     return build_invariant_model(spec, plan.plans, [identity(p.group, (p.intervened,)) for p in plan.plans])
 
 
+def _twin(name):
+    """The rebound twin (one invariant node, MLP policy) or the two-compartment twin (two
+    invariant nodes), with its policy weights and a u vector."""
+    if name == "rebound":
+        return REBOUND_TWIN, REBOUND_W0, REBOUND_TWIN.assemble_u([[0.7]])
+    inst = modelzoo.two_compartment_model()
+    twin = compartment_twin(inst.spec, CompartmentPlan(inst.plan.compartments, exact_compartment_policies(inst, None)))
+    return twin, None, twin.assemble_u([[0.7], [1.2]])
+
+
+@pytest.mark.parametrize("name", ["rebound", "compartment"])
+def test_the_rerouted_twin_differs_from_the_deployed_one_only_in_its_parents(name):
+    twin, _, _ = _twin(name)
+    d, inv = twin.base.d, twin.invariant_nodes
+    assert twin.rerouted.assignments is twin.deployed.assignments
+    assert twin.rerouted.extern_dim == len(inv) and twin.deployed.extern_dim == 0
+    rename = {node: d + i for i, node in enumerate(inv)}
+    assert twin.rerouted.parents == tuple(tuple(rename.get(p, p) for p in pa) for pa in twin.deployed.parents)
+    assert set(rename.values()) <= {p for pa in twin.rerouted.parents for p in pa}
+
+
+@pytest.mark.parametrize("name", ["rebound", "compartment"])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_the_rerouted_state_jacobian_is_zero_in_every_invariant_column(name, rows):
+    twin, policy, u = _twin(name)
+    d, inv, theta = twin.base.d, list(twin.invariant_nodes), twin.base.theta_ref
+    x = np.random.default_rng(3).uniform(0.2, 2.0, d if rows is None else (rows, d))
+    rerouted = sscm.node_gradients(twin.rerouted, x, theta, u=u, extern=x[..., inv] * 1.1, policy=policy).x
+    deployed = sscm.node_gradients(twin.deployed, x, theta, u=u, policy=policy).x
+    assert rerouted.shape == deployed.shape == x.shape + (d,)
+    assert (rerouted[..., inv] == 0.0).all() and deployed[..., inv].any()
+    rest = [n for n in range(d) if n not in inv]
+    assert rerouted[..., rest].tobytes() == deployed[..., rest].tobytes()
+
+
+@pytest.mark.parametrize("which", ["rerouted", "deployed"])
+def test_twin_specs_solve_to_equal_bits_after_a_json_round_trip(which):
+    twin, policy, u = _twin("rebound")
+    theta = twin.base.theta_ref
+    kwargs = {"u": u, "policy": policy}
+    if which == "rerouted":
+        kwargs["extern"] = solve_equilibrium(twin.base, theta, TIGHT).x_star[list(twin.invariant_nodes)]
+    spec = getattr(twin, which)
+    loaded = sscm.spec_from_json(sscm.spec_to_json(spec))
+    assert loaded.parents == spec.parents and loaded.extern_dim == spec.extern_dim
+    got, want = (solve_equilibrium(s, theta, TIGHT, **kwargs) for s in (loaded, spec))
+    assert want.report.converged
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.report.iterations == want.report.iterations
+
+
+def test_validate_names_a_parent_past_the_extern_components_as_out_of_range():
+    rerouted = motivating_twin(2.0).rerouted  # y reads z, the invariant node, as parent 3
+    assert rerouted.parents[1] == (0, 3) and validate(rerouted) == []
+    assert validate(replace(rerouted, parents=((), (0, 4), (1,)))) == ["node 1: parent 4 out of range"]
+    assert validate(replace(rerouted, extern_dim=0)) == ["node 1: parent 3 out of range"]
+
+
+def test_validate_refuses_an_extern_slot():
+    spec = motivating_spec()
+    b = ExprBuilder()
+    reads_extern = b.build(b.input("extern", 1))
+    bad = replace(spec, assignments=(reads_extern,) + spec.assignments[1:], extern_dim=1)
+    assert validate(bad) == ["node 0: unknown slot 'extern'"]
+
+
 def test_compartment_structure_of_frozen_instance():
     inst = modelzoo.two_compartment_model()
     assert interventions.compartment_structure_violations(inst.spec, inst.plan) == []
+
+
+def test_compartment_structure_of_a_rerouted_twin_reads_no_extern_parent_as_a_node():
+    inst = modelzoo.two_compartment_model()
+    twin = compartment_twin(inst.spec, inst.plan)
+    assert any(p >= inst.spec.d for pa in twin.rerouted.parents for p in pa)
+    assert interventions.compartment_structure_violations(twin.rerouted, inst.plan) == []
 
 
 def test_compartmentalization_identity_interventions_zero_deviation():

@@ -252,6 +252,26 @@ def test_spec_json_with_a_value_of_the_wrong_type_is_a_spec_validation_error(key
         sscm.spec_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("key, at, value, message", [
+    ("u_dim", (), 1.5, "1.5 is not int"), ("u_dim", (), True, "True is not int"),
+    ("extern_dim", (), 0.0, "0.0 is not int"), ("extern_dim", (), False, "False is not int"),
+    ("policy_dim", (), 2.0, "2.0 is not int"), ("policy_dim", (), True, "True is not int"),
+    ("parents", (1, 1), 2.0, "2.0 is not int"), ("parents", (2, 0), True, "True is not int"),
+    ("parents", (1, 0), 0.5, "0.5 is not int"), ("parents", (1, 0), "0", "'0' is not int"),
+    ("theta_slices", (1, 0), 1.0, "1.0 is not int"), ("theta_slices", (2, 1), True, "True is not int"),
+    ("names", (1,), 7, "7 is not str"), ("names", (0,), None, "None is not str"),
+])
+def test_spec_json_refuses_a_count_index_or_name_of_the_wrong_type(key, at, value, message):
+    # a bool or a float is not truncated into an index: parent indices past d read extern
+    obj = json.loads(sscm.spec_to_json(motivating_spec()))
+    target, last = obj, key  # obj[key][at[0]][at[1]]... = value
+    for i in at:
+        target, last = target[last], i
+    target[last] = value
+    with pytest.raises(sscm.SpecValidationError, match=f"spec key '{key}': {message}"):
+        sscm.spec_from_json(json.dumps(obj))
+
+
 def test_spec_json_that_is_not_an_object_is_a_spec_validation_error():
     with pytest.raises(sscm.SpecValidationError, match="JSON list, not an object, lacks keys 'names'"):
         sscm.spec_from_json("[]")
@@ -344,6 +364,7 @@ def _random_node_graph(rng, n_pa, n_theta, shared):
 
 
 def _random_spec(seed):
+    """A random spec whose parent lists mix nodes and extern components (indices past d)."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 6))
     dims = {"u": int(rng.integers(0, 3)), "extern": int(rng.integers(0, 3)),
@@ -351,9 +372,9 @@ def _random_spec(seed):
     parents, graphs, slices = [], [], []
     cursor = 0
     for j in range(d):
-        pa = tuple(k for k in range(d) if k != j and rng.random() < 0.6)
+        pa = tuple(int(k) for k in rng.permutation(d + dims["extern"]) if k != j and rng.random() < 0.6)
         n_theta = int(rng.integers(0, 3))
-        shared = [(slot, dim) for slot, dim in dims.items() if dim and rng.random() < 0.6]
+        shared = [(slot, dim) for slot, dim in dims.items() if slot != "extern" and dim and rng.random() < 0.6]
         graphs.append(_random_node_graph(rng, len(pa), n_theta, shared))
         parents.append(pa)
         slices.append((cursor, cursor + n_theta))
@@ -371,9 +392,9 @@ def _random_spec(seed):
 def _node_bindings(spec, j, x, theta, u, extern, policy):
     graph = spec.assignments[j]
     start, stop = spec.theta_slices[j]
-    full = {"parents": x[list(spec.parents[j])], "theta": np.asarray(theta)[start:stop],
-            "u": spec.u_ref if u is None else u, "extern": extern,
-            "policy": spec.policy_ref if policy is None else policy}
+    x_and_extern = np.concatenate([x, np.zeros(0) if extern is None else extern])
+    full = {"parents": x_and_extern[list(spec.parents[j])], "theta": np.asarray(theta)[start:stop],
+            "u": spec.u_ref if u is None else u, "policy": spec.policy_ref if policy is None else policy}
     return {slot: full[slot] for slot in graph.slots}
 
 
@@ -383,9 +404,10 @@ SLOT_OF = {"x": "parents", "theta": "theta", "u": "u", "policy": "policy"}
 
 def node_columns(spec, j):
     """Per NodeJacobians field, the columns node j's row may fill, in its slot's order:
-    its parents, its theta slice and the shared slots it reads. Every other entry is 0."""
+    its parents below d, its theta slice and the shared slots it reads. Every other entry
+    is 0; a parent past d reads extern, whose partials no field keeps."""
     slots = spec.assignments[j].slots
-    return {"x": list(spec.parents[j]),
+    return {"x": [p for p in spec.parents[j] if p < spec.d],
             "theta": list(range(*spec.theta_slices[j])) if "theta" in slots else [],
             "u": list(range(spec.u_dim)) if "u" in slots else [],
             "policy": list(range(spec.policy_dim)) if "policy" in slots else []}
@@ -405,7 +427,10 @@ def _assert_matches_per_node(spec, x, theta, u=None, extern=None, policy=None):
         for name, cols in node_columns(spec, j).items():
             want = np.zeros(widths[name])
             if SLOT_OF[name] in ref:
-                want[cols] = ref[SLOT_OF[name]]
+                partials = ref[SLOT_OF[name]]
+                if name == "x":  # without the partials of the parents past d
+                    partials = partials[np.array(spec.parents[j]) < spec.d]
+                want[cols] = partials
             got = getattr(jac, name)
             assert (np.zeros(0) if got is None else got[j]).tobytes() == want.tobytes(), (j, name)
 
@@ -546,8 +571,10 @@ def test_stacked_program_holds_no_reference_to_its_spec():
 def test_missing_shared_binding_names_the_first_reading_node():
     twin = REBOUND_TWIN
     u = twin.assemble_u([[0.7]])
+    readers = {"extern": [j for j, pa in enumerate(twin.rerouted.parents) if max(pa, default=0) >= twin.base.d],
+               "policy": [j for j, g in enumerate(twin.rerouted.assignments) if "policy" in g.slots]}
     for slot in ("extern", "policy"):
-        first = min(j for j, g in enumerate(twin.rerouted.assignments) if slot in g.slots)
+        first = min(readers[slot])
         kwargs = {"u": u, "extern": np.ones(1), "policy": REBOUND_W0, slot: None}
         with pytest.raises(sscm.SpecValidationError, match=f"node {first} requires a binding for '{slot}'"):
             assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
