@@ -4,10 +4,10 @@ first-use cost of a fresh intervened d = 100 spec, the construction of a
 CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
 Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
 problem construction and run, one reduced invariant pipeline run, the invariance
-checks, and the construction of the invariant twins.
+checks, the construction of the invariant twins, and the import of the command line.
 
-    python scripts/layer_bench.py --label change --out BENCH_21.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_21.json
+    python scripts/layer_bench.py --label change --out BENCH_22.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_22.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -75,6 +75,14 @@ demand), and of `leontief-synthetic-30`, d x_0 / d x_1.
 of its rerouted spec (stacking and compiling its program), at the base model's
 equilibrium, for the twins the invariant pipeline (`rebound`, its MLP policy) and
 the compartment pipeline (`two-compartment`, one plan per compartment) build.
+
+`import_cli_s` is the least of REPEATS imports of `eqcausal.cli` from the measured
+sources, each in a fresh `python -B` interpreter that has imported numpy first, so it
+times the package and its other imports (a command-line library among them) and not
+numpy. `-B` keeps those interpreters from writing bytecode: they read the sources'
+`__pycache__` when there is one (the other layers' imports in this process write it,
+unless PYTHONDONTWRITEBYTECODE is set) and compile the sources on every import when there
+is none, so compare records taken under the same setting.
 
 Every figure is the median, over REPEATS batches, of the mean time of one
 call in a batch, and the whole set is measured ROUNDS times in turn, each figure
@@ -433,6 +441,14 @@ def measure_twin_build() -> dict:
     return out
 
 
+def measure_import_cli(src: Path) -> float:
+    code = ("import time, numpy; t0 = time.perf_counter(); import eqcausal.cli; "
+            "print(time.perf_counter() - t0)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return min(float(subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True,
+                                    text=True, check=True).stdout) for _ in range(REPEATS))
+
+
 def _git(src: Path, *args) -> str:
     try:
         return subprocess.run(["git", "-C", str(src), *args], capture_output=True, text=True,
@@ -455,7 +471,7 @@ def machine() -> dict:
 
 
 MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines",
-            "invariance", "twin_build_s")
+            "invariance", "twin_build_s", "import_cli_s")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -490,7 +506,7 @@ def main() -> int:
     rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
                                   measure_construction(), measure_adjoint(), measure_batched(),
                                   measure_bench(), measure_pipelines(), measure_invariance(),
-                                  measure_twin_build())))
+                                  measure_twin_build(), measure_import_cli(src))))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -540,6 +556,7 @@ def main() -> int:
         print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
     for name, t in record["twin_build_s"].items():
         print(f"{'twin_build_s':24s} {name} {t * 1e3:9.3f} ms")
+    print(f"{'import_cli_s':24s} {record['import_cli_s'] * 1e3:9.2f} ms")
     return 0
 
 

@@ -6,6 +6,11 @@ optimizer default applied when omitted. A run executes one command's pipeline
 into the output directory and records a manifest: config hash, seed, stage
 reports, and a checksum for every file written. Identical config + seed give
 byte-identical outputs; only wall-clock fields differ between reruns.
+
+`main(argv)` is the command line (`eqcausal` or `python -m eqcausal.cli`), built on
+argparse, which it imports when called. It returns 0 on success, 1 when a stage fails,
+and 2 on a config error, a negative seed or an unusable output directory, printing
+`config error: ...` on stderr; argparse exits 2 itself on a usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__, dataio, deq, interventions, modelzoo, optimize, sscm
@@ -323,7 +327,10 @@ class OutputWriter:
 
     def __init__(self, out_dir: Path):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # the path or one above it names a file, or is not writable
+            raise SchemaError(f"cannot make the output directory: {exc}", pointer="/out") from None
         self.records: list[dict] = []
 
     def _write(self, name: str, text: str):
@@ -704,9 +711,11 @@ class RunManifest:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, seed=None) -> RunManifest:
-    """Execute the configured pipeline, write outputs and the run manifest."""
+    """Execute the configured pipeline, write outputs and the run manifest. A seed override
+    is checked as the config's seed is, and the output directory made, before anything runs."""
     if seed is not None:
-        config = replace(config, seed=int(seed), adam=replace(config.adam, seed=int(seed)))
+        _check(seed, CONFIG_SCHEMA["properties"]["seed"], "/seed")
+        config = replace(config, seed=seed, adam=replace(config.adam, seed=seed))
     out = OutputWriter(Path(out_dir if out_dir is not None else config.out))
     stages = []
     start = time.perf_counter()
@@ -747,40 +756,34 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed=None) -> RunMani
     return manifest
 
 
-def _run_cli(command: str, config_path: str, out: str | None, seed: int | None) -> int:
+def main(argv=None) -> int:
+    """Equilibria, implicit gradients and intervention design for cyclic causal models."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="eqcausal", description=main.__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in COMMANDS:
+        command = commands.add_parser(name, help=f"Run the {name} pipeline from a JSON config.")
+        command.add_argument("--config", required=True, help="JSON config file.")
+        command.add_argument("--out", help="Output directory override.")
+        command.add_argument("--seed", type=int, help="Seed override.")
+    args = parser.parse_args(argv)
     try:
-        config = load_config(config_path)
-        if config.command != command:
-            raise SchemaError(f"config command {config.command!r} does not match CLI command {command!r}",
-                              pointer="/command")
+        config = load_config(args.config)
+        if config.command != args.command:
+            raise SchemaError(f"config command {config.command!r} does not match CLI command "
+                              f"{args.command!r}", pointer="/command")
+        out = Path(config.out if args.out is None else args.out)
+        manifest = run_experiment(config, out_dir=out, seed=args.seed)
     except (SchemaError, ParseError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    manifest = run_experiment(config, out_dir=out, seed=seed)
     for stage in manifest.stages:
-        click.echo(f"[{stage['status']}] {stage['name']} ({stage['wall_s']:.2f}s)")
-    click.echo(f"outputs in {out or config.out} ({len(manifest.outputs)} files)")
+        print(f"[{stage['status']}] {stage['name']} ({stage['wall_s']:.2f}s)")
+    print(f"outputs in {out} ({len(manifest.outputs)} files)")
     return 0 if manifest.success else 1
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Equilibria, implicit gradients and intervention design for cyclic causal models."""
-
-
-def _register(name):
-    @main.command(name=name, help=f"Run the {name} pipeline from a JSON config.")
-    @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file.")
-    @click.option("--out", default=None, type=click.Path(), help="Output directory override.")
-    @click.option("--seed", default=None, type=int, help="Seed override.")
-    def _cmd(config_path, out, seed, _name=name):
-        sys.exit(_run_cli(_name, config_path, out, seed))
-
-
-for _name in COMMANDS:
-    _register(_name)
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

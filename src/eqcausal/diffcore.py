@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -738,22 +738,6 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
         return out
     ends = accumulate(dim for _, dim in graph.slots.values())
     return {slot: out[..., end - dim:end] for (slot, (_, dim)), end in zip(graph.slots.items(), ends)}
-
-
-def finite_difference_jacobian(fn: Callable[[Array], Array], x, h: float = 1e-6) -> Array:
-    """Central-difference Jacobian estimate of fn at x; column j uses x +/- h e_j."""
-    x = _as_vector(x, "x").copy()
-    if h <= 0:
-        raise ValueError("h must be positive")
-    f0 = _as_vector(fn(x), "fn(x)")
-    out = np.zeros((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        out[:, j] = (_as_vector(fn(xp)) - _as_vector(fn(xm))) / (2.0 * h)
-    return out
 
 
 # --- serialization (op-code JSON form) ---

@@ -15,6 +15,17 @@ from eqcausal.sscm import SscmSpec
 THETA_REF = np.array([1.0, 0.5, 0.3, 0.4])
 
 
+
+def finite_difference_jacobian(fn, x, h: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian estimate of fn at x; column j uses x +/- h e_j."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    out = np.zeros((np.atleast_1d(fn(x)).shape[0], x.shape[0]))
+    for j in range(x.shape[0]):
+        step = np.zeros_like(x)
+        step[j] = h
+        out[:, j] = (np.atleast_1d(fn(x + step)) - np.atleast_1d(fn(x - step))) / (2.0 * h)
+    return out
+
 def motivating_spec():
     """x := tau; y := alpha*x + beta*z; z := gamma*y with theta = (tau, alpha, beta, gamma)."""
     b = ExprBuilder()

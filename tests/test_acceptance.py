@@ -12,11 +12,13 @@ import pytest
 
 from eqcausal import deq, interventions, modelzoo, optimize, sscm
 from eqcausal.cli import _config_from_obj, run_experiment
-from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, reverse_vjp
+from eqcausal.diffcore import ExprBuilder, forward_eval, reverse_vjp
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate
 from eqcausal.interventions import InvariantInterventionSpec, LieElement, build_invariant_model
 from eqcausal.modelzoo import leontief_closed_form, motivating_closed_form
 from eqcausal.sscm import solve_equilibrium
+
+from ._models import finite_difference_jacobian
 
 
 def _report(criterion: int, description: str, ok: bool, elapsed: float):

@@ -1,15 +1,17 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import traceback
 import uuid
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,29 @@ from ._models import inject_state_jacobian
 def write_config(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+@dataclasses.dataclass
+class CliResult:
+    exit_code: int
+    output: str  # stdout and stderr as written, and the traceback of an escaped exception
+    exception: Exception | None  # an exception that escaped main, other than SystemExit
+
+
+def run_cli(args) -> CliResult:
+    """main(args) with stdout and stderr captured together. argparse's SystemExit (a usage
+    error, --version or -h) gives the exit code; any other exception is recorded, with its
+    traceback in the output and exit code 1."""
+    buf, exception = io.StringIO(), None
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code, exception = 1, exc
+            traceback.print_exc(file=buf)
+    return CliResult(code, buf.getvalue(), exception)
 
 
 # --- CSV ingestion ---
@@ -207,7 +232,7 @@ def test_bad_config_value_is_a_schema_error(tmp_path, section, values):
         _config_from_obj(obj)
     assert info.value.pointer == f"/{section}"
     path = write_config(tmp_path / "c.json", obj)
-    result = CliRunner().invoke(main, ["solve", "--config", path, "--out", str(tmp_path / "out")])
+    result = run_cli(["solve", "--config", path, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
 
@@ -315,10 +340,10 @@ def test_bad_intervention_is_a_schema_error(tmp_path, command, inter, pointer):
         _config_from_obj(obj)
     assert info.value.pointer == pointer
     path = write_config(tmp_path / "c.json", obj)
-    result = CliRunner().invoke(main, [command, "--config", path, "--out", str(tmp_path / "out")])
+    result = run_cli([command, "--config", path, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
 
 
 ALLOWED_INTERVENTIONS = {
@@ -507,9 +532,9 @@ def test_a_mutated_config_runs_to_an_exit_code(table_dir, mutation, value):
     run.mkdir()
     config = table_dir / f"{run.name}.json"  # next to the CSV files its model may name
     write_config(config, _mutate(RUN_CONFIGS, mutation, value))
-    result = CliRunner().invoke(main, [RUN_CONFIGS[mutation[0]]["command"], "--config", str(config),
-                                       "--out", str(run / "out")])
-    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    result = run_cli([RUN_CONFIGS[mutation[0]]["command"], "--config", str(config),
+                      "--out", str(run / "out")])
+    assert result.exception is None, result.output
     assert "Traceback" not in result.output
     assert result.exit_code in (0, 1, 2), result.output
     if result.exit_code == 2:
@@ -660,7 +685,7 @@ def test_bench_dims_below_two_exit_2(tmp_path):
         _config_from_obj(obj)
     assert info.value.pointer == "/bench/dims/0"
     path = write_config(tmp_path / "c.json", obj)
-    result = CliRunner().invoke(main, ["bench", "--config", path, "--out", str(tmp_path / "out")])
+    result = run_cli(["bench", "--config", path, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error: /bench/dims/0" in result.output
 
@@ -690,28 +715,26 @@ def test_outputs_confined_to_out_dir(tmp_path):
 # --- CLI surface ---
 
 def test_cli_exit_codes(tmp_path):
-    runner = CliRunner()
     good = write_config(tmp_path / "good.json",
                         {"command": "solve", "model": "motivating-example",
                          "out": str(tmp_path / "out")})
-    assert runner.invoke(main, ["solve", "--config", good]).exit_code == 0
+    assert run_cli(["solve", "--config", good]).exit_code == 0
     bad = write_config(tmp_path / "bad.json", {"command": "solve"})
-    assert runner.invoke(main, ["solve", "--config", bad]).exit_code == 2
-    assert runner.invoke(main, ["bench", "--config", good]).exit_code == 2  # command mismatch
+    assert run_cli(["solve", "--config", bad]).exit_code == 2
+    assert run_cli(["bench", "--config", good]).exit_code == 2  # command mismatch
     failing = write_config(tmp_path / "failing.json", {
         "command": "pareto", "model": "leontief-synthetic-4",
         "adam": {"iterations": 10},
         "loss": {"objective_row": "nope", "lambdas": [0.0]},
         "out": str(tmp_path / "fail-out")})
-    assert runner.invoke(main, ["pareto", "--config", failing]).exit_code == 1  # stage failure
+    assert run_cli(["pareto", "--config", failing]).exit_code == 1  # stage failure
 
 
 def test_cli_seed_override(tmp_path):
-    runner = CliRunner()
     path = write_config(tmp_path / "c.json",
                         {"command": "solve", "model": "motivating-example", "seed": 0})
     out = tmp_path / "out"
-    result = runner.invoke(main, ["solve", "--config", path, "--out", str(out), "--seed", "9"])
+    result = run_cli(["solve", "--config", path, "--out", str(out), "--seed", "9"])
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
@@ -719,14 +742,95 @@ def test_cli_seed_override(tmp_path):
     assert manifest["config_hash"] == config_hash(load_config(path))
 
 
+def _solve_config(tmp_path, **keys):
+    return write_config(tmp_path / "c.json", {"command": "solve", "model": "motivating-example", **keys})
+
+
+def test_cli_version_help_and_usage_errors(tmp_path):
+    version = run_cli(["--version"])
+    assert (version.exit_code, version.output) == (0, f"eqcausal {eqcausal.__version__}\n")
+    for argv in (["-h"], ["solve", "-h"]):
+        result = run_cli(argv)
+        assert result.exit_code == 0 and result.output.startswith("usage: eqcausal")
+    path = _solve_config(tmp_path)
+    for argv in ([], ["solve"], ["nope", "--config", path], ["solve", "--config", path, "--seed", "x"],
+                 ["solve", "--config", path, "--bogus"]):
+        result = run_cli(argv)
+        assert result.exit_code == 2 and result.exception is None, argv
+        assert "usage: eqcausal" in result.output and "error:" in result.output, argv
+
+
+@pytest.mark.parametrize("out,shown", [([], "eqcausal-out"), (["--out", ""], "."), (["--out", "o"], "o")])
+def test_cli_names_the_output_directory_it_wrote(tmp_path, monkeypatch, out, shown):
+    monkeypatch.chdir(tmp_path)
+    result = run_cli(["solve", "--config", _solve_config(tmp_path), *out])
+    assert result.exit_code == 0
+    assert result.output.endswith(f"outputs in {shown} (2 files)\n")
+    assert (tmp_path / shown / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_an_output_path_that_names_a_file_exits_2(tmp_path, below):
+    (tmp_path / "taken").write_text("kept\n")
+    out = tmp_path / "taken" / "out" if below else tmp_path / "taken"
+    for argv in (["solve", "--config", _solve_config(tmp_path), "--out", str(out)],
+                 ["solve", "--config", _solve_config(tmp_path, out=str(out))]):
+        result = run_cli(argv)
+        assert result.exit_code == 2 and result.exception is None
+        assert result.output.startswith("config error: /out: cannot make the output directory")
+        assert (tmp_path / "taken").read_text() == "kept\n"
+    cfg = _config_from_obj({"command": "solve", "model": "motivating-example"})
+    with pytest.raises(SchemaError) as info:
+        run_experiment(cfg, out_dir=out)
+    assert info.value.pointer == "/out"
+
+
+@pytest.mark.parametrize("command", ["solve", "invariant"])
+def test_a_negative_seed_override_exits_2(tmp_path, command):
+    path = write_config(tmp_path / "c.json", {"command": command, "model": (
+        "rebound-3sector" if command == "invariant" else "motivating-example")})
+    result = run_cli([command, "--config", path, "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert result.exit_code == 2 and result.exception is None
+    assert result.output == "config error: /seed: -1 is less than the minimum of 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True])
+def test_run_experiment_checks_its_seed_override(tmp_path, seed):
+    cfg = _config_from_obj({"command": "solve", "model": "motivating-example"})
+    with pytest.raises(SchemaError) as info:
+        run_experiment(cfg, out_dir=tmp_path / "out", seed=seed)
+    assert info.value.pointer == "/seed"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_command_line_runs_without_click(tmp_path):
+    path = _solve_config(tmp_path)
+    code = ("import sys; sys.modules['click'] = None; from eqcausal import cli; "
+            f"sys.exit(cli.main(['solve', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(eqcausal.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "manifest.json").is_file()
+    code = ("import sys, eqcausal.cli; "
+            "print(sorted(m for m in ('click', 'argparse') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "eqcausal.cli", "--version"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"eqcausal {eqcausal.__version__}\n"), proc.stderr
+
+
 def test_singular_adjoint_exits_1_with_manifest(tmp_path, monkeypatch):
     inject_state_jacobian(monkeypatch)
     out = tmp_path / "out"
     path = write_config(tmp_path / "c.json", {"command": "grad-check", "model": "motivating-example",
                                               "out": str(out)})
-    result = CliRunner().invoke(main, ["grad-check", "--config", path])
+    result = run_cli(["grad-check", "--config", path])
     assert result.exit_code == 1
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["success"]
     failed = manifest["stages"][-1]
@@ -739,9 +843,9 @@ def run_failing_invariant(tmp_path, **sections):
     path = write_config(tmp_path / "c.json", {
         "command": "invariant", "model": "rebound-3sector", "out": str(out),
         "adam": {"iterations": 2}, **sections})
-    result = CliRunner().invoke(main, ["invariant", "--config", path])
+    result = run_cli(["invariant", "--config", path])
     assert result.exit_code == 1
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exception is None
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["success"]
     failed = manifest["stages"][-1]

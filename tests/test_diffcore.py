@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqcausal import diffcore
-from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, inline, reverse_vjp
+from eqcausal.diffcore import ExprBuilder, forward_eval, inline, reverse_vjp
 from eqcausal.errors import DomainError, ShapeMismatch, SpecValidationError, UnboundSlot
 
-from ._models import jacobian, reference_forward_eval, reference_reverse_vjp
+from ._models import finite_difference_jacobian, jacobian, reference_forward_eval, reference_reverse_vjp
 
 
 def square_graph():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqcausal import deq, diffcore, interventions, modelzoo, optimize, sscm
-from eqcausal.diffcore import ExprBuilder, finite_difference_jacobian, forward_eval, reverse_vjp
+from eqcausal.diffcore import ExprBuilder, forward_eval, reverse_vjp
 from eqcausal.errors import (NonFiniteGradient, PolicyArityMismatch, ShapeMismatch,
                              SolveFailedDuringOptimization)
 from eqcausal.fixedpoint import SolverConfig
@@ -15,8 +15,9 @@ from eqcausal.optimize import (AdamConfig, AdamState, GhgEmploymentLoss, MlpSpec
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
-from ._models import (DistanceLoss, inject_state_jacobian, leontief_spec, motivating_spec,
-                      reference_distance_graph, reference_ghg_employment_graph, reference_mlp_stack)
+from ._models import (DistanceLoss, finite_difference_jacobian, inject_state_jacobian, leontief_spec,
+                      motivating_spec, reference_distance_graph, reference_ghg_employment_graph,
+                      reference_mlp_stack)
 
 TIGHT = SolverConfig(tol=1e-10)
 

@@ -16,7 +16,8 @@ from eqcausal.interventions import LieElement, build_invariant_model
 from eqcausal.sscm import (SscmSpec, assemble_map, check_local_diffeomorphism, node_gradients,
                            solve_equilibrium, validate)
 
-from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec
+from ._models import (THETA_REF, finite_difference_jacobian, inject_state_jacobian, leontief_spec,
+                      motivating_spec)
 
 
 def test_validate_well_formed():
@@ -459,7 +460,7 @@ def _assert_matches_finite_differences(spec, x, theta, u=None, extern=None, poli
     for name in ("x", "theta", "u", "policy"):
         if getattr(jac, name) is None:
             continue
-        fd = diffcore.finite_difference_jacobian(f(name), args[name], h=1e-6)
+        fd = finite_difference_jacobian(f(name), args[name], h=1e-6)
         np.testing.assert_allclose(getattr(jac, name), fd, rtol=1e-6, atol=1e-7, err_msg=name)
 
 
