@@ -4,10 +4,11 @@ first-use cost of a fresh intervened d = 100 spec, the construction of a
 CSV model, one implicit VJP of a CSV-sized model, B map calls, equilibrium solves,
 Anderson steps and implicit VJPs of the rerouted rebound twin, the bench pipeline's
 problem construction and run, one reduced invariant pipeline run, the invariance
-checks, the construction of the invariant twins, and the import of the command line.
+checks, the construction of the invariant twins, a structural map's assembly and first
+call, and the import of the command line.
 
-    python scripts/layer_bench.py --label change --out BENCH_22.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_22.json
+    python scripts/layer_bench.py --label change --out BENCH_23.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_23.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -75,6 +76,12 @@ demand), and of `leontief-synthetic-30`, d x_0 / d x_1.
 of its rerouted spec (stacking and compiling its program), at the base model's
 equilibrium, for the twins the invariant pipeline (`rebound`, its MLP policy) and
 the compartment pipeline (`two-compartment`, one plan per compartment) build.
+
+`first_map_call_s` is one sscm.assemble_map and the first call of its map, on a
+program compiled before: the cost of binding theta, u, extern and the policy weights,
+which every solve pays once. It is timed at the equilibrium of `leontief-synthetic-100`
+and at B = 1 and 4 rows of the rerouted rebound twin (random theta, u, extern and x rows,
+shared policy weights).
 
 `import_cli_s` is the least of REPEATS imports of `eqcausal.cli` from the measured
 sources, each in a fresh `python -B` interpreter that has imported numpy first, so it
@@ -358,6 +365,25 @@ def measure_batched() -> dict:
     return out
 
 
+def measure_first_map_call() -> dict:
+    from eqcausal import modelzoo, sscm
+    from eqcausal.sscm import solve_equilibrium
+
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    x = solve_equilibrium(spec, spec.theta_ref, _solver(tol=1e-10)).x_star
+    out = {"leontief-synthetic-100": _median_call_s(lambda: sscm.assemble_map(spec, spec.theta_ref)(x), 20)}
+    twin, policy = _rebound_twin()
+    rng = np.random.default_rng(0)
+    for rows in (1, 4):
+        theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
+        u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
+        extern = rng.uniform(0.5, 2.0, size=(rows, len(twin.invariant_nodes)))
+        x = rng.uniform(0.5, 2.0, size=(rows, twin.base.d))
+        out[f"rebound-twin-B{rows}"] = _median_call_s(
+            lambda: sscm.assemble_map(twin.rerouted, theta, u=u, extern=extern, policy=policy)(x), 20)
+    return out
+
+
 BENCH_DIMS = (50, 100, 200)
 
 
@@ -471,7 +497,7 @@ def machine() -> dict:
 
 
 MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines",
-            "invariance", "twin_build_s", "import_cli_s")
+            "invariance", "twin_build_s", "first_map_call_s", "import_cli_s")
 
 
 def _sources_sha256(src: Path) -> str:
@@ -506,7 +532,8 @@ def main() -> int:
     rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
                                   measure_construction(), measure_adjoint(), measure_batched(),
                                   measure_bench(), measure_pipelines(), measure_invariance(),
-                                  measure_twin_build(), measure_import_cli(src))))
+                                  measure_twin_build(), measure_first_map_call(),
+                                  measure_import_cli(src))))
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
@@ -556,6 +583,8 @@ def main() -> int:
         print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
     for name, t in record["twin_build_s"].items():
         print(f"{'twin_build_s':24s} {name} {t * 1e3:9.3f} ms")
+    for name, t in record["first_map_call_s"].items():
+        print(f"{'first_map_call_s':24s} {name} {t * 1e6:9.1f} us")
     print(f"{'import_cli_s':24s} {record['import_cli_s'] * 1e3:9.2f} ms")
     return 0
 

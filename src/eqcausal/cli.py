@@ -244,6 +244,10 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         except ValueError as exc:
             raise SchemaError(str(exc), pointer=f"/{key}") from None
 
+    out = obj.get("out", "eqcausal-out")
+    if "out" in obj and base_dir is not None and not Path(out).is_absolute():
+        out = str(base_dir / out)  # as the model's files: relative to the config file
+
     seed = obj.get("seed", 0)
     return ExperimentConfig(
         command=command,
@@ -254,7 +258,7 @@ def _config_from_obj(obj: dict, base_dir: Path | None = None) -> ExperimentConfi
         intervention=obj.get("intervention"),
         loss=loss,
         bench=dict(obj.get("bench", {})),
-        out=obj.get("out", "eqcausal-out"),
+        out=out,
         seed=seed,
         raw=obj,
     )

@@ -15,7 +15,8 @@ unary, elementwise binary, segment sum of products (matmul, segdot) and copy
 (slice, gather, concat), which costs nothing forward. The builder's dot (a
 one-row matmul), matvec (a matmul over a constant matrix) and broadcast (a
 gather of component 0) emit these ops. Evaluation allocates fresh buffers per call, so
-one graph can be evaluated concurrently.
+one graph can be evaluated concurrently. A Prepared set of bindings, which binds every
+slot but one once, reuses one buffer per batch size, so one Prepared cannot.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
 the evaluation batched. The same program then runs on a (N, B) buffer, into
@@ -28,6 +29,7 @@ partials per row, shaped (B, dim), a shared slot's too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, chain
 from typing import Mapping, NamedTuple, Sequence
 
@@ -259,35 +261,35 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 # sum of products (matmul) and copy, each with one VJP.
 
 
-def _recip(x, c):
+def _recip(x, c, out):
     if np.any(x == 0.0):
         raise DomainError("reciprocal of zero")
-    return 1.0 / x
+    return np.divide(1.0, x, out=out)
 
 
-def _pow(x, c):
+def _pow(x, c, out):
     if c < 0.0 and np.any(x <= 0.0):
         raise DomainError(f"pow with negative exponent {c} on non-positive base")
     if c != int(c) and np.any(x < 0.0):
         raise DomainError(f"pow with fractional exponent {c} on negative base")
-    return np.power(x, c)
+    return np.power(x, c, out=out)
 
 
-def _log(x, c):
+def _log(x, c, out):
     if np.any(x <= 0.0):
         raise DomainError("log of non-positive value")
-    return np.log(x)
+    return np.log(x, out=out)
 
 
-# op -> (forward(x, c), vjp(g, x, y, c)), with x the argument, y the value and c
-# the exponent of a pow
+# op -> (forward(x, c, out), vjp(g, x, y, c)), with x the argument, y the value, c the
+# exponent of a pow and out the array the forward writes into
 _UNARY = {
     "recip": (_recip, lambda g, x, y, c: -g * y * y),
-    "neg": (lambda x, c: -x, lambda g, x, y, c: -g),
+    "neg": (lambda x, c, out: np.negative(x, out=out), lambda g, x, y, c: -g),
     "pow": (_pow, lambda g, x, y, c: g * c * np.power(x, c - 1.0)),
-    "exp": (lambda x, c: np.exp(x), lambda g, x, y, c: g * y),
+    "exp": (lambda x, c, out: np.exp(x, out=out), lambda g, x, y, c: g * y),
     "log": (_log, lambda g, x, y, c: g / x),
-    "relu": (lambda x, c: np.maximum(x, 0.0), lambda g, x, y, c: g * (x > 0.0)),
+    "relu": (lambda x, c, out: np.maximum(x, 0.0, out=out), lambda g, x, y, c: g * (x > 0.0)),
 }
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 _COPY = ("slice", "gather", "concat")
@@ -325,6 +327,24 @@ def _take(v: Array, at) -> Array:
     return v[at] if at.__class__ is slice or v.ndim == 1 else v.take(at, axis=0)
 
 
+def _bound(v: Array, at, calls: list) -> Array:
+    """v[at] along the first axis as an array tied to v: a view of a slice, or an array
+    that a take, appended to `calls`, refills from v."""
+    if at.__class__ is slice:
+        return v[at]
+    into = np.empty((len(at),) + v.shape[1:])
+    calls.append(partial(v.take, at, 0, into, "clip"))  # with `out`, "raise" would buffer
+    return into
+
+
+def _bound_pair(v: Array, a, b, calls: list) -> tuple[Array, Array]:
+    """_bound of two operands, with one take when both are index arrays."""
+    if a.__class__ is slice or b.__class__ is slice:
+        return _bound(v, a, calls), _bound(v, b, calls)
+    both = _bound(v, np.concatenate([a, b]), calls)
+    return both[:len(a)], both[len(a):]
+
+
 class _Scatter:
     """Adds one contribution per position into an adjoint buffer, except the rows
     `cut` of them. Contributions that land on one position are summed first, in their
@@ -357,7 +377,10 @@ class _Step:
     or for a copy every argument, member by member, with `spans` the start of each
     member's arguments when some member has several. `elems[k]` are the operand's
     elements, whose adjoints `to[k]` scatters into. A sweep builds what it needs of
-    these for the reverse pass (a copy's sides, the scatters) the first time."""
+    these for the reverse pass (a copy's sides, the scatters) the first time.
+
+    forward(v) runs the step on a buffer v; bind(v, calls) appends to `calls` functions
+    of no arguments that run it on v through views of v made once."""
 
     __slots__ = ("members", "out", "sides", "spans", "elems", "to")
 
@@ -366,7 +389,10 @@ class _Unary(_Step):
     __slots__ = ("fwd", "vjp", "c", "x")
 
     def forward(self, v):
-        v[self.out] = self.fwd(_take(v, self.x), self.c)
+        self.fwd(_take(v, self.x), self.c, v[self.out])
+
+    def bind(self, v, calls):
+        calls.append(partial(self.fwd, _bound(v, self.x, calls), self.c, v[self.out]))
 
     def backward(self, v, adj, g, need, cut):
         self.to[0].add(adj, self.vjp(g, _take(v, self.x), v[self.out], self.c), cut)
@@ -377,6 +403,9 @@ class _Binary(_Step):
 
     def forward(self, v):
         self.fn(_take(v, self.a), _take(v, self.b), out=v[self.out])
+
+    def bind(self, v, calls):
+        calls.append(partial(self.fn, *_bound_pair(v, self.a, self.b, calls), out=v[self.out]))
 
     def backward(self, v, adj, g, need, cut):
         mul = self.op == "mul"
@@ -397,6 +426,15 @@ class _SegmentSum(_Step):
             np.multiply(_take(v, self.a), _take(v, self.b), out=v[self.out])
         else:
             np.add.reduceat(_take(v, self.a) * _take(v, self.b), self.starts, axis=0, out=v[self.out])
+
+    def bind(self, v, calls):
+        (a, b), out = _bound_pair(v, self.a, self.b, calls), v[self.out]
+        if self.starts is None:
+            calls.append(partial(np.multiply, a, b, out=out))
+        else:
+            products = np.empty(a.shape)
+            calls.append(partial(np.multiply, a, b, out=products))
+            calls.append(partial(np.add.reduceat, products, self.starts, 0, out=out))
 
     def backward(self, v, adj, g, need, cut):
         if self.seg is not None:
@@ -625,15 +663,93 @@ def _forward_values(prog: _Program, bindings: Mapping[str, Array],
     return buf, rows
 
 
-def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array], rows: int | None = None) -> Array:
+def _output(buf: Array, at, batched: bool) -> Array:
+    """A new array of the output read at `at`: (output_dim,), or (B, output_dim) for a batch."""
+    out = _take(buf, at)
+    return out.T.copy() if batched else out.copy()
+
+
+class _Layout:
+    """A Prepared's value buffer for free values of one batch size. The first evaluation
+    makes it and runs the steps as a plain one does. The second binds the steps to
+    views of it, a cost that the calls after it recover, so a map called once pays none."""
+
+    __slots__ = ("prog", "free", "buf", "batched", "into", "calls", "out")
+
+    def __init__(self, prog: _Program, bindings: Mapping[str, Array], rows: int | None, free: str):
+        self.prog, self.free, self.calls = prog, free, None
+        self.buf, rows = _forward_values(prog, bindings, rows)
+        self.batched = rows is not None
+
+    def evaluate(self, v: Array) -> Array:
+        if self.calls is None:
+            buf, calls = self.buf, []
+            for step in self.prog.runs:
+                step.bind(buf, calls)
+            self.out = _bound(buf, self.prog.out, calls)
+            self.calls = tuple(calls)
+            self.into = next((buf[start:stop] for slot, _, start, stop in self.prog.inputs
+                              if slot == self.free), None)
+        if self.into is not None:
+            self.into[...] = v if not self.batched else v.T if v.ndim == 2 else v[:, None]
+        for call in self.calls:
+            call()
+        return self.out.T.copy() if self.batched else self.out.copy()
+
+
+class Prepared:
+    """Bindings of every input slot of a graph but one, the free slot, which each
+    evaluation gives a value (see given). The bindings are copied when made.
+
+    At the first evaluation with a free value of a given batch size (a vector being
+    one size), they are checked and laid out with the consts in one value buffer, on
+    which the steps run. Later evaluations of that size reuse it, with every forward
+    step bound to views of it (see _Layout): they write the free value into its
+    slot's range, run the bound steps and copy the output out. So one Prepared must
+    not be evaluated concurrently; its graph may be, with other bindings.
+    """
+
+    __slots__ = ("graph", "free", "dim", "static", "value", "layouts")
+
+    def __init__(self, graph: ExprGraph, bindings: Mapping[str, Array], free: str, dim: int):
+        self.graph, self.free, self.dim, self.value = graph, free, dim, None
+        self.static = {slot: np.array(v, dtype=np.float64) for slot, v in bindings.items() if slot != free}
+        self.layouts = {}  # batch size of the free value, None for a vector -> _Layout
+
+    def given(self, value) -> "Prepared":
+        """These bindings with `value`, a (dim,) vector or a (B, dim) batch, for the free slot."""
+        v = np.asarray(value, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ShapeMismatch(f"slot {self.free!r} expects dim {self.dim}, got shape {v.shape}")
+        self.value = v
+        return self
+
+    def _evaluate(self) -> Array:
+        v = self.value
+        key = None if v.ndim == 1 else len(v)
+        layout = self.layouts.get(key)
+        if layout is None:
+            prog = _compile(self.graph)
+            layout = self.layouts[key] = _Layout(prog, {**self.static, self.free: v}, key, self.free)
+            return _output(layout.buf, prog.out, layout.batched)
+        return layout.evaluate(v)
+
+
+def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array] | Prepared,
+                 rows: int | None = None) -> Array:
     """Evaluate the graph's output for the given slot bindings; (B, output_dim) for a batch.
 
     `rows` asks for a batch of that size even when no slot the graph reads is batched.
+    `bindings` may be a Prepared of this graph whose free slot has a value; a free
+    value of B rows then asks for a batch of B rows.
     """
+    if bindings.__class__ is Prepared:
+        if bindings.graph is not graph:
+            raise ValueError("the bindings were prepared for another graph")
+        return bindings._evaluate()
     prog = _compile(graph)
     buf, rows = _forward_values(prog, bindings, rows)
-    out = _take(buf, prog.out)
-    return out.copy() if rows is None else out.T.copy()
+    return _output(buf, prog.out, rows is not None)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private: tests pin its agreement with np.linalg.solve
 
 from .errors import NonFiniteIterate, ShapeMismatch, SingularLeastSquares, ZeroNorm
 
@@ -41,18 +42,19 @@ class SolverConfig:
 
     def __post_init__(self):  # every check fails on NaN
         for name in ("m", "max_iter"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if not self.m >= 1:
             raise ValueError("m must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.ridge >= 0:
-            raise ValueError("ridge must be nonnegative")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError("ridge must be nonnegative and finite")
 
 
 @dataclass
@@ -103,6 +105,18 @@ def _row_error(x: Array, g: Array) -> tuple[Array, Array]:
     return res, err
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+def _solve(a: Array, b: Array) -> Array:
+    """np.linalg.solve(a, b[..., None])[..., 0] for float64 (B, k, k) a and (B, k) b: the
+    gufunc np.linalg.solve runs, without its per-call checks and conversions, under the
+    errstate it sets, in which the gufunc's signal of a singular system raises LinAlgError."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(a, b[..., None], signature="dd->d")[..., 0]
+
+
 def forward_iterate(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:
     """Iterate x_{k+1} = f(x_k) until the relative error meets cfg.tol: Anderson with
     m = 1 and beta = 1, which steps exactly as forward iteration."""
@@ -127,7 +141,8 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     differences dz and dg are kept oldest first in one (2, B, m - 1, d) buffer,
     so the least-squares products read contiguous rows; each iteration appends
     one of each and drops the oldest, so no residual or difference is
-    recomputed.
+    recomputed. The live rows' least-squares systems are solved in one call of
+    the gufunc that np.linalg.solve runs (see _solve), which gives its bits.
 
     A 1-d x0 runs as a one-row batch with f called on row 0, and its report
     holds floats and no row_* arrays. A batch of no rows, or an f that returns
@@ -189,9 +204,12 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             if cfg.ridge > 0.0:
                 diag = gram.reshape(len(gram), -1)[:, ::n_hist + 1]  # a view of the diagonals
                 scale = np.add.reduce(diag, axis=1)  # trace
-                diag += np.where(scale > 0.0, scale * cfg.ridge, cfg.ridge)[:, None]
+                ridge = scale * cfg.ridge
+                if not scale.min() > 0.0:  # where every difference vanishes, cfg.ridge itself
+                    ridge = np.where(scale > 0.0, ridge, cfg.ridge)
+                diag += ridge[:, None]
             try:
-                gamma = np.linalg.solve(gram, np.matvec(d_g, g[sel])[..., None])[..., 0]
+                gamma = _solve(gram, np.matvec(d_g, g[sel]))
             except np.linalg.LinAlgError as exc:
                 raise SingularLeastSquares(
                     f"Anderson least-squares system singular at iteration {k} (ridge={cfg.ridge})"

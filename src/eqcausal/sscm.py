@@ -370,12 +370,19 @@ def _rows(*bindings) -> int | None:
 
 def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Callable[[Array], Array]:
     """The stacked structural map x -> (f_1(Pa_1, theta_1), ..., f_d(Pa_d, theta_d)),
-    (B, d) -> (B, d) for a batch."""
+    (B, d) -> (B, d) for a batch.
+
+    The map binds theta, u, extern and policy once: they are copied here, so changing
+    them in place later does not change the map, and at the first call with an x of a
+    given batch size they are checked and laid out in one value buffer (see
+    diffcore.Prepared). A call writes x into that buffer and returns a new array, so
+    one map must not be called concurrently. An x of another shape than (d,) or
+    (B, d) raises ShapeMismatch.
+    """
     _require_valid(spec)
     prog = _stacked(spec)
-    graph = prog.graph
-    static = _bindings(spec, prog, theta, u, extern, policy)
-    return lambda x: diffcore.forward_eval(graph, {**static, "x": x}, None if np.ndim(x) == 1 else len(x))
+    bound = diffcore.Prepared(prog.graph, _bindings(spec, prog, theta, u, extern, policy), "x", spec.d)
+    return lambda x: diffcore.forward_eval(bound.graph, bound.given(x))
 
 
 def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=None, policy=None) -> EquilibriumSolution:

@@ -769,6 +769,27 @@ def test_cli_names_the_output_directory_it_wrote(tmp_path, monkeypatch, out, sho
     assert (tmp_path / shown / "manifest.json").is_file()
 
 
+def test_a_relative_out_in_a_config_file_resolves_against_its_directory(tmp_path, monkeypatch):
+    # as the model's CSV paths do; --out and the default stay relative to the working directory
+    cfgdir, run = tmp_path / "cfgdir", tmp_path / "run"
+    cfgdir.mkdir()
+    run.mkdir()
+    dataio.write_iotable_csv(modelzoo.leontief_synthetic(3), *(cfgdir / n for n in ("A.csv", "y.csv", "R.csv")))
+    model = {"a_csv": "A.csv", "y_csv": "y.csv", "r_csv": "R.csv"}
+    write_config(cfgdir / "c.json", {"command": "solve", "model": model, "out": "res"})
+    write_config(cfgdir / "d.json", {"command": "solve", "model": model})
+    monkeypatch.chdir(run)
+    for argv, wrote in ((["--config", "../cfgdir/c.json"], cfgdir / "res"),
+                        (["--config", "../cfgdir/c.json", "--out", "o"], run / "o"),
+                        (["--config", "../cfgdir/d.json"], run / "eqcausal-out")):
+        result = run_cli(["solve", *argv])
+        assert result.exit_code == 0, result.output
+        assert (wrote / "manifest.json").is_file()
+        assert f"outputs in {os.path.relpath(wrote)} (" in result.output
+    assert sorted(p.name for p in run.iterdir()) == ["eqcausal-out", "o"]
+    assert load_config(cfgdir / "c.json").out == str(cfgdir / "res")
+
+
 @pytest.mark.parametrize("below", [False, True])
 def test_an_output_path_that_names_a_file_exits_2(tmp_path, below):
     (tmp_path / "taken").write_text("kept\n")
@@ -942,6 +963,53 @@ def test_optimize_compiles_one_program(tmp_path, monkeypatch, intervention):
     assert len(fused) == 1
     group = intervention.get("group", "multiplicative")
     assert {rec["path"]: rec["sha256"] for rec in manifest.outputs} == OPTIMIZE_SHA256[group]
+
+
+# the outputs of reduced pareto (on leontief-synthetic-10 read from CSV), compartment and
+# bench runs, from the pipeline that set up every structural-map binding on each call
+# (x86-64, numpy 2.4, OpenBLAS); the pareto sweep draws nothing, so its seeds agree
+PARETO_SHA256 = {
+    "employment_deltas.csv": "c70cb1127ab0b47d1b8f82728c255caf9fba736c91bd8666eb2059569733d9a1",
+    "interventions.csv": "88b7001a148e0512aabd7ac9497e894190014e33c8b045b87bb63376ac19ffe8",
+    "tradeoff.csv": "f46dbf9c8c9eb0e2cead07229a8ea79883084d55c21548876c1ae8369083b442",
+}
+PIPELINE_SHA256 = {
+    ("pareto", 1): PARETO_SHA256,
+    ("pareto", 7): PARETO_SHA256,
+    ("compartment", 1): {
+        "compartment_curves.csv": "9164a4ed283cdd5e7b46ce10c7ab23aebc6d81d943390a9d4004ff07303167cf",
+        "compartment_report.json": "a696a87517437ebad59eae6a73ee03af34383f5188d428c6e6c6ab6251c25086",
+        "policies.json": "797fba32c071b0b8593c489168a9511447195706a177a7c60b51ed8b6bf5a9fa"},
+    ("compartment", 7): {
+        "compartment_curves.csv": "b4adb9cd76251f004adae09ee78daf7aaa03f12a353eb4cce84cc2752dae6fe3",
+        "compartment_report.json": "aa2cb01046697e984869810157a7ed6f7fefbef9bb73e5062e91b0c11365b7f6",
+        "policies.json": "b620ed0413f99de9e938ea67e4688ab5e4637a810aa38da964bd28c086d80a89"},
+    ("bench", 1): {
+        "bench.csv": "95688af250ee79ff834c892c13c4764f9e31f5939f54b776cfebbb202bc3b3fa",
+        "bench_summary.csv": "dcf69426b7e2c62bcf7b2ee78e2619d581b464a9d15c555efa0ae972600f83b5"},
+    ("bench", 7): {
+        "bench.csv": "2821b2fa422eedf53e925274d1bfda214bd467dae379a0320c90610337b72ed5",
+        "bench_summary.csv": "0077d5a82a9d9438d5484d904bfd2c4d057aae9b4b44e22791b7f36b14edbc84"},
+}
+
+
+@pytest.mark.parametrize("command,seed", list(PIPELINE_SHA256))
+def test_reduced_pipeline_outputs_are_pinned(tmp_path, command, seed):
+    if command == "pareto":
+        paths = {key: str(tmp_path / f"{stem}.csv") for key, stem in
+                 (("a_csv", "A"), ("y_csv", "y"), ("r_csv", "R"))}
+        dataio.write_iotable_csv(modelzoo.leontief_synthetic(10), *paths.values())
+        obj = {"command": "pareto", "model": paths, "adam": {"iterations": 2},
+               "loss": {"lambdas": [0.0, 1.0]}}
+    elif command == "compartment":
+        obj = {"command": "compartment", "model": "two-compartment",
+               "adam": {"iterations": 2}, "sampling": {"samples_per_step": 4}}
+    else:
+        obj = {"command": "bench", "model": "motivating-example",
+               "bench": {"dims": [2, 10, 30], "seeds": 2}}
+    manifest = run_experiment(_config_from_obj(obj), out_dir=tmp_path / "out", seed=seed)
+    assert manifest.success
+    assert {rec["path"]: rec["sha256"] for rec in manifest.outputs} == PIPELINE_SHA256[command, seed]
 
 
 @pytest.mark.parametrize("command,model,tols", [

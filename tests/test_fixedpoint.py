@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eqcausal import modelzoo
+from eqcausal import fixedpoint, modelzoo
 from eqcausal.errors import DimensionMismatch, NonFiniteIterate, ShapeMismatch, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
 
@@ -241,6 +241,54 @@ def test_singular_least_squares_only_without_ridge():
         anderson_solve(f, np.zeros(2), SolverConfig(ridge=0.0, max_iter=10))
     report = anderson_solve(f, np.zeros(2), SolverConfig(max_iter=10))  # default ridge
     assert not report.converged
+
+
+def test_singular_least_squares_raises_without_warning_and_keeps_the_error_state():
+    f = lambda x: x + 1.0
+    for outer in ({}, {"all": "raise"}, {"all": "warn"}, {"all": "ignore"}):
+        with np.errstate(**outer):
+            before = np.geterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for x0 in (np.zeros(2), np.zeros((3, 2))):
+                    with pytest.raises(SingularLeastSquares, match="singular at iteration 1 "):
+                        anderson_solve(f, x0, SolverConfig(ridge=0.0, max_iter=10))
+            assert np.geterr() == before
+
+
+def test_least_squares_gufunc_equals_numpy_solve_bit_for_bit():
+    # the Anderson loop calls numpy's private solve gufunc; it must give np.linalg.solve's
+    # bits on random systems and on ridged Gram matrices of the loop's shapes
+    rng = np.random.default_rng(23)
+    for k in range(1, 8):
+        for rows in range(1, 51):
+            a = rng.normal(size=(rows, k, k))
+            d_g = rng.normal(size=(rows, k, 2 * k + 1)) * rng.uniform(1e-6, 1e3, size=(rows, 1, 1))
+            gram = d_g @ d_g.mT
+            gram += 1e-8 * np.trace(gram, axis1=1, axis2=2)[:, None, None] * np.eye(k)
+            for m in (a, gram):
+                b = rng.normal(size=(rows, k))
+                want = np.linalg.solve(m, b[..., None])[..., 0]
+                got = fixedpoint._solve(m, b)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, rows)
+    with pytest.raises(np.linalg.LinAlgError):
+        fixedpoint._solve(np.zeros((2, 3, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("field", ["m", "max_iter"])
+def test_a_bool_count_is_refused(field):
+    # True would run as 1
+    for value in (True, False, np.True_):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["beta", "tol", "ridge"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_setting_is_refused(field, value):
+    # at tol = inf a solve would stop at iteration 0
+    with pytest.raises(ValueError, match=f"{field} must be .* and finite"):
+        SolverConfig(**{field: value})
 
 
 def test_config_validation():

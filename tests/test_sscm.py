@@ -676,3 +676,115 @@ def test_applied_map_refuses_a_u_of_the_wrong_width_or_rows():
         assemble_map(applied, THETA_REF, u=np.ones(3))(np.ones(3))
     with pytest.raises(ShapeMismatch):
         assemble_map(applied, THETA_REF, u=np.ones((2, 2)))(np.ones((3, 3)))
+
+
+# --- the bound map: bindings set up once, at the first call of each batch size ---
+
+def _fresh_map_value(spec, x, theta, u=None, extern=None, policy=None):
+    """The map's value at x from bindings set up afresh, in one plain forward_eval."""
+    prog = sscm._stacked(spec)
+    bindings = sscm._bindings(spec, prog, theta, u, extern, policy)
+    return diffcore.forward_eval(prog.graph, {**bindings, "x": x}, None if np.ndim(x) == 1 else len(x))
+
+
+def _assert_bound_map_matches_fresh(spec, theta, kwargs, rng, shapes=(None, 1, 4, 50, None, 4)):
+    """One map called with x of these batch sizes (None for a vector) in turn, and a new map
+    per call, give the bits of fresh evaluations, in C order."""
+    f = assemble_map(spec, theta, **kwargs)
+    for rows in shapes:
+        x = rng.uniform(0.1, 2.0, size=spec.d if rows is None else (rows, spec.d))
+        want = _fresh_map_value(spec, x, theta, **kwargs)
+        for got in (f(x), assemble_map(spec, theta, **kwargs)(x)):
+            _bitwise_equal(got, want)
+            assert got.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bound_map_matches_fresh_bindings_on_random_specs(seed):
+    spec, _, kwargs = _random_spec(seed)
+    _assert_bound_map_matches_fresh(spec, spec.theta_ref, kwargs, np.random.default_rng(seed))
+
+
+def test_bound_map_matches_fresh_bindings_on_rebound_twin():
+    rng = np.random.default_rng(5)
+    twin = REBOUND_TWIN
+    theta = twin.base.theta_ref
+    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
+    _assert_bound_map_matches_fresh(twin.rerouted, theta, kwargs, rng)
+    # theta, u and extern in 4 rows: x as a vector, which every row reads, or in 4 rows
+    rows = {"u": np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, 4)]),
+            "extern": rng.uniform(0.5, 2.0, (4, 1)), "policy": REBOUND_W0}
+    _assert_bound_map_matches_fresh(twin.rerouted, theta * rng.uniform(0.9, 1.1, (4, 1)), rows, rng,
+                                    shapes=(None, 4, None))
+
+
+def test_bound_map_matches_fresh_bindings_on_an_intervened_leontief_model():
+    spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
+    wired = interventions.apply(spec, LieElement("multiplicative", tuple(range(100)), np.full(100, 0.9)))
+    _assert_bound_map_matches_fresh(wired, wired.theta_ref, {}, np.random.default_rng(6))
+
+
+def _unread_x_spec():
+    """Two nodes without parents, so the stacked program has no x input."""
+    b = ExprBuilder()
+    t = b.input("theta", 1)
+    graph = b.build(b.exp(t) + b.const([0.5]))
+    theta = np.array([0.2, 0.4])
+    return SscmSpec(("a", "b"), ((), ()), (graph, graph), theta,
+                    np.stack([theta - 1.0, theta + 1.0], axis=1), ((0, 1), (1, 2)))
+
+
+def test_bound_map_of_a_program_that_reads_no_x():
+    spec = _unread_x_spec()
+    assert "x" not in sscm._stacked(spec).graph.slots
+    _assert_bound_map_matches_fresh(spec, spec.theta_ref, {}, np.random.default_rng(7))
+    f = assemble_map(spec, spec.theta_ref)
+    assert f(np.zeros(2)).tobytes() == f(np.ones(2)).tobytes()
+    with pytest.raises(ShapeMismatch):
+        f(np.zeros(3))
+
+
+def test_bound_map_returns_a_new_array_per_call():
+    twin = REBOUND_TWIN
+    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
+    f = assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+    for x in (np.full(twin.base.d, 0.5), np.full((4, twin.base.d), 0.5)):
+        first = f(x)
+        want = first.copy()
+        first[...] = np.nan
+        second = f(x)
+        assert second is not first
+        _bitwise_equal(second, want)
+
+
+def test_bound_map_copies_its_bindings_at_assembly():
+    # a binding changed in place after assemble_map does not reach later calls
+    twin = REBOUND_TWIN
+    theta = twin.base.theta_ref.copy()
+    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0.copy()}
+    x = np.full(twin.base.d, 0.5)
+    want = assemble_map(twin.rerouted, theta, **kwargs)(x)
+    f = assemble_map(twin.rerouted, theta, **kwargs)
+    theta *= 1.5
+    for value in kwargs.values():
+        value += 0.25
+    _bitwise_equal(f(x), want)
+    _bitwise_equal(f(np.stack([x, x]))[1], want)
+
+
+def test_bound_map_refuses_an_x_of_another_shape():
+    twin = REBOUND_TWIN
+    d = twin.base.d
+    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
+    f = assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+    f(np.ones(d))
+    for x in (np.ones(d + 1), np.ones((4, d - 1)), np.ones((2, 4, d)), np.float64(1.0)):
+        with pytest.raises(ShapeMismatch, match="slot 'x' expects dim 9"):
+            f(x)
+    with pytest.raises(ShapeMismatch, match="a batch needs at least one row"):
+        f(np.ones((0, d)))
+    batched = assemble_map(twin.rerouted, np.full((4, 1), twin.base.theta_ref[0]), **kwargs)
+    with pytest.raises(ShapeMismatch, match="in 3 rows"):
+        batched(np.ones((3, d)))
+    assert f(np.ones(d)).shape == (d,) and batched(np.ones(d)).shape == (4, d)
