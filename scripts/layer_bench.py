@@ -7,12 +7,15 @@ problem construction and run, one reduced invariant pipeline run, the invariance
 checks, the construction of the invariant twins, a structural map's assembly and first
 call, and the import of the command line.
 
-    python scripts/layer_bench.py --label change --out BENCH_23.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_23.json
+    python scripts/layer_bench.py --label change --out BENCH_24.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_24.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
-model the invariant pipeline trains). `linearization_s` is one
+model the invariant pipeline trains). The rerouted twin is the deployed spec solved
+with its invariant node rerouted to given values (`reroute=`); on older sources,
+which have no reroute, it is the twin's `rerouted` spec with those values bound to
+`extern`. `linearization_s` is one
 sscm.Linearization: the dense partials of the map and I - df/dx. Its condition
 number is computed on first read, so not here. The Anderson step runs the
 default solver bookkeeping (m = 8, beta = 1, as the CLI's evaluation solver)
@@ -72,16 +75,16 @@ interventions.hard_intervention_derivative, each with its equilibrium solve: of 
 rebound base model, d x_1 / d x_7 (the target sector's output against its final
 demand), and of `leontief-synthetic-30`, d x_0 / d x_1.
 
-`twin_build_s` is one interventions.build_invariant_model and the first map call
-of its rerouted spec (stacking and compiling its program), at the base model's
+`twin_build_s` is one interventions.build_invariant_model and the first rerouted map
+call of the spec it trains (stacking and compiling its program), at the base model's
 equilibrium, for the twins the invariant pipeline (`rebound`, its MLP policy) and
 the compartment pipeline (`two-compartment`, one plan per compartment) build.
 
 `first_map_call_s` is one sscm.assemble_map and the first call of its map, on a
-program compiled before: the cost of binding theta, u, extern and the policy weights,
-which every solve pays once. It is timed at the equilibrium of `leontief-synthetic-100`
-and at B = 1 and 4 rows of the rerouted rebound twin (random theta, u, extern and x rows,
-shared policy weights).
+program compiled before: the cost of binding theta, u, the rerouted values and the
+policy weights, which every solve pays once. It is timed at the equilibrium of
+`leontief-synthetic-100` and at B = 1 and 4 rows of the rerouted rebound twin (random
+theta, u, rerouted values and x rows, shared policy weights).
 
 `import_cli_s` is the least of REPEATS imports of `eqcausal.cli` from the measured
 sources, each in a fresh `python -B` interpreter that has imported numpy first, so it
@@ -147,6 +150,14 @@ def _rebound_twin():
     return twin, w0
 
 
+def _rerouted(twin, values):
+    """The spec and keyword that feed `values` to the arrows out of the twin's invariant nodes:
+    the deployed spec and a reroute, or on sources without one the rerouted spec and extern."""
+    if hasattr(twin, "rerouted"):
+        return twin.rerouted, {"extern": values}
+    return twin.deployed, {"reroute": (twin.invariant_nodes, values)}
+
+
 def _models():
     from eqcausal import modelzoo
     from eqcausal.sscm import solve_equilibrium
@@ -161,9 +172,10 @@ def _models():
     theta = twin.base.theta_ref
     u = twin.assemble_u([[0.7]])
     base = solve_equilibrium(twin.base, theta, cfg)
-    kwargs = {"u": u, "extern": base.x_star[list(twin.invariant_nodes)], "policy": w0}
-    x = solve_equilibrium(twin.rerouted, theta, cfg, **kwargs).x_star
-    yield "rebound-twin", twin.rerouted, x, kwargs
+    spec, kwargs = _rerouted(twin, base.x_star[list(twin.invariant_nodes)])
+    kwargs.update(u=u, policy=w0)
+    x = solve_equilibrium(spec, theta, cfg, **kwargs).x_star
+    yield "rebound-twin", spec, x, kwargs
 
 
 def _solver(**kw):
@@ -315,7 +327,7 @@ def measure_batched() -> dict:
     from eqcausal.sscm import solve_equilibrium
 
     twin, policy = _rebound_twin()
-    spec = twin.rerouted
+    spec = _rerouted(twin, None)[0]
     batched = "row_iterations" in {f.name for f in dataclasses.fields(fixedpoint.SolveReport)}
     cfg = _solver(tol=1e-8)
     rng = np.random.default_rng(0)
@@ -323,15 +335,16 @@ def measure_batched() -> dict:
     for rows in BATCH_ROWS:
         theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
         u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
-        extern = np.array([solve_equilibrium(twin.base, t, cfg).x_star[list(twin.invariant_nodes)]
+        values = np.array([solve_equilibrium(twin.base, t, cfg).x_star[list(twin.invariant_nodes)]
                            for t in theta])
+        fed = _rerouted(twin, values)[1]
         cot = rng.normal(size=(rows, spec.d))
         timings = {}
         if batched:
-            f = sscm.assemble_map(spec, theta, u=u, extern=extern, policy=policy)
-            x = solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy).x_star
+            f = sscm.assemble_map(spec, theta, u=u, policy=policy, **fed)
+            x = solve_equilibrium(spec, theta, cfg, u=u, policy=policy, **fed).x_star
             timings["map_call_s"] = _median_call_s(lambda: f(x), max(5, 200 // rows))
-            jac = sscm.Linearization(spec, x, theta, u=u, extern=extern, policy=policy).jac.x
+            jac = sscm.Linearization(spec, x, theta, u=u, policy=policy, **fed).jac.x
             shift = x - np.matvec(jac, x)
             linear = lambda z, jac=jac, shift=shift: np.matvec(jac, z) + shift  # noqa: E731
             steps = _solver(tol=1e-300, max_iter=40)
@@ -342,21 +355,23 @@ def measure_batched() -> dict:
             timings["anderson_iterations"] = iters
 
             def solve():
-                return solve_equilibrium(spec, theta, cfg, u=u, extern=extern, policy=policy)
+                return solve_equilibrium(spec, theta, cfg, u=u, policy=policy, **fed)
 
             sol = solve()
 
             def vjp():
-                return deq.implicit_vjp(spec, sol, cot, u=u, extern=extern, policy=policy)
+                return deq.implicit_vjp(spec, sol, cot, u=u, policy=policy, **fed)
         else:
+            fed_rows = [_rerouted(twin, values[r])[1] for r in range(rows)]
+
             def solve():
-                return [solve_equilibrium(spec, theta[r], cfg, u=u[r], extern=extern[r], policy=policy)
+                return [solve_equilibrium(spec, theta[r], cfg, u=u[r], policy=policy, **fed_rows[r])
                         for r in range(rows)]
 
             sols = solve()
 
             def vjp():
-                return [deq.implicit_vjp(spec, sols[r], cot[r], u=u[r], extern=extern[r], policy=policy)
+                return [deq.implicit_vjp(spec, sols[r], cot[r], u=u[r], policy=policy, **fed_rows[r])
                         for r in range(rows)]
         repeat = max(1, 16 // rows)
         out[f"rebound-twin-B{rows}"] = {"rows": rows, "mode": "batched" if batched else "loop",
@@ -377,10 +392,10 @@ def measure_first_map_call() -> dict:
     for rows in (1, 4):
         theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
         u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
-        extern = rng.uniform(0.5, 2.0, size=(rows, len(twin.invariant_nodes)))
+        spec, fed = _rerouted(twin, rng.uniform(0.5, 2.0, size=(rows, len(twin.invariant_nodes))))
         x = rng.uniform(0.5, 2.0, size=(rows, twin.base.d))
         out[f"rebound-twin-B{rows}"] = _median_call_s(
-            lambda: sscm.assemble_map(twin.rerouted, theta, u=u, extern=extern, policy=policy)(x), 20)
+            lambda: sscm.assemble_map(spec, theta, u=u, policy=policy, **fed)(x), 20)
     return out
 
 
@@ -460,8 +475,8 @@ def measure_twin_build() -> dict:
 
         def build_and_call():
             twin = build_invariant_model(spec, plans, elements)
-            extern = x[list(twin.invariant_nodes)]
-            sscm.assemble_map(twin.rerouted, theta, u=twin.rerouted.u_ref, extern=extern, policy=weights)(x)
+            trained, fed = _rerouted(twin, x[list(twin.invariant_nodes)])
+            sscm.assemble_map(trained, theta, u=trained.u_ref, policy=weights, **fed)(x)
 
         out[name] = _median_once_s(build_and_call, REPEATS)
     return out

@@ -76,7 +76,8 @@ CONFIG_SCHEMA = {
         },
         "solver": _dataclass_schema(SolverConfig),
         "adam": _dataclass_schema(AdamConfig, exclude=("seed",)),
-        "sampling": _dataclass_schema(SamplingConfig, exclude=("theta_mean",)),
+        # u's range is the model's: the two commands that sample it set u_low and u_high
+        "sampling": _dataclass_schema(SamplingConfig, exclude=("theta_mean", "u_low", "u_high")),
         "intervention": {
             "type": "object",
             "additionalProperties": False,

@@ -69,11 +69,11 @@ def _neumann_settles(lin: sscm.Linearization) -> bool:
         return bool(np.all(settled | ((1.0 + norm_j) ** 2 < (1.0 - norm_j2) * half)))
 
 
-def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, extern=None,
+def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, reroute=None,
                policy=None) -> sscm.Linearization:
     """The linearization at sol's x*, refusing an unconverged or ill-conditioned one."""
     require_converged(sol)
-    lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, extern=extern, policy=policy)
+    lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, reroute=reroute, policy=policy)
     if _neumann_settles(lin):
         return lin
     cond = np.max(lin.cond)
@@ -93,7 +93,7 @@ def _pull(m: Array, a: Array) -> Array:
 
 
 def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
-                 u=None, extern=None, policy=None) -> ImplicitGradient:
+                 u=None, reroute=None, policy=None) -> ImplicitGradient:
     """Pull a cotangent on x* back to theta, u and policy weights.
 
     The adjoint solves (I - df/dx)^T a = cotangent, one LU solve per row. A batched
@@ -108,7 +108,7 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
     except ValueError:
         raise ShapeMismatch(
             f"cotangent of shape {cot.shape} does not fit x* of shape {sol.x_star.shape}") from None
-    lin = _linearize(spec, sol, u, extern, policy)
+    lin = _linearize(spec, sol, u, reroute, policy)
     a = np.linalg.solve(lin.lhs.mT, cot[..., None])[..., 0]
     if not np.all(np.isfinite(a)):
         raise SingularAdjoint("adjoint solve gave a non-finite solution")
@@ -121,9 +121,9 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
 
 
 def jacobian_wrt_theta(spec: SscmSpec, sol: EquilibriumSolution,
-                       u=None, extern=None, policy=None) -> Array:
+                       u=None, reroute=None, policy=None) -> Array:
     """Dense dx*/dtheta, the solution X of (I - df/dx) X = df/dtheta at sol's x*."""
-    lin = _linearize(spec, sol, u, extern, policy)
+    lin = _linearize(spec, sol, u, reroute, policy)
     return np.linalg.solve(lin.lhs, lin.jac.theta)
 
 
@@ -138,7 +138,7 @@ class GradCheckReport:
 
 
 def grad_check(spec: SscmSpec, theta, loss: diffcore.ExprGraph, cfg: SolverConfig,
-               h: float = 1e-4, u=None, extern=None, policy=None) -> GradCheckReport:
+               h: float = 1e-4, u=None, policy=None) -> GradCheckReport:
     """Compare the implicit gradient of loss(x*(theta)) against central differences.
 
     The loss is an expression graph with a single "x" slot and scalar output.
@@ -148,7 +148,7 @@ def grad_check(spec: SscmSpec, theta, loss: diffcore.ExprGraph, cfg: SolverConfi
     theta = np.asarray(theta, dtype=np.float64)
 
     def solve_at(th) -> EquilibriumSolution:
-        sol = sscm.solve_equilibrium(spec, th, cfg, u=u, extern=extern, policy=policy)
+        sol = sscm.solve_equilibrium(spec, th, cfg, u=u, policy=policy)
         if not sol.report.converged:
             raise NotConverged(f"equilibrium solve failed during grad check at theta={th}")
         return sol
@@ -156,7 +156,7 @@ def grad_check(spec: SscmSpec, theta, loss: diffcore.ExprGraph, cfg: SolverConfi
     sol = solve_at(theta)
     loss_value = float(diffcore.forward_eval(loss, {"x": sol.x_star})[0])
     cot = diffcore.reverse_vjp(loss, {"x": sol.x_star}, [1.0])["x"]
-    ig = implicit_vjp(spec, sol, cot, u=u, extern=extern, policy=policy)
+    ig = implicit_vjp(spec, sol, cot, u=u, policy=policy)
 
     fd = np.zeros(spec.theta_dim)
     for k in range(spec.theta_dim):

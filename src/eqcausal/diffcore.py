@@ -261,22 +261,28 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 # sum of products (matmul) and copy, each with one VJP.
 
 
+def _least(x) -> float:
+    """The least entry of x past NaN (x.min() would give NaN), inf when x is empty."""
+    return np.fmin.reduce(x, axis=None) if x.size else np.inf
+
+
 def _recip(x, c, out):
-    if np.any(x == 0.0):
+    if not x.all():
         raise DomainError("reciprocal of zero")
     return np.divide(1.0, x, out=out)
 
 
 def _pow(x, c, out):
-    if c < 0.0 and np.any(x <= 0.0):
+    least = _least(x) if c < 0.0 or c != int(c) else 0.0  # any base takes a positive integer power
+    if c < 0.0 and least <= 0.0:
         raise DomainError(f"pow with negative exponent {c} on non-positive base")
-    if c != int(c) and np.any(x < 0.0):
+    if least < 0.0:
         raise DomainError(f"pow with fractional exponent {c} on negative base")
     return np.power(x, c, out=out)
 
 
 def _log(x, c, out):
-    if np.any(x <= 0.0):
+    if _least(x) <= 0.0:
         raise DomainError("log of non-positive value")
     return np.log(x, out=out)
 
@@ -669,15 +675,39 @@ def _output(buf: Array, at, batched: bool) -> Array:
     return out.T.copy() if batched else out.copy()
 
 
+def reroute_of(reroute, dim: int) -> tuple[Array, Array]:
+    """A reroute (nodes, values) as an index array and a float64 copy of the values, (k,)
+    or (B, k); nodes that are not distinct indices below dim, or values of another
+    width, raise ShapeMismatch."""
+    nodes, values = reroute
+    at, values = np.asarray(nodes), np.array(values, dtype=np.float64)
+    listed = at.tolist()
+    if at.ndim != 1 or len(set(listed)) < len(listed) or not all(type(n) is int and 0 <= n < dim for n in listed):
+        raise ShapeMismatch(f"reroute nodes {nodes!r} are not distinct indices below {dim}")
+    if values.ndim not in (1, 2) or values.shape[-1] != len(at):
+        raise ShapeMismatch(f"reroute values of shape {values.shape} for {len(at)} nodes")
+    return at.astype(np.intp), values
+
+
+def rerouted(v: Array, nodes: Array, values: Array) -> Array:
+    """A copy of v, (dim,) or (B, dim), with its entries `nodes` set to `values`; a vector v
+    with B rows of values gives B rows."""
+    if values.ndim == v.ndim == 2 and len(values) != len(v):
+        raise ShapeMismatch(f"reroute values in {len(values)} rows for a value in {len(v)} rows")
+    out = np.array(np.broadcast_to(v, values.shape[:-1] + v.shape[-1:]) if v.ndim < values.ndim else v)
+    out[..., nodes] = values
+    return out
+
+
 class _Layout:
     """A Prepared's value buffer for free values of one batch size. The first evaluation
     makes it and runs the steps as a plain one does. The second binds the steps to
     views of it, a cost that the calls after it recover, so a map called once pays none."""
 
-    __slots__ = ("prog", "free", "buf", "batched", "into", "calls", "out")
+    __slots__ = ("prog", "free", "buf", "batched", "into", "calls", "out", "over")
 
-    def __init__(self, prog: _Program, bindings: Mapping[str, Array], rows: int | None, free: str):
-        self.prog, self.free, self.calls = prog, free, None
+    def __init__(self, prog: _Program, bindings: Mapping[str, Array], rows: int | None, free: str, over):
+        self.prog, self.free, self.calls, self.over = prog, free, None, over
         self.buf, rows = _forward_values(prog, bindings, rows)
         self.batched = rows is not None
 
@@ -690,8 +720,13 @@ class _Layout:
             self.calls = tuple(calls)
             self.into = next((buf[start:stop] for slot, _, start, stop in self.prog.inputs
                               if slot == self.free), None)
+            if self.over is not None:  # laid out as the buffer holds them
+                at, values = self.over
+                self.over = _index(at), values.T if values.ndim == 2 else values[:, None] if self.batched else values
         if self.into is not None:
             self.into[...] = v if not self.batched else v.T if v.ndim == 2 else v[:, None]
+            if self.over is not None:
+                self.into[self.over[0]] = self.over[1]
         for call in self.calls:
             call()
         return self.out.T.copy() if self.batched else self.out.copy()
@@ -707,14 +742,17 @@ class Prepared:
     step bound to views of it (see _Layout): they write the free value into its
     slot's range, run the bound steps and copy the output out. So one Prepared must
     not be evaluated concurrently; its graph may be, with other bindings.
+    With a reroute (nodes, values) (see reroute_of), every evaluation then sets the
+    free value's entries `nodes` to `values`.
     """
 
-    __slots__ = ("graph", "free", "dim", "static", "value", "layouts")
+    __slots__ = ("graph", "free", "dim", "static", "value", "layouts", "over")
 
-    def __init__(self, graph: ExprGraph, bindings: Mapping[str, Array], free: str, dim: int):
+    def __init__(self, graph: ExprGraph, bindings: Mapping[str, Array], free: str, dim: int, reroute=None):
         self.graph, self.free, self.dim, self.value = graph, free, dim, None
         self.static = {slot: np.array(v, dtype=np.float64) for slot, v in bindings.items() if slot != free}
         self.layouts = {}  # batch size of the free value, None for a vector -> _Layout
+        self.over = None if reroute is None else reroute_of(reroute, dim)
 
     def given(self, value) -> "Prepared":
         """These bindings with `value`, a (dim,) vector or a (B, dim) batch, for the free slot."""
@@ -730,7 +768,9 @@ class Prepared:
         layout = self.layouts.get(key)
         if layout is None:
             prog = _compile(self.graph)
-            layout = self.layouts[key] = _Layout(prog, {**self.static, self.free: v}, key, self.free)
+            if self.over is not None:
+                v = rerouted(v, *self.over)
+            layout = self.layouts[key] = _Layout(prog, {**self.static, self.free: v}, key, self.free, self.over)
             return _output(layout.buf, prog.out, layout.batched)
         return layout.evaluate(v)
 

@@ -5,8 +5,8 @@ additive group acts on a model by wrapping the targeted structural
 assignments; applying the identity leaves equilibria unchanged. Invariant
 interventions pair a main intervention with a learned or analytic policy on
 an auxiliary node, built here as a twin structure: an unintervened layer and
-an intervened layer whose arrows out of the invariant nodes are rerouted to
-the unintervened equilibrium values.
+an intervened layer whose arrows out of the invariant nodes read the
+unintervened equilibrium values, a reroute of the deployed model at solve time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import deq
 from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
-                     MismatchedTargets, PolicyArityMismatch)
+                     MismatchedTargets, PolicyArityMismatch, ShapeMismatch)
 from .fixedpoint import SolverConfig
 from .sscm import (COND_MAX, EquilibriumSolution, Linearization, SscmSpec, derive_wrapped,
                    solve_equilibrium)
@@ -217,15 +217,12 @@ class InvariantInterventionSpec:
 class InvariantTwin:
     """Paired unintervened/intervened models sharing theta.
 
-    `rerouted` reads every arrow leaving an invariant node from the
-    unintervened equilibrium: its parent lists name invariant node inv[i] as d + i,
-    component i of the "extern" binding; it is the training target, solved by
-    `solve_pair`. `deployed` keeps all arrows live, is what an actual intervention would
-    produce and, needing no base, is solved directly. Both share one tuple of assignments.
+    `deployed` is what an actual intervention would produce and is solved as it is.
+    Training solves it with every arrow leaving an invariant node reading the
+    unintervened equilibrium instead (see solve_pair), one program for both uses.
     """
 
     base: SscmSpec
-    rerouted: SscmSpec
     deployed: SscmSpec
     plans: tuple[InvariantInterventionSpec, ...]
     u_slices: tuple[tuple[int, int], ...]
@@ -233,18 +230,24 @@ class InvariantTwin:
     invariant_nodes: tuple[int, ...]
 
     def assemble_u(self, values_per_plan) -> Array:
-        u = self.rerouted.u_ref.copy()
-        for (start, stop), vals in zip(self.u_slices, values_per_plan):
-            u[start:stop] = np.asarray(vals, dtype=np.float64).reshape(-1)
+        """The deployed u_ref with each plan's u components set to its values."""
+        values_per_plan = list(values_per_plan)
+        if len(values_per_plan) != len(self.plans):
+            raise ShapeMismatch(f"values for {len(values_per_plan)} plans, the twin has {len(self.plans)}")
+        u = self.deployed.u_ref.copy()
+        for i, ((start, stop), vals) in enumerate(zip(self.u_slices, values_per_plan)):
+            if np.size(vals) != stop - start:
+                raise ShapeMismatch(f"plan {i}: {np.size(vals)} values for its {stop - start} u components")
+            u[start:stop] = np.ravel(vals)
         return u
 
     def solve_pair(self, theta, u, cfg: SolverConfig,
                    policy=None) -> tuple[EquilibriumSolution, EquilibriumSolution]:
-        """The base equilibrium and the rerouted intervened one that reads its invariant nodes;
-        a batch of theta or u solves both as batches."""
+        """The base equilibrium and the deployed one with every arrow leaving an invariant node
+        reading the base equilibrium; a batch of theta or u solves both as batches."""
         base_sol = solve_equilibrium(self.base, theta, cfg)
-        extern = base_sol.x_star[..., list(self.invariant_nodes)]
-        int_sol = solve_equilibrium(self.rerouted, theta, cfg, u=u, extern=extern, policy=policy)
+        reroute = self.invariant_nodes, base_sol.x_star[..., list(self.invariant_nodes)]
+        int_sol = solve_equilibrium(self.deployed, theta, cfg, u=u, reroute=reroute, policy=policy)
         return base_sol, int_sol
 
 
@@ -253,11 +256,8 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
 
     `plans` and `interventions` may be a single plan/LieElement or aligned
     sequences (one per compartment). Each plan's auxiliary assignment is
-    replaced by its policy graph; in the rerouted twin every arrow leaving an
-    invariant node is redirected to the unintervened equilibrium value: where a
-    child of invariant node inv[i] lists inv[i] as a parent, the rerouted spec lists
-    d + i, which reads component i of its extern input. Deployed and rerouted share
-    one tuple of assignment graphs and differ only in their parent lists and extern_dim.
+    replaced by its policy graph in the deployed spec, the twin's one intervened
+    program; solve_pair reroutes the invariant nodes' arrows at solve time.
     """
     if isinstance(plans, InvariantInterventionSpec):
         plans = (plans,)
@@ -324,13 +324,9 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
     invariant_nodes = tuple(p.invariant for p in plans)
     if len(set(invariant_nodes)) != len(invariant_nodes):
         raise ValueError("plans share an invariant node")
-    extern_of = {node: spec.d + i for i, node in enumerate(invariant_nodes)}
-    rerouted = replace(deployed, extern_dim=len(invariant_nodes),
-                       parents=[[extern_of.get(p, p) for p in pa] for pa in deployed.parents])
 
     return InvariantTwin(
         base=spec,
-        rerouted=rerouted,
         deployed=deployed,
         plans=plans,
         u_slices=tuple(u_slices),
@@ -370,7 +366,7 @@ def compartment_structure_violations(spec: SscmSpec, plan: CompartmentPlan) -> l
             if seen[node] != ci:
                 out.append(f"compartment {ci}: plan node {node} lies outside the compartment")
     for child in range(spec.d):
-        for parent in (p for p in spec.parents[child] if p < spec.d):  # past d: extern, not a node
+        for parent in spec.parents[child]:
             ci = seen[parent]
             if seen[child] != ci and parent != plan.plans[ci].invariant:
                 out.append(

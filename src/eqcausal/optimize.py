@@ -454,12 +454,12 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
                            adam: AdamConfig, solver: SolverConfig) -> TrainedPolicy:
     """Fit the auxiliary policies by least squares on the invariant-node deviation.
 
-    Each step draws (theta, u) samples, solves the unintervened and rerouted
-    intervened equilibria of all samples as two batches, and backpropagates the
-    squared deviation of the invariant nodes through the intervened equilibria
-    into the policy weights with one batched VJP. Failures are handled by
-    `_descend`: a failing first step raises SolveFailedDuringOptimization, and
-    more than five stop the run with `aborted` set.
+    Each step draws (theta, u) samples, solves the unintervened and the rerouted
+    deployed equilibria (see InvariantTwin.solve_pair) of all samples as two
+    batches, and backpropagates the squared deviation of the invariant nodes
+    through the intervened equilibria into the policy weights with one batched
+    VJP. Failures are handled by `_descend`: a failing first step raises
+    SolveFailedDuringOptimization, and more than five stop the run with `aborted` set.
     """
     rng = np.random.default_rng(adam.seed)
     inv_nodes = list(twin.invariant_nodes)
@@ -475,11 +475,11 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
         base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
         if not (base_sol.report.converged and int_sol.report.converged):
             raise NotConverged("equilibrium solve failed in training step")
-        extern = base_sol.x_star[:, inv_nodes]
-        diff = int_sol.x_star[:, inv_nodes] - extern
-        cot = np.zeros((n, twin.rerouted.d))
+        base_x = base_sol.x_star[:, inv_nodes]
+        diff = int_sol.x_star[:, inv_nodes] - base_x
+        cot = np.zeros((n, twin.deployed.d))
         cot[:, inv_nodes] = 2.0 * diff
-        ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
+        ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=(inv_nodes, base_x), policy=policy)
         return float(np.einsum("ij,ij->", diff, diff)) / n, ig.grad_policy.sum(axis=0) / n
 
     res = _descend(evaluate, w0, adam)

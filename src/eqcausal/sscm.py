@@ -4,9 +4,9 @@ A model is a list of named nodes, each with an ordered parent list and a
 scalar-valued assignment expression. Assignments read their parents through
 the "parents" slot, a node-owned contiguous slice of the global parameter
 vector through "theta", and optionally the shared intervention vector "u"
-and a trainable "policy" weight vector. A parent index p below d reads x_p; one
-past it reads component p - d of an external-value vector "extern" of length
-extern_dim, bound per call like u (invariant twins reroute arrows this way).
+and a trainable "policy" weight vector. A reroute (nodes, values), which the map,
+the solver and the partials take, makes every arrow out of `nodes` read `values`
+instead of x (see assemble_map); invariant twins train this way.
 
 Equilibria solve x = f(x, theta) from zero initialization with a configured
 fixed-point solver. A Linearization holds the dense partials of f at one point
@@ -22,7 +22,7 @@ appended as nodes of the same graph, compiled once, at its first use. These
 build their per-node graphs only when `assignments` is read: by validate, JSON,
 dataclasses.replace (whose copy stacks its own graphs).
 
-Batches: binding x, theta, u, extern or policy with a leading batch axis of
+Batches: binding x, theta, u, policy or reroute values with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
 every row. assemble_map then maps (B, d) to (B, d), solve_equilibrium solves
 the B equilibria in lockstep, and node_gradients and Linearization give
@@ -90,7 +90,6 @@ class SscmSpec:
     theta_slices: tuple[tuple[int, int], ...]  # per-node (start, stop) into theta
     u_dim: int = 0
     u_ref: Array = field(default_factory=lambda: np.zeros(0))
-    extern_dim: int = 0
     policy_dim: int = 0
     policy_ref: Array | None = None
     x_ref: Array | None = None
@@ -155,7 +154,7 @@ def validate(spec: SscmSpec) -> list[str]:
         if len(set(spec.parents[j])) != len(spec.parents[j]):
             out.append(f"node {j}: parent list {spec.parents[j]} repeats a node")
         for parent in spec.parents[j]:
-            if parent < 0 or parent >= d + spec.extern_dim:
+            if parent < 0 or parent >= d:
                 out.append(f"node {j}: parent {parent} out of range")
             if parent == j:
                 out.append(f"node {j}: self-loop in parent list")
@@ -206,10 +205,9 @@ def _require_valid(spec: SscmSpec):
 class _Stacked:
     """The d assignments inlined into one graph over x, theta and the shared slots.
 
-    Every node reads its own entry nodes: its parents below d as a gather of x, its
+    Every node reads its own entry nodes: its parents as a gather of x, its
     theta slice, and its own view of each shared slot. A reverse sweep that
-    stops at the entries therefore gives each node's partials unmixed. Parents past
-    d are gathered from the extern input, whose partials no field keeps.
+    stops at the entries therefore gives each node's partials unmixed.
 
     A derived program (see derive_wrapped) is its parent's graph with more nodes after it,
     and a new u entry per wrap: its cells sit in the u field beside the parent's.
@@ -217,7 +215,6 @@ class _Stacked:
 
     graph: ExprGraph  # output: (f_1, ..., f_d)
     cells: tuple  # per field: (field, columns, its entry nodes, the flat cells their adjoint entries fill)
-    first_reader: dict  # shared input (u, extern, policy) -> first node that reads it
     leaves: tuple = field(init=False)  # every field's entry nodes end to end, which NodeJacobians keeps
 
     def __post_init__(self):
@@ -237,25 +234,17 @@ def _stacked(spec: SscmSpec) -> _Stacked:
             width["policy"] = spec.policy_dim
         # per field: the entry nodes, and the row and the columns of each
         leaves, rows, cols = ({name: [] for name in width} for _ in range(3))
-        outs, first_reader = [], {}
+        outs = []
         for j, graph in enumerate(spec.assignments):
             slot_map = {}
             for slot, (_, dim) in graph.slots.items():
                 if slot == "parents":
-                    pa = spec.parents[j]
-                    at = [p for p in pa if p < spec.d]
-                    entry = slot_map[slot] = b.gather(b.input("x", spec.d), at)
-                    if len(at) < len(pa):  # a parent p past d reads extern[p - d]
-                        first_reader.setdefault("extern", j)
-                        ext = [p for p in pa if p >= spec.d]
-                        both = b.concat(entry, b.gather(b.input("extern", spec.extern_dim), np.subtract(ext, spec.d)))
-                        rank = {p: c for c, p in enumerate(at + ext)}
-                        slot_map[slot] = b.gather(both, [rank[p] for p in pa])
+                    entry = slot_map[slot] = b.gather(b.input("x", spec.d), spec.parents[j])
+                    at = spec.parents[j]
                 elif slot == "theta":
                     entry = slot_map[slot] = b.slice(b.input("theta", spec.theta_dim), *spec.theta_slices[j])
                     at = range(*spec.theta_slices[j])
                 else:
-                    first_reader.setdefault(slot, j)
                     entry = slot_map[slot] = b.slice(b.input(slot, dim), 0, dim)
                     at = range(dim)
                 name = _FIELDS.get(slot)
@@ -270,16 +259,16 @@ def _stacked(spec: SscmSpec) -> _Stacked:
             flat = np.fromiter(chain.from_iterable(cols[name]), np.intp, int(lengths.sum()))
             cells.append((name, w, tuple(leaves[name]),
                           np.repeat(np.array(rows[name], dtype=np.intp) * w, lengths) + flat))
-        prog = _Stacked(b.build(b.concat(*outs)), tuple(cells), first_reader)
+        prog = _Stacked(b.build(b.concat(*outs)), tuple(cells))
         object.__setattr__(spec, "_stacked", prog)
     return prog
 
 
-def with_program(spec: SscmSpec, graph: ExprGraph, cells, first_reader=None) -> SscmSpec:
+def with_program(spec: SscmSpec, graph: ExprGraph, cells) -> SscmSpec:
     """`spec`, built from arrays or derived from a parent, with `graph` as its program and
-    `cells` and `first_reader` as _Stacked holds them. It is valid by construction, but for
-    non-finite theta_ref, theta_box or u_ref values, so only these are checked."""
-    object.__setattr__(spec, "_stacked", _Stacked(graph, tuple(cells), first_reader or {}))
+    `cells` as _Stacked holds them. It is valid by construction, but for non-finite
+    theta_ref, theta_box or u_ref values, so only these are checked."""
+    object.__setattr__(spec, "_stacked", _Stacked(graph, tuple(cells)))
     finite = all(np.isfinite(getattr(spec, name)).all() for name in ("theta_ref", "theta_box", "u_ref"))
     object.__setattr__(spec, "_validated", bool(finite))
     return spec
@@ -343,20 +332,19 @@ def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> S
             yield graph
 
     spec = replace(parent, assignments=wrapped, u_dim=new, u_ref=np.concatenate([parent.u_ref, values]))
-    return with_program(spec, ExprGraph(tuple(nodes), out, slots, tuple(dims)), cells, prog.first_reader)
+    return with_program(spec, ExprGraph(tuple(nodes), out, slots, tuple(dims)), cells)
 
 
-def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, extern, policy) -> dict:
+def _bindings(spec: SscmSpec, prog: _Stacked, theta, u, policy) -> dict:
     """Bindings of the stacked graph, except the per-evaluation "x"."""
     bindings = {"theta": np.asarray(theta, dtype=np.float64),
                 "u": spec.u_ref if u is None else np.asarray(u, dtype=np.float64)}
-    if policy is None:
-        policy = spec.policy_ref
-    for slot, value in (("extern", extern), ("policy", policy)):
-        if slot in prog.first_reader:
-            if value is None:
-                raise SpecValidationError([f"node {prog.first_reader[slot]} requires a binding for {slot!r}"])
-            bindings[slot] = np.asarray(value, dtype=np.float64)
+    policy = spec.policy_ref if policy is None else policy
+    if "policy" in prog.graph.slots:
+        if policy is None:
+            first = next(j for j, g in enumerate(spec.assignments) if "policy" in g.slots)
+            raise SpecValidationError([f"node {first} requires a binding for 'policy'"])
+        bindings["policy"] = np.asarray(policy, dtype=np.float64)
     return bindings
 
 
@@ -368,11 +356,17 @@ def _rows(*bindings) -> int | None:
     return rows.pop() if rows else None
 
 
-def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Callable[[Array], Array]:
+def assemble_map(spec: SscmSpec, theta, u=None, reroute=None, policy=None) -> Callable[[Array], Array]:
     """The stacked structural map x -> (f_1(Pa_1, theta_1), ..., f_d(Pa_d, theta_d)),
     (B, d) -> (B, d) for a batch.
 
-    The map binds theta, u, extern and policy once: they are copied here, so changing
+    With reroute = (nodes, values), every arrow out of `nodes` reads `values`, (k,) or
+    (B, k), instead of x: the map is the plain one at x with x[..., nodes] overwritten,
+    which leaves the nodes' own outputs as they are, since no node reads itself. Nodes
+    that are not distinct indices below d, or values of another width or batch size,
+    raise ShapeMismatch.
+
+    The map binds theta, u, the reroute and policy once: they are copied here, so changing
     them in place later does not change the map, and at the first call with an x of a
     given batch size they are checked and laid out in one value buffer (see
     diffcore.Prepared). A call writes x into that buffer and returns a new array, so
@@ -381,15 +375,16 @@ def assemble_map(spec: SscmSpec, theta, u=None, extern=None, policy=None) -> Cal
     """
     _require_valid(spec)
     prog = _stacked(spec)
-    bound = diffcore.Prepared(prog.graph, _bindings(spec, prog, theta, u, extern, policy), "x", spec.d)
+    bound = diffcore.Prepared(prog.graph, _bindings(spec, prog, theta, u, policy), "x", spec.d, reroute)
     return lambda x: diffcore.forward_eval(bound.graph, bound.given(x))
 
 
-def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, extern=None, policy=None) -> EquilibriumSolution:
+def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, reroute=None,
+                      policy=None) -> EquilibriumSolution:
     """Solve x = f(x, theta) from zero initialization with the configured solver; a
     batch gives a (B, d) x_star and a batched report."""
-    f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
-    rows = _rows(theta, u, extern, policy)
+    f = assemble_map(spec, theta, u=u, reroute=reroute, policy=policy)
+    rows = _rows(theta, u, policy, None if reroute is None else reroute[1])
     report = fixedpoint.solve(f, np.zeros(spec.d if rows is None else (rows, spec.d)), cfg)
     return EquilibriumSolution(report.x, report, np.asarray(theta, dtype=np.float64).copy())
 
@@ -405,18 +400,22 @@ class NodeJacobians:
     policy: Array | None = None  # (d, policy_dim), None without policy weights
 
 
-def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -> NodeJacobians:
+def node_gradients(spec: SscmSpec, x, theta, u=None, reroute=None, policy=None) -> NodeJacobians:
     """df/d(x, theta, u, policy) at (x, theta), (B, d, ...) stacks for a batch.
 
     One reverse sweep of the stacked graph, seeded with 1 at every node output and
     stopped at the entry nodes; their adjoints fill each dense matrix through the cells
-    the stacked program holds.
+    the stacked program holds. With a reroute (see assemble_map) the sweep runs at the
+    overwritten x, and the df/dx columns of the rerouted nodes are 0.
     """
     _require_valid(spec)
     prog = _stacked(spec)
-    bindings = _bindings(spec, prog, theta, u, extern, policy)
+    bindings = _bindings(spec, prog, theta, u, policy)
+    rows = _rows(x, theta, u, policy, None if reroute is None else reroute[1])
+    if reroute is not None:
+        nodes, values = reroute = diffcore.reroute_of(reroute, spec.d)
+        x = diffcore.rerouted(np.asarray(x, dtype=np.float64), nodes, values)
     bindings["x"] = x
-    rows = _rows(x, theta, u, extern, policy)
     seed = np.ones(spec.d if rows is None else (rows, spec.d))
     adj = diffcore.reverse_vjp(prog.graph, bindings, seed, at=prog.leaves)
     lead = adj.shape[:-1]
@@ -426,6 +425,8 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, extern=None, policy=None) -
         flat[..., cells] = adj[..., start:start + len(cells)]
         dense[name] = flat.reshape(lead + (spec.d, width))
         start += len(cells)
+    if reroute is not None:
+        dense["x"][..., reroute[0]] = 0.0
     return NodeJacobians(**dense)
 
 
@@ -437,8 +438,8 @@ class Linearization:
     read; it is inf in a singular row. It never raises.
     """
 
-    def __init__(self, spec: SscmSpec, x, theta, u=None, extern=None, policy=None):
-        self.jac = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
+    def __init__(self, spec: SscmSpec, x, theta, u=None, reroute=None, policy=None):
+        self.jac = node_gradients(spec, x, theta, u=u, reroute=reroute, policy=policy)
         self.lhs = np.eye(spec.d) - self.jac.x
 
     @cached_property
@@ -455,18 +456,18 @@ class DiffeoReport:
 
 
 def check_local_diffeomorphism(spec: SscmSpec, x, theta, tol: float = 1e-4,
-                               u=None, extern=None, policy=None) -> DiffeoReport:
+                               u=None, policy=None) -> DiffeoReport:
     """Check that (x, theta) is a fixed point and that I - df/dx is well conditioned.
 
     The report is for one point: x, theta and the other bindings are unbatched,
     and a batch axis on any of them raises ShapeMismatch.
     """
-    if _rows(x, theta, u, extern, policy) is not None:
+    if _rows(x, theta, u, policy) is not None:
         raise ShapeMismatch("check_local_diffeomorphism takes one point, not a batch")
-    f = assemble_map(spec, theta, u=u, extern=extern, policy=policy)
+    f = assemble_map(spec, theta, u=u, policy=policy)
     x = np.asarray(x, dtype=np.float64)
     (res,), (err,) = fixedpoint._row_error(x[None], (f(x) - x)[None])
-    cond = Linearization(spec, x, theta, u=u, extern=extern, policy=policy).cond
+    cond = Linearization(spec, x, theta, u=u, policy=policy).cond
     return DiffeoReport(
         is_solution=bool(err <= tol),
         jacobian_invertible=bool(cond <= COND_MAX),
@@ -487,7 +488,6 @@ def spec_to_obj(spec: SscmSpec) -> dict:
         "theta_slices": [list(s) for s in spec.theta_slices],
         "u_dim": spec.u_dim,
         "u_ref": spec.u_ref.tolist(),
-        "extern_dim": spec.extern_dim,
         "policy_dim": spec.policy_dim,
         "policy_ref": None if spec.policy_ref is None else spec.policy_ref.tolist(),
         "x_ref": None if spec.x_ref is None else spec.x_ref.tolist(),
@@ -500,7 +500,7 @@ def _floats(value) -> Array | None:
 
 def _exact(kind):
     """A reader of values whose type is `kind` exactly: a bool or a float is refused, not
-    truncated into an int, since a parent index past d means an extern component."""
+    truncated into an int."""
     def read(value):
         if type(value) is not kind:
             raise TypeError(f"{value!r} is not {kind.__name__}")
@@ -518,7 +518,7 @@ _SPEC_KEYS = {
     "theta_ref": _floats,
     "theta_box": lambda v: np.asarray(v, dtype=np.float64).reshape(-1, 2),
     "theta_slices": lambda v: tuple((_int(a), _int(b)) for a, b in v),
-    "u_dim": _int, "u_ref": _floats, "extern_dim": _int, "policy_dim": _int,
+    "u_dim": _int, "u_ref": _floats, "policy_dim": _int,
     "policy_ref": _floats, "x_ref": _floats,
 }
 

@@ -319,10 +319,10 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver):
                 raise NotConverged("equilibrium solve failed in training step")
             diff = int_sol.x_star[inv_nodes] - base_sol.x_star[inv_nodes]
             batch_loss += float(diff @ diff)
-            cot = np.zeros(twin.rerouted.d)
+            cot = np.zeros(twin.deployed.d)
             cot[inv_nodes] = 2.0 * diff
-            extern = base_sol.x_star[inv_nodes]
-            ig = deq.implicit_vjp(twin.rerouted, int_sol, cot, u=u, extern=extern, policy=policy)
+            reroute = (inv_nodes, base_sol.x_star[inv_nodes])
+            ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=reroute, policy=policy)
             grad += ig.grad_policy
         return batch_loss / n, grad / n
 

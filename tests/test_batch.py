@@ -50,21 +50,26 @@ def _batch_bindings(rng, rows, shared, batched):
 
 def _check_map_and_gradients(spec, x, theta, kwargs, rng):
     rows = int(rng.integers(1, 6))
-    slots = ["x", "theta", *(s for s in ("u", "extern", "policy") if kwargs.get(s) is not None)]
+    kwargs = dict(kwargs)
+    nodes, values = kwargs.pop("reroute", None) or ((), None)  # the values batch like a slot
+    shared = {"x": x, "theta": theta, **kwargs, "values": values}
+    slots = ["x", "theta", *(s for s in ("u", "values", "policy") if shared.get(s) is not None)]
     batched = {s for s in slots if rng.random() < 0.5} or {"x"}
-    stacked, per_row = _batch_bindings(rng, rows, {"x": x, "theta": theta, **kwargs}, batched)
+    stacked, per_row = _batch_bindings(rng, rows, shared, batched)
     if "x" not in batched:
         stacked["x"] = np.broadcast_to(x, (rows, spec.d))  # the map takes one iterate per row
 
     def call(b):
-        rest = {k: v for k, v in b.items() if k not in ("x", "theta")}
+        rest = {k: v for k, v in b.items() if k not in ("x", "theta", "values")}
+        if values is not None:
+            rest["reroute"] = (nodes, b["values"])
         return assemble_map(spec, b["theta"], **rest)(b["x"]), node_gradients(spec, b["x"], b["theta"], **rest)
 
     fx, jac = call(stacked)
     singles = [call(b) for b in per_row]
     assert_rows_close(fx, [f for f, _ in singles])
     for j in range(spec.d):
-        for name, cols in node_columns(spec, j).items():
+        for name, cols in node_columns(spec, j, nodes).items():
             dense = getattr(jac, name)
             if dense is None:
                 continue
@@ -89,9 +94,10 @@ def test_batched_map_and_node_gradients_equal_per_row_calls_on_rebound_twin(seed
     rng = np.random.default_rng(seed)
     twin = REBOUND_TWIN
     x = rng.uniform(0.2, 2.0, size=twin.base.d)
-    kwargs = {"u": twin.assemble_u([[rng.uniform(0.5, 1.0)]]), "extern": x[list(twin.invariant_nodes)],
+    kwargs = {"u": twin.assemble_u([[rng.uniform(0.5, 1.0)]]),
+              "reroute": (twin.invariant_nodes, x[list(twin.invariant_nodes)]),
               "policy": REBOUND_W0 + rng.normal(scale=0.1, size=REBOUND_W0.shape)}
-    _check_map_and_gradients(twin.rerouted, x, twin.base.theta_ref, kwargs, rng)
+    _check_map_and_gradients(twin.deployed, x, twin.base.theta_ref, kwargs, rng)
 
 
 def _contractions(rng, rows, d):
@@ -196,15 +202,15 @@ def test_batched_implicit_vjp_equals_per_row_vjps(seed, rows):
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
     policy = REBOUND_W0 + rng.normal(scale=0.05, size=REBOUND_W0.shape)
     base, sol = twin.solve_pair(theta, u, cfg, policy=policy)
-    extern = base.x_star[:, list(twin.invariant_nodes)]
-    cot = rng.normal(size=(rows, twin.rerouted.d))
-    ig = deq.implicit_vjp(twin.rerouted, sol, cot, u=u, extern=extern, policy=policy)
-    refs = [deq.implicit_vjp(twin.rerouted, s, cot[r], u=u[r], extern=extern[r], policy=policy)
+    nodes, values = twin.invariant_nodes, base.x_star[:, list(twin.invariant_nodes)]
+    cot = rng.normal(size=(rows, twin.deployed.d))
+    ig = deq.implicit_vjp(twin.deployed, sol, cot, u=u, reroute=(nodes, values), policy=policy)
+    refs = [deq.implicit_vjp(twin.deployed, s, cot[r], u=u[r], reroute=(nodes, values[r]), policy=policy)
             for r, s in enumerate(_solution_rows(sol))]
     for name in ("grad_theta", "grad_u", "grad_policy"):
         assert_rows_close(getattr(ig, name), [getattr(ref, name) for ref in refs])
-    jac = deq.jacobian_wrt_theta(twin.rerouted, sol, u=u, extern=extern, policy=policy)
-    refs = [deq.jacobian_wrt_theta(twin.rerouted, s, u=u[r], extern=extern[r], policy=policy)
+    jac = deq.jacobian_wrt_theta(twin.deployed, sol, u=u, reroute=(nodes, values), policy=policy)
+    refs = [deq.jacobian_wrt_theta(twin.deployed, s, u=u[r], reroute=(nodes, values[r]), policy=policy)
             for r, s in enumerate(_solution_rows(sol))]
     assert_rows_close(jac, refs)
 
@@ -216,10 +222,11 @@ def test_batched_implicit_vjp_agrees_with_the_inverse_product_on_rebound_twin():
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
     policy = REBOUND_W0 + rng.normal(scale=0.05, size=REBOUND_W0.shape)
     base, sol = twin.solve_pair(theta, u, SolverConfig(tol=1e-10), policy=policy)
-    kwargs = {"u": u, "extern": base.x_star[:, list(twin.invariant_nodes)], "policy": policy}
-    cot = rng.normal(size=(rows, twin.rerouted.d))
-    ig = deq.implicit_vjp(twin.rerouted, sol, cot, **kwargs)
-    lin = Linearization(twin.rerouted, sol.x_star, sol.theta, **kwargs)
+    kwargs = {"u": u, "reroute": (twin.invariant_nodes, base.x_star[:, list(twin.invariant_nodes)]),
+              "policy": policy}
+    cot = rng.normal(size=(rows, twin.deployed.d))
+    ig = deq.implicit_vjp(twin.deployed, sol, cot, **kwargs)
+    lin = Linearization(twin.deployed, sol.x_star, sol.theta, **kwargs)
     a = np.einsum("bji,bj->bi", np.linalg.inv(lin.lhs), cot)
     for name in ("theta", "u", "policy"):
         want = np.einsum("bji,bj->bi", getattr(lin.jac, name), a)
@@ -233,11 +240,12 @@ def test_batched_implicit_vjp_on_rebound_twin_forms_no_inverse(monkeypatch):
     theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
     base, sol = twin.solve_pair(theta, u, SolverConfig(tol=1e-10), policy=REBOUND_W0)
-    kwargs = {"u": u, "extern": base.x_star[:, list(twin.invariant_nodes)], "policy": REBOUND_W0}
-    j_x = node_gradients(twin.rerouted, sol.x_star, sol.theta, **kwargs).x
+    kwargs = {"u": u, "reroute": (twin.invariant_nodes, base.x_star[:, list(twin.invariant_nodes)]),
+              "policy": REBOUND_W0}
+    j_x = node_gradients(twin.deployed, sol.x_star, sol.theta, **kwargs).x
     assert np.all(np.linalg.norm(j_x, 1, axis=(-2, -1)) >= 1.0)
     calls = count_inverses(monkeypatch)
-    deq.implicit_vjp(twin.rerouted, sol, rng.normal(size=(rows, twin.rerouted.d)), **kwargs)
+    deq.implicit_vjp(twin.deployed, sol, rng.normal(size=(rows, twin.deployed.d)), **kwargs)
     assert calls == []
 
 

@@ -218,7 +218,7 @@ BAD_VALUES = [
     ("solver", {"tol": 0}), ("solver", {"ridge": -1e-8}),
     ("adam", {"learning_rate": 0}), ("adam", {"beta1": 1.0}), ("adam", {"iterations": 0}),
     ("adam", {"plateau_window": 0}),
-    ("sampling", {"u_low": -1.0}), ("sampling", {"u_low": 2.0, "u_high": 1.0}),
+    ("sampling", {"samples_per_step": -1}), ("sampling", {"theta_stddev": [0.1, -1.0]}),
     ("sampling", {"samples_per_step": 0}),
     ("adam", {"eps": -1.0}), ("adam", {"eps": 0.0}), ("adam", {"plateau_rtol": -5.0}),
     ("sampling", {"theta_stddev": [-0.2]}),
@@ -381,7 +381,9 @@ def test_additive_intervention_may_be_zero_or_negative():
                                             ("solver", {"max_iter": 50.0}),
                                             ("adam", {"iterations": 3.0}),
                                             ("bench", {"seeds": 2.0}),
-                                            ("solver", {"max_iter": True})])
+                                            ("solver", {"max_iter": True}),
+                                            ("sampling", {"u_low": 0.5}),
+                                            ("sampling", {"u_high": 2.0})])
 def test_config_sections_are_typed_and_closed(section, values):
     with pytest.raises(SchemaError) as info:
         _config_from_obj({"command": "solve", "model": "motivating-example", section: values})
@@ -391,7 +393,7 @@ def test_config_sections_are_typed_and_closed(section, values):
 def test_config_sections_follow_the_dataclasses():
     props = cli.CONFIG_SCHEMA["properties"]
     for key, cls, hidden in (("solver", SolverConfig, set()), ("adam", AdamConfig, {"seed"}),
-                             ("sampling", SamplingConfig, {"theta_mean"})):
+                             ("sampling", SamplingConfig, {"theta_mean", "u_low", "u_high"})):
         names = {f.name for f in dataclasses.fields(cls)} - hidden
         assert set(props[key]["properties"]) == names
     cfg = _config_from_obj({"command": "solve", "model": "motivating-example",
@@ -407,7 +409,7 @@ def test_config_sections_follow_the_dataclasses():
 _SOLVER = {"m": 8, "beta": 1.0, "tol": 1e-4, "max_iter": 50, "ridge": 1e-8}
 _ADAM = {"learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "iterations": 3,
          "early_stop": True, "plateau_window": 2, "plateau_rtol": 1e-9}
-_SAMPLING = {"theta_stddev": [0.2], "u_low": 0.5, "u_high": 2.0, "samples_per_step": 4}
+_SAMPLING = {"theta_stddev": [0.2], "samples_per_step": 4}
 VALID_CONFIGS = [
     {"command": "solve", "model": "leontief-synthetic-4", "solver": _SOLVER, "seed": 3,
      "intervention": {"group": "multiplicative", "targets": [0, 1], "values": [0.5, 2.0],
@@ -523,7 +525,7 @@ def table_dir(tmp_path_factory):
 @settings(max_examples=30, deadline=None)
 @given(mutation=st.sampled_from(RUN_MUTATIONS), value=MUTANT_VALUES)
 @example(mutation=(2, ("adam", "learning_rate"), "replace"), value=2.0)
-@example(mutation=(4, ("sampling", "u_high"), "replace"), value=2.0)
+@example(mutation=(4, ("sampling", "samples_per_step"), "replace"), value=2)
 @example(mutation=(3, ("model", "a_csv"), "replace"), value="")  # the config's directory
 def test_a_mutated_config_runs_to_an_exit_code(table_dir, mutation, value):
     """Through the command line, a mutated config exits 0, 1 with a failed manifest, or 2,

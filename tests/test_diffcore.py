@@ -609,6 +609,28 @@ def test_one_bad_member_of_a_wide_step_raises_domain_error(op, bad, message):
         reverse_vjp(g, {"x": batch}, np.ones(100))
 
 
+@pytest.mark.parametrize("op,bad,message", [
+    (lambda b, s: b.powc(s, -0.5), -1.0, "pow with negative exponent -0.5 on non-positive base"),
+    (lambda b, s: b.powc(s, -1.0), -1.0, "pow with negative exponent -1.0 on non-positive base"),
+    (lambda b, s: b.log(s), -1.0, "log of non-positive value"),
+    (lambda b, s: b.recip(s), 0.0, "reciprocal of zero"),
+])
+def test_a_nan_beside_a_bad_value_still_raises_domain_error(op, bad, message):
+    # the domain checks read the least entry past NaN: x.min() of [nan, -1.0] is nan
+    b = ExprBuilder()
+    g = b.build(op(b, b.input("x", 2)))
+    for x in (np.array([np.nan, bad]), np.array([[np.nan, bad], [2.0, 2.0], [np.nan, 2.0]])):
+        with pytest.raises(DomainError, match=message):
+            forward_eval(g, {"x": x})
+        with pytest.raises(DomainError, match=message):
+            reverse_vjp(g, {"x": x}, np.ones(2))
+        prepared = diffcore.Prepared(g, {}, "x", 2)
+        forward_eval(g, prepared.given(np.full(x.shape, 2.0)))  # then the bound steps
+        forward_eval(g, prepared.given(np.full(x.shape, 2.0)))
+        with pytest.raises(DomainError, match=message):
+            forward_eval(g, prepared.given(x))
+
+
 def test_binding_error_messages_are_unchanged():
     b = ExprBuilder()
     x = b.input("x", 1)

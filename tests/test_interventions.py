@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from eqcausal import deq, interventions, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import (ClampedModelSingular, EqcausalError, InvalidGroupElement, InvalidPartition,
-                             MismatchedTargets, NotConverged, PolicyArityMismatch)
+                             MismatchedTargets, NotConverged, PolicyArityMismatch, ShapeMismatch)
 from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, LieElement,
                                     apply, build_invariant_model, check_compartmentalization,
@@ -18,7 +19,7 @@ from eqcausal.sscm import solve_equilibrium, validate
 
 from ._models import (THETA_REF, clamp_node, inject_state_jacobian, leontief_spec, motivating_spec,
                       reference_hard_derivative)
-from .test_sscm import REBOUND_TWIN, REBOUND_W0
+from .test_sscm import REBOUND_TWIN, REBOUND_W0, overwritten
 
 TIGHT = SolverConfig(tol=1e-10)
 
@@ -391,28 +392,107 @@ def _twin(name):
 
 
 @pytest.mark.parametrize("name", ["rebound", "compartment"])
-def test_the_rerouted_twin_differs_from_the_deployed_one_only_in_its_parents(name):
-    twin, _, _ = _twin(name)
-    d, inv = twin.base.d, twin.invariant_nodes
-    assert twin.rerouted.assignments is twin.deployed.assignments
-    assert twin.rerouted.extern_dim == len(inv) and twin.deployed.extern_dim == 0
-    rename = {node: d + i for i, node in enumerate(inv)}
-    assert twin.rerouted.parents == tuple(tuple(rename.get(p, p) for p in pa) for pa in twin.deployed.parents)
-    assert set(rename.values()) <= {p for pa in twin.rerouted.parents for p in pa}
+def test_the_twin_solves_its_pair_on_its_one_deployed_program(monkeypatch, name):
+    twin, policy, u = _twin(name)
+    assert not hasattr(twin, "rerouted")
+    calls = []
+
+    def counting(spec, theta, cfg, **kwargs):
+        calls.append((spec, kwargs.get("reroute")))
+        return solve_equilibrium(spec, theta, cfg, **kwargs)
+
+    monkeypatch.setattr(interventions, "solve_equilibrium", counting)
+    base, _ = twin.solve_pair(twin.base.theta_ref, u, TIGHT, policy=policy)
+    (base_spec, none), (spec, (nodes, values)) = calls
+    assert base_spec is twin.base and none is None and spec is twin.deployed
+    assert nodes == twin.invariant_nodes
+    assert values.tobytes() == base.x_star[list(nodes)].tobytes()
 
 
 @pytest.mark.parametrize("name", ["rebound", "compartment"])
-@pytest.mark.parametrize("rows", [None, 4])
+@pytest.mark.parametrize("rows", [None, 1, 4, 50])
 def test_the_rerouted_state_jacobian_is_zero_in_every_invariant_column(name, rows):
+    # and bit-equal to the plain node_gradients at x with the invariant entries overwritten
     twin, policy, u = _twin(name)
     d, inv, theta = twin.base.d, list(twin.invariant_nodes), twin.base.theta_ref
-    x = np.random.default_rng(3).uniform(0.2, 2.0, d if rows is None else (rows, d))
-    rerouted = sscm.node_gradients(twin.rerouted, x, theta, u=u, extern=x[..., inv] * 1.1, policy=policy).x
-    deployed = sscm.node_gradients(twin.deployed, x, theta, u=u, policy=policy).x
-    assert rerouted.shape == deployed.shape == x.shape + (d,)
-    assert (rerouted[..., inv] == 0.0).all() and deployed[..., inv].any()
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0.2, 2.0, d if rows is None else (rows, d))
+    values = x[..., inv] * 1.1
+    got = sscm.node_gradients(twin.deployed, x, theta, u=u, reroute=(inv, values), policy=policy)
+    want = sscm.node_gradients(twin.deployed, overwritten(x, (inv, values)), theta, u=u, policy=policy)
+    assert got.x.shape == want.x.shape == x.shape + (d,)
+    assert (got.x[..., inv] == 0.0).all() and want.x[..., inv].any()
     rest = [n for n in range(d) if n not in inv]
-    assert rerouted[..., rest].tobytes() == deployed[..., rest].tobytes()
+    assert got.x[..., rest].tobytes() == want.x[..., rest].tobytes()
+    for field in ("theta", "u", "policy"):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+
+@pytest.mark.parametrize("name", ["rebound", "compartment"])
+@pytest.mark.parametrize("rows", [None, 1, 4, 50])
+def test_a_rerouted_map_is_the_plain_map_at_the_overwritten_x(name, rows):
+    # on the first call, the call that binds the steps and the calls after it; moving the
+    # invariant entries of x changes no bit of the output
+    twin, policy, u = _twin(name)
+    d, inv = twin.base.d, list(twin.invariant_nodes)
+    rng = np.random.default_rng(9)
+    lead = () if rows is None else (rows,)
+    theta = twin.base.theta_ref * rng.uniform(0.9, 1.1, lead + (twin.base.theta_dim,))
+    reroute = (twin.invariant_nodes, rng.uniform(0.5, 2.0, lead + (len(inv),)))
+    f = sscm.assemble_map(twin.deployed, theta, u=u, reroute=reroute, policy=policy)
+    plain = sscm.assemble_map(twin.deployed, theta, u=u, policy=policy)
+    x = rng.uniform(0.2, 2.0, lead + (d,))
+    for _ in range(4):
+        moved = x.copy()
+        moved[..., inv] = rng.uniform(0.2, 2.0, lead + (len(inv),))
+        got = f(x)
+        assert got.tobytes() == f(moved).tobytes()
+        assert got.tobytes() == plain(overwritten(x, reroute)).tobytes()
+        x = rng.uniform(0.2, 2.0, lead + (d,))
+
+
+@pytest.mark.parametrize("name", ["rebound", "compartment"])
+@pytest.mark.parametrize("rows", [None, 1, 4, 50])
+def test_reroute_changed_in_place_after_assembly_does_not_reach_later_calls(name, rows):
+    twin, policy, u = _twin(name)
+    d, k = twin.base.d, len(twin.invariant_nodes)
+    rng = np.random.default_rng(4)
+    lead = () if rows is None else (rows,)
+    nodes, values = np.array(twin.invariant_nodes), rng.uniform(0.5, 2.0, lead + (k,))
+    x = rng.uniform(0.2, 2.0, lead + (d,))
+    want = sscm.assemble_map(twin.deployed, twin.base.theta_ref, u=u, reroute=(nodes, values.copy()),
+                             policy=policy)(x)
+    f = sscm.assemble_map(twin.deployed, twin.base.theta_ref, u=u, reroute=(nodes, values), policy=policy)
+    values += 0.25
+    nodes[:] = [n for n in range(d) if n not in twin.invariant_nodes][:k]
+    for _ in range(3):
+        assert f(x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["rebound", "compartment"])
+def test_a_bad_reroute_is_a_shape_mismatch(name):
+    twin, policy, u = _twin(name)
+    d, inv = twin.base.d, list(twin.invariant_nodes)
+    theta = twin.base.theta_ref
+    kwargs = {"u": u, "policy": policy}
+    bad = [([d], [1.0]), ([-1], [1.0]), ([inv[0], inv[0]], [1.0, 1.0]), ([0.5], [1.0]),
+           (inv, np.ones(len(inv) + 1)), (inv, np.ones((2, len(inv) + 1))), (inv, np.ones((2, 3, len(inv))))]
+    for reroute in bad:
+        with pytest.raises(ShapeMismatch):
+            sscm.assemble_map(twin.deployed, theta, reroute=reroute, **kwargs)
+        with pytest.raises(ShapeMismatch):
+            sscm.node_gradients(twin.deployed, np.ones(d), theta, reroute=reroute, **kwargs)
+    # values in 3 rows against x or theta in 4: at the first call, and after other calls
+    three = (inv, np.ones((3, len(inv))))
+    f = sscm.assemble_map(twin.deployed, theta, reroute=three, **kwargs)
+    f(np.ones(d))
+    f(np.ones(d))
+    with pytest.raises(ShapeMismatch, match="in 3 rows"):
+        f(np.ones((4, d)))
+    with pytest.raises(ShapeMismatch):
+        sscm.node_gradients(twin.deployed, np.ones((4, d)), theta, reroute=three, **kwargs)
+    with pytest.raises(ShapeMismatch):
+        solve_equilibrium(twin.deployed, np.tile(theta, (4, 1)), TIGHT, reroute=three, **kwargs)
 
 
 @pytest.mark.parametrize("which", ["rerouted", "deployed"])
@@ -421,41 +501,48 @@ def test_twin_specs_solve_to_equal_bits_after_a_json_round_trip(which):
     theta = twin.base.theta_ref
     kwargs = {"u": u, "policy": policy}
     if which == "rerouted":
-        kwargs["extern"] = solve_equilibrium(twin.base, theta, TIGHT).x_star[list(twin.invariant_nodes)]
-    spec = getattr(twin, which)
+        base = solve_equilibrium(twin.base, theta, TIGHT).x_star
+        kwargs["reroute"] = (twin.invariant_nodes, base[list(twin.invariant_nodes)])
+    spec = twin.deployed
     loaded = sscm.spec_from_json(sscm.spec_to_json(spec))
-    assert loaded.parents == spec.parents and loaded.extern_dim == spec.extern_dim
+    assert loaded.parents == spec.parents
     got, want = (solve_equilibrium(s, theta, TIGHT, **kwargs) for s in (loaded, spec))
     assert want.report.converged
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert got.report.iterations == want.report.iterations
 
 
-def test_validate_names_a_parent_past_the_extern_components_as_out_of_range():
-    rerouted = motivating_twin(2.0).rerouted  # y reads z, the invariant node, as parent 3
-    assert rerouted.parents[1] == (0, 3) and validate(rerouted) == []
-    assert validate(replace(rerouted, parents=((), (0, 4), (1,)))) == ["node 1: parent 4 out of range"]
-    assert validate(replace(rerouted, extern_dim=0)) == ["node 1: parent 3 out of range"]
+def test_a_spec_json_with_parents_past_d_fails_validation():
+    # a rerouted twin's spec in the format that listed invariant parents as d + i
+    obj = json.loads(sscm.spec_to_json(motivating_twin(2.0).deployed))
+    assert obj["parents"][1] == [0, 2] and "extern_dim" not in obj
+    obj["parents"][1], obj["extern_dim"] = [0, 3], 1
+    assert validate(sscm.spec_from_json(json.dumps(obj))) == ["node 1: parent 3 out of range"]
+
+
+def test_assemble_u_refuses_plan_values_of_another_count_or_length():
+    twin, _, _ = _twin("compartment")
+    for values, message in (([[0.9]], "values for 1 plans, the twin has 2"),
+                             ([[0.9], [1.1], [1.0]], "values for 3 plans, the twin has 2"),
+                             ([[0.9, 1.1], [1.0]], "plan 0: 2 values for its 1 u components"),
+                             ([[0.9], []], "plan 1: 0 values for its 1 u components")):
+        with pytest.raises(ShapeMismatch, match=message):
+            twin.assemble_u(values)
+    u = twin.assemble_u(iter([[0.9], np.array([1.1])]))
+    assert [u[a:b].tolist() for a, b in twin.u_slices] == [[0.9], [1.1]]
 
 
 def test_validate_refuses_an_extern_slot():
     spec = motivating_spec()
     b = ExprBuilder()
     reads_extern = b.build(b.input("extern", 1))
-    bad = replace(spec, assignments=(reads_extern,) + spec.assignments[1:], extern_dim=1)
+    bad = replace(spec, assignments=(reads_extern,) + spec.assignments[1:])
     assert validate(bad) == ["node 0: unknown slot 'extern'"]
 
 
 def test_compartment_structure_of_frozen_instance():
     inst = modelzoo.two_compartment_model()
     assert interventions.compartment_structure_violations(inst.spec, inst.plan) == []
-
-
-def test_compartment_structure_of_a_rerouted_twin_reads_no_extern_parent_as_a_node():
-    inst = modelzoo.two_compartment_model()
-    twin = compartment_twin(inst.spec, inst.plan)
-    assert any(p >= inst.spec.d for pa in twin.rerouted.parents for p in pa)
-    assert interventions.compartment_structure_violations(twin.rerouted, inst.plan) == []
 
 
 def test_compartmentalization_identity_interventions_zero_deviation():
@@ -487,7 +574,7 @@ def test_compartmentalization_solves_one_base_and_the_deployed_grid(monkeypatch)
     calls = []
 
     def counting(spec, *args, **kwargs):
-        calls.append("base" if spec is inst.spec else "rerouted" if spec.extern_dim else "deployed")
+        calls.append("base" if spec is inst.spec else "rerouted" if "reroute" in kwargs else "deployed")
         return solve_equilibrium(spec, *args, **kwargs)
 
     monkeypatch.setattr(interventions, "solve_equilibrium", counting)

@@ -255,7 +255,7 @@ def test_spec_json_with_a_value_of_the_wrong_type_is_a_spec_validation_error(key
 
 @pytest.mark.parametrize("key, at, value, message", [
     ("u_dim", (), 1.5, "1.5 is not int"), ("u_dim", (), True, "True is not int"),
-    ("extern_dim", (), 0.0, "0.0 is not int"), ("extern_dim", (), False, "False is not int"),
+    ("u_dim", (), None, "None is not int"), ("policy_dim", (), "2", "'2' is not int"),
     ("policy_dim", (), 2.0, "2.0 is not int"), ("policy_dim", (), True, "True is not int"),
     ("parents", (1, 1), 2.0, "2.0 is not int"), ("parents", (2, 0), True, "True is not int"),
     ("parents", (1, 0), 0.5, "0.5 is not int"), ("parents", (1, 0), "0", "'0' is not int"),
@@ -263,7 +263,7 @@ def test_spec_json_with_a_value_of_the_wrong_type_is_a_spec_validation_error(key
     ("names", (1,), 7, "7 is not str"), ("names", (0,), None, "None is not str"),
 ])
 def test_spec_json_refuses_a_count_index_or_name_of_the_wrong_type(key, at, value, message):
-    # a bool or a float is not truncated into an index: parent indices past d read extern
+    # a bool or a float is not truncated into an index or a count
     obj = json.loads(sscm.spec_to_json(motivating_spec()))
     target, last = obj, key  # obj[key][at[0]][at[1]]... = value
     for i in at:
@@ -365,17 +365,17 @@ def _random_node_graph(rng, n_pa, n_theta, shared):
 
 
 def _random_spec(seed):
-    """A random spec whose parent lists mix nodes and extern components (indices past d)."""
+    """A random spec, a point x and bindings: policy weights and a random reroute of up to
+    two nodes (None for none)."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 6))
-    dims = {"u": int(rng.integers(0, 3)), "extern": int(rng.integers(0, 3)),
-            "policy": int(rng.integers(0, 4))}
+    dims = {"u": int(rng.integers(0, 3)), "policy": int(rng.integers(0, 4))}
     parents, graphs, slices = [], [], []
     cursor = 0
     for j in range(d):
-        pa = tuple(int(k) for k in rng.permutation(d + dims["extern"]) if k != j and rng.random() < 0.6)
+        pa = tuple(int(k) for k in rng.permutation(d) if k != j and rng.random() < 0.6)
         n_theta = int(rng.integers(0, 3))
-        shared = [(slot, dim) for slot, dim in dims.items() if slot != "extern" and dim and rng.random() < 0.6]
+        shared = [(slot, dim) for slot, dim in dims.items() if dim and rng.random() < 0.6]
         graphs.append(_random_node_graph(rng, len(pa), n_theta, shared))
         parents.append(pa)
         slices.append((cursor, cursor + n_theta))
@@ -383,18 +383,30 @@ def _random_spec(seed):
     theta = rng.uniform(0.2, 1.0, size=cursor)
     spec = SscmSpec(tuple(f"n{j}" for j in range(d)), tuple(parents), tuple(graphs), theta,
                     np.stack([theta - 1.0, theta + 1.0], axis=1), tuple(slices),
-                    u_dim=dims["u"], u_ref=rng.uniform(0.5, 1.5, size=dims["u"]),
-                    extern_dim=dims["extern"], policy_dim=dims["policy"])
-    kwargs = {"extern": rng.uniform(0.1, 1.0, size=dims["extern"]),
+                    u_dim=dims["u"], u_ref=rng.uniform(0.5, 1.5, size=dims["u"]), policy_dim=dims["policy"])
+    nodes = tuple(int(k) for k in rng.permutation(d)[:int(rng.integers(0, min(d, 2) + 1))])
+    kwargs = {"reroute": (nodes, rng.uniform(0.1, 1.0, size=len(nodes))) if nodes else None,
               "policy": rng.uniform(-1.0, 1.0, size=dims["policy"])}
     return spec, rng.uniform(0.1, 2.0, size=d), kwargs
 
 
-def _node_bindings(spec, j, x, theta, u, extern, policy):
+def overwritten(x, reroute):
+    """x with the rerouted entries set to their values; a vector x is repeated per row of
+    batched values."""
+    if reroute is None:
+        return x
+    nodes, values = reroute
+    values = np.asarray(values)
+    x = np.array(np.broadcast_to(x, values.shape[:-1] + np.shape(x)[-1:]) if values.ndim > np.ndim(x) else x,
+                 dtype=np.float64)
+    x[..., list(nodes)] = values
+    return x
+
+
+def _node_bindings(spec, j, x, theta, u, reroute, policy):
     graph = spec.assignments[j]
     start, stop = spec.theta_slices[j]
-    x_and_extern = np.concatenate([x, np.zeros(0) if extern is None else extern])
-    full = {"parents": x_and_extern[list(spec.parents[j])], "theta": np.asarray(theta)[start:stop],
+    full = {"parents": overwritten(x, reroute)[list(spec.parents[j])], "theta": np.asarray(theta)[start:stop],
             "u": spec.u_ref if u is None else u, "policy": spec.policy_ref if policy is None else policy}
     return {slot: full[slot] for slot in graph.slots}
 
@@ -403,34 +415,35 @@ def _node_bindings(spec, j, x, theta, u, extern, policy):
 SLOT_OF = {"x": "parents", "theta": "theta", "u": "u", "policy": "policy"}
 
 
-def node_columns(spec, j):
+def node_columns(spec, j, rerouted=()):
     """Per NodeJacobians field, the columns node j's row may fill, in its slot's order:
-    its parents below d, its theta slice and the shared slots it reads. Every other entry
-    is 0; a parent past d reads extern, whose partials no field keeps."""
+    its parents but the rerouted nodes, its theta slice and the shared slots it reads.
+    Every other entry is 0."""
     slots = spec.assignments[j].slots
-    return {"x": [p for p in spec.parents[j] if p < spec.d],
+    return {"x": [p for p in spec.parents[j] if p not in rerouted],
             "theta": list(range(*spec.theta_slices[j])) if "theta" in slots else [],
             "u": list(range(spec.u_dim)) if "u" in slots else [],
             "policy": list(range(spec.policy_dim)) if "policy" in slots else []}
 
 
-def _assert_matches_per_node(spec, x, theta, u=None, extern=None, policy=None):
-    kwargs = {"u": u, "extern": extern, "policy": policy}
+def _assert_matches_per_node(spec, x, theta, u=None, reroute=None, policy=None):
+    kwargs = {"u": u, "reroute": reroute, "policy": policy}
+    rerouted = () if reroute is None else reroute[0]
     fx = assemble_map(spec, theta, **kwargs)(x)
     jac = node_gradients(spec, x, theta, **kwargs)
     assert fx.shape == (spec.d,)
     widths = {"x": spec.d, "theta": spec.theta_dim, "u": spec.u_dim, "policy": spec.policy_dim}
     assert (jac.policy is None) == (spec.policy_dim == 0)
     for j, graph in enumerate(spec.assignments):
-        bindings = _node_bindings(spec, j, x, theta, u, extern, policy)
+        bindings = _node_bindings(spec, j, x, theta, u, reroute, policy)
         assert fx[j:j + 1].tobytes() == diffcore.forward_eval(graph, bindings).tobytes()
         ref = diffcore.reverse_vjp(graph, bindings, [1.0])
-        for name, cols in node_columns(spec, j).items():
+        for name, cols in node_columns(spec, j, rerouted).items():
             want = np.zeros(widths[name])
             if SLOT_OF[name] in ref:
                 partials = ref[SLOT_OF[name]]
-                if name == "x":  # without the partials of the parents past d
-                    partials = partials[np.array(spec.parents[j]) < spec.d]
+                if name == "x":  # without the partials of the rerouted parents
+                    partials = partials[~np.isin(spec.parents[j], rerouted)]
                 want[cols] = partials
             got = getattr(jac, name)
             assert (np.zeros(0) if got is None else got[j]).tobytes() == want.tobytes(), (j, name)
@@ -444,17 +457,18 @@ def test_stacked_program_matches_per_node_graphs_on_random_specs(seed):
     _assert_matches_per_node(spec, x, spec.theta_ref, **kwargs)
 
 
-def _assert_matches_finite_differences(spec, x, theta, u=None, extern=None, policy=None):
+def _assert_matches_finite_differences(spec, x, theta, u=None, reroute=None, policy=None):
     """node_gradients against central differences of the map in x, theta, u and policy."""
     u = spec.u_ref if u is None else u
     policy = spec.policy_ref if policy is None else policy
-    jac = node_gradients(spec, x, theta, u=u, extern=extern, policy=policy)
+    jac = node_gradients(spec, x, theta, u=u, reroute=reroute, policy=policy)
     args = {"x": x, "theta": theta, "u": u, "policy": policy}
 
     def f(name):
         def at(value):
             point = {**args, name: value}
-            return assemble_map(spec, point["theta"], u=point["u"], extern=extern, policy=point["policy"])(point["x"])
+            return assemble_map(spec, point["theta"], u=point["u"], reroute=reroute,
+                                policy=point["policy"])(point["x"])
         return at
 
     for name in ("x", "theta", "u", "policy"):
@@ -509,8 +523,8 @@ def test_stacked_program_matches_per_node_graphs_on_rebound_twin(seed):
     u = twin.assemble_u([[rng.uniform(0.5, 1.0)]])
     policy = REBOUND_W0 + rng.normal(scale=0.1, size=REBOUND_W0.shape)
     x = rng.uniform(0.2, 2.0, size=twin.base.d)
-    extern = x[list(twin.invariant_nodes)] * 1.1
-    _assert_matches_per_node(twin.rerouted, x, theta, u=u, extern=extern, policy=policy)
+    reroute = (twin.invariant_nodes, x[list(twin.invariant_nodes)] * 1.1)
+    _assert_matches_per_node(twin.deployed, x, theta, u=u, reroute=reroute, policy=policy)
     _assert_matches_per_node(twin.deployed, x, theta, u=u, policy=policy)
     _assert_matches_per_node(twin.base, x, theta)
 
@@ -571,14 +585,9 @@ def test_stacked_program_holds_no_reference_to_its_spec():
 
 def test_missing_shared_binding_names_the_first_reading_node():
     twin = REBOUND_TWIN
-    u = twin.assemble_u([[0.7]])
-    readers = {"extern": [j for j, pa in enumerate(twin.rerouted.parents) if max(pa, default=0) >= twin.base.d],
-               "policy": [j for j, g in enumerate(twin.rerouted.assignments) if "policy" in g.slots]}
-    for slot in ("extern", "policy"):
-        first = min(readers[slot])
-        kwargs = {"u": u, "extern": np.ones(1), "policy": REBOUND_W0, slot: None}
-        with pytest.raises(sscm.SpecValidationError, match=f"node {first} requires a binding for '{slot}'"):
-            assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+    first = min(j for j, g in enumerate(twin.deployed.assignments) if "policy" in g.slots)
+    with pytest.raises(sscm.SpecValidationError, match=f"node {first} requires a binding for 'policy'"):
+        assemble_map(twin.deployed, twin.base.theta_ref, u=twin.assemble_u([[0.7]]))
 
 
 # --- the program interventions.apply derives against a freshly stacked one ---
@@ -630,12 +639,14 @@ def test_applied_program_matches_a_freshly_stacked_one(seed, groups):
     _assert_derived_matches_fresh(applied, x, theta, kwargs)
 
     rows = 3
-    batched = {name for name in ("x", "theta", "u", "extern", "policy") if rng.random() < 0.5} or {"u"}
-    values = {"x": x, "theta": theta, **kwargs}
-    values = {name: value * rng.uniform(0.9, 1.1, (rows, len(value))) if name in batched else value
-              for name, value in values.items()}
+    nodes, reroute = kwargs.pop("reroute") or ((), None)
+    batched = {name for name in ("x", "theta", "u", "reroute", "policy") if rng.random() < 0.5} or {"u"}
+    values = {"x": x, "theta": theta, "reroute": reroute, **kwargs}
+    values = {name: value * rng.uniform(0.9, 1.1, (rows, len(value))) if name in batched and value is not None
+              else value for name, value in values.items()}
     if "x" not in batched:
         values["x"] = np.broadcast_to(x, (rows, spec.d))
+    values["reroute"] = None if reroute is None else (nodes, values["reroute"])
     _assert_derived_matches_fresh(applied, values.pop("x"), values.pop("theta"), values)
 
 
@@ -680,11 +691,12 @@ def test_applied_map_refuses_a_u_of_the_wrong_width_or_rows():
 
 # --- the bound map: bindings set up once, at the first call of each batch size ---
 
-def _fresh_map_value(spec, x, theta, u=None, extern=None, policy=None):
+def _fresh_map_value(spec, x, theta, u=None, reroute=None, policy=None):
     """The map's value at x from bindings set up afresh, in one plain forward_eval."""
     prog = sscm._stacked(spec)
-    bindings = sscm._bindings(spec, prog, theta, u, extern, policy)
-    return diffcore.forward_eval(prog.graph, {**bindings, "x": x}, None if np.ndim(x) == 1 else len(x))
+    bindings = sscm._bindings(spec, prog, theta, u, policy)
+    return diffcore.forward_eval(prog.graph, {**bindings, "x": overwritten(x, reroute)},
+                                 None if np.ndim(x) == 1 else len(x))
 
 
 def _assert_bound_map_matches_fresh(spec, theta, kwargs, rng, shapes=(None, 1, 4, 50, None, 4)):
@@ -710,12 +722,13 @@ def test_bound_map_matches_fresh_bindings_on_rebound_twin():
     rng = np.random.default_rng(5)
     twin = REBOUND_TWIN
     theta = twin.base.theta_ref
-    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
-    _assert_bound_map_matches_fresh(twin.rerouted, theta, kwargs, rng)
-    # theta, u and extern in 4 rows: x as a vector, which every row reads, or in 4 rows
+    kwargs = {"u": twin.assemble_u([[0.7]]), "reroute": (twin.invariant_nodes, np.array([1.3])),
+              "policy": REBOUND_W0}
+    _assert_bound_map_matches_fresh(twin.deployed, theta, kwargs, rng)
+    # theta, u and the reroute values in 4 rows: x as a vector, which every row reads, or in 4 rows
     rows = {"u": np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, 4)]),
-            "extern": rng.uniform(0.5, 2.0, (4, 1)), "policy": REBOUND_W0}
-    _assert_bound_map_matches_fresh(twin.rerouted, theta * rng.uniform(0.9, 1.1, (4, 1)), rows, rng,
+            "reroute": (twin.invariant_nodes, rng.uniform(0.5, 2.0, (4, 1))), "policy": REBOUND_W0}
+    _assert_bound_map_matches_fresh(twin.deployed, theta * rng.uniform(0.9, 1.1, (4, 1)), rows, rng,
                                     shapes=(None, 4, None))
 
 
@@ -747,8 +760,9 @@ def test_bound_map_of_a_program_that_reads_no_x():
 
 def test_bound_map_returns_a_new_array_per_call():
     twin = REBOUND_TWIN
-    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
-    f = assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+    kwargs = {"u": twin.assemble_u([[0.7]]), "reroute": (twin.invariant_nodes, np.array([1.3])),
+              "policy": REBOUND_W0}
+    f = assemble_map(twin.deployed, twin.base.theta_ref, **kwargs)
     for x in (np.full(twin.base.d, 0.5), np.full((4, twin.base.d), 0.5)):
         first = f(x)
         want = first.copy()
@@ -762,12 +776,13 @@ def test_bound_map_copies_its_bindings_at_assembly():
     # a binding changed in place after assemble_map does not reach later calls
     twin = REBOUND_TWIN
     theta = twin.base.theta_ref.copy()
-    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0.copy()}
+    values = np.array([1.3])
+    kwargs = {"u": twin.assemble_u([[0.7]]), "reroute": (twin.invariant_nodes, values), "policy": REBOUND_W0.copy()}
     x = np.full(twin.base.d, 0.5)
-    want = assemble_map(twin.rerouted, theta, **kwargs)(x)
-    f = assemble_map(twin.rerouted, theta, **kwargs)
+    want = assemble_map(twin.deployed, theta, **kwargs)(x)
+    f = assemble_map(twin.deployed, theta, **kwargs)
     theta *= 1.5
-    for value in kwargs.values():
+    for value in (kwargs["u"], values, kwargs["policy"]):
         value += 0.25
     _bitwise_equal(f(x), want)
     _bitwise_equal(f(np.stack([x, x]))[1], want)
@@ -776,15 +791,16 @@ def test_bound_map_copies_its_bindings_at_assembly():
 def test_bound_map_refuses_an_x_of_another_shape():
     twin = REBOUND_TWIN
     d = twin.base.d
-    kwargs = {"u": twin.assemble_u([[0.7]]), "extern": np.array([1.3]), "policy": REBOUND_W0}
-    f = assemble_map(twin.rerouted, twin.base.theta_ref, **kwargs)
+    kwargs = {"u": twin.assemble_u([[0.7]]), "reroute": (twin.invariant_nodes, np.array([1.3])),
+              "policy": REBOUND_W0}
+    f = assemble_map(twin.deployed, twin.base.theta_ref, **kwargs)
     f(np.ones(d))
     for x in (np.ones(d + 1), np.ones((4, d - 1)), np.ones((2, 4, d)), np.float64(1.0)):
         with pytest.raises(ShapeMismatch, match="slot 'x' expects dim 9"):
             f(x)
     with pytest.raises(ShapeMismatch, match="a batch needs at least one row"):
         f(np.ones((0, d)))
-    batched = assemble_map(twin.rerouted, np.full((4, 1), twin.base.theta_ref[0]), **kwargs)
+    batched = assemble_map(twin.deployed, np.full((4, 1), twin.base.theta_ref[0]), **kwargs)
     with pytest.raises(ShapeMismatch, match="in 3 rows"):
         batched(np.ones((3, d)))
     assert f(np.ones(d)).shape == (d,) and batched(np.ones(d)).shape == (4, d)
