@@ -14,9 +14,9 @@ gather. They lower to four kernel families, each with one VJP: elementwise
 unary, elementwise binary, segment sum of products (matmul, segdot) and copy
 (slice, gather, concat), which costs nothing forward. The builder's dot (a
 one-row matmul), matvec (a matmul over a constant matrix) and broadcast (a
-gather of component 0) emit these ops. Evaluation allocates fresh buffers per call, so
-one graph can be evaluated concurrently. A Prepared set of bindings, which binds every
-slot but one once, reuses one buffer per batch size, so one Prepared cannot.
+gather of component 0) emit these ops. Each evaluation takes a buffer, with every step
+bound to it once, from the program's pool, so one graph can be evaluated concurrently. A
+Prepared set of bindings, which binds every slot but one once, cannot.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
 the evaluation batched. The same program then runs on a (N, B) buffer, into
@@ -28,6 +28,7 @@ partials per row, shaped (B, dim), a shared slot's too.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, chain
@@ -243,12 +244,13 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 
 # --- compiled evaluation ---
 #
-# A graph compiles, at its first evaluation, into a level-fused program over one
-# flat float64 buffer, shaped (N,) for a vector call and (N, B) for a batch. Every
-# node owns a segment of it: the consts first, then the input slots, then the
-# computed nodes, then the copies (slice, gather, concat). A copy holds
-# no value: whatever reads it reads its sources, through positions resolved at
-# compile time. It keeps an adjoint segment, so a reverse sweep can stop at it.
+# A graph compiles, at its first evaluation, into a level-fused program that runs on
+# layouts (see _Layout): one flat float64 buffer, shaped (N,) for a vector call and
+# (N, B) for a batch, with every step bound to it once. Every node owns a segment of
+# it: the consts first, then the input slots, then the computed nodes, then the copies
+# (slice, gather, concat). A copy holds no value: whatever reads it reads its sources,
+# through positions resolved at compile time. It keeps an adjoint segment, so a
+# reverse sweep can stop at it.
 #
 # Inputs and consts are level 0, a computed node sits one level above its highest
 # argument and a copy at its highest argument's level. The computed nodes of one op
@@ -385,17 +387,14 @@ class _Step:
     elements, whose adjoints `to[k]` scatters into. A sweep builds what it needs of
     these for the reverse pass (a copy's sides, the scatters) the first time.
 
-    forward(v) runs the step on a buffer v; bind(v, calls) appends to `calls` functions
-    of no arguments that run it on v through views of v made once."""
+    bind(v, calls) appends to `calls` functions of no arguments that run the step on
+    the buffer v through views of v made once; backward runs its VJP."""
 
     __slots__ = ("members", "out", "sides", "spans", "elems", "to")
 
 
 class _Unary(_Step):
     __slots__ = ("fwd", "vjp", "c", "x")
-
-    def forward(self, v):
-        self.fwd(_take(v, self.x), self.c, v[self.out])
 
     def bind(self, v, calls):
         calls.append(partial(self.fwd, _bound(v, self.x, calls), self.c, v[self.out]))
@@ -406,9 +405,6 @@ class _Unary(_Step):
 
 class _Binary(_Step):
     __slots__ = ("op", "fn", "a", "b")
-
-    def forward(self, v):
-        self.fn(_take(v, self.a), _take(v, self.b), out=v[self.out])
 
     def bind(self, v, calls):
         calls.append(partial(self.fn, *_bound_pair(v, self.a, self.b, calls), out=v[self.out]))
@@ -426,12 +422,6 @@ class _SegmentSum(_Step):
     segment, and `starts` and `seg` are None when every segment holds one product."""
 
     __slots__ = ("a", "b", "starts", "seg")
-
-    def forward(self, v):
-        if self.starts is None:
-            np.multiply(_take(v, self.a), _take(v, self.b), out=v[self.out])
-        else:
-            np.add.reduceat(_take(v, self.a) * _take(v, self.b), self.starts, axis=0, out=v[self.out])
 
     def bind(self, v, calls):
         (a, b), out = _bound_pair(v, self.a, self.b, calls), v[self.out]
@@ -465,7 +455,7 @@ class _Program:
     n_values: int  # the consts, inputs and computed nodes
     n_adjoints: int  # those and the copies
     template: Array  # the const part of the buffer
-    inputs: tuple  # (slot, dim, start, stop)
+    inputs: tuple  # (slot, dim, the slice of the buffer it fills)
     steps: tuple  # every wide step, in the forward order
     runs: tuple  # the steps with a forward pass
     out: object  # where the output's values are read
@@ -474,6 +464,7 @@ class _Program:
     own: Array  # per element, its position in the buffer
     source: Array  # per element of a copy, the element it copies; -1 elsewhere
     sweeps: dict = field(default_factory=dict)  # reverse sweep per `at`, see _sweep
+    layouts: dict = field(default_factory=lambda: defaultdict(list))  # idle layouts per batch size
 
 
 def _compile(graph: ExprGraph) -> _Program:
@@ -629,19 +620,20 @@ def _fuse(graph: ExprGraph) -> _Program:
         steps.append(step)
 
     return _Program(n_values, n_adjoints, template,
-                    tuple((nodes[i].payload[0], dims[i], int(off[i]), int(off[i]) + dims[i]) for i in inputs),
+                    tuple((nodes[i].payload[0], dims[i], slice(int(off[i]), int(off[i]) + dims[i])) for i in inputs),
                     tuple(steps), tuple(s for s in steps if not isinstance(s, _Copy)),
                     _index(pos[elements([graph.output])]), off, base_arr, own, source)
 
 
-def _forward_values(prog: _Program, bindings: Mapping[str, Array],
-                    rows: int | None = None) -> tuple[Array, int | None]:
-    """The value buffer and the batch size, None when no slot is bound with a batch axis.
+def _slot_values(prog: _Program, bindings: Mapping[str, Array],
+                 rows: int | None = None) -> tuple[list, int | None]:
+    """The values of the program's input slots, checked and in prog.inputs order, and the
+    batch size, None when no slot is bound with a batch axis.
 
     `rows` asks for a batched evaluation of that size even when every slot is a vector.
     """
     values = []
-    for slot, dim, _, _ in prog.inputs:
+    for slot, dim, _ in prog.inputs:
         if slot not in bindings:
             raise UnboundSlot(f"slot {slot!r} not bound")
         v = np.asarray(bindings[slot], dtype=np.float64)
@@ -653,26 +645,53 @@ def _forward_values(prog: _Program, bindings: Mapping[str, Array],
         values.append(v)
     if rows == 0:
         raise ShapeMismatch("a batch needs at least one row")
-    consts = len(prog.template)
-    if rows is None:
-        buf = np.empty(prog.n_values)
-        buf[:consts] = prog.template
-        for (_, _, start, stop), v in zip(prog.inputs, values):
-            buf[start:stop] = v
-    else:
-        buf = np.empty((prog.n_values, rows))
-        buf[:consts] = prog.template[:, None]
-        for (_, _, start, stop), v in zip(prog.inputs, values):
-            buf[start:stop] = v.T if v.ndim == 2 else v[:, None]
-    for step in prog.runs:
-        step.forward(buf)
-    return buf, rows
+    return values, rows
 
 
-def _output(buf: Array, at, batched: bool) -> Array:
-    """A new array of the output read at `at`: (output_dim,), or (B, output_dim) for a batch."""
-    out = _take(buf, at)
-    return out.T.copy() if batched else out.copy()
+def _put(buf: Array, at, v: Array, rows: int | None) -> None:
+    """Write v, (k,) or (B, k), at the positions `at` of a buffer of `rows`; a vector
+    fills every row."""
+    buf[at] = v if rows is None else v.T if v.ndim == 2 else v[:, None]
+
+
+class _Layout:
+    """A program's value buffer for one batch size, `rows` (None for a vector): (N,) or
+    (N, rows), with the consts written once and every forward step bound to views of it
+    (see _Step). `owner` is the static bindings of the Prepared whose values its input
+    slots hold. A program pools its idle layouts per batch size (see _acquire); a layout
+    refers to neither its program nor a Prepared, so that the pool holds no cycle."""
+
+    __slots__ = ("rows", "buf", "calls", "out", "owner")
+
+    def __init__(self, prog: _Program, rows: int | None):
+        self.rows, self.owner = rows, None
+        self.buf = np.empty(prog.n_values if rows is None else (prog.n_values, rows))
+        _put(self.buf, slice(0, len(prog.template)), prog.template, rows)
+        calls = []
+        for step in prog.runs:
+            step.bind(self.buf, calls)
+        out = _bound(self.buf, prog.out, calls)
+        self.out, self.calls = out if rows is None else out.T, tuple(calls)
+
+    def run(self, prog: _Program, values: list | None = None, owner: dict | None = None) -> Array:
+        """Write `values` (see _slot_values) unless None, with `owner` as what they hold, and
+        run the bound steps; the output returned, (output_dim,) or (B, output_dim), is a view."""
+        if values is not None:
+            for (_, _, at), v in zip(prog.inputs, values):
+                _put(self.buf, at, v, self.rows)
+            self.owner = owner
+        for call in self.calls:
+            call()
+        return self.out
+
+
+def _acquire(prog: _Program, rows: int | None) -> _Layout:
+    """An idle layout of the program for `rows`, or a new one; the caller gives it back
+    to prog.layouts[rows] when done, so that no two evaluations share a buffer."""
+    try:
+        return prog.layouts[rows].pop()
+    except IndexError:
+        return _Layout(prog, rows)
 
 
 def reroute_of(reroute, dim: int) -> tuple[Array, Array]:
@@ -699,60 +718,31 @@ def rerouted(v: Array, nodes: Array, values: Array) -> Array:
     return out
 
 
-class _Layout:
-    """A Prepared's value buffer for free values of one batch size. The first evaluation
-    makes it and runs the steps as a plain one does. The second binds the steps to
-    views of it, a cost that the calls after it recover, so a map called once pays none."""
-
-    __slots__ = ("prog", "free", "buf", "batched", "into", "calls", "out", "over")
-
-    def __init__(self, prog: _Program, bindings: Mapping[str, Array], rows: int | None, free: str, over):
-        self.prog, self.free, self.calls, self.over = prog, free, None, over
-        self.buf, rows = _forward_values(prog, bindings, rows)
-        self.batched = rows is not None
-
-    def evaluate(self, v: Array) -> Array:
-        if self.calls is None:
-            buf, calls = self.buf, []
-            for step in self.prog.runs:
-                step.bind(buf, calls)
-            self.out = _bound(buf, self.prog.out, calls)
-            self.calls = tuple(calls)
-            self.into = next((buf[start:stop] for slot, _, start, stop in self.prog.inputs
-                              if slot == self.free), None)
-            if self.over is not None:  # laid out as the buffer holds them
-                at, values = self.over
-                self.over = _index(at), values.T if values.ndim == 2 else values[:, None] if self.batched else values
-        if self.into is not None:
-            self.into[...] = v if not self.batched else v.T if v.ndim == 2 else v[:, None]
-            if self.over is not None:
-                self.into[self.over[0]] = self.over[1]
-        for call in self.calls:
-            call()
-        return self.out.T.copy() if self.batched else self.out.copy()
-
-
 class Prepared:
     """Bindings of every input slot of a graph but one, the free slot, which each
-    evaluation gives a value (see given). The bindings are copied when made.
-
-    At the first evaluation with a free value of a given batch size (a vector being
-    one size), they are checked and laid out with the consts in one value buffer, on
-    which the steps run. Later evaluations of that size reuse it, with every forward
-    step bound to views of it (see _Layout): they write the free value into its
-    slot's range, run the bound steps and copy the output out. So one Prepared must
-    not be evaluated concurrently; its graph may be, with other bindings.
-    With a reroute (nodes, values) (see reroute_of), every evaluation then sets the
+    evaluation gives a value (see given); they are copied, and the graph compiled, when
+    made. With a reroute (nodes, values) (see reroute_of), every evaluation then sets the
     free value's entries `nodes` to `values`.
+
+    An evaluation takes a layout of the program (see _Layout) and, when that last held
+    other bindings, checks and writes these into it; otherwise it writes the free value
+    only. So two Prepared of one graph may be evaluated in turn, but one Prepared must
+    not be evaluated concurrently: `given` sets the value its next evaluation reads.
     """
 
-    __slots__ = ("graph", "free", "dim", "static", "value", "layouts", "over")
+    __slots__ = ("graph", "prog", "free", "dim", "static", "value", "over", "at", "over_at", "rows")
 
     def __init__(self, graph: ExprGraph, bindings: Mapping[str, Array], free: str, dim: int, reroute=None):
-        self.graph, self.free, self.dim, self.value = graph, free, dim, None
+        self.graph, self.prog, self.free, self.dim, self.value = graph, _compile(graph), free, dim, None
         self.static = {slot: np.array(v, dtype=np.float64) for slot, v in bindings.items() if slot != free}
-        self.layouts = {}  # batch size of the free value, None for a vector -> _Layout
-        self.over = None if reroute is None else reroute_of(reroute, dim)
+        self.over = over = None if reroute is None else reroute_of(reroute, dim)
+        # the free slot's range, the rerouted positions in it, and the batch size of a
+        # vector free value: the rows of the first batched value the program reads
+        self.at = at = next((at for slot, _, at in self.prog.inputs if slot == free), None)
+        self.over_at = None if at is None or over is None else _index(at.start + over[0])
+        over_values = None if over is None else over[1]
+        read = (over_values if slot == free else self.static.get(slot) for slot, _, _ in self.prog.inputs)
+        self.rows = next((len(v) for v in read if v is not None and v.ndim == 2), None)
 
     def given(self, value) -> "Prepared":
         """These bindings with `value`, a (dim,) vector or a (B, dim) batch, for the free slot."""
@@ -763,16 +753,21 @@ class Prepared:
         return self
 
     def _evaluate(self) -> Array:
-        v = self.value
-        key = None if v.ndim == 1 else len(v)
-        layout = self.layouts.get(key)
-        if layout is None:
-            prog = _compile(self.graph)
-            if self.over is not None:
-                v = rerouted(v, *self.over)
-            layout = self.layouts[key] = _Layout(prog, {**self.static, self.free: v}, key, self.free, self.over)
-            return _output(layout.buf, prog.out, layout.batched)
-        return layout.evaluate(v)
+        v, prog = self.value, self.prog
+        rows = self.rows if v.ndim == 1 else len(v)
+        layout = _acquire(prog, rows)
+        try:
+            if layout.owner is not self.static:
+                free = v if self.over is None else rerouted(v, *self.over)
+                values, _ = _slot_values(prog, {**self.static, self.free: free}, None if v.ndim == 1 else rows)
+                return layout.run(prog, values, self.static).copy()
+            if self.at is not None:
+                _put(layout.buf, self.at, v, rows)
+                if self.over_at is not None:
+                    _put(layout.buf, self.over_at, self.over[1], rows)
+            return layout.run(prog).copy()
+        finally:
+            prog.layouts[rows].append(layout)
 
 
 def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array] | Prepared,
@@ -788,8 +783,12 @@ def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array] | Prepared,
             raise ValueError("the bindings were prepared for another graph")
         return bindings._evaluate()
     prog = _compile(graph)
-    buf, rows = _forward_values(prog, bindings, rows)
-    return _output(buf, prog.out, rows is not None)
+    values, rows = _slot_values(prog, bindings, rows)
+    layout = _acquire(prog, rows)
+    try:
+        return layout.run(prog, values).copy()
+    finally:
+        prog.layouts[rows].append(layout)
 
 
 @dataclass(frozen=True)
@@ -874,20 +873,20 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     if cot.ndim == 0:
         cot = cot.reshape(1)
     prog = _compile(graph)
-    vals, rows = _forward_values(prog, bindings, cot.shape[0] if cot.ndim == 2 else None)
+    values, rows = _slot_values(prog, bindings, cot.shape[0] if cot.ndim == 2 else None)
     if cot.ndim > 2 or cot.shape[-1] != graph.output_dim:
         raise ShapeMismatch(f"cotangent shape {cot.shape} does not end in output dim {graph.output_dim}")
 
     sweep = _sweep(graph, prog, [idx for idx, _ in graph.slots.values()] if at is None else at)
-    seed = slice(prog.offsets[graph.output], prog.offsets[graph.output] + graph.output_dim)
-    if rows is None:
-        adj = np.zeros(prog.n_adjoints)
-        adj[seed] = cot
-    else:
-        adj = np.zeros((prog.n_adjoints, rows))
-        adj[seed] = cot.T if cot.ndim == 2 else cot[:, None]
-    for step, need, cut in sweep.steps:
-        step.backward(vals, adj, adj[step.out], need, cut)
+    adj = np.zeros(prog.n_adjoints if rows is None else (prog.n_adjoints, rows))
+    _put(adj, slice(prog.offsets[graph.output], prog.offsets[graph.output] + graph.output_dim), cot, rows)
+    layout = _acquire(prog, rows)
+    try:
+        layout.run(prog, values)
+        for step, need, cut in sweep.steps:
+            step.backward(layout.buf, adj, adj[step.out], need, cut)
+    finally:
+        prog.layouts[rows].append(layout)
 
     out = _take(adj, sweep.reads) if rows is None else _take(adj, sweep.reads).T
     if at is not None:

@@ -367,10 +367,10 @@ def assemble_map(spec: SscmSpec, theta, u=None, reroute=None, policy=None) -> Ca
     raise ShapeMismatch.
 
     The map binds theta, u, the reroute and policy once: they are copied here, so changing
-    them in place later does not change the map, and at the first call with an x of a
-    given batch size they are checked and laid out in one value buffer (see
-    diffcore.Prepared). A call writes x into that buffer and returns a new array, so
-    one map must not be called concurrently. An x of another shape than (d,) or
+    them in place later does not change the map. A call writes x into one of the
+    program's value buffers, bound to every step, and checks and writes those bindings
+    too only when that buffer last held others (see diffcore.Prepared); it returns a new
+    array. One map must not be called concurrently. An x of another shape than (d,) or
     (B, d) raises ShapeMismatch.
     """
     _require_valid(spec)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -625,7 +628,7 @@ def test_a_nan_beside_a_bad_value_still_raises_domain_error(op, bad, message):
         with pytest.raises(DomainError, match=message):
             reverse_vjp(g, {"x": x}, np.ones(2))
         prepared = diffcore.Prepared(g, {}, "x", 2)
-        forward_eval(g, prepared.given(np.full(x.shape, 2.0)))  # then the bound steps
+        forward_eval(g, prepared.given(np.full(x.shape, 2.0)))  # valid calls before the bad one
         forward_eval(g, prepared.given(np.full(x.shape, 2.0)))
         with pytest.raises(DomainError, match=message):
             forward_eval(g, prepared.given(x))
@@ -654,3 +657,67 @@ def test_binding_error_messages_are_unchanged():
             else:
                 reverse_vjp(g, bindings, cot)
         assert str(info.value) == message
+
+
+def _log_after_steps_graph():
+    """exp(log(w * exp(x) - 1)) + x: the log runs after three steps and before two."""
+    b = ExprBuilder()
+    x, w = b.input("x", 3), b.input("w", 3)
+    return b.build(b.exp(b.log(w * b.exp(x) - b.const(np.ones(3)))) + x)
+
+
+def test_a_failed_evaluation_leaves_the_program_usable():
+    # a DomainError partway through the bound steps, from a map's bindings or a dict, spoils
+    # neither the buffer it ran on nor the bindings a Prepared left in it
+    g = _log_after_steps_graph()
+    w, w_dict = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.5])
+    prepared = diffcore.Prepared(g, {"w": w}, "x", 3)
+    rng = np.random.default_rng(3)
+    for lead in ((), (4,)):
+        good = rng.uniform(0.5, 1.5, lead + (3,))
+        bad = good.copy()
+        bad[..., 1] = -5.0  # w * exp(x) < 1
+        for fail in (lambda: forward_eval(g, prepared.given(bad)), lambda: forward_eval(g, {"x": bad, "w": w})):
+            forward_eval(g, prepared.given(good))  # the Prepared's bindings in the buffer
+            with pytest.raises(DomainError, match="log of non-positive value"):
+                fail()
+            for x in (good, good[0] if lead else np.stack([good, 2.0 * good])):
+                fresh = _log_after_steps_graph()  # a program and buffers of its own
+                for got, bindings in ((forward_eval(g, prepared.given(x)), {"x": x, "w": w}),
+                                      (forward_eval(g, {"x": x, "w": w_dict}), {"x": x, "w": w_dict})):
+                    assert got.tobytes() == forward_eval(fresh, bindings).tobytes()
+
+
+def test_one_graph_evaluated_from_several_threads():
+    # every evaluation takes a pooled buffer of its own, so threads that evaluate one graph,
+    # each with its own bindings, never see each other's values
+    g = _log_after_steps_graph()
+    xs = np.random.default_rng(4).uniform(0.5, 1.5, (6, 4, 3))
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            w = np.full(3, 1.0 + 0.25 * k)
+            prepared = diffcore.Prepared(g, {"w": w}, "x", 3)
+            for _ in range(40):
+                for x in (xs[k], xs[k][0]):
+                    got = (forward_eval(g, prepared.given(x)), forward_eval(g, {"x": x, "w": w}))
+                    results.setdefault((k, x.ndim), set()).update(r.tobytes() for r in got)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for k in range(len(xs)):
+        w = np.full(3, 1.0 + 0.25 * k)
+        for x in (xs[k], xs[k][0]):
+            assert results[k, x.ndim] == {forward_eval(_log_after_steps_graph(), {"x": x, "w": w}).tobytes()}

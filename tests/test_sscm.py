@@ -689,10 +689,10 @@ def test_applied_map_refuses_a_u_of_the_wrong_width_or_rows():
         assemble_map(applied, THETA_REF, u=np.ones((2, 2)))(np.ones((3, 3)))
 
 
-# --- the bound map: bindings set up once, at the first call of each batch size ---
+# --- the bound map: bindings copied at assembly and written into the program's pooled buffers ---
 
 def _fresh_map_value(spec, x, theta, u=None, reroute=None, policy=None):
-    """The map's value at x from bindings set up afresh, in one plain forward_eval."""
+    """The map's value at x from bindings set up afresh, in one forward_eval on a dict."""
     prog = sscm._stacked(spec)
     bindings = sscm._bindings(spec, prog, theta, u, policy)
     return diffcore.forward_eval(prog.graph, {**bindings, "x": overwritten(x, reroute)},
@@ -804,3 +804,61 @@ def test_bound_map_refuses_an_x_of_another_shape():
     with pytest.raises(ShapeMismatch, match="in 3 rows"):
         batched(np.ones((3, d)))
     assert f(np.ones(d)).shape == (d,) and batched(np.ones(d)).shape == (4, d)
+
+
+
+@pytest.mark.parametrize("name", ["rebound-twin", "leontief-synthetic-10"])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_two_live_maps_of_one_program_give_their_own_bits(name, rows):
+    """Two maps of one program at one batch size, called in turn with a forward_eval on a dict
+    and a node_gradients of that program between the calls, share the program's pooled
+    buffers; each call gives the bits of a fresh evaluation, so a map writes its own bindings
+    again whenever another caller used the buffer it takes. The map called last before
+    each call between is called first after it."""
+    rng = np.random.default_rng(13)
+    if name == "rebound-twin":
+        spec, nodes = REBOUND_TWIN.deployed, REBOUND_TWIN.invariant_nodes
+    else:
+        spec, nodes = modelzoo.leontief_model(modelzoo.leontief_synthetic(10)), (2, 5)
+    lead = () if rows is None else (rows,)
+
+    def bindings(scale):
+        """theta, u, the policy and the reroute values scaled by `scale`: vectors, or rows of their own."""
+        s = scale * (1.0 if rows is None else rng.uniform(0.95, 1.05, (rows, 1)))
+        kwargs = {"reroute": (nodes, np.full(lead + (len(nodes),), 0.5) * s)}
+        if name != "rebound-twin":
+            return spec.theta_ref * s, kwargs
+        twin = REBOUND_TWIN
+        u = np.array([twin.assemble_u([[v]]) for v in np.ravel(0.7 * s)]).reshape(lead + (-1,))
+        return twin.base.theta_ref * s, {**kwargs, "u": u, "policy": REBOUND_W0 * scale}
+
+    (theta_f, kw_f), (theta_g, kw_g), (theta_h, kw_h) = bindings(1.0), bindings(1.1), bindings(0.9)
+    maps = [(assemble_map(spec, theta, **kwargs), theta, kwargs) for theta, kwargs in ((theta_f, kw_f), (theta_g, kw_g))]
+    prog = sscm._stacked(spec)
+    for between in ("map", "forward_eval", "map", "node_gradients", "map"):
+        x = rng.uniform(0.5, 1.5, lead + (spec.d,))
+        for m, theta, kwargs in maps:
+            # a new spec, so a program and buffers of its own
+            _bitwise_equal(m(x), assemble_map(replace(spec), theta, **kwargs)(x))
+        maps.reverse()
+        if between == "forward_eval":
+            bindings_h = sscm._bindings(spec, prog, theta_h, kw_h.get("u"), kw_h.get("policy"))
+            diffcore.forward_eval(prog.graph, {**bindings_h, "x": x}, rows)
+        elif between == "node_gradients":
+            node_gradients(spec, x, theta_h, **kw_h)
+
+def test_pooled_buffers_hold_no_reference_cycle():
+    # a program keeps its idle buffers; were they to hold a map's bindings object, graph ->
+    # program -> buffer -> bindings -> graph would keep the graph until a collection
+    gc.disable()
+    try:
+        spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(5))
+        f = assemble_map(spec, spec.theta_ref)
+        f(np.ones(5))
+        f(np.ones((3, 5)))
+        node_gradients(spec, np.ones(5), spec.theta_ref)
+        ref = weakref.ref(sscm._stacked(spec).graph)
+        del spec, f
+        assert ref() is None
+    finally:
+        gc.enable()
