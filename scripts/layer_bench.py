@@ -7,8 +7,8 @@ problem construction and run, one reduced invariant pipeline run, the invariance
 checks, the construction of the invariant twins, a structural map's assembly and first
 call, and the import of the command line.
 
-    python scripts/layer_bench.py --label change --out BENCH_24.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_24.json
+    python scripts/layer_bench.py --label change --out BENCH_27.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_27.json
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -27,13 +27,16 @@ node_gradients call of `leontief-synthetic-100` with a multiplicative
 intervention applied on all sectors, at its equilibrium: the program that the
 pareto pipeline's descents run.
 
-`compile_s` is the one-off cost of a spec's first use: `interventions.apply`
-the same intervention, then time its first map call and first node_gradients
-call minus the same two calls warm. A derived spec compiles its own graph, the
-parent's graph with the wrap's nodes after it, at its first use, so the figure
-holds that compile. Sources that ran the parent's compiled graph and applied
-the wraps outside it compile nothing there; sources whose `apply` stacks the
-intervened spec afresh validate, stack and compile it.
+`compile_s` is the one-off cost of a spec's first use before anything is bound:
+`interventions.apply` the same intervention, then time the derived spec's validation,
+its stacking where it has a program of its own to stack, `diffcore._compile` (which
+calls `_fuse` at a first use) and the first `diffcore._sweep` toward its entry nodes.
+`first_bind_s` is what its first map call and first node_gradients call then cost
+beyond the same two calls warm: the value buffer (`diffcore._Layout`) that the first
+call builds and binds. Records made before this split timed the first map call and
+node_gradients minus warm ones as `compile_s`, which held the first binding at sources
+that bind at the first call and not at older ones, so those `compile_s` figures are
+not comparable with these.
 
 The construction layers build `leontief-synthetic-N` at N = 100, 300, 1,000 from
 CSV files written by dataio.write_iotable_csv: `load_s` is dataio.load_iotable_csv
@@ -58,11 +61,15 @@ is one iteration of the batch's Anderson loop (m = 8, beta = 1) on the rows'
 linearisations x -> J x + (x* - J x*), as for the per-model layers: the (4, 9)
 row is the shape of an invariant training step.
 
-The bench layers time modelzoo.random_contraction at d = 50, 100, 200
-(`random_contraction_s`, one contraction's construction and scaling) and
-one cli._run_bench of the solver-sweep benchmark workload's config (dims 2,
-10, 50, 100, 200, 6 seeds, seed 1; `solver_sweep_s`, problems built and
-solved, bench.csv and bench_summary.csv written to a temporary directory).
+The bench layers run at the solver-sweep workload's sizes, dims 2, 10, 50, 100, 200
+and seeds 1 to 6. `random_contractions_s` is the construction of one dimension's six
+contractions as cli._bench_rows builds them (modelzoo.random_contractions, one stack;
+on sources without it, modelzoo.random_contraction seed by seed). `forward_step_s` is
+one forward-iteration step (fixedpoint.forward_iterate, Anderson's m = 1 loop) of those
+six problems as one (6, d) batch, beyond its map call x -> A x + y, which is timed
+alone and subtracted. `solver_sweep_s` is one cli._run_bench of the workload's config
+(seed 1): problems built and solved, bench.csv and bench_summary.csv written to a
+temporary directory.
 
 `invariant_run_s` is one cli._run_invariant of the rebound-invariant benchmark
 workload's config (4 Adam steps in the first of three phases, 4 samples per
@@ -227,25 +234,30 @@ def measure_applied() -> dict:
                 lambda: sscm.node_gradients(wired, x, theta), max(2, batch // 10))}
 
 
-def measure_compile() -> float:
-    from eqcausal import interventions, modelzoo, sscm
+def measure_compile() -> dict:
+    from eqcausal import diffcore, interventions, modelzoo, sscm
     from eqcausal.interventions import LieElement
 
     spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
     everywhere = LieElement("multiplicative", tuple(range(spec.d)), np.ones(spec.d))
     x = np.ones(spec.d)
-    times = []
+    compiles, binds = [], []
     for _ in range(REPEATS):
         wired = interventions.apply(spec, everywhere)
         t0 = time.perf_counter()
+        sscm._require_valid(wired)
+        stacked = sscm._stacked(wired)
+        diffcore._sweep(stacked.graph, diffcore._compile(stacked.graph), stacked.leaves)
+        t1 = time.perf_counter()
         f = sscm.assemble_map(wired, wired.theta_ref)
         f(x)
         sscm.node_gradients(wired, x, wired.theta_ref)
-        t1 = time.perf_counter()
+        t2 = time.perf_counter()
         f(x)
         sscm.node_gradients(wired, x, wired.theta_ref)
-        times.append((t1 - t0) - (time.perf_counter() - t1))
-    return float(np.median(times))
+        compiles.append(t1 - t0)
+        binds.append((t2 - t1) - (time.perf_counter() - t2))
+    return {"compile_s": float(np.median(compiles)), "first_bind_s": float(np.median(binds))}
 
 
 CONSTRUCTION_DIMS = (100, 300, 1000)
@@ -399,19 +411,43 @@ def measure_first_map_call() -> dict:
     return out
 
 
-BENCH_DIMS = (50, 100, 200)
+BENCH_DIMS = (2, 10, 50, 100, 200)
+BENCH_SEEDS = list(range(1, 7))
+
+
+def _contractions(dim: int):
+    """The six seeds' contractions of one bench dimension, as cli._bench_rows builds them:
+    one stack, or on sources without modelzoo.random_contractions one seed at a time."""
+    from eqcausal import modelzoo
+
+    if hasattr(modelzoo, "random_contractions"):
+        return modelzoo.random_contractions(dim, BENCH_SEEDS, 0.9)
+    A, y = np.empty((len(BENCH_SEEDS), dim, dim)), np.empty((len(BENCH_SEEDS), dim))
+    for i, seed in enumerate(BENCH_SEEDS):
+        A[i], y[i] = modelzoo.random_contraction(dim, seed, 0.9)
+    return A, y
 
 
 def measure_bench() -> dict:
     import tempfile
 
-    from eqcausal import cli, modelzoo
+    from eqcausal import cli, fixedpoint
 
-    out = {"random_contraction_s": {
-        f"d{d}": _median_call_s(lambda d=d: modelzoo.random_contraction(d, 1, 0.9), max(2, 2000 // d))
-        for d in BENCH_DIMS}}
+    out = {"random_contractions_s": {f"d{d}": _median_call_s(lambda d=d: _contractions(d), max(2, 600 // d))
+                                     for d in BENCH_DIMS}}
+    steps = _solver(tol=1e-300, max_iter=40)
+    forward = {}
+    for d in BENCH_DIMS:
+        A, y = _contractions(d)
+        x0 = np.zeros_like(y)
+        f = lambda x, A=A, y=y: np.matvec(A, x) + y  # noqa: E731
+        iters = fixedpoint.forward_iterate(f, x0, steps).iterations
+        forward[f"d{d}"] = (_median_call_s(lambda f=f, x0=x0: fixedpoint.forward_iterate(f, x0, steps),
+                                           max(2, 60 // d)) / iters
+                            - _median_call_s(lambda f=f, x0=x0: f(x0), 200))
+    out["forward_step_s"] = forward
     config = cli._config_from_obj({"command": "bench", "model": "motivating-example",
-                                   "bench": {"dims": [2, 10, 50, 100, 200], "seeds": 6}, "seed": 1})
+                                   "bench": {"dims": list(BENCH_DIMS), "seeds": len(BENCH_SEEDS)}, "seed": 1})
     bundle = cli.build_model(config)
     with tempfile.TemporaryDirectory() as tmp:
         writer = cli.OutputWriter(Path(tmp))
@@ -511,7 +547,7 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "applied", "compile_s", "construction", "adjoint", "batched_layers", "bench", "pipelines",
+MEASURED = ("layers", "applied", "compile", "construction", "adjoint", "batched_layers", "bench", "pipelines",
             "invariance", "twin_build_s", "first_map_call_s", "import_cli_s")
 
 
@@ -575,7 +611,8 @@ def main() -> int:
     applied = record["applied"]
     print(f"{'applied-synthetic-100':24s} map {applied['applied_map_call_s'] * 1e6:9.1f} us   "
           f"node_gradients {applied['applied_node_gradients_s'] * 1e6:9.1f} us")
-    print(f"{'compile_s':24s} {record['compile_s'] * 1e3:9.2f} ms")
+    print(f"{'compile_s':24s} {record['compile']['compile_s'] * 1e3:9.2f} ms   "
+          f"first_bind_s {record['compile']['first_bind_s'] * 1e3:9.3f} ms")
     for name, row in record["construction"].items():
         print(f"{name:24s} load {row['load_s'] * 1e3:8.2f} ms   leontief_model {row['leontief_model_s'] * 1e3:8.2f} ms"
               f"   apply {row['apply_s'] * 1e3:8.2f} ms   stack+compile {row['stack_compile_s'] * 1e3:8.2f} ms"
@@ -588,8 +625,10 @@ def main() -> int:
               f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us   "
               f"anderson step {row.get('anderson_step_s', float('nan')) * 1e6:7.1f} us")
     bench = record["bench"]
-    print("random_contraction       " + "   ".join(
-        f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contraction_s"].items()))
+    print("random_contractions      " + "   ".join(
+        f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contractions_s"].items()))
+    print("forward_step_s           " + "   ".join(
+        f"{d} {t * 1e6:7.2f} us" for d, t in bench["forward_step_s"].items()))
     print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
     print(f"{'invariant_run_s':24s} {record['pipelines']['invariant_run_s'] * 1e3:9.2f} ms")
     invariance = record["invariance"]

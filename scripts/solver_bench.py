@@ -2,9 +2,10 @@
 
 Runs forward iteration against Anderson acceleration (beta = 1 and beta = 2)
 on random nonnegative affine contractions with spectral radius 0.9, writing
-bench.csv / bench_summary.csv and the run manifest. Each A is scaled by its
-Perron root, found by a bounded power iteration with Collatz-Wielandt bounds,
-and each method solves a dimension's seeds as one batch.
+bench.csv / bench_summary.csv and the run manifest. A dimension's seeds are
+built as one stack, each A scaled by its Perron root; the roots come from one
+batched power iteration with Collatz-Wielandt bounds, in which each A stops at
+its own step. Each method solves a dimension's seeds as one batch.
 """
 
 import argparse

@@ -642,14 +642,11 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
 
 
 def _bench_rows(dim: int, seed_list, base_cfg: SolverConfig, spectral_radius: float):
-    """bench.csv rows of one dim, method by method. Each seed's contraction is built once,
-    in seed order, into one (S, d, d) and one (S, d) stack, and each method solves the S
-    problems as one batch of x -> A x + y; a batch row's result is the one its own solve
-    would give."""
-    A = np.empty((len(seed_list), dim, dim))
-    y = np.empty((len(seed_list), dim))
-    for i, si in enumerate(seed_list):
-        A[i], y[i] = modelzoo.random_contraction(dim, si, spectral_radius)
+    """bench.csv rows of one dim, method by method. The seeds' contractions are built once,
+    in seed order, as one (S, d, d) and one (S, d) stack (modelzoo.random_contractions),
+    and each method solves the S problems as one batch of x -> A x + y; a batch row's
+    result is the one its own solve would give."""
+    A, y = modelzoo.random_contractions(dim, seed_list, spectral_radius)
     f = lambda x: np.matvec(A, x) + y  # noqa: E731
     rows = []
     for method, beta in BENCH_METHODS:

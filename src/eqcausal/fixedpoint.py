@@ -9,8 +9,11 @@ is returned either way.
 A (B, d) starting point solves B independent problems in lockstep: f maps
 (B, d) iterates to (B, d) values, every row keeps its own history, and a row
 is frozen at the first iterate that meets the tolerance, so each row's result
-is the one its own solve would give. A non-finite row or a singular
-least-squares system raises for the whole batch. A vector solve is a one-row
+is the one its own solve would give. A non-finite f(x) in any row, a settled
+one included, or a singular least-squares system raises for the whole batch. f(x)
+is checked entry by entry only when the largest residual norm ||f(x) - x|| is not
+finite, which a non-finite f(x) always makes it; a finite f(x) whose residual
+overflows is let through. A vector solve is a one-row
 batch: the loop is the same, f is called on the row, and the report holds
 floats where a batch's holds (B,) arrays. f must return a new array on each
 call: the loop keeps the values f returns, and at beta = 1 steps to them.
@@ -93,12 +96,16 @@ def _row_error(x: Array, g: Array) -> tuple[Array, Array]:
     """Per row of a (B, d) x and its residual g = f(x) - x: the residual norm ||g|| and
     the convergence error ||g|| / ||x||, which falls back to ||g|| at ||x|| = 0. A row
     whose ||x|| overflows has error inf: ||g|| over the largest float would pass any
-    tolerance while x diverges. When every ||x|| is positive and finite, as on all but
-    the first iterate of a solve from zero, the error is the plain quotient, and the
-    guards for the other cases are skipped."""
-    res = np.sqrt(np.vecdot(g, g))
+    tolerance while x diverges."""
+    return _relative(x, np.sqrt(np.vecdot(g, g)))
+
+
+def _relative(x: Array, res: Array) -> tuple[Array, Array]:
+    """_row_error from the residual norms res. When every ||x|| is positive and finite, as
+    on all but the first iterate of a solve from zero, the error is the plain quotient,
+    and the guards for the other cases are skipped."""
     nrm = np.sqrt(np.vecdot(x, x))
-    if nrm.min() > 0.0 and nrm.max() <= _FLOAT_MAX:  # False on NaN
+    if np.minimum.reduce(nrm) > 0.0 and np.maximum.reduce(nrm) <= _FLOAT_MAX:  # False on NaN
         return res, res / nrm
     err = res / np.fmin(np.where(nrm > 0.0, nrm, 1.0), _FLOAT_MAX)  # no inf / inf, which warns
     err[np.isinf(nrm)] = np.inf
@@ -144,6 +151,11 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     recomputed. The live rows' least-squares systems are solved in one call of
     the gufunc that np.linalg.solve runs (see _solve), which gives its bits.
 
+    A non-finite f(x) raises NonFiniteIterate at the iteration it is returned in
+    (see the module docstring). Its subtraction and residual dot product run
+    before the entry check, so beside an entry that overflows there on its own (a
+    difference or its square above the largest float) it warns before it raises.
+
     A 1-d x0 runs as a one-row batch with f called on row 0, and its report
     holds floats and no row_* arrays. A batch of no rows, or an f that returns
     another shape than its iterate's, raises ShapeMismatch.
@@ -151,6 +163,7 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
     x = np.array(x0, dtype=np.float64)
     if x.ndim == 2 and not len(x):
         raise ShapeMismatch("a batch needs at least one row")
+    m, beta, tol, max_iter, ridge = cfg.m, cfg.beta, cfg.tol, cfg.max_iter, cfg.ridge
     vector = x.ndim == 1
     if vector:
         x = x[None]
@@ -166,15 +179,18 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
         raise ShapeMismatch("f returned shape %s for an iterate of shape %s" % shapes)
     _check_finite(fx, 0)
     g = fx - x
-    rows, n_cols = x.shape[0], cfg.m - 1
+    rows, n_cols = x.shape[0], m - 1
     hist = np.empty((2, rows, n_cols, x.shape[1]))  # dz, dg rows per batch row, oldest first
     n_hist = 0
     res_out, err_out = np.empty(rows), np.empty(rows)
-    row_iterations = np.full(rows, cfg.max_iter)
+    row_iterations = np.full(rows, max_iter)
     live, n_live = np.ones(rows, dtype=bool), rows
-    for k in range(cfg.max_iter + 1):
-        res, err = _row_error(x, g)
-        done = err <= cfg.tol
+    for k in range(max_iter + 1):
+        res = np.sqrt(np.vecdot(g, g))
+        if not np.maximum.reduce(res) <= _FLOAT_MAX:  # as is every row's with a non-finite f(x)
+            _check_finite(fx, k)
+        res, err = _relative(x, res)
+        done = err <= tol
         if n_live < rows:
             done &= live
         n_done = np.count_nonzero(done)
@@ -184,10 +200,10 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             n_live -= n_done
             if not n_live:
                 break
-        if k == cfg.max_iter:
+        if k == max_iter:
             res_out[live], err_out[live] = res[live], err[live]
             break
-        z = fx if cfg.beta == 1.0 else cfg.beta * fx + (1.0 - cfg.beta) * x
+        z = fx if beta == 1.0 else beta * fx + (1.0 - beta) * x
         if n_cols and k:
             if n_hist == n_cols:
                 hist[:, :, :-1] = hist[:, :, 1:]
@@ -199,20 +215,20 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
         sel = slice(None) if n_live == rows else live
         step = z[sel]
         if n_hist:
-            d_z, d_g = hist[0, sel, :n_hist], hist[1, sel, :n_hist]
+            d_z, d_g = hist[:, sel, :n_hist]
             gram = d_g @ d_g.mT
-            if cfg.ridge > 0.0:
+            if ridge > 0.0:
                 diag = gram.reshape(len(gram), -1)[:, ::n_hist + 1]  # a view of the diagonals
-                scale = np.add.reduce(diag, axis=1)  # trace
-                ridge = scale * cfg.ridge
-                if not scale.min() > 0.0:  # where every difference vanishes, cfg.ridge itself
-                    ridge = np.where(scale > 0.0, ridge, cfg.ridge)
-                diag += ridge[:, None]
+                scale = np.add.reduce(diag, axis=1, keepdims=True)  # trace
+                if np.minimum.reduce(scale, axis=None) > 0.0:
+                    diag += scale * ridge
+                else:  # where every difference vanishes, the ridge itself
+                    diag += np.where(scale > 0.0, scale * ridge, ridge)
             try:
                 gamma = _solve(gram, np.matvec(d_g, g[sel]))
             except np.linalg.LinAlgError as exc:
                 raise SingularLeastSquares(
-                    f"Anderson least-squares system singular at iteration {k} (ridge={cfg.ridge})"
+                    f"Anderson least-squares system singular at iteration {k} (ridge={ridge})"
                 ) from exc
             step = step - np.vecmat(gamma, d_z)
         if n_live == rows:
@@ -221,15 +237,14 @@ def anderson_solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveR
             x_new = x.copy()
             x_new[live] = step
         fx = call(x_new)
-        _check_finite(fx, k + 1)
         x, z_prev, g_prev = x_new, z, g
         g = fx - x
     converged = ~live
     if vector:
         return SolveReport(x[0], float(res_out[0]), float(err_out[0]), int(row_iterations[0]),
                            bool(converged[0]))
-    return SolveReport(x, res_out, err_out, int(row_iterations.max()), bool(converged.all()),
-                       row_iterations, converged)
+    return SolveReport(x, res_out, err_out, int(np.maximum.reduce(row_iterations)),
+                       bool(np.logical_and.reduce(converged)), row_iterations, converged)
 
 
 def solve(f: Callable[[Array], Array], x0, cfg: SolverConfig) -> SolveReport:

@@ -651,46 +651,73 @@ def leontief_synthetic(n: int, seed: int = 2024, spectral_radius: float = 0.3,
 
 
 _PERRON_STEPS = 100  # the worst of 20,000 seeds at d = 2, 3, 4 takes 43
+_PERRON_TOL = 4.0 * np.finfo(np.float64).eps
 
 
-def _perron_root(A: Array) -> float:
-    """Spectral radius of a nonnegative A with a positive off-diagonal, from the
-    Collatz-Wielandt bounds min(Av / v) <= rho <= max(Av / v) on positive vectors v.
+def _perron_roots(A: Array) -> Array:
+    """Spectral radius of each nonnegative A[i] of an (S, d, d) stack with a positive
+    off-diagonal, from the Collatz-Wielandt bounds min(Av / v) <= rho <= max(Av / v) on
+    positive vectors v.
 
     v is iterated by A(A + lo I), where lo is the best lower bound so far; since it
     commutes with A, each step tightens both bounds. The factor A damps the small
     eigenvalues as plain power iteration does, and A + lo I the ones near -rho,
     which leave a nearly periodic A (and the periodic 2 x 2 one) slow or stuck under
     powers of A alone. The bounds are read off A itself, at v and at Av, so no shift
-    limits their precision. The loop stops when they are 4 eps apart, when a step no
-    longer tightens them (rounding), or after _PERRON_STEPS steps, and returns their
-    midpoint.
+    limits their precision. A row stops when its bounds are 4 eps apart, when a step
+    no longer tightens them (rounding), or after _PERRON_STEPS steps, and its root is
+    their midpoint then. The rows step as one batch until the last one stops; a root
+    is read at its own row's stop, so it is the one that row's own iteration gives.
     """
-    v = np.ones(len(A))
-    lo, hi = 0.0, np.inf
+    rows, dim = A.shape[:2]
+    v = np.ones((rows, dim))
+    lo, hi = np.zeros(rows), np.full(rows, np.inf)
+    ratios = np.empty((rows, 2, dim))  # Av / v and A^2 v / Av
+    roots = np.empty(rows)
+    live = np.ones(rows, dtype=bool)
     for _ in range(_PERRON_STEPS):
-        w = A @ v
-        u = A @ w
+        w = np.matvec(A, v)
+        u = np.matvec(A, w)
+        np.divide(w, v, out=ratios[:, 0])
+        np.divide(u, w, out=ratios[:, 1])
         gap = hi - lo
-        lo = max(lo, (w / v).min(), (u / w).min())
-        hi = min(hi, (w / v).max(), (u / w).max())
-        if hi - lo <= 4.0 * np.finfo(np.float64).eps * hi or hi - lo >= gap:
+        lo = np.maximum(lo, np.maximum.reduce(np.minimum.reduce(ratios, axis=2), axis=1))
+        hi = np.minimum(hi, np.minimum.reduce(np.maximum.reduce(ratios, axis=2), axis=1))
+        np.copyto(roots, 0.5 * (lo + hi), where=live)  # a stopped row keeps its root at its stop
+        spread = hi - lo
+        live &= (spread > _PERRON_TOL * hi) & (spread < gap)
+        if not np.logical_or.reduce(live):
             break
-        v = u + lo * w
-        v /= v.max()
-    return 0.5 * (lo + hi)
+        v = u + lo[:, None] * w
+        v /= np.maximum.reduce(v, axis=1, keepdims=True)
+    return roots
+
+
+def random_contractions(dim: int, seeds, spectral_radius: float) -> tuple[Array, Array]:
+    """Seeded affine contractions x -> A[i] x + y[i], one per seed, as an (S, d, d) and
+    an (S, d) stack: each A[i] nonnegative with zero diagonal and a positive
+    off-diagonal, scaled to the given spectral radius by its Perron root, and y[i] in
+    [0.5, 1.5]. Each seed draws its A and then its y from its own generator
+    (default_rng([seed, dim])), straight into the stacks. The Perron roots of the whole
+    stack come from one batched Collatz-Wielandt iteration (_perron_roots, not an
+    eigendecomposition) in which each row stops at its own step, so a row is the same
+    bit for bit in any stack. A 1 x 1 A is zero and cannot be scaled, so dim must be at
+    least 2."""
+    if dim < 2:
+        raise DimensionMismatch(f"a random contraction needs dim >= 2, got {dim}")
+    A = np.empty((len(seeds), dim, dim))
+    y = np.empty((len(seeds), dim))
+    for a, b, seed in zip(A, y, seeds):
+        rng = np.random.default_rng([seed, dim])
+        rng.random(out=a)  # the bits of uniform(0, 1)
+        rng.random(out=b)
+    y += 0.5  # the bits of uniform(0.5, 1.5)
+    A.reshape(len(A), -1)[:, ::dim + 1] = 0.0
+    A *= (spectral_radius / _perron_roots(A))[:, None, None]
+    return A, y
 
 
 def random_contraction(dim: int, seed: int, spectral_radius: float) -> tuple[Array, Array]:
-    """Seeded affine contraction x -> A x + y: A nonnegative with zero diagonal and a
-    positive off-diagonal, scaled to the given spectral radius by its Perron root
-    (_perron_root, not an eigendecomposition), and y in [0.5, 1.5]. A 1 x 1 A is zero
-    and cannot be scaled, so dim must be at least 2."""
-    if dim < 2:
-        raise DimensionMismatch(f"a random contraction needs dim >= 2, got {dim}")
-    rng = np.random.default_rng([seed, dim])
-    A = rng.uniform(0.0, 1.0, size=(dim, dim))
-    np.fill_diagonal(A, 0.0)
-    A *= spectral_radius / _perron_root(A)
-    y = rng.uniform(0.5, 1.5, size=dim)
-    return A, y
+    """The one-seed case of random_contractions: A (d, d) and y (d,)."""
+    A, y = random_contractions(dim, [seed], spectral_radius)
+    return A[0], y[0]

@@ -256,6 +256,29 @@ def reference_anderson_solve(f, x0, cfg):
     return SolveReport(x[0], float(res[0]), float(err[0]), cfg.max_iter, False)
 
 
+def reference_random_contraction(dim, seed, spectral_radius):
+    """One seed's contraction built alone: uniform draws and the matrix's own
+    Collatz-Wielandt loop, as before the stacked builder; every row of
+    modelzoo.random_contractions must match it bit for bit."""
+    rng = np.random.default_rng([seed, dim])
+    A = rng.uniform(0.0, 1.0, size=(dim, dim))
+    np.fill_diagonal(A, 0.0)
+    v = np.ones(dim)
+    lo, hi = 0.0, np.inf
+    for _ in range(100):
+        w = A @ v
+        u = A @ w
+        gap = hi - lo
+        lo = max(lo, (w / v).min(), (u / w).min())
+        hi = min(hi, (w / v).max(), (u / w).max())
+        if hi - lo <= 4.0 * np.finfo(np.float64).eps * hi or hi - lo >= gap:
+            break
+        v = u + lo * w
+        v /= v.max()
+    A *= spectral_radius / (0.5 * (lo + hi))
+    return A, rng.uniform(0.5, 1.5, size=dim)
+
+
 def reference_mlp_stack(b, mlp, x, w):
     """The MLP as one slice and one dot per unit, the layout optimize._mlp_stack
     replaced by one matmul per layer."""

@@ -647,14 +647,15 @@ def test_grad_check_reads_the_objective_row(tmp_path):
 
 def test_bench_command_small(tmp_path, monkeypatch):
     built = []
-    contraction = modelzoo.random_contraction
-    monkeypatch.setattr(modelzoo, "random_contraction",
-                        lambda *args: built.append(args[:2]) or contraction(*args))
+    contractions = modelzoo.random_contractions
+    monkeypatch.setattr(modelzoo, "random_contractions",
+                        lambda dim, seeds, radius: built.append((dim, list(seeds)))
+                        or contractions(dim, seeds, radius))
     cfg = _config_from_obj({"command": "bench", "model": "leontief-synthetic-4",
                             "bench": {"dims": [2, 5], "seeds": 3}})
     manifest = run_experiment(cfg, out_dir=tmp_path / "out")
     assert manifest.success
-    assert built == [(dim, seed) for dim in (2, 5) for seed in range(3)]  # each problem built once
+    assert built == [(dim, [0, 1, 2]) for dim in (2, 5)]  # each problem built once, one stack per dim
     rows = (tmp_path / "out" / "bench.csv").read_text().strip().splitlines()[1:]
     assert [tuple(row.split(",")[:3]) for row in rows] == [
         (str(dim), method, str(seed)) for dim in (2, 5) for method, _ in cli.BENCH_METHODS

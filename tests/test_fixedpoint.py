@@ -10,7 +10,7 @@ from eqcausal import fixedpoint, modelzoo
 from eqcausal.errors import DimensionMismatch, NonFiniteIterate, ShapeMismatch, SingularLeastSquares, ZeroNorm
 from eqcausal.fixedpoint import SolverConfig, anderson_solve, forward_iterate, relative_error, solve
 
-from ._models import random_leontief, reference_anderson_solve
+from ._models import random_leontief, reference_anderson_solve, reference_random_contraction
 
 
 def contraction_2x2():
@@ -207,6 +207,50 @@ def test_divergence_raises_non_finite():
                     forward_iterate(lambda x: slope * x + 1.0, x0, SolverConfig())
 
 
+@pytest.mark.parametrize("cfg", [SolverConfig(m=1, tol=1e-12), SolverConfig(tol=1e-12)])
+def test_a_nan_in_a_settled_row_fails_the_batch_at_its_iteration(cfg):
+    # row 0 (affine) settles long before row 1 (cos); a NaN in its later f value still
+    # fails the batch, at the iteration whose f value holds it, with no RuntimeWarning
+    def both(x):
+        return np.stack([0.1 * x[0] + 1.0, np.cos(x[1])])
+
+    clean = anderson_solve(both, np.zeros((2, 3)), cfg)
+    settled = int(clean.row_iterations[0])
+    assert settled + 1 < clean.row_iterations[1]
+    calls = []
+
+    def breaks_late(x):
+        fx = both(x)
+        if len(calls) == settled + 1:  # f(x_{settled + 1}); row 0 still holds x_settled
+            fx[0, 1] = np.nan
+        calls.append(x)
+        return fx
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteIterate, match=f"at iteration {settled + 1}$"):
+            anderson_solve(breaks_late, np.zeros((2, 3)), cfg)
+
+
+def test_a_finite_f_whose_squared_residual_overflows_runs_on():
+    # ||f(x) - x||^2 overflows while f(x) stays finite: numpy's own overflow warning is
+    # all that is raised, and under over="ignore" the row's error is inf until max_iter
+    def far(x):
+        return x + 1e200
+
+    cfg = SolverConfig(max_iter=4)
+    for x0 in (np.zeros(2), np.zeros((3, 2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="overflow encountered in vecdot"):
+                anderson_solve(far, x0, cfg)
+            with np.errstate(over="ignore"):
+                report = anderson_solve(far, x0, cfg)
+        assert (report.iterations, report.converged) == (4, False)
+        assert np.all(report.residual_norm == np.inf) and np.all(report.relative_error == np.inf)
+        np.testing.assert_array_equal(report.x, np.full_like(x0, 4e200))
+
+
 def test_empty_batch_is_a_shape_mismatch():
     calls = []
     for solver in (anderson_solve, forward_iterate):
@@ -366,7 +410,24 @@ def test_random_contraction_radius_matches_the_eigenvalues(dim, seed):
     assert max(abs(np.linalg.eigvals(A))) == pytest.approx(0.9, rel=1e-12, abs=0.0)
 
 
+# each stack mixes a seed whose Perron iteration is slow with fast ones, so its rows stop at
+# very different steps: (2, 17) is periodic and (3, 2707) nearly so (see above)
+@pytest.mark.parametrize("dim,seeds", [(2, [1, 17, 2, 3]), (3, [2707, 0, 1, 2, 3]), (10, list(range(6))),
+                                       (50, [7, 3, 11]), (200, [1, 2, 3])])
+def test_random_contractions_rows_equal_the_one_seed_contractions(dim, seeds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        A, y = modelzoo.random_contractions(dim, seeds, 0.9)
+        assert A.shape == (len(seeds), dim, dim) and y.shape == (len(seeds), dim)
+        for a, b, seed in zip(A, y, seeds):
+            for a1, b1 in (modelzoo.random_contraction(dim, seed, 0.9),
+                           reference_random_contraction(dim, seed, 0.9)):
+                assert a.tobytes() == a1.tobytes() and b.tobytes() == b1.tobytes()
+
+
 @pytest.mark.parametrize("dim", [0, 1])
 def test_random_contraction_needs_two_dimensions(dim):
     with pytest.raises(DimensionMismatch, match="dim >= 2"):
         modelzoo.random_contraction(dim, 0, 0.9)
+    with pytest.raises(DimensionMismatch, match="dim >= 2"):
+        modelzoo.random_contractions(dim, [0, 1], 0.9)
