@@ -501,7 +501,7 @@ def measure_twin_build() -> dict:
         "rebound": (rebound.spec, rebound.plan(policy, mlp.n_weights),
                     LieElement("multiplicative", (rebound.energy_sector,), [1.0]), w0),
         "two-compartment": (compartment.spec, compartment.plan.plans,
-                            [LieElement(p.group, (p.intervened,), [1.0]) for p in compartment.plan.plans],
+                            [LieElement("multiplicative", (p.intervened,), [1.0]) for p in compartment.plan.plans],
                             compartment.w0),
     }
     out = {}

@@ -76,8 +76,7 @@ CONFIG_SCHEMA = {
         },
         "solver": _dataclass_schema(SolverConfig),
         "adam": _dataclass_schema(AdamConfig, exclude=("seed",)),
-        # u's range is the model's: the two commands that sample it set u_low and u_high
-        "sampling": _dataclass_schema(SamplingConfig, exclude=("theta_mean", "u_low", "u_high")),
+        "sampling": _dataclass_schema(SamplingConfig),
         "intervention": {
             "type": "object",
             "additionalProperties": False,
@@ -397,10 +396,8 @@ def _intervened_spec(bundle: ModelBundle, config: ExperimentConfig):
     u = _builtin_u(config, spec)
     inter = config.intervention or {}
     if "targets" in inter:
-        values = inter.get("values", [1.0 if inter.get("group", "multiplicative") == "multiplicative" else 0.0]
-                           * len(inter["targets"]))
-        g = LieElement(inter.get("group", "multiplicative"), tuple(inter["targets"]), values)
-        spec = interventions.apply(spec, g)
+        g = interventions.identity(inter.get("group", "multiplicative"), inter["targets"])
+        spec = interventions.apply(spec, LieElement(g.group, g.targets, inter.get("values", g.values)))
     return spec, u
 
 
@@ -458,9 +455,8 @@ def _run_optimize(config: ExperimentConfig, bundle: ModelBundle, out: OutputWrit
     inter = config.intervention or {}
     targets = tuple(inter.get("targets", range(spec.d)))
     group = inter.get("group", "multiplicative")
-    values = inter.get("values", [1.0 if group == "multiplicative" else 0.0] * len(targets))
+    g0 = LieElement(group, targets, inter.get("values", interventions.identity(group, targets).values))
     bounds = tuple(inter.get("bounds", (0.5, 2.0)))
-    g0 = LieElement(group, targets, values)
 
     c, r = _loss_rows(config, bundle)
     solver = _eval_solver(config)
@@ -514,12 +510,12 @@ def _phase_schedule(adam: AdamConfig):
     )
 
 
-def _train_phases(twin, weights, sampling: SamplingConfig, phases, solver: SolverConfig):
+def _train_phases(twin, weights, sampling: SamplingConfig, phases, solver: SolverConfig, u_range):
     """Train the twin's policies phase after phase, carrying the weights over;
     returns the final weights and the final loss of every phase."""
     losses = []
     for phase in phases:
-        trained = optimize.train_invariant_policy(twin, weights, sampling, phase, solver)
+        trained = optimize.train_invariant_policy(twin, weights, sampling, phase, solver, u_range)
         weights = trained.weights
         losses.append(trained.final_loss)
     return weights, losses
@@ -535,23 +531,19 @@ def _run_invariant(config: ExperimentConfig, bundle: ModelBundle, out: OutputWri
         raise SchemaError("the invariant command runs on the rebound-3sector model", pointer="/model")
     inst = bundle.rebound
     u_eval = float(_builtin_u(config, inst.spec, default=[0.7])[0])
-    sampling = replace(config.sampling, u_low=inst.u_low, u_high=inst.u_high,
-                       theta_stddev=config.sampling.theta_stddev or (0.2,))
+    sampling = replace(config.sampling, theta_stddev=config.sampling.theta_stddev or (0.2,))
+    u_range = (inst.u_low, inst.u_high)
 
     mlp = inst.policy_mlp()
     policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
     twin = build_invariant_model(inst.spec, inst.plan(policy, mlp.n_weights),
-                                 LieElement("multiplicative", (inst.energy_sector,), [1.0]))
+                                 interventions.identity("multiplicative", (inst.energy_sector,)))
     weights, train_losses = _train_phases(twin, w0, sampling, _phase_schedule(config.adam),
-                                          replace(config.solver, tol=1e-5))
+                                          replace(config.solver, tol=1e-5), u_range)
 
     eval_solver = _eval_solver(config)
-    rng = np.random.default_rng(config.seed + 99)
-    thetas, us = [], []
-    for _ in range(50):  # held-out samples
-        thetas.append(optimize.sample_theta(twin.base, sampling, rng))
-        us.append(twin.assemble_u([optimize.sample_u(1, "multiplicative", sampling, rng)]))
-    thetas, us = np.array(thetas), np.array(us)
+    held_out = np.random.default_rng(config.seed + 99)
+    thetas, us = optimize.draw_samples(twin, sampling, u_range, held_out, 50)
     theta_ref = inst.spec.theta_ref[None]
     u_vals = np.linspace(inst.u_low, 1.0, 6)  # near-identity continuity at theta_ref
     lo, hi = inst.spec.theta_box[0]
@@ -607,12 +599,11 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
     if bundle.compartment is None:
         raise SchemaError("the compartment command runs on the two-compartment model", pointer="/model")
     inst = bundle.compartment
-    sampling = replace(config.sampling, u_low=inst.u_low, u_high=inst.u_high,
-                       theta_stddev=config.sampling.theta_stddev or (0.1,))
-    us = tuple(LieElement(p.group, (p.intervened,), [1.0]) for p in inst.plan.plans)
+    sampling = replace(config.sampling, theta_stddev=config.sampling.theta_stddev or (0.1,))
+    us = tuple(interventions.identity("multiplicative", (p.intervened,)) for p in inst.plan.plans)
     twin = build_invariant_model(inst.spec, inst.plan.plans, us)
     weights, train_losses = _train_phases(twin, inst.w0, sampling, _phase_schedule(config.adam)[:2],
-                                          replace(config.solver, tol=1e-6))
+                                          replace(config.solver, tol=1e-6), (inst.u_low, inst.u_high))
 
     grid = np.exp(np.linspace(np.log(inst.u_low), np.log(inst.u_high), 5))
     lo, hi = inst.spec.theta_box[0]
@@ -622,8 +613,8 @@ def _run_compartment(config: ExperimentConfig, bundle: ModelBundle, out: OutputW
                                      _eval_solver(config), policy=weights)
 
     policies = []
-    for plan, (start, stop) in zip(inst.plan.plans, twin.policy_slices):
-        policies.append(optimize.mlp_weights_to_obj(plan.training_config, weights[start:stop]))
+    for mlp, (start, stop) in zip(inst.mlps, twin.policy_slices):
+        policies.append(optimize.mlp_weights_to_obj(mlp, weights[start:stop]))
     out.write_json("policies.json", {"compartments": policies})
 
     # the deployed grid at theta_mid (thetas[1]), in the check's (u, v) order

@@ -921,8 +921,7 @@ def graph_to_obj(graph: ExprGraph) -> dict:
 
 
 def graph_from_obj(obj: dict) -> ExprGraph:
-    """Inverse of graph_to_obj. The dot, matvec and broadcast records that graph_to_obj
-    wrote before those ops became builder sugar load through the sugar.
+    """Inverse of graph_to_obj.
 
     A malformed record raises SpecValidationError naming it: an unknown op, a missing
     key, too few args, or an arg (or the output) that is not the index of a node built
@@ -945,8 +944,6 @@ def graph_from_obj(obj: dict) -> ExprGraph:
                 refs.append(b.input(rec["slot"], rec["dim"]))
             elif op == "const":
                 refs.append(b.const(rec["values"]))
-            elif op == "matvec":
-                refs.append(b.matvec(rec["matrix"], args[0]))
             elif op == "matmul":
                 refs.append(b.matmul(args[0], args[1], rec["rows"], rec["offset"]))
             elif op == "pow":
@@ -957,11 +954,9 @@ def graph_from_obj(obj: dict) -> ExprGraph:
                 refs.append(b.segdot(args[0], args[1], rec["lengths"]))
             elif op == "gather":
                 refs.append(b.gather(args[0], rec["indices"]))
-            elif op == "broadcast":
-                refs.append(b.broadcast(args[0], rec["dim"]))
             elif op == "concat":
                 refs.append(b.concat(*args))
-            elif op in ("add", "sub", "mul", "dot"):
+            elif op in ("add", "sub", "mul"):
                 refs.append(getattr(b, op)(args[0], args[1]))
             elif op in ("recip", "neg", "exp", "log", "relu"):
                 refs.append(getattr(b, op)(args[0]))

@@ -196,7 +196,8 @@ class InvariantInterventionSpec:
     "parents" slot and the plan's own intervention components through "u"
     (plus an optional "policy" weight slot of length policy_dim). When
     builtin_u is set, the model's pre-wired intervention slots carry the main
-    intervention instead of wrapping the intervened node's assignment.
+    intervention instead of wrapping the intervened node's assignment. The
+    intervention's group is its LieElement's, recorded on the twin.
     """
 
     intervened: int
@@ -205,8 +206,6 @@ class InvariantInterventionSpec:
     policy: ExprGraph
     policy_dim: int = 0
     builtin_u: bool = False
-    group: str = "multiplicative"
-    training_config: object | None = None
 
     def __post_init__(self):
         if self.intervened == self.invariant or self.intervened == self.auxiliary:
@@ -225,6 +224,7 @@ class InvariantTwin:
     base: SscmSpec
     deployed: SscmSpec
     plans: tuple[InvariantInterventionSpec, ...]
+    groups: tuple[str, ...]  # each plan's intervention group, from its LieElement
     u_slices: tuple[tuple[int, int], ...]
     policy_slices: tuple[tuple[int, int], ...]
     invariant_nodes: tuple[int, ...]
@@ -329,6 +329,7 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
         base=spec,
         deployed=deployed,
         plans=plans,
+        groups=tuple(g.group for g in interventions),
         u_slices=tuple(u_slices),
         policy_slices=tuple(policy_slices),
         invariant_nodes=invariant_nodes,

@@ -554,6 +554,7 @@ class TwoCompartmentInstance:
     spec: SscmSpec
     plan: CompartmentPlan
     w0: Array  # stacked initial MLP weights, in plan order
+    mlps: tuple[MlpSpec, ...]  # the plans' policy nets, in plan order
     u_low: float
     u_high: float
 
@@ -608,7 +609,7 @@ def two_compartment_model(u_low: float = 0.8, u_high: float = 1.25,
     compartments = ((0, 1, 2), (3, 4, 5))
     standardization = (((1.5, 1.0), (3.3, 4.5)), ((1.33, 1.0), (3.3, 4.5)))
     plan_list: list[InvariantInterventionSpec] = []
-    w0_chunks = []
+    mlps, w0_chunks = [], []
     for ci, (intervened, invariant) in enumerate(((0, 1), (3, 4))):
         n_pa = len(spec.parents[invariant])
         shift, scale = standardization[ci]
@@ -617,10 +618,11 @@ def two_compartment_model(u_low: float = 0.8, u_high: float = 1.25,
         policy, w0 = optimize.build_mlp_policy(mlp, n_pa, 1)
         plan_list.append(InvariantInterventionSpec(
             intervened=intervened, invariant=invariant, auxiliary=invariant,
-            policy=policy, policy_dim=mlp.n_weights, training_config=mlp))
+            policy=policy, policy_dim=mlp.n_weights))
+        mlps.append(mlp)
         w0_chunks.append(w0)
     plan = CompartmentPlan(compartments, tuple(plan_list))
-    return TwoCompartmentInstance(spec, plan, np.concatenate(w0_chunks), u_low, u_high)
+    return TwoCompartmentInstance(spec, plan, np.concatenate(w0_chunks), tuple(mlps), u_low, u_high)
 
 
 # --- seeded synthetic tables ---

@@ -396,42 +396,53 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Factorized Gaussian over theta (truncated to the box) and log-uniform u."""
+    """samples_per_step draws a step, theta from a Gaussian about theta_ref truncated to the box, with
+    stddevs theta_stddev (default 0.05 |theta_ref| + 0.01); u's range is the model's, passed to training."""
 
-    theta_mean: tuple | None = None
     theta_stddev: tuple | None = None
-    u_low: float = 0.5
-    u_high: float = 2.0
     samples_per_step: int = 16
 
     def __post_init__(self):  # every check fails on NaN
         if not self.samples_per_step >= 1:
             raise ValueError("samples_per_step must be >= 1")
-        if not 0 < self.u_low <= self.u_high:
-            raise ValueError("u range must satisfy 0 < u_low <= u_high")
         if self.theta_stddev is not None and not all(s >= 0 for s in self.theta_stddev):
             raise ValueError("theta_stddev entries must be nonnegative")
 
 
 def sample_theta(spec: SscmSpec, sampling: SamplingConfig, rng: np.random.Generator) -> Array:
-    mean = spec.theta_ref if sampling.theta_mean is None else np.asarray(sampling.theta_mean, float)
     std = (0.05 * np.abs(spec.theta_ref) + 0.01 if sampling.theta_stddev is None
            else np.asarray(sampling.theta_stddev, float))
-    for name, vec in (("theta_mean", mean), ("theta_stddev", std)):
-        if vec.shape != (spec.theta_dim,):
-            raise ShapeMismatch(f"{name} has shape {vec.shape}, expected ({spec.theta_dim},)")
+    if std.shape != (spec.theta_dim,):
+        raise ShapeMismatch(f"theta_stddev has shape {std.shape}, expected ({spec.theta_dim},)")
     lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
     for _ in range(1000):  # rejection into the box
-        theta = rng.normal(mean, std)
+        theta = rng.normal(spec.theta_ref, std)
         if np.all(theta >= lo) and np.all(theta <= hi):
             return theta
-    return np.clip(rng.normal(mean, std), lo, hi)
+    return np.clip(rng.normal(spec.theta_ref, std), lo, hi)
 
 
-def sample_u(dim: int, group: str, sampling: SamplingConfig, rng: np.random.Generator) -> Array:
+def sample_u(dim: int, group: str, u_range, rng: np.random.Generator) -> Array:
+    """dim values in u_range = (low, high), 0 < low <= high: log-uniform for the
+    multiplicative group, uniform for the additive one."""
+    low, high = u_range
+    if not 0 < low <= high:  # fails on NaN
+        raise ValueError(f"u range {tuple(u_range)} must satisfy 0 < low <= high")
     if group == "multiplicative":
-        return np.exp(rng.uniform(np.log(sampling.u_low), np.log(sampling.u_high), size=dim))
-    return rng.uniform(sampling.u_low, sampling.u_high, size=dim)
+        return np.exp(rng.uniform(np.log(low), np.log(high), size=dim))
+    return rng.uniform(low, high, size=dim)
+
+
+def draw_samples(twin: InvariantTwin, sampling: SamplingConfig, u_range, rng: np.random.Generator,
+                 n: int) -> tuple[Array, Array]:
+    """n rows of (theta, deployed u): per row sample_theta, then sample_u for each plan's
+    u components in its group, in plan order."""
+    thetas, us = [], []
+    for _ in range(n):
+        thetas.append(sample_theta(twin.base, sampling, rng))
+        us.append(twin.assemble_u([sample_u(stop - start, group, u_range, rng)
+                                   for group, (start, stop) in zip(twin.groups, twin.u_slices)]))
+    return np.array(thetas), np.array(us)
 
 
 # --- invariant-policy training ---
@@ -450,15 +461,16 @@ class TrainedPolicy:
         return self.losses[-1]
 
 
-def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
-                           adam: AdamConfig, solver: SolverConfig) -> TrainedPolicy:
+def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig, adam: AdamConfig,
+                           solver: SolverConfig, u_range=(0.5, 2.0)) -> TrainedPolicy:
     """Fit the auxiliary policies by least squares on the invariant-node deviation.
 
-    Each step draws (theta, u) samples, solves the unintervened and the rerouted
-    deployed equilibria (see InvariantTwin.solve_pair) of all samples as two
-    batches, and backpropagates the squared deviation of the invariant nodes
-    through the intervened equilibria into the policy weights with one batched
-    VJP. Failures are handled by `_descend`: a failing first step raises
+    Each step draws sampling.samples_per_step (theta, u) rows with draw_samples, u in
+    u_range, solves the unintervened and the rerouted deployed equilibria (see
+    InvariantTwin.solve_pair) of all rows as two batches, and backpropagates the squared
+    deviation of the invariant nodes through the intervened equilibria into the policy
+    weights with one batched VJP. A u_range without 0 < low <= high raises ValueError.
+    Failures are handled by `_descend`: a failing first step raises
     SolveFailedDuringOptimization, and more than five stop the run with `aborted` set.
     """
     rng = np.random.default_rng(adam.seed)
@@ -466,12 +478,7 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig,
     n = sampling.samples_per_step
 
     def evaluate(policy):
-        thetas, us = [], []
-        for _ in range(n):
-            thetas.append(sample_theta(twin.base, sampling, rng))
-            us.append(twin.assemble_u([sample_u(stop - start, plan.group, sampling, rng)
-                                       for plan, (start, stop) in zip(twin.plans, twin.u_slices)]))
-        theta, u = np.array(thetas), np.array(us)
+        theta, u = draw_samples(twin, sampling, u_range, rng, n)
         base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
         if not (base_sol.report.converged and int_sol.report.converged):
             raise NotConverged("equilibrium solve failed in training step")

@@ -319,8 +319,18 @@ def reference_distance_graph(x_ref):
     return b.build(b.dot(delta, delta))
 
 
-def reference_train_invariant_policy(twin, w0, sampling, adam, solver):
-    """optimize.train_invariant_policy as one solve pair and one VJP per sample;
+def reference_draw(twin, sampling, u_range, rng):
+    """One (theta, u) row as training drew it per sample: theta, then each plan's u
+    components in its group, in plan order; optimize.draw_samples must give these bits."""
+    from eqcausal import optimize
+
+    theta = optimize.sample_theta(twin.base, sampling, rng)
+    return theta, twin.assemble_u([optimize.sample_u(stop - start, group, u_range, rng)
+                                   for group, (start, stop) in zip(twin.groups, twin.u_slices)])
+
+
+def reference_train_invariant_policy(twin, w0, sampling, adam, solver, u_range=(0.5, 2.0)):
+    """optimize.train_invariant_policy as one draw, one solve pair and one VJP per sample;
     the batched version must draw its samples in this order and match it."""
     from eqcausal import deq, optimize
     from eqcausal.errors import NotConverged
@@ -333,10 +343,7 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver):
         grad = np.zeros_like(policy)
         batch_loss = 0.0
         for _ in range(n):
-            theta = optimize.sample_theta(twin.base, sampling, rng)
-            u_vals = [optimize.sample_u(stop - start, plan.group, sampling, rng)
-                      for plan, (start, stop) in zip(twin.plans, twin.u_slices)]
-            u = twin.assemble_u(u_vals)
+            theta, u = reference_draw(twin, sampling, u_range, rng)
             base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
             if not (base_sol.report.converged and int_sol.report.converged):
                 raise NotConverged("equilibrium solve failed in training step")

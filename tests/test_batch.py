@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from eqcausal import deq, fixedpoint, modelzoo, optimize
 from eqcausal.errors import NonFiniteIterate, NotConverged, SolveFailedDuringOptimization
 from eqcausal.fixedpoint import SolveReport, SolverConfig
-from eqcausal.optimize import AdamConfig, SamplingConfig, train_invariant_policy
+from eqcausal.interventions import build_invariant_model, identity
+from eqcausal.optimize import AdamConfig, SamplingConfig, draw_samples, train_invariant_policy
 from eqcausal.sscm import (EquilibriumSolution, Linearization, assemble_map, node_gradients,
                            solve_equilibrium)
 
-from ._models import reference_train_invariant_policy
+from ._models import motivating_spec, reference_draw, reference_train_invariant_policy
 from .test_deq import count_inverses
 from .test_optimize import scalar_policy_twin
 from .test_sscm import REBOUND_TWIN, REBOUND_W0, _random_spec, node_columns
@@ -261,14 +262,48 @@ def test_implicit_vjp_refuses_a_batch_with_an_unconverged_row():
 
 @pytest.mark.parametrize("samples", [1, 4])
 def test_batched_training_draws_samples_in_the_per_sample_order(samples):
-    sampling = SamplingConfig(u_low=0.5, u_high=1.0, theta_stddev=(0.2,), samples_per_step=samples)
+    sampling = SamplingConfig(theta_stddev=(0.2,), samples_per_step=samples)
     adam = AdamConfig(learning_rate=0.01, iterations=3, seed=11, early_stop=False)
     solver = SolverConfig(tol=1e-5)
-    got = train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver)
-    want = reference_train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver)
+    got = train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver, (0.5, 1.0))
+    want = reference_train_invariant_policy(REBOUND_TWIN, REBOUND_W0, sampling, adam, solver, (0.5, 1.0))
     assert got.steps == want.steps == 3
     np.testing.assert_allclose(got.losses, want.losses, rtol=1e-10)
     np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-10)
+
+
+def _assert_draws_per_row(twin, sampling, u_range, seed, n):
+    theta, u = draw_samples(twin, sampling, u_range, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    rows = [reference_draw(twin, sampling, u_range, rng) for _ in range(n)]
+    assert theta.tobytes() == np.array([t for t, _ in rows]).tobytes()
+    assert u.tobytes() == np.array([v for _, v in rows]).tobytes()
+
+
+def test_held_out_draws_of_the_invariant_pipeline_equal_the_per_row_draws():
+    inst = modelzoo.rebound_3sector()
+    # the pipeline's 50 held-out rows at seed 0 draw from default_rng(seed + 99)
+    _assert_draws_per_row(REBOUND_TWIN, SamplingConfig(theta_stddev=(0.2,)), (inst.u_low, inst.u_high), 99, 50)
+
+
+def test_two_plan_draws_equal_the_per_row_draws():
+    inst = modelzoo.two_compartment_model()
+    twin = build_invariant_model(inst.spec, inst.plan.plans,
+                                 [identity("multiplicative", (p.intervened,)) for p in inst.plan.plans])
+    assert twin.groups == ("multiplicative", "multiplicative")
+    _assert_draws_per_row(twin, SamplingConfig(theta_stddev=(0.1,)), (inst.u_low, inst.u_high), 3, 16)
+
+
+def test_an_additive_twin_draws_u_uniformly_in_the_range():
+    twin = build_invariant_model(motivating_spec(), scalar_policy_twin().plans[0], identity("additive", (1,)))
+    assert twin.groups == ("additive",)
+    sampling = SamplingConfig()
+    theta, u = draw_samples(twin, sampling, (0.5, 2.0), np.random.default_rng(5), 4)
+    rng = np.random.default_rng(5)
+    (start, _), = twin.u_slices
+    for row_theta, row_u in zip(theta, u):
+        assert row_theta.tobytes() == optimize.sample_theta(twin.base, sampling, rng).tobytes()
+        assert row_u[start].hex() == rng.uniform(0.5, 2.0).hex()
 
 
 def test_training_batch_with_one_unconverged_row_raises_not_converged(monkeypatch):

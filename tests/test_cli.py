@@ -264,7 +264,6 @@ def test_non_finite_config_number_is_a_schema_error(obj, pointer):
     (SolverConfig, "m"), (SolverConfig, "tol"), (SolverConfig, "max_iter"), (SolverConfig, "beta"),
     (SolverConfig, "ridge"), (AdamConfig, "learning_rate"), (AdamConfig, "beta1"),
     (AdamConfig, "iterations"), (AdamConfig, "eps"), (AdamConfig, "plateau_rtol"),
-    (SamplingConfig, "u_low"), (SamplingConfig, "u_high"),
     (SamplingConfig, "samples_per_step"),
 ])
 def test_config_checks_reject_nan(cls, field):
@@ -393,9 +392,10 @@ def test_config_sections_are_typed_and_closed(section, values):
 def test_config_sections_follow_the_dataclasses():
     props = cli.CONFIG_SCHEMA["properties"]
     for key, cls, hidden in (("solver", SolverConfig, set()), ("adam", AdamConfig, {"seed"}),
-                             ("sampling", SamplingConfig, {"theta_mean", "u_low", "u_high"})):
+                             ("sampling", SamplingConfig, set())):
         names = {f.name for f in dataclasses.fields(cls)} - hidden
         assert set(props[key]["properties"]) == names
+    assert set(props["sampling"]["properties"]) == {"theta_stddev", "samples_per_step"}
     cfg = _config_from_obj({"command": "solve", "model": "motivating-example",
                             "solver": {"m": 1, "beta": 1},
                             "adam": {"early_stop": False, "plateau_rtol": 0.5},

@@ -265,27 +265,6 @@ def test_graph_json_roundtrip_bit_exact():
     assert forward_eval(g, bindings).tobytes() == forward_eval(g2, bindings).tobytes()
 
 
-# a graph written when dot, matvec and broadcast were ops of their own
-OLD_FORM = {"nodes": [
-    {"op": "input", "args": [], "slot": "x", "dim": 3},
-    {"op": "matvec", "args": [0], "matrix": [[0.1, 1 / 3, -0.7], [2.5, 0.3, 1 / 7]]},
-    {"op": "dot", "args": [1, 1]},
-    {"op": "broadcast", "args": [2], "dim": 3},
-    {"op": "mul", "args": [3, 0]},
-], "output": 4}
-
-
-def test_old_dot_matvec_broadcast_records_load_through_the_builder_sugar():
-    g = diffcore.graph_from_obj(OLD_FORM)
-    assert [node.op for node in g.nodes] == ["input", "const", "matmul", "matmul", "gather", "mul"]
-    x = np.array([0.3, -1.1, 2 / 3])
-    # the bits the graph gave when each of the three was its own op
-    assert [v.hex() for v in forward_eval(g, {"x": x})] == [
-        "0x1.17cd62bd3e7e6p-2", "-0x1.007c452d79493p+0", "0x1.36e434d2456ffp-1"]
-    assert [v.hex() for v in reverse_vjp(g, {"x": x}, [1.0, -0.5, 0.25])["x"]] == [
-        "0x1.aeeca8dddd275p+1", "-0x1.5f0620445e946p-1", "0x1.8551c90b02ca7p+0"]
-
-
 _INPUT = {"op": "input", "args": [], "slot": "x", "dim": 2}
 MALFORMED_GRAPHS = [
     ({"nodes": [_INPUT, {"op": "neg", "args": [-1]}], "output": 1},
@@ -302,6 +281,16 @@ MALFORMED_GRAPHS = [
     ({"nodes": [_INPUT, {"op": "tanh", "args": [0]}], "output": 1},
      "graph record 1: unknown op 'tanh'"),
     ({"nodes": [_INPUT, {"op": "add", "args": [0]}], "output": 1}, "graph record 1: too few args"),
+    # dot, matvec and broadcast were ops of their own before they became builder sugar
+    ({"nodes": [{"op": "input", "args": [], "slot": "x", "dim": 3},
+                {"op": "matvec", "args": [0], "matrix": [[0.1, 1 / 3, -0.7], [2.5, 0.3, 1 / 7]]},
+                {"op": "dot", "args": [1, 1]},
+                {"op": "broadcast", "args": [2], "dim": 3},
+                {"op": "mul", "args": [3, 0]}], "output": 4},
+     "graph record 1: unknown op 'matvec'"),
+    ({"nodes": [_INPUT, {"op": "dot", "args": [0, 0]}], "output": 1}, "graph record 1: unknown op 'dot'"),
+    ({"nodes": [_INPUT, {"op": "broadcast", "args": [0], "dim": 2}], "output": 1},
+     "graph record 1: unknown op 'broadcast'"),
 ]
 
 

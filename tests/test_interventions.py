@@ -378,7 +378,7 @@ def exact_compartment_policies(inst, cfg):
 
 
 def compartment_twin(spec, plan):
-    return build_invariant_model(spec, plan.plans, [identity(p.group, (p.intervened,)) for p in plan.plans])
+    return build_invariant_model(spec, plan.plans, [identity("multiplicative", (p.intervened,)) for p in plan.plans])
 
 
 def _twin(name):

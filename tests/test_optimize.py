@@ -11,7 +11,7 @@ from eqcausal.fixedpoint import SolverConfig
 from eqcausal.interventions import InvariantInterventionSpec, LieElement, build_invariant_model
 from eqcausal.optimize import (AdamConfig, AdamState, GhgEmploymentLoss, MlpSpec,
                                SamplingConfig, adam_step, build_mlp_policy, init_mlp_weights,
-                               mlp_forward, optimize_lie_intervention, pareto_sweep,
+                               draw_samples, mlp_forward, optimize_lie_intervention, pareto_sweep,
                                sample_theta, sample_u, train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
@@ -474,22 +474,35 @@ def test_pareto_point_whose_optimization_fails_repeats_the_previous_point(monkey
 
 def test_sampling_respects_box_and_range():
     spec = motivating_spec()
-    sampling = SamplingConfig(u_low=0.5, u_high=2.0)
+    sampling = SamplingConfig()
     rng = np.random.default_rng(0)
     lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
     for _ in range(200):
         theta = sample_theta(spec, sampling, rng)
         assert np.all(theta >= lo) and np.all(theta <= hi)
-    us = sample_u(500, "multiplicative", sampling, rng)
+    us = sample_u(500, "multiplicative", (0.5, 2.0), rng)
     assert np.all(us >= 0.5) and np.all(us <= 2.0)
 
 
 def test_sample_theta_rejects_wrong_lengths():
     spec = motivating_spec()  # theta dimension 4
+    with pytest.raises(ShapeMismatch):
+        sample_theta(spec, SamplingConfig(theta_stddev=(0.1, 0.2)), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("u_range", [(np.nan, 2.0), (0.5, np.nan), (0.0, 2.0), (-0.5, 2.0), (2.0, 0.5)],
+                         ids=["nan-low", "nan-high", "zero-low", "negative-low", "low-above-high"])
+def test_sampling_refuses_a_nan_nonpositive_or_reversed_u_range(u_range):
+    twin = scalar_policy_twin()
     rng = np.random.default_rng(0)
-    for sampling in (SamplingConfig(theta_stddev=(0.1, 0.2)), SamplingConfig(theta_mean=(1.0,))):
-        with pytest.raises(ShapeMismatch):
-            sample_theta(spec, sampling, rng)
+    for group in ("multiplicative", "additive"):
+        with pytest.raises(ValueError, match="u range"):
+            sample_u(1, group, u_range, rng)
+    with pytest.raises(ValueError, match="u range"):
+        draw_samples(twin, SamplingConfig(), u_range, rng, 2)
+    with pytest.raises(ValueError, match="u range"):
+        train_invariant_policy(twin, np.array([0.4]), SamplingConfig(samples_per_step=2),
+                               AdamConfig(iterations=2), SolverConfig(tol=1e-8), u_range)
 
 
 # --- invariant-policy training ---
@@ -510,7 +523,7 @@ def scalar_policy_twin():
 
 def test_training_recovers_exact_scalar_policy():
     twin = scalar_policy_twin()
-    sampling = SamplingConfig(u_low=0.5, u_high=2.0, samples_per_step=8)
+    sampling = SamplingConfig(samples_per_step=8)
     adam = AdamConfig(learning_rate=0.05, iterations=400, seed=7, early_stop=False)
     trained = train_invariant_policy(twin, np.array([0.3]), sampling, adam,
                                      SolverConfig(tol=1e-8))
@@ -520,7 +533,7 @@ def test_training_recovers_exact_scalar_policy():
     rng = np.random.default_rng(123)
     for _ in range(10):
         theta = sample_theta(twin.base, SamplingConfig(), rng)
-        u = twin.assemble_u([sample_u(1, "multiplicative", sampling, rng)])
+        u = twin.assemble_u([sample_u(1, "multiplicative", (0.5, 2.0), rng)])
         base = solve_equilibrium(twin.base, theta, TIGHT)
         dep = solve_equilibrium(twin.deployed, theta, TIGHT, u=u, policy=trained.weights)
         assert abs(dep.x_star[2] - base.x_star[2]) < 1e-3 * abs(base.x_star[2])
@@ -528,16 +541,16 @@ def test_training_recovers_exact_scalar_policy():
 
 def test_training_with_identity_u_reaches_zero_loss():
     twin = scalar_policy_twin()
-    sampling = SamplingConfig(u_low=1.0, u_high=1.0, samples_per_step=4)
+    sampling = SamplingConfig(samples_per_step=4)
     adam = AdamConfig(learning_rate=0.05, iterations=300, seed=3, early_stop=False)
     trained = train_invariant_policy(twin, np.array([0.5]), sampling, adam,
-                                     SolverConfig(tol=1e-8))
+                                     SolverConfig(tol=1e-8), u_range=(1.0, 1.0))
     assert trained.final_loss < 1e-6
 
 
 def test_training_deterministic_given_seed():
     twin = scalar_policy_twin()
-    sampling = SamplingConfig(u_low=0.5, u_high=2.0, samples_per_step=4)
+    sampling = SamplingConfig(samples_per_step=4)
     adam = AdamConfig(learning_rate=0.05, iterations=40, seed=11, early_stop=False)
 
     def run():
