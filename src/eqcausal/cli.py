@@ -289,7 +289,6 @@ def config_hash(config: ExperimentConfig) -> str:
 class ModelBundle:
     spec: SscmSpec
     table: IoTable | None
-    zoo_id: str | None
     rebound: modelzoo.ReboundInstance | None = None
     compartment: modelzoo.TwoCompartmentInstance | None = None
 
@@ -298,21 +297,21 @@ def build_model(config: ExperimentConfig) -> ModelBundle:
     model = config.model
     if isinstance(model, dict):
         table = dataio.load_iotable_csv(model["a_csv"], model["y_csv"], model.get("r_csv"))
-        return ModelBundle(modelzoo.leontief_model(table), table, None)
+        return ModelBundle(modelzoo.leontief_model(table), table)
     if model == "motivating-example":
-        return ModelBundle(modelzoo.motivating_example(), None, model)
+        return ModelBundle(modelzoo.motivating_example(), None)
     if model == "rebound-3sector":
         inst = modelzoo.rebound_3sector()
-        return ModelBundle(inst.spec, inst.table, model, rebound=inst)
+        return ModelBundle(inst.spec, inst.table, rebound=inst)
     if model == "two-compartment":
         inst = modelzoo.two_compartment_model()
-        return ModelBundle(inst.spec, None, model, compartment=inst)
+        return ModelBundle(inst.spec, None, compartment=inst)
     if model.startswith("leontief-synthetic-"):
         size = model.removeprefix("leontief-synthetic-")
         if not (size.isascii() and size.isdigit()):
             raise SchemaError(f"bad synthetic size in zoo id {model!r}", pointer="/model")
         table = modelzoo.leontief_synthetic(int(size))
-        return ModelBundle(modelzoo.leontief_model(table), table, model)
+        return ModelBundle(modelzoo.leontief_model(table), table)
     raise SchemaError(f"unknown model id {model!r}", pointer="/model")
 
 
@@ -397,7 +396,9 @@ def _intervened_spec(bundle: ModelBundle, config: ExperimentConfig):
     inter = config.intervention or {}
     if "targets" in inter:
         g = interventions.identity(inter.get("group", "multiplicative"), inter["targets"])
-        spec = interventions.apply(spec, LieElement(g.group, g.targets, inter.get("values", g.values)))
+        g = LieElement(g.group, g.targets, inter.get("values", g.values))
+        spec = interventions.apply(spec, g)
+        u = None if u is None else np.concatenate([u, g.values])  # after the model's own
     return spec, u
 
 
@@ -425,7 +426,7 @@ def _run_grad_check(config: ExperimentConfig, bundle: ModelBundle, out: OutputWr
     spec, u = _intervened_spec(bundle, config)
     if "objective_row" in config.loss and bundle.table is not None:
         c = _impact_row(bundle.table, config.loss["objective_row"])
-        if bundle.zoo_id == "rebound-3sector":
+        if bundle.rebound is not None:
             c = np.concatenate([c, np.zeros(2 * bundle.table.d)])
     else:
         c = np.ones(spec.d)

@@ -12,11 +12,10 @@ row-major weight block read from a vector node, times a vector), segdot (the
 dot products of two vectors over consecutive segments), concat, slice and
 gather. They lower to four kernel families, each with one VJP: elementwise
 unary, elementwise binary, segment sum of products (matmul, segdot) and copy
-(slice, gather, concat), which costs nothing forward. The builder's dot (a
-one-row matmul), matvec (a matmul over a constant matrix) and broadcast (a
-gather of component 0) emit these ops. Each evaluation takes a buffer, with every step
-bound to it once, from the program's pool, so one graph can be evaluated concurrently. A
-Prepared set of bindings, which binds every slot but one once, cannot.
+(slice, gather, concat), which costs nothing forward. The builder's dot emits a
+one-row matmul. Each evaluation takes a buffer, with every step bound to it once,
+from the program's pool, so one graph can be evaluated concurrently. A Prepared
+set of bindings, which binds every slot but one once, cannot.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
 the evaluation batched. The same program then runs on a (N, B) buffer, into
@@ -147,15 +146,6 @@ class ExprBuilder:
     def neg(self, a) -> Ref:
         return self._push("neg", (a,), None, a.dim)
 
-    def matvec(self, matrix, v) -> Ref:
-        """matrix @ v for a constant matrix: a matmul over the matrix as a row-major const."""
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ShapeMismatch(f"matvec matrix must be 2-d, got shape {mat.shape}")
-        if mat.shape[1] != v.dim:
-            raise ShapeMismatch(f"matvec: matrix is {mat.shape}, vector dim {v.dim}")
-        return self.matmul(self.const(mat.ravel()), v, mat.shape[0])
-
     def matmul(self, w, x, n_out: int, offset: int = 0) -> Ref:
         """W @ x with W the row-major (n_out, x.dim) block of w starting at offset."""
         stop = offset + n_out * x.dim
@@ -204,12 +194,6 @@ class ExprBuilder:
         if idx and (min(idx) < 0 or max(idx) >= a.dim):
             raise ShapeMismatch(f"gather indices {idx} out of range for dim {a.dim}")
         return self._push("gather", (a,), idx, len(idx))
-
-    def broadcast(self, a, dim: int) -> Ref:
-        """A scalar node repeated dim times, as a gather."""
-        if a.dim != 1:
-            raise ShapeMismatch(f"broadcast expects a scalar node, got dim {a.dim}")
-        return self.gather(a, (0,) * int(dim))
 
     def build(self, output: Ref) -> ExprGraph:
         slots = dict(self._inputs)

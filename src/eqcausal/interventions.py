@@ -3,10 +3,10 @@
 A LieElement from the multiplicative group (strictly positive reals) or the
 additive group acts on a model by wrapping the targeted structural
 assignments; applying the identity leaves equilibria unchanged. Invariant
-interventions pair a main intervention with a learned or analytic policy on
-an auxiliary node, built here as a twin structure: an unintervened layer and
-an intervened layer whose arrows out of the invariant nodes read the
-unintervened equilibrium values, a reroute of the deployed model at solve time.
+interventions pair a main intervention with a learned or analytic policy on an
+auxiliary node, built here as a twin: the base model and a deployed one, written in
+one pass over the base model's graphs, whose arrows out of the invariant nodes read
+the base equilibrium values, a reroute of the deployed model at solve time.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .diffcore import ExprBuilder, ExprGraph, inline
 from .errors import (ClampedModelSingular, InvalidGroupElement, InvalidPartition,
                      MismatchedTargets, PolicyArityMismatch, ShapeMismatch)
 from .fixedpoint import SolverConfig
-from .sscm import (COND_MAX, EquilibriumSolution, Linearization, SscmSpec, derive_wrapped,
-                   solve_equilibrium)
+from .sscm import (COND_MAX, EquilibriumSolution, Linearization, SscmSpec, _require_valid,
+                   derive_wrapped, solve_equilibrium, wrap_assignment)
 
 Array = np.ndarray
 
@@ -216,9 +216,10 @@ class InvariantInterventionSpec:
 class InvariantTwin:
     """Paired unintervened/intervened models sharing theta.
 
-    `deployed` is what an actual intervention would produce and is solved as it is.
-    Training solves it with every arrow leaving an invariant node reading the
-    unintervened equilibrium instead (see solve_pair), one program for both uses.
+    `deployed` is what an actual intervention would produce and is solved as it is: base
+    with each plan's intervention wrapped in (or its built-in u set) and its policy in
+    place of the auxiliary node's assignment. Training solves it with every arrow leaving
+    an invariant node reading the unintervened equilibrium instead (see solve_pair).
     """
 
     base: SscmSpec
@@ -255,9 +256,11 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
     """Construct the unintervened/intervened twin for one or more invariance plans.
 
     `plans` and `interventions` may be a single plan/LieElement or aligned
-    sequences (one per compartment). Each plan's auxiliary assignment is
-    replaced by its policy graph in the deployed spec, the twin's one intervened
-    program; solve_pair reroutes the invariant nodes' arrows at solve time.
+    sequences (one per compartment). The deployed spec is written in one pass over
+    spec's per-node graphs: a built-in plan sets the first u_dim u components, every
+    other plan wraps its intervened node by one u component appended in plan order
+    (sscm.wrap_assignment; spec must then be valid), and each policy then replaces its
+    auxiliary node's graph. A plan node outside the model raises MismatchedTargets.
     """
     if isinstance(plans, InvariantInterventionSpec):
         plans = (plans,)
@@ -267,33 +270,40 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
     if len(plans) != len(interventions):
         raise ValueError("one intervention per plan required")
 
-    wired = spec
+    u_ref, added = spec.u_ref.copy(), []
     u_slices: list[tuple[int, int]] = []
+    wraps: dict[int, list] = {}
     for plan, g in zip(plans, interventions):
         if plan.builtin_u:
             if g.dim != spec.u_dim or spec.u_dim == 0:
                 raise MismatchedTargets(
                     f"builtin intervention must cover the model's u_dim {spec.u_dim}")
             u_slices.append((0, spec.u_dim))
-            vals = wired.u_ref.copy()
-            vals[0:spec.u_dim] = g.values
-            wired = wired.with_u(vals)
+            u_ref[0:spec.u_dim] = g.values
         else:
             if g.targets != (plan.intervened,):
                 raise MismatchedTargets(
                     f"intervention targets {g.targets} do not match plan's intervened node {plan.intervened}")
-            start = wired.u_dim
-            wired = apply(wired, g)
-            u_slices.append((start, wired.u_dim))
+            if not 0 <= plan.intervened < spec.d:
+                raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")
+            _require_valid(spec)
+            pos = spec.u_dim + len(added)
+            wraps.setdefault(plan.intervened, []).append((pos, g.group == "multiplicative"))
+            added.append(g.values)
+            u_slices.append((pos, pos + 1))
+        nodes = (plan.intervened, plan.invariant, plan.auxiliary)
+        if not all(0 <= n < spec.d for n in nodes):
+            raise MismatchedTargets(f"plan nodes {nodes} outside node range 0..{spec.d - 1}")
 
-    final_dim = wired.u_dim
+    u_dim = spec.u_dim + len(added)  # a twin of built-in plans only keeps every graph
+    assignments = [wrap_assignment(graph, spec.u_dim, u_dim, wraps.get(j, ())) if added else graph
+                   for j, graph in enumerate(spec.assignments)]
     policy_total = sum(p.policy_dim for p in plans)
     policy_slices: list[tuple[int, int]] = []
     offset = 0
-    assignments = list(wired.assignments)
     for plan, (ustart, ustop) in zip(plans, u_slices):
         k = plan.auxiliary
-        n_pa = len(wired.parents[k])
+        n_pa = len(spec.parents[k])
         pol = plan.policy
         pol_pa = pol.slot_dim("parents") if "parents" in pol.slots else 0
         if pol_pa != n_pa:
@@ -310,16 +320,15 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
         if "parents" in pol.slots:
             slot_map["parents"] = b.input("parents", n_pa)
         if "u" in pol.slots:
-            u_in = b.input("u", final_dim)
-            slot_map["u"] = b.gather(u_in, range(ustart, ustop))
+            slot_map["u"] = b.gather(b.input("u", u_dim), range(ustart, ustop))
         if "policy" in pol.slots:
-            w_in = b.input("policy", policy_total)
-            slot_map["policy"] = b.slice(w_in, offset, offset + plan.policy_dim)
+            slot_map["policy"] = b.slice(b.input("policy", policy_total), offset, offset + plan.policy_dim)
         assignments[k] = b.build(inline(b, pol, slot_map))
         policy_slices.append((offset, offset + plan.policy_dim))
         offset += plan.policy_dim
 
-    deployed = replace(wired, assignments=tuple(assignments), policy_dim=policy_total)
+    deployed = replace(spec, assignments=tuple(assignments), u_dim=u_dim,
+                       u_ref=np.concatenate([u_ref, *added]), policy_dim=policy_total)
 
     invariant_nodes = tuple(p.invariant for p in plans)
     if len(set(invariant_nodes)) != len(invariant_nodes):

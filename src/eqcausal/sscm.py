@@ -20,7 +20,7 @@ an intervened spec (interventions.apply) derives its program from its parent's:
 the parent's stacked graph with the wrap of each target by its u component
 appended as nodes of the same graph, compiled once, at its first use. These
 build their per-node graphs only when `assignments` is read: by validate, JSON,
-dataclasses.replace (whose copy stacks its own graphs).
+dataclasses.replace (whose copy stacks its own graphs), build_invariant_model.
 
 Batches: binding x, theta, u, policy or reroute values with a leading batch axis of
 B rows stacks B independent problems, and a binding without it is shared by
@@ -120,9 +120,6 @@ class SscmSpec:
     @property
     def theta_dim(self) -> int:
         return self.theta_ref.shape[0]
-
-    def with_u(self, u_ref) -> "SscmSpec":
-        return replace(self, u_ref=_frozen_array(u_ref))
 
 
 @dataclass
@@ -286,6 +283,20 @@ def merge_rows(node, d: int, out: int, rows, op: str, term: int) -> int:
     return node("gather", d, node("concat", d + len(rows), out, changed), payload=merge)
 
 
+def wrap_assignment(graph: ExprGraph, old: int, new: int, wraps=()) -> ExprGraph:
+    """`graph` with its u slot, if it has one, reading the first `old` components of a u of
+    `new`, and its output multiplied by (or added to) u[pos] for each (pos, multiplicative)
+    of `wraps`, in order. A graph that reads no u and has no wraps is returned as it is."""
+    if not wraps and "u" not in graph.slots:
+        return graph
+    b = diffcore.ExprBuilder()
+    out = diffcore.inline(b, graph, {"u": b.slice(b.input("u", new), 0, old)} if "u" in graph.slots else {})
+    for pos, multiplicative in wraps:
+        val = b.gather(b.input("u", new), [pos])
+        out = out * val if multiplicative else out + val
+    return b.build(out)
+
+
 def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> SscmSpec:
     """`parent` with each target's output multiplied by (or added to) a new u component,
     `values` by default. Its program, compiled at its first use, is the parent's stacked
@@ -316,20 +327,12 @@ def derive_wrapped(parent: SscmSpec, multiplicative: bool, targets, values) -> S
             at = np.concatenate([at // max(old, 1) * new + at % max(old, 1), rows * new + np.arange(old, new)])
         cells.append((name, w, entries, at))
 
-    pos_of = {t: old + i for i, t in enumerate(targets)}
+    wraps = {t: [(old + i, multiplicative)] for i, t in enumerate(targets)}
     graphs = parent.__dict__["_assignments"]  # a function, if the parent's are not built
 
     def wrapped():
         for j, graph in enumerate(graphs() if callable(graphs) else graphs):
-            if j in pos_of or "u" in graph.slots:
-                b = diffcore.ExprBuilder()  # the old u slot reads a prefix of the widened u
-                u = {"u": b.slice(b.input("u", new), 0, old)} if "u" in graph.slots else {}
-                out = diffcore.inline(b, graph, u)
-                if j in pos_of:
-                    val = b.gather(b.input("u", new), [pos_of[j]])
-                    out = out * val if multiplicative else out + val
-                graph = b.build(out)
-            yield graph
+            yield wrap_assignment(graph, old, new, wraps.get(j, ()))
 
     spec = replace(parent, assignments=wrapped, u_dim=new, u_ref=np.concatenate([parent.u_ref, values]))
     return with_program(spec, ExprGraph(tuple(nodes), out, slots, tuple(dims)), cells)

@@ -361,6 +361,81 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver, u_range=(
                                   res.aborted, len(res.failures))
 
 
+def reference_build_invariant_model(spec, plans, interventions):
+    """interventions.build_invariant_model as it reached the deployed spec by a chain of
+    specs: interventions.apply for each wrapped plan, a copy with new u_ref values for a
+    built-in one, then the policies in place of the auxiliary nodes' graphs. The one-pass
+    build must give the same layout, and the same map and partials to the bit."""
+    from eqcausal.errors import MismatchedTargets, PolicyArityMismatch
+    from eqcausal.interventions import InvariantInterventionSpec, InvariantTwin, apply
+
+    if isinstance(plans, InvariantInterventionSpec):
+        plans = (plans,)
+        interventions = (interventions,)
+    plans = tuple(plans)
+    interventions = tuple(interventions)
+    if len(plans) != len(interventions):
+        raise ValueError("one intervention per plan required")
+
+    wired = spec
+    u_slices = []
+    for plan, g in zip(plans, interventions):
+        if plan.builtin_u:
+            if g.dim != spec.u_dim or spec.u_dim == 0:
+                raise MismatchedTargets(
+                    f"builtin intervention must cover the model's u_dim {spec.u_dim}")
+            u_slices.append((0, spec.u_dim))
+            vals = wired.u_ref.copy()
+            vals[0:spec.u_dim] = g.values
+            wired = replace(wired, u_ref=vals)
+        else:
+            if g.targets != (plan.intervened,):
+                raise MismatchedTargets(
+                    f"intervention targets {g.targets} do not match plan's intervened node {plan.intervened}")
+            start = wired.u_dim
+            wired = apply(wired, g)
+            u_slices.append((start, wired.u_dim))
+
+    final_dim = wired.u_dim
+    policy_total = sum(p.policy_dim for p in plans)
+    policy_slices = []
+    offset = 0
+    assignments = list(wired.assignments)
+    for plan, (ustart, ustop) in zip(plans, u_slices):
+        k = plan.auxiliary
+        n_pa = len(wired.parents[k])
+        pol = plan.policy
+        pol_pa = pol.slot_dim("parents") if "parents" in pol.slots else 0
+        if pol_pa != n_pa:
+            raise PolicyArityMismatch(
+                f"policy for node {k} expects {pol_pa} parents, node has {n_pa}")
+        if "u" in pol.slots and pol.slot_dim("u") != ustop - ustart:
+            raise PolicyArityMismatch(
+                f"policy u slot dim {pol.slot_dim('u')} != intervention dim {ustop - ustart}")
+        if ("policy" in pol.slots and pol.slot_dim("policy") != plan.policy_dim) or \
+                ("policy" not in pol.slots and plan.policy_dim != 0):
+            raise PolicyArityMismatch(f"policy weight slot does not match policy_dim {plan.policy_dim}")
+        b = ExprBuilder()
+        slot_map = {}
+        if "parents" in pol.slots:
+            slot_map["parents"] = b.input("parents", n_pa)
+        if "u" in pol.slots:
+            slot_map["u"] = b.gather(b.input("u", final_dim), range(ustart, ustop))
+        if "policy" in pol.slots:
+            slot_map["policy"] = b.slice(b.input("policy", policy_total), offset, offset + plan.policy_dim)
+        assignments[k] = b.build(diffcore.inline(b, pol, slot_map))
+        policy_slices.append((offset, offset + plan.policy_dim))
+        offset += plan.policy_dim
+
+    deployed = replace(wired, assignments=tuple(assignments), policy_dim=policy_total)
+    invariant_nodes = tuple(p.invariant for p in plans)
+    if len(set(invariant_nodes)) != len(invariant_nodes):
+        raise ValueError("plans share an invariant node")
+    return InvariantTwin(base=spec, deployed=deployed, plans=plans,
+                         groups=tuple(g.group for g in interventions), u_slices=tuple(u_slices),
+                         policy_slices=tuple(policy_slices), invariant_nodes=invariant_nodes)
+
+
 # --- the per-node graph interpreter diffcore's fused program replaced ---
 #
 # One Python step per node, forward and backward, vector and batch. In a batch a

@@ -16,12 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import eqcausal
-from eqcausal import cli, dataio, diffcore, fixedpoint, modelzoo
+from eqcausal import cli, dataio, diffcore, fixedpoint, interventions, modelzoo
 from eqcausal.cli import (_config_from_obj, build_model, config_hash, load_config, main,
                           run_experiment)
 from eqcausal.errors import DimensionMismatch, NegativeEntry, ParseError, SchemaError
 from eqcausal.fixedpoint import SolverConfig
+from eqcausal.interventions import LieElement
 from eqcausal.optimize import AdamConfig, SamplingConfig
+from eqcausal.sscm import solve_equilibrium
 
 from ._models import inject_state_jacobian
 
@@ -643,6 +645,28 @@ def test_grad_check_reads_the_objective_row(tmp_path):
     assert manifest.success
     rep = json.loads((tmp_path / "out" / "grad_check.json").read_text())
     assert rep["max_rel_deviation"] < 1e-4
+
+
+@pytest.mark.parametrize("command", ["solve", "grad-check"])
+def test_builtin_values_and_targets_solve_with_the_builtin_components_first(tmp_path, command):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", {
+        "command": command, "model": "rebound-3sector", "out": str(out),
+        "intervention": {"targets": [0], "values": [0.9], "builtin_values": [0.7]}})
+    assert run_cli([command, "--config", path]).exit_code == 0
+    config = load_config(path)
+    spec = interventions.apply(modelzoo.rebound_3sector().spec, LieElement("multiplicative", (0,), [0.9]))
+    u = np.array([0.7, 0.9])
+    if command == "solve":
+        want = solve_equilibrium(spec, spec.theta_ref, config.solver, u=u).x_star
+        rows = (out / "equilibrium.csv").read_text().strip().splitlines()[1:]
+        assert np.array([float(r.split(",")[1]) for r in rows]).tobytes() == want.tobytes()
+    else:
+        x = solve_equilibrium(spec, spec.theta_ref, cli._eval_solver(config), u=u).x_star
+        b = diffcore.ExprBuilder()
+        loss = b.build(b.dot(b.const(np.ones(spec.d)), b.input("x", spec.d)))
+        rep = json.loads((out / "grad_check.json").read_text())
+        assert rep["loss_value"] == float(diffcore.forward_eval(loss, {"x": x})[0])
 
 
 def test_bench_command_small(tmp_path, monkeypatch):

@@ -13,6 +13,12 @@ from eqcausal.errors import DomainError, ShapeMismatch, SpecValidationError, Unb
 from ._models import finite_difference_jacobian, jacobian, reference_forward_eval, reference_reverse_vjp
 
 
+def matvec(b, A, x):
+    """A @ x for a constant matrix A: a matmul over its row-major entries as a const."""
+    A = np.asarray(A, dtype=np.float64)
+    return b.matmul(b.const(A.ravel()), x, A.shape[0])
+
+
 def square_graph():
     b = ExprBuilder()
     x = b.input("x", 1)
@@ -22,7 +28,7 @@ def square_graph():
 def affine_graph(A, y):
     b = ExprBuilder()
     x = b.input("x", np.shape(A)[1])
-    return b.build(b.matvec(A, x) + b.const(y))
+    return b.build(matvec(b, A, x) + b.const(y))
 
 
 def test_square_at_three():
@@ -53,7 +59,7 @@ def test_linear_vjp_is_adjoint():
     A = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
     b = ExprBuilder()
     x = b.input("x", 3)
-    g = b.build(b.matvec(A, x))
+    g = b.build(matvec(b, A, x))
     v = np.array([0.7, -0.2])
     grad = reverse_vjp(g, {"x": [1.0, 2.0, 3.0]}, v)
     np.testing.assert_allclose(grad["x"], A.T @ v)
@@ -112,7 +118,7 @@ def _one_op_graphs():
     case("mul", lambda b, x: b.mul(x, b.const([1.5, -0.4, 2.0])), [0.5, 1.2, -0.7], 3)
     case("recip", lambda b, x: b.recip(x), [0.5, 1.2, 0.7], 3)
     case("neg", lambda b, x: b.neg(x), [0.5, -1.2], 2)
-    case("matvec", lambda b, x: b.matvec(A, x), [0.5, 1.2, -0.7, 0.3], 4)
+    case("matvec", lambda b, x: matvec(b, A, x), [0.5, 1.2, -0.7, 0.3], 4)
     case("dot", lambda b, x: b.dot(x, b.const([1.0, -2.0, 0.5])), [0.5, 1.2, -0.7], 3)
     case("pow", lambda b, x: b.powc(x, 2.5), [0.5, 1.2, 0.7], 3)
     case("pow_neg", lambda b, x: b.powc(x, -1.5), [0.5, 1.2, 0.7], 3)
@@ -122,7 +128,7 @@ def _one_op_graphs():
     case("concat", lambda b, x: b.concat(b.slice(x, 1, 3), x), [0.5, 1.2, -0.7], 3)
     case("slice", lambda b, x: b.slice(x, 1, 3), [0.5, 1.2, -0.7, 0.4], 4)
     case("gather", lambda b, x: b.gather(x, [2, 0, 2]), [0.5, 1.2, -0.7], 3)
-    case("broadcast", lambda b, x: b.broadcast(b.dot(x, x), 4), [0.5, 1.2], 2)
+    case("broadcast", lambda b, x: b.gather(b.dot(x, x), (0,) * 4), [0.5, 1.2], 2)
     case("matmul", lambda b, x: b.matmul(x, b.slice(x, 0, 2), 2, 1), [0.5, 1.2, -0.7, 0.3, 0.9], 5)
     return cases
 
@@ -168,7 +174,7 @@ def test_composition_jacobian_is_product():
         # f: R^2 -> R^3 nonlinear, g: R^3 -> R^2
         bf = ExprBuilder()
         x = bf.input("x", 2)
-        f = bf.build(bf.exp(bf.matvec(A, x)))
+        f = bf.build(bf.exp(matvec(bf, A, x)))
         bg = ExprBuilder()
         z = bg.input("z", 3)
         g = bg.build(bg.concat(bg.dot(z, z), bg.slice(z, 0, 1)))
@@ -256,7 +262,7 @@ def test_graph_json_roundtrip_bit_exact():
     b = ExprBuilder()
     x = b.input("x", 2)
     t = b.input("theta", 1)
-    expr = b.add(b.matvec([[0.1, 1 / 3], [0.7, 0.2]], x), b.broadcast(b.powc(t, 0.5), 2))
+    expr = b.add(matvec(b, [[0.1, 1 / 3], [0.7, 0.2]], x), b.gather(b.powc(t, 0.5), (0,) * 2))
     g = b.build(b.relu(expr))
     obj = diffcore.graph_to_obj(g)
     g2 = diffcore.graph_from_obj(obj)
@@ -304,7 +310,7 @@ def test_malformed_graph_record_is_a_spec_validation_error(obj, message):
 def test_builder_sugar_emits_matmul_and_gather():
     b = ExprBuilder()
     x = b.input("x", 2)
-    g = b.build(b.concat(b.matvec([[1.0, 2.0]], x), b.dot(x, x), b.broadcast(b.slice(x, 0, 1), 3)))
+    g = b.build(b.concat(matvec(b, [[1.0, 2.0]], x), b.dot(x, x), b.gather(b.slice(x, 0, 1), (0,) * 3)))
     assert {node.op for node in g.nodes} == {"input", "const", "matmul", "slice", "gather", "concat"}
     np.testing.assert_array_equal(forward_eval(g, {"x": [3.0, -1.0]}), [1.0, 10.0, 3.0, 3.0, 3.0])
 
@@ -312,7 +318,7 @@ def test_builder_sugar_emits_matmul_and_gather():
 def test_const_and_matvec_leave_the_callers_arrays_writable():
     a, m = np.array([1.0, 2.0]), np.array([[0.5, 0.25], [1.0, -1.0]])
     b = ExprBuilder()
-    g = b.build(b.add(b.const(a), b.matvec(m, b.const([2.0, 4.0]))))
+    g = b.build(b.add(b.const(a), matvec(b, m, b.const([2.0, 4.0]))))
     a[0], m[0, 0] = 5.0, 9.0
     np.testing.assert_array_equal(forward_eval(g, {}), [3.0, 0.0])
     assert reverse_vjp(g, {}, [1.0, 1.0]) == {}  # a graph with no slots has no partials
@@ -500,7 +506,7 @@ def random_graphs(draw):
             refs.append((getattr(b, op)(a), False))
         elif op == "matvec":
             a, _ = pick()
-            refs.append((b.matvec(rng.normal(size=(int(rng.integers(1, 4)), a.dim)), a), False))
+            refs.append((matvec(b, rng.normal(size=(int(rng.integers(1, 4)), a.dim)), a), False))
         elif op == "matmul":
             x, _ = pick()
             n_out = int(rng.integers(1, 4))
@@ -532,7 +538,7 @@ def random_graphs(draw):
         else:
             a, pa = pick()
             if a.dim:
-                refs.append((b.broadcast(b.slice(a, 0, 1), int(rng.integers(1, 4))), pa))
+                refs.append((b.gather(b.slice(a, 0, 1), (0,) * int(rng.integers(1, 4))), pa))
     tail = [r for r, _ in refs[2:]][-int(rng.integers(1, 5)):] or [refs[0][0]]
     graph = b.build(tail[0] if len(tail) == 1 else b.concat(*tail))
     rows = draw(st.sampled_from([None, 1, 3]))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcausal import deq, interventions, modelzoo, sscm
-from eqcausal.diffcore import ExprBuilder
+from eqcausal import deq, diffcore, interventions, modelzoo, optimize, sscm
+from eqcausal.diffcore import ExprBuilder, inline
 from eqcausal.errors import (ClampedModelSingular, EqcausalError, InvalidGroupElement, InvalidPartition,
                              MismatchedTargets, NotConverged, PolicyArityMismatch, ShapeMismatch)
 from eqcausal.fixedpoint import SolverConfig
@@ -18,7 +18,7 @@ from eqcausal.interventions import (CompartmentPlan, InvariantInterventionSpec, 
 from eqcausal.sscm import solve_equilibrium, validate
 
 from ._models import (THETA_REF, clamp_node, inject_state_jacobian, leontief_spec, motivating_spec,
-                      reference_hard_derivative)
+                      reference_build_invariant_model, reference_hard_derivative)
 from .test_sscm import REBOUND_TWIN, REBOUND_W0, overwritten
 
 TIGHT = SolverConfig(tol=1e-10)
@@ -632,3 +632,150 @@ def test_invalid_partition_raises():
     plan = CompartmentPlan(((0, 1, 2), (3, 4)), inst.plan.plans)
     with pytest.raises(InvalidPartition):
         interventions.compartment_structure_violations(inst.spec, plan)
+
+
+# --- the one-pass twin against the chained build ---
+
+def _rebound_parts(value):
+    inst = modelzoo.rebound_3sector()
+    mlp = inst.policy_mlp()
+    policy, w0 = optimize.build_mlp_policy(mlp, 1, 1)
+    return inst, inst.plan(policy, mlp.n_weights), LieElement("multiplicative", (inst.energy_sector,), [value]), w0
+
+
+def _twin_args(name):
+    """(spec, plans, elements, policy weights) of one pinned twin."""
+    if name == "rebound":  # a built-in plan with an MLP policy
+        inst, plan, g, w0 = _rebound_parts(0.8)
+        return inst.spec, (plan,), (g,), w0
+    if name == "rebound-mixed":  # a wrapped plan, then the built-in one: u is widened
+        inst, plan, g, w0 = _rebound_parts(0.8)
+        b = ExprBuilder()
+        out = inline(b, inst.spec.assignments[5]) * b.recip(b.input("u", 1))
+        wrapped = InvariantInterventionSpec(2, 5, 5, b.build(out))
+        return inst.spec, (wrapped, plan), (LieElement("multiplicative", (2,), [1.1]), g), w0
+    spec = motivating_spec()
+    plan = InvariantInterventionSpec(1, 2, 2, analytic_policy_graph())
+    if name == "motivating-mul":
+        return spec, (plan,), (LieElement("multiplicative", (1,), [1.7]),), None
+    if name == "motivating-add":
+        return spec, (plan,), (LieElement("additive", (1,), [0.3]),), None
+    if name == "motivating-twice":  # two plans wrap node 1, one in each group
+        b = ExprBuilder()
+        second = InvariantInterventionSpec(1, 0, 0, b.build(b.input("theta", 1) * b.recip(b.input("u", 1))))
+        return spec, (plan, second), (LieElement("multiplicative", (1,), [1.3]),
+                                      LieElement("additive", (1,), [0.2])), None
+    inst = modelzoo.two_compartment_model()
+    plans = exact_compartment_policies(inst, None)
+    return inst.spec, plans, (LieElement("multiplicative", (0,), [0.9]),
+                              LieElement("multiplicative", (3,), [1.2])), None
+
+
+PINNED_TWINS = ["rebound", "rebound-mixed", "motivating-mul", "motivating-add", "motivating-twice",
+                "compartment"]
+# the nodes whose chained build wrapped them before a later plan widened u: that build
+# inlined them once more behind a copy of the u prefix, which the one pass does not
+RE_INLINED = {"motivating-twice": {1}, "compartment": {0}}
+
+
+@pytest.mark.parametrize("name", PINNED_TWINS)
+def test_the_one_pass_twin_has_the_layout_and_graphs_of_the_chained_build(name):
+    spec, plans, elements, _ = _twin_args(name)
+    twin = build_invariant_model(spec, plans, elements)
+    ref = reference_build_invariant_model(spec, plans, elements)
+    assert validate(twin.deployed) == []
+    for field in ("u_slices", "policy_slices", "groups", "invariant_nodes", "plans"):
+        assert getattr(twin, field) == getattr(ref, field)
+    assert twin.base is spec
+    assert (twin.deployed.u_dim, twin.deployed.policy_dim) == (ref.deployed.u_dim, ref.deployed.policy_dim)
+    assert twin.deployed.u_ref.tobytes() == ref.deployed.u_ref.tobytes()
+    changed = set()
+    for j, (got, want) in enumerate(zip(twin.deployed.assignments, ref.deployed.assignments, strict=True)):
+        if diffcore.graph_to_obj(got) != diffcore.graph_to_obj(want):
+            changed.add(j)
+            assert [n.op for n in want.nodes].count("slice") == [n.op for n in got.nodes].count("slice") + 1
+            assert len(want.nodes) == len(got.nodes) + 1
+    assert changed == RE_INLINED.get(name, set())
+    if name == "rebound":  # a built-in plan rewrites no graph but its auxiliary node's
+        aux = plans[0].auxiliary
+        assert all(g is spec.assignments[j] for j, g in enumerate(twin.deployed.assignments) if j != aux)
+
+
+@pytest.mark.parametrize("name", PINNED_TWINS)
+def test_the_one_pass_twin_evaluates_to_the_bits_of_the_chained_build(name):
+    spec, plans, elements, w0 = _twin_args(name)
+    twin = build_invariant_model(spec, plans, elements)
+    ref = reference_build_invariant_model(spec, plans, elements)
+    rng = np.random.default_rng(12)
+    rows = 4
+    theta = spec.theta_ref * rng.uniform(0.95, 1.05, (rows, spec.theta_dim))
+    u = np.array([twin.assemble_u([[v] for v in rng.uniform(0.8, 1.25, len(plans))]) for _ in range(rows)])
+    policy = None if w0 is None else w0 + rng.normal(scale=0.05, size=w0.shape)
+    x = rng.uniform(0.2, 2.0, (rows, spec.d))
+    inv = list(twin.invariant_nodes)
+    for reroute in (None, (twin.invariant_nodes, x[:, inv] * 1.1)):
+        kwargs = {"u": u, "reroute": reroute, "policy": policy}
+        got, want = (sscm.assemble_map(t.deployed, theta, **kwargs)(x) for t in (twin, ref))
+        assert got.tobytes() == want.tobytes()
+        got, want = (sscm.node_gradients(t.deployed, x, theta, **kwargs) for t in (twin, ref))
+        for field in ("x", "theta", "u", "policy"):
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+    (base, sol), (ref_base, ref_sol) = (t.solve_pair(theta, u, TIGHT, policy=policy) for t in (twin, ref))
+    assert base.x_star.tobytes() == ref_base.x_star.tobytes()
+    assert sol.x_star.tobytes() == ref_sol.x_star.tobytes()
+    assert sol.report.row_iterations.tolist() == ref_sol.report.row_iterations.tolist()
+
+
+def test_the_twin_builds_without_apply_or_a_derived_program(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the twin builds its deployed spec in one pass")
+
+    for module, name in ((interventions, "apply"), (interventions, "derive_wrapped"),
+                         (sscm, "derive_wrapped")):
+        monkeypatch.setattr(module, name, refused)
+    for name in PINNED_TWINS:
+        spec, plans, elements, _ = _twin_args(name)
+        assert validate(build_invariant_model(spec, plans, elements).deployed) == []
+
+
+@pytest.mark.parametrize("nodes", [(1, 2, 7), (1, 2, -1), (1, 7, 2), (1, -1, 2)])
+def test_a_plan_node_outside_the_model_is_refused_at_build(nodes):
+    plan = InvariantInterventionSpec(*nodes, policy=analytic_policy_graph())
+    with pytest.raises(MismatchedTargets, match=r"plan nodes .* outside node range 0\.\.2"):
+        build_invariant_model(motivating_spec(), plan, identity("multiplicative", (1,)))
+
+
+@pytest.mark.parametrize("intervened", [9, -1])
+def test_a_built_in_plan_intervening_outside_the_model_is_refused_at_build(intervened):
+    inst, plan, g, _ = _rebound_parts(1.0)
+    with pytest.raises(MismatchedTargets, match=r"outside node range 0\.\.8"):
+        build_invariant_model(inst.spec, replace(plan, intervened=intervened), g)
+
+
+def _bad_builds():
+    spec = motivating_spec()
+    plan = InvariantInterventionSpec(1, 2, 2, analytic_policy_graph())
+    mul = LieElement("multiplicative", (1,), [1.5])
+    b = ExprBuilder()
+    two_parents = InvariantInterventionSpec(1, 2, 2, b.build(b.dot(*[b.input("parents", 2)] * 2)))
+    return {
+        "invalid base": (replace(spec, theta_ref=spec.theta_ref * 100), plan, mul),
+        "builtin without u": (spec, replace(plan, builtin_u=True), mul),
+        "other target": (spec, plan, LieElement("multiplicative", (0,), [1.5])),
+        "target outside": (spec, replace(plan, intervened=7), LieElement("multiplicative", (7,), [1.5])),
+        "policy arity": (spec, two_parents, mul),
+        "policy weights": (spec, replace(plan, policy_dim=2), mul),
+        "shared invariant": (spec, (plan, plan), (mul, mul)),
+        "plan count": (spec, (plan, plan), (mul,)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_builds()))
+def test_a_bad_twin_raises_what_the_chained_build_raised(case):
+    args = _bad_builds()[case]
+    errors = []
+    for build in (build_invariant_model, reference_build_invariant_model):
+        with pytest.raises(Exception) as info:
+            build(*args)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]

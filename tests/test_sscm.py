@@ -315,7 +315,7 @@ def test_valid_spec_is_validated_once(monkeypatch):
     x = solve_equilibrium(spec, THETA_REF, SolverConfig(tol=1e-10)).x_star
     check_local_diffeomorphism(spec, x, THETA_REF)
     assert calls == [spec]
-    other = spec.with_u(spec.u_ref)  # a new spec object is validated afresh
+    other = replace(spec, u_ref=spec.u_ref)  # a new spec object is validated afresh
     assemble_map(other, THETA_REF)
     assert calls == [spec, other]
 
@@ -341,7 +341,7 @@ def _random_node_graph(rng, n_pa, n_theta, shared):
         p = b.input("parents", n_pa)
         w = b.const(rng.uniform(-0.5, 0.5, size=n_pa))
         terms.append(b.dot(w, b.exp(b.neg(p * p))))
-        terms.append(b.broadcast(b.slice(b.relu(b.gather(p, [n_pa - 1, 0])), 0, 1), 1))
+        terms.append(b.gather(b.slice(b.relu(b.gather(p, [n_pa - 1, 0])), 0, 1), (0,)))
     if n_theta:
         t = b.input("theta", n_theta)
         terms.append(b.dot(t, b.powc(b.exp(t), 1.5)) if n_theta > 1 else t - b.const([0.1]))
@@ -361,7 +361,7 @@ def _random_node_graph(rng, n_pa, n_theta, shared):
     out = terms[0]
     for term in terms[1:]:
         out = out + term * b.const([rng.uniform(0.5, 1.5)])
-    return b.build(b.matvec([[0.7]], out))
+    return b.build(b.matmul(b.const([0.7]), out, 1))
 
 
 def _random_spec(seed):
@@ -555,7 +555,7 @@ def test_stacked_program_is_compiled_once_and_lazily():
     prog = spec._stacked
     node_gradients(spec, np.ones(3), THETA_REF)
     assert spec._stacked is prog
-    assert spec.with_u(spec.u_ref)._stacked is None
+    assert replace(spec, u_ref=spec.u_ref)._stacked is None
 
 
 def test_stacked_programs_compile_to_few_wide_steps():
