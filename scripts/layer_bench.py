@@ -74,7 +74,10 @@ temporary directory.
 `invariant_run_s` is one cli._run_invariant of the rebound-invariant benchmark
 workload's config (4 Adam steps in the first of three phases, 4 samples per
 step, seed 1): training, the evaluation solves and the three outputs written
-to a temporary directory.
+to a temporary directory. `train_phase_s` is one optimize.train_invariant_policy
+phase at acceptance criterion 5's shape: the rebound twin and its MLP policy, 16
+samples per step, 64 Adam steps at learning rate 0.01, theta stddev 0.2, the
+model's u range, seed 1 and solver tol 1e-5 (the median of TRAIN_REPEATS phases).
 
 `invariance_check_s` is one interventions.check_invariance_conditions of the
 motivating example with tau free (i, j, k = 1, 2, 2), and `hard_derivative_s` one
@@ -130,6 +133,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 15
+TRAIN_REPEATS = 5  # a training phase takes about 0.2 s
 ROUNDS = 3
 
 
@@ -458,7 +462,7 @@ def measure_bench() -> dict:
 def measure_pipelines() -> dict:
     import tempfile
 
-    from eqcausal import cli
+    from eqcausal import cli, modelzoo, optimize
 
     config = cli._config_from_obj({"command": "invariant", "model": "rebound-3sector",
                                    "adam": {"iterations": 4}, "sampling": {"samples_per_step": 4},
@@ -466,8 +470,15 @@ def measure_pipelines() -> dict:
     bundle = cli.build_model(config)
     with tempfile.TemporaryDirectory() as tmp:
         writer = cli.OutputWriter(Path(tmp))
-        return {"invariant_run_s": _median_once_s(lambda: cli._run_invariant(config, bundle, writer),
-                                                  REPEATS)}
+        out = {"invariant_run_s": _median_once_s(lambda: cli._run_invariant(config, bundle, writer),
+                                                 REPEATS)}
+    inst = modelzoo.rebound_3sector()
+    twin, w0 = _rebound_twin()
+    sampling = optimize.SamplingConfig(theta_stddev=(0.2,), samples_per_step=16)
+    adam = optimize.AdamConfig(learning_rate=0.01, iterations=64, seed=1)
+    out["train_phase_s"] = _median_once_s(lambda: optimize.train_invariant_policy(
+        twin, w0, sampling, adam, _solver(tol=1e-5), (inst.u_low, inst.u_high)), TRAIN_REPEATS)
+    return out
 
 
 def measure_invariance() -> dict:
@@ -631,6 +642,7 @@ def main() -> int:
         f"{d} {t * 1e6:7.2f} us" for d, t in bench["forward_step_s"].items()))
     print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
     print(f"{'invariant_run_s':24s} {record['pipelines']['invariant_run_s'] * 1e3:9.2f} ms")
+    print(f"{'train_phase_s':24s} {record['pipelines']['train_phase_s'] * 1e3:9.2f} ms")
     invariance = record["invariance"]
     print(f"{'invariance_check_s':24s} {invariance['invariance_check_s'] * 1e3:9.3f} ms")
     for name, t in invariance["hard_derivative_s"].items():

@@ -44,10 +44,7 @@ class SolverConfig:
     ridge: float = 1e-8
 
     def __post_init__(self):  # every check fails on NaN
-        for name in ("m", "max_iter"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        require_integers(self, "m", "max_iter")
         if not self.m >= 1:
             raise ValueError("m must be >= 1")
         if not 0 < self.tol < np.inf:
@@ -58,6 +55,14 @@ class SolverConfig:
             raise ValueError("beta must be positive and finite")
         if not 0 <= self.ridge < np.inf:
             raise ValueError("ridge must be nonnegative and finite")
+
+
+def require_integers(cfg, *names):
+    """Refuse with ValueError a bool or non-integer value of each named count of cfg."""
+    for name in names:
+        value = getattr(cfg, name)
+        if type(value) is bool or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass

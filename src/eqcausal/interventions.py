@@ -44,6 +44,8 @@ class LieElement:
             raise MismatchedTargets(f"{len(self.targets)} targets but {vals.shape[0]} values")
         if len(set(self.targets)) != len(self.targets):
             raise MismatchedTargets(f"targets {self.targets} repeat a node")
+        if not np.isfinite(vals).all():
+            raise InvalidGroupElement(f"group element values must be finite, got {vals}")
         if self.group == "multiplicative" and np.any(vals <= 0.0):
             raise InvalidGroupElement("multiplicative group elements must be strictly positive")
         vals.setflags(write=False)
@@ -242,11 +244,12 @@ class InvariantTwin:
             u[start:stop] = np.ravel(vals)
         return u
 
-    def solve_pair(self, theta, u, cfg: SolverConfig,
-                   policy=None) -> tuple[EquilibriumSolution, EquilibriumSolution]:
+    def solve_pair(self, theta, u, cfg: SolverConfig, policy=None,
+                   base: EquilibriumSolution | None = None) -> tuple[EquilibriumSolution, EquilibriumSolution]:
         """The base equilibrium and the deployed one with every arrow leaving an invariant node
-        reading the base equilibrium; a batch of theta or u solves both as batches."""
-        base_sol = solve_equilibrium(self.base, theta, cfg)
+        reading the base equilibrium; a batch of theta or u solves both as batches. A base
+        solution at theta solved before (training solves them ahead) replaces the base solve."""
+        base_sol = solve_equilibrium(self.base, theta, cfg) if base is None else base
         reroute = self.invariant_nodes, base_sol.x_star[..., list(self.invariant_nodes)]
         int_sol = solve_equilibrium(self.deployed, theta, cfg, u=u, reroute=reroute, policy=policy)
         return base_sol, int_sol

@@ -20,12 +20,12 @@ import numpy as np
 
 from . import deq, diffcore, interventions
 from .diffcore import ExprBuilder, ExprGraph
-from .errors import (DomainError, NonFiniteGradient, NonFiniteIterate, NotConverged,
+from .errors import (DomainError, EqcausalError, NonFiniteGradient, NonFiniteIterate, NotConverged,
                      PolicyArityMismatch, ShapeMismatch, SingularAdjoint,
                      SolveFailedDuringOptimization)
-from .fixedpoint import SolverConfig
+from .fixedpoint import SolveReport, SolverConfig, require_integers
 from .interventions import InvariantTwin, LieElement
-from .sscm import SscmSpec, solve_equilibrium
+from .sscm import EquilibriumSolution, SscmSpec, solve_equilibrium
 
 Array = np.ndarray
 
@@ -45,12 +45,14 @@ class AdamConfig:
     plateau_rtol: float = 1e-9
 
     def __post_init__(self):  # every check fails on NaN
+        require_integers(self, "iterations", "plateau_window", "seed")
         if not (self.learning_rate > 0 and self.eps > 0):
             raise ValueError("learning_rate and eps must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not (self.iterations >= 1 and self.plateau_window >= 1 and self.plateau_rtol >= 0):
-            raise ValueError("iterations and plateau_window must be >= 1 and plateau_rtol >= 0")
+        if not (self.iterations >= 1 and self.plateau_window >= 1 and self.seed >= 0
+                and self.plateau_rtol >= 0):
+            raise ValueError("iterations and plateau_window must be >= 1, seed and plateau_rtol >= 0")
 
 
 @dataclass
@@ -403,46 +405,42 @@ class SamplingConfig:
     samples_per_step: int = 16
 
     def __post_init__(self):  # every check fails on NaN
+        require_integers(self, "samples_per_step")
         if not self.samples_per_step >= 1:
             raise ValueError("samples_per_step must be >= 1")
         if self.theta_stddev is not None and not all(s >= 0 for s in self.theta_stddev):
             raise ValueError("theta_stddev entries must be nonnegative")
 
 
-def sample_theta(spec: SscmSpec, sampling: SamplingConfig, rng: np.random.Generator) -> Array:
+def draw_samples(twin: InvariantTwin, sampling: SamplingConfig, u_range, rng: np.random.Generator,
+                 n: int) -> tuple[Array, Array]:
+    """n rows of (theta, deployed u), drawn row by row from rng: theta from a Gaussian about
+    theta_ref, redrawn until it lies in the box (after 1,000 tries one more draw is clipped
+    to it), then each plan's u components in plan order, uniform in u_range = (low, high),
+    0 < low <= high, for the additive group and log-uniform for the multiplicative one."""
+    spec = twin.base
     std = (0.05 * np.abs(spec.theta_ref) + 0.01 if sampling.theta_stddev is None
            else np.asarray(sampling.theta_stddev, float))
     if std.shape != (spec.theta_dim,):
         raise ShapeMismatch(f"theta_stddev has shape {std.shape}, expected ({spec.theta_dim},)")
-    lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
-    for _ in range(1000):  # rejection into the box
-        theta = rng.normal(spec.theta_ref, std)
-        if np.all(theta >= lo) and np.all(theta <= hi):
-            return theta
-    return np.clip(rng.normal(spec.theta_ref, std), lo, hi)
-
-
-def sample_u(dim: int, group: str, u_range, rng: np.random.Generator) -> Array:
-    """dim values in u_range = (low, high), 0 < low <= high: log-uniform for the
-    multiplicative group, uniform for the additive one."""
     low, high = u_range
     if not 0 < low <= high:  # fails on NaN
         raise ValueError(f"u range {tuple(u_range)} must satisfy 0 < low <= high")
-    if group == "multiplicative":
-        return np.exp(rng.uniform(np.log(low), np.log(high), size=dim))
-    return rng.uniform(low, high, size=dim)
-
-
-def draw_samples(twin: InvariantTwin, sampling: SamplingConfig, u_range, rng: np.random.Generator,
-                 n: int) -> tuple[Array, Array]:
-    """n rows of (theta, deployed u): per row sample_theta, then sample_u for each plan's
-    u components in its group, in plan order."""
-    thetas, us = [], []
-    for _ in range(n):
-        thetas.append(sample_theta(twin.base, sampling, rng))
-        us.append(twin.assemble_u([sample_u(stop - start, group, u_range, rng)
-                                   for group, (start, stop) in zip(twin.groups, twin.u_slices)]))
-    return np.array(thetas), np.array(us)
+    theta_ref, (lo, hi) = spec.theta_ref, spec.theta_box.T
+    plans = [(*span, group == "multiplicative") for group, span in zip(twin.groups, twin.u_slices)]
+    log_low, log_high = np.log(low), np.log(high)
+    thetas, us = np.empty((n, spec.theta_dim)), np.tile(twin.deployed.u_ref, (n, 1))
+    for theta, u in zip(thetas, us):
+        for _ in range(1000):  # rejection into the box
+            theta[:] = rng.normal(theta_ref, std)
+            if (theta >= lo).all() and (theta <= hi).all():
+                break
+        else:
+            theta[:] = np.clip(rng.normal(theta_ref, std), lo, hi)
+        for start, stop, mult in plans:
+            u[start:stop] = (np.exp(rng.uniform(log_low, log_high, size=stop - start)) if mult
+                             else rng.uniform(low, high, size=stop - start))
+    return thetas, us
 
 
 # --- invariant-policy training ---
@@ -461,25 +459,48 @@ class TrainedPolicy:
         return self.losses[-1]
 
 
+_CHUNK_ROWS = 1024  # rows of one batched base solve: 64 steps at 16 samples
+
+
 def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig, adam: AdamConfig,
                            solver: SolverConfig, u_range=(0.5, 2.0)) -> TrainedPolicy:
     """Fit the auxiliary policies by least squares on the invariant-node deviation.
 
-    Each step draws sampling.samples_per_step (theta, u) rows with draw_samples, u in
-    u_range, solves the unintervened and the rerouted deployed equilibria (see
-    InvariantTwin.solve_pair) of all rows as two batches, and backpropagates the squared
-    deviation of the invariant nodes through the intervened equilibria into the policy
-    weights with one batched VJP. A u_range without 0 < low <= high raises ValueError.
-    Failures are handled by `_descend`: a failing first step raises
-    SolveFailedDuringOptimization, and more than five stop the run with `aborted` set.
+    Each step takes sampling.samples_per_step (theta, u) rows, u in u_range, solves their
+    rerouted deployed equilibria as one batch (see InvariantTwin.solve_pair) and
+    backpropagates the squared deviation of the invariant nodes through them into the
+    policy weights with one batched VJP. The unintervened equilibria do not depend on the
+    weights, so the steps of a chunk (up to _CHUNK_ROWS rows) draw their rows with one
+    draw_samples call and solve those ahead as one batch; the bits are those of a draw and a
+    solve per step. If that batch raises, each step solves its own rows, as it fails alone.
+    A u_range without 0 < low <= high raises ValueError. Failures are handled by `_descend`:
+    a failing first step raises SolveFailedDuringOptimization, and more than five stop the
+    run with `aborted` set.
     """
     rng = np.random.default_rng(adam.seed)
     inv_nodes = list(twin.invariant_nodes)
     n = sampling.samples_per_step
+    per_chunk = max(1, _CHUNK_ROWS // n)
+
+    def chunks():  # each step's theta, u and base solution (None: solve it with the step)
+        for first in range(0, adam.iterations, per_chunk):
+            chunk_rows = n * min(per_chunk, adam.iterations - first)
+            theta, u = draw_samples(twin, sampling, u_range, rng, chunk_rows)
+            try:
+                rep = solve_equilibrium(twin.base, theta, solver).report
+            except EqcausalError:  # each step's own solve raises it, or not, where it belongs
+                rep = None
+            for rows in (slice(i, i + n) for i in range(0, chunk_rows, n)):
+                base = None if rep is None else EquilibriumSolution(rep.x[rows], SolveReport(
+                    rep.x[rows], rep.residual_norm[rows], rep.relative_error[rows],
+                    int(rep.row_iterations[rows].max()), bool(rep.row_converged[rows].all()),
+                    rep.row_iterations[rows], rep.row_converged[rows]), theta[rows])
+                yield theta[rows], u[rows], base
+    steps = chunks()
 
     def evaluate(policy):
-        theta, u = draw_samples(twin, sampling, u_range, rng, n)
-        base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
+        theta, u, base = next(steps)
+        base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy, base=base)
         if not (base_sol.report.converged and int_sol.report.converged):
             raise NotConverged("equilibrium solve failed in training step")
         base_x = base_sol.x_star[:, inv_nodes]

@@ -319,13 +319,33 @@ def reference_distance_graph(x_ref):
     return b.build(b.dot(delta, delta))
 
 
+def reference_sample_theta(spec, sampling, rng):
+    """One theta as training drew it per sample: a Gaussian about theta_ref, redrawn until it
+    lies in the box, and after 1,000 tries one more draw clipped to it."""
+    std = (0.05 * np.abs(spec.theta_ref) + 0.01 if sampling.theta_stddev is None
+           else np.asarray(sampling.theta_stddev, float))
+    lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
+    for _ in range(1000):
+        theta = rng.normal(spec.theta_ref, std)
+        if np.all(theta >= lo) and np.all(theta <= hi):
+            return theta
+    return np.clip(rng.normal(spec.theta_ref, std), lo, hi)
+
+
+def reference_sample_u(dim, group, u_range, rng):
+    """dim u values as training drew them per plan: log-uniform in u_range for the
+    multiplicative group, uniform for the additive one."""
+    low, high = u_range
+    if group == "multiplicative":
+        return np.exp(rng.uniform(np.log(low), np.log(high), size=dim))
+    return rng.uniform(low, high, size=dim)
+
+
 def reference_draw(twin, sampling, u_range, rng):
     """One (theta, u) row as training drew it per sample: theta, then each plan's u
     components in its group, in plan order; optimize.draw_samples must give these bits."""
-    from eqcausal import optimize
-
-    theta = optimize.sample_theta(twin.base, sampling, rng)
-    return theta, twin.assemble_u([optimize.sample_u(stop - start, group, u_range, rng)
+    theta = reference_sample_theta(twin.base, sampling, rng)
+    return theta, twin.assemble_u([reference_sample_u(stop - start, group, u_range, rng)
                                    for group, (start, stop) in zip(twin.groups, twin.u_slices)])
 
 
@@ -355,6 +375,34 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver, u_range=(
             ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=reroute, policy=policy)
             grad += ig.grad_policy
         return batch_loss / n, grad / n
+
+    res = optimize._descend(evaluate, w0, adam)
+    return optimize.TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped,
+                                  res.aborted, len(res.failures))
+
+
+def reference_step_train_invariant_policy(twin, w0, sampling, adam, solver, u_range=(0.5, 2.0)):
+    """optimize.train_invariant_policy as one draw_samples call and one solve_pair per step,
+    the base equilibria solved with the step's own rows; the version that solves them for
+    several steps ahead must give these bits."""
+    from eqcausal import deq, optimize
+    from eqcausal.errors import NotConverged
+
+    rng = np.random.default_rng(adam.seed)
+    inv_nodes = list(twin.invariant_nodes)
+    n = sampling.samples_per_step
+
+    def evaluate(policy):
+        theta, u = optimize.draw_samples(twin, sampling, u_range, rng, n)
+        base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
+        if not (base_sol.report.converged and int_sol.report.converged):
+            raise NotConverged("equilibrium solve failed in training step")
+        base_x = base_sol.x_star[:, inv_nodes]
+        diff = int_sol.x_star[:, inv_nodes] - base_x
+        cot = np.zeros((n, twin.deployed.d))
+        cot[:, inv_nodes] = 2.0 * diff
+        ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=(inv_nodes, base_x), policy=policy)
+        return float(np.einsum("ij,ij->", diff, diff)) / n, ig.grad_policy.sum(axis=0) / n
 
     res = optimize._descend(evaluate, w0, adam)
     return optimize.TrainedPolicy(res.params, res.losses, len(res.losses), res.early_stopped,

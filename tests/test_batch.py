@@ -14,7 +14,8 @@ from eqcausal.optimize import AdamConfig, SamplingConfig, draw_samples, train_in
 from eqcausal.sscm import (EquilibriumSolution, Linearization, assemble_map, node_gradients,
                            solve_equilibrium)
 
-from ._models import motivating_spec, reference_draw, reference_train_invariant_policy
+from ._models import (motivating_spec, reference_draw, reference_sample_theta,
+                      reference_step_train_invariant_policy, reference_train_invariant_policy)
 from .test_deq import count_inverses
 from .test_optimize import scalar_policy_twin
 from .test_sscm import REBOUND_TWIN, REBOUND_W0, _random_spec, node_columns
@@ -302,20 +303,124 @@ def test_an_additive_twin_draws_u_uniformly_in_the_range():
     rng = np.random.default_rng(5)
     (start, _), = twin.u_slices
     for row_theta, row_u in zip(theta, u):
-        assert row_theta.tobytes() == optimize.sample_theta(twin.base, sampling, rng).tobytes()
+        assert row_theta.tobytes() == reference_sample_theta(twin.base, sampling, rng).tobytes()
         assert row_u[start].hex() == rng.uniform(0.5, 2.0).hex()
 
 
 def test_training_batch_with_one_unconverged_row_raises_not_converged(monkeypatch):
     # beta * gamma = 0.12 settles in a few forward steps, 0.99 needs thousands
     twin = scalar_policy_twin()
-    thetas = iter([np.array([1.0, 0.5, 0.3, 0.4]), np.array([1.0, 0.5, 0.99, 1.0])])
-    monkeypatch.setattr(optimize, "sample_theta", lambda spec, sampling, rng: next(thetas))
+    thetas = np.array([[1.0, 0.5, 0.3, 0.4], [1.0, 0.5, 0.99, 1.0]])
+    u = twin.assemble_u([[1.0]])
+    # every step's two rows are these, however many steps one draw_samples call covers
+    monkeypatch.setattr(optimize, "draw_samples", lambda twin, sampling, u_range, rng, n: (
+        np.tile(thetas, (n // 2, 1)), np.tile(u, (n, 1))))
     solver = SolverConfig(m=1, beta=1.0, tol=1e-8, max_iter=200)
-    base, _ = twin.solve_pair(np.array([[1.0, 0.5, 0.3, 0.4], [1.0, 0.5, 0.99, 1.0]]),
-                              np.array([twin.assemble_u([[1.0]])] * 2), solver, policy=np.array([0.4]))
+    base, _ = twin.solve_pair(thetas, np.array([u] * 2), solver, policy=np.array([0.4]))
     assert base.report.row_converged.tolist() == [True, False]
     with pytest.raises(SolveFailedDuringOptimization) as info:
         train_invariant_policy(twin, np.array([0.4]), SamplingConfig(samples_per_step=2),
                                AdamConfig(iterations=2), solver)
     assert isinstance(info.value.__cause__, NotConverged)
+
+
+def _recorded_descents(monkeypatch):
+    """The _Descent of every optimize._descend call, in call order."""
+    runs, descend = [], optimize._descend
+    monkeypatch.setattr(optimize, "_descend", lambda *args: runs.append(descend(*args)) or runs[-1])
+    return runs
+
+
+def _break_rows(monkeypatch, theta_by_row):
+    """Make optimize.draw_samples put theta_by_row[r] in place of the r-th row it draws since
+    the last call of this function, however many rows one call draws."""
+    drawn = [0]
+
+    def draw_broken(twin, sampling, u_range, rng, n):
+        theta, u = draw_samples(twin, sampling, u_range, rng, n)
+        for row, value in theta_by_row.items():
+            if drawn[0] <= row < drawn[0] + n:
+                theta[row - drawn[0]] = value
+        drawn[0] += n
+        return theta, u
+
+    monkeypatch.setattr(optimize, "draw_samples", draw_broken)
+
+
+def _assert_trains_as_step_by_step(monkeypatch, twin, w0, sampling, adam, solver, u_range, broken=None):
+    """train_invariant_policy, which draws and solves the base equilibria of several steps ahead,
+    gives the bits of one draw_samples call and one solve_pair per step, and fails on the same steps."""
+    runs = _recorded_descents(monkeypatch)
+    trained = []
+    for train in (train_invariant_policy, reference_step_train_invariant_policy):
+        if broken is not None:
+            _break_rows(monkeypatch, broken)
+        trained.append(train(twin, w0, sampling, adam, solver, u_range))
+    (got, want), (got_run, want_run) = trained, runs
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.array(got.losses).tobytes() == np.array(want.losses).tobytes()
+    assert (got.steps, got.early_stopped, got.aborted, got.failures) == \
+        (want.steps, want.early_stopped, want.aborted, want.failures)
+    assert got_run.failures == want_run.failures
+    return got, got_run
+
+
+REBOUND_TRAINING = (REBOUND_TWIN, REBOUND_W0, (0.2,), (0.5, 2.0), SolverConfig(tol=1e-5))
+
+
+def _compartment_training():
+    inst = modelzoo.two_compartment_model()
+    twin = build_invariant_model(inst.spec, inst.plan.plans,
+                                 [identity("multiplicative", (p.intervened,)) for p in inst.plan.plans])
+    return twin, inst.w0, (0.1,), (inst.u_low, inst.u_high), SolverConfig(tol=1e-6)
+
+
+@pytest.mark.parametrize("twin_name,samples,iterations", [
+    ("rebound", 16, 70),  # one chunk of 64 steps, then a partial one of 6
+    ("rebound", 256, 10),  # chunks of 4, 4 and 2 steps
+    ("rebound", 2000, 2),  # more rows than a chunk: one step per chunk
+    ("two-compartment", 16, 66),
+    ("two-compartment", 300, 7),  # chunks of 3, 3 and 1 steps
+])
+def test_chunked_training_keeps_the_bits_of_step_by_step_training(monkeypatch, twin_name, samples,
+                                                                  iterations):
+    twin, w0, stddev, u_range, solver = REBOUND_TRAINING if twin_name == "rebound" else _compartment_training()
+    sampling = SamplingConfig(theta_stddev=stddev, samples_per_step=samples)
+    adam = AdamConfig(learning_rate=0.01, iterations=iterations, seed=3, early_stop=False)
+    got, _ = _assert_trains_as_step_by_step(monkeypatch, twin, w0, sampling, adam, solver, u_range)
+    assert got.steps == iterations and not got.failures
+
+
+def test_chunked_training_stops_early_inside_a_chunk(monkeypatch):
+    twin, w0, stddev, u_range, solver = REBOUND_TRAINING
+    sampling = SamplingConfig(theta_stddev=stddev, samples_per_step=16)
+    adam = AdamConfig(learning_rate=0.01, iterations=100, seed=1, plateau_window=7, plateau_rtol=10.0)
+    got, _ = _assert_trains_as_step_by_step(monkeypatch, twin, w0, sampling, adam, solver, u_range)
+    assert got.early_stopped and got.steps == 14
+
+
+@pytest.mark.parametrize("steps,aborted", [((5,), False), ((3, 9), False), ((2, 3, 4, 6, 7, 9), True)])
+def test_a_chunk_whose_base_solve_raises_fails_the_same_steps(monkeypatch, steps, aborted):
+    # a NaN theta breaks the base map; the chunk's batched base solve raises, and its steps then
+    # solve their own rows: only the steps holding a NaN row fail, each as it fails alone
+    twin, w0, stddev, u_range, solver = REBOUND_TRAINING
+    sampling = SamplingConfig(theta_stddev=stddev, samples_per_step=4)
+    adam = AdamConfig(learning_rate=0.01, iterations=12, seed=5, early_stop=False)
+    broken = {4 * step + 1: np.nan for step in steps}
+    with pytest.raises(NonFiniteIterate):
+        solve_equilibrium(twin.base, np.array([[np.nan]]), solver)
+    got, run = _assert_trains_as_step_by_step(monkeypatch, twin, w0, sampling, adam, solver, u_range, broken)
+    assert run.failures == list(steps) and got.aborted is aborted
+
+
+def test_an_unconverged_base_row_fails_its_own_step_of_a_chunk(monkeypatch):
+    # beta * gamma = 0.99 needs thousands of forward steps: step 3's base row stops unconverged,
+    # the chunk's batched solve does not raise, and only step 3 fails, with NotConverged
+    twin = scalar_policy_twin()
+    solver = SolverConfig(m=1, beta=1.0, tol=1e-8, max_iter=200)
+    sampling = SamplingConfig(samples_per_step=4)
+    adam = AdamConfig(learning_rate=0.05, iterations=8, seed=2, early_stop=False)
+    broken = {13: np.array([1.0, 0.5, 0.99, 1.0])}
+    _, run = _assert_trains_as_step_by_step(monkeypatch, twin, np.array([0.4]), sampling, adam, solver,
+                                            (0.5, 2.0), broken)
+    assert run.failures == [3]

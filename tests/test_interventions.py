@@ -76,6 +76,14 @@ def test_invalid_group_element_is_a_typed_error():
         assert isinstance(info.value, EqcausalError)
 
 
+@pytest.mark.parametrize("group", ["multiplicative", "additive"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_group_element_is_refused(group, value):
+    # a NaN passes the positivity check, and apply of it would fail only at the first solve
+    with pytest.raises(InvalidGroupElement, match="must be finite"):
+        LieElement(group, (0, 1), [1.0, value])
+
+
 def test_compose_mismatched_targets():
     with pytest.raises(MismatchedTargets):
         compose(LieElement("additive", (0,), [1.0]), LieElement("additive", (1,), [1.0]))

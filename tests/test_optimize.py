@@ -12,7 +12,7 @@ from eqcausal.interventions import InvariantInterventionSpec, LieElement, build_
 from eqcausal.optimize import (AdamConfig, AdamState, GhgEmploymentLoss, MlpSpec,
                                SamplingConfig, adam_step, build_mlp_policy, init_mlp_weights,
                                draw_samples, mlp_forward, optimize_lie_intervention, pareto_sweep,
-                               sample_theta, sample_u, train_invariant_policy)
+                               train_invariant_policy)
 from eqcausal.sscm import solve_equilibrium
 
 from ._models import (DistanceLoss, finite_difference_jacobian, inject_state_jacobian, leontief_spec,
@@ -49,6 +49,22 @@ def test_adam_rejects_non_finite_gradient():
 def test_adam_config_rejects_non_positive_values(field):
     with pytest.raises(ValueError):
         AdamConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("cls,field", [(AdamConfig, "iterations"), (AdamConfig, "plateau_window"),
+                                       (AdamConfig, "seed"), (SamplingConfig, "samples_per_step")])
+def test_a_bool_or_non_integer_training_count_is_refused(cls, field):
+    # each built before, and training then raised a raw TypeError
+    for value in (2.5, 3.0, True, np.True_):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cls(**{field: value})
+    assert getattr(cls(**{field: np.int64(3)}), field) == 3
+
+
+def test_a_negative_adam_seed_is_refused():
+    # numpy's default_rng raised a raw ValueError at the first training step
+    with pytest.raises(ValueError, match="seed and plateau_rtol >= 0"):
+        AdamConfig(seed=-1)
 
 
 def test_adam_deterministic_trajectories():
@@ -473,21 +489,22 @@ def test_pareto_point_whose_optimization_fails_repeats_the_previous_point(monkey
 # --- sampling ---
 
 def test_sampling_respects_box_and_range():
-    spec = motivating_spec()
-    sampling = SamplingConfig()
-    rng = np.random.default_rng(0)
-    lo, hi = spec.theta_box[:, 0], spec.theta_box[:, 1]
-    for _ in range(200):
-        theta = sample_theta(spec, sampling, rng)
-        assert np.all(theta >= lo) and np.all(theta <= hi)
-    us = sample_u(500, "multiplicative", (0.5, 2.0), rng)
-    assert np.all(us >= 0.5) and np.all(us <= 2.0)
+    twin = scalar_policy_twin()
+    lo, hi = twin.base.theta_box[:, 0], twin.base.theta_box[:, 1]
+    for sampling in (SamplingConfig(), SamplingConfig(theta_stddev=(5.0, 5.0, 5.0, 5.0))):
+        thetas, us = draw_samples(twin, sampling, (0.5, 2.0), np.random.default_rng(0), 500)
+        assert np.all(thetas >= lo) and np.all(thetas <= hi)
+        (start, stop), = twin.u_slices
+        assert np.all(us[:, start:stop] >= 0.5) and np.all(us[:, start:stop] <= 2.0)
+        rest = np.ones(us.shape[1], dtype=bool)
+        rest[start:stop] = False
+        assert (us[:, rest] == twin.deployed.u_ref[rest]).all()
 
 
 def test_sample_theta_rejects_wrong_lengths():
-    spec = motivating_spec()  # theta dimension 4
+    twin = scalar_policy_twin()  # theta dimension 4
     with pytest.raises(ShapeMismatch):
-        sample_theta(spec, SamplingConfig(theta_stddev=(0.1, 0.2)), np.random.default_rng(0))
+        draw_samples(twin, SamplingConfig(theta_stddev=(0.1, 0.2)), (0.5, 2.0), np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("u_range", [(np.nan, 2.0), (0.5, np.nan), (0.0, 2.0), (-0.5, 2.0), (2.0, 0.5)],
@@ -495,11 +512,10 @@ def test_sample_theta_rejects_wrong_lengths():
 def test_sampling_refuses_a_nan_nonpositive_or_reversed_u_range(u_range):
     twin = scalar_policy_twin()
     rng = np.random.default_rng(0)
-    for group in ("multiplicative", "additive"):
+    additive = build_invariant_model(motivating_spec(), twin.plans[0], interventions.identity("additive", (1,)))
+    for each in (twin, additive):
         with pytest.raises(ValueError, match="u range"):
-            sample_u(1, group, u_range, rng)
-    with pytest.raises(ValueError, match="u range"):
-        draw_samples(twin, SamplingConfig(), u_range, rng, 2)
+            draw_samples(each, SamplingConfig(), u_range, rng, 2)
     with pytest.raises(ValueError, match="u range"):
         train_invariant_policy(twin, np.array([0.4]), SamplingConfig(samples_per_step=2),
                                AdamConfig(iterations=2), SolverConfig(tol=1e-8), u_range)
@@ -530,10 +546,7 @@ def test_training_recovers_exact_scalar_policy():
     assert trained.final_loss < 1e-6
     assert trained.weights[0] == pytest.approx(1.0, abs=1e-3)
     # held-out: invariant node matches the unintervened equilibrium
-    rng = np.random.default_rng(123)
-    for _ in range(10):
-        theta = sample_theta(twin.base, SamplingConfig(), rng)
-        u = twin.assemble_u([sample_u(1, "multiplicative", (0.5, 2.0), rng)])
+    for theta, u in zip(*draw_samples(twin, SamplingConfig(), (0.5, 2.0), np.random.default_rng(123), 10)):
         base = solve_equilibrium(twin.base, theta, TIGHT)
         dep = solve_equilibrium(twin.deployed, theta, TIGHT, u=u, policy=trained.weights)
         assert abs(dep.x_star[2] - base.x_star[2]) < 1e-3 * abs(base.x_star[2])

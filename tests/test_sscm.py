@@ -676,7 +676,8 @@ def test_applied_program_holds_no_reference_to_the_parent_spec():
 
 
 def test_applied_spec_with_a_non_finite_value_fails_validation_at_first_use():
-    applied = interventions.apply(motivating_spec(), LieElement("additive", (0,), [np.nan]))
+    # LieElement refuses a NaN value, so the spec is derived as apply derives it, without one
+    applied = sscm.derive_wrapped(motivating_spec(), False, (0,), np.array([np.nan]))
     with pytest.raises(sscm.SpecValidationError, match="u_ref has non-finite entries"):
         assemble_map(applied, THETA_REF)
 
