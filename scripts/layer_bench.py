@@ -56,7 +56,9 @@ The batched layers evaluate the map of, solve and pull B cotangents back
 through B = 1, 4, 16, 50 rerouted-twin equilibria (random theta and u, shared
 policy weights, the CLI's evaluation solver at tol 1e-8). Sources with a batch
 axis run each as one batch ("mode": "batched"; only these time the map call and
-the Anderson step); older sources solve one at a time ("loop"). `anderson_step_s`
+the Anderson step); older sources solve one at a time ("loop"). The VJPs read u, the
+policy weights and the reroute from the solution on sources that record them there, and
+take them as keywords on older ones. `anderson_step_s`
 is one iteration of the batch's Anderson loop (m = 8, beta = 1) on the rows'
 linearisations x -> J x + (x* - J x*), as for the per-model layers: the (4, 9)
 row is the shape of an invariant training step.
@@ -122,6 +124,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -167,6 +170,14 @@ def _rerouted(twin, values):
     if hasattr(twin, "rerouted"):
         return twin.rerouted, {"extern": values}
     return twin.deployed, {"reroute": (twin.invariant_nodes, values)}
+
+
+def _vjp_bindings(**bindings) -> dict:
+    """The bindings to pass deq.implicit_vjp beside a solution: none on sources whose
+    solutions record the bindings they were solved at, all of them on older ones."""
+    from eqcausal import deq
+
+    return bindings if "u" in inspect.signature(deq.implicit_vjp).parameters else {}
 
 
 def _models():
@@ -374,9 +385,10 @@ def measure_batched() -> dict:
                 return solve_equilibrium(spec, theta, cfg, u=u, policy=policy, **fed)
 
             sol = solve()
+            bound = _vjp_bindings(u=u, policy=policy, **fed)
 
             def vjp():
-                return deq.implicit_vjp(spec, sol, cot, u=u, policy=policy, **fed)
+                return deq.implicit_vjp(spec, sol, cot, **bound)
         else:
             fed_rows = [_rerouted(twin, values[r])[1] for r in range(rows)]
 
@@ -385,10 +397,10 @@ def measure_batched() -> dict:
                         for r in range(rows)]
 
             sols = solve()
+            bound = [_vjp_bindings(u=u[r], policy=policy, **fed_rows[r]) for r in range(rows)]
 
             def vjp():
-                return [deq.implicit_vjp(spec, sols[r], cot[r], u=u[r], policy=policy, **fed_rows[r])
-                        for r in range(rows)]
+                return [deq.implicit_vjp(spec, sols[r], cot[r], **bound[r]) for r in range(rows)]
         repeat = max(1, 16 // rows)
         out[f"rebound-twin-B{rows}"] = {"rows": rows, "mode": "batched" if batched else "loop",
                                         "solve_s": _median_call_s(solve, repeat),

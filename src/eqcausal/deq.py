@@ -1,18 +1,18 @@
 """Implicit differentiation of equilibria.
 
-Gradients of losses through x*(theta) are obtained from the fixed-point
-identity: the adjoint a solves (I - df/dx)^T a = cotangent, after which
-dL/dtheta = (df/dtheta)^T a (and likewise for the intervention vector u and
-policy weights). Both entry points take the solver's EquilibriumSolution and
-linearize the map once at its x* (sscm.Linearization): the dense partials
-df/d(x, theta, u, policy) and I - df/dx, which is solved, never inverted, for
-the adjoint and for the dense dx*/dtheta. An unconverged solution raises
-NotConverged; a singular or ill-conditioned I - df/dx (1-norm condition number
-above sscm.COND_MAX), or a non-finite adjoint, raises SingularAdjoint. When
-||df/dx||_1 < 1, as for a productive Leontief table, or ||(df/dx)^2||_1 < 1, as
-for the rebound twin, and the Neumann bound on the condition number lies below
-COND_MAX / 2, that settles the gate; otherwise it reads the exact condition
-number, which is inf for a singular I - df/dx.
+Gradients of losses through x*(theta) are obtained from the fixed-point identity:
+the adjoint a solves (I - df/dx)^T a = cotangent, after which dL/dtheta =
+(df/dtheta)^T a (and likewise for the intervention vector u and policy weights).
+Both entry points take the solver's EquilibriumSolution and linearize the map once
+at its x* and the theta, u, policy and reroute it was solved at, which it records
+(sscm.Linearization): the dense partials df/d(x, theta, u, policy) and I - df/dx,
+which is solved, never inverted, for the adjoint and for the dense dx*/dtheta. An
+unconverged solution raises NotConverged; a singular or ill-conditioned I - df/dx
+(1-norm condition number above sscm.COND_MAX), or a non-finite adjoint, raises
+SingularAdjoint. When ||df/dx||_1 < 1, as for a productive Leontief table, or
+||(df/dx)^2||_1 < 1, as for the rebound twin, and the Neumann bound on the condition
+number lies below COND_MAX / 2, that settles the gate; otherwise it reads the exact
+condition number, which is inf for a singular I - df/dx.
 
 A batched solution (x* of shape (B, d)) is linearized as one stack: one
 batched reverse sweep, one stacked solve, and a bound or a condition number per
@@ -69,11 +69,10 @@ def _neumann_settles(lin: sscm.Linearization) -> bool:
         return bool(np.all(settled | ((1.0 + norm_j) ** 2 < (1.0 - norm_j2) * half)))
 
 
-def _linearize(spec: SscmSpec, sol: EquilibriumSolution, u=None, reroute=None,
-               policy=None) -> sscm.Linearization:
-    """The linearization at sol's x*, refusing an unconverged or ill-conditioned one."""
+def _linearize(spec: SscmSpec, sol: EquilibriumSolution) -> sscm.Linearization:
+    """The linearization at sol's x* and solve bindings, refusing an unconverged or ill-conditioned one."""
     require_converged(sol)
-    lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=u, reroute=reroute, policy=policy)
+    lin = sscm.Linearization(spec, sol.x_star, sol.theta, u=sol.u, reroute=sol.reroute, policy=sol.policy)
     if _neumann_settles(lin):
         return lin
     cond = np.max(lin.cond)
@@ -92,8 +91,7 @@ def _pull(m: Array, a: Array) -> Array:
     return (a[..., None, :] @ m)[..., 0, :]
 
 
-def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
-                 u=None, reroute=None, policy=None) -> ImplicitGradient:
+def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent) -> ImplicitGradient:
     """Pull a cotangent on x* back to theta, u and policy weights.
 
     The adjoint solves (I - df/dx)^T a = cotangent, one LU solve per row. A batched
@@ -108,7 +106,7 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
     except ValueError:
         raise ShapeMismatch(
             f"cotangent of shape {cot.shape} does not fit x* of shape {sol.x_star.shape}") from None
-    lin = _linearize(spec, sol, u, reroute, policy)
+    lin = _linearize(spec, sol)
     a = np.linalg.solve(lin.lhs.mT, cot[..., None])[..., 0]
     if not np.all(np.isfinite(a)):
         raise SingularAdjoint("adjoint solve gave a non-finite solution")
@@ -120,10 +118,9 @@ def implicit_vjp(spec: SscmSpec, sol: EquilibriumSolution, cotangent,
     )
 
 
-def jacobian_wrt_theta(spec: SscmSpec, sol: EquilibriumSolution,
-                       u=None, reroute=None, policy=None) -> Array:
+def jacobian_wrt_theta(spec: SscmSpec, sol: EquilibriumSolution) -> Array:
     """Dense dx*/dtheta, the solution X of (I - df/dx) X = df/dtheta at sol's x*."""
-    lin = _linearize(spec, sol, u, reroute, policy)
+    lin = _linearize(spec, sol)
     return np.linalg.solve(lin.lhs, lin.jac.theta)
 
 
@@ -156,7 +153,7 @@ def grad_check(spec: SscmSpec, theta, loss: diffcore.ExprGraph, cfg: SolverConfi
     sol = solve_at(theta)
     loss_value = float(diffcore.forward_eval(loss, {"x": sol.x_star})[0])
     cot = diffcore.reverse_vjp(loss, {"x": sol.x_star}, [1.0])["x"]
-    ig = implicit_vjp(spec, sol, cot, u=u, policy=policy)
+    ig = implicit_vjp(spec, sol, cot)
 
     fd = np.zeros(spec.theta_dim)
     for k in range(spec.theta_dim):

@@ -91,21 +91,26 @@ def apply(spec: SscmSpec, g: LieElement) -> SscmSpec:
     at its first use (sscm.derive_wrapped), so spec must be valid. Its per-node
     graphs are built only when read (validate, JSON, dataclasses.replace).
     """
-    if any(t < 0 or t >= spec.d for t in g.targets):
-        raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")
+    _require_nodes(spec, "targets", g.targets)
     return derive_wrapped(spec, g.group == "multiplicative", g.targets, g.values)
+
+
+def _require_nodes(spec: SscmSpec, what: str, nodes: tuple) -> None:
+    if not all(isinstance(n, (int, np.integer)) and 0 <= n < spec.d for n in nodes):
+        raise MismatchedTargets(f"{what} {nodes} outside node range 0..{spec.d - 1}")
 
 
 def hard_intervention_derivative(spec: SscmSpec, j: int, k: int, theta,
                                  cfg: SolverConfig | None = None) -> float:
-    """d x_j / d(lambda) of the model clamped at x_k = lambda, at lambda = x*_k. An unconverged
-    base model or an ill-conditioned clamped system raises ClampedModelSingular."""
+    """d x_j / d(lambda) of the model clamped at x_k = lambda, at lambda = x*_k. A j or k outside
+    the model raises MismatchedTargets; an unconverged base model or an ill-conditioned
+    clamped system, ClampedModelSingular."""
+    _require_nodes(spec, "nodes", (j, k))
     cfg = cfg or SolverConfig(tol=1e-10)
-    theta = np.asarray(theta, dtype=np.float64)
     sol = solve_equilibrium(spec, theta, cfg)
     if not sol.report.converged:
         raise ClampedModelSingular("base model does not converge at the requested theta")
-    return _clamped_derivative(Linearization(spec, sol.x_star, theta), j, k)
+    return _clamped_derivative(Linearization(spec, sol.x_star, sol.theta), j, k)
 
 
 def _clamped_derivative(lin: Linearization, j: int, k: int) -> float:
@@ -156,15 +161,15 @@ def check_invariance_conditions(spec: SscmSpec, i: int, j: int, k: int, theta_re
     ill-conditioned I - df/dx is reported as diffeomorphic_at_reference = False (and
     all_pass = False); when it is singular, (b) reports sigma_min 0, and an ill-conditioned
     clamped system in (c) reports hard_derivative 0. Condition numbers are 1-norm ones,
-    held to sscm.COND_MAX.
+    held to sscm.COND_MAX. An i, j or k outside the model raises MismatchedTargets.
     """
+    _require_nodes(spec, "nodes", (i, j, k))
     if i == j or i == k:
         raise ValueError("intervened node must differ from invariant and auxiliary nodes")
     cfg = cfg or SolverConfig(tol=1e-10)
-    theta = spec.theta_ref if theta_ref is None else np.asarray(theta_ref, dtype=np.float64)
-    sol = solve_equilibrium(spec, theta, cfg)
+    sol = solve_equilibrium(spec, spec.theta_ref if theta_ref is None else theta_ref, cfg)
     deq.require_converged(sol)
-    lin = Linearization(spec, sol.x_star, theta)
+    lin = Linearization(spec, sol.x_star, sol.theta)
     keep = [n for n in range(spec.d) if n != j]
     cond_red = float(np.linalg.cond(lin.lhs[np.ix_(keep, keep)], 1))
 
@@ -287,16 +292,13 @@ def build_invariant_model(spec: SscmSpec, plans, interventions) -> InvariantTwin
             if g.targets != (plan.intervened,):
                 raise MismatchedTargets(
                     f"intervention targets {g.targets} do not match plan's intervened node {plan.intervened}")
-            if not 0 <= plan.intervened < spec.d:
-                raise MismatchedTargets(f"targets {g.targets} outside node range 0..{spec.d - 1}")
+            _require_nodes(spec, "targets", g.targets)
             _require_valid(spec)
             pos = spec.u_dim + len(added)
             wraps.setdefault(plan.intervened, []).append((pos, g.group == "multiplicative"))
             added.append(g.values)
             u_slices.append((pos, pos + 1))
-        nodes = (plan.intervened, plan.invariant, plan.auxiliary)
-        if not all(0 <= n < spec.d for n in nodes):
-            raise MismatchedTargets(f"plan nodes {nodes} outside node range 0..{spec.d - 1}")
+        _require_nodes(spec, "plan nodes", (plan.intervened, plan.invariant, plan.auxiliary))
 
     u_dim = spec.u_dim + len(added)  # a twin of built-in plans only keeps every graph
     assignments = [wrap_assignment(graph, spec.u_dim, u_dim, wraps.get(j, ())) if added else graph

@@ -382,8 +382,7 @@ def optimize_lie_intervention(spec: SscmSpec, g0: LieElement, loss, adam: AdamCo
         u = np.concatenate([wired.u_ref[:base_dim], vals])
         sol = solve_equilibrium(wired, theta, solver, u=u)
         value = loss.value(sol.x_star)
-        cot = loss.grad(sol.x_star)
-        g_tail = deq.implicit_vjp(wired, sol, cot, u=u).grad_u[base_dim:]
+        g_tail = deq.implicit_vjp(wired, sol, loss.grad(sol.x_star)).grad_u[base_dim:]
         trajectory.append((LieElement(g0.group, g0.targets, vals), value))
         x_star = sol.x_star
         return value, (g_tail * vals if mult else g_tail)
@@ -503,11 +502,10 @@ def train_invariant_policy(twin: InvariantTwin, w0, sampling: SamplingConfig, ad
         base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy, base=base)
         if not (base_sol.report.converged and int_sol.report.converged):
             raise NotConverged("equilibrium solve failed in training step")
-        base_x = base_sol.x_star[:, inv_nodes]
-        diff = int_sol.x_star[:, inv_nodes] - base_x
+        diff = int_sol.x_star[:, inv_nodes] - base_sol.x_star[:, inv_nodes]
         cot = np.zeros((n, twin.deployed.d))
         cot[:, inv_nodes] = 2.0 * diff
-        ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=(inv_nodes, base_x), policy=policy)
+        ig = deq.implicit_vjp(twin.deployed, int_sol, cot)
         return float(np.einsum("ij,ij->", diff, diff)) / n, ig.grad_policy.sum(axis=0) / n
 
     res = _descend(evaluate, w0, adam)

@@ -124,9 +124,14 @@ class SscmSpec:
 
 @dataclass
 class EquilibriumSolution:
+    """x* and float64 copies of the theta, u, policy and reroute it was solved at, None if not given."""
+
     x_star: Array
     report: SolveReport
     theta: Array
+    u: Array | None = None
+    policy: Array | None = None
+    reroute: tuple[Array, Array] | None = None
 
 
 def validate(spec: SscmSpec) -> list[str]:
@@ -389,7 +394,9 @@ def solve_equilibrium(spec: SscmSpec, theta, cfg: SolverConfig, u=None, reroute=
     f = assemble_map(spec, theta, u=u, reroute=reroute, policy=policy)
     rows = _rows(theta, u, policy, None if reroute is None else reroute[1])
     report = fixedpoint.solve(f, np.zeros(spec.d if rows is None else (rows, spec.d)), cfg)
-    return EquilibriumSolution(report.x, report, np.asarray(theta, dtype=np.float64).copy())
+    u, policy = (None if v is None else np.array(v, dtype=np.float64) for v in (u, policy))
+    return EquilibriumSolution(report.x, report, np.array(theta, dtype=np.float64), u, policy,
+                               None if reroute is None else diffcore.reroute_of(reroute, spec.d))
 
 
 @dataclass

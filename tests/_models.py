@@ -371,8 +371,7 @@ def reference_train_invariant_policy(twin, w0, sampling, adam, solver, u_range=(
             batch_loss += float(diff @ diff)
             cot = np.zeros(twin.deployed.d)
             cot[inv_nodes] = 2.0 * diff
-            reroute = (inv_nodes, base_sol.x_star[inv_nodes])
-            ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=reroute, policy=policy)
+            ig = deq.implicit_vjp(twin.deployed, int_sol, cot)
             grad += ig.grad_policy
         return batch_loss / n, grad / n
 
@@ -397,11 +396,10 @@ def reference_step_train_invariant_policy(twin, w0, sampling, adam, solver, u_ra
         base_sol, int_sol = twin.solve_pair(theta, u, solver, policy=policy)
         if not (base_sol.report.converged and int_sol.report.converged):
             raise NotConverged("equilibrium solve failed in training step")
-        base_x = base_sol.x_star[:, inv_nodes]
-        diff = int_sol.x_star[:, inv_nodes] - base_x
+        diff = int_sol.x_star[:, inv_nodes] - base_sol.x_star[:, inv_nodes]
         cot = np.zeros((n, twin.deployed.d))
         cot[:, inv_nodes] = 2.0 * diff
-        ig = deq.implicit_vjp(twin.deployed, int_sol, cot, u=u, reroute=(inv_nodes, base_x), policy=policy)
+        ig = deq.implicit_vjp(twin.deployed, int_sol, cot)
         return float(np.einsum("ij,ij->", diff, diff)) / n, ig.grad_policy.sum(axis=0) / n
 
     res = optimize._descend(evaluate, w0, adam)

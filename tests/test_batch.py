@@ -189,9 +189,14 @@ def test_batched_solve_equilibrium_on_rebound_twin_equals_per_row_solves():
 
 def _solution_rows(sol):
     rep = sol.report
+
+    def row(value, r):
+        return value[r] if np.ndim(value) == 2 else value
+
     return [EquilibriumSolution(sol.x_star[r], SolveReport(sol.x_star[r], rep.residual_norm[r],
                                                            rep.relative_error[r], 0, True),
-                                sol.theta[r] if np.ndim(sol.theta) == 2 else sol.theta)
+                                row(sol.theta, r), row(sol.u, r), row(sol.policy, r),
+                                None if sol.reroute is None else (sol.reroute[0], row(sol.reroute[1], r)))
             for r in range(len(sol.x_star))]
 
 
@@ -203,17 +208,14 @@ def test_batched_implicit_vjp_equals_per_row_vjps(seed, rows):
     theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
     u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
     policy = REBOUND_W0 + rng.normal(scale=0.05, size=REBOUND_W0.shape)
-    base, sol = twin.solve_pair(theta, u, cfg, policy=policy)
-    nodes, values = twin.invariant_nodes, base.x_star[:, list(twin.invariant_nodes)]
+    _, sol = twin.solve_pair(theta, u, cfg, policy=policy)
     cot = rng.normal(size=(rows, twin.deployed.d))
-    ig = deq.implicit_vjp(twin.deployed, sol, cot, u=u, reroute=(nodes, values), policy=policy)
-    refs = [deq.implicit_vjp(twin.deployed, s, cot[r], u=u[r], reroute=(nodes, values[r]), policy=policy)
-            for r, s in enumerate(_solution_rows(sol))]
+    ig = deq.implicit_vjp(twin.deployed, sol, cot)
+    refs = [deq.implicit_vjp(twin.deployed, s, cot[r]) for r, s in enumerate(_solution_rows(sol))]
     for name in ("grad_theta", "grad_u", "grad_policy"):
         assert_rows_close(getattr(ig, name), [getattr(ref, name) for ref in refs])
-    jac = deq.jacobian_wrt_theta(twin.deployed, sol, u=u, reroute=(nodes, values), policy=policy)
-    refs = [deq.jacobian_wrt_theta(twin.deployed, s, u=u[r], reroute=(nodes, values[r]), policy=policy)
-            for r, s in enumerate(_solution_rows(sol))]
+    jac = deq.jacobian_wrt_theta(twin.deployed, sol)
+    refs = [deq.jacobian_wrt_theta(twin.deployed, s) for s in _solution_rows(sol)]
     assert_rows_close(jac, refs)
 
 
@@ -227,12 +229,38 @@ def test_batched_implicit_vjp_agrees_with_the_inverse_product_on_rebound_twin():
     kwargs = {"u": u, "reroute": (twin.invariant_nodes, base.x_star[:, list(twin.invariant_nodes)]),
               "policy": policy}
     cot = rng.normal(size=(rows, twin.deployed.d))
-    ig = deq.implicit_vjp(twin.deployed, sol, cot, **kwargs)
+    ig = deq.implicit_vjp(twin.deployed, sol, cot)
     lin = Linearization(twin.deployed, sol.x_star, sol.theta, **kwargs)
     a = np.einsum("bji,bj->bi", np.linalg.inv(lin.lhs), cot)
     for name in ("theta", "u", "policy"):
         want = np.einsum("bji,bj->bi", getattr(lin.jac, name), a)
         np.testing.assert_allclose(getattr(ig, f"grad_{name}"), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("edited", [None, "u", "policy", "reroute"])
+@pytest.mark.parametrize("name", ["rebound", "scalar-policy"])
+def test_batched_implicit_vjp_is_taken_at_the_solve_bindings(name, edited):
+    # bit for bit the explicit linearization at the solve's u, policy and reroute, whatever
+    # the caller does to those arrays after the solve; the scalar-policy twin's partials read
+    # all three, the rebound twin's do not read the reroute values
+    rng = np.random.default_rng(13)
+    twin, w0 = (REBOUND_TWIN, REBOUND_W0) if name == "rebound" else (scalar_policy_twin(), np.array([0.3]))
+    rows, cfg = 4, SolverConfig(tol=1e-10)
+    theta = twin.base.theta_ref * rng.uniform(0.8, 1.2, size=(rows, 1))
+    u = np.array([twin.assemble_u([[v]]) for v in rng.uniform(0.5, 1.0, size=rows)])
+    policy = w0 + rng.normal(scale=0.05, size=w0.shape)
+    nodes = list(twin.invariant_nodes)
+    values = solve_equilibrium(twin.base, theta, cfg).x_star[:, nodes]
+    sol = solve_equilibrium(twin.deployed, theta, cfg, u=u, reroute=(nodes, values), policy=policy)
+    lin = Linearization(twin.deployed, sol.x_star, theta, u=u, reroute=(nodes, values), policy=policy)
+    cot = rng.normal(size=(rows, twin.deployed.d))
+    a = np.linalg.solve(lin.lhs.mT, cot[..., None])[..., 0]
+    given = {"u": u, "policy": policy, "reroute": values}
+    if edited is not None:
+        given[edited] *= 1.5  # in place, on the array the solve was given
+    ig = deq.implicit_vjp(twin.deployed, sol, cot)
+    for slot in ("theta", "u", "policy"):
+        np.testing.assert_array_equal(getattr(ig, f"grad_{slot}"), (a[:, None, :] @ getattr(lin.jac, slot))[:, 0, :])
 
 
 def test_batched_implicit_vjp_on_rebound_twin_forms_no_inverse(monkeypatch):
@@ -247,7 +275,7 @@ def test_batched_implicit_vjp_on_rebound_twin_forms_no_inverse(monkeypatch):
     j_x = node_gradients(twin.deployed, sol.x_star, sol.theta, **kwargs).x
     assert np.all(np.linalg.norm(j_x, 1, axis=(-2, -1)) >= 1.0)
     calls = count_inverses(monkeypatch)
-    deq.implicit_vjp(twin.deployed, sol, rng.normal(size=(rows, twin.deployed.d)), **kwargs)
+    deq.implicit_vjp(twin.deployed, sol, rng.normal(size=(rows, twin.deployed.d)))
     assert calls == []
 
 

@@ -114,6 +114,7 @@ GOOD_CSV = {"A": "s0,s1\n0.1,0.2\n0.3,0.4\n", "y": "1.0\n1.0\n", "R": "impact,s0
     ("R", "impact,s0,s1\nghg,1.0\n", ParseError, "expected 3 columns (line 2)"),
     ("R", "impact,s0,s1\nghg,1.0,x\n", ParseError, "'x' is not a number (line 2, column 3)"),
     ("R", "impact,s0,s1\nghg,1.0,2.0\njobs,-2,1\n", NegativeEntry, "R[1, 0] = -2.0 is negative"),
+    ("R", "impact,s0,s2\nghg,1.0,2.0\n", DimensionMismatch, "sector header does not match {A}"),
     # non-finite cells, which loaded before and failed the first solve with NonFiniteIterate
     ("A", "s0,s1\n0.1,0.2\nnan,0.4\n", ParseError, "'nan' is not a finite number (line 3, column 1)"),
     ("A", "s0,s1\n0.1,1e400\n0.3,0.4\n", ParseError, "'1e400' is not a finite number (line 2, column 2)"),
@@ -126,7 +127,16 @@ def test_bad_cells_name_the_first_failure(tmp_path, name, text, error, message):
         path.write_text(text if key == name else GOOD_CSV[key], encoding="utf-8")
     with pytest.raises(error) as info:
         dataio.load_iotable_csv(paths["A"], paths["y"], paths["R"])
-    assert str(info.value) == f"{paths[name]}: {message}"
+    assert str(info.value) == f"{paths[name]}: {message.format(**paths)}"
+
+
+def test_a_table_without_impacts_gets_one_zero_impact_row(tmp_path):
+    paths = {key: tmp_path / f"{key}.csv" for key in ("A", "y")}
+    for key, path in paths.items():
+        path.write_text(GOOD_CSV[key], encoding="utf-8")
+    table = dataio.load_iotable_csv(paths["A"], paths["y"])
+    np.testing.assert_array_equal(table.R, np.zeros((1, 2)))
+    assert table.impacts == ("impact",)
 
 
 @pytest.mark.parametrize("name, text, error, message", [
@@ -213,6 +223,22 @@ def test_pareto_lambda_list_must_be_nonempty():
     with pytest.raises(SchemaError) as info:
         _config_from_obj({"command": "pareto", "model": "leontief-synthetic-4", "loss": {"lambdas": []}})
     assert info.value.pointer == "/loss/lambdas"
+
+
+def test_pareto_requires_a_lambda_list():
+    with pytest.raises(SchemaError) as info:
+        _config_from_obj({"command": "pareto", "model": "leontief-synthetic-4"})
+    assert str(info.value) == "/loss: the pareto command requires loss.lambdas"
+
+
+def test_a_config_file_that_is_not_json_exits_2(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"command": "solve",', encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"^/: config is not valid JSON: Expecting property name"):
+        load_config(path)
+    result = run_cli(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: /: config is not valid JSON")
 
 
 BAD_VALUES = [
@@ -571,6 +597,16 @@ def test_unknown_zoo_id_rejected():
         cfg = _config_from_obj({"command": "solve", "model": model})
         with pytest.raises(SchemaError):
             build_model(cfg)
+
+
+@pytest.mark.parametrize("command, model", [
+    ("invariant", "rebound-3sector"), ("compartment", "two-compartment")])
+def test_a_twin_command_on_another_model_fails_its_stage(tmp_path, command, model):
+    cfg = _config_from_obj({"command": command, "model": "motivating-example"})
+    manifest = run_experiment(cfg, out_dir=tmp_path / "out")
+    assert not manifest.success
+    assert manifest.stages[-1]["detail"]["error"] == (
+        f"SchemaError: /model: the {command} command runs on the {model} model")
 
 
 def test_loss_row_must_exist(tmp_path):

@@ -10,6 +10,7 @@ from eqcausal import deq, modelzoo, sscm
 from eqcausal.diffcore import ExprBuilder
 from eqcausal.errors import NotConverged, ShapeMismatch, SingularAdjoint, SingularMatrix
 from eqcausal.fixedpoint import SolverConfig
+from eqcausal.interventions import LieElement, apply
 from eqcausal.sscm import SscmSpec, solve_equilibrium
 
 from ._models import THETA_REF, inject_state_jacobian, leontief_spec, motivating_spec, random_leontief
@@ -106,6 +107,33 @@ def test_adjoint_consistency_bilinear_forms():
         w = rng.normal(size=4)
         via_vjp = deq.implicit_vjp(spec, sol, v).grad_theta @ w
         assert via_vjp == pytest.approx(v @ jac @ w, abs=1e-8)
+
+
+def test_implicit_vjp_differentiates_at_the_intervention_it_was_solved_at():
+    spec = apply(modelzoo.motivating_example(), LieElement("multiplicative", (1, 2), [1.0, 1.0]))
+    theta, u, c, h = spec.theta_ref, np.array([1.3, 0.7]), np.array([1.0, -2.0, 0.5]), 1e-4
+    cfg = SolverConfig(tol=1e-12)
+
+    def loss(theta, u):
+        return c @ solve_equilibrium(spec, theta, cfg, u=u).x_star
+
+    ig = deq.implicit_vjp(spec, solve_equilibrium(spec, theta, cfg, u=u), c)
+    fd_theta = [(loss(theta + e, u) - loss(theta - e, u)) / (2 * h) for e in h * np.eye(len(theta))]
+    fd_u = [(loss(theta, u + e) - loss(theta, u - e)) / (2 * h) for e in h * np.eye(len(u))]
+    np.testing.assert_allclose(ig.grad_theta, fd_theta, rtol=1e-6)
+    np.testing.assert_allclose(ig.grad_u, fd_u, rtol=1e-6)
+
+
+@pytest.mark.parametrize("keyword", ["u", "reroute", "policy"])
+def test_gradients_take_no_binding_keywords(keyword):
+    # a solution records the bindings it was solved at; no caller passes them again
+    spec = motivating_spec()
+    sol = solve_equilibrium(spec, THETA_REF, TIGHT)
+    for call in (functools.partial(deq.implicit_vjp, spec, sol, np.ones(3)),
+                 functools.partial(deq.jacobian_wrt_theta, spec, sol),
+                 functools.partial(deq._linearize, spec, sol)):
+        with pytest.raises(TypeError):
+            call(**{keyword: None})
 
 
 def test_dense_adjoint_large_dimension():

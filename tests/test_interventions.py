@@ -256,6 +256,21 @@ def test_invariance_conditions_linearize_the_base_model_once(monkeypatch):
     assert calls == ["solve_equilibrium", "node_gradients"]
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 1.0])
+@pytest.mark.parametrize("at", range(3))
+def test_invariance_checks_refuse_an_index_that_is_not_a_node(monkeypatch, bad, at):
+    # a negative alias would read another node, and one past the end an IndexError
+    monkeypatch.setattr(interventions, "solve_equilibrium", lambda *args, **kwargs: pytest.fail("solved"))
+    spec = modelzoo.motivating_example(free=("tau",))
+    ijk = [0, 1, 2]
+    ijk[at] = bad
+    with pytest.raises(MismatchedTargets, match=r"nodes .* outside node range 0\.\.2"):
+        check_invariance_conditions(spec, *ijk)
+    if at:
+        with pytest.raises(MismatchedTargets, match=r"nodes .* outside node range 0\.\.2"):
+            hard_intervention_derivative(spec, *ijk[1:], theta=spec.theta_ref)
+
+
 @pytest.mark.parametrize("free,j", [(("tau",), 2), (("tau",), 0), (None, 2)])
 def test_invariance_report_matches_the_separate_checks(free, j):
     spec = modelzoo.motivating_example(free=free) if free else modelzoo.motivating_example()
