@@ -7,8 +7,9 @@ problem construction and run, one reduced invariant pipeline run, the invariance
 checks, the construction of the invariant twins, a structural map's assembly and first
 call, and the import of the command line.
 
-    python scripts/layer_bench.py --label change --out BENCH_27.json
-    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_27.json
+    python scripts/layer_bench.py --label change --out BENCH_32.json
+    python scripts/layer_bench.py --label parent --src ../parent/src --out BENCH_32.json
+    python scripts/layer_bench.py --label change --out BENCH_32.json --only compile,batched_layers
 
 Each model is timed at its equilibrium: `leontief-synthetic-N` at
 N = 10, 50, 100, 200, and the rerouted rebound twin with its MLP policy (the
@@ -30,13 +31,17 @@ pareto pipeline's descents run.
 `compile_s` is the one-off cost of a spec's first use before anything is bound:
 `interventions.apply` the same intervention, then time the derived spec's validation,
 its stacking where it has a program of its own to stack, `diffcore._compile` (which
-calls `_fuse` at a first use) and the first `diffcore._sweep` toward its entry nodes.
-`first_bind_s` is what its first map call and first node_gradients call then cost
-beyond the same two calls warm: the value buffer (`diffcore._Layout`) that the first
-call builds and binds. Records made before this split timed the first map call and
-node_gradients minus warm ones as `compile_s`, which held the first binding at sources
-that bind at the first call and not at older ones, so those `compile_s` figures are
-not comparable with these.
+calls `_fuse` at a first use) and the first `diffcore._sweep` toward its entry nodes,
+which `sweep_s` also times alone. `first_bind_s` is what its first map call and first
+node_gradients call then cost beyond the same two calls warm: the value buffer
+(`diffcore._Layout`) that the first call builds and binds, and, on sources that bind
+the reverse sweep, its binding. The same three are timed on the deployed rebound twin
+(a fresh `build_invariant_model` each time, its invariant node rerouted to the base
+equilibrium's value, the initial policy weights). Records made before the split of
+`first_bind_s` timed the first map call and node_gradients minus warm ones as
+`compile_s`, which held the first binding at sources that bind at the first call and
+not at older ones, so those `compile_s` figures are not comparable with these; records
+before BENCH_32 hold the applied model's two figures alone, unnested.
 
 The construction layers build `leontief-synthetic-N` at N = 100, 300, 1,000 from
 CSV files written by dataio.write_iotable_csv: `load_s` is dataio.load_iotable_csv
@@ -114,7 +119,10 @@ of the measured sources, is stored under its label in the output file; other
 labels are kept. A rerun under a label whose record holds the same digest keeps
 the least of both, so running two labels in turn a few times refines both
 records through the same spells of a shared host; a record of other sources is
-replaced. It reports and gates nothing, so no test runs it.
+replaced. `--only` measures the named sections alone (the keys of MEASURED, comma
+separated); a rerun then keeps the record's other sections if it holds the same digest,
+and `rounds` counts the rounds behind each section. It reports and gates nothing, so no
+test runs it.
 """
 
 import os
@@ -249,30 +257,47 @@ def measure_applied() -> dict:
                 lambda: sscm.node_gradients(wired, x, theta), max(2, batch // 10))}
 
 
+def _first_use(make, x, **kwargs) -> dict:
+    """compile_s, sweep_s and first_bind_s (see the module docstring) over REPEATS fresh specs from make()."""
+    from eqcausal import diffcore, sscm
+
+    compiles, sweeps, binds = [], [], []
+    for _ in range(REPEATS):
+        spec = make()
+        t0 = time.perf_counter()
+        sscm._require_valid(spec)
+        stacked = sscm._stacked(spec)
+        prog = diffcore._compile(stacked.graph)
+        t1 = time.perf_counter()
+        diffcore._sweep(stacked.graph, prog, tuple(stacked.leaves))
+        t2 = time.perf_counter()
+        f = sscm.assemble_map(spec, spec.theta_ref, **kwargs)
+        f(x)
+        sscm.node_gradients(spec, x, spec.theta_ref, **kwargs)
+        t3 = time.perf_counter()
+        f(x)
+        sscm.node_gradients(spec, x, spec.theta_ref, **kwargs)
+        compiles.append(t2 - t0)
+        sweeps.append(t2 - t1)
+        binds.append((t3 - t2) - (time.perf_counter() - t3))
+    return {"compile_s": float(np.median(compiles)), "sweep_s": float(np.median(sweeps)),
+            "first_bind_s": float(np.median(binds))}
+
+
 def measure_compile() -> dict:
-    from eqcausal import diffcore, interventions, modelzoo, sscm
+    from eqcausal import interventions, modelzoo
     from eqcausal.interventions import LieElement
+    from eqcausal.sscm import solve_equilibrium
 
     spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(100))
     everywhere = LieElement("multiplicative", tuple(range(spec.d)), np.ones(spec.d))
-    x = np.ones(spec.d)
-    compiles, binds = [], []
-    for _ in range(REPEATS):
-        wired = interventions.apply(spec, everywhere)
-        t0 = time.perf_counter()
-        sscm._require_valid(wired)
-        stacked = sscm._stacked(wired)
-        diffcore._sweep(stacked.graph, diffcore._compile(stacked.graph), stacked.leaves)
-        t1 = time.perf_counter()
-        f = sscm.assemble_map(wired, wired.theta_ref)
-        f(x)
-        sscm.node_gradients(wired, x, wired.theta_ref)
-        t2 = time.perf_counter()
-        f(x)
-        sscm.node_gradients(wired, x, wired.theta_ref)
-        compiles.append(t1 - t0)
-        binds.append((t2 - t1) - (time.perf_counter() - t2))
-    return {"compile_s": float(np.median(compiles)), "first_bind_s": float(np.median(binds))}
+    out = {"leontief-synthetic-100": _first_use(lambda: interventions.apply(spec, everywhere), np.ones(spec.d))}
+    twin, w0 = _rebound_twin()
+    x = solve_equilibrium(twin.base, twin.base.theta_ref, _solver(tol=1e-10)).x_star
+    values = x[list(twin.invariant_nodes)]
+    out["rebound-twin"] = _first_use(lambda: _rerouted(_rebound_twin()[0], values)[0], x, policy=w0,
+                                     **_rerouted(twin, values)[1])
+    return out
 
 
 CONSTRUCTION_DIMS = (100, 300, 1000)
@@ -570,8 +595,11 @@ def machine() -> dict:
             "numpy": np.__version__, "blas_threads": 1}
 
 
-MEASURED = ("layers", "applied", "compile", "construction", "adjoint", "batched_layers", "bench", "pipelines",
-            "invariance", "twin_build_s", "first_map_call_s", "import_cli_s")
+MEASURED = {"layers": measure, "applied": measure_applied, "compile": measure_compile,
+            "construction": measure_construction, "adjoint": measure_adjoint, "batched_layers": measure_batched,
+            "bench": measure_bench, "pipelines": measure_pipelines, "invariance": measure_invariance,
+            "twin_build_s": measure_twin_build, "first_map_call_s": measure_first_map_call,
+            "import_cli_s": measure_import_cli}
 
 
 def _sources_sha256(src: Path) -> str:
@@ -594,7 +622,12 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="key of this record in the output file")
     ap.add_argument("--src", type=Path, default=ROOT / "src", help="eqcausal sources to measure")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to add the record to")
+    ap.add_argument("--only", type=lambda v: v.split(","), default=list(MEASURED),
+                    help="comma-separated sections to measure, of: " + ", ".join(MEASURED))
     args = ap.parse_args()
+    unknown = sorted(set(args.only) - set(MEASURED))
+    if unknown:
+        ap.error(f"unknown sections {unknown}; the sections are {', '.join(MEASURED)}")
 
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -603,68 +636,79 @@ def main() -> int:
     if Path(eqcausal.__file__).resolve().parent.parent != src:
         print(f"imported eqcausal from {eqcausal.__file__}, not {src}", file=sys.stderr)
         return 2
-    rounds = [dict(zip(MEASURED, (measure(), measure_applied(), measure_compile(),
-                                  measure_construction(), measure_adjoint(), measure_batched(),
-                                  measure_bench(), measure_pipelines(), measure_invariance(),
-                                  measure_twin_build(), measure_first_map_call(),
-                                  measure_import_cli(src))))
+    sections = [key for key in MEASURED if key in args.only]
+    rounds = [{key: MEASURED[key](src) if key == "import_cli_s" else MEASURED[key]() for key in sections}
               for _ in range(ROUNDS)]
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     digest, earlier = _sources_sha256(src), data.get("runs", {}).get(args.label)
-    n_rounds = ROUNDS
-    if earlier is not None and earlier.get("sources_sha256") == digest:
-        rounds.append({key: earlier[key] for key in MEASURED})
-        n_rounds += earlier["rounds"]
+    if earlier is None or earlier.get("sources_sha256") != digest:
+        earlier = {"rounds": {}}
+    counts = dict(earlier["rounds"])
+    for key in sections:
+        if key in earlier:
+            rounds.append({key: earlier[key]})
+        counts[key] = counts.get(key, 0) + ROUNDS
+    measured = {key: _least([r[key] for r in rounds if key in r]) for key in sections}
     record = {
+        **{key: earlier[key] for key in MEASURED if key in earlier},
+        **measured,
         "git_sha": _git(src, "rev-parse", "HEAD"),
         "git_dirty": bool(_git(src, "status", "--porcelain", "--", ".")),
         "sources_sha256": digest,
         "machine": machine(),
         "repeats": REPEATS,
-        "rounds": n_rounds,
-        **_least(rounds),
+        "rounds": counts,
     }
     data.setdefault("runs", {})[args.label] = record
     args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    for name, row in record["layers"].items():
+    _report(record)
+    return 0
+
+
+def _report(record: dict) -> None:
+    """Print the sections a record holds."""
+    for name, row in record.get("layers", {}).items():
         print(f"{name:24s} map {row['map_call_s'] * 1e6:9.1f} us   "
               f"node_gradients {row['node_gradients_s'] * 1e6:9.1f} us   "
               f"linearization {row['linearization_s'] * 1e6:9.1f} us   "
               f"anderson step {row['anderson_step_s'] * 1e6:7.1f} us")
-    applied = record["applied"]
-    print(f"{'applied-synthetic-100':24s} map {applied['applied_map_call_s'] * 1e6:9.1f} us   "
-          f"node_gradients {applied['applied_node_gradients_s'] * 1e6:9.1f} us")
-    print(f"{'compile_s':24s} {record['compile']['compile_s'] * 1e3:9.2f} ms   "
-          f"first_bind_s {record['compile']['first_bind_s'] * 1e3:9.3f} ms")
-    for name, row in record["construction"].items():
+    if "applied" in record:
+        applied = record["applied"]
+        print(f"{'applied-synthetic-100':24s} map {applied['applied_map_call_s'] * 1e6:9.1f} us   "
+              f"node_gradients {applied['applied_node_gradients_s'] * 1e6:9.1f} us")
+    for name, row in record.get("compile", {}).items():
+        print(f"{'compile_s':24s} {name} {row['compile_s'] * 1e3:9.3f} ms   sweep_s {row['sweep_s'] * 1e3:9.3f} ms"
+              f"   first_bind_s {row['first_bind_s'] * 1e3:9.3f} ms")
+    for name, row in record.get("construction", {}).items():
         print(f"{name:24s} load {row['load_s'] * 1e3:8.2f} ms   leontief_model {row['leontief_model_s'] * 1e3:8.2f} ms"
               f"   apply {row['apply_s'] * 1e3:8.2f} ms   stack+compile {row['stack_compile_s'] * 1e3:8.2f} ms"
               f"   csv to first map {row['csv_to_first_map_s'] * 1e3:8.2f} ms")
-    for name, row in record["adjoint"].items():
+    for name, row in record.get("adjoint", {}).items():
         print(f"{name:24s} implicit_vjp {row['implicit_vjp_s'] * 1e3:8.3f} ms")
-    for name, row in record["batched_layers"].items():
+    for name, row in record.get("batched_layers", {}).items():
         print(f"{name:24s} {row['mode']:8s} solve {row['solve_s'] * 1e3:8.2f} ms   "
               f"implicit_vjp {row['implicit_vjp_s'] * 1e3:8.2f} ms   "
               f"map {row.get('map_call_s', float('nan')) * 1e6:8.1f} us   "
               f"anderson step {row.get('anderson_step_s', float('nan')) * 1e6:7.1f} us")
-    bench = record["bench"]
-    print("random_contractions      " + "   ".join(
-        f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contractions_s"].items()))
-    print("forward_step_s           " + "   ".join(
-        f"{d} {t * 1e6:7.2f} us" for d, t in bench["forward_step_s"].items()))
-    print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
-    print(f"{'invariant_run_s':24s} {record['pipelines']['invariant_run_s'] * 1e3:9.2f} ms")
-    print(f"{'train_phase_s':24s} {record['pipelines']['train_phase_s'] * 1e3:9.2f} ms")
-    invariance = record["invariance"]
-    print(f"{'invariance_check_s':24s} {invariance['invariance_check_s'] * 1e3:9.3f} ms")
-    for name, t in invariance["hard_derivative_s"].items():
-        print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
-    for name, t in record["twin_build_s"].items():
+    if "bench" in record:
+        bench = record["bench"]
+        print("random_contractions      " + "   ".join(
+            f"{d} {t * 1e3:7.3f} ms" for d, t in bench["random_contractions_s"].items()))
+        print("forward_step_s           " + "   ".join(
+            f"{d} {t * 1e6:7.2f} us" for d, t in bench["forward_step_s"].items()))
+        print(f"{'solver_sweep_s':24s} {bench['solver_sweep_s'] * 1e3:9.2f} ms")
+    for name, t in record.get("pipelines", {}).items():
+        print(f"{name:24s} {t * 1e3:9.2f} ms")
+    if "invariance" in record:
+        print(f"{'invariance_check_s':24s} {record['invariance']['invariance_check_s'] * 1e3:9.3f} ms")
+        for name, t in record["invariance"]["hard_derivative_s"].items():
+            print(f"{'hard_derivative_s':24s} {name} {t * 1e3:9.3f} ms")
+    for name, t in record.get("twin_build_s", {}).items():
         print(f"{'twin_build_s':24s} {name} {t * 1e3:9.3f} ms")
-    for name, t in record["first_map_call_s"].items():
+    for name, t in record.get("first_map_call_s", {}).items():
         print(f"{'first_map_call_s':24s} {name} {t * 1e6:9.1f} us")
-    print(f"{'import_cli_s':24s} {record['import_cli_s'] * 1e3:9.2f} ms")
-    return 0
+    if "import_cli_s" in record:
+        print(f"{'import_cli_s':24s} {record['import_cli_s'] * 1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ unary, elementwise binary, segment sum of products (matmul, segdot) and copy
 (slice, gather, concat), which costs nothing forward. The builder's dot emits a
 one-row matmul. Each evaluation takes a buffer, with every step bound to it once,
 from the program's pool, so one graph can be evaluated concurrently. A Prepared
-set of bindings, which binds every slot but one once, cannot.
+set of bindings, which binds every slot but one once, cannot. A reverse sweep is
+built once per program and set of leaf nodes, and a pooled buffer binds its VJPs,
+against its values and one adjoint buffer, the first time it runs that sweep.
 
 Batches: a slot bound with a (B, dim) array instead of a (dim,) vector makes
 the evaluation batched. The same program then runs on a (N, B) buffer, into
@@ -245,6 +247,17 @@ def inline(builder: ExprBuilder, graph: ExprGraph, slot_map: Mapping[str, Ref] |
 # hops, so that a copy passes its adjoint on after every copy that reads it. The
 # ops lower to four kernel families: elementwise unary, elementwise binary, segment
 # sum of products (matmul) and copy, each with one VJP.
+#
+# _fuse finds levels and hops in one Python walk over the nodes, forms the steps with
+# one stable sort by (level, op or hops, exponent) and builds every step's index arrays
+# with numpy passes over the whole program, split by step. A reverse sweep (see _sweep)
+# is built once per program and set of `at` nodes, from one Python walk over the nodes
+# each way and numpy passes over the whole program. A layout binds a sweep's reverse
+# calls the first time it runs it, against its value buffer and one adjoint buffer, as
+# it binds the forward steps: every VJP writes its contribution into a buffer of its
+# own and adds it into the adjoint buffer on a slice or on distinct positions, or sums
+# the contributions to one position first by reduceat, step by step in a fixed order,
+# so that every run of a sweep gives the same bits.
 
 
 def _least(x) -> float:
@@ -273,21 +286,37 @@ def _log(x, c, out):
     return np.log(x, out=out)
 
 
-# op -> (forward(x, c, out), vjp(g, x, y, c)), with x the argument, y the value, c the
-# exponent of a pow and out the array the forward writes into
+def _pow_vjp(g, x, y, c, t):
+    power = np.empty(t.shape)  # x ** (c - 1)
+    return [partial(np.multiply, g, c, out=t), partial(np.power, x, c - 1.0, out=power),
+            partial(np.multiply, t, power, out=t)]
+
+
+def _relu_vjp(g, x, y, c, t):
+    up = np.empty(t.shape, dtype=bool)
+    return [partial(np.greater, x, 0.0, out=up), partial(np.multiply, g, up, out=t)]
+
+
+# op -> (forward(x, c, out), vjp(g, x, y, c, t)), with x the argument, y the value, c the
+# exponent of a pow and out the array the forward writes into; vjp returns the calls that
+# write the contribution of y's adjoint g to x's adjoint into t
 _UNARY = {
-    "recip": (_recip, lambda g, x, y, c: -g * y * y),
-    "neg": (lambda x, c, out: np.negative(x, out=out), lambda g, x, y, c: -g),
-    "pow": (_pow, lambda g, x, y, c: g * c * np.power(x, c - 1.0)),
-    "exp": (lambda x, c, out: np.exp(x, out=out), lambda g, x, y, c: g * y),
-    "log": (_log, lambda g, x, y, c: g / x),
-    "relu": (lambda x, c, out: np.maximum(x, 0.0, out=out), lambda g, x, y, c: g * (x > 0.0)),
+    "recip": (_recip, lambda g, x, y, c, t: [partial(np.negative, g, out=t), partial(np.multiply, t, y, out=t),
+                                             partial(np.multiply, t, y, out=t)]),
+    "neg": (lambda x, c, out: np.negative(x, out=out), lambda g, x, y, c, t: [partial(np.negative, g, out=t)]),
+    "pow": (_pow, _pow_vjp),
+    "exp": (lambda x, c, out: np.exp(x, out=out), lambda g, x, y, c, t: [partial(np.multiply, g, y, out=t)]),
+    "log": (_log, lambda g, x, y, c, t: [partial(np.divide, g, x, out=t)]),
+    "relu": (lambda x, c, out: np.maximum(x, 0.0, out=out), _relu_vjp),
 }
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 _COPY = ("slice", "gather", "concat")
 _COMPUTED, _COPIED = 0, 1
 _KIND = {**dict.fromkeys((*_UNARY, *_BINARY, "matmul", "segdot"), _COMPUTED),
          **dict.fromkeys(_COPY, _COPIED)}
+#: a computed op's place among the steps of one level; the copies' steps follow them all
+_RANK = {op: r for r, op in enumerate(sorted(op for op, kind in _KIND.items() if kind == _COMPUTED))}
+_TWO = np.array([op not in _UNARY for op in _RANK])  # per rank, an op of two operands
 
 
 def dot_sum(a, b) -> float:
@@ -297,10 +326,9 @@ def dot_sum(a, b) -> float:
 
 def _runs(starts, lengths) -> Array:
     """The ranges [start, start + length) end to end, as one intp array."""
-    starts = np.asarray(starts, dtype=np.intp)
-    lengths = np.asarray(lengths, dtype=np.intp)
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+    starts, lengths = np.asarray(starts, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
+    ends = lengths.cumsum()
+    return (starts - ends + lengths).repeat(lengths) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _index(pos: Array) -> slice | Array:
@@ -312,11 +340,14 @@ def _index(pos: Array) -> slice | Array:
     return pos
 
 
-def _take(v: Array, at) -> Array:
-    """v[at] along the first axis, where `at` is a slice or an index array (on a 2-d
-    batch buffer take() is several times faster than fancy indexing; on a vector,
-    slower)."""
-    return v[at] if at.__class__ is slice or v.ndim == 1 else v.take(at, axis=0)
+def _indices(pos: Array, bounds: Array) -> list:
+    """_index of pos[bounds[k]:bounds[k + 1]] for every k, from one pass over pos."""
+    lo, hi = bounds[:-1], bounds[1:]
+    breaks = (pos[1:] - pos[:-1] != 1).nonzero()[0]  # entries the next one does not follow by one
+    whole = (breaks.searchsorted(lo) == breaks.searchsorted(hi - 1)).tolist()
+    firsts = pos[np.minimum(lo, len(pos) - 1)].tolist() if len(pos) else [0] * len(lo)
+    return [slice(0, 0) if b == a else slice(first, first + b - a) if run else pos[a:b]
+            for a, b, run, first in zip(lo.tolist(), hi.tolist(), whole, firsts)]
 
 
 def _bound(v: Array, at, calls: list) -> Array:
@@ -337,68 +368,86 @@ def _bound_pair(v: Array, a, b, calls: list) -> tuple[Array, Array]:
     return both[:len(a)], both[len(a):]
 
 
-class _Scatter:
-    """Adds one contribution per position into an adjoint buffer, except the rows
-    `cut` of them. Contributions that land on one position are summed first, in their
-    order, by np.add.reduceat."""
+class _Scatter(NamedTuple):
+    """Where the rows of a contribution add into an adjoint buffer: at `to`, or, when
+    positions repeat, the rows taken in `order` and summed from each of `starts` on, in
+    their order, by np.add.reduceat, then added at `to`."""
 
-    __slots__ = ("to", "order", "starts")
+    to: object  # a slice, or an index array of distinct positions
+    order: Array | None
+    starts: Array | None
 
-    def __init__(self, positions: Array):
-        self.order = self.starts = None
-        if len(positions) > 1 and not (positions[1:] > positions[:-1]).all():
-            order = np.argsort(positions, kind="stable")
-            ranked = positions[order]
-            starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-            if len(starts) < len(ranked):
-                self.order, self.starts, positions = order, starts, ranked[starts]
-        self.to = _index(positions)
 
-    def add(self, adj: Array, contrib: Array, cut):
-        if cut is not None:
-            contrib = np.array(contrib)
-            contrib[cut] = 0.0
-        if self.starts is not None:
-            contrib = np.add.reduceat(contrib.take(self.order, axis=0), self.starts, axis=0)
-        adj[self.to] += contrib
+def _bind_add(adj: Array, c: Array, cut, scatter: _Scatter, into: Array, calls: list) -> None:
+    """Append to `calls` the calls that add the contribution c into adj as `scatter` says,
+    with its rows `cut` zeroed, in `into` when c is not `into` itself (`into` is read only
+    when rows are cut)."""
+    if cut is not None:
+        if c is not into:
+            calls.append(partial(np.copyto, into, c))
+            c = into
+        calls.append(partial(c.__setitem__, cut, 0.0))
+    if scatter.starts is not None:
+        ranked = _bound(c, scatter.order, calls)
+        c = np.empty((len(scatter.starts),) + c.shape[1:])
+        calls.append(partial(np.add.reduceat, ranked, scatter.starts, 0, out=c))
+    if scatter.to.__class__ is slice:
+        into = adj[scatter.to]
+    else:  # distinct positions: taken, added to and put back
+        into = _bound(adj, scatter.to, calls)
+    calls.append(partial(np.add, into, c, out=into))
+    if scatter.to.__class__ is not slice:
+        calls.append(partial(adj.__setitem__, scatter.to, into))
 
 
 class _Step:
-    """One wide step. `members` are its nodes, whose segments fill the buffer range
-    `out` in order. `sides[k]` lists the node its k-th operand reads, one per member,
-    or for a copy every argument, member by member, with `spans` the start of each
-    member's arguments when some member has several. `elems[k]` are the operand's
-    elements, whose adjoints `to[k]` scatters into. A sweep builds what it needs of
-    these for the reverse pass (a copy's sides, the scatters) the first time.
+    """One wide step. `members` are its nodes, whose segments fill the buffer range `out`
+    in order.
 
-    bind(v, calls) appends to `calls` functions of no arguments that run the step on
-    the buffer v through views of v made once; backward runs its VJP."""
+    bind(v, calls) appends to `calls` functions of no arguments that run the step on the
+    buffer v through views of v made once, and returns its operands as those read them:
+    views of v, or arrays they refill. bind_reverse(v, adj, operands, need, cut, to,
+    calls) appends the calls that pass the adjoint in adj[out] on to the adjoints in adj
+    of each operand side k with need[k], through the _Scatter to[k], with the rows `cut`
+    of every contribution zeroed; they read the values a forward pass left in v and in
+    `operands`."""
 
-    __slots__ = ("members", "out", "sides", "spans", "elems", "to")
+    __slots__ = ("members", "out")
 
 
 class _Unary(_Step):
     __slots__ = ("fwd", "vjp", "c", "x")
 
     def bind(self, v, calls):
-        calls.append(partial(self.fwd, _bound(v, self.x, calls), self.c, v[self.out]))
+        x = _bound(v, self.x, calls)
+        calls.append(partial(self.fwd, x, self.c, v[self.out]))
+        return (x,)
 
-    def backward(self, v, adj, g, need, cut):
-        self.to[0].add(adj, self.vjp(g, _take(v, self.x), v[self.out], self.c), cut)
+    def bind_reverse(self, v, adj, operands, need, cut, to, calls):
+        g = adj[self.out]
+        t = np.empty(g.shape)
+        calls += self.vjp(g, operands[0], v[self.out], self.c, t)
+        _bind_add(adj, t, cut, to[0], t, calls)
 
 
 class _Binary(_Step):
     __slots__ = ("op", "fn", "a", "b")
 
     def bind(self, v, calls):
-        calls.append(partial(self.fn, *_bound_pair(v, self.a, self.b, calls), out=v[self.out]))
+        a, b = _bound_pair(v, self.a, self.b, calls)
+        calls.append(partial(self.fn, a, b, out=v[self.out]))
+        return a, b
 
-    def backward(self, v, adj, g, need, cut):
-        mul = self.op == "mul"
-        if need[0]:
-            self.to[0].add(adj, g * _take(v, self.b) if mul else g, cut)
-        if need[1]:
-            self.to[1].add(adj, g * _take(v, self.a) if mul else g if self.op == "add" else -g, cut)
+    def bind_reverse(self, v, adj, operands, need, cut, to, calls):
+        g = adj[self.out]
+        t = np.empty(g.shape)
+        for k in (0, 1):
+            if need[k]:
+                if self.op == "mul":  # g times the other operand
+                    calls.append(partial(np.multiply, g, operands[1 - k], out=t))
+                elif self.op == "sub" and k:
+                    calls.append(partial(np.negative, g, out=t))
+                _bind_add(adj, t if self.op == "mul" or self.op == "sub" and k else g, cut, to[k], t, calls)
 
 
 class _SegmentSum(_Step):
@@ -415,21 +464,23 @@ class _SegmentSum(_Step):
             products = np.empty(a.shape)
             calls.append(partial(np.multiply, a, b, out=products))
             calls.append(partial(np.add.reduceat, products, self.starts, 0, out=out))
+        return a, b
 
-    def backward(self, v, adj, g, need, cut):
-        if self.seg is not None:
-            g = g.take(self.seg, axis=0)
-        if need[0]:
-            self.to[0].add(adj, g * _take(v, self.b), cut)
-        if need[1]:
-            self.to[1].add(adj, g * _take(v, self.a), cut)
+    def bind_reverse(self, v, adj, operands, need, cut, to, calls):
+        g = adj[self.out] if self.seg is None else _bound(adj[self.out], self.seg, calls)  # per product
+        t = np.empty(g.shape)
+        for k in (0, 1):
+            if need[k]:
+                calls.append(partial(np.multiply, g, operands[1 - k], out=t))
+                _bind_add(adj, t, cut, to[k], t, calls)
 
 
 class _Copy(_Step):
     __slots__ = ()
 
-    def backward(self, v, adj, g, need, cut):
-        self.to[0].add(adj, g, cut)
+    def bind_reverse(self, v, adj, operands, need, cut, to, calls):
+        g = adj[self.out]
+        _bind_add(adj, g, cut, to[0], None if cut is None else np.empty(g.shape), calls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,9 +495,13 @@ class _Program:
     runs: tuple  # the steps with a forward pass
     out: object  # where the output's values are read
     offsets: Array  # per node, the start of its segment
-    base: Array  # per node, its first element; an element is a (node, component) pair
-    own: Array  # per element, its position in the buffer
-    source: Array  # per element of a copy, the element it copies; -1 elsewhere
+    own: Array  # per element, its position in the buffer; an element is a (node, component) pair
+    members: Array  # every step's members, step by step
+    bounds: list  # per step, the index of its first member in `members`, then len(members)
+    rows: Array  # per member, its rows of a reverse contribution: its elements, or a segment sum's products
+    step_of: list  # per node, the index of its step, or -1
+    sides: tuple  # per step, the indices of its operand sides: a computed step's operands, a copy's arguments
+    elems: tuple  # per operand side, the elements its members read, member by member
     sweeps: dict = field(default_factory=dict)  # reverse sweep per `at`, see _sweep
     layouts: dict = field(default_factory=lambda: defaultdict(list))  # idle layouts per batch size
 
@@ -464,36 +519,28 @@ def _fuse(graph: ExprGraph) -> _Program:
     nodes, dims = graph.nodes, graph.dims
     n = len(nodes)
     base = list(accumulate(dims, initial=0))  # node i's elements are base[i]:base[i + 1]
-    level, hops = [0] * n, [0] * n  # hops > 0 marks a copy
-    consts, inputs, groups = [], [], {}
+    # one walk in node order, which is topological: levels and hops (hops > 0 marks a
+    # copy), and per node in a step the key of its step (its level, its op's rank or, for a
+    # copy, one past every rank plus its hops, and a pow's exponent) and (node, first
+    # argument, last argument, a matmul's weight offset, rank)
+    level, hops = [0] * n, [0] * n
+    consts, inputs, keys, info = [], [], [], []
     spans, picks = [], []  # the copies' elements: runs (dst, src, length), picks (dst, src, indices)
     for i, (op, args, payload) in enumerate(nodes):
         kind = _KIND.get(op)
-        if kind is None:
+        if kind is None or (op == "matmul" and dims[args[1]] == 0):  # a matmul of no products is a const zero
             if op == "input":
                 inputs.append(i)
-            elif op == "const":
+            elif op == "const" or kind is not None:
                 consts.append(i)
             else:
                 raise ValueError(f"unknown op {op!r}")
             continue
-        if op == "matmul" and dims[args[1]] == 0:
-            consts.append(i)  # a matmul of no products is a const zero
-            continue
-        lv = level[args[0]]
-        if len(args) > 1:
-            for a in args:
-                if level[a] > lv:
-                    lv = level[a]
+        lv = level[args[0]] if len(args) == 1 else max([level[a] for a in args])
         if kind == _COPIED:
             level[i] = lv
-            h = hops[args[0]]
-            if len(args) > 1:
-                for a in args:
-                    if hops[a] > h:
-                        h = hops[a]
-            hops[i] = h = h + 1
-            key = (lv, _COPIED, h)
+            hops[i] = h = (hops[args[0]] if len(args) == 1 else max([hops[a] for a in args])) + 1
+            rank = len(_RANK) + h
             if op == "slice":
                 spans.append((base[i], base[args[0]] + payload[0], payload[1] - payload[0]))
             elif op == "concat":
@@ -503,38 +550,35 @@ def _fuse(graph: ExprGraph) -> _Program:
                 picks.append((base[i], base[args[0]], payload))
         else:
             level[i] = lv = lv + 1
-            key = (lv, _COMPUTED, op, payload if op == "pow" else None)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [i]
-        else:
-            group.append(i)
+            rank = _RANK[op]
+        keys.append((lv, rank, payload if op == "pow" else 0.0))
+        info += i, args[0], args[-1], payload[0] if op == "matmul" else 0, rank
 
-    # layout: consts, inputs, computed nodes by step, copies by step
-    order = sorted(groups)
-    # consts in the order the steps read them, so that a step reading its consts in
-    # member order reads one slice
-    const_set = set(consts)
-    read = dict.fromkeys(a for key in order if key[1] == _COMPUTED for i in groups[key]
-                         for a in nodes[i].args if a in const_set)
+    # the steps, from one stable sort by key, which keeps each step's members in node order
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = [keys[k] for k in order]
+    bounds = [k for k in range(len(keys)) if k == 0 or keys[k] != keys[k - 1]] + [len(keys)]
+    members, a0, a1, shift, rank = np.array(info, dtype=np.intp).reshape(-1, 5).T[:, order]
+    copied = rank >= len(_RANK)
+    comp, copies = members[~copied], members[copied]
+
+    # layout: consts, inputs, computed nodes by step, copies by step; the consts in the
+    # order the steps first read them, so that a step reading its consts in member order
+    # reads one slice
+    read = set(consts)
+    read = dict.fromkeys(a for i in comp.tolist() for a in nodes[i].args if a in read)
     consts = [*read, *(i for i in consts if i not in read)]
     template = np.concatenate([nodes[i].payload if nodes[i].op == "const" else np.zeros(dims[i])
                                for i in consts] + [np.zeros(0)])
-    valued = inputs + [i for key in order if key[1] == _COMPUTED for i in groups[key]]
-    copies = [i for key in order if key[1] == _COPIED for i in groups[key]]
-    dims_arr = np.array(dims, dtype=np.intp)
-    base_arr = np.concatenate(([0], np.cumsum(dims_arr)))
-    placed = np.array(consts + valued + copies, dtype=np.intp)
-    sizes = dims_arr[placed]
-    starts = np.cumsum(sizes) - sizes
-    off = np.empty(n, dtype=np.intp)
-    off[placed] = starts
-    n_values = len(template) + int(sizes[len(consts):len(consts) + len(valued)].sum())
-    n_adjoints = n_values + int(sizes[len(consts) + len(valued):].sum())
+    off, at = [0] * n, 0
+    for i in chain(consts, inputs, comp.tolist(), copies.tolist()):
+        off[i], at = at, at + dims[i]
+    dims_arr, base_arr, offsets = (np.array(v, dtype=np.intp) for v in (dims, base, off))
+    n_values = at - int(dims_arr[copies].sum())
 
     # each element's own buffer (and adjoint) position, the element a copy's element
     # copies, and where each element's value is read: its own position, or its source's
-    own = np.repeat(off - base_arr[:-1], dims_arr) + np.arange(base[-1])
+    own = (offsets - base_arr[:-1]).repeat(dims_arr) + np.arange(base[-1])
     source = np.full(base[-1], -1, dtype=np.intp)
     if spans:
         dst, src, length = zip(*spans)
@@ -544,69 +588,97 @@ def _fuse(graph: ExprGraph) -> _Program:
         length = [len(k) for k in idx]
         indices = np.concatenate([np.asarray(k, dtype=np.intp) for k in idx])  # tuples or intp arrays
         source[_runs(dst, length)] = np.repeat(src, length) + indices
-    copied = np.flatnonzero(source >= 0)
-    pos, sources = own.copy(), source[copied]
-    pos[copied] = own[sources]
-    deeper = copied[source[sources] >= 0]  # copies of copies
+    copied_elems = (source >= 0).nonzero()[0]
+    pos, sources = own.copy(), source[copied_elems]
+    pos[copied_elems] = own[sources]
+    deeper = copied_elems[source[sources] >= 0]  # copies of copies
     for _ in range(max(hops) - 1):
         pos[deeper] = pos[source[deeper]]
 
-    def elements(of):
-        of = np.array(of, dtype=np.intp)
-        return _runs(base_arr[of], dims_arr[of])
-
-    steps = []
-    for key in order:
-        members = groups[key]
-        op = nodes[members[0]].op
-        if key[1] == _COPIED:
-            step = _Copy()
-            step.sides = step.spans = None  # a reverse-only step: the first sweep fills them in
-            step.elems, step.to = (None,), [None]
+    # per computed step, the index of its first member among the computed members, and per
+    # copy step among the copies; and which computed steps are segment sums
+    firsts, k_firsts, summing = [0], [0], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if keys[lo][1] < len(_RANK):
+            firsts.append(firsts[-1] + hi - lo)
+            summing.append(keys[lo][1] in (_RANK["matmul"], _RANK["segdot"]))
         else:
-            args = [nodes[i].args for i in members]
+            k_firsts.append(k_firsts[-1] + hi - lo)
+    # the elements each computed member reads of its first operand (a matmul, its weight
+    # block), then of its second (a matmul, its input once per row), in one pass, and the
+    # segment sums' segments: a matmul's rows, a segdot's segments
+    c_rank, a0, a1, width = rank[~copied], a0[~copied], a1[~copied], dims_arr[comp]
+    matmul, segdot = c_rank == _RANK["matmul"], c_rank == _RANK["segdot"]
+    summed = matmul | segdot
+    n0 = np.where(matmul, width * dims_arr[a1], dims_arr[a0])
+    reps = np.where(matmul, width, _TWO[c_rank])
+    elems = _runs(np.concatenate([base_arr[a0] + shift[~copied], base_arr[a1].repeat(reps)]),
+                  np.concatenate([n0, dims_arr[a1].repeat(reps)]))
+    ends = np.concatenate([[0], np.concatenate([n0, reps * dims_arr[a1]]).cumsum()])
+    ends = ends[firsts + [len(comp) + f for f in firsts[1:]]]  # per computed step, its first operand's, then its second's
+    index = _indices(pos[elems], ends)
+    ends = ends.tolist()
+    n_segs = np.where(summed, width, 0)
+    lengths = dims_arr[a1].repeat(n_segs)
+    if segdot.any():
+        lengths[_runs((n_segs.cumsum() - n_segs)[segdot], n_segs[segdot])] = np.concatenate(
+            [nodes[i].payload for i in comp[segdot].tolist()])
+    # per segment-sum step: the first product of each segment and each product's segment,
+    # counted from the step's first, or None and None when every segment holds one product
+    sb = np.concatenate([[0], n_segs.cumsum()])[[f for f, s in zip(firsts, summing) if s]]
+    head = np.zeros(len(lengths), dtype=np.intp)
+    head[sb] = sb
+    head = np.maximum.accumulate(head) if len(sb) else head  # per segment, its step's first segment
+    starts = lengths.cumsum() - lengths
+    seg = (np.arange(len(lengths)) - head).repeat(lengths)
+    local = starts - starts[head]
+    starts, plain = starts.tolist() + [len(seg)], np.logical_and.reduceat(lengths == 1, sb) if len(sb) else ()
+    sb = sb.tolist() + [len(lengths)]
+    sums = iter([(None, None) if p else (local[s:e], seg[starts[s]:starts[e]]) for p, s, e in zip(plain, sb, sb[1:])])
+
+    copy_elems = source[_runs(base_arr[copies], dims_arr[copies])]
+    k_ends = np.concatenate([[0], dims_arr[copies].cumsum()])[k_firsts].tolist()
+    steps, of, sides, step_of = [], [], [], [-1] * n
+    members_list, n_comp = members.tolist(), len(firsts) - 1
+    j = k = 0  # the next computed step, copy step
+    for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        front, last = members_list[lo], members_list[hi - 1]
+        for i in members_list[lo:hi]:
+            step_of[i] = s
+        op = nodes[front].op
+        of.append((len(sides),) if op in _COPY or op in _UNARY else (len(sides), len(sides) + 1))
+        if op in _COPY:
+            step = _Copy()
+            sides.append(copy_elems[k_ends[k]:k_ends[k + 1]])
+            k += 1
+        else:
+            sides.append(elems[ends[j]:ends[j + 1]])
             if op in _UNARY:
                 step = _Unary()
                 step.fwd, step.vjp = _UNARY[op]
-                step.c = key[3]
-                x = [arg[0] for arg in args]
-                ex = elements(x)
-                step.x = _index(pos[ex])
-                step.sides, step.elems = (x,), (ex,)
-            elif op in _BINARY:
-                step = _Binary()
-                step.op, step.fn = op, _BINARY[op]
-                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
-                ea, eb = elements(a), elements(b)
-                step.a, step.b = _index(pos[ea]), _index(pos[eb])
-                step.sides, step.elems = (a, b), (ea, eb)
-            else:  # a matmul, one segment per row of its weight block, or a segdot
-                step = _SegmentSum()
-                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
-                if op == "segdot":
-                    lengths = np.concatenate([np.asarray(nodes[i].payload, dtype=np.intp) for i in members])
-                    ea, eb = elements(a), elements(b)
-                else:
-                    cols = dims_arr[b]
-                    start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
-                    lengths = np.repeat(cols, rows)
-                    ea = _runs(base_arr[a] + start, rows * cols)
-                    eb = _runs(np.repeat(base_arr[b], rows), lengths)
-                step.a, step.b = _index(pos[ea]), _index(pos[eb])
-                step.starts = step.seg = None
-                if np.any(lengths != 1):
-                    step.starts = np.cumsum(lengths) - lengths
-                    step.seg = np.repeat(np.arange(len(lengths)), lengths)
-                step.sides, step.elems = (a, b), (ea, eb)
-            step.spans, step.to = None, [None] * len(step.sides)
-        step.members = np.array(members, dtype=np.intp)
-        step.out = slice(int(off[members[0]]), int(off[members[-1]]) + dims[members[-1]])
+                step.c = nodes[front].payload if op == "pow" else None
+                step.x = index[j]
+            else:
+                sides.append(elems[ends[n_comp + j]:ends[n_comp + j + 1]])
+                if op in _BINARY:
+                    step = _Binary()
+                    step.op, step.fn = op, _BINARY[op]
+                else:  # a matmul, one segment per row of its weight block, or a segdot
+                    step = _SegmentSum()
+                    step.starts, step.seg = next(sums)
+                step.a, step.b = index[j], index[n_comp + j]
+            j += 1
+        step.members = members[lo:hi]
+        step.out = slice(off[front], off[last] + dims[last])
         steps.append(step)
 
-    return _Program(n_values, n_adjoints, template,
-                    tuple((nodes[i].payload[0], dims[i], slice(int(off[i]), int(off[i]) + dims[i])) for i in inputs),
-                    tuple(steps), tuple(s for s in steps if not isinstance(s, _Copy)),
-                    _index(pos[elements([graph.output])]), off, base_arr, own, source)
+    rows = dims_arr[members]
+    rows[(~copied).nonzero()[0][summed]] = n0[summed]
+    return _Program(n_values, at, template,
+                    tuple((nodes[i].payload[0], dims[i], slice(off[i], off[i] + dims[i])) for i in inputs),
+                    tuple(steps), tuple(s for s in steps if s.__class__ is not _Copy),
+                    _index(pos[base[graph.output]:base[graph.output + 1]]), offsets, own,
+                    members, bounds, rows, step_of, tuple(of), tuple(sides))
 
 
 def _slot_values(prog: _Program, bindings: Mapping[str, Array],
@@ -641,19 +713,21 @@ def _put(buf: Array, at, v: Array, rows: int | None) -> None:
 class _Layout:
     """A program's value buffer for one batch size, `rows` (None for a vector): (N,) or
     (N, rows), with the consts written once and every forward step bound to views of it
-    (see _Step). `owner` is the static bindings of the Prepared whose values its input
-    slots hold. A program pools its idle layouts per batch size (see _acquire); a layout
-    refers to neither its program nor a Prepared, so that the pool holds no cycle."""
+    (see _Step); and, once it has run a reverse sweep, an adjoint buffer, (N_adj,) or
+    (N_adj, rows), with the reverse calls of each sweep it has run bound to both. `owner`
+    is the static bindings of the Prepared whose values its input slots hold. A program
+    pools its idle layouts per batch size (see _acquire); a layout refers to neither its
+    program nor a Prepared, so that the pool holds no cycle."""
 
-    __slots__ = ("rows", "buf", "calls", "out", "owner")
+    __slots__ = ("rows", "buf", "calls", "out", "owner", "operands", "adj", "sweeps")
 
     def __init__(self, prog: _Program, rows: int | None):
-        self.rows, self.owner = rows, None
+        self.rows, self.owner, self.adj, self.sweeps = rows, None, None, {}
         self.buf = np.empty(prog.n_values if rows is None else (prog.n_values, rows))
         _put(self.buf, slice(0, len(prog.template)), prog.template, rows)
-        calls = []
+        calls, self.operands = [], {}
         for step in prog.runs:
-            step.bind(self.buf, calls)
+            self.operands[step] = step.bind(self.buf, calls)
         out = _bound(self.buf, prog.out, calls)
         self.out, self.calls = out if rows is None else out.T, tuple(calls)
 
@@ -667,6 +741,25 @@ class _Layout:
         for call in self.calls:
             call()
         return self.out
+
+    def pull(self, prog: _Program, sweep: "_Sweep", cot: Array) -> Array:
+        """Run `sweep` from the output adjoint cot, (output_dim,) or (B, output_dim), on the
+        values of the last run, binding its reverse calls at its first run here; returns the
+        at nodes' adjoints, (K,) or (B, K)."""
+        calls = self.sweeps.get(sweep.key)
+        if calls is None:
+            if self.adj is None:
+                self.adj = np.empty(prog.n_adjoints if self.rows is None else (prog.n_adjoints, self.rows))
+            calls = []
+            for step, need, cut, to in sweep.steps:
+                step.bind_reverse(self.buf, self.adj, self.operands.get(step), need, cut, to, calls)
+            calls = self.sweeps[sweep.key] = tuple(calls)
+        self.adj.fill(0.0)
+        _put(self.adj, sweep.seed, cot, self.rows)
+        for call in calls:
+            call()
+        out = self.adj.take(sweep.reads, axis=0)
+        return out if self.rows is None else out.T
 
 
 def _acquire(prog: _Program, rows: int | None) -> _Layout:
@@ -775,68 +868,98 @@ def forward_eval(graph: ExprGraph, bindings: Mapping[str, Array] | Prepared,
         prog.layouts[rows].append(layout)
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    steps: tuple  # (step, operand sides to scatter into, contribution rows to cut or None)
-    reads: object  # the at nodes' adjoint positions end to end
+class _Sweep(NamedTuple):
+    key: tuple  # the at nodes
+    steps: tuple  # (step, need, cut, to) in the order the sweep runs them, see _Step
+    seed: slice  # the output's adjoint segment
+    reads: Array  # the at nodes' adjoint positions end to end
 
 
-def _sweep(graph: ExprGraph, prog: _Program, at: Sequence[int]) -> _Sweep:
-    """The reverse sweep toward the `at` nodes, with them as leaves; cached on the
-    program per `at`. A member of a step passes its adjoint on when the output's
-    adjoint reaches it, it is not a leaf and its adjoint flows on to a target; the
-    sweep runs the steps with such members, scatters only into the operands that
-    lead on, and cuts the contributions of the other members, so that a node the
-    output does not reach adds nothing, not even 0 * inf."""
-    key = tuple(at)
+def _sweep(graph: ExprGraph, prog: _Program, key: tuple) -> _Sweep:
+    """The reverse sweep toward the `key` nodes, with them as leaves; cached on the
+    program per key. A member of a step passes its adjoint on when the output's adjoint
+    reaches it, it is not a leaf and its adjoint flows on to a target; the sweep runs
+    the steps with such members, scatters only into the operand sides that lead on, and
+    cuts the contributions of the other members, so that a node the output does not
+    reach adds nothing, not even 0 * inf. One Python walk over the nodes each way finds
+    these; the cuts and the scatters take numpy passes over the whole program."""
     sweep = prog.sweeps.get(key)
     if sweep is not None:
         return sweep
-    n = len(graph.nodes)
-    targets = list(key)
-    leaf = np.zeros(n, dtype=bool)
-    leaf[targets] = True
-    flows = np.zeros(n, dtype=bool)  # a target, or a node whose adjoint flows on to one
-    flows[targets] = True
-    for step in prog.steps:
-        if step.sides is None:
-            args = [graph.nodes[i].args for i in step.members.tolist()]
-            arity = [len(arg) for arg in args]
-            step.sides = (list(chain.from_iterable(args)),)
-            step.spans = np.cumsum(arity) - arity if max(arity) > 1 else None
-        hit = [flows[side] for side in step.sides]
-        hit = np.logical_or.reduce([h if step.spans is None else np.logical_or.reduceat(h, step.spans)
-                                    for h in hit])
-        flows[step.members] |= hit & ~leaf[step.members]
-
-    dims = np.array(graph.dims, dtype=np.intp)
-    reached = np.zeros(n, dtype=bool)  # nodes the output's adjoint reaches
+    nodes, step_of, of = graph.nodes, prog.step_of, prog.sides
+    n = len(nodes)
+    leaf = [False] * n
+    for i in key:
+        leaf[i] = True
+    flows = leaf.copy()  # a target, or a node whose adjoint flows on to one
+    for i, node in enumerate(nodes):
+        if step_of[i] >= 0 and not leaf[i] and any([flows[a] for a in node.args]):
+            flows[i] = True
+    reached, moves, need, moved = [False] * n, [False] * n, [False] * len(prog.elems), [0] * len(of)
     reached[graph.output] = True
-    steps = []
-    for step in reversed(prog.steps):
-        moves = reached[step.members] & flows[step.members] & ~leaf[step.members]
-        if not moves.any():
-            continue
-        need = []
-        for k, side in enumerate(step.sides):
-            side = np.asarray(side)
-            by_arg = moves if step.spans is None else np.repeat(moves, np.diff(step.spans, append=len(side)))
-            reached[side[by_arg]] = True
-            need.append(bool((flows[side] & by_arg).any()))
-            if need[k] and step.to[k] is None:
-                elems = step.elems[k]
-                if elems is None:  # a copy's adjoint goes to its sources
-                    elems = prog.source[_runs(prog.base[step.members], dims[step.members])]
-                step.to[k] = _Scatter(prog.own[elems])
-        cut = None
-        if not moves.all():
-            cut = np.flatnonzero(np.repeat(~moves, dims[step.members]))
-            if isinstance(step, _SegmentSum) and step.seg is not None:
-                cut = np.flatnonzero(np.isin(step.seg, cut))  # in products
-        steps.append((step, tuple(need), cut))
-    sweep = _Sweep(tuple(steps), _index(_runs(prog.offsets[targets], dims[targets])))
+    for i in reversed(range(n)):
+        if reached[i] and flows[i] and not leaf[i] and step_of[i] >= 0:
+            args, sides = nodes[i].args, of[step_of[i]]
+            moves[i] = True
+            moved[step_of[i]] += 1
+            for a in args:
+                reached[a] = True
+            if len(sides) == len(args):  # a side per argument
+                for side, a in zip(sides, args):
+                    need[side] = need[side] or flows[a]
+            elif any([flows[a] for a in args]):  # a copy's arguments, one side
+                need[sides[0]] = True
+    bounds = prog.bounds
+    cuts = [s for s, m in enumerate(moved) if 0 < m < bounds[s + 1] - bounds[s]]
+    cut = {}
+    if cuts:  # the contribution rows of the members that do not move, counted from their step's first
+        first = np.concatenate([[0], prog.rows.cumsum()])[bounds]
+        rows = (~np.array(moves)[prog.members]).repeat(prog.rows).nonzero()[0]
+        at = rows.searchsorted(first).tolist()
+        rows -= first[:-1].repeat(np.subtract(at[1:], at[:-1]))
+        cut = {s: rows[at[s]:at[s + 1]] for s in cuts}
+    to = _scatters(prog, [side for side, needed in enumerate(need) if needed])
+    steps = tuple((prog.steps[s], tuple(need[k] for k in of[s]), cut.get(s), tuple(to.get(k) for k in of[s]))
+                  for s in reversed(range(len(of))) if moved[s])
+    dims = np.array(graph.dims, dtype=np.intp)
+    out = int(prog.offsets[graph.output])
+    sweep = _Sweep(key, steps, slice(out, out + graph.output_dim), _runs(prog.offsets[list(key)], dims[list(key)]))
     prog.sweeps[key] = sweep
     return sweep
+
+
+def _scatters(prog: _Program, sides: list) -> dict:
+    """The _Scatter of each of the operand sides `sides` (see _Program), by side, from one
+    stable sort of their positions."""
+    counts = np.array([len(prog.elems[side]) for side in sides], dtype=np.intp)
+    pos = prog.own[np.concatenate([prog.elems[side] for side in sides] + [np.zeros(0, np.intp)])]
+    firsts = counts.cumsum() - counts  # per side, its first entry in pos
+    which = np.arange(len(sides)).repeat(counts)
+    order = (which * len(prog.own) + pos).argsort(kind="stable")  # each side's positions ranked
+    ranked = pos[order]
+    fresh = np.ones(len(pos), dtype=bool)  # a position's first entry in its side's ranking
+    fresh[1:] = ranked[1:] != ranked[:-1]
+    fresh[firsts[counts > 0]] = True
+    heads = fresh.nonzero()[0]
+    in_side = heads.searchsorted(np.concatenate([firsts, [len(pos)]])).tolist()  # per side, its first entry in heads
+    order -= firsts[which]
+    heads_local = heads - firsts[which[heads]]
+    # per side, its first and last entry, whether its positions rise throughout, and by one
+    lo, hi, padded = firsts, np.maximum(firsts + counts - 1, 0), np.concatenate([pos, [0]])  # an empty side reads the pad
+    falls = np.concatenate(([0], (pos[1:] <= pos[:-1]).cumsum(), [0]))
+    rises, runs = (falls[lo] == falls[hi]).tolist(), (padded[hi] - padded[lo] == counts - 1).tolist()
+    out = {}
+    for k, (side, lo, m, first) in enumerate(zip(sides, firsts.tolist(), counts.tolist(), padded[lo].tolist())):
+        h0, h1 = in_side[k], in_side[k + 1]
+        if m == 0:
+            out[side] = _Scatter(slice(0, 0), None, None)
+        elif m == 1 or rises[k]:
+            out[side] = _Scatter(slice(first, first + m) if runs[k] else pos[lo:lo + m], None, None)
+        elif h1 - h0 == m:  # distinct positions in another order
+            out[side] = _Scatter(pos[lo:lo + m], None, None)
+        else:
+            out[side] = _Scatter(_index(ranked[heads[h0:h1]]), order[lo:lo + m], heads_local[h0:h1])
+    return out
 
 
 def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
@@ -847,7 +970,8 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     With `at`, a sequence of node indices, the sweep treats those nodes as
     leaves (it propagates nothing below them) and returns their adjoints end to
     end as one array of K entries, K the sum of their dims, in the order of
-    `at`. The relu derivative at exactly 0 is taken to be 0.
+    `at`. An entry that is not an int in 0..len(graph.nodes) - 1 raises
+    ShapeMismatch. The relu derivative at exactly 0 is taken to be 0.
 
     A batch (a slot bound with a batch axis, or a (B, output_dim) cotangent)
     gives every adjoint per row: (B, dim) per slot, or (B, K) with `at`; a
@@ -860,19 +984,17 @@ def reverse_vjp(graph: ExprGraph, bindings: Mapping[str, Array], cotangent,
     values, rows = _slot_values(prog, bindings, cot.shape[0] if cot.ndim == 2 else None)
     if cot.ndim > 2 or cot.shape[-1] != graph.output_dim:
         raise ShapeMismatch(f"cotangent shape {cot.shape} does not end in output dim {graph.output_dim}")
+    key = tuple(idx for idx, _ in graph.slots.values()) if at is None else tuple(at)
+    if not all(isinstance(i, (int, np.integer)) and 0 <= i < len(graph.nodes) for i in key):
+        raise ShapeMismatch(f"at nodes {list(key)} are not node indices in 0..{len(graph.nodes) - 1}")
 
-    sweep = _sweep(graph, prog, [idx for idx, _ in graph.slots.values()] if at is None else at)
-    adj = np.zeros(prog.n_adjoints if rows is None else (prog.n_adjoints, rows))
-    _put(adj, slice(prog.offsets[graph.output], prog.offsets[graph.output] + graph.output_dim), cot, rows)
+    sweep = _sweep(graph, prog, key)
     layout = _acquire(prog, rows)
     try:
         layout.run(prog, values)
-        for step, need, cut in sweep.steps:
-            step.backward(layout.buf, adj, adj[step.out], need, cut)
+        out = layout.pull(prog, sweep, cot)
     finally:
         prog.layouts[rows].append(layout)
-
-    out = _take(adj, sweep.reads) if rows is None else _take(adj, sweep.reads).T
     if at is not None:
         return out
     ends = accumulate(dim for _, dim in graph.slots.values())

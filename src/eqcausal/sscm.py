@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -221,6 +221,14 @@ class _Stacked:
 
     def __post_init__(self):
         object.__setattr__(self, "leaves", tuple(chain.from_iterable(c[2] for c in self.cells)))
+
+    @cached_property
+    def dense(self) -> Array:
+        """Per leaf adjoint, its cell in the fields' dense matrices laid end to end; built at
+        the first node_gradients call, which a program that is only evaluated never makes."""
+        sizes = accumulate((self.graph.output_dim * width for _, width, _, _ in self.cells), initial=0)
+        return np.concatenate([cells + first for (_, _, _, cells), first in zip(self.cells, sizes)]
+                              + [np.zeros(0, np.intp)])
 
 
 #: the NodeJacobians field each slot's partials fill
@@ -414,8 +422,9 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, reroute=None, policy=None) 
     """df/d(x, theta, u, policy) at (x, theta), (B, d, ...) stacks for a batch.
 
     One reverse sweep of the stacked graph, seeded with 1 at every node output and
-    stopped at the entry nodes; their adjoints fill each dense matrix through the cells
-    the stacked program holds. With a reroute (see assemble_map) the sweep runs at the
+    stopped at the entry nodes; their adjoints fill one buffer of the dense matrices end
+    to end through the index the stacked program caches, and each matrix is a view of it
+    (for a batch, of every row). With a reroute (see assemble_map) the sweep runs at the
     overwritten x, and the df/dx columns of the rerouted nodes are 0.
     """
     _require_valid(spec)
@@ -428,13 +437,12 @@ def node_gradients(spec: SscmSpec, x, theta, u=None, reroute=None, policy=None) 
     bindings["x"] = x
     seed = np.ones(spec.d if rows is None else (rows, spec.d))
     adj = diffcore.reverse_vjp(prog.graph, bindings, seed, at=prog.leaves)
-    lead = adj.shape[:-1]
+    flat = np.zeros(adj.shape[:-1] + (sum(spec.d * width for _, width, _, _ in prog.cells),))
+    flat[..., prog.dense] = adj
     dense, start = {}, 0
-    for name, width, _, cells in prog.cells:
-        flat = np.zeros(lead + (spec.d * width,))
-        flat[..., cells] = adj[..., start:start + len(cells)]
-        dense[name] = flat.reshape(lead + (spec.d, width))
-        start += len(cells)
+    for name, width, _, _ in prog.cells:
+        dense[name] = flat[..., start:start + spec.d * width].reshape(adj.shape[:-1] + (spec.d, width))
+        start += spec.d * width
     if reroute is not None:
         dense["x"][..., reroute[0]] = 0.0
     return NodeJacobians(**dense)

@@ -3,6 +3,8 @@ across test modules."""
 
 from collections import deque
 from dataclasses import replace
+from itertools import accumulate, chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -627,3 +629,224 @@ def reference_reverse_vjp(graph, bindings, cotangent, at=None):
     if at is not None:
         return np.concatenate([read(i) for i in at], axis=-1)
     return {slot: read(idx) for slot, (idx, _) in graph.slots.items()}
+
+
+# --- diffcore's program construction as it was built step by step ---
+#
+# reference_fuse and reference_sweep build a program and a reverse sweep with a few numpy
+# calls per node and per step, as diffcore did before it built them in whole-program
+# passes. The steps are namespaces with the attributes diffcore's steps had; diffcore's
+# program must come out with the same groups, layout, index arrays and scatters.
+
+_REF_UNARY = ("recip", "neg", "pow", "exp", "log", "relu")
+_REF_BINARY = ("add", "sub", "mul")
+_REF_COMPUTED, _REF_COPIED = 0, 1
+_REF_KIND = {**dict.fromkeys((*_REF_UNARY, *_REF_BINARY, "matmul", "segdot"), _REF_COMPUTED),
+             **dict.fromkeys(("slice", "gather", "concat"), _REF_COPIED)}
+
+
+def _ref_runs(starts, lengths):
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _ref_index(pos):
+    n = len(pos)
+    first = int(pos[0]) if n else 0
+    if n == 0 or (pos[-1] - first == n - 1 and (pos[1:] > pos[:-1]).all()):
+        return slice(first, first + n)
+    return pos
+
+
+def _ref_scatter(positions):
+    """The scatter of one contribution per position: to, order and starts."""
+    order = starts = None
+    if len(positions) > 1 and not (positions[1:] > positions[:-1]).all():
+        ranked_order = np.argsort(positions, kind="stable")
+        ranked = positions[ranked_order]
+        firsts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        if len(firsts) < len(ranked):
+            order, starts, positions = ranked_order, firsts, ranked[firsts]
+    return SimpleNamespace(to=_ref_index(positions), order=order, starts=starts)
+
+
+def reference_fuse(graph):
+    """The graph's fused program as diffcore._fuse built it node by node and step by step:
+    a namespace with _Program's fields, whose steps have a `kind` ("unary", "binary",
+    "segsum" or "copy") and the attributes diffcore's steps had."""
+    nodes, dims = graph.nodes, graph.dims
+    n = len(nodes)
+    base = list(accumulate(dims, initial=0))
+    level, hops = [0] * n, [0] * n
+    consts, inputs, groups = [], [], {}
+    spans, picks = [], []
+    for i, (op, args, payload) in enumerate(nodes):
+        kind = _REF_KIND.get(op)
+        if kind is None:
+            if op == "input":
+                inputs.append(i)
+            elif op == "const":
+                consts.append(i)
+            else:
+                raise ValueError(f"unknown op {op!r}")
+            continue
+        if op == "matmul" and dims[args[1]] == 0:
+            consts.append(i)
+            continue
+        lv = max(level[a] for a in args)
+        if kind == _REF_COPIED:
+            level[i] = lv
+            hops[i] = h = max(hops[a] for a in args) + 1
+            key = (lv, _REF_COPIED, h)
+            if op == "slice":
+                spans.append((base[i], base[args[0]] + payload[0], payload[1] - payload[0]))
+            elif op == "concat":
+                spans.extend(zip(accumulate([dims[a] for a in args[:-1]], initial=base[i]),
+                                 [base[a] for a in args], [dims[a] for a in args]))
+            else:
+                picks.append((base[i], base[args[0]], payload))
+        else:
+            level[i] = lv = lv + 1
+            key = (lv, _REF_COMPUTED, op, payload if op == "pow" else None)
+        groups.setdefault(key, []).append(i)
+
+    order = sorted(groups)
+    const_set = set(consts)
+    read = dict.fromkeys(a for key in order if key[1] == _REF_COMPUTED for i in groups[key]
+                         for a in nodes[i].args if a in const_set)
+    consts = [*read, *(i for i in consts if i not in read)]
+    template = np.concatenate([nodes[i].payload if nodes[i].op == "const" else np.zeros(dims[i])
+                               for i in consts] + [np.zeros(0)])
+    valued = inputs + [i for key in order if key[1] == _REF_COMPUTED for i in groups[key]]
+    copies = [i for key in order if key[1] == _REF_COPIED for i in groups[key]]
+    dims_arr = np.array(dims, dtype=np.intp)
+    base_arr = np.concatenate(([0], np.cumsum(dims_arr)))
+    placed = np.array(consts + valued + copies, dtype=np.intp)
+    sizes = dims_arr[placed]
+    starts = np.cumsum(sizes) - sizes
+    off = np.empty(n, dtype=np.intp)
+    off[placed] = starts
+    n_values = len(template) + int(sizes[len(consts):len(consts) + len(valued)].sum())
+    n_adjoints = n_values + int(sizes[len(consts) + len(valued):].sum())
+
+    own = np.repeat(off - base_arr[:-1], dims_arr) + np.arange(base[-1])
+    source = np.full(base[-1], -1, dtype=np.intp)
+    if spans:
+        dst, src, length = zip(*spans)
+        source[_ref_runs(dst, length)] = _ref_runs(src, length)
+    if picks:
+        dst, src, idx = zip(*picks)
+        length = [len(k) for k in idx]
+        indices = np.concatenate([np.asarray(k, dtype=np.intp) for k in idx])
+        source[_ref_runs(dst, length)] = np.repeat(src, length) + indices
+    copied = np.flatnonzero(source >= 0)
+    pos, sources = own.copy(), source[copied]
+    pos[copied] = own[sources]
+    deeper = copied[source[sources] >= 0]
+    for _ in range(max(hops, default=0) - 1):
+        pos[deeper] = pos[source[deeper]]
+
+    def elements(of):
+        of = np.array(of, dtype=np.intp)
+        return _ref_runs(base_arr[of], dims_arr[of])
+
+    steps = []
+    for key in order:
+        members = groups[key]
+        op = nodes[members[0]].op
+        step = SimpleNamespace(spans=None, starts=None, seg=None)
+        if key[1] == _REF_COPIED:
+            step.kind, step.sides, step.elems, step.to = "copy", None, (None,), [None]
+        else:
+            args = [nodes[i].args for i in members]
+            if op in _REF_UNARY:
+                step.kind, step.c = "unary", key[3]
+                x = [arg[0] for arg in args]
+                ex = elements(x)
+                step.x = _ref_index(pos[ex])
+                step.sides, step.elems = (x,), (ex,)
+            elif op in _REF_BINARY:
+                step.kind, step.op = "binary", op
+                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
+                ea, eb = elements(a), elements(b)
+                step.a, step.b = _ref_index(pos[ea]), _ref_index(pos[eb])
+                step.sides, step.elems = (a, b), (ea, eb)
+            else:
+                step.kind = "segsum"
+                a, b = [arg[0] for arg in args], [arg[1] for arg in args]
+                if op == "segdot":
+                    lengths = np.concatenate([np.asarray(nodes[i].payload, dtype=np.intp) for i in members])
+                    ea, eb = elements(a), elements(b)
+                else:
+                    cols = dims_arr[b]
+                    start, rows = np.array([nodes[i].payload for i in members], dtype=np.intp).T
+                    lengths = np.repeat(cols, rows)
+                    ea = _ref_runs(base_arr[a] + start, rows * cols)
+                    eb = _ref_runs(np.repeat(base_arr[b], rows), lengths)
+                step.a, step.b = _ref_index(pos[ea]), _ref_index(pos[eb])
+                if np.any(lengths != 1):
+                    step.starts = np.cumsum(lengths) - lengths
+                    step.seg = np.repeat(np.arange(len(lengths)), lengths)
+                step.sides, step.elems = (a, b), (ea, eb)
+            step.to = [None] * len(step.sides)
+        step.members = np.array(members, dtype=np.intp)
+        step.out = slice(int(off[members[0]]), int(off[members[-1]]) + dims[members[-1]])
+        steps.append(step)
+
+    return SimpleNamespace(
+        n_values=n_values, n_adjoints=n_adjoints, template=template,
+        inputs=tuple((nodes[i].payload[0], dims[i], slice(int(off[i]), int(off[i]) + dims[i])) for i in inputs),
+        steps=tuple(steps), runs=tuple(s for s in steps if s.kind != "copy"),
+        out=_ref_index(pos[elements([graph.output])]), offsets=off, base=base_arr, own=own, source=source)
+
+
+def reference_sweep(graph, prog, at):
+    """The reverse sweep toward the `at` nodes as diffcore._sweep built it step by step on
+    a reference_fuse program: a namespace of `steps`, each (step, need, cut) in the order
+    the sweep runs them, with the scatters of the sides it needs set on step.to, and
+    `reads`, the at nodes' adjoint positions."""
+    n = len(graph.nodes)
+    targets = list(at)
+    leaf = np.zeros(n, dtype=bool)
+    leaf[targets] = True
+    flows = np.zeros(n, dtype=bool)
+    flows[targets] = True
+    for step in prog.steps:
+        if step.sides is None:
+            args = [graph.nodes[i].args for i in step.members.tolist()]
+            arity = [len(arg) for arg in args]
+            step.sides = (list(chain.from_iterable(args)),)
+            step.spans = np.cumsum(arity) - arity if max(arity) > 1 else None
+        hit = [flows[side] for side in step.sides]
+        hit = np.logical_or.reduce([h if step.spans is None else np.logical_or.reduceat(h, step.spans)
+                                    for h in hit])
+        flows[step.members] |= hit & ~leaf[step.members]
+
+    dims = np.array(graph.dims, dtype=np.intp)
+    reached = np.zeros(n, dtype=bool)
+    reached[graph.output] = True
+    steps = []
+    for step in reversed(prog.steps):
+        moves = reached[step.members] & flows[step.members] & ~leaf[step.members]
+        if not moves.any():
+            continue
+        need = []
+        for k, side in enumerate(step.sides):
+            side = np.asarray(side)
+            by_arg = moves if step.spans is None else np.repeat(moves, np.diff(step.spans, append=len(side)))
+            reached[side[by_arg]] = True
+            need.append(bool((flows[side] & by_arg).any()))
+            if need[k] and step.to[k] is None:
+                elems = step.elems[k]
+                if elems is None:
+                    elems = prog.source[_ref_runs(prog.base[step.members], dims[step.members])]
+                step.to[k] = _ref_scatter(prog.own[elems])
+        cut = None
+        if not moves.all():
+            cut = np.flatnonzero(np.repeat(~moves, dims[step.members]))
+            if step.kind == "segsum" and step.seg is not None:
+                cut = np.flatnonzero(np.isin(step.seg, cut))
+        steps.append((step, tuple(need), cut))
+    return SimpleNamespace(steps=tuple(steps), reads=_ref_runs(prog.offsets[targets], dims[targets]))

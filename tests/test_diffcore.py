@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqcausal import diffcore
+from eqcausal import diffcore, interventions, modelzoo, optimize, sscm
 from eqcausal.diffcore import ExprBuilder, forward_eval, inline, reverse_vjp
 from eqcausal.errors import DomainError, ShapeMismatch, SpecValidationError, UnboundSlot
 
-from ._models import finite_difference_jacobian, jacobian, reference_forward_eval, reference_reverse_vjp
+from ._models import (finite_difference_jacobian, jacobian, reference_forward_eval, reference_fuse,
+                      reference_reverse_vjp, reference_sweep)
 
 
 def matvec(b, A, x):
@@ -572,6 +573,103 @@ def test_fused_program_matches_the_per_node_interpreter(case):
     assert_close(got, want)
 
 
+# --- the whole-program passes against the step-by-step construction ---
+
+_KINDS = {diffcore._Unary: "unary", diffcore._Binary: "binary", diffcore._SegmentSum: "segsum",
+          diffcore._Copy: "copy"}
+
+
+def assert_same_index(got, want):
+    """Equal buffer positions, a slice where the reference has one and an array where it has one."""
+    assert got.__class__ is want.__class__
+    if want.__class__ is slice:
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def assert_same_or_none(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_array_equal(got, want)
+
+
+def assert_same_program(graph, at_sets):
+    """diffcore's program and its sweeps toward each of `at_sets` equal the step-by-step ones."""
+    prog, ref = diffcore._fuse(graph), reference_fuse(graph)
+    assert (prog.n_values, prog.n_adjoints, prog.inputs) == (ref.n_values, ref.n_adjoints, ref.inputs)
+    assert prog.template.tobytes() == ref.template.tobytes()
+    assert_same_index(prog.out, ref.out)
+    for name in ("offsets", "own"):
+        np.testing.assert_array_equal(getattr(prog, name), getattr(ref, name))
+    assert len(prog.steps) == len(ref.steps) and len(prog.runs) == len(ref.runs)
+    for got, want in zip(prog.steps, ref.steps):
+        assert _KINDS[got.__class__] == want.kind
+        np.testing.assert_array_equal(got.members, want.members)
+        assert got.out == want.out
+        if want.kind == "unary":
+            assert got.c == want.c
+            assert_same_index(got.x, want.x)
+        elif want.kind != "copy":
+            assert_same_index(got.a, want.a)
+            assert_same_index(got.b, want.b)
+        if want.kind == "binary":
+            assert got.op == want.op
+        if want.kind == "segsum":
+            assert_same_or_none(got.starts, want.starts)
+            assert_same_or_none(got.seg, want.seg)
+    for at in at_sets:
+        sweep, want = diffcore._sweep(graph, prog, tuple(at)), reference_sweep(graph, ref, at)
+        np.testing.assert_array_equal(sweep.reads, want.reads)
+        assert len(sweep.steps) == len(want.steps)
+        for (step, need, cut, to), (want_step, want_need, want_cut) in zip(sweep.steps, want.steps):
+            assert [s is step for s in prog.steps] == [s is want_step for s in ref.steps]
+            assert need == want_need
+            assert_same_or_none(cut, want_cut)
+            for k, needed in enumerate(need):
+                assert (to[k] is None) == (not needed)
+                if needed:
+                    assert_same_index(to[k].to, want_step.to[k].to)
+                    assert_same_or_none(to[k].order, want_step.to[k].order)
+                    assert_same_or_none(to[k].starts, want_step.to[k].starts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_graphs())
+def test_whole_program_passes_give_the_step_by_step_program(case):
+    graph, _, _, at, _ = case
+    assert_same_program(graph, [at, [idx for idx, _ in graph.slots.values()]])
+
+
+def _zoo_spec(name):
+    """The spec of a zoo model by name: the motivating example, the rebound and two-compartment
+    base models and their deployed twins, and all-sector applied leontief-synthetic-N."""
+    if name.startswith("applied"):
+        n = int(name.rsplit("-", 1)[1])
+        spec = modelzoo.leontief_model(modelzoo.leontief_synthetic(n))
+        return interventions.apply(spec, interventions.LieElement("multiplicative", tuple(range(n)), np.ones(n)))
+    if name == "motivating":
+        return modelzoo.motivating_example()
+    if name.startswith("rebound"):
+        rebound = modelzoo.rebound_3sector()
+        mlp = rebound.policy_mlp()
+        policy, _ = optimize.build_mlp_policy(mlp, 1, 1)
+        base, plans = rebound.spec, rebound.plan(policy, mlp.n_weights)
+        elements = interventions.LieElement("multiplicative", (rebound.energy_sector,), [1.0])
+    else:
+        compartment = modelzoo.two_compartment_model()
+        base, plans = compartment.spec, compartment.plan.plans
+        elements = [interventions.LieElement("multiplicative", (p.intervened,), [1.0]) for p in plans]
+    return interventions.build_invariant_model(base, plans, elements).deployed if name.endswith("twin") else base
+
+
+@pytest.mark.parametrize("name", ["motivating", "rebound", "rebound-twin", "two-compartment", "two-compartment-twin",
+                                  "applied-leontief-synthetic-12", "applied-leontief-synthetic-100"])
+def test_whole_program_passes_give_the_step_by_step_program_of_every_zoo_model(name):
+    stacked = sscm._stacked(_zoo_spec(name))
+    assert_same_program(stacked.graph, [stacked.leaves, [idx for idx, _ in stacked.graph.slots.values()]])
+
+
 # --- errors raised inside a wide step ---
 
 def _hundred_wide(op):
@@ -716,3 +814,96 @@ def test_one_graph_evaluated_from_several_threads():
         w = np.full(3, 1.0 + 0.25 * k)
         for x in (xs[k], xs[k][0]):
             assert results[k, x.ndim] == {forward_eval(_log_after_steps_graph(), {"x": x, "w": w}).tobytes()}
+
+
+# --- the bound reverse sweep ---
+
+def test_reverse_calls_from_several_threads_give_the_single_thread_bits():
+    # a reverse call runs on a pooled layout of its own, with its own adjoint buffer and
+    # bound sweep, so threads that pull cotangents back through one graph never mix them
+    g = _log_after_steps_graph()
+    rng = np.random.default_rng(6)
+    xs, cots = rng.uniform(0.5, 1.5, (6, 4, 3)), rng.normal(size=(6, 4, 3))
+    results, errors = {}, []
+
+    def work(k):
+        try:
+            w = np.full(3, 1.0 + 0.25 * k)
+            for _ in range(30):
+                for x, cot in ((xs[k], cots[k]), (xs[k][0], cots[k][0])):
+                    got = reverse_vjp(g, {"x": x, "w": w}, cot), reverse_vjp(g, {"x": x, "w": w}, cot, at=[1, 3])
+                    results.setdefault((k, x.ndim), set()).add(
+                        got[0]["x"].tobytes() + got[0]["w"].tobytes() + got[1].tobytes())
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for k in range(len(xs)):
+        w = np.full(3, 1.0 + 0.25 * k)
+        for x, cot in ((xs[k], cots[k]), (xs[k][0], cots[k][0])):
+            fresh = _log_after_steps_graph()
+            want = reverse_vjp(fresh, {"x": x, "w": w}, cot), reverse_vjp(fresh, {"x": x, "w": w}, cot, at=[1, 3])
+            assert results[k, x.ndim] == {want[0]["x"].tobytes() + want[0]["w"].tobytes() + want[1].tobytes()}
+
+
+def test_a_reverse_call_whose_forward_pass_fails_leaves_the_program_usable():
+    # a DomainError in the forward pass of a reverse call leaves the layout's value and
+    # adjoint buffers and its bound sweeps fit for the next call
+    g = _log_after_steps_graph()
+    w = np.array([1.0, 2.0, 3.0])
+    rng = np.random.default_rng(7)
+    for lead in ((), (4,)):
+        good = rng.uniform(0.5, 1.5, lead + (3,))
+        bad = good.copy()
+        bad[..., 1] = -5.0  # w * exp(x) < 1
+        cot = rng.normal(size=lead + (3,))
+        for at in (None, [1, 3]):
+            reverse_vjp(g, {"x": good, "w": w}, cot, at=at)  # a layout with the sweep bound
+            with pytest.raises(DomainError, match="log of non-positive value"):
+                reverse_vjp(g, {"x": bad, "w": w}, cot, at=at)
+            got, want = (reverse_vjp(graph, {"x": good, "w": w}, cot, at=at)
+                         for graph in (g, _log_after_steps_graph()))
+            if at is None:
+                assert got.keys() == want.keys() and all(got[s].tobytes() == want[s].tobytes() for s in want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_interleaved_sweeps_and_batch_sizes_give_the_bits_of_fresh_graphs():
+    # one program's layouts bind each sweep they run; calls that alternate two `at` sets
+    # and three batch sizes on one graph match the same calls on a fresh graph each
+    g = _log_after_steps_graph()
+    rng = np.random.default_rng(8)
+    w = np.array([1.0, 2.0, 3.0])
+    for _ in range(3):
+        for rows in (None, 1, 4):
+            x = rng.uniform(0.5, 1.5, (3,) if rows is None else (rows, 3))
+            cot = rng.normal(size=x.shape)
+            for at in ([1, 3], [0, 2, 4]):
+                got = reverse_vjp(g, {"x": x, "w": w}, cot, at=at)
+                assert got.tobytes() == reverse_vjp(_log_after_steps_graph(), {"x": x, "w": w}, cot, at=at).tobytes()
+    assert len(g._program.sweeps) == 2 and all(len(g._program.layouts[rows]) == 1 for rows in (None, 1, 4))
+
+
+@pytest.mark.parametrize("at", [[-1], [99], [4], [1.0], [0, np.int64(-2)], [True, "x"]], ids=str)
+def test_at_entries_that_are_not_node_indices_raise_shape_mismatch(at):
+    # before, -1 counted from the end (the output's own cotangent came back) and 99 raised
+    # a bare IndexError
+    b = ExprBuilder()
+    x = b.input("x", 2)
+    g = b.build(-(b.exp(x) * x))  # 4 nodes: x, exp, mul, neg
+    with pytest.raises(ShapeMismatch, match=r"not node indices in 0\.\.3"):
+        reverse_vjp(g, {"x": [0.5, 1.0]}, [1.0, 1.0], at=at)
+    assert not g._program.sweeps  # refused before any sweep was built
+    want = reverse_vjp(g, {"x": [0.5, 1.0]}, [1.0, 1.0], at=[1, 3])
+    assert reverse_vjp(g, {"x": [0.5, 1.0]}, [1.0, 1.0], at=np.array([1, 3])).tobytes() == want.tobytes()
